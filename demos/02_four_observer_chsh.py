@@ -16,7 +16,7 @@ cfg = LFConfig()
 analytic = scenarios.pair_correlations(cfg)
 for pair in scenarios.PAIR_IDS:
     print(f"E({pair}) = {analytic[pair]:+.9f}")
-s = analytic["AC"] + analytic["BC"] + analytic["BD"] - analytic["AD"]
+s = scenarios.chsh_from_angles(cfg)
 print(f"S = {s:.9f}  (2*sqrt(2) = {2 * math.sqrt(2):.9f})")
 
 rng = np.random.default_rng(0)

@@ -14,17 +14,12 @@ batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 400000, seed=0)
 print(f"{len(batch.records)} runs; first record:")
 print(" ", batch.records[0].to_json_dict())
 
-for pair_id, pair, choice_pair in zip(
-        ("AC", "AD", "BC", "BD"),
-        (("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")),
-        relmodel.CHOICE_PAIRS):
-    table, n = relmodel.empirical_pair_table(batch, pair)
-    target = relmodel.born_target_table(cfg, *choice_pair)
-    tv = statlab.total_variation(table, target)
+tables, pair_checks = relmodel.observed_pair_checks(batch)
+for (pair_id, table), check in zip(tables.items(), pair_checks):
     e, _ = statlab.correlation_estimate(table)
-    print(f"pair {pair_id}: n={n}, E={e:+.4f}, TV vs Born={tv:.4f}")
+    print(f"pair {pair_id}: n={table.total}, E={e:+.4f}, TV vs Born={check['observed']:.4f}")
 
-internal, n = relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
+checks, internal, report = relmodel.audit(batch)
 print("internal joint frequencies:", {k: round(v, 4) for k, v in internal.freqs().items()})
-report = relmodel.check_choice_independence(batch)
 print("choice-independence flags:", list(report.flags) or "none")
+print("all audits pass:", all(c["pass"] for c in checks))

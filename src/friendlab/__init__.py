@@ -3,15 +3,16 @@ Wigner's Friend experiments.
 
 Subpackages:
 
-* hilbert -- dense state-vector engine (tensor products, unitaries,
+* hilbert -- dense state-vector engine (named tensor factors, unitaries,
   projective measurement, Born sampling);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
   and sequential-measurement experiments;
 * marginal_polytope -- exact-rational feasibility of pairwise targets via
   phase-1 simplex, cross-checked against the analytic CHSH criterion;
 * relmodel -- Monte Carlo runs of the frame-relational model where frame
-  relations exist only on ask runs;
-* statlab -- empirical distributions, TV distance, correlation estimators;
+  relations exist only on ask runs, and the audit of a batch of runs;
+* statlab -- empirical distributions, TV distance, correlation estimators,
+  pass/fail check dicts;
 * cli -- command-line orchestration and the acceptance suite.
 """
 

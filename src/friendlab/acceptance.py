@@ -18,14 +18,14 @@ from .scenarios import LFConfig, RovelliConfig
 TSIRELSON = 2.0 * math.sqrt(2.0)
 COS45 = math.cos(math.radians(45.0))
 
+RANDOM_TARGETS = 1000          # criterion 2: targets for the LP/analytic cross-check
+RELMODEL_TRIALS = 4 * 10 ** 5  # criterion 3: frame-relational runs
+UNITARIES = 100                # criterion 4: random orientation unitaries per state
+ROVELLI_TRIALS = 10 ** 4       # criterion 5: asked sequential runs
+
 
 def _sub_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
-def _check(name: str, observed: float, threshold: float, n: int = 0,
-           metric: str = "abs-diff") -> dict:
-    return statlab.ToleranceReport(metric, float(observed), threshold, n, name).to_json_dict()
 
 
 def sample_pair_tables(cfg: LFConfig, per_pair: int,
@@ -47,21 +47,21 @@ def criterion_1(seed: int) -> dict:
     cfg = LFConfig()
     analytic = scenarios.pair_correlations(cfg)
     expected = {"AC": COS45, "BC": COS45, "BD": COS45, "AD": -COS45}
-    checks = [_check(f"analytic E({pair})", abs(analytic[pair] - expected[pair]), 1e-9)
+    checks = [statlab.check(f"analytic E({pair})", abs(analytic[pair] - expected[pair]), 1e-9)
               for pair in scenarios.PAIR_IDS]
-    s_analytic = analytic["AC"] + analytic["BC"] + analytic["BD"] - analytic["AD"]
-    checks.append(_check("analytic S vs 2*sqrt(2)", abs(s_analytic - TSIRELSON), 1e-9))
+    s_analytic = scenarios.chsh_from_angles(cfg)
+    checks.append(statlab.check("analytic S vs 2*sqrt(2)", abs(s_analytic - TSIRELSON), 1e-9))
     rng = np.random.default_rng(seed)
     tables = sample_pair_tables(cfg, 10 ** 5, rng)
     s_mc, stderr = statlab.chsh_estimate(tables)
-    checks.append(_check("Monte Carlo S vs 2*sqrt(2)", abs(s_mc - TSIRELSON), 0.05,
-                         n=4 * 10 ** 5))
+    checks.append(statlab.check("Monte Carlo S vs 2*sqrt(2)", abs(s_mc - TSIRELSON), 0.05,
+                                n=4 * 10 ** 5))
     return {"criterion": 1, "name": "tsirelson-reproduction",
             "analytic_S": s_analytic, "monte_carlo_S": s_mc, "mc_stderr": stderr,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def criterion_2(seed: int, random_trials: int = 1000) -> dict:
+def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible in both the 4- and 6-variable LP; the
     1/sqrt(2)-shrunk targets feasible; the analytic criterion agrees with
     both LPs on every random target."""
@@ -77,7 +77,7 @@ def criterion_2(seed: int, random_trials: int = 1000) -> dict:
     rng = np.random.default_rng(seed)
     disagreements = 0
     infeasible_count = 0
-    for _ in range(random_trials):
+    for _ in range(RANDOM_TARGETS):
         t = mp.random_pair_targets(rng)
         fine = mp.fine_criterion(t)
         lp4 = mp.feasible_joint_4(t)
@@ -89,48 +89,25 @@ def criterion_2(seed: int, random_trials: int = 1000) -> dict:
         if not fine:
             infeasible_count += 1
     checks = [
-        _check("tsirelson 4-variable infeasible", 0.0 if not v4.feasible else 1.0, 0.0),
-        _check("tsirelson 6-variable infeasible", 0.0 if not v6.feasible else 1.0, 0.0),
-        _check("shrunk 4-variable feasible", 0.0 if s4.feasible else 1.0, 0.0),
-        _check("shrunk 6-variable feasible", 0.0 if s6.feasible else 1.0, 0.0),
-        _check("LP/analytic disagreements", float(disagreements), 0.0, n=random_trials),
+        statlab.check("tsirelson 4-variable infeasible", 0.0 if not v4.feasible else 1.0, 0.0),
+        statlab.check("tsirelson 6-variable infeasible", 0.0 if not v6.feasible else 1.0, 0.0),
+        statlab.check("shrunk 4-variable feasible", 0.0 if s4.feasible else 1.0, 0.0),
+        statlab.check("shrunk 6-variable feasible", 0.0 if s6.feasible else 1.0, 0.0),
+        statlab.check("LP/analytic disagreements", disagreements, 0.0, n=RANDOM_TARGETS),
     ]
     return {"criterion": 2, "name": "feasibility-mechanization",
             "tsirelson_S": str(mp.chsh_value(tsirelson)),
             "tsirelson_max_violation": str(v4.max_violation),
-            "random_trials": random_trials, "random_infeasible": infeasible_count,
+            "random_trials": RANDOM_TARGETS, "random_infeasible": infeasible_count,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def criterion_3(seed: int, trials: int = 4 * 10 ** 5) -> dict:
+def criterion_3(seed: int) -> dict:
     """Frame-relational model fidelity over uniform-policy trials."""
-    cfg = LFConfig()
-    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), trials, seed)
-    checks = []
-    bad = 0
-    for r in batch.records:
-        try:
-            r.validate()
-        except ValueError:
-            bad += 1
-    checks.append(_check("presence discipline + product identity violations",
-                         float(bad), 0.0, n=trials))
-    observed_pairs = {"AC": ("A", "C"), "AD": ("A", "D"), "BC": ("B", "C"), "BD": ("B", "D")}
-    for pair_id, pair in observed_pairs.items():
-        table, n = relmodel.empirical_pair_table(batch, pair)
-        choice_pair = relmodel.CHOICE_PAIRS[list(observed_pairs).index(pair_id)]
-        target = relmodel.born_target_table(cfg, *choice_pair)
-        tv = statlab.total_variation(table, target)
-        checks.append(_check(f"observed pair {pair_id} TV vs Born", tv, 0.02,
-                             n=n, metric="TV"))
-    internal, n_int = relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
-    worst = max(abs(internal.freq(c) - 0.25) for c in statlab.PAIR_CELLS)
-    checks.append(_check("internal joint cells vs 1/4", worst, 0.02, n=n_int))
-    report = relmodel.check_choice_independence(batch)
-    checks.append(_check("choice-independence flags", float(len(report.flags)), 0.0,
-                         n=trials))
-    return {"criterion": 3, "name": "frame-relational-fidelity", "trials": trials,
-            "independence": report.to_json_dict(),
+    batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(), RELMODEL_TRIALS, seed)
+    checks, _, independence = relmodel.audit(batch)
+    return {"criterion": 3, "name": "frame-relational-fidelity", "trials": RELMODEL_TRIALS,
+            "independence": independence.to_json_dict(),
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -149,7 +126,7 @@ def _random_orientation_unitary(rng: np.random.Generator) -> Operator:
     return Operator(FactorLayout((("orientation", 2),)), q)
 
 
-def criterion_4(seed: int, unitaries: int = 100) -> dict:
+def criterion_4(seed: int) -> dict:
     """Record statistics are invariant under orientation-only unitaries, and
     the coherence witness stays exactly 1 despite the definite records."""
     rng = np.random.default_rng(seed)
@@ -158,23 +135,24 @@ def criterion_4(seed: int, unitaries: int = 100) -> dict:
         spec = scenarios.record_spec(state.layout)
         base = dict(born_distribution(state, spec))
         worst = 0.0
-        for _ in range(unitaries):
+        for _ in range(UNITARIES):
             u = _random_orientation_unitary(rng)
             rotated = scenarios.apply_global_rotation(state, u)
             after = dict(born_distribution(rotated, spec))
             worst = max(worst, max(abs(after[k] - base[k]) for k in base))
-        checks.append(_check(f"{name}: record distribution shift", worst, 1e-10,
-                             n=unitaries))
+        checks.append(statlab.check(f"{name}: record distribution shift", worst, 1e-10,
+                                    n=UNITARIES))
     for outcome in (+1, -1):
         s = scenarios.build_frame_relational_state(outcome)
         ba, bb = scenarios.frame_relational_branches(outcome)
         w = scenarios.interference_witness(s, ba, bb)
-        checks.append(_check(f"frame-relational({outcome:+d}) witness vs 1", abs(w - 1.0), 1e-10))
+        checks.append(statlab.check(f"frame-relational({outcome:+d}) witness vs 1",
+                                    abs(w - 1.0), 1e-10))
     return {"criterion": 4, "name": "invariant-subspace",
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def criterion_5(seed: int, trials: int = 10 ** 4) -> dict:
+def criterion_5(seed: int) -> dict:
     """The three sequential-scenario states have the displayed record
     structure, and report consistency holds on every simulated run."""
     cfg = RovelliConfig()
@@ -184,23 +162,24 @@ def criterion_5(seed: int, trials: int = 10 ** 4) -> dict:
     for i, state in enumerate(states):
         dist = dict(born_distribution(state, spec))
         own = scenarios.ROVELLI_RECORDS[i]
-        checks.append(_check(f"state {own}: own-record probability vs 1",
-                             abs(dist[own] - 1.0), 1e-10))
+        checks.append(statlab.check(f"state {own}: own-record probability vs 1",
+                                    abs(dist[own] - 1.0), 1e-10))
         others = max(dist[label] for label in scenarios.ROVELLI_RECORDS if label != own)
-        checks.append(_check(f"state {own}: other-record probability vs 0", others, 1e-10))
+        checks.append(statlab.check(f"state {own}: other-record probability vs 0",
+                                    others, 1e-10))
         b0, b1 = scenarios.rovelli_branches(state)
         w = scenarios.interference_witness(state, b0, b1)
-        checks.append(_check(f"state {own}: witness vs 1", abs(w - 1.0), 1e-10))
+        checks.append(statlab.check(f"state {own}: witness vs 1", abs(w - 1.0), 1e-10))
     ready_plus = dict(born_distribution(
         states[2], factor_angle_spec(scenarios.ROVELLI_LAYOUT, "Y", 90.0)))
-    checks.append(_check("state noM2: Y ready-state overlap vs 1",
-                         abs(ready_plus[+1] - 1.0), 1e-10))
+    checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
+                                abs(ready_plus[+1] - 1.0), 1e-10))
     rng = np.random.default_rng(seed)
     inconsistent = sum(
-        1 for _ in range(trials)
+        1 for _ in range(ROVELLI_TRIALS)
         if not relmodel.rovelli_run(cfg, ask=True, rng=rng).report_consistent)
-    checks.append(_check("inconsistent reports", float(inconsistent), 0.0, n=trials))
-    return {"criterion": 5, "name": "rovelli-consistency", "trials": trials,
+    checks.append(statlab.check("inconsistent reports", inconsistent, 0.0, n=ROVELLI_TRIALS))
+    return {"criterion": 5, "name": "rovelli-consistency", "trials": ROVELLI_TRIALS,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -220,7 +199,8 @@ def criterion_6(seed: int) -> dict:
         }, sort_keys=True)
 
     a, b = probe(), probe()
-    checks = [_check("repeated-run serialization mismatch", 0.0 if a == b else 1.0, 0.0)]
+    checks = [statlab.check("repeated-run serialization mismatch",
+                            0.0 if a == b else 1.0, 0.0)]
     return {"criterion": 6, "name": "determinism",
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 

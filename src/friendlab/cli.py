@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -34,16 +34,6 @@ EXIT_DISAGREE = 3
 
 class InputError(ValueError):
     pass
-
-
-def _parse_angles(text: str) -> LFConfig:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise InputError("--angles needs four comma-separated degrees: ask_A,super_A,ask_C,super_C")
-    try:
-        return LFConfig(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -67,20 +57,34 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
     return default
 
 
+def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int | None) -> int:
+    """Integer flag or config value; InputError unless it is an integer of at
+    least `minimum` (no bound when None)."""
+    val = _resolve(args, key, default)
+    try:
+        val = int(val)
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be an integer, got {val!r}") from None
+    if minimum is not None and val < minimum:
+        raise InputError(f"{key} must be at least {minimum}, got {val}")
+    return val
+
+
 def _resolve_lf_config(args: argparse.Namespace) -> LFConfig:
     angles = _resolve(args, "angles")
     if angles is None:
         return LFConfig()
     if isinstance(angles, str):
-        return _parse_angles(angles)
-    if isinstance(angles, dict):
-        try:
+        angles = angles.split(",")
+    try:
+        if isinstance(angles, dict):
             return LFConfig.from_json_dict({"angles": angles})
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad angles in config file: {exc}") from exc
-    if isinstance(angles, (list, tuple)) and len(angles) == 4:
-        return LFConfig(*(float(a) for a in angles))
-    raise InputError("angles must be 'a,b,c,d', a 4-list, or an object")
+        if isinstance(angles, (list, tuple)) and len(angles) == 4:
+            return LFConfig(*(float(a) for a in angles))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad angles: {exc}") from exc
+    raise InputError("angles must be four degrees ask_A,super_A,ask_C,super_C "
+                     "as 'a,b,c,d', a 4-list, or an object")
 
 
 def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None) -> None:
@@ -125,7 +129,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from exc
     if abs(a * a + b * b - 1.0) > 1e-9:
         raise InputError(f"amplitudes not normalized: a^2 + b^2 = {a * a + b * b}")
-    outcome = int(_resolve(args, "outcome", 1))
+    outcome = _resolve_int(args, "outcome", 1, None)
     if outcome not in (+1, -1):
         raise InputError("--outcome must be +1 or -1")
 
@@ -175,9 +179,6 @@ def cmd_basic(args: argparse.Namespace) -> int:
 
 # --- lf ---------------------------------------------------------------------
 
-_OBSERVED_PAIRS = {"AC": ("A", "C"), "AD": ("A", "D"), "BC": ("B", "C"), "BD": ("B", "D")}
-
-
 def _pair_table_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -190,32 +191,21 @@ def _pair_table_csv(report: dict) -> str:
 
 def cmd_lf(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
-    trials = int(_resolve(args, "trials", 100000))
-    seed = int(_resolve(args, "seed", 0))
-    if trials < 100:
-        raise InputError("lf needs at least 100 trials")
+    trials = _resolve_int(args, "trials", 100000, 100)
+    seed = _resolve_int(args, "seed", 0, 0)
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), trials, seed)
     analytic = scenarios.pair_correlations(cfg)
-    s_analytic = analytic["AC"] + analytic["BC"] + analytic["BD"] - analytic["AD"]
-    checks = []
-    pairs_report = {}
-    emp_tables = {}
-    for i, (pair_id, pair) in enumerate(_OBSERVED_PAIRS.items()):
-        table, n = relmodel.empirical_pair_table(batch, pair)
-        emp_tables[pair_id] = table
-        born = relmodel.born_target_table(cfg, *relmodel.CHOICE_PAIRS[i])
-        tv = statlab.total_variation(table, born)
-        checks.append(statlab.ToleranceReport(
-            "TV", tv, 0.02, n, f"pair {pair_id} vs Born").to_json_dict())
-        pairs_report[pair_id] = {
-            "n": n,
-            "frequencies": [table.freq(c) for c in statlab.PAIR_CELLS],
-            "born": [born[c] for c in statlab.PAIR_CELLS],
-            "E_analytic": analytic[pair_id],
-        }
-    s_mc, stderr = statlab.chsh_estimate(emp_tables)
-    checks.append(statlab.ToleranceReport(
-        "abs-diff", abs(s_mc - s_analytic), 0.05, trials, "CHSH estimate vs analytic").to_json_dict())
+    s_analytic = scenarios.chsh_from_angles(cfg)
+    tables, checks = relmodel.observed_pair_checks(batch)
+    pairs_report = {pair_id: {
+        "n": table.total,
+        "frequencies": [table.freq(c) for c in statlab.PAIR_CELLS],
+        "born": [scenarios.born_pair_table(cfg, pair_id)[c] for c in statlab.PAIR_CELLS],
+        "E_analytic": analytic[pair_id],
+    } for pair_id, table in tables.items()}
+    s_mc, stderr = statlab.chsh_estimate(tables)
+    checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic), 0.05,
+                                n=trials))
     report = {"command": "lf", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "pairs": pairs_report, "chsh": {"estimate": s_mc, "stderr": stderr,
                                               "analytic": s_analytic},
@@ -302,49 +292,18 @@ def _records_csv(report: dict) -> str:
 
 def cmd_relmodel(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
-    trials = int(_resolve(args, "trials", 400000))
-    seed = int(_resolve(args, "seed", 0))
+    trials = _resolve_int(args, "trials", 400000, 100)
+    seed = _resolve_int(args, "seed", 0, 0)
     planted = bool(_resolve(args, "planted_violation", False))
-    if trials < 100:
-        raise InputError("relmodel needs at least 100 trials")
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), trials, seed)
     if planted:
-        # debug self-test: overwrite the internal outcome with the choice,
+        # debug self-test: make Alice's internal outcome follow Bob's choice,
         # which must trip the choice-independence audit
-        corrupted = tuple(
-            relmodel.RunRecord(
-                +1 if r.b_choice is relmodel.Choice.ASK else -1,
-                r.c_internal, r.b_choice, r.d_choice, r.b_outcome, r.d_outcome,
-                r.a_external, r.c_external,
-                (r.a_external * (+1 if r.b_choice is relmodel.Choice.ASK else -1))
-                if r.a_external is not None else None,
-                r.c_relation)
-            for r in batch.records)
-        batch = relmodel.TrialBatch(cfg, corrupted, seed)
-
-    checks = []
-    invalid = 0
-    for r in batch.records:
-        try:
-            r.validate()
-        except ValueError:
-            invalid += 1
-    checks.append(statlab.ToleranceReport(
-        "abs-diff", float(invalid), 0.0, trials, "presence/product violations").to_json_dict())
-    for i, (pair_id, pair) in enumerate(_OBSERVED_PAIRS.items()):
-        table, n = relmodel.empirical_pair_table(batch, pair)
-        born = relmodel.born_target_table(cfg, *relmodel.CHOICE_PAIRS[i])
-        tv = statlab.total_variation(table, born)
-        checks.append(statlab.ToleranceReport(
-            "TV", tv, 0.02, n, f"observed pair {pair_id} vs Born").to_json_dict())
-    internal, n_int = relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
-    worst = max(abs(internal.freq(c) - 0.25) for c in statlab.PAIR_CELLS)
-    checks.append(statlab.ToleranceReport(
-        "abs-diff", worst, 0.02, n_int, "internal joint cells vs 1/4").to_json_dict())
-    independence = relmodel.check_choice_independence(batch)
-    checks.append(statlab.ToleranceReport(
-        "abs-diff", float(len(independence.flags)), 0.0, trials,
-        "choice-independence flags").to_json_dict())
+        batch = dataclasses.replace(batch, records=tuple(
+            dataclasses.replace(r, a_internal=+1, a_relation=r.a_external)
+            if r.b_choice is relmodel.Choice.ASK else dataclasses.replace(r, a_internal=-1)
+            for r in batch.records))
+    checks, internal, independence = relmodel.audit(batch)
     targets = mp.PairTargets.from_angles(cfg)
     verdict = mp.feasible_joint_4(targets)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
@@ -370,11 +329,9 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
 # --- rovelli ----------------------------------------------------------------
 
 def cmd_rovelli(args: argparse.Namespace) -> int:
-    trials = int(_resolve(args, "trials", 10000))
-    seed = int(_resolve(args, "seed", 0))
-    trigger = int(_resolve(args, "trigger", 1))
-    if trials < 1:
-        raise InputError("rovelli needs at least one trial")
+    trials = _resolve_int(args, "trials", 10000, 1)
+    seed = _resolve_int(args, "seed", 0, 0)
+    trigger = _resolve_int(args, "trigger", 1, None)
     try:
         cfg = RovelliConfig(trigger=trigger)
     except ValueError as exc:
@@ -416,7 +373,7 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
 # --- accept -----------------------------------------------------------------
 
 def cmd_accept(args: argparse.Namespace) -> int:
-    seed = int(_resolve(args, "seed", 42))
+    seed = _resolve_int(args, "seed", 42, 0)
     report = acceptance.run_all(seed)
     report["command"] = "accept"
 
@@ -490,10 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.config_data = _load_config_file(args.config) if args.config else {}
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except mp.TargetError as exc:
+    except (InputError, mp.TargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

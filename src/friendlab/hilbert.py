@@ -2,20 +2,18 @@
 
 Everything is immutable: states, operators and measurement specs are frozen
 after construction, and every operation returns a fresh value.  The engine is
-deliberately dense and small (total dimension capped at 4096); the scenarios
-built on top of it never need more than 16 dimensions.
+deliberately dense and small; the scenarios built on top of it never need
+more than 24 dimensions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ATOL = 1e-10
-MAX_DIM = 4096
 
 
 class LayoutError(ValueError):
@@ -23,7 +21,7 @@ class LayoutError(ValueError):
 
 
 class OperatorError(ValueError):
-    """Operator fails a required algebraic property (unitarity, hermiticity)."""
+    """Operator is malformed or fails a required property (unitarity)."""
 
 
 class MeasurementError(ValueError):
@@ -45,8 +43,6 @@ class FactorLayout:
             raise LayoutError(f"duplicate factor names in {names}")
         if any(d < 1 for _, d in factors):
             raise LayoutError("factor dimensions must be positive")
-        if self.dim > MAX_DIM:
-            raise LayoutError(f"total dimension {self.dim} exceeds cap {MAX_DIM}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -109,19 +105,6 @@ class StateVector:
             raise LayoutError("inner product requires identical layouts")
         return complex(np.vdot(self.amps, other.amps))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "layout": [[n, d] for n, d in self.layout.factors],
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateVector":
-        obj = json.loads(text)
-        layout = FactorLayout(tuple((n, d) for n, d in obj["layout"]))
-        amps = np.array([complex(re, im) for re, im in obj["amps"]])
-        return cls(layout, amps)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -143,12 +126,6 @@ class Operator:
         d = self.matrix.shape[0]
         return bool(np.allclose(self.matrix.conj().T @ self.matrix, np.eye(d), atol=atol))
 
-    def is_hermitian(self, atol: float = ATOL) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=atol))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T)
-
 
 def _apply_to_columns(matrix: np.ndarray, amps: np.ndarray,
                       layout: FactorLayout, on: tuple[str, ...]) -> np.ndarray:
@@ -168,15 +145,6 @@ def _apply_to_columns(matrix: np.ndarray, amps: np.ndarray,
     t = t.reshape(moved_shape)
     t = np.moveaxis(t, range(len(axes)), axes)
     return t.reshape(layout.dim, k)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; the result's layout is a's factors followed by b's."""
-    overlap = set(a.layout.names) & set(b.layout.names)
-    if overlap:
-        raise LayoutError(f"factor names shared between operands: {sorted(overlap)}")
-    layout = FactorLayout(a.layout.factors + b.layout.factors)
-    return StateVector(layout, np.kron(a.amps, b.amps))
 
 
 def apply(u: Operator, s: StateVector, on: tuple[str, ...] | None = None) -> StateVector:
@@ -274,19 +242,6 @@ def sample_outcome(s: StateVector, m: MeasurementSpec,
     amps = proj @ s.amps
     amps = amps / np.linalg.norm(amps)
     return chosen, StateVector(s.layout, amps)
-
-
-def expectation(s: StateVector, observable: Operator) -> float:
-    """<s|O|s> for a Hermitian observable; the tiny imaginary residue is
-    checked against tolerance and discarded."""
-    if s.layout != observable.layout:
-        raise LayoutError("observable layout does not match state layout")
-    if not observable.is_hermitian():
-        raise OperatorError("expectation requires a Hermitian observable")
-    val = complex(np.vdot(s.amps, observable.matrix @ s.amps))
-    if abs(val.imag) > ATOL:
-        raise OperatorError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
 
 
 # --- qubit conveniences ----------------------------------------------------

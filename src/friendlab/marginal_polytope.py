@@ -18,15 +18,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import scenarios
+from .statlab import PAIR_CELLS, PAIR_IDS
+
 try:  # exact arithmetic ~10x faster with gmpy2; Fraction is the fallback
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover
     _Q = Fraction
 
-PAIR_IDS = ("AC", "AD", "BC", "BD")
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
-CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+SNAP = 10 ** 6    # largest denominator a float target or a Born probability snaps to
+RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
 
 _SINGLE_SOURCES = {"A": ("AC", "AD"), "B": ("BC", "BD"),
                    "C": ("AC", "BC"), "D": ("AD", "BD")}
@@ -38,18 +41,13 @@ class TargetError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        if "/" in x:
-            num, den = x.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(x).limit_denominator(10 ** 6)
-    if isinstance(x, int):
-        return Fraction(x)
+    """The exact value of a target entry.  Strings ("0.375", "3/8") and
+    rationals are taken as written; a float is snapped to the nearest
+    fraction with denominator at most SNAP, since a binary float is rarely
+    the decimal its writer meant."""
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 6)
-    return Fraction(x.numerator, x.denominator)
+        return Fraction(x).limit_denominator(SNAP)
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class PairTargets:
         return t[0][0] + t[1][0]
 
     def correlator(self, pair: str) -> Fraction:
-        return sum(Fraction(x * y) * self.cell(pair, x, y) for x, y in CELLS)
+        return sum(Fraction(x * y) * self.cell(pair, x, y) for x, y in PAIR_CELLS)
 
     # -- constructors -------------------------------------------------------
 
@@ -113,14 +111,14 @@ class PairTargets:
         return cls(tables)
 
     @classmethod
-    def from_angles(cls, cfg, denominator: int = 10 ** 6) -> "PairTargets":
-        """Rationalize the Born targets of a circuit configuration.  Singles
-        and correlators (not raw cells) are rounded, so the cross-table
-        consistency required of valid targets survives rounding exactly."""
-        from . import scenarios
+    def from_angles(cls, cfg) -> "PairTargets":
+        """Rationalize the Born targets of a circuit configuration to
+        multiples of 1/SNAP.  Singles and correlators (not raw cells) are
+        rounded, so the cross-table consistency required of valid targets
+        survives rounding exactly."""
 
         def snap(x: float) -> Fraction:
-            return Fraction(round(x * denominator), denominator)
+            return Fraction(round(x * SNAP), SNAP)
 
         singles, correlators = {}, {}
         for pair in PAIR_IDS:
@@ -171,7 +169,7 @@ class PairTargets:
         try:
             tables = {pair: tuple(tuple(_frac(v) for v in row) for row in obj[pair])
                       for pair in PAIR_IDS}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
         return cls(tables)
 
@@ -243,14 +241,14 @@ class JointAtomVector:
         A and C are products of internal and relation variables when the
         vector is six-variable."""
         v, w = pair[0], pair[1]
-        out = {cell: Fraction(0) for cell in CELLS}
+        out = {cell: Fraction(0) for cell in PAIR_CELLS}
         for assignment, p in zip(self.atoms(), self.probs):
             out[(self._value(assignment, v), self._value(assignment, w))] += p
         return out
 
     def reproduces(self, t: PairTargets) -> bool:
         return all(self.pair_marginal(pair) ==
-                   {(x, y): t.cell(pair, x, y) for x, y in CELLS}
+                   {(x, y): t.cell(pair, x, y) for x, y in PAIR_CELLS}
                    for pair in PAIR_IDS)
 
 
@@ -352,7 +350,7 @@ def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdi
     rhs = [Fraction(1)]
     for pair in PAIR_IDS:
         v, w = pair[0], pair[1]
-        for x, y in CELLS:
+        for x, y in PAIR_CELLS:
             rows.append([Fraction(1) if value(a, v) == x and value(a, w) == y else Fraction(0)
                          for a in atoms])
             rhs.append(t.cell(pair, x, y))
@@ -395,10 +393,10 @@ def feasible_joint_4_moment_form(t: PairTargets) -> bool:
     return solve_nonnegative(rows, rhs) is not None
 
 
-def random_pair_targets(rng, denominator: int = 64) -> PairTargets:
+def random_pair_targets(rng) -> PairTargets:
     """Random valid targets: an exact-rational random local joint mixed with
     the extremal nonlocal box, so both feasible and infeasible inputs occur."""
-    weights = [int(w) for w in rng.integers(0, denominator, size=16)]
+    weights = [int(w) for w in rng.integers(0, RANDOM_GRID, size=16)]
     total = sum(weights) or 1
     local = JointAtomVector(VARS_4, tuple(Fraction(w, total) for w in weights)
                             if sum(weights) else (Fraction(1),) + (Fraction(0),) * 15)
@@ -406,5 +404,5 @@ def random_pair_targets(rng, denominator: int = 64) -> PairTargets:
         pair: tuple(tuple(local.pair_marginal(pair)[(x, y)] for y in (+1, -1))
                     for x in (+1, -1))
         for pair in PAIR_IDS})
-    lam = Fraction(int(rng.integers(0, denominator + 1)), denominator)
+    lam = Fraction(int(rng.integers(0, RANDOM_GRID + 1)), RANDOM_GRID)
     return PairTargets.pr_box().mix(local_targets, lam)

@@ -12,17 +12,17 @@ variables exist on which runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from . import scenarios
-from .hilbert import born_distribution, sample_outcome
+from . import scenarios, statlab
+# born_distribution is unused here; it stays bound because perfbench/tracing.py
+# wraps it in this namespace
+from .hilbert import born_distribution, sample_outcome  # noqa: F401
 from .scenarios import LFConfig, RovelliConfig
-from .statlab import EmpiricalDist, PAIR_CELLS
+from .statlab import PAIR_CELLS, PAIR_IDS, EmpiricalDist
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
 
@@ -32,8 +32,15 @@ class Choice(Enum):
     SUPER = "super"
 
 
-CHOICE_PAIRS = ((Choice.ASK, Choice.ASK), (Choice.ASK, Choice.SUPER),
-                (Choice.SUPER, Choice.ASK), (Choice.SUPER, Choice.SUPER))
+# (b_choice, d_choice) per pair, in PAIR_IDS order
+CHOICE_PAIRS = tuple((Choice(b), Choice(d))
+                     for b, d in (scenarios.PAIR_CHOICES[p] for p in PAIR_IDS))
+# pair id -> the two observed variables it tabulates
+OBSERVED_PAIRS = {pair: (pair[0], pair[1]) for pair in PAIR_IDS}
+
+TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
+INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
+SIGMAS = 3.0               # choice-independence band, in binomial standard errors
 
 
 class InsufficientDataError(ValueError):
@@ -82,22 +89,6 @@ class TrialBatch:
     records: tuple[RunRecord, ...]
     seed: int
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records)
-
-
-@lru_cache(maxsize=32)
-def _pair_table(cfg: LFConfig, b_choice: Choice, d_choice: Choice) -> tuple[float, ...]:
-    """Born joint over PAIR_CELLS for the chosen pair of measurements."""
-    state = scenarios.lf_circuit(cfg)
-    spec = scenarios.pair_spec(cfg, b_choice.value, d_choice.value)
-    dist = dict(born_distribution(state, spec))
-    return tuple(dist[cell] for cell in PAIR_CELLS)
-
-
-def born_target_table(cfg: LFConfig, b_choice: Choice, d_choice: Choice) -> dict:
-    return dict(zip(PAIR_CELLS, _pair_table(cfg, b_choice, d_choice)))
-
 
 def _assemble(cfg: LFConfig, b_choice: Choice, d_choice: Choice,
               a_int: int, c_int: int, bob_value: int, divya_value: int) -> RunRecord:
@@ -111,24 +102,6 @@ def _assemble(cfg: LFConfig, b_choice: Choice, d_choice: Choice,
         c_ext, c_rel, d_out = None, None, divya_value
     return RunRecord(a_int, c_int, b_choice, d_choice, b_out, d_out,
                      a_ext, c_ext, a_rel, c_rel)
-
-
-def run_trial(cfg: LFConfig, b_choice: Choice, d_choice: Choice,
-              rng: np.random.Generator) -> RunRecord:
-    """One run: internal outcomes first (uniform, choice-independent), then
-    the chosen pair of observed values from the Born joint."""
-    a_int = +1 if rng.random() < 0.5 else -1
-    c_int = +1 if rng.random() < 0.5 else -1
-    table = _pair_table(cfg, b_choice, d_choice)
-    u = rng.random()
-    acc = 0.0
-    cell = PAIR_CELLS[-1]
-    for candidate, p in zip(PAIR_CELLS, table):
-        acc += p
-        if u < acc:
-            cell = candidate
-            break
-    return _assemble(cfg, b_choice, d_choice, a_int, c_int, cell[0], cell[1])
 
 
 def _normalize_policy(policy) -> np.ndarray:
@@ -158,7 +131,8 @@ def simulate_batch(cfg: LFConfig, policy, n: int, seed: int) -> TrialBatch:
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
     pvec = _normalize_policy(policy)
-    tables = np.array([_pair_table(cfg, *cp) for cp in CHOICE_PAIRS])
+    tables = np.array([[scenarios.born_pair_table(cfg, pair)[c] for c in PAIR_CELLS]
+                       for pair in PAIR_IDS])
     cdfs = np.cumsum(tables, axis=1)
     records: list[RunRecord] = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
@@ -230,9 +204,9 @@ class IndependenceReport:
         }
 
 
-def check_choice_independence(batch: TrialBatch, sigmas: float = 3.0) -> IndependenceReport:
+def check_choice_independence(batch: TrialBatch) -> IndependenceReport:
     """Flag any choice pair whose conditional internal-outcome frequency
-    differs from another's by more than `sigmas` binomial standard errors."""
+    differs from another's by more than SIGMAS binomial standard errors."""
     stats: dict[str, dict] = {"alice": {}, "chidi": {}}
     for r in batch.records:
         key = (r.b_choice, r.d_choice)
@@ -250,7 +224,7 @@ def check_choice_independence(batch: TrialBatch, sigmas: float = 3.0) -> Indepen
                 n2, k2 = pairs[keys[j]]
                 p1, p2 = k1 / n1, k2 / n2
                 pooled = (k1 + k2) / (n1 + n2)
-                band = sigmas * (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
+                band = SIGMAS * (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
                 if abs(p1 - p2) > band:
                     flags.append({
                         "wing": wing,
@@ -260,6 +234,44 @@ def check_choice_independence(batch: TrialBatch, sigmas: float = 3.0) -> Indepen
                         "band": band,
                     })
     return IndependenceReport(stats, tuple(flags))
+
+
+def observed_pair_checks(batch: TrialBatch) -> tuple[dict[str, EmpiricalDist], list[dict]]:
+    """Each observed pair's table over the runs where both of its variables
+    exist, and the check of its TV distance from the pair's Born joint."""
+    tables, checks = {}, []
+    for pair_id, pair in OBSERVED_PAIRS.items():
+        table, n = empirical_pair_table(batch, pair)
+        tv = statlab.total_variation(table, scenarios.born_pair_table(batch.config, pair_id))
+        tables[pair_id] = table
+        checks.append(statlab.check(f"observed pair {pair_id} vs Born", tv, TV_THRESHOLD,
+                                    n=n, metric="TV"))
+    return tables, checks
+
+
+def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceReport]:
+    """The frame-relational audit of a batch.  Returns seven check dicts (the
+    presence discipline and product identity on every run, the four observed
+    pairs against their Born joints, the internal joint against uniform,
+    choice independence), the internal (Ai, Ci) table and the independence
+    report."""
+    invalid = 0
+    for r in batch.records:
+        try:
+            r.validate()
+        except ValueError:
+            invalid += 1
+    n = len(batch.records)
+    checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
+    checks += observed_pair_checks(batch)[1]
+    internal, n_int = empirical_pair_table(batch, ("Ai", "Ci"))
+    worst = max(abs(internal.freq(c) - 0.25) for c in PAIR_CELLS)
+    checks.append(statlab.check("internal joint cells vs 1/4", worst, INTERNAL_THRESHOLD,
+                                n=n_int))
+    independence = check_choice_independence(batch)
+    checks.append(statlab.check("choice-independence flags", len(independence.flags), 0.0,
+                                n=n))
+    return checks, internal, independence
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .hilbert import (
     product_spec,
     rotation_matrix,
 )
+from .statlab import PAIR_IDS
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -50,8 +53,6 @@ LF_LAYOUT = FactorLayout((("X", 2), ("Y", 2), ("MA", 2), ("MC", 2)))
 ROVELLI_LAYOUT = FactorLayout((("S", 2), ("Y", 2), ("orientation", 2), ("record", 3)))
 
 ROVELLI_RECORDS = ("PP", "PA", "noM2")
-
-PAIR_IDS = ("AC", "AD", "BC", "BD")
 
 
 class Wing(Enum):
@@ -220,16 +221,20 @@ def pair_spec(cfg: LFConfig, bob_choice: str, divya_choice: str) -> MeasurementS
                         observable_spec(cfg, Wing.CHIDI, divya_choice))
 
 
-_PAIR_CHOICES = {"AC": ("ask", "ask"), "AD": ("ask", "super"),
-                 "BC": ("super", "ask"), "BD": ("super", "super")}
+# pair id -> (bob_choice, divya_choice) that measures it
+PAIR_CHOICES = {"AC": ("ask", "ask"), "AD": ("ask", "super"),
+                "BC": ("super", "ask"), "BD": ("super", "super")}
 
 
-def born_pair_table(cfg: LFConfig, pair: str) -> dict[tuple[int, int], float]:
-    """Exact Born joint table for one of the pairs AC, AD, BC, BD."""
-    bob_choice, divya_choice = _PAIR_CHOICES[pair]
+@lru_cache(maxsize=32)
+def born_pair_table(cfg: LFConfig, pair: str) -> MappingProxyType:
+    """Exact Born joint table for one of the pairs AC, AD, BC, BD, keyed by
+    (bob value, divya value) in PAIR_CELLS order.  Memoized on the frozen
+    config, so the table is read-only."""
+    bob_choice, divya_choice = PAIR_CHOICES[pair]
     state = lf_circuit(cfg)
     spec = pair_spec(cfg, bob_choice, divya_choice)
-    return {label: pr for label, pr in born_distribution(state, spec)}
+    return MappingProxyType(dict(born_distribution(state, spec)))
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:

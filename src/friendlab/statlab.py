@@ -1,11 +1,14 @@
 """Empirical distributions, total variation distance, correlation estimators
-and pass/fail tolerance reports."""
+and pass/fail check dicts."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+# The four observed pairs: A (Bob asks) or B (Bob supermeasures) on Alice's
+# wing, with C (Divya asks) or D (Divya supermeasures) on Chidi's.
+PAIR_IDS = ("AC", "AD", "BC", "BD")
 PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
@@ -33,13 +36,6 @@ class EmpiricalDist:
 
     def freqs(self) -> dict[object, float]:
         return {label: self.freq(label) for label in self.support}
-
-    @classmethod
-    def from_samples(cls, support: tuple[object, ...], samples) -> "EmpiricalDist":
-        counts = {label: 0 for label in support}
-        for s in samples:
-            counts[s] += 1
-        return cls(tuple(support), tuple(counts[label] for label in support))
 
 
 def _as_probs(dist, support: tuple[object, ...]) -> dict[object, float]:
@@ -86,19 +82,10 @@ def chsh_estimate(tables: dict[str, EmpiricalDist]) -> tuple[float, float]:
     return s, stderr
 
 
-@dataclass(frozen=True)
-class ToleranceReport:
-    metric: str  # "TV" or "abs-diff"
-    observed: float
-    threshold: float
-    n: int
-    name: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.observed <= self.threshold
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "metric": self.metric,
-                "observed": self.observed, "threshold": self.threshold,
-                "pass": self.passed, "n": self.n}
+def check(name: str, observed: float, threshold: float, n: int = 0,
+          metric: str = "abs-diff") -> dict:
+    """One pass/fail check as a report dict; it passes when observed <= threshold.
+    `metric` is "TV" or "abs-diff"; `n` is the sample size behind `observed`."""
+    observed = float(observed)
+    return {"name": name, "metric": metric, "observed": observed,
+            "threshold": threshold, "pass": observed <= threshold, "n": n}

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from friendlab import cli
+from friendlab import cli, relmodel
+from friendlab.scenarios import LFConfig
 
 
 def run(capsys, *argv):
@@ -102,10 +103,12 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
 
 def test_feasibility_malformed_targets(capsys, tmp_path):
     targets = tmp_path / "targets.json"
-    targets.write_text(json.dumps({"AC": [[1, 0], [0, 0]]}))
-    code, _, err = run(capsys, "feasibility", "--targets", str(targets))
-    assert code == cli.EXIT_INPUT
-    assert err.startswith("error:")
+    infinite = {pair: [[float("inf"), 0], [0, 0]] for pair in ("AC", "AD", "BC", "BD")}
+    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite):
+        targets.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "feasibility", "--targets", str(targets))
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("error:")
 
 
 def test_feasibility_requires_a_source(capsys):
@@ -122,6 +125,18 @@ def test_relmodel_passes_audits(capsys):
     assert rep["pass"] is True
     assert rep["analytic_feasibility"]["feasible"] is False
     assert len(rep["records"]) == 1000
+
+
+def test_relmodel_report_checks_are_the_shared_audit(capsys):
+    code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "3",
+                       "--format", "json")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(), 20000, 3)
+    checks, internal, independence = relmodel.audit(batch)
+    assert rep["checks"] == checks
+    assert rep["independence"] == json.loads(json.dumps(independence.to_json_dict()))
+    assert rep["internal_joint"]["+1,-1"] == internal.freq((+1, -1))
 
 
 def test_relmodel_planted_violation_fails(capsys):
@@ -168,3 +183,30 @@ def test_json_output_is_byte_deterministic(capsys, tmp_path):
 def test_unknown_format_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["lf", "--format", "yaml"])
+
+
+@pytest.mark.parametrize("command", ["lf", "relmodel", "rovelli", "accept"])
+def test_negative_seed_is_input_error(capsys, command):
+    code, out, err = run(capsys, command, "--seed", "-1")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and "seed must be at least 0" in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("lf", "trials"), ("relmodel", "trials"), ("rovelli", "trials"), ("rovelli", "trigger"),
+    ("accept", "seed"), ("basic", "outcome"), ("lf", "seed")])
+def test_non_integer_config_value_is_input_error(capsys, tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "many"}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and f"{key} must be an integer" in err
+
+
+def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for angles in ([0, 90, "x", 135], [0, 90, 45, 400], {"ask_A": 0}):
+        cfg.write_text(json.dumps({"angles": angles}))
+        code, _, err = run(capsys, "relmodel", "--config", str(cfg))
+        assert code == cli.EXIT_INPUT
+        assert "bad angles" in err

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_chsh_tsirelson_from_angles():
     assert abs(float(mp.chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
     # every cell is rationalized with bounded denominator
     for pair in mp.PAIR_IDS:
-        for x, y in mp.CELLS:
+        for x, y in mp.PAIR_CELLS:
             assert t.cell(pair, x, y).denominator <= 4 * 10 ** 6
 
 
@@ -192,6 +193,22 @@ def test_targets_json_accepts_decimals():
     obj = {pair: [[0.25, 0.25], [0.25, 0.25]] for pair in mp.PAIR_IDS}
     t = mp.PairTargets.from_json_dict(obj)
     assert t.cell("AC", 1, 1) == Fraction(1, 4)
+
+
+def test_decimal_and_fraction_spellings_get_the_same_verdict():
+    # AC = 0.5000001 puts S at 2 + 1e-7: infeasible however it is written
+    verdicts = set()
+    for ac in ("0.5000001", "5000001/10000000"):
+        t = mp.PairTargets.from_correlators(
+            {v: "1/2" for v in mp.VARS_4}, {"AC": ac, "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
+        assert mp.chsh_value(t) == Fraction(20000001, 10 ** 7)
+        verdicts.add(mp.feasible_joint_4(t).feasible)
+        # the same cells written as exact decimals parse to the same targets
+        decimal = {pair: [[str(Decimal(v.numerator) / Decimal(v.denominator)) for v in row]
+                          for row in t.tables[pair]] for pair in mp.PAIR_IDS}
+        assert decimal["AC"][0][0] == "0.375000025"
+        assert mp.PairTargets.from_json_dict(decimal).tables == t.tables
+    assert verdicts == {False}
 
 
 def test_simplex_rejects_infeasible_system():

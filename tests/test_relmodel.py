@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from friendlab import relmodel, statlab
+from friendlab import relmodel, scenarios, statlab
 from friendlab.relmodel import CHOICE_PAIRS, Choice, InsufficientDataError, RunRecord
 from friendlab.scenarios import LFConfig, RovelliConfig
 
@@ -13,11 +14,11 @@ COS45 = math.cos(math.radians(45.0))
 
 def test_run_trial_presence_discipline_per_choice_pair():
     cfg = LFConfig()
-    rng = np.random.default_rng(0)
     for b_choice, d_choice in CHOICE_PAIRS:
-        for _ in range(50):
-            r = relmodel.run_trial(cfg, b_choice, d_choice, rng)
+        batch = relmodel.simulate_batch(cfg, {(b_choice, d_choice): 1.0}, 50, 0)
+        for r in batch.records:
             r.validate()
+            assert (r.b_choice, r.d_choice) == (b_choice, d_choice)
             if b_choice is Choice.ASK:
                 assert r.b_outcome is None
                 assert r.a_external == r.a_internal * r.a_relation
@@ -45,10 +46,10 @@ def test_record_validation_catches_broken_invariants():
 
 def test_born_target_table_matches_cosine_correlators():
     cfg = LFConfig()
-    expected = {(Choice.ASK, Choice.ASK): COS45, (Choice.ASK, Choice.SUPER): -COS45,
-                (Choice.SUPER, Choice.ASK): COS45, (Choice.SUPER, Choice.SUPER): COS45}
-    for cp, e_want in expected.items():
-        table = relmodel.born_target_table(cfg, *cp)
+    expected = {"AC": COS45, "AD": -COS45, "BC": COS45, "BD": COS45}
+    for pair, e_want in expected.items():
+        table = scenarios.born_pair_table(cfg, pair)
+        assert tuple(table) == statlab.PAIR_CELLS
         e = sum(x * y * p for (x, y), p in table.items())
         assert e == pytest.approx(e_want, abs=1e-12)
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
@@ -97,7 +98,7 @@ def test_batch_cell_counts_within_binomial_band():
     n = 10 ** 5
     batch = relmodel.simulate_batch(cfg, {(Choice.ASK, Choice.ASK): 1.0}, n, 8)
     table, _ = relmodel.empirical_pair_table(batch, ("A", "C"))
-    target = relmodel.born_target_table(cfg, Choice.ASK, Choice.ASK)
+    target = scenarios.born_pair_table(cfg, "AC")
     for cell, p in target.items():
         band = 4 * math.sqrt(p * (1 - p) / n)
         assert abs(table.freq(cell) - p) <= band + 1e-12
@@ -124,18 +125,10 @@ def test_choice_independence_clean_on_fair_batch():
 def test_choice_independence_flags_planted_dependence():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 20000, 4)
-    corrupted = []
-    for r in batch.records:
-        if r.b_choice is Choice.ASK:
-            # force the internal outcome to track the choice
-            fixed = RunRecord(+1, r.c_internal, r.b_choice, r.d_choice,
-                              r.b_outcome, r.d_outcome, r.a_external, r.c_external,
-                              None if r.a_external is None else r.a_external * +1,
-                              r.c_relation)
-            corrupted.append(fixed)
-        else:
-            corrupted.append(r)
-    bad = relmodel.TrialBatch(cfg, tuple(corrupted), batch.seed)
+    # force the internal outcome to track the choice on asked runs
+    bad = dataclasses.replace(batch, records=tuple(
+        dataclasses.replace(r, a_internal=+1, a_relation=r.a_external)
+        if r.b_choice is Choice.ASK else r for r in batch.records))
     report = relmodel.check_choice_independence(bad)
     assert not report.clean
     assert any(f["wing"] == "alice" for f in report.flags)
@@ -151,12 +144,29 @@ def test_choice_independence_needs_variation():
 def test_jsonl_serialization_round_trips_values():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 20, 9)
-    lines = batch.to_jsonl().splitlines()
-    assert len(lines) == 20
+    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in batch.records]
     for line, record in zip(lines, batch.records):
         obj = json.loads(line)
         assert obj == record.to_json_dict()
         assert obj["b_choice"] in ("ask", "super")
+
+
+def test_audit_checks_in_order_and_catches_broken_records():
+    cfg = LFConfig()
+    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 20000, 9)
+    checks, internal, independence = relmodel.audit(batch)
+    assert [c["name"] for c in checks] == (
+        ["presence/product violations"]
+        + [f"observed pair {p} vs Born" for p in statlab.PAIR_IDS]
+        + ["internal joint cells vs 1/4", "choice-independence flags"])
+    assert all(c["pass"] for c in checks)
+    assert internal.total == 20000 and independence.clean
+    # flip one asked relation: the product identity breaks on that run only
+    i = next(k for k, r in enumerate(batch.records) if r.b_choice is Choice.ASK)
+    broken = list(batch.records)
+    broken[i] = dataclasses.replace(broken[i], a_relation=-broken[i].a_relation)
+    checks, _, _ = relmodel.audit(dataclasses.replace(batch, records=tuple(broken)))
+    assert checks[0]["observed"] == 1.0 and not checks[0]["pass"]
 
 
 def test_rovelli_run_bookkeeping():

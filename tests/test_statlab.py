@@ -6,7 +6,7 @@ import pytest
 from friendlab.statlab import (
     PAIR_CELLS,
     EmpiricalDist,
-    ToleranceReport,
+    check,
     chsh_estimate,
     correlation_estimate,
     total_variation,
@@ -28,10 +28,10 @@ def test_empirical_dist_validation():
         EmpiricalDist(("a", "b"), (0, 0)).freq("a")
 
 
-def test_empirical_dist_freqs_and_from_samples():
-    d = EmpiricalDist.from_samples(("x", "y", "z"), ["x", "y", "x", "x"])
-    assert d.counts == (3, 1, 0)
+def test_empirical_dist_freqs_and_total():
+    d = EmpiricalDist(("x", "y", "z"), (3, 1, 0))
     assert d.total == 4
+    assert d.freq("y") == 0.25
     assert d.freqs() == {"x": 0.75, "y": 0.25, "z": 0.0}
 
 
@@ -103,11 +103,12 @@ def test_estimator_consistency_under_growing_samples():
 
 
 def test_tolerance_report():
-    ok = ToleranceReport("abs-diff", 0.01, 0.05, 100, "demo")
-    assert ok.passed
-    assert ok.to_json_dict() == {"name": "demo", "metric": "abs-diff",
-                                 "observed": 0.01, "threshold": 0.05,
-                                 "pass": True, "n": 100}
-    edge = ToleranceReport("TV", 0.05, 0.05, 10)
-    assert edge.passed
-    assert not ToleranceReport("TV", 0.051, 0.05, 10).passed
+    assert check("demo", 0.01, 0.05, n=100) == {"name": "demo", "metric": "abs-diff",
+                                                "observed": 0.01, "threshold": 0.05,
+                                                "pass": True, "n": 100}
+    assert check("edge", 0.05, 0.05, n=10, metric="TV")["pass"]
+    assert not check("over", 0.051, 0.05, n=10, metric="TV")["pass"]
+    # integer counts are reported as floats, so JSON reports keep one type
+    assert check("count", 3, 0.0) == {"name": "count", "metric": "abs-diff",
+                                      "observed": 3.0, "threshold": 0.0,
+                                      "pass": False, "n": 0}
