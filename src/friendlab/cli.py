@@ -100,11 +100,13 @@ def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None)
     else:
         raise InputError(f"unknown format {fmt!r}")
     out = _resolve(args, "out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    if not isinstance(out, str) or not out:  # open() would take an int as a descriptor
+        raise InputError(f"out must be a non-empty file path, got {out!r}")
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def _tolerance_lines(checks: list[dict]) -> str:

@@ -8,23 +8,21 @@ relation (A = A_internal * A_relation, same for C).
 
 All arithmetic is exact rational: a verdict is a theorem about the input,
 never a tolerance call.  The solver is a phase-1 simplex with Bland's rule
-over the atom probabilities; an analytic cross-check (all eight CHSH-type
-sign variants at most 2) is kept deliberately independent of it.
+over the atom probabilities.  Its 17-row cell systems are constant, built
+once; a call supplies only the right-hand side.  An analytic cross-check
+(all eight CHSH-type sign variants at most 2) is kept independent of it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import scenarios
 from .statlab import PAIR_CELLS, PAIR_IDS
-
-try:  # exact arithmetic ~10x faster with gmpy2; Fraction is the fallback
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
@@ -202,10 +200,26 @@ def fine_criterion(t: PairTargets) -> bool:
 
 # --- joint atoms and verdicts ----------------------------------------------
 
+@functools.cache
+def atom_table(variables: tuple[str, ...]) -> tuple[MappingProxyType, ...]:
+    """For each atom of `variables` (deterministic +/-1 assignments in
+    lexicographic order, +1 before -1), a read-only map from every variable
+    to its value; the six-variable form also maps the composites A = Ai*Ar
+    and C = Ci*Cr."""
+    table = []
+    for assignment in itertools.product((+1, -1), repeat=len(variables)):
+        values = dict(zip(variables, assignment))
+        if "Ai" in values:
+            values["A"] = values["Ai"] * values["Ar"]
+            values["C"] = values["Ci"] * values["Cr"]
+        table.append(MappingProxyType(values))
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class JointAtomVector:
-    """Exact probability vector over deterministic +/-1 assignments, in
-    lexicographic order of `variables` with +1 before -1."""
+    """Exact probability vector over the atoms of `variables`, in the order
+    of `atom_table`."""
 
     variables: tuple[str, ...]
     probs: tuple[Fraction, ...]
@@ -218,32 +232,14 @@ class JointAtomVector:
         if sum(self.probs) != 1:
             raise ValueError("atom probabilities must sum to 1")
 
-    @property
-    def arity(self) -> int:
-        return len(self.variables)
-
-    def atoms(self):
-        return itertools.product((+1, -1), repeat=self.arity)
-
-    def _value(self, assignment: tuple[int, ...], var: str) -> int:
-        if var in self.variables:
-            return assignment[self.variables.index(var)]
-        if var == "A" and "Ai" in self.variables:
-            return (assignment[self.variables.index("Ai")]
-                    * assignment[self.variables.index("Ar")])
-        if var == "C" and "Ci" in self.variables:
-            return (assignment[self.variables.index("Ci")]
-                    * assignment[self.variables.index("Cr")])
-        raise KeyError(var)
-
     def pair_marginal(self, pair: str) -> dict[tuple[int, int], Fraction]:
         """Exact induced 2x2 marginal for a pair id such as 'AC'; composite
         A and C are products of internal and relation variables when the
         vector is six-variable."""
         v, w = pair[0], pair[1]
         out = {cell: Fraction(0) for cell in PAIR_CELLS}
-        for assignment, p in zip(self.atoms(), self.probs):
-            out[(self._value(assignment, v), self._value(assignment, w))] += p
+        for values, p in zip(atom_table(self.variables), self.probs):
+            out[(values[v], values[w])] += p
         return out
 
     def reproduces(self, t: PairTargets) -> bool:
@@ -274,8 +270,9 @@ class FeasibilityVerdict:
 
 # --- exact phase-1 simplex --------------------------------------------------
 
-def solve_nonnegative(rows: list[list], rhs: list) -> list[Fraction] | None:
-    """Find x >= 0 with A x = b exactly, or prove none exists.
+def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
+    """Find x >= 0 with A x = b exactly (ints or Fractions), or prove none
+    exists.
 
     Phase-1 simplex minimizing the sum of artificial variables, with Bland's
     rule (lowest-index entering column, lowest-index basic tie-break) so
@@ -286,14 +283,12 @@ def solve_nonnegative(rows: list[list], rhs: list) -> list[Fraction] | None:
     n = len(rows[0]) if m else 0
     tab = []
     for i in range(m):
-        row = [_Q(v.numerator, v.denominator) if isinstance(v, Fraction) else _Q(v)
-               for v in rows[i]]
-        b = rhs[i]
-        b = _Q(b.numerator, b.denominator) if isinstance(b, Fraction) else _Q(b)
+        row = list(rows[i])
+        b = Fraction(rhs[i])
         if b < 0:
             row = [-v for v in row]
             b = -b
-        tab.append(row + [_Q(1) if j == i else _Q(0) for j in range(m)] + [b])
+        tab.append(row + [1 if j == i else 0 for j in range(m)] + [b])
     basis = [n + i for i in range(m)]
     width = n + m + 1
     # reduced-cost row for minimizing the artificial sum, given the all-
@@ -310,12 +305,12 @@ def solve_nonnegative(rows: list[list], rhs: list) -> list[Fraction] | None:
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
+                ratio = tab[i][-1] / a  # the last column holds Fractions only
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:  # cannot happen: phase-1 objective is bounded below
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        piv = tab[leave][enter]
+        piv = Fraction(tab[leave][enter])
         tab[leave] = [v / piv for v in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter] != 0:
@@ -331,8 +326,21 @@ def solve_nonnegative(rows: list[list], rhs: list) -> list[Fraction] | None:
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(int(tab[i][-1].numerator), int(tab[i][-1].denominator))
+            x[j] = tab[i][-1]
     return x
+
+
+@functools.cache
+def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The constant 0/1 rows over the atoms of `variables`: normalization,
+    then one row per pair cell, in the order `_feasibility` writes the rhs."""
+    atoms = atom_table(variables)
+    rows = [(1,) * len(atoms)]
+    for pair in PAIR_IDS:
+        v, w = pair[0], pair[1]
+        for cell in PAIR_CELLS:
+            rows.append(tuple(int((a[v], a[w]) == cell) for a in atoms))
+    return tuple(rows)
 
 
 def _max_violation(t: PairTargets) -> Fraction:
@@ -340,21 +348,8 @@ def _max_violation(t: PairTargets) -> Fraction:
 
 
 def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdict:
-    atoms = list(itertools.product((+1, -1), repeat=len(variables)))
-    probe = JointAtomVector(variables, (Fraction(1),) + (Fraction(0),) * (len(atoms) - 1))
-
-    def value(assignment, var):
-        return probe._value(assignment, var)
-
-    rows = [[Fraction(1)] * len(atoms)]
-    rhs = [Fraction(1)]
-    for pair in PAIR_IDS:
-        v, w = pair[0], pair[1]
-        for x, y in PAIR_CELLS:
-            rows.append([Fraction(1) if value(a, v) == x and value(a, w) == y else Fraction(0)
-                         for a in atoms])
-            rhs.append(t.cell(pair, x, y))
-    x = solve_nonnegative(rows, rhs)
+    rhs = [1] + [t.cell(pair, x, y) for pair in PAIR_IDS for x, y in PAIR_CELLS]
+    x = solve_nonnegative(_cell_rows(variables), rhs)
     if x is None:
         return FeasibilityVerdict(False, None, _max_violation(t))
     return FeasibilityVerdict(True, JointAtomVector(variables, tuple(x)), None)
@@ -372,25 +367,6 @@ def feasible_joint_6(t: PairTargets) -> FeasibilityVerdict:
     the four-variable question; implemented separately so the equivalence is
     a tested theorem, not an assumption."""
     return _feasibility(t, VARS_6)
-
-
-def feasible_joint_4_moment_form(t: PairTargets) -> bool:
-    """Second, independent LP formulation over the same deterministic-
-    assignment vertices, constrained by the 4 single-variable expectations
-    and 4 pair correlators instead of the 17 cell equations.  Used as a
-    cross-check of the primary formulation."""
-    atoms = list(itertools.product((+1, -1), repeat=4))
-    rows = [[Fraction(1)] * len(atoms)]
-    rhs = [Fraction(1)]
-    for k, var in enumerate(VARS_4):
-        rows.append([Fraction(a[k]) for a in atoms])
-        rhs.append(2 * t.single(var) - 1)
-    index = {v: k for k, v in enumerate(VARS_4)}
-    for pair in PAIR_IDS:
-        i, j = index[pair[0]], index[pair[1]]
-        rows.append([Fraction(a[i] * a[j]) for a in atoms])
-        rhs.append(t.correlator(pair))
-    return solve_nonnegative(rows, rhs) is not None
 
 
 def random_pair_targets(rng) -> PairTargets:

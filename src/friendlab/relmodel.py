@@ -191,10 +191,6 @@ class IndependenceReport:
     stats: dict[str, dict[tuple[Choice, Choice], tuple[int, int]]]  # wing -> pair -> (n, n_plus)
     flags: tuple[dict, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.flags
-
     def to_json_dict(self) -> dict:
         return {
             "stats": {wing: {f"{b.value},{d.value}": {"n": n, "n_plus": np_}

@@ -74,7 +74,7 @@ def correlation_estimate(table: EmpiricalDist) -> tuple[float, float]:
 def chsh_estimate(tables: dict[str, EmpiricalDist]) -> tuple[float, float]:
     """S = E_AC + E_BC + E_BD - E_AD with root-sum-square standard error."""
     needed = ("AC", "BC", "BD", "AD")
-    if set(tables) < set(needed):
+    if not set(needed) <= set(tables):
         raise ValueError(f"need tables for {needed}")
     est = {pair: correlation_estimate(tables[pair]) for pair in needed}
     s = est["AC"][0] + est["BC"][0] + est["BD"][0] - est["AD"][0]

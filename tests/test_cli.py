@@ -210,3 +210,13 @@ def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
         code, _, err = run(capsys, "relmodel", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert "bad angles" in err
+
+
+@pytest.mark.parametrize("out", [2, True, "", ["report.json"]])
+def test_non_path_out_in_config_is_input_error(capsys, tmp_path, out):
+    # open() would take an int (or a bool) as a file descriptor and close it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": out}))
+    code, stdout, err = run(capsys, "basic", "--config", str(cfg), "--format", "json")
+    assert code == cli.EXIT_INPUT
+    assert stdout == "" and "out must be a non-empty file path" in err

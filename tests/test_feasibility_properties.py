@@ -1,0 +1,106 @@
+"""Property tests of the exact feasibility engine: verdicts about the input as
+written, agreement of the three methods next to the S = 2 boundary, and
+witnesses that reproduce their targets."""
+
+import itertools
+import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from friendlab import marginal_polytope as mp
+
+# derandomized so the suite's run time and outcome do not vary between runs
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+ODD_SIGNS = [s for s in itertools.product((+1, -1), repeat=4) if s[0] * s[1] * s[2] * s[3] == -1]
+
+
+@st.composite
+def decimal_targets(draw):
+    """A local joint with weights on a 1/10^d grid mixed with the PR box at a
+    weight on a 1/10^e grid: every cell is a terminating decimal, and both
+    verdicts occur."""
+    scale = 10 ** draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=15, max_size=15)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [scale])]
+    local = mp.JointAtomVector(mp.VARS_4, tuple(Fraction(w, scale) for w in weights))
+    local_targets = mp.PairTargets({
+        pair: tuple(tuple(local.pair_marginal(pair)[(x, y)] for y in (+1, -1))
+                    for x in (+1, -1))
+        for pair in mp.PAIR_IDS})
+    mix_scale = 10 ** draw(st.integers(1, 9))
+    lam = Fraction(draw(st.integers(0, mix_scale)), mix_scale)
+    return mp.PairTargets.pr_box().mix(local_targets, lam)
+
+
+def _decimal_text(x: Fraction) -> str:
+    with localcontext() as ctx:
+        ctx.prec = 60  # ample for denominators up to 2 * 10^13
+        text = str(Decimal(x.numerator) / Decimal(x.denominator))
+    assert Fraction(text) == x
+    return text
+
+
+def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
+    def written(fmt):
+        return {pair: [[fmt(v) for v in row] for row in t.tables[pair]] for pair in mp.PAIR_IDS}
+    as_fraction = t.to_json_dict()
+    return [
+        as_fraction,
+        written(_decimal_text),
+        written(lambda v: f"{v.numerator * k}/{v.denominator * k}"),  # not in lowest terms
+        json.loads(json.dumps(as_fraction)),
+        json.loads(json.dumps(written(_decimal_text))),
+    ]
+
+
+@PROPERTY
+@given(decimal_targets(), st.integers(2, 10 ** 6))
+def test_verdict_does_not_depend_on_how_targets_are_written(t, k):
+    expected = mp.feasible_joint_4(t)
+    for obj in _spellings(t, k):
+        parsed = mp.PairTargets.from_json_dict(obj)
+        assert parsed.tables == t.tables
+        assert mp.feasible_joint_4(parsed).to_json_dict() == expected.to_json_dict()
+
+
+@st.composite
+def boundary_targets(draw):
+    """Targets with one CHSH sign variant at 2 - 1/q, 2 or 2 + 1/q and random
+    singles.  Every correlator is its sign times about 1/2, so the chosen
+    variant is the largest, and the bounds on singles and offsets keep every
+    cell non-negative."""
+    q = draw(st.integers(2, 10 ** 9))
+    delta = Fraction(draw(st.sampled_from((-1, 0, +1))), q)
+    signs = draw(st.sampled_from(ODD_SIGNS))
+    small = st.fractions(Fraction(-1, 16), Fraction(1, 16), max_denominator=10 ** 9)
+    offsets = [draw(small) for _ in range(3)]
+    offsets.append(-sum(offsets))
+    base = (2 + delta) / 4
+    correlators = {pair: s * (base + d) for pair, s, d in zip(mp.PAIR_IDS, signs, offsets)}
+    singles = {v: (1 + draw(small)) / 2 for v in mp.VARS_4}
+    t = mp.PairTargets.from_correlators(singles, correlators)
+    assert mp.chsh_variants(t)[signs] == 2 + delta
+    return t, delta
+
+
+@PROPERTY
+@given(boundary_targets())
+def test_three_methods_agree_next_to_the_boundary(case):
+    t, delta = case
+    v4, v6 = mp.feasible_joint_4(t), mp.feasible_joint_6(t)
+    assert mp.fine_criterion(t) == v4.feasible == v6.feasible == (delta <= 0)
+    if not v4.feasible:
+        assert v4.max_violation == v6.max_violation == delta
+
+
+@PROPERTY
+@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0])))
+def test_every_feasible_witness_reproduces_its_targets(t):
+    for verdict in (mp.feasible_joint_4(t), mp.feasible_joint_6(t)):
+        assert verdict.feasible == (verdict.witness is not None)
+        if verdict.feasible:
+            assert verdict.witness.reproduces(t)

@@ -119,7 +119,7 @@ def test_constructive_six_variable_witness_from_four():
     t = shrunk_targets()
     w4 = mp.feasible_joint_4(t).witness
     probs = {assign: Fraction(0) for assign in itertools.product((+1, -1), repeat=6)}
-    for (a, b, c, d), p in zip(w4.atoms(), w4.probs):
+    for (a, b, c, d), p in zip(itertools.product((+1, -1), repeat=4), w4.probs):
         for ai in (+1, -1):
             for ci in (+1, -1):
                 probs[(ai, a * ai, b, ci, c * ci, d)] += p / 4
@@ -154,11 +154,26 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
     assert saw_feasible > 10 and saw_infeasible > 10
 
 
+def moment_form_feasible(t):
+    """Reference LP over the same 16 atoms, constrained by normalization, the
+    4 single-variable expectations and the 4 pair correlators instead of the
+    17 cell equations."""
+    atoms = list(itertools.product((+1, -1), repeat=4))
+    index = {v: k for k, v in enumerate(mp.VARS_4)}
+    rows = [[1] * len(atoms)] + [[a[k] for a in atoms] for k in range(4)]
+    rhs = [Fraction(1)] + [2 * t.single(v) - 1 for v in mp.VARS_4]
+    for pair in mp.PAIR_IDS:
+        i, j = index[pair[0]], index[pair[1]]
+        rows.append([a[i] * a[j] for a in atoms])
+        rhs.append(t.correlator(pair))
+    return mp.solve_nonnegative(rows, rhs) is not None
+
+
 def test_moment_form_cross_check():
     rng = np.random.default_rng(200)
     for _ in range(100):
         t = mp.random_pair_targets(rng)
-        assert mp.feasible_joint_4_moment_form(t) == mp.feasible_joint_4(t).feasible
+        assert moment_form_feasible(t) == mp.feasible_joint_4(t).feasible
 
 
 def test_monotone_mix_toward_uniform_preserves_feasibility():

@@ -117,7 +117,7 @@ def test_choice_independence_clean_on_fair_batch():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 10 ** 5, 0)
     report = relmodel.check_choice_independence(batch)
-    assert report.clean
+    assert not report.flags
     assert set(report.stats) == {"alice", "chidi"}
     assert sum(n for n, _ in report.stats["alice"].values()) == 10 ** 5
 
@@ -130,7 +130,7 @@ def test_choice_independence_flags_planted_dependence():
         dataclasses.replace(r, a_internal=+1, a_relation=r.a_external)
         if r.b_choice is Choice.ASK else r for r in batch.records))
     report = relmodel.check_choice_independence(bad)
-    assert not report.clean
+    assert report.flags
     assert any(f["wing"] == "alice" for f in report.flags)
 
 
@@ -160,7 +160,7 @@ def test_audit_checks_in_order_and_catches_broken_records():
         + [f"observed pair {p} vs Born" for p in statlab.PAIR_IDS]
         + ["internal joint cells vs 1/4", "choice-independence flags"])
     assert all(c["pass"] for c in checks)
-    assert internal.total == 20000 and independence.clean
+    assert internal.total == 20000 and not independence.flags
     # flip one asked relation: the product identity breaks on that run only
     i = next(k for k, r in enumerate(batch.records) if r.b_choice is Choice.ASK)
     broken = list(batch.records)

@@ -87,6 +87,11 @@ def test_chsh_estimate_perfect_tables():
     assert stderr == pytest.approx(0.0)
     with pytest.raises(ValueError):
         chsh_estimate({"AC": aligned})
+    # a missing table is an error whatever other keys the dict holds
+    with pytest.raises(ValueError):
+        chsh_estimate({"AC": aligned, "XX": aligned})
+    with pytest.raises(ValueError):
+        chsh_estimate({"AC": aligned, "BC": aligned, "BD": aligned, "XX": anti})
 
 
 def test_estimator_consistency_under_growing_samples():
