@@ -11,8 +11,8 @@ from friendlab.scenarios import LFConfig
 
 cfg = LFConfig()
 batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 400000, seed=0)
-print(f"{len(batch.records)} runs; first record:")
-print(" ", batch.records[0].to_json_dict())
+print(f"{len(batch)} runs; first record:")
+print(" ", batch.record(0).to_json_dict())
 
 tables, pair_checks = relmodel.observed_pair_checks(batch)
 for (pair_id, table), check in zip(tables.items(), pair_checks):

@@ -18,6 +18,7 @@ from .scenarios import LFConfig, RovelliConfig
 TSIRELSON = 2.0 * math.sqrt(2.0)
 COS45 = math.cos(math.radians(45.0))
 
+CHSH_TRIALS = 4 * 10 ** 5     # criterion 1: uniform-policy runs behind the Monte Carlo S
 RANDOM_TARGETS = 1000          # criterion 2: targets for the LP/analytic cross-check
 RELMODEL_TRIALS = 4 * 10 ** 5  # criterion 3: frame-relational runs
 UNITARIES = 100                # criterion 4: random orientation unitaries per state
@@ -28,22 +29,10 @@ def _sub_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def sample_pair_tables(cfg: LFConfig, per_pair: int,
-                       rng: np.random.Generator) -> dict[str, statlab.EmpiricalDist]:
-    """Monte Carlo pair tables drawn directly from the Born joints."""
-    tables = {}
-    for pair in scenarios.PAIR_IDS:
-        born = scenarios.born_pair_table(cfg, pair)
-        probs = np.array([born[c] for c in statlab.PAIR_CELLS])
-        draws = rng.choice(4, size=per_pair, p=probs / probs.sum())
-        counts = np.bincount(draws, minlength=4)
-        tables[pair] = statlab.EmpiricalDist(statlab.PAIR_CELLS, tuple(int(c) for c in counts))
-    return tables
-
-
 def criterion_1(seed: int) -> dict:
     """Analytic Born correlators hit the Tsirelson pattern to 1e-9; the
-    Monte Carlo CHSH estimate at 1e5 trials per pair lands within 0.05."""
+    Monte Carlo CHSH estimate from 4e5 uniform-policy runs (about 1e5 per
+    pair) lands within 0.05."""
     cfg = LFConfig()
     analytic = scenarios.pair_correlations(cfg)
     expected = {"AC": COS45, "BC": COS45, "BD": COS45, "AD": -COS45}
@@ -51,11 +40,11 @@ def criterion_1(seed: int) -> dict:
               for pair in scenarios.PAIR_IDS]
     s_analytic = scenarios.chsh_from_angles(cfg)
     checks.append(statlab.check("analytic S vs 2*sqrt(2)", abs(s_analytic - TSIRELSON), 1e-9))
-    rng = np.random.default_rng(seed)
-    tables = sample_pair_tables(cfg, 10 ** 5, rng)
+    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), CHSH_TRIALS, seed)
+    tables, _ = relmodel.observed_pair_checks(batch)
     s_mc, stderr = statlab.chsh_estimate(tables)
     checks.append(statlab.check("Monte Carlo S vs 2*sqrt(2)", abs(s_mc - TSIRELSON), 0.05,
-                                n=4 * 10 ** 5))
+                                n=CHSH_TRIALS))
     return {"criterion": 1, "name": "tsirelson-reproduction",
             "analytic_S": s_analytic, "monte_carlo_S": s_mc, "mc_stderr": stderr,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
@@ -63,8 +52,9 @@ def criterion_1(seed: int) -> dict:
 
 def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible in both the 4- and 6-variable LP; the
-    1/sqrt(2)-shrunk targets feasible; the analytic criterion agrees with
-    both LPs on every random target."""
+    1/sqrt(2)-shrunk targets feasible; on every random target the analytic
+    criterion agrees with both LPs and every feasible witness reproduces the
+    target (`mp.methods_agree`)."""
     tsirelson = mp.PairTargets.from_angles(LFConfig())
     v4 = mp.feasible_joint_4(tsirelson)
     v6 = mp.feasible_joint_6(tsirelson)
@@ -82,9 +72,7 @@ def criterion_2(seed: int) -> dict:
         fine = mp.fine_criterion(t)
         lp4 = mp.feasible_joint_4(t)
         lp6 = mp.feasible_joint_6(t)
-        if not (fine == lp4.feasible == lp6.feasible):
-            disagreements += 1
-        if lp4.feasible and not lp4.witness.reproduces(t):
+        if not mp.methods_agree(t, lp4, lp6, fine):
             disagreements += 1
         if not fine:
             infeasible_count += 1
@@ -189,13 +177,12 @@ def criterion_6(seed: int) -> dict:
     `accept` command output is asserted by the test suite, which invokes the
     command twice.)"""
     def probe() -> str:
-        rng = np.random.default_rng(_sub_seed(seed, 601))
-        tables = sample_pair_tables(LFConfig(), 10 ** 4, rng)
         batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(),
-                                        5000, _sub_seed(seed, 602))
+                                        4 * 10 ** 4, _sub_seed(seed, 602))
+        tables, _ = relmodel.observed_pair_checks(batch)
         return json.dumps({
             "tables": {p: t.counts for p, t in tables.items()},
-            "first_records": [r.to_json_dict() for r in batch.records[:50]],
+            "first_records": [batch.record(i).to_json_dict() for i in range(50)],
         }, sort_keys=True)
 
     a, b = probe(), probe()

@@ -61,10 +61,8 @@ def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int 
     """Integer flag or config value; InputError unless it is an integer of at
     least `minimum` (no bound when None)."""
     val = _resolve(args, key, default)
-    try:
-        val = int(val)
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be an integer, got {val!r}") from None
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise InputError(f"{key} must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise InputError(f"{key} must be at least {minimum}, got {val}")
     return val
@@ -105,8 +103,11 @@ def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None)
         return
     if not isinstance(out, str) or not out:  # open() would take an int as a descriptor
         raise InputError(f"out must be a non-empty file path, got {out!r}")
-    with open(out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _tolerance_lines(checks: list[dict]) -> str:
@@ -129,7 +130,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
         a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if abs(a * a + b * b - 1.0) > 1e-9:
+    if not abs(a * a + b * b - 1.0) <= 1e-9:  # also refuses NaN
         raise InputError(f"amplitudes not normalized: a^2 + b^2 = {a * a + b * b}")
     outcome = _resolve_int(args, "outcome", 1, None)
     if outcome not in (+1, -1):
@@ -254,7 +255,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     v6 = mp.feasible_joint_6(targets)
     fine = mp.fine_criterion(targets)
     s = mp.chsh_value(targets)
-    agree = v4.feasible == v6.feasible == fine
+    agree = mp.methods_agree(targets, v4, v6, fine)
     report = {"command": "feasibility",
               "targets": targets.to_json_dict(),
               "chsh_value": str(s), "chsh_value_float": float(s),
@@ -301,10 +302,10 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     if planted:
         # debug self-test: make Alice's internal outcome follow Bob's choice,
         # which must trip the choice-independence audit
-        batch = dataclasses.replace(batch, records=tuple(
-            dataclasses.replace(r, a_internal=+1, a_relation=r.a_external)
-            if r.b_choice is relmodel.Choice.ASK else dataclasses.replace(r, a_internal=-1)
-            for r in batch.records))
+        a_external = batch.columns["A"]  # 0 exactly where Bob supermeasures
+        batch = dataclasses.replace(batch, columns={
+            **batch.columns, "Ai": np.where(a_external != 0, 1, -1).astype(np.int8),
+            "Ar": a_external})
     checks, internal, independence = relmodel.audit(batch)
     targets = mp.PairTargets.from_angles(cfg)
     verdict = mp.feasible_joint_4(targets)
@@ -314,7 +315,8 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                                  for c in statlab.PAIR_CELLS},
               "independence": independence.to_json_dict(),
               "analytic_feasibility": verdict.to_json_dict(),
-              "records": [r.to_json_dict() for r in batch.records[:1000]],
+              "records": [batch.record(i).to_json_dict()
+                          for i in range(min(len(batch), 1000))],
               "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:

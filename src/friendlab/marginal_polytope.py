@@ -369,6 +369,14 @@ def feasible_joint_6(t: PairTargets) -> FeasibilityVerdict:
     return _feasibility(t, VARS_6)
 
 
+def methods_agree(t: PairTargets, v4: FeasibilityVerdict, v6: FeasibilityVerdict,
+                  fine: bool) -> bool:
+    """The two LPs and Fine's criterion give one verdict, and every feasible
+    witness reproduces the targets."""
+    return (v4.feasible == v6.feasible == fine
+            and all(v.witness.reproduces(t) for v in (v4, v6) if v.feasible))
+
+
 def random_pair_targets(rng) -> PairTargets:
     """Random valid targets: an exact-rational random local joint mixed with
     the extremal nonlocal box, so both feasible and infeasible inputs occur."""

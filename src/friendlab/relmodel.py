@@ -5,9 +5,11 @@ and independently of anything the outside observers later choose.  External
 outcomes are drawn from the Born joint of whichever pair of measurements is
 actually performed.  A frame relation comes into existence only on the wings
 where the outside observer asks the friend: it is computed at reveal time as
-external * internal, never pre-sampled.  Absence is a first-class value
-(None, serialized as null): the whole content of the model is which
-variables exist on which runs.
+external * internal, never pre-sampled.  Absence is a first-class value,
+because the whole content of the model is which variables exist on which
+runs: a TrialBatch holds one int8 column per variable with 0 where it is
+absent, and the RunRecord rows written to reports hold None (null in JSON,
+an empty field in CSV).
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ CHOICE_PAIRS = tuple((Choice(b), Choice(d))
                      for b, d in (scenarios.PAIR_CHOICES[p] for p in PAIR_IDS))
 # pair id -> the two observed variables it tabulates
 OBSERVED_PAIRS = {pair: (pair[0], pair[1]) for pair in PAIR_IDS}
+# per CHOICE_PAIRS index: does Bob (Divya) ask?
+_B_ASKS = np.array([b is Choice.ASK for b, _ in CHOICE_PAIRS])
+_D_ASKS = np.array([d is Choice.ASK for _, d in CHOICE_PAIRS])
+# per PAIR_CELLS index: the first (second) value of the cell
+_FIRST, _SECOND = (np.array(v, dtype=np.int8) for v in zip(*PAIR_CELLS))
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
@@ -49,6 +56,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
+    """One run as a report row, with None where a variable does not exist."""
+
     a_internal: int
     c_internal: int
     b_choice: Choice
@@ -60,21 +69,6 @@ class RunRecord:
     a_relation: int | None
     c_relation: int | None
 
-    def validate(self) -> None:
-        if self.a_internal not in (+1, -1) or self.c_internal not in (+1, -1):
-            raise ValueError("internal outcomes must be +1 or -1")
-        for choice, outcome, external, relation, internal in (
-                (self.b_choice, self.b_outcome, self.a_external, self.a_relation, self.a_internal),
-                (self.d_choice, self.d_outcome, self.c_external, self.c_relation, self.c_internal)):
-            if choice is Choice.SUPER:
-                if outcome not in (+1, -1) or external is not None or relation is not None:
-                    raise ValueError("supermeasured wing must have only the super outcome")
-            else:
-                if outcome is not None or external not in (+1, -1) or relation not in (+1, -1):
-                    raise ValueError("asked wing must have external and relation only")
-                if external != internal * relation:
-                    raise ValueError("external must equal internal * relation")
-
     def to_json_dict(self) -> dict:
         return {"a_internal": self.a_internal, "c_internal": self.c_internal,
                 "b_choice": self.b_choice.value, "d_choice": self.d_choice.value,
@@ -83,25 +77,25 @@ class RunRecord:
                 "a_relation": self.a_relation, "c_relation": self.c_relation}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialBatch:
+    """Runs as read-only int8 columns: `choice` indexes CHOICE_PAIRS and
+    `columns` maps each variable (Ai, Ci, A, B, C, D, Ar, Cr) to its values,
+    0 where the variable does not exist on that run."""
+
     config: LFConfig
-    records: tuple[RunRecord, ...]
     seed: int
+    choice: np.ndarray
+    columns: dict[str, np.ndarray]
 
+    def __len__(self) -> int:
+        return len(self.choice)
 
-def _assemble(cfg: LFConfig, b_choice: Choice, d_choice: Choice,
-              a_int: int, c_int: int, bob_value: int, divya_value: int) -> RunRecord:
-    if b_choice is Choice.ASK:
-        a_ext, a_rel, b_out = bob_value, bob_value * a_int, None
-    else:
-        a_ext, a_rel, b_out = None, None, bob_value
-    if d_choice is Choice.ASK:
-        c_ext, c_rel, d_out = divya_value, divya_value * c_int, None
-    else:
-        c_ext, c_rel, d_out = None, None, divya_value
-    return RunRecord(a_int, c_int, b_choice, d_choice, b_out, d_out,
-                     a_ext, c_ext, a_rel, c_rel)
+    def record(self, i: int) -> RunRecord:
+        b_choice, d_choice = CHOICE_PAIRS[self.choice[i]]
+        v = {name: int(col[i]) for name, col in self.columns.items()}
+        return RunRecord(v["Ai"], v["Ci"], b_choice, d_choice,
+                         *(v[name] or None for name in ("B", "D", "A", "C", "Ar", "Cr")))
 
 
 def _normalize_policy(policy) -> np.ndarray:
@@ -134,53 +128,40 @@ def simulate_batch(cfg: LFConfig, policy, n: int, seed: int) -> TrialBatch:
     tables = np.array([[scenarios.born_pair_table(cfg, pair)[c] for c in PAIR_CELLS]
                        for pair in PAIR_IDS])
     cdfs = np.cumsum(tables, axis=1)
-    records: list[RunRecord] = []
+    chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
         k = rng.choice(4, size=m, p=pvec)
         a_int = 1 - 2 * rng.integers(0, 2, size=m)
         c_int = 1 - 2 * rng.integers(0, 2, size=m)
-        u = rng.random(m)
-        cell_idx = (u[:, None] >= cdfs[k]).sum(axis=1)
-        cell_idx = np.minimum(cell_idx, 3)  # guard against float round-off
-        for i in range(m):
-            bob_value, divya_value = PAIR_CELLS[cell_idx[i]]
-            b_choice, d_choice = CHOICE_PAIRS[k[i]]
-            records.append(_assemble(cfg, b_choice, d_choice,
-                                     int(a_int[i]), int(c_int[i]),
-                                     bob_value, divya_value))
-    return TrialBatch(cfg, tuple(records), seed)
-
-
-_VARIABLE_GETTERS = {
-    "A": lambda r: r.a_external,
-    "B": lambda r: r.b_outcome,
-    "C": lambda r: r.c_external,
-    "D": lambda r: r.d_outcome,
-    "Ai": lambda r: r.a_internal,
-    "Ci": lambda r: r.c_internal,
-    "Ar": lambda r: r.a_relation,
-    "Cr": lambda r: r.c_relation,
-}
+        cell = (rng.random(m)[:, None] >= cdfs[k]).sum(axis=1)
+        chunks.append((k, a_int, c_int, np.minimum(cell, 3)))  # guard against float round-off
+    k, a_int, c_int, cell = (np.concatenate(parts).astype(np.int8) for parts in zip(*chunks))
+    b_asks, d_asks = _B_ASKS[k], _D_ASKS[k]
+    bob, divya = _FIRST[cell], _SECOND[cell]
+    a_ext, c_ext = np.where(b_asks, bob, 0), np.where(d_asks, divya, 0)
+    columns = {"Ai": a_int, "Ci": c_int, "A": a_ext, "B": np.where(b_asks, 0, bob),
+               "C": c_ext, "D": np.where(d_asks, 0, divya),
+               "Ar": a_ext * a_int, "Cr": c_ext * c_int}
+    for col in (k, *columns.values()):
+        col.setflags(write=False)
+    return TrialBatch(cfg, seed, k, columns)
 
 
 def empirical_pair_table(batch: TrialBatch, pair: tuple[str, str]) -> tuple[EmpiricalDist, int]:
     """2x2 frequency table over the runs where both variables are present,
     plus the qualifying-run count (so callers can judge statistical power)."""
     try:
-        get_v, get_w = _VARIABLE_GETTERS[pair[0]], _VARIABLE_GETTERS[pair[1]]
+        x, y = batch.columns[pair[0]], batch.columns[pair[1]]
     except KeyError as exc:
         raise ValueError(f"unknown variable in pair {pair}") from exc
-    counts = {cell: 0 for cell in PAIR_CELLS}
-    for r in batch.records:
-        x, y = get_v(r), get_w(r)
-        if x is not None and y is not None:
-            counts[(x, y)] += 1
-    n = sum(counts.values())
+    both = (x != 0) & (y != 0)
+    n = int(both.sum())
     if n == 0:
         raise InsufficientDataError(f"no runs where both of {pair} are present")
-    return EmpiricalDist(PAIR_CELLS, tuple(counts[c] for c in PAIR_CELLS)), n
+    counts = np.bincount(2 * (x[both] < 0) + (y[both] < 0), minlength=4)  # PAIR_CELLS order
+    return EmpiricalDist(PAIR_CELLS, tuple(counts.tolist())), n
 
 
 @dataclass(frozen=True)
@@ -203,14 +184,14 @@ class IndependenceReport:
 def check_choice_independence(batch: TrialBatch) -> IndependenceReport:
     """Flag any choice pair whose conditional internal-outcome frequency
     differs from another's by more than SIGMAS binomial standard errors."""
-    stats: dict[str, dict] = {"alice": {}, "chidi": {}}
-    for r in batch.records:
-        key = (r.b_choice, r.d_choice)
-        for wing, value in (("alice", r.a_internal), ("chidi", r.c_internal)):
-            n, n_plus = stats[wing].get(key, (0, 0))
-            stats[wing][key] = (n + 1, n_plus + (1 if value == +1 else 0))
-    if len(stats["alice"]) < 2:
+    n = np.bincount(batch.choice, minlength=4)
+    present = np.flatnonzero(n)
+    if len(present) < 2:
         raise InsufficientDataError("need at least two distinct choice pairs")
+    stats: dict[str, dict] = {}
+    for wing, internal in (("alice", batch.columns["Ai"]), ("chidi", batch.columns["Ci"])):
+        plus = np.bincount(batch.choice[internal == 1], minlength=4)
+        stats[wing] = {CHOICE_PAIRS[j]: (int(n[j]), int(plus[j])) for j in present}
     flags = []
     for wing, pairs in stats.items():
         keys = sorted(pairs, key=lambda cp: (cp[0].value, cp[1].value))
@@ -245,19 +226,30 @@ def observed_pair_checks(batch: TrialBatch) -> tuple[dict[str, EmpiricalDist], l
     return tables, checks
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    return (x == 1) | (x == -1)
+
+
+def _wing_ok(asks, outcome, external, relation, internal) -> np.ndarray:
+    """Per run: an asked wing has an external value and a relation whose
+    product with the internal outcome is the external value, and no super
+    outcome; a supermeasured wing has only its super outcome."""
+    return np.where(asks, (outcome == 0) & _unit(relation) & (external == internal * relation),
+                    _unit(outcome) & (external == 0) & (relation == 0))
+
+
 def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceReport]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) table and the independence
     report."""
-    invalid = 0
-    for r in batch.records:
-        try:
-            r.validate()
-        except ValueError:
-            invalid += 1
-    n = len(batch.records)
+    col = batch.columns
+    ok = (_unit(col["Ai"]) & _unit(col["Ci"])
+          & _wing_ok(_B_ASKS[batch.choice], col["B"], col["A"], col["Ar"], col["Ai"])
+          & _wing_ok(_D_ASKS[batch.choice], col["D"], col["C"], col["Cr"], col["Ci"]))
+    n = len(batch)
+    invalid = n - int(ok.sum())
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]
     internal, n_int = empirical_pair_table(batch, ("Ai", "Ci"))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from friendlab import cli, relmodel
+from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 
 
@@ -32,9 +33,11 @@ def test_basic_unequal_amps_reports_degenerate(capsys):
 
 
 def test_basic_rejects_unnormalized_amps(capsys):
-    code, _, err = run(capsys, "basic", "--amps", "0.9,0.9")
-    assert code == cli.EXIT_INPUT
-    assert "not normalized" in err
+    # NaN compares false to everything, so it must not slip past the norm test
+    for amps in ("0.9,0.9", "nan,nan"):
+        code, out, err = run(capsys, "basic", "--amps", amps)
+        assert code == cli.EXIT_INPUT
+        assert out == "" and "not normalized" in err
 
 
 def test_lf_small_run_passes_and_round_trips(capsys, tmp_path):
@@ -99,6 +102,24 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["joint_4"]["feasible"] is True
     assert rep["chsh_value"] == "0"
+
+
+def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypatch):
+    # the three verdicts agree (feasible), but the 6-variable witness belongs
+    # to other targets: that is not agreement
+    uniform = {pair: [["1/4", "1/4"], ["1/4", "1/4"]] for pair in ("AC", "AD", "BC", "BD")}
+    other = {pair: [["1/2", "0"], ["0", "1/2"]] for pair in ("AC", "AD", "BC", "BD")}
+    real = mp.feasible_joint_6
+    wrong = real(mp.PairTargets.from_json_dict(other))
+    assert wrong.feasible
+    monkeypatch.setattr(mp, "feasible_joint_6", lambda t: wrong)
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(uniform))
+    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert code == cli.EXIT_DISAGREE
+    rep = json.loads(out)
+    assert rep["joint_4"]["feasible"] and rep["joint_6"]["feasible"] and rep["fine_criterion"]
+    assert rep["methods_agree"] is False
 
 
 def test_feasibility_malformed_targets(capsys, tmp_path):
@@ -197,10 +218,12 @@ def test_negative_seed_is_input_error(capsys, command):
     ("accept", "seed"), ("basic", "outcome"), ("lf", "seed")])
 def test_non_integer_config_value_is_input_error(capsys, tmp_path, command, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: "many"}))
-    code, out, err = run(capsys, command, "--config", str(cfg))
-    assert code == cli.EXIT_INPUT
-    assert out == "" and f"{key} must be an integer" in err
+    # 1.5 would truncate, true would read as 1, 1e400 parses to infinity
+    for value in ('"many"', "1.5", "true", "1e400"):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == cli.EXIT_INPUT, value
+        assert out == "" and f"{key} must be an integer" in err
 
 
 def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
@@ -210,6 +233,13 @@ def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
         code, _, err = run(capsys, "relmodel", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert "bad angles" in err
+
+
+def test_unwritable_out_is_input_error(capsys, tmp_path):
+    out = tmp_path / "missing_dir" / "x.json"
+    code, stdout, err = run(capsys, "basic", "--format", "json", "--out", str(out))
+    assert code == cli.EXIT_INPUT
+    assert stdout == "" and err.startswith("error: cannot write") and not out.exists()
 
 
 @pytest.mark.parametrize("out", [2, True, "", ["report.json"]])

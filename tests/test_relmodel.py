@@ -6,18 +6,33 @@ import numpy as np
 import pytest
 
 from friendlab import relmodel, scenarios, statlab
-from friendlab.relmodel import CHOICE_PAIRS, Choice, InsufficientDataError, RunRecord
+from friendlab.relmodel import CHOICE_PAIRS, Choice, InsufficientDataError
 from friendlab.scenarios import LFConfig, RovelliConfig
 
 COS45 = math.cos(math.radians(45.0))
 
 
+def with_columns(batch, **columns):
+    return dataclasses.replace(batch, columns={**batch.columns, **columns})
+
+
+def same_runs(b1, b2, stop=None) -> bool:
+    """Do the first `stop` runs (all when None) of b1 equal b2's runs?"""
+    return (np.array_equal(b1.choice[:stop], b2.choice)
+            and b1.columns.keys() == b2.columns.keys()
+            and all(np.array_equal(col[:stop], b2.columns[v]) for v, col in b1.columns.items()))
+
+
 def test_run_trial_presence_discipline_per_choice_pair():
     cfg = LFConfig()
-    for b_choice, d_choice in CHOICE_PAIRS:
+    for j, (b_choice, d_choice) in enumerate(CHOICE_PAIRS):
         batch = relmodel.simulate_batch(cfg, {(b_choice, d_choice): 1.0}, 50, 0)
-        for r in batch.records:
-            r.validate()
+        col = batch.columns
+        assert (batch.choice == j).all()
+        assert all(v.dtype == np.int8 for v in (batch.choice, *col.values()))
+        assert set(np.abs(col["Ai"])) == set(np.abs(col["Ci"])) == {1}
+        for i in range(len(batch)):
+            r = batch.record(i)
             assert (r.b_choice, r.d_choice) == (b_choice, d_choice)
             if b_choice is Choice.ASK:
                 assert r.b_outcome is None
@@ -34,14 +49,24 @@ def test_run_trial_presence_discipline_per_choice_pair():
 
 
 def test_record_validation_catches_broken_invariants():
-    good = RunRecord(+1, -1, Choice.ASK, Choice.SUPER, None, -1, +1, None, +1, None)
-    good.validate()
-    with pytest.raises(ValueError):
-        RunRecord(+1, -1, Choice.ASK, Choice.SUPER, None, -1, +1, None, -1, None).validate()
-    with pytest.raises(ValueError):
-        RunRecord(+1, -1, Choice.SUPER, Choice.SUPER, +1, -1, +1, None, None, None).validate()
-    with pytest.raises(ValueError):
-        RunRecord(0, -1, Choice.SUPER, Choice.SUPER, +1, -1, None, None, None, None).validate()
+    batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(), 2000, 6)
+    assert relmodel.audit(batch)[0][0]["observed"] == 0.0
+    b_asks = np.array([b is Choice.ASK for b, _ in CHOICE_PAIRS])[batch.choice]
+    d_asks = np.array([d is Choice.ASK for _, d in CHOICE_PAIRS])[batch.choice]
+    broken = [("Ar", b_asks, lambda v: -v),                   # relation flipped
+              ("A", ~b_asks, lambda v: 1),                    # supermeasured wing with A
+              ("Ci", np.ones(len(batch), bool), lambda v: 0),  # internal value of 0
+              ("D", d_asks, lambda v: -1)]                    # asked wing with a super outcome
+    runs, columns = [], {}
+    for name, where, edit in broken:
+        i = next(int(k) for k in np.flatnonzero(where) if k not in runs)
+        runs.append(i)
+        single = batch.columns[name].copy()
+        single[i] = edit(single[i])
+        assert relmodel.audit(with_columns(batch, **{name: single}))[0][0]["observed"] == 1.0
+        columns[name] = single
+    checks = relmodel.audit(with_columns(batch, **columns))[0]
+    assert checks[0]["observed"] == len(broken) and not checks[0]["pass"]
 
 
 def test_born_target_table_matches_cosine_correlators():
@@ -59,9 +84,10 @@ def test_simulate_batch_same_seed_identical():
     cfg = LFConfig()
     b1 = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 3000, 17)
     b2 = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 3000, 17)
-    assert b1.records == b2.records
+    assert same_runs(b1, b2)
+    assert [b1.record(i) for i in range(len(b1))] == [b2.record(i) for i in range(len(b2))]
     b3 = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 3000, 18)
-    assert b1.records != b3.records
+    assert not same_runs(b1, b3)
 
 
 def test_simulate_batch_chunk_aligned_prefix_stability():
@@ -70,7 +96,9 @@ def test_simulate_batch_chunk_aligned_prefix_stability():
     cfg = LFConfig()
     small = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), relmodel.CHUNK, 5)
     large = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), relmodel.CHUNK + 4000, 5)
-    assert large.records[:relmodel.CHUNK] == small.records
+    assert len(large) == relmodel.CHUNK + 4000
+    assert same_runs(large, small, stop=relmodel.CHUNK)
+    assert large.record(relmodel.CHUNK - 1) == small.record(relmodel.CHUNK - 1)
 
 
 def test_simulate_batch_rejects_bad_inputs():
@@ -125,10 +153,11 @@ def test_choice_independence_clean_on_fair_batch():
 def test_choice_independence_flags_planted_dependence():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 20000, 4)
-    # force the internal outcome to track the choice on asked runs
-    bad = dataclasses.replace(batch, records=tuple(
-        dataclasses.replace(r, a_internal=+1, a_relation=r.a_external)
-        if r.b_choice is Choice.ASK else r for r in batch.records))
+    # force the internal outcome to +1 on asked runs, keeping the product identity
+    a_external = batch.columns["A"]
+    bad = with_columns(batch, Ai=np.where(a_external != 0, 1, batch.columns["Ai"]).astype(np.int8),
+                       Ar=a_external)
+    assert relmodel.audit(bad)[0][0]["observed"] == 0.0
     report = relmodel.check_choice_independence(bad)
     assert report.flags
     assert any(f["wing"] == "alice" for f in report.flags)
@@ -144,11 +173,16 @@ def test_choice_independence_needs_variation():
 def test_jsonl_serialization_round_trips_values():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 20, 9)
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in batch.records]
-    for line, record in zip(lines, batch.records):
+    records = [batch.record(i) for i in range(len(batch))]
+    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
+    for i, (line, record) in enumerate(zip(lines, records)):
         obj = json.loads(line)
         assert obj == record.to_json_dict()
         assert obj["b_choice"] in ("ask", "super")
+        # 0 in a column is null in the row; every other value is the column's
+        for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):
+            value = int(batch.columns[name][i])
+            assert obj[field] == (value or None)
 
 
 def test_audit_checks_in_order_and_catches_broken_records():
@@ -162,10 +196,10 @@ def test_audit_checks_in_order_and_catches_broken_records():
     assert all(c["pass"] for c in checks)
     assert internal.total == 20000 and not independence.flags
     # flip one asked relation: the product identity breaks on that run only
-    i = next(k for k, r in enumerate(batch.records) if r.b_choice is Choice.ASK)
-    broken = list(batch.records)
-    broken[i] = dataclasses.replace(broken[i], a_relation=-broken[i].a_relation)
-    checks, _, _ = relmodel.audit(dataclasses.replace(batch, records=tuple(broken)))
+    i = int(np.flatnonzero(batch.columns["Ar"])[0])
+    relation = batch.columns["Ar"].copy()
+    relation[i] = -relation[i]
+    checks, _, _ = relmodel.audit(with_columns(batch, Ar=relation))
     assert checks[0]["observed"] == 1.0 and not checks[0]["pass"]
 
 
