@@ -8,7 +8,9 @@ relation (A = A_internal * A_relation, same for C).
 
 All arithmetic is exact rational: a verdict is a theorem about the input,
 never a tolerance call.  The solver is a phase-1 simplex with Bland's rule
-over the atom probabilities.  Its 17-row cell systems are constant, built
+over the atom probabilities, on a tableau that is integer over a common
+denominator: Fraction appears only at a pivot other than 1 and in the
+returned witness.  Its 17-row cell systems are constant 0/1 ints, built
 once; a call supplies only the right-hand side.  An analytic cross-check
 (all eight CHSH-type sign variants at most 2) is kept independent of it.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -43,6 +46,8 @@ def _frac(x) -> Fraction:
     rationals are taken as written; a float is snapped to the nearest
     fraction with denominator at most SNAP, since a binary float is rarely
     the decimal its writer meant."""
+    if isinstance(x, bool):  # an int to Python, but JSON true is no probability
+        raise TargetError(f"a target entry must be a number, got {x!r}")
     if isinstance(x, float):
         return Fraction(x).limit_denominator(SNAP)
     return Fraction(x)
@@ -89,7 +94,9 @@ class PairTargets:
         return t[0][0] + t[1][0]
 
     def correlator(self, pair: str) -> Fraction:
-        return sum(Fraction(x * y) * self.cell(pair, x, y) for x, y in PAIR_CELLS)
+        """E(xy) = P(++) - P(+-) - P(-+) + P(--)."""
+        (pp, pm), (mp_, mm) = self.tables[pair]
+        return pp - pm - mp_ + mm
 
     # -- constructors -------------------------------------------------------
 
@@ -188,7 +195,7 @@ def chsh_variants(t: PairTargets) -> dict[tuple[int, int, int, int], Fraction]:
     for signs in itertools.product((+1, -1), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
-        out[signs] = sum(Fraction(s) * e[p] for s, p in zip(signs, PAIR_IDS))
+        out[signs] = sum(e[p] if s > 0 else -e[p] for s, p in zip(signs, PAIR_IDS))
     return out
 
 
@@ -276,24 +283,29 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
 
     Phase-1 simplex minimizing the sum of artificial variables, with Bland's
     rule (lowest-index entering column, lowest-index basic tie-break) so
-    termination is guaranteed.  Returns the solution restricted to the
+    termination is guaranteed.  The tableau is integer over a common
+    denominator: b is scaled once by the lcm of its denominators, the ratio
+    test cross-multiplies, and only a pivot other than 1 divides its row
+    into Fractions, so int rows such as the cell systems stay ints.  Scaling
+    b changes no pivot.  Returns the solution (Fractions) restricted to the
     original columns, or None when the system is infeasible.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    rhs = [Fraction(r) for r in rhs]
+    scale = math.lcm(*(r.denominator for r in rhs))
     tab = []
     for i in range(m):
         row = list(rows[i])
-        b = Fraction(rhs[i])
+        b = rhs[i].numerator * (scale // rhs[i].denominator)
         if b < 0:
             row = [-v for v in row]
             b = -b
         tab.append(row + [1 if j == i else 0 for j in range(m)] + [b])
     basis = [n + i for i in range(m)]
-    width = n + m + 1
     # reduced-cost row for minimizing the artificial sum, given the all-
     # artificial starting basis: z_j - c_j = column sum, minus 1 on artificials
-    z = [sum(tab[i][j] for i in range(m)) for j in range(width)]
+    z = [sum(tab[i][j] for i in range(m)) for j in range(n + m + 1)]
     for j in range(n, n + m):
         z[j] -= 1
 
@@ -301,17 +313,18 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
         enter = next((j for j in range(n + m) if z[j] > 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for i in range(m):
             a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a  # the last column holds Fractions only
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+            if a > 0:  # b_i / a < b_leave / a_leave, cross-multiplied
+                d = -1 if leave is None else tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:  # cannot happen: phase-1 objective is bounded below
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        piv = Fraction(tab[leave][enter])
-        tab[leave] = [v / piv for v in tab[leave]]
+        piv = tab[leave][enter]
+        if piv != 1:
+            tab[leave] = [Fraction(v, piv) for v in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter] != 0:
                 f = tab[i][enter]
@@ -326,7 +339,7 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = tab[i][-1]
+            x[j] = Fraction(tab[i][-1], scale)
     return x
 
 

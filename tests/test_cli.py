@@ -125,7 +125,9 @@ def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypat
 def test_feasibility_malformed_targets(capsys, tmp_path):
     targets = tmp_path / "targets.json"
     infinite = {pair: [[float("inf"), 0], [0, 0]] for pair in ("AC", "AD", "BC", "BD")}
-    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite):
+    # JSON true/false are not the probabilities 1 and 0
+    boolean = {pair: [[True, False], [False, False]] for pair in ("AC", "AD", "BC", "BD")}
+    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean):
         targets.write_text(json.dumps(obj))
         code, _, err = run(capsys, "feasibility", "--targets", str(targets))
         assert code == cli.EXIT_INPUT

@@ -104,3 +104,38 @@ def test_every_feasible_witness_reproduces_its_targets(t):
         assert verdict.feasible == (verdict.witness is not None)
         if verdict.feasible:
             assert verdict.witness.reproduces(t)
+
+
+@st.composite
+def planted_systems(draw):
+    """A small integer system A (entries -2..3, so negative right-hand sides
+    and pivots other than 1 occur) with b = A x0 for a planted rational
+    x0 >= 0."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(st.integers(-2, 3)) for _ in range(n)] for _ in range(m)]
+    x0 = [Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 4))) for _ in range(n)]
+    return rows, [sum(a * x for a, x in zip(row, x0)) for row in rows]
+
+
+@PROPERTY
+@given(planted_systems())
+def test_simplex_solves_planted_systems_exactly(system):
+    rows, rhs = system
+    x = mp.solve_nonnegative(rows, rhs)
+    assert x is not None and all(v >= 0 for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+
+
+@PROPERTY
+@given(planted_systems(), st.fractions(-3, 3).filter(bool))
+def test_simplex_refuses_one_row_with_two_right_hand_sides(system, delta):
+    rows, rhs = system
+    assert mp.solve_nonnegative(rows + [rows[0]], rhs + [rhs[0] + delta]) is None
+
+
+@PROPERTY
+@given(planted_systems(), st.integers(2, 10 ** 6))
+def test_simplex_solution_scales_with_the_right_hand_side(system, k):
+    rows, rhs = system
+    x = mp.solve_nonnegative(rows, rhs)
+    assert mp.solve_nonnegative(rows, [k * b for b in rhs]) == [k * v for v in x]
