@@ -5,25 +5,15 @@ second measurement happen.  The three possible final states carry a
 three-valued record register that is perfectly definite, and an outside
 observer who asks always gets a report consistent with the run."""
 
-import numpy as np
-
-from friendlab import relmodel, scenarios
-from friendlab.hilbert import born_distribution
+from friendlab import relmodel
 from friendlab.scenarios import RovelliConfig
 
-cfg = RovelliConfig()
-states = scenarios.build_rovelli_states(cfg)
-spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
-for name, state in zip(scenarios.ROVELLI_RECORDS, states):
-    dist = dict(born_distribution(state, spec))
-    b0, b1 = scenarios.rovelli_branches(state)
-    w = scenarios.interference_witness(state, b0, b1)
-    print(f"state {name}: record probabilities "
-          f"{ {k: round(v, 10) for k, v in dist.items()} }, witness {w:.6f}")
+n = 10000
+states, runs, consistent = relmodel.rovelli_audit(RovelliConfig(), n, 0)
+for sr in states:
+    probs = {k: round(v, 10) for k, v in sr["record_probabilities"].items()}
+    print(f"state {sr['record']}: record probabilities {probs}, "
+          f"witness {sr['interference_witness']:.6f}")
 
-rng = np.random.default_rng(0)
-runs = [relmodel.rovelli_run(cfg, ask=True, rng=rng) for _ in range(10000)]
-rate = sum(r.report_consistent for r in runs) / len(runs)
-second = sum(r.performed_second for r in runs) / len(runs)
-print(f"10000 asked runs: consistency rate {rate}, "
-      f"second-measurement rate {second:.4f}")
+print(f"{n} asked runs: consistency rate {consistent / n}, "
+      f"second-measurement rate {runs['performed'].mean():.4f}")

@@ -144,29 +144,24 @@ def criterion_5(seed: int) -> dict:
     """The three sequential-scenario states have the displayed record
     structure, and report consistency holds on every simulated run."""
     cfg = RovelliConfig()
-    states = scenarios.build_rovelli_states(cfg)
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
+    states, _, consistent = relmodel.rovelli_audit(cfg, ROVELLI_TRIALS, seed)
     checks = []
-    for i, state in enumerate(states):
-        dist = dict(born_distribution(state, spec))
-        own = scenarios.ROVELLI_RECORDS[i]
+    for sr in states:
+        own, dist = sr["record"], sr["record_probabilities"]
         checks.append(statlab.check(f"state {own}: own-record probability vs 1",
                                     abs(dist[own] - 1.0), 1e-10))
-        others = max(dist[label] for label in scenarios.ROVELLI_RECORDS if label != own)
+        others = max(pr for label, pr in dist.items() if label != own)
         checks.append(statlab.check(f"state {own}: other-record probability vs 0",
                                     others, 1e-10))
-        b0, b1 = scenarios.rovelli_branches(state)
-        w = scenarios.interference_witness(state, b0, b1)
-        checks.append(statlab.check(f"state {own}: witness vs 1", abs(w - 1.0), 1e-10))
+        checks.append(statlab.check(f"state {own}: witness vs 1",
+                                    abs(sr["interference_witness"] - 1.0), 1e-10))
     ready_plus = dict(born_distribution(
-        states[2], factor_angle_spec(scenarios.ROVELLI_LAYOUT, "Y", 90.0)))
+        scenarios.build_rovelli_states(cfg)[2],
+        factor_angle_spec(scenarios.ROVELLI_LAYOUT, "Y", 90.0)))
     checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
                                 abs(ready_plus[+1] - 1.0), 1e-10))
-    rng = np.random.default_rng(seed)
-    inconsistent = sum(
-        1 for _ in range(ROVELLI_TRIALS)
-        if not relmodel.rovelli_run(cfg, ask=True, rng=rng).report_consistent)
-    checks.append(statlab.check("inconsistent reports", inconsistent, 0.0, n=ROVELLI_TRIALS))
+    checks.append(statlab.check("inconsistent reports", ROVELLI_TRIALS - consistent, 0.0,
+                                n=ROVELLI_TRIALS))
     return {"criterion": 5, "name": "rovelli-consistency", "trials": ROVELLI_TRIALS,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -340,24 +341,11 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
         cfg = RovelliConfig(trigger=trigger)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    states = scenarios.build_rovelli_states(cfg)
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
-    state_reports = []
-    for i, state in enumerate(states):
-        dist = dict(born_distribution(state, spec))
-        b0, b1 = scenarios.rovelli_branches(state)
-        state_reports.append({
-            "record": scenarios.ROVELLI_RECORDS[i],
-            "record_probabilities": {k: dist[k] for k in scenarios.ROVELLI_RECORDS},
-            "interference_witness": scenarios.interference_witness(state, b0, b1),
-        })
-    rng = np.random.default_rng(seed)
-    runs = [relmodel.rovelli_run(cfg, ask=True, rng=rng) for _ in range(trials)]
-    consistent = sum(1 for r in runs if r.report_consistent)
-    performed_on_trigger = all(r.performed_second == (r.first == cfg.trigger) for r in runs)
+    states, runs, consistent = relmodel.rovelli_audit(cfg, trials, seed)
+    performed_on_trigger = bool(np.all((runs["second"] != 0) == (runs["first"] == cfg.trigger)))
     rate = consistent / trials
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
-              "states": state_reports, "consistency_rate": rate,
+              "states": states, "consistency_rate": rate,
               "second_iff_trigger": performed_on_trigger,
               "pass": rate == 1.0 and performed_on_trigger}
 
@@ -396,6 +384,7 @@ def cmd_accept(args: argparse.Namespace) -> int:
 
 # --- driver -----------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="friendlab",

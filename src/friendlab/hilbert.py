@@ -3,11 +3,14 @@
 Everything is immutable: states, operators and measurement specs are frozen
 after construction, and every operation returns a fresh value.  The engine is
 deliberately dense and small; the scenarios built on top of it never need
-more than 24 dimensions.
+more than 24 dimensions.  Sampling is batched: `sample_outcomes` computes one
+Born distribution and maps n uniforms onto it.  It returns label indices,
+not post-measurement states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -218,30 +221,18 @@ def born_distribution(s: StateVector, m: MeasurementSpec) -> list[tuple[object, 
     return probs
 
 
-def sample_outcome(s: StateVector, m: MeasurementSpec,
-                   rng: np.random.Generator) -> tuple[object, StateVector]:
-    """Sample one outcome (Born weights) and return it with the collapsed state.
+def sample_outcomes(s: StateVector, m: MeasurementSpec, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """n independent Born samples, as indices into `m.labels`.
 
-    Only positive-probability labels can ever be selected, so the projected
-    state is always normalizable.
+    One uniform per sample, in order, mapped to the first outcome whose
+    cumulative probability exceeds it.  A zero-probability outcome has an
+    empty interval, so it is never selected; a uniform in the float
+    round-off tail goes to the last positive-probability outcome.
     """
-    dist = born_distribution(s, m)
-    u = rng.random()
-    acc = 0.0
-    chosen = None
-    for label, pr in dist:
-        if pr <= 0.0:
-            continue
-        acc += pr
-        if u < acc:
-            chosen = label
-            break
-    if chosen is None:  # u landed in the float round-off tail
-        chosen = max(dist, key=lambda lp: lp[1])[0]
-    proj = dict((label, p) for label, p in m.outcomes)[chosen]
-    amps = proj @ s.amps
-    amps = amps / np.linalg.norm(amps)
-    return chosen, StateVector(s.layout, amps)
+    probs = np.array([pr for _, pr in born_distribution(s, m)])
+    idx = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
+    return np.minimum(idx, np.flatnonzero(probs)[-1])
 
 
 # --- qubit conveniences ----------------------------------------------------
@@ -267,9 +258,11 @@ def angle_projectors(theta_degrees: float) -> tuple[tuple[int, np.ndarray], ...]
     return tuple(out)
 
 
+@functools.cache
 def factor_basis_spec(layout: FactorLayout, name: str,
                       labels: tuple[object, ...] | None = None) -> MeasurementSpec:
-    """Computational-basis measurement of one factor, identity elsewhere."""
+    """Computational-basis measurement of one factor, identity elsewhere.
+    Memoized: a spec is immutable, so one serves every caller."""
     d = layout.dim_of(name)
     if labels is None:
         labels = tuple(range(d))

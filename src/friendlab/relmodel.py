@@ -10,6 +10,12 @@ because the whole content of the model is which variables exist on which
 runs: a TrialBatch holds one int8 column per variable with 0 where it is
 absent, and the RunRecord rows written to reports hold None (null in JSON,
 an empty field in CSV).
+
+The sequential scenario is a batch of the same kind: `simulate_rovelli`
+returns int8 columns (first outcome, whether the second measurement ran, the
+second outcome or 0, the record read from the final state), and
+`rovelli_audit` is the one report on it that the `rovelli` command,
+criterion 5 and the demo share.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import scenarios, statlab
-# born_distribution is unused here; it stays bound because perfbench/tracing.py
-# wraps it in this namespace
-from .hilbert import born_distribution, sample_outcome  # noqa: F401
+from .hilbert import born_distribution, sample_outcomes
 from .scenarios import LFConfig, RovelliConfig
 from .statlab import PAIR_CELLS, PAIR_IDS, EmpiricalDist
 
@@ -262,43 +266,53 @@ def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceRep
     return checks, internal, independence
 
 
-@dataclass(frozen=True)
-class RovelliRunRecord:
-    first: int
-    performed_second: bool
-    second: int | None
-    report_consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {"first": self.first, "performed_second": self.performed_second,
-                "second": self.second, "report_consistent": self.report_consistent}
-
-
-def rovelli_run(cfg: RovelliConfig, ask: bool, rng: np.random.Generator) -> RovelliRunRecord:
-    """One sequential run: the friend's first outcome is definite; the second
-    measurement happens exactly when it equals the trigger.  With ask=True
-    the outside observer reads the record register of the corresponding final
-    state and the report is checked against the run's own bookkeeping."""
-    ready = scenarios.StateVector(
-        scenarios.FactorLayout((("q", 2),)),
-        np.array([scenarios.SQRT_HALF, scenarios.SQRT_HALF]))
+def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> dict[str, np.ndarray]:
+    """n sequential runs as read-only int8 columns.  `first` is the friend's
+    first outcome (+1/-1); `performed` is 1 exactly when it equals the
+    trigger, and only then does `second` hold a second outcome (0
+    otherwise).  `record` indexes ROVELLI_RECORDS: the label an outside
+    observer reads from the record register, drawn from the Born
+    distribution of the run's final state, never copied from `performed`.
+    Draw order: n first outcomes, one second outcome per performed run, then
+    the records of the runs ending in each final state, state by state."""
+    rng = np.random.default_rng(seed)
+    ready = scenarios.StateVector(scenarios.FactorLayout((("q", 2),)),
+                                  np.array([scenarios.SQRT_HALF, scenarios.SQRT_HALF]))
     z = scenarios.factor_basis_spec(ready.layout, "q", labels=(+1, -1))
-    first, _ = sample_outcome(ready, z, rng)
+    z_labels = np.array(z.labels, dtype=np.int8)
+    first = z_labels[sample_outcomes(ready, z, n, rng)]
     performed = first == cfg.trigger
-    second = None
-    if performed:
-        second, _ = sample_outcome(ready, z, rng)
-    if ask:
-        states = scenarios.build_rovelli_states(cfg)
-        if not performed:
-            state = states[2]
-        else:
-            state = states[0] if second == +1 else states[1]
-        spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT,
-                                     labels=scenarios.ROVELLI_RECORDS)
-        label, _ = sample_outcome(state, spec, rng)
-        reported_performed = label != "noM2"
-    else:
-        reported_performed = performed
-    consistent = reported_performed == (first == cfg.trigger)
-    return RovelliRunRecord(first, performed, second, consistent)
+    second = np.zeros(n, dtype=np.int8)
+    second[performed] = z_labels[sample_outcomes(ready, z, int(performed.sum()), rng)]
+    final = np.where(performed, np.where(second == first, 0, 1), 2)  # PP, PA, noM2 state
+    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
+    record = np.zeros(n, dtype=np.int8)
+    for k, state in enumerate(scenarios.build_rovelli_states(cfg)):
+        runs = final == k
+        record[runs] = sample_outcomes(state, spec, int(runs.sum()), rng)
+    columns = {"first": first, "performed": performed.astype(np.int8),
+               "second": second, "record": record}
+    for col in columns.values():
+        col.setflags(write=False)
+    return columns
+
+
+def rovelli_audit(cfg: RovelliConfig, n: int,
+                  seed: int) -> tuple[list[dict], dict[str, np.ndarray], int]:
+    """The sequential scenario's report, shared by the `rovelli` command,
+    criterion 5 and the demo.  Returns, per final state in ROVELLI_RECORDS
+    order, its record probabilities and interference witness; the n runs of
+    `simulate_rovelli`; and how many runs are consistent: the record read
+    says a second measurement happened exactly when the first outcome was
+    the trigger."""
+    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
+    states = [{"record": record,
+               "record_probabilities": dict(born_distribution(state, spec)),
+               "interference_witness": scenarios.interference_witness(
+                   state, *scenarios.rovelli_branches(state))}
+              for record, state in zip(scenarios.ROVELLI_RECORDS,
+                                       scenarios.build_rovelli_states(cfg))]
+    runs = simulate_rovelli(cfg, n, seed)
+    reported = runs["record"] != scenarios.ROVELLI_RECORDS.index("noM2")
+    consistent = int((reported == (runs["first"] == cfg.trigger)).sum())
+    return states, runs, consistent

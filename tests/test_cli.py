@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -182,11 +183,20 @@ def test_relmodel_csv_records(capsys):
     assert len(rows) == 1 + 1000
 
 
+# sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the
+# report holds no per-run data, so it does not depend on the draw order
+ROVELLI_500_SHA256 = {
+    "1": "0237009ac2d90fe03eec0b6c8be3d6e3d49d2e684e9262103731e0ecc948e1d6",
+    "-1": "dfac4f46aa21c4863059acf36d3e046af995893977c9804ed84f2e542da94ad1",
+}
+
+
 def test_rovelli_consistency(capsys):
     for trigger in ("1", "-1"):
         code, out, _ = run(capsys, "rovelli", "--trials", "500", "--seed", "0",
                            "--trigger", trigger, "--format", "json")
         assert code == cli.EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == ROVELLI_500_SHA256[trigger]
         rep = json.loads(out)
         assert rep["consistency_rate"] == 1.0
         assert rep["second_iff_trigger"] is True
@@ -201,6 +211,14 @@ def test_json_output_is_byte_deterministic(capsys, tmp_path):
                          "--format", "json", "--out", str(p))
         assert code == cli.EXIT_PASS
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_parser_is_built_once_and_reused_unchanged():
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["rovelli", "--trials", "5", "--trigger", "-1"], ["lf", "--angles", "0,90,45,135"],
+             ["feasibility", "--from-angles", "--format", "json"], ["rovelli", "--seed", "3"]]
+    for argv in argvs * 2:
+        assert cli.build_parser().parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv)
 
 
 def test_unknown_format_rejected(capsys):

@@ -19,7 +19,7 @@ from friendlab.hilbert import (
     factor_basis_spec,
     product_spec,
     rotation_matrix,
-    sample_outcome,
+    sample_outcomes,
 )
 
 Q = FactorLayout((("q", 2),))
@@ -124,21 +124,44 @@ def test_born_bell_state_angle_correlation():
     assert abs(e - oracle) < 1e-12
 
 
-def test_sampling_deterministic_and_collapses():
-    label, post = sample_outcome(ket(Q, 0), z_spec(), np.random.default_rng(0))
-    assert label == +1
-    np.testing.assert_allclose(post.amps, [1, 0])
+def test_sampling_deterministic():
+    assert sample_outcomes(ket(Q, 0), z_spec(), 1, np.random.default_rng(0)).tolist() == [0]
     plus = StateVector(Q, np.array([1, 1]) / math.sqrt(2))
-    seq1 = [sample_outcome(plus, z_spec(), np.random.default_rng(123))[0] for _ in range(20)]
-    seq2 = [sample_outcome(plus, z_spec(), np.random.default_rng(123))[0] for _ in range(20)]
-    assert seq1 == seq2
+    seq1 = sample_outcomes(plus, z_spec(), 20, np.random.default_rng(123))
+    seq2 = sample_outcomes(plus, z_spec(), 20, np.random.default_rng(123))
+    assert seq1.tolist() == seq2.tolist()
+
+
+def _loop_sample(dist, u):
+    """Reference: walk the positive-probability outcomes, accumulating."""
+    acc, last = 0.0, None
+    for i, (_, pr) in enumerate(dist):
+        if pr > 0:
+            acc, last = acc + pr, i
+            if u < acc:
+                return i
+    return last
+
+
+def test_sampling_matches_the_per_sample_loop():
+    layout = FactorLayout((("a", 2), ("b", 3)))
+    spec = factor_basis_spec(layout, "b")
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        amps = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(2, 3)
+        amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
+        s = StateVector(layout, amps / np.linalg.norm(amps))
+        dist = born_distribution(s, spec)
+        u = np.random.default_rng(k).random(1000)
+        batched = sample_outcomes(s, spec, 1000, np.random.default_rng(k))
+        assert batched.tolist() == [_loop_sample(dist, x) for x in u]
 
 
 def test_sampling_concentration():
     plus = StateVector(Q, np.array([1, 1]) / math.sqrt(2))
     rng = np.random.default_rng(77)
     n = 10 ** 5
-    hits = sum(1 for _ in range(n) if sample_outcome(plus, z_spec(), rng)[0] == +1)
+    hits = int((sample_outcomes(plus, z_spec(), n, rng) == z_spec().labels.index(+1)).sum())
     assert abs(hits / n - 0.5) < 0.01
 
 
@@ -149,9 +172,8 @@ def test_sampling_total_variation_soundness():
     s = StateVector(Q, amps)
     dist = dict(born_distribution(s, z_spec()))
     n = 10 ** 5
-    counts = {+1: 0, -1: 0}
-    for _ in range(n):
-        counts[sample_outcome(s, z_spec(), rng)[0]] += 1
+    counts = dict(zip(z_spec().labels, np.bincount(sample_outcomes(s, z_spec(), n, rng),
+                                                   minlength=2)))
     tv = 0.5 * sum(abs(counts[k] / n - dist[k]) for k in dist)
     assert tv < 0.01
 

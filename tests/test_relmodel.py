@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from friendlab import relmodel, scenarios, statlab
+from friendlab import cli, hilbert, relmodel, scenarios, statlab
 from friendlab.relmodel import CHOICE_PAIRS, Choice, InsufficientDataError
 from friendlab.scenarios import LFConfig, RovelliConfig
 
@@ -203,30 +203,68 @@ def test_audit_checks_in_order_and_catches_broken_records():
     assert checks[0]["observed"] == 1.0 and not checks[0]["pass"]
 
 
+NO_M2 = scenarios.ROVELLI_RECORDS.index("noM2")
+
+
 def test_rovelli_run_bookkeeping():
     cfg = RovelliConfig()
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        r = relmodel.rovelli_run(cfg, ask=False, rng=rng)
-        assert r.performed_second == (r.first == cfg.trigger)
-        assert (r.second is None) == (not r.performed_second)
-        assert r.report_consistent
+    runs = relmodel.simulate_rovelli(cfg, 200, 0)
+    assert set(runs) == {"first", "performed", "second", "record"}
+    for col in runs.values():
+        assert col.dtype == np.int8 and len(col) == 200 and not col.flags.writeable
+    performed = runs["performed"] == 1
+    assert np.array_equal(performed, runs["first"] == cfg.trigger)
+    assert np.array_equal(runs["second"] == 0, ~performed)
+    assert set(runs["second"][performed].tolist()) <= {+1, -1}
+    assert np.array_equal(runs["record"] != NO_M2, performed)
 
 
 def test_rovelli_run_reports_consistent_when_asked():
-    rng = np.random.default_rng(1)
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger=trigger)
         n = 2000
-        inconsistent = sum(
-            1 for _ in range(n)
-            if not relmodel.rovelli_run(cfg, ask=True, rng=rng).report_consistent)
-        assert inconsistent == 0
+        _, runs, consistent = relmodel.rovelli_audit(cfg, n, 1)
+        assert consistent == n
+        # the record also tells whether the second outcome agreed with the
+        # first (PP) or not (PA), for either trigger
+        performed = runs["performed"] == 1
+        assert np.array_equal(runs["record"][performed],
+                              np.where(runs["second"][performed] == runs["first"][performed],
+                                       scenarios.ROVELLI_RECORDS.index("PP"),
+                                       scenarios.ROVELLI_RECORDS.index("PA")))
 
 
 def test_rovelli_first_outcome_balanced():
-    cfg = RovelliConfig()
-    rng = np.random.default_rng(6)
     n = 20000
-    plus = sum(1 for _ in range(n) if relmodel.rovelli_run(cfg, ask=False, rng=rng).first == +1)
+    plus = int((relmodel.simulate_rovelli(RovelliConfig(), n, 6)["first"] == +1).sum())
     assert abs(plus / n - 0.5) < 0.02
+
+
+class _EdgeUniforms:
+    """A generator stand-in whose uniforms are the two ends of [0, 1)."""
+
+    def random(self, n):
+        return np.array([0.0, 1 - 2 ** -53])[:n]
+
+
+def test_rovelli_record_is_drawn_from_the_final_state(monkeypatch, capsys):
+    # the noM2 state gives PP, the first record label, probability 0; u = 0.0
+    # would pick it with side="left", and 1 - 2**-53 lies past the float sum
+    # of the probabilities, in the round-off tail
+    no_m2 = scenarios.build_rovelli_states(RovelliConfig())[NO_M2]
+    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
+    probs = [pr for _, pr in hilbert.born_distribution(no_m2, spec)]
+    assert probs[0] == 0.0 and sum(probs) < 1 - 2 ** -53
+    assert hilbert.sample_outcomes(no_m2, spec, 2, _EdgeUniforms()).tolist() == [NO_M2, NO_M2]
+    # swap the PP and noM2 final states: a record read from the state now
+    # disagrees with the run, which a record copied from the run would hide
+    build = scenarios.build_rovelli_states
+
+    def swapped(cfg):
+        pp, pa, no_m2 = build(cfg)
+        return [no_m2, pa, pp]
+
+    monkeypatch.setattr(scenarios, "build_rovelli_states", swapped)
+    code = cli.main(["rovelli", "--trials", "500", "--seed", "0", "--format", "json"])
+    assert code == cli.EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["consistency_rate"] < 1.0
