@@ -14,10 +14,10 @@ cfg = LFConfig()
 analytic = scenarios.pair_correlations(cfg)
 for pair in scenarios.PAIR_IDS:
     print(f"E({pair}) = {analytic[pair]:+.9f}")
-s = scenarios.chsh_from_angles(cfg)
+s = statlab.chsh(analytic.values())
 print(f"S = {s:.9f}  (2*sqrt(2) = {2 * math.sqrt(2):.9f})")
 
-batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 4 * 10 ** 5, seed=0)
+batch = relmodel.simulate_batch(cfg, 4 * 10 ** 5, seed=0)
 tables, _ = relmodel.observed_pair_checks(batch)
 s_mc, stderr = statlab.chsh_estimate(tables)
 print(f"Monte Carlo over {len(batch)} runs (about 1e5 per pair): "

@@ -10,16 +10,17 @@ from friendlab import relmodel, statlab
 from friendlab.scenarios import LFConfig
 
 cfg = LFConfig()
-batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), 400000, seed=0)
+batch = relmodel.simulate_batch(cfg, 400000, seed=0)
 print(f"{len(batch)} runs; first record:")
 print(" ", batch.record(0).to_json_dict())
 
 tables, pair_checks = relmodel.observed_pair_checks(batch)
-for (pair_id, table), check in zip(tables.items(), pair_checks):
+for pair_id, table, check in zip(statlab.PAIR_IDS, tables, pair_checks):
     e, _ = statlab.correlation_estimate(table)
     print(f"pair {pair_id}: n={table.total}, E={e:+.4f}, TV vs Born={check['observed']:.4f}")
 
 checks, internal, report = relmodel.audit(batch)
-print("internal joint frequencies:", {k: round(v, 4) for k, v in internal.freqs().items()})
+print("internal joint frequencies:",
+      {cell: round(f, 4) for cell, f in zip(statlab.PAIR_CELLS, internal.freqs())})
 print("choice-independence flags:", list(report.flags) or "none")
 print("all audits pass:", all(c["pass"] for c in checks))

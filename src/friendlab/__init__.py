@@ -11,8 +11,9 @@ Subpackages:
   phase-1 simplex, cross-checked against the analytic CHSH criterion;
 * relmodel -- Monte Carlo runs of the frame-relational model where frame
   relations exist only on ask runs, and the audit of a batch of runs;
-* statlab -- empirical distributions, TV distance, correlation estimators,
-  pass/fail check dicts;
+* statlab -- the pair vocabulary (pair ids, the cells of a pair table, the
+  correlator and the CHSH sum), empirical pair tables, TV distance,
+  correlation estimators, pass/fail check dicts;
 * cli -- command-line orchestration and the acceptance suite.
 """
 

@@ -18,7 +18,7 @@ from .scenarios import LFConfig, RovelliConfig
 TSIRELSON = 2.0 * math.sqrt(2.0)
 COS45 = math.cos(math.radians(45.0))
 
-CHSH_TRIALS = 4 * 10 ** 5     # criterion 1: uniform-policy runs behind the Monte Carlo S
+CHSH_TRIALS = 4 * 10 ** 5     # criterion 1: runs behind the Monte Carlo S
 RANDOM_TARGETS = 1000          # criterion 2: targets for the LP/analytic cross-check
 RELMODEL_TRIALS = 4 * 10 ** 5  # criterion 3: frame-relational runs
 UNITARIES = 100                # criterion 4: random orientation unitaries per state
@@ -31,16 +31,16 @@ def _sub_seed(seed: int, index: int) -> int:
 
 def criterion_1(seed: int) -> dict:
     """Analytic Born correlators hit the Tsirelson pattern to 1e-9; the
-    Monte Carlo CHSH estimate from 4e5 uniform-policy runs (about 1e5 per
-    pair) lands within 0.05."""
+    Monte Carlo CHSH estimate from 4e5 runs (about 1e5 per pair) lands
+    within 0.05."""
     cfg = LFConfig()
     analytic = scenarios.pair_correlations(cfg)
     expected = {"AC": COS45, "BC": COS45, "BD": COS45, "AD": -COS45}
     checks = [statlab.check(f"analytic E({pair})", abs(analytic[pair] - expected[pair]), 1e-9)
               for pair in scenarios.PAIR_IDS]
-    s_analytic = scenarios.chsh_from_angles(cfg)
+    s_analytic = statlab.chsh(analytic.values())
     checks.append(statlab.check("analytic S vs 2*sqrt(2)", abs(s_analytic - TSIRELSON), 1e-9))
-    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), CHSH_TRIALS, seed)
+    batch = relmodel.simulate_batch(cfg, CHSH_TRIALS, seed)
     tables, _ = relmodel.observed_pair_checks(batch)
     s_mc, stderr = statlab.chsh_estimate(tables)
     checks.append(statlab.check("Monte Carlo S vs 2*sqrt(2)", abs(s_mc - TSIRELSON), 0.05,
@@ -91,8 +91,8 @@ def criterion_2(seed: int) -> dict:
 
 
 def criterion_3(seed: int) -> dict:
-    """Frame-relational model fidelity over uniform-policy trials."""
-    batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(), RELMODEL_TRIALS, seed)
+    """Frame-relational model fidelity over RELMODEL_TRIALS runs."""
+    batch = relmodel.simulate_batch(LFConfig(), RELMODEL_TRIALS, seed)
     checks, _, independence = relmodel.audit(batch)
     return {"criterion": 3, "name": "frame-relational-fidelity", "trials": RELMODEL_TRIALS,
             "independence": independence.to_json_dict(),
@@ -172,11 +172,10 @@ def criterion_6(seed: int) -> dict:
     `accept` command output is asserted by the test suite, which invokes the
     command twice.)"""
     def probe() -> str:
-        batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(),
-                                        4 * 10 ** 4, _sub_seed(seed, 602))
+        batch = relmodel.simulate_batch(LFConfig(), 4 * 10 ** 4, _sub_seed(seed, 602))
         tables, _ = relmodel.observed_pair_checks(batch)
         return json.dumps({
-            "tables": {p: t.counts for p, t in tables.items()},
+            "tables": {p: t.counts for p, t in zip(scenarios.PAIR_IDS, tables)},
             "first_records": [batch.record(i).to_json_dict() for i in range(50)],
         }, sort_keys=True)
 

@@ -79,7 +79,7 @@ def _resolve_lf_config(args: argparse.Namespace) -> LFConfig:
         if isinstance(angles, dict):
             return LFConfig.from_json_dict({"angles": angles})
         if isinstance(angles, (list, tuple)) and len(angles) == 4:
-            return LFConfig(*(float(a) for a in angles))
+            return LFConfig(*angles)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad angles: {exc}") from exc
     raise InputError("angles must be four degrees ask_A,super_A,ask_C,super_C "
@@ -129,15 +129,13 @@ def cmd_basic(args: argparse.Namespace) -> int:
         raise InputError("--amps needs two comma-separated amplitudes a,b")
     try:
         a, b = float(parts[0]), float(parts[1])
+        state = scenarios.build_basic_wf_state(a, b)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if not abs(a * a + b * b - 1.0) <= 1e-9:  # also refuses NaN
-        raise InputError(f"amplitudes not normalized: a^2 + b^2 = {a * a + b * b}")
     outcome = _resolve_int(args, "outcome", 1, None)
     if outcome not in (+1, -1):
         raise InputError("--outcome must be +1 or -1")
 
-    state = scenarios.build_basic_wf_state(a, b)
     s_spec = factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
     born = {f"{label:+d}": p for label, p in born_distribution(state, s_spec)}
     report = {
@@ -197,16 +195,16 @@ def cmd_lf(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 100000, 100)
     seed = _resolve_int(args, "seed", 0, 0)
-    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), trials, seed)
+    batch = relmodel.simulate_batch(cfg, trials, seed)
     analytic = scenarios.pair_correlations(cfg)
-    s_analytic = scenarios.chsh_from_angles(cfg)
+    s_analytic = statlab.chsh(analytic.values())
     tables, checks = relmodel.observed_pair_checks(batch)
-    pairs_report = {pair_id: {
+    pairs_report = {pair: {
         "n": table.total,
-        "frequencies": [table.freq(c) for c in statlab.PAIR_CELLS],
-        "born": [scenarios.born_pair_table(cfg, pair_id)[c] for c in statlab.PAIR_CELLS],
-        "E_analytic": analytic[pair_id],
-    } for pair_id, table in tables.items()}
+        "frequencies": list(table.freqs()),
+        "born": list(scenarios.born_pair_table(cfg, pair)),
+        "E_analytic": analytic[pair],
+    } for pair, table in zip(statlab.PAIR_IDS, tables)}
     s_mc, stderr = statlab.chsh_estimate(tables)
     checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic), 0.05,
                                 n=trials))
@@ -299,7 +297,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     trials = _resolve_int(args, "trials", 400000, 100)
     seed = _resolve_int(args, "seed", 0, 0)
     planted = bool(_resolve(args, "planted_violation", False))
-    batch = relmodel.simulate_batch(cfg, relmodel.uniform_policy(), trials, seed)
+    batch = relmodel.simulate_batch(cfg, trials, seed)
     if planted:
         # debug self-test: make Alice's internal outcome follow Bob's choice,
         # which must trip the choice-independence audit
@@ -312,8 +310,8 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     verdict = mp.feasible_joint_4(targets)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
-              "internal_joint": {f"{c[0]:+d},{c[1]:+d}": internal.freq(c)
-                                 for c in statlab.PAIR_CELLS},
+              "internal_joint": {f"{x:+d},{y:+d}": f
+                                 for (x, y), f in zip(statlab.PAIR_CELLS, internal.freqs())},
               "independence": independence.to_json_dict(),
               "analytic_feasibility": verdict.to_json_dict(),
               "records": [batch.record(i).to_json_dict()
@@ -391,46 +389,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate Extended Wigner's Friend experiments and decide "
                     "joint-distribution feasibility exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = {"--trials": {"type": int}, "--seed": {"type": int},
+                 "--angles": {"help": "ask_A,super_A,ask_C,super_C in degrees"}}
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help_text: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand with the flags every command reads, plus those of
+        `run_flags` named in `flags`."""
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--angles", help="ask_A,super_A,ask_C,super_C in degrees")
+        for flag in flags:
+            p.add_argument(flag, **run_flags[flag])
         p.add_argument("--format", choices=("table", "json", "csv"))
         p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("basic", help="sealed-lab state and its frame-relational form")
-    common(p)
+    p = command("basic", cmd_basic, "sealed-lab state and its frame-relational form")
     p.add_argument("--amps", help="a,b amplitudes of the measured qubit")
     p.add_argument("--outcome", type=int, choices=(1, -1))
-    p.set_defaults(func=cmd_basic)
 
-    p = sub.add_parser("lf", help="simulate the four-observer circuit")
-    common(p)
-    p.set_defaults(func=cmd_lf)
+    command("lf", cmd_lf, "simulate the four-observer circuit", "--trials", "--seed", "--angles")
 
-    p = sub.add_parser("feasibility", help="exact joint-distribution feasibility")
-    common(p)
+    p = command("feasibility", cmd_feasibility, "exact joint-distribution feasibility",
+                "--angles")
     p.add_argument("--targets", help="JSON file of pairwise 2x2 tables")
     p.add_argument("--from-angles", dest="from_angles", action="store_true", default=None)
-    p.set_defaults(func=cmd_feasibility)
 
-    p = sub.add_parser("relmodel", help="Monte Carlo frame-relational model")
-    common(p)
+    p = command("relmodel", cmd_relmodel, "Monte Carlo frame-relational model",
+                "--trials", "--seed", "--angles")
     p.add_argument("--planted-violation", dest="planted_violation",
                    action="store_true", default=None,
                    help="corrupt the batch to verify the audits catch it")
-    p.set_defaults(func=cmd_relmodel)
 
-    p = sub.add_parser("rovelli", help="sequential-measurement scenario")
-    common(p)
+    p = command("rovelli", cmd_rovelli, "sequential-measurement scenario", "--trials", "--seed")
     p.add_argument("--trigger", type=int, choices=(1, -1))
-    p.set_defaults(func=cmd_rovelli)
 
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    common(p)
-    p.set_defaults(func=cmd_accept)
+    command("accept", cmd_accept, "run the acceptance suite", "--seed")
     return parser
 
 

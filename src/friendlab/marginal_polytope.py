@@ -25,12 +25,15 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import scenarios
-from .statlab import PAIR_CELLS, PAIR_IDS
+from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
 SNAP = 10 ** 6    # largest denominator a float target or a Born probability snaps to
 RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
+# largest decimal exponent a target entry may carry: Fraction("1e-N") builds
+# 10**N before any check, and CPython already limits int strings to 4300 digits
+MAX_EXPONENT = 4300
 
 _SINGLE_SOURCES = {"A": ("AC", "AD"), "B": ("BC", "BD"),
                    "C": ("AC", "BC"), "D": ("AD", "BD")}
@@ -50,28 +53,30 @@ def _frac(x) -> Fraction:
         raise TargetError(f"a target entry must be a number, got {x!r}")
     if isinstance(x, float):
         return Fraction(x).limit_denominator(SNAP)
+    if isinstance(x, str) and "e" in x.lower():
+        if abs(int(x.lower().partition("e")[2])) > MAX_EXPONENT:
+            raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
     return Fraction(x)
 
 
 @dataclass(frozen=True)
 class PairTargets:
-    """The four pairwise 2x2 tables, rows indexed by the first variable's
-    value (+1 then -1), columns by the second's."""
+    """The four pairwise tables, each a 4-tuple of Fractions in PAIR_CELLS
+    order."""
 
-    tables: dict[str, tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]
+    tables: dict[str, tuple[Fraction, ...]]
 
     def __post_init__(self):
         if set(self.tables) != set(PAIR_IDS):
             raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.tables)}")
         norm = {}
         for pair in PAIR_IDS:
-            rows = self.tables[pair]
-            cells = tuple(tuple(_frac(v) for v in row) for row in rows)
-            if len(cells) != 2 or any(len(r) != 2 for r in cells):
-                raise TargetError(f"table {pair} must be 2x2")
-            if any(v < 0 for row in cells for v in row):
+            cells = tuple(_frac(v) for v in self.tables[pair])
+            if len(cells) != len(PAIR_CELLS):
+                raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
+            if any(v < 0 for v in cells):
                 raise TargetError(f"table {pair} has a negative cell")
-            if sum(v for row in cells for v in row) != 1:
+            if sum(cells) != 1:
                 raise TargetError(f"table {pair} does not sum to 1")
             norm[pair] = cells
         object.__setattr__(self, "tables", norm)
@@ -80,23 +85,17 @@ class PairTargets:
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
 
-    def cell(self, pair: str, x: int, y: int) -> Fraction:
-        return self.tables[pair][0 if x == +1 else 1][0 if y == +1 else 1]
-
     def single(self, var: str, source: str | None = None) -> Fraction:
         """P(var = +1), computed from one of the tables containing it."""
         pair = source or _SINGLE_SOURCES[var][0]
         if var not in pair:
             raise TargetError(f"variable {var} does not occur in pair {pair}")
         t = self.tables[pair]
-        if pair[0] == var:
-            return t[0][0] + t[0][1]
-        return t[0][0] + t[1][0]
+        return t[0] + (t[1] if pair[0] == var else t[2])
 
-    def correlator(self, pair: str) -> Fraction:
-        """E(xy) = P(++) - P(+-) - P(-+) + P(--)."""
-        (pp, pm), (mp_, mm) = self.tables[pair]
-        return pp - pm - mp_ + mm
+    def correlators(self) -> tuple[Fraction, ...]:
+        """E(pair) for each pair, in PAIR_IDS order."""
+        return tuple(correlator(self.tables[pair]) for pair in PAIR_IDS)
 
     # -- constructors -------------------------------------------------------
 
@@ -110,9 +109,8 @@ class PairTargets:
         for pair in PAIR_IDS:
             v, w = pair[0], pair[1]
             e = _frac(correlators[pair])
-            tables[pair] = tuple(
-                tuple(Fraction(1 + x * m[v] + y * m[w] + x * y * e) / 4 for y in (+1, -1))
-                for x in (+1, -1))
+            tables[pair] = tuple(Fraction(1 + x * m[v] + y * m[w] + x * y * e) / 4
+                                 for x, y in PAIR_CELLS)
         return cls(tables)
 
     @classmethod
@@ -128,26 +126,25 @@ class PairTargets:
         singles, correlators = {}, {}
         for pair in PAIR_IDS:
             table = scenarios.born_pair_table(cfg, pair)
-            correlators[pair] = snap(sum(x * y * p for (x, y), p in table.items()))
+            correlators[pair] = snap(correlator(table))
             v, w = pair[0], pair[1]
             if v not in singles:
-                singles[v] = snap(table[(+1, +1)] + table[(+1, -1)])
+                singles[v] = snap(table[0] + table[1])
             if w not in singles:
-                singles[w] = snap(table[(+1, +1)] + table[(-1, +1)])
+                singles[w] = snap(table[0] + table[2])
         return cls.from_correlators(singles, correlators)
 
     @classmethod
     def uniform(cls) -> "PairTargets":
-        quarter = Fraction(1, 4)
-        return cls({p: ((quarter, quarter), (quarter, quarter)) for p in PAIR_IDS})
+        return cls({p: (Fraction(1, 4),) * 4 for p in PAIR_IDS})
 
     @classmethod
     def pr_box(cls) -> "PairTargets":
         """Perfect correlation on AC, BC, BD, perfect anti-correlation on AD."""
         half = Fraction(1, 2)
         zero = Fraction(0)
-        corr = ((half, zero), (zero, half))
-        anti = ((zero, half), (half, zero))
+        corr = (half, zero, zero, half)
+        anti = (zero, half, half, zero)
         return cls({"AC": corr, "BC": corr, "BD": corr, "AD": anti})
 
     def mix(self, other: "PairTargets", lam: object) -> "PairTargets":
@@ -155,47 +152,46 @@ class PairTargets:
         lam = _frac(lam)
         if not 0 <= lam <= 1:
             raise TargetError("mixing weight must lie in [0, 1]")
-        tables = {}
-        for pair in PAIR_IDS:
-            a, b = self.tables[pair], other.tables[pair]
-            tables[pair] = tuple(
-                tuple(lam * a[i][j] + (1 - lam) * b[i][j] for j in range(2))
-                for i in range(2))
-        return PairTargets(tables)
+        return PairTargets({pair: tuple(lam * a + (1 - lam) * b
+                                        for a, b in zip(self.tables[pair], other.tables[pair]))
+                            for pair in PAIR_IDS})
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {pair: [[str(v) for v in row] for row in self.tables[pair]]
-                for pair in PAIR_IDS}
+        """Each table as nested rows [[++, +-], [-+, --]]."""
+        return {pair: [[str(v) for v in t[:2]], [str(v) for v in t[2:]]]
+                for pair, t in self.tables.items()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
+        """Inverse of to_json_dict: each table must be 2 rows of 2 cells."""
         try:
-            tables = {pair: tuple(tuple(_frac(v) for v in row) for row in obj[pair])
-                      for pair in PAIR_IDS}
+            rows = {pair: [[_frac(v) for v in row] for row in obj[pair]] for pair in PAIR_IDS}
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
-        return cls(tables)
+        for pair, table in rows.items():
+            if len(table) != 2 or any(len(row) != 2 for row in table):
+                raise TargetError(f"table {pair} must be 2x2")
+        return cls({pair: (*table[0], *table[1]) for pair, table in rows.items()})
 
 
 # --- CHSH combinations ------------------------------------------------------
 
 def chsh_value(t: PairTargets) -> Fraction:
     """S = E(A,C) + E(B,C) + E(B,D) - E(A,D)."""
-    return (t.correlator("AC") + t.correlator("BC")
-            + t.correlator("BD") - t.correlator("AD"))
+    return chsh(t.correlators())
 
 
 def chsh_variants(t: PairTargets) -> dict[tuple[int, int, int, int], Fraction]:
     """All eight sign variants (s_AC, s_AD, s_BC, s_BD) with an odd number of
     minus signs; each is at most 2 for any joint distribution."""
-    e = {pair: t.correlator(pair) for pair in PAIR_IDS}
+    e = t.correlators()
     out = {}
     for signs in itertools.product((+1, -1), repeat=4):
         if signs[0] * signs[1] * signs[2] * signs[3] != -1:
             continue
-        out[signs] = sum(e[p] if s > 0 else -e[p] for s, p in zip(signs, PAIR_IDS))
+        out[signs] = sum(x if s > 0 else -x for s, x in zip(signs, e))
     return out
 
 
@@ -239,20 +235,18 @@ class JointAtomVector:
         if sum(self.probs) != 1:
             raise ValueError("atom probabilities must sum to 1")
 
-    def pair_marginal(self, pair: str) -> dict[tuple[int, int], Fraction]:
-        """Exact induced 2x2 marginal for a pair id such as 'AC'; composite
-        A and C are products of internal and relation variables when the
-        vector is six-variable."""
+    def pair_marginal(self, pair: str) -> tuple[Fraction, ...]:
+        """Exact induced pair table, in PAIR_CELLS order, for a pair id such
+        as 'AC'; composite A and C are products of internal and relation
+        variables when the vector is six-variable."""
         v, w = pair[0], pair[1]
-        out = {cell: Fraction(0) for cell in PAIR_CELLS}
+        out = dict.fromkeys(PAIR_CELLS, Fraction(0))
         for values, p in zip(atom_table(self.variables), self.probs):
-            out[(values[v], values[w])] += p
-        return out
+            out[values[v], values[w]] += p
+        return tuple(out.values())
 
     def reproduces(self, t: PairTargets) -> bool:
-        return all(self.pair_marginal(pair) ==
-                   {(x, y): t.cell(pair, x, y) for x, y in PAIR_CELLS}
-                   for pair in PAIR_IDS)
+        return all(self.pair_marginal(pair) == t.tables[pair] for pair in PAIR_IDS)
 
 
 @dataclass(frozen=True)
@@ -361,7 +355,7 @@ def _max_violation(t: PairTargets) -> Fraction:
 
 
 def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdict:
-    rhs = [1] + [t.cell(pair, x, y) for pair in PAIR_IDS for x, y in PAIR_CELLS]
+    rhs = [1, *(v for pair in PAIR_IDS for v in t.tables[pair])]
     x = solve_nonnegative(_cell_rows(variables), rhs)
     if x is None:
         return FeasibilityVerdict(False, None, _max_violation(t))
@@ -397,9 +391,6 @@ def random_pair_targets(rng) -> PairTargets:
     total = sum(weights) or 1
     local = JointAtomVector(VARS_4, tuple(Fraction(w, total) for w in weights)
                             if sum(weights) else (Fraction(1),) + (Fraction(0),) * 15)
-    local_targets = PairTargets({
-        pair: tuple(tuple(local.pair_marginal(pair)[(x, y)] for y in (+1, -1))
-                    for x in (+1, -1))
-        for pair in PAIR_IDS})
+    local_targets = PairTargets({pair: local.pair_marginal(pair) for pair in PAIR_IDS})
     lam = Fraction(int(rng.integers(0, RANDOM_GRID + 1)), RANDOM_GRID)
     return PairTargets.pr_box().mix(local_targets, lam)

@@ -7,9 +7,10 @@ actually performed.  A frame relation comes into existence only on the wings
 where the outside observer asks the friend: it is computed at reveal time as
 external * internal, never pre-sampled.  Absence is a first-class value,
 because the whole content of the model is which variables exist on which
-runs: a TrialBatch holds one int8 column per variable with 0 where it is
-absent, and the RunRecord rows written to reports hold None (null in JSON,
-an empty field in CSV).
+runs: a TrialBatch holds the pair each run measures (an index into
+PAIR_IDS) and one int8 column per variable with 0 where it is absent, and
+the RunRecord rows written to reports hold None (null in JSON, an empty
+field in CSV).
 
 The sequential scenario is a batch of the same kind: `simulate_rovelli`
 returns int8 columns (first outcome, whether the second measurement ran, the
@@ -21,7 +22,6 @@ criterion 5 and the demo share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,20 +32,10 @@ from .statlab import PAIR_CELLS, PAIR_IDS, EmpiricalDist
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
 
-
-class Choice(Enum):
-    ASK = "ask"
-    SUPER = "super"
-
-
-# (b_choice, d_choice) per pair, in PAIR_IDS order
-CHOICE_PAIRS = tuple((Choice(b), Choice(d))
-                     for b, d in (scenarios.PAIR_CHOICES[p] for p in PAIR_IDS))
-# pair id -> the two observed variables it tabulates
-OBSERVED_PAIRS = {pair: (pair[0], pair[1]) for pair in PAIR_IDS}
-# per CHOICE_PAIRS index: does Bob (Divya) ask?
-_B_ASKS = np.array([b is Choice.ASK for b, _ in CHOICE_PAIRS])
-_D_ASKS = np.array([d is Choice.ASK for _, d in CHOICE_PAIRS])
+# per PAIR_IDS index: does Bob (Divya) ask?
+_B_ASKS, _D_ASKS = (np.array([scenarios.PAIR_CHOICES[p][w] == "ask" for p in PAIR_IDS])
+                    for w in (0, 1))
+_UNIFORM = np.full(len(PAIR_IDS), 0.25)  # every run picks its pair uniformly
 # per PAIR_CELLS index: the first (second) value of the cell
 _FIRST, _SECOND = (np.array(v, dtype=np.int8) for v in zip(*PAIR_CELLS))
 
@@ -64,8 +54,8 @@ class RunRecord:
 
     a_internal: int
     c_internal: int
-    b_choice: Choice
-    d_choice: Choice
+    b_choice: str
+    d_choice: str
     b_outcome: int | None
     d_outcome: int | None
     a_external: int | None
@@ -75,7 +65,7 @@ class RunRecord:
 
     def to_json_dict(self) -> dict:
         return {"a_internal": self.a_internal, "c_internal": self.c_internal,
-                "b_choice": self.b_choice.value, "d_choice": self.d_choice.value,
+                "b_choice": self.b_choice, "d_choice": self.d_choice,
                 "b_outcome": self.b_outcome, "d_outcome": self.d_outcome,
                 "a_external": self.a_external, "c_external": self.c_external,
                 "a_relation": self.a_relation, "c_relation": self.c_relation}
@@ -83,7 +73,7 @@ class RunRecord:
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Runs as read-only int8 columns: `choice` indexes CHOICE_PAIRS and
+    """Runs as read-only int8 columns: `choice` indexes PAIR_IDS and
     `columns` maps each variable (Ai, Ci, A, B, C, D, Ar, Cr) to its values,
     0 where the variable does not exist on that run."""
 
@@ -96,28 +86,14 @@ class TrialBatch:
         return len(self.choice)
 
     def record(self, i: int) -> RunRecord:
-        b_choice, d_choice = CHOICE_PAIRS[self.choice[i]]
+        b_choice, d_choice = scenarios.PAIR_CHOICES[PAIR_IDS[self.choice[i]]]
         v = {name: int(col[i]) for name, col in self.columns.items()}
         return RunRecord(v["Ai"], v["Ci"], b_choice, d_choice,
                          *(v[name] or None for name in ("B", "D", "A", "C", "Ar", "Cr")))
 
 
-def _normalize_policy(policy) -> np.ndarray:
-    if isinstance(policy, dict):
-        vec = [float(policy.get(cp, 0.0)) for cp in CHOICE_PAIRS]
-    else:
-        vec = [float(p) for p in policy]
-    if len(vec) != 4 or any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > 1e-9:
-        raise ValueError("policy must be 4 non-negative probabilities summing to 1")
-    return np.array(vec) / sum(vec)
-
-
-def uniform_policy() -> dict:
-    return {cp: 0.25 for cp in CHOICE_PAIRS}
-
-
-def simulate_batch(cfg: LFConfig, policy, n: int, seed: int) -> TrialBatch:
-    """n independent trials with choices drawn from `policy`.
+def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
+    """n independent trials, each measuring a pair drawn uniformly.
 
     Trials are generated in fixed-size chunks of CHUNK, each with its own rng
     seeded from (seed, chunk index); sharding work across processes along
@@ -128,15 +104,13 @@ def simulate_batch(cfg: LFConfig, policy, n: int, seed: int) -> TrialBatch:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
-    pvec = _normalize_policy(policy)
-    tables = np.array([[scenarios.born_pair_table(cfg, pair)[c] for c in PAIR_CELLS]
-                       for pair in PAIR_IDS])
+    tables = np.array([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS])
     cdfs = np.cumsum(tables, axis=1)
     chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        k = rng.choice(4, size=m, p=pvec)
+        k = rng.choice(4, size=m, p=_UNIFORM)
         a_int = 1 - 2 * rng.integers(0, 2, size=m)
         c_int = 1 - 2 * rng.integers(0, 2, size=m)
         cell = (rng.random(m)[:, None] >= cdfs[k]).sum(axis=1)
@@ -153,9 +127,10 @@ def simulate_batch(cfg: LFConfig, policy, n: int, seed: int) -> TrialBatch:
     return TrialBatch(cfg, seed, k, columns)
 
 
-def empirical_pair_table(batch: TrialBatch, pair: tuple[str, str]) -> tuple[EmpiricalDist, int]:
-    """2x2 frequency table over the runs where both variables are present,
-    plus the qualifying-run count (so callers can judge statistical power)."""
+def empirical_pair_table(batch: TrialBatch, pair) -> tuple[EmpiricalDist, int]:
+    """2x2 count table of two variables, such as the pair id "AC" or
+    ("Ai", "Ci"), over the runs where both are present, plus the
+    qualifying-run count (so callers can judge statistical power)."""
     try:
         x, y = batch.columns[pair[0]], batch.columns[pair[1]]
     except KeyError as exc:
@@ -165,20 +140,21 @@ def empirical_pair_table(batch: TrialBatch, pair: tuple[str, str]) -> tuple[Empi
     if n == 0:
         raise InsufficientDataError(f"no runs where both of {pair} are present")
     counts = np.bincount(2 * (x[both] < 0) + (y[both] < 0), minlength=4)  # PAIR_CELLS order
-    return EmpiricalDist(PAIR_CELLS, tuple(counts.tolist())), n
+    return EmpiricalDist(tuple(counts.tolist())), n
 
 
 @dataclass(frozen=True)
 class IndependenceReport:
     """Per-wing conditional distributions of the internal outcome given the
-    choice pair, plus any pairs whose difference exceeds the 3-sigma band."""
+    choice pair (Bob's and Divya's "ask"/"super"), plus any choice pairs
+    whose difference exceeds the 3-sigma band."""
 
-    stats: dict[str, dict[tuple[Choice, Choice], tuple[int, int]]]  # wing -> pair -> (n, n_plus)
+    stats: dict[str, dict[tuple[str, str], tuple[int, int]]]  # wing -> choices -> (n, n_plus)
     flags: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
         return {
-            "stats": {wing: {f"{b.value},{d.value}": {"n": n, "n_plus": np_}
+            "stats": {wing: {f"{b},{d}": {"n": n, "n_plus": np_}
                              for (b, d), (n, np_) in pairs.items()}
                       for wing, pairs in self.stats.items()},
             "flags": list(self.flags),
@@ -195,10 +171,11 @@ def check_choice_independence(batch: TrialBatch) -> IndependenceReport:
     stats: dict[str, dict] = {}
     for wing, internal in (("alice", batch.columns["Ai"]), ("chidi", batch.columns["Ci"])):
         plus = np.bincount(batch.choice[internal == 1], minlength=4)
-        stats[wing] = {CHOICE_PAIRS[j]: (int(n[j]), int(plus[j])) for j in present}
+        stats[wing] = {scenarios.PAIR_CHOICES[PAIR_IDS[j]]: (int(n[j]), int(plus[j]))
+                       for j in present}
     flags = []
     for wing, pairs in stats.items():
-        keys = sorted(pairs, key=lambda cp: (cp[0].value, cp[1].value))
+        keys = sorted(pairs)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
                 n1, k1 = pairs[keys[i]]
@@ -209,25 +186,26 @@ def check_choice_independence(batch: TrialBatch) -> IndependenceReport:
                 if abs(p1 - p2) > band:
                     flags.append({
                         "wing": wing,
-                        "pair_1": f"{keys[i][0].value},{keys[i][1].value}",
-                        "pair_2": f"{keys[j][0].value},{keys[j][1].value}",
+                        "pair_1": ",".join(keys[i]),
+                        "pair_2": ",".join(keys[j]),
                         "difference": abs(p1 - p2),
                         "band": band,
                     })
     return IndependenceReport(stats, tuple(flags))
 
 
-def observed_pair_checks(batch: TrialBatch) -> tuple[dict[str, EmpiricalDist], list[dict]]:
+def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[EmpiricalDist, ...], list[dict]]:
     """Each observed pair's table over the runs where both of its variables
-    exist, and the check of its TV distance from the pair's Born joint."""
-    tables, checks = {}, []
-    for pair_id, pair in OBSERVED_PAIRS.items():
+    exist, in PAIR_IDS order, and the check of its TV distance from the
+    pair's Born joint."""
+    tables, checks = [], []
+    for pair in PAIR_IDS:
         table, n = empirical_pair_table(batch, pair)
-        tv = statlab.total_variation(table, scenarios.born_pair_table(batch.config, pair_id))
-        tables[pair_id] = table
-        checks.append(statlab.check(f"observed pair {pair_id} vs Born", tv, TV_THRESHOLD,
+        tv = statlab.total_variation(table.freqs(), scenarios.born_pair_table(batch.config, pair))
+        tables.append(table)
+        checks.append(statlab.check(f"observed pair {pair} vs Born", tv, TV_THRESHOLD,
                                     n=n, metric="TV"))
-    return tables, checks
+    return tuple(tables), checks
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -257,7 +235,7 @@ def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceRep
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]
     internal, n_int = empirical_pair_table(batch, ("Ai", "Ci"))
-    worst = max(abs(internal.freq(c) - 0.25) for c in PAIR_CELLS)
+    worst = max(abs(f - 0.25) for f in internal.freqs())
     checks.append(statlab.check("internal joint cells vs 1/4", worst, INTERNAL_THRESHOLD,
                                 n=n_int))
     independence = check_choice_independence(batch)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .hilbert import (
     product_spec,
     rotation_matrix,
 )
-from .statlab import PAIR_IDS
+from .statlab import PAIR_CELLS, PAIR_IDS, correlator
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -76,7 +75,10 @@ class LFConfig:
 
     def __post_init__(self):
         for name in ("ask_a", "super_a", "ask_c", "super_c"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
+            if isinstance(v, bool):  # float(True) is 1.0, but JSON true is no angle
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            v = float(v)
             if not 0.0 <= v < 360.0:
                 raise ValueError(f"{name} must lie in [0, 360), got {v}")
             object.__setattr__(self, name, v)
@@ -109,8 +111,9 @@ class RovelliConfig:
 
 def build_basic_wf_state(a: complex, b: complex) -> StateVector:
     """a|down>_S|down>_A + b|up>_S|up>_A over layout (S, A)."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > ATOL:
-        raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
+    norm = abs(a) ** 2 + abs(b) ** 2
+    if not abs(norm - 1.0) <= ATOL:  # also refuses NaN
+        raise ValueError(f"amplitudes not normalized: |a|^2 + |b|^2 = {norm}")
     return StateVector.from_terms(BASIC_LAYOUT, {(0, 0): a, (1, 1): b})
 
 
@@ -227,28 +230,18 @@ PAIR_CHOICES = {"AC": ("ask", "ask"), "AD": ("ask", "super"),
 
 
 @lru_cache(maxsize=32)
-def born_pair_table(cfg: LFConfig, pair: str) -> MappingProxyType:
-    """Exact Born joint table for one of the pairs AC, AD, BC, BD, keyed by
-    (bob value, divya value) in PAIR_CELLS order.  Memoized on the frozen
-    config, so the table is read-only."""
+def born_pair_table(cfg: LFConfig, pair: str) -> tuple[float, ...]:
+    """Exact Born joint table for one of the pairs AC, AD, BC, BD, in
+    PAIR_CELLS order.  Memoized on the frozen config."""
     bob_choice, divya_choice = PAIR_CHOICES[pair]
     state = lf_circuit(cfg)
-    spec = pair_spec(cfg, bob_choice, divya_choice)
-    return MappingProxyType(dict(born_distribution(state, spec)))
+    probs = dict(born_distribution(state, pair_spec(cfg, bob_choice, divya_choice)))
+    return tuple(probs[cell] for cell in PAIR_CELLS)
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:
-    """Analytic correlators E(pair) for all four pairs."""
-    out = {}
-    for pair in PAIR_IDS:
-        table = born_pair_table(cfg, pair)
-        out[pair] = sum(x * y * pr for (x, y), pr in table.items())
-    return out
-
-
-def chsh_from_angles(cfg: LFConfig) -> float:
-    e = pair_correlations(cfg)
-    return e["AC"] + e["BC"] + e["BD"] - e["AD"]
+    """Analytic correlators E(pair) for all four pairs, in PAIR_IDS order."""
+    return {pair: correlator(born_pair_table(cfg, pair)) for pair in PAIR_IDS}
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> list[StateVector]:

@@ -1,5 +1,10 @@
-"""Empirical distributions, total variation distance, correlation estimators
-and pass/fail check dicts."""
+"""The pair vocabulary and the statistics on it.
+
+A pair is one of PAIR_IDS.  A pair table is a 4-sequence in PAIR_CELLS
+order, whether it holds counts, float probabilities or exact Fractions;
+`correlator` and `chsh` are the one definition of E and of S for all of
+them.  Also: empirical pair tables, total variation distance, correlation
+estimators and pass/fail check dicts."""
 
 from __future__ import annotations
 
@@ -12,74 +17,61 @@ PAIR_IDS = ("AC", "AD", "BC", "BD")
 PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
+def correlator(t):
+    """E(xy) = P(++) - P(+-) - P(-+) + P(--) of a pair table; n*E for counts."""
+    return t[0] - t[1] - t[2] + t[3]
+
+
+def chsh(e):
+    """S = E_AC + E_BC + E_BD - E_AD from the correlators in PAIR_IDS order."""
+    ac, ad, bc, bd = e
+    return ac + bc + bd - ad
+
+
 @dataclass(frozen=True)
 class EmpiricalDist:
-    support: tuple[object, ...]
+    """Counts of a pair table, in PAIR_CELLS order."""
+
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.support) != len(self.counts):
-            raise ValueError("support and counts must have equal length")
+        if len(self.counts) != len(PAIR_CELLS):
+            raise ValueError(f"a pair table has {len(PAIR_CELLS)} counts, got {len(self.counts)}")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be non-negative")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support labels must be distinct")
 
     @property
     def total(self) -> int:
         return sum(self.counts)
 
-    def freq(self, label: object) -> float:
-        if self.total == 0:
+    def freqs(self) -> tuple[float, ...]:
+        total = self.total
+        if total == 0:
             raise ValueError("empty distribution has no frequencies")
-        return self.counts[self.support.index(label)] / self.total
-
-    def freqs(self) -> dict[object, float]:
-        return {label: self.freq(label) for label in self.support}
-
-
-def _as_probs(dist, support: tuple[object, ...]) -> dict[object, float]:
-    if isinstance(dist, EmpiricalDist):
-        if tuple(dist.support) != tuple(support):
-            raise ValueError("support mismatch")
-        return dist.freqs()
-    probs = dict(dist)
-    if set(probs) != set(support):
-        raise ValueError("support mismatch")
-    return {label: float(probs[label]) for label in support}
+        return tuple(c / total for c in self.counts)
 
 
 def total_variation(p, q) -> float:
-    """(1/2) sum |p_i - q_i| over a shared support.  Accepts EmpiricalDists
-    or mappings label -> probability."""
-    support = tuple(p.support) if isinstance(p, EmpiricalDist) else tuple(dict(p))
-    pp = _as_probs(p, support)
-    qq = _as_probs(q, support)
-    return 0.5 * sum(abs(pp[label] - qq[label]) for label in support)
+    """(1/2) sum |p_i - q_i| over two pair tables of probabilities."""
+    return 0.5 * sum(abs(a - b) for a, b in zip(p, q, strict=True))
 
 
 def correlation_estimate(table: EmpiricalDist) -> tuple[float, float]:
-    """Correlator E and its binomial-delta-method standard error from a 2x2
-    table over ((+1,+1), (+1,-1), (-1,+1), (-1,-1))."""
-    if tuple(table.support) != PAIR_CELLS:
-        raise ValueError(f"table support must be {PAIR_CELLS}")
+    """Correlator E and its binomial-delta-method standard error."""
     n = table.total
     if n < 2:
         raise ValueError("need at least 2 samples")
-    e = sum(x * y * c for (x, y), c in zip(table.support, table.counts)) / n
+    e = correlator(table.counts) / n
     stderr = math.sqrt(max(1.0 - e * e, 0.0) / n)
     return e, stderr
 
 
-def chsh_estimate(tables: dict[str, EmpiricalDist]) -> tuple[float, float]:
-    """S = E_AC + E_BC + E_BD - E_AD with root-sum-square standard error."""
-    needed = ("AC", "BC", "BD", "AD")
-    if not set(needed) <= set(tables):
-        raise ValueError(f"need tables for {needed}")
-    est = {pair: correlation_estimate(tables[pair]) for pair in needed}
-    s = est["AC"][0] + est["BC"][0] + est["BD"][0] - est["AD"][0]
-    stderr = math.sqrt(sum(se * se for _, se in est.values()))
-    return s, stderr
+def chsh_estimate(tables) -> tuple[float, float]:
+    """S from the four tables in PAIR_IDS order, with root-sum-square
+    standard error."""
+    e, se = zip(*(correlation_estimate(t) for t in tables))
+    ac, ad, bc, bd = se
+    return chsh(e), math.sqrt(ac * ac + bc * bc + bd * bd + ad * ad)
 
 
 def check(name: str, observed: float, threshold: float, n: int = 0,

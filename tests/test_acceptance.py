@@ -1,6 +1,7 @@
 """The acceptance gate: one test per criterion, each printing a pass/fail
 line, plus the end-to-end byte-identity check on the `accept` command."""
 
+import hashlib
 import time
 
 import pytest
@@ -55,6 +56,10 @@ def test_criterion_5_sequential_consistency():
     assert result["trials"] == 10 ** 4
 
 
+# sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
+ACCEPT_42_SHA256 = "15d722823ce6bf43d2993879bcb2f0221b368eb9e8709520c4295597862f6fed"
+
+
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -64,6 +69,7 @@ def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):
         assert code == cli.EXIT_PASS
     first, second = paths[0].read_bytes(), paths[1].read_bytes()
     assert first == second
+    assert hashlib.sha256(first).hexdigest() == ACCEPT_42_SHA256
     status = "PASS" if first == second else "FAIL"
     with capsys.disabled():
         print(f"[{status}] criterion 6 (determinism): "

@@ -16,6 +16,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# a feasible grid of pair tables, partly written as decimals
+GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"], ["3/8", "1/8"]],
+                "BC": [["3/8", "1/8"], ["1/8", "3/8"]], "BD": [["1/4", "1/4"], ["1/4", "1/4"]]}
+
+# sha256 of reports at fixed seeds, so that refactors keep every output byte
+REPORT_SHA256 = {
+    "lf 20000 0 json": "a3b9daa9a42b5dd825146c3e8ee9fc223553f383e877dc0a7fba11b5bd80fd9b",
+    "relmodel 20000 0 json": "fa4755cf379f1480e693c8e6dc6c50b7dbed9e470510e8374b18a0daea8e570a",
+    "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
+    "feasibility from-angles json":
+        "545e6a30cdcd3cea2c25a516d42e9118c82017177b006f3c49b5da09592ce338",
+    "feasibility grid json": "e1412f13af13b9b7fc15ea550e918210c15b0739ac2cd8872f718fd38cdf4645",
+}
+
+
 def test_basic_default_is_balanced(capsys):
     code, out, _ = run(capsys, "basic", "--format", "json")
     assert code == cli.EXIT_PASS
@@ -35,7 +54,8 @@ def test_basic_unequal_amps_reports_degenerate(capsys):
 
 def test_basic_rejects_unnormalized_amps(capsys):
     # NaN compares false to everything, so it must not slip past the norm test
-    for amps in ("0.9,0.9", "nan,nan"):
+    # 0.6,0.8000000005 is off by 8e-10, more than build_basic_wf_state allows
+    for amps in ("0.9,0.9", "nan,nan", "0.6,0.8000000005"):
         code, out, err = run(capsys, "basic", "--amps", amps)
         assert code == cli.EXIT_INPUT
         assert out == "" and "not normalized" in err
@@ -63,6 +83,9 @@ def test_lf_csv_output(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["pair", "x", "y", "frequency", "born"]
     assert len(rows) == 1 + 4 * 4
+    code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "0", "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["lf 20000 0 json"]
 
 
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
@@ -87,6 +110,7 @@ def test_lf_malformed_config_file(capsys, tmp_path):
 def test_feasibility_from_angles_infeasible(capsys):
     code, out, _ = run(capsys, "feasibility", "--from-angles", "--format", "json")
     assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["feasibility from-angles json"]
     rep = json.loads(out)
     assert rep["joint_4"]["feasible"] is False
     assert rep["joint_6"]["feasible"] is False
@@ -103,6 +127,10 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["joint_4"]["feasible"] is True
     assert rep["chsh_value"] == "0"
+    targets.write_text(json.dumps(GRID_TARGETS))
+    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["feasibility grid json"]
 
 
 def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypatch):
@@ -128,7 +156,10 @@ def test_feasibility_malformed_targets(capsys, tmp_path):
     infinite = {pair: [[float("inf"), 0], [0, 0]] for pair in ("AC", "AD", "BC", "BD")}
     # JSON true/false are not the probabilities 1 and 0
     boolean = {pair: [[True, False], [False, False]] for pair in ("AC", "AD", "BC", "BD")}
-    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean):
+    # the value is 0, but parsing it as written would build 10**999999999
+    huge_exponent = {**GRID_TARGETS, "BD": [["0e999999999", "1/2"], ["1/2", "0"]]}
+    not_2x2 = {**GRID_TARGETS, "BD": [["1/4", "1/4", "1/4", "1/4"]]}
+    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean, huge_exponent, not_2x2):
         targets.write_text(json.dumps(obj))
         code, _, err = run(capsys, "feasibility", "--targets", str(targets))
         assert code == cli.EXIT_INPUT
@@ -145,10 +176,15 @@ def test_relmodel_passes_audits(capsys):
     code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
                        "--format", "json")
     assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 json"]
     rep = json.loads(out)
     assert rep["pass"] is True
     assert rep["analytic_feasibility"]["feasible"] is False
     assert len(rep["records"]) == 1000
+    code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
+                       "--format", "csv")
+    assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 csv"]
 
 
 def test_relmodel_report_checks_are_the_shared_audit(capsys):
@@ -156,11 +192,11 @@ def test_relmodel_report_checks_are_the_shared_audit(capsys):
                        "--format", "json")
     assert code == cli.EXIT_PASS
     rep = json.loads(out)
-    batch = relmodel.simulate_batch(LFConfig(), relmodel.uniform_policy(), 20000, 3)
+    batch = relmodel.simulate_batch(LFConfig(), 20000, 3)
     checks, internal, independence = relmodel.audit(batch)
     assert rep["checks"] == checks
     assert rep["independence"] == json.loads(json.dumps(independence.to_json_dict()))
-    assert rep["internal_joint"]["+1,-1"] == internal.freq((+1, -1))
+    assert rep["internal_joint"]["+1,-1"] == internal.freqs()[1]
 
 
 def test_relmodel_planted_violation_fails(capsys):
@@ -196,7 +232,7 @@ def test_rovelli_consistency(capsys):
         code, out, _ = run(capsys, "rovelli", "--trials", "500", "--seed", "0",
                            "--trigger", trigger, "--format", "json")
         assert code == cli.EXIT_PASS
-        assert hashlib.sha256(out.encode()).hexdigest() == ROVELLI_500_SHA256[trigger]
+        assert sha256(out) == ROVELLI_500_SHA256[trigger]
         rep = json.loads(out)
         assert rep["consistency_rate"] == 1.0
         assert rep["second_iff_trigger"] is True
@@ -226,6 +262,18 @@ def test_unknown_format_rejected(capsys):
         cli.main(["lf", "--format", "yaml"])
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("basic", "--trials", "5"), ("basic", "--seed", "3"), ("basic", "--angles", "1,2,3,4"),
+    ("feasibility", "--trials", "5"), ("feasibility", "--seed", "3"),
+    ("rovelli", "--angles", "1,2,3,4"), ("accept", "--trials", "5"),
+    ("accept", "--angles", "1,2,3,4")])
+def test_flag_the_command_does_not_read_is_refused(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["lf", "relmodel", "rovelli", "accept"])
 def test_negative_seed_is_input_error(capsys, command):
     code, out, err = run(capsys, command, "--seed", "-1")
@@ -248,7 +296,9 @@ def test_non_integer_config_value_is_input_error(capsys, tmp_path, command, key)
 
 def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    for angles in ([0, 90, "x", 135], [0, 90, 45, 400], {"ask_A": 0}):
+    # JSON true is no angle, though float(True) is 1.0
+    for angles in ([0, 90, "x", 135], [0, 90, 45, 400], {"ask_A": 0}, [True, 90, 45, 135],
+                   {"ask_A": 0, "super_A": 90, "ask_C": False, "super_C": 135}):
         cfg.write_text(json.dumps({"angles": angles}))
         code, _, err = run(capsys, "relmodel", "--config", str(cfg))
         assert code == cli.EXIT_INPUT

@@ -27,10 +27,7 @@ def decimal_targets(draw):
     cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=15, max_size=15)))
     weights = [b - a for a, b in zip([0] + cuts, cuts + [scale])]
     local = mp.JointAtomVector(mp.VARS_4, tuple(Fraction(w, scale) for w in weights))
-    local_targets = mp.PairTargets({
-        pair: tuple(tuple(local.pair_marginal(pair)[(x, y)] for y in (+1, -1))
-                    for x in (+1, -1))
-        for pair in mp.PAIR_IDS})
+    local_targets = mp.PairTargets({pair: local.pair_marginal(pair) for pair in mp.PAIR_IDS})
     mix_scale = 10 ** draw(st.integers(1, 9))
     lam = Fraction(draw(st.integers(0, mix_scale)), mix_scale)
     return mp.PairTargets.pr_box().mix(local_targets, lam)
@@ -45,9 +42,11 @@ def _decimal_text(x: Fraction) -> str:
 
 
 def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
-    def written(fmt):
-        return {pair: [[fmt(v) for v in row] for row in t.tables[pair]] for pair in mp.PAIR_IDS}
     as_fraction = t.to_json_dict()
+
+    def written(fmt):
+        return {pair: [[fmt(Fraction(v)) for v in row] for row in rows]
+                for pair, rows in as_fraction.items()}
     return [
         as_fraction,
         written(_decimal_text),

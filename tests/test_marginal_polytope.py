@@ -7,6 +7,7 @@ import pytest
 
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
+from friendlab.statlab import correlator
 
 
 def product_targets(pa, pb, pc, pd):
@@ -16,25 +17,26 @@ def product_targets(pa, pb, pc, pd):
     tables = {}
     for pair in mp.PAIR_IDS:
         v, w = pair[0], pair[1]
-        tables[pair] = tuple(
-            tuple((p[v] if x == 1 else 1 - p[v]) * (p[w] if y == 1 else 1 - p[w])
-                  for y in (+1, -1))
-            for x in (+1, -1))
+        tables[pair] = tuple((p[v] if x == 1 else 1 - p[v]) * (p[w] if y == 1 else 1 - p[w])
+                             for x, y in mp.PAIR_CELLS)
     return mp.PairTargets(tables)
 
 
 def test_targets_validation():
-    bad = {pair: ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(0)))
+    bad = {pair: (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
            for pair in mp.PAIR_IDS}
-    bad["AC"] = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))
+    bad["AC"] = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    with pytest.raises(mp.TargetError):
+        mp.PairTargets(bad)
+    bad["AC"] = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     with pytest.raises(mp.TargetError):
         mp.PairTargets(bad)
 
 
 def test_targets_inconsistent_singles_is_input_error():
-    tables = {pair: ((Fraction(1, 4),) * 2, (Fraction(1, 4),) * 2) for pair in mp.PAIR_IDS}
+    tables = {pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS}
     # A-marginal is 1/2 in AC but 3/4 in AD
-    tables["AD"] = ((Fraction(3, 8), Fraction(3, 8)), (Fraction(1, 8), Fraction(1, 8)))
+    tables["AD"] = (Fraction(3, 8), Fraction(3, 8), Fraction(1, 8), Fraction(1, 8))
     with pytest.raises(mp.TargetError):
         mp.PairTargets(tables)
 
@@ -52,8 +54,7 @@ def test_chsh_tsirelson_from_angles():
     assert abs(float(mp.chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
     # every cell is rationalized with bounded denominator
     for pair in mp.PAIR_IDS:
-        for x, y in mp.PAIR_CELLS:
-            assert t.cell(pair, x, y).denominator <= 4 * 10 ** 6
+        assert all(v.denominator <= 4 * 10 ** 6 for v in t.tables[pair])
 
 
 def test_chsh_variants_count_and_default():
@@ -165,7 +166,7 @@ def moment_form_feasible(t):
     for pair in mp.PAIR_IDS:
         i, j = index[pair[0]], index[pair[1]]
         rows.append([a[i] * a[j] for a in atoms])
-        rhs.append(t.correlator(pair))
+        rhs.append(correlator(t.tables[pair]))
     return mp.solve_nonnegative(rows, rhs) is not None
 
 
@@ -207,7 +208,14 @@ def test_targets_json_round_trip():
 def test_targets_json_accepts_decimals():
     obj = {pair: [[0.25, 0.25], [0.25, 0.25]] for pair in mp.PAIR_IDS}
     t = mp.PairTargets.from_json_dict(obj)
-    assert t.cell("AC", 1, 1) == Fraction(1, 4)
+    assert t.tables["AC"] == (Fraction(1, 4),) * 4
+    # exponents are taken as written up to MAX_EXPONENT, and refused beyond
+    singles = dict.fromkeys(mp.VARS_4, "5E-1")
+    zero = dict.fromkeys(mp.PAIR_IDS, f"0e{mp.MAX_EXPONENT}")
+    assert mp.PairTargets.from_correlators(singles, zero) == mp.PairTargets.uniform()
+    with pytest.raises(mp.TargetError):
+        mp.PairTargets.from_correlators(singles, dict.fromkeys(mp.PAIR_IDS,
+                                                               f"0e-{mp.MAX_EXPONENT + 1}"))
 
 
 def test_decimal_and_fraction_spellings_get_the_same_verdict():
@@ -219,8 +227,9 @@ def test_decimal_and_fraction_spellings_get_the_same_verdict():
         assert mp.chsh_value(t) == Fraction(20000001, 10 ** 7)
         verdicts.add(mp.feasible_joint_4(t).feasible)
         # the same cells written as exact decimals parse to the same targets
-        decimal = {pair: [[str(Decimal(v.numerator) / Decimal(v.denominator)) for v in row]
-                          for row in t.tables[pair]] for pair in mp.PAIR_IDS}
+        decimal = {pair: [[str(Decimal(Fraction(v).numerator) / Decimal(Fraction(v).denominator))
+                           for v in row] for row in rows]
+                   for pair, rows in t.to_json_dict().items()}
         assert decimal["AC"][0][0] == "0.375000025"
         assert mp.PairTargets.from_json_dict(decimal).tables == t.tables
     assert verdicts == {False}

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from friendlab import scenarios
+from friendlab import scenarios, statlab
 from friendlab.hilbert import (
     FactorLayout,
     LayoutError,
@@ -21,7 +21,6 @@ from friendlab.scenarios import (
     build_basic_wf_state,
     build_frame_relational_state,
     build_rovelli_states,
-    chsh_from_angles,
     frame_relational_branches,
     interference_witness,
     lf_circuit,
@@ -199,7 +198,8 @@ def test_pair_correlations_follow_effective_angles():
 
 
 def test_default_angles_hit_tsirelson():
-    assert chsh_from_angles(LFConfig()) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+    s = statlab.chsh(pair_correlations(LFConfig()).values())
+    assert s == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
 
 def test_super_projectors_are_rank_two_and_complete():

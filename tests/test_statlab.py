@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,57 +8,82 @@ from friendlab.statlab import (
     PAIR_CELLS,
     EmpiricalDist,
     check,
+    chsh,
     chsh_estimate,
     correlation_estimate,
+    correlator,
     total_variation,
 )
 
 
 def table(*counts):
-    return EmpiricalDist(PAIR_CELLS, counts)
+    return EmpiricalDist(counts)
 
 
 def test_empirical_dist_validation():
+    for counts in ((1,), (1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            EmpiricalDist(counts)
     with pytest.raises(ValueError):
-        EmpiricalDist(("a", "b"), (1,))
+        table(1, -1, 0, 0)
     with pytest.raises(ValueError):
-        EmpiricalDist(("a", "b"), (1, -1))
-    with pytest.raises(ValueError):
-        EmpiricalDist(("a", "a"), (1, 1))
-    with pytest.raises(ValueError):
-        EmpiricalDist(("a", "b"), (0, 0)).freq("a")
+        table(0, 0, 0, 0).freqs()
 
 
 def test_empirical_dist_freqs_and_total():
-    d = EmpiricalDist(("x", "y", "z"), (3, 1, 0))
+    d = table(3, 1, 0, 0)
     assert d.total == 4
-    assert d.freq("y") == 0.25
-    assert d.freqs() == {"x": 0.75, "y": 0.25, "z": 0.0}
+    assert d.freqs() == (0.75, 0.25, 0.0, 0.0)
+
+
+def test_correlator_and_chsh_on_counts_floats_and_fractions():
+    assert correlator((3, 1, 2, 5)) == 5
+    assert correlator((Fraction(1, 2), 0, 0, Fraction(1, 2))) == 1
+    assert correlator((0.25, 0.25, 0.25, 0.25)) == 0.0
+    # correlators in PAIR_IDS order AC, AD, BC, BD: S = AC + BC + BD - AD
+    assert chsh((1, 2, 4, 8)) == 11
+    assert chsh((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2))) == 2
+    with pytest.raises(ValueError):
+        chsh((1, 2, 3))
+
+
+def test_correlator_matches_the_signed_cell_sum_bit_for_bit():
+    # E is written once, as t[0] - t[1] - t[2] + t[3]; on float tables it
+    # must give the bits of the signed sum over the cells that it replaces
+    rng = np.random.default_rng(1)
+    for v in rng.random((300, 4)):
+        t = tuple(float(p) for p in v / v.sum())
+        assert correlator(t) == sum(x * y * p for (x, y), p in zip(PAIR_CELLS, t))
 
 
 def test_total_variation_examples():
-    p = {"a": 0.5, "b": 0.5}
+    p = (0.5, 0.5, 0.0, 0.0)
     assert total_variation(p, p) == 0.0
-    assert total_variation(p, {"a": 1.0, "b": 0.0}) == pytest.approx(0.5)
-    assert total_variation({"a": 1.0, "b": 0.0}, {"a": 0.0, "b": 1.0}) == pytest.approx(1.0)
+    assert total_variation(p, (1.0, 0.0, 0.0, 0.0)) == pytest.approx(0.5)
+    assert total_variation((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0)
+    assert total_variation(table(1, 1, 1, 1).freqs(), (0.25,) * 4) == 0.0
+    with pytest.raises(ValueError):
+        total_variation(p, (1.0,))
 
 
 def test_total_variation_symmetry_and_triangle():
     rng = np.random.default_rng(0)
-    support = ("a", "b", "c", "d")
     for _ in range(50):
-        ps = [dict(zip(support, v / v.sum())) for v in rng.random((3, 4))]
+        ps = [tuple(v / v.sum()) for v in rng.random((3, 4))]
         assert total_variation(ps[0], ps[1]) == pytest.approx(total_variation(ps[1], ps[0]))
         assert total_variation(ps[0], ps[2]) <= (
             total_variation(ps[0], ps[1]) + total_variation(ps[1], ps[2]) + 1e-12)
 
 
 def test_total_variation_mixed_argument_types():
+    # float frequencies against an exact Fraction table or a list of ints
     d = table(1, 1, 1, 1)
-    target = {cell: 0.25 for cell in PAIR_CELLS}
-    assert total_variation(d, target) == pytest.approx(0.0)
+    assert total_variation(d.freqs(), (Fraction(1, 4),) * 4) == pytest.approx(0.0)
+    assert total_variation(table(1, 0, 0, 0).freqs(), [0, 1, 0, 0]) == pytest.approx(1.0)
+    assert total_variation((Fraction(1, 2), Fraction(1, 2), 0, 0),
+                           (Fraction(1, 4),) * 4) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        total_variation(d, {"a": 1.0})
+        total_variation(d.freqs(), (1.0,))
 
 
 def test_correlation_estimate_frozen_example():
@@ -75,23 +101,19 @@ def test_correlation_estimate_extremes():
     assert e == -1.0
     with pytest.raises(ValueError):
         correlation_estimate(table(1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        correlation_estimate(EmpiricalDist(("a", "b"), (1, 1)))
 
 
 def test_chsh_estimate_perfect_tables():
     aligned = table(500, 0, 0, 500)
     anti = table(0, 500, 500, 0)
-    s, stderr = chsh_estimate({"AC": aligned, "BC": aligned, "BD": aligned, "AD": anti})
+    # tables in PAIR_IDS order AC, AD, BC, BD
+    s, stderr = chsh_estimate((aligned, anti, aligned, aligned))
     assert s == pytest.approx(4.0)
     assert stderr == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        chsh_estimate({"AC": aligned})
-    # a missing table is an error whatever other keys the dict holds
-    with pytest.raises(ValueError):
-        chsh_estimate({"AC": aligned, "XX": aligned})
-    with pytest.raises(ValueError):
-        chsh_estimate({"AC": aligned, "BC": aligned, "BD": aligned, "XX": anti})
+    # a missing or an extra table is an error
+    for tables in ((aligned,), (aligned, anti, aligned), (aligned, anti, aligned, aligned, anti)):
+        with pytest.raises(ValueError):
+            chsh_estimate(tables)
 
 
 def test_estimator_consistency_under_growing_samples():
