@@ -176,7 +176,7 @@ def criterion_6(seed: int) -> dict:
         tables, _ = relmodel.observed_pair_checks(batch)
         return json.dumps({
             "tables": {p: t.counts for p, t in zip(scenarios.PAIR_IDS, tables)},
-            "first_records": [batch.record(i).to_json_dict() for i in range(50)],
+            "first_records": batch.rows(50),
         }, sort_keys=True)
 
     a, b = probe(), probe()

@@ -4,9 +4,12 @@ Subcommands: basic | lf | feasibility | relmodel | rovelli | accept.
 Exit codes: 0 pass, 1 invariant or tolerance failure, 2 input error,
 3 internal method disagreement.
 
-A JSON config file (--config) may mirror any flag; explicit flags override
-the file.  JSON output is canonical (sorted keys), so identical
-(command, config, seed) triples produce byte-identical reports.
+A JSON config file (--config) may mirror any flag of its command; explicit
+flags override the file, and a key that no flag of the command reads is an
+input error.  JSON output is compact and canonical (sorted keys, no
+whitespace, one trailing newline), so identical (command, config, seed)
+triples produce byte-identical reports; `python -m json.tool` pretty-prints
+one.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _resolve_lf_config(args: argparse.Namespace) -> LFConfig:
 def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None) -> None:
     fmt = _resolve(args, "format", "table")
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        # no indent: an indent sends json.dumps to its pure-Python encoder
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "csv":
         if render_csv is None:
             raise InputError("this command has no CSV representation")
@@ -284,11 +288,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 def _records_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    fields = ["a_internal", "c_internal", "b_choice", "d_choice", "b_outcome",
-              "d_outcome", "a_external", "c_external", "a_relation", "c_relation"]
-    w.writerow(fields)
+    w.writerow(relmodel.RECORD_FIELDS)
     for rec in report["records"]:
-        w.writerow(["" if rec[f] is None else rec[f] for f in fields])
+        w.writerow(["" if rec[f] is None else rec[f] for f in relmodel.RECORD_FIELDS])
     return buf.getvalue()
 
 
@@ -314,8 +316,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                                  for (x, y), f in zip(statlab.PAIR_CELLS, internal.freqs())},
               "independence": independence.to_json_dict(),
               "analytic_feasibility": verdict.to_json_dict(),
-              "records": [batch.record(i).to_json_dict()
-                          for i in range(min(len(batch), 1000))],
+              "records": batch.rows(1000),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
@@ -432,7 +433,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_data = _load_config_file(args.config) if args.config else {}
+        config = _load_config_file(args.config) if args.config else {}
+        unread = sorted(set(config) - set(vars(args)) - {"command", "func", "config"})
+        if unread:
+            raise InputError(f"config keys that {args.command} does not read: "
+                             + ", ".join(unread))
+        args.config_data = config
         return args.func(args)
     except (InputError, mp.TargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ criterion 5 and the demo share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,12 +32,14 @@ from .statlab import PAIR_CELLS, PAIR_IDS, EmpiricalDist
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
 
-# per PAIR_IDS index: does Bob (Divya) ask?
-_B_ASKS, _D_ASKS = (np.array([scenarios.PAIR_CHOICES[p][w] == "ask" for p in PAIR_IDS])
-                    for w in (0, 1))
+# per PAIR_IDS index: Bob's and Divya's choice, and does Bob (Divya) ask?
+_CHOICES = tuple(scenarios.PAIR_CHOICES[p] for p in PAIR_IDS)
+_B_ASKS, _D_ASKS = (np.array([c[w] == "ask" for c in _CHOICES]) for w in (0, 1))
 _UNIFORM = np.full(len(PAIR_IDS), 0.25)  # every run picks its pair uniformly
 # per PAIR_CELLS index: the first (second) value of the cell
 _FIRST, _SECOND = (np.array(v, dtype=np.int8) for v in zip(*PAIR_CELLS))
+# per PAIR_CELLS index: its bin 3x + y + 4 in empirical_pair_table (8, 6, 2, 0)
+_PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
@@ -50,7 +52,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
-    """One run as a report row, with None where a variable does not exist."""
+    """The schema of a report row: one run, with None where a variable does
+    not exist.  `TrialBatch.rows` builds the rows, keyed in this field order."""
 
     a_internal: int
     c_internal: int
@@ -63,12 +66,10 @@ class RunRecord:
     a_relation: int | None
     c_relation: int | None
 
-    def to_json_dict(self) -> dict:
-        return {"a_internal": self.a_internal, "c_internal": self.c_internal,
-                "b_choice": self.b_choice, "d_choice": self.d_choice,
-                "b_outcome": self.b_outcome, "d_outcome": self.d_outcome,
-                "a_external": self.a_external, "c_external": self.c_external,
-                "a_relation": self.a_relation, "c_relation": self.c_relation}
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+# the column behind each RunRecord field after the two choices; 0 becomes None
+_OPTIONAL = ("B", "D", "A", "C", "Ar", "Cr")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +86,14 @@ class TrialBatch:
     def __len__(self) -> int:
         return len(self.choice)
 
-    def record(self, i: int) -> RunRecord:
-        b_choice, d_choice = scenarios.PAIR_CHOICES[PAIR_IDS[self.choice[i]]]
-        v = {name: int(col[i]) for name, col in self.columns.items()}
-        return RunRecord(v["Ai"], v["Ci"], b_choice, d_choice,
-                         *(v[name] or None for name in ("B", "D", "A", "C", "Ar", "Cr")))
+    def rows(self, stop: int) -> list[dict]:
+        """The first `stop` runs as report rows: dicts keyed by RECORD_FIELDS,
+        with None where a variable does not exist."""
+        choices = zip(*(_CHOICES[k] for k in self.choice[:stop].tolist()))  # Bob's, Divya's
+        values = [self.columns["Ai"][:stop].tolist(), self.columns["Ci"][:stop].tolist(),
+                  *choices, *([v or None for v in self.columns[name][:stop].tolist()]
+                              for name in _OPTIONAL)]
+        return [dict(zip(RECORD_FIELDS, row)) for row in zip(*values)]
 
 
 def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
@@ -105,7 +109,7 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
     tables = np.array([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS])
-    cdfs = np.cumsum(tables, axis=1)
+    cdf_rows = np.cumsum(tables, axis=1).T.copy()  # row j: P(cell <= j) per pair
     chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
@@ -113,7 +117,8 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
         k = rng.choice(4, size=m, p=_UNIFORM)
         a_int = 1 - 2 * rng.integers(0, 2, size=m)
         c_int = 1 - 2 * rng.integers(0, 2, size=m)
-        cell = (rng.random(m)[:, None] >= cdfs[k]).sum(axis=1)
+        u = rng.random(m)
+        cell = sum(u >= row[k] for row in cdf_rows)  # int: sum() starts from 0
         chunks.append((k, a_int, c_int, np.minimum(cell, 3)))  # guard against float round-off
     k, a_int, c_int, cell = (np.concatenate(parts).astype(np.int8) for parts in zip(*chunks))
     b_asks, d_asks = _B_ASKS[k], _D_ASKS[k]
@@ -135,12 +140,12 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[EmpiricalDist, int]:
         x, y = batch.columns[pair[0]], batch.columns[pair[1]]
     except KeyError as exc:
         raise ValueError(f"unknown variable in pair {pair}") from exc
-    both = (x != 0) & (y != 0)
-    n = int(both.sum())
+    # one count per (x, y) in {-1, 0, 1}^2; 0 marks an absent variable
+    counts = np.bincount(3 * x + y + 4, minlength=9)[_PRESENT_CELLS].tolist()
+    n = sum(counts)
     if n == 0:
         raise InsufficientDataError(f"no runs where both of {pair} are present")
-    counts = np.bincount(2 * (x[both] < 0) + (y[both] < 0), minlength=4)  # PAIR_CELLS order
-    return EmpiricalDist(tuple(counts.tolist())), n
+    return EmpiricalDist(tuple(counts)), n
 
 
 @dataclass(frozen=True)

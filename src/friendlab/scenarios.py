@@ -59,6 +59,10 @@ class Wing(Enum):
     CHIDI = "chidi"
 
 
+# JSON key of each LFConfig angle, in report order
+_ANGLE_KEYS = {"ask_A": "ask_a", "super_A": "super_a", "ask_C": "ask_c", "super_C": "super_c"}
+
+
 @dataclass(frozen=True)
 class LFConfig:
     """Measurement angles (degrees) for the four-observer circuit.
@@ -84,14 +88,17 @@ class LFConfig:
             object.__setattr__(self, name, v)
 
     def to_json_dict(self) -> dict:
-        return {"angles": {"ask_A": self.ask_a, "super_A": self.super_a,
-                           "ask_C": self.ask_c, "super_C": self.super_c}}
+        return {"angles": {key: getattr(self, name) for key, name in _ANGLE_KEYS.items()}}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LFConfig":
+        """The config of {"angles": {...}}; the angles object must hold
+        exactly the four keys of `to_json_dict`, so a misspelt one is refused."""
         a = obj["angles"]
-        return cls(ask_a=a["ask_A"], super_a=a["super_A"],
-                   ask_c=a["ask_C"], super_c=a["super_C"])
+        if set(a) != set(_ANGLE_KEYS):
+            raise ValueError(f"angles need exactly the keys {', '.join(_ANGLE_KEYS)}, "
+                             f"got {', '.join(sorted(a))}")
+        return cls(**{name: a[key] for key, name in _ANGLE_KEYS.items()})
 
 
 @dataclass(frozen=True)

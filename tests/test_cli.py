@@ -26,12 +26,12 @@ GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"
 
 # sha256 of reports at fixed seeds, so that refactors keep every output byte
 REPORT_SHA256 = {
-    "lf 20000 0 json": "a3b9daa9a42b5dd825146c3e8ee9fc223553f383e877dc0a7fba11b5bd80fd9b",
-    "relmodel 20000 0 json": "fa4755cf379f1480e693c8e6dc6c50b7dbed9e470510e8374b18a0daea8e570a",
+    "lf 20000 0 json": "097a659f6b80dcfbfc8810a407d0c3f2497a6bc0ba2ccf126805f17293017bed",
+    "relmodel 20000 0 json": "2fbf7d026397962bedbe87e0ed627d95c0057e32bc8f145c4e19b3b91993923c",
     "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
     "feasibility from-angles json":
-        "545e6a30cdcd3cea2c25a516d42e9118c82017177b006f3c49b5da09592ce338",
-    "feasibility grid json": "e1412f13af13b9b7fc15ea550e918210c15b0739ac2cd8872f718fd38cdf4645",
+        "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
+    "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
 }
 
 
@@ -222,8 +222,8 @@ def test_relmodel_csv_records(capsys):
 # sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the
 # report holds no per-run data, so it does not depend on the draw order
 ROVELLI_500_SHA256 = {
-    "1": "0237009ac2d90fe03eec0b6c8be3d6e3d49d2e684e9262103731e0ecc948e1d6",
-    "-1": "dfac4f46aa21c4863059acf36d3e046af995893977c9804ed84f2e542da94ad1",
+    "1": "0b8709f93d69b432a67b2259724d999dfff235e33b32776d316fcd17cac148ec",
+    "-1": "a492a7c175070146d0c6b0e869e284f1861a5a4f3c91bc770f767138b2d397fd",
 }
 
 
@@ -297,12 +297,26 @@ def test_non_integer_config_value_is_input_error(capsys, tmp_path, command, key)
 def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     # JSON true is no angle, though float(True) is 1.0
+    # a misspelt key next to the four real ones is refused, not ignored
     for angles in ([0, 90, "x", 135], [0, 90, 45, 400], {"ask_A": 0}, [True, 90, 45, 135],
-                   {"ask_A": 0, "super_A": 90, "ask_C": False, "super_C": 135}):
+                   {"ask_A": 0, "super_A": 90, "ask_C": False, "super_C": 135},
+                   {"ask_A": 0, "super_A": 90, "ask_C": 45, "super_C": 135, "super_c": 10}):
         cfg.write_text(json.dumps({"angles": angles}))
         code, _, err = run(capsys, "relmodel", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert "bad angles" in err
+
+
+@pytest.mark.parametrize("command, config, unread", [
+    ("rovelli", {"trails": 5}, "trails"), ("basic", {"trials": 5}, "trials"),
+    ("basic", {"trials": 5, "seed": 3, "angles": [1, 2, 3, 4]}, "angles, seed, trials")])
+def test_config_key_the_command_does_not_read_is_input_error(capsys, tmp_path, command,
+                                                             config, unread):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err == f"error: config keys that {command} does not read: {unread}\n"
 
 
 def test_unwritable_out_is_input_error(capsys, tmp_path):

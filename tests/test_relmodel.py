@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from friendlab import cli, hilbert, relmodel, scenarios, statlab
-from friendlab.relmodel import InsufficientDataError
+from friendlab.relmodel import InsufficientDataError, RunRecord
 from friendlab.scenarios import PAIR_CHOICES, LFConfig, RovelliConfig
 from friendlab.statlab import PAIR_IDS
 
@@ -27,6 +29,15 @@ def runs_of_pair(pair, n, seed):
                                columns={v: col[mine] for v, col in batch.columns.items()})
 
 
+def reference_row(batch, i) -> dict:
+    """Run i as a report row, built one variable at a time."""
+    b_choice, d_choice = PAIR_CHOICES[PAIR_IDS[batch.choice[i]]]
+    v = {name: int(col[i]) for name, col in batch.columns.items()}
+    return dataclasses.asdict(RunRecord(v["Ai"], v["Ci"], b_choice, d_choice,
+                                        *(v[name] or None
+                                          for name in ("B", "D", "A", "C", "Ar", "Cr"))))
+
+
 def same_runs(b1, b2, stop=None) -> bool:
     """Do the first `stop` runs (all when None) of b1 equal b2's runs?"""
     return (np.array_equal(b1.choice[:stop], b2.choice)
@@ -41,21 +52,20 @@ def test_run_trial_presence_discipline_per_choice_pair():
         col = batch.columns
         assert all(v.dtype == np.int8 for v in (batch.choice, *col.values()))
         assert set(np.abs(col["Ai"])) == set(np.abs(col["Ci"])) == {1}
-        for i in range(len(batch)):
-            r = batch.record(i)
-            assert (r.b_choice, r.d_choice) == (b_choice, d_choice)
+        for r in batch.rows(len(batch)):
+            assert (r["b_choice"], r["d_choice"]) == (b_choice, d_choice)
             if b_choice == "ask":
-                assert r.b_outcome is None
-                assert r.a_external == r.a_internal * r.a_relation
+                assert r["b_outcome"] is None
+                assert r["a_external"] == r["a_internal"] * r["a_relation"]
             else:
-                assert r.b_outcome in (+1, -1)
-                assert r.a_external is None and r.a_relation is None
+                assert r["b_outcome"] in (+1, -1)
+                assert r["a_external"] is None and r["a_relation"] is None
             if d_choice == "ask":
-                assert r.d_outcome is None
-                assert r.c_external == r.c_internal * r.c_relation
+                assert r["d_outcome"] is None
+                assert r["c_external"] == r["c_internal"] * r["c_relation"]
             else:
-                assert r.d_outcome in (+1, -1)
-                assert r.c_external is None and r.c_relation is None
+                assert r["d_outcome"] in (+1, -1)
+                assert r["c_external"] is None and r["c_relation"] is None
 
 
 def test_record_validation_catches_broken_invariants():
@@ -97,7 +107,7 @@ def test_simulate_batch_same_seed_identical():
     b1 = relmodel.simulate_batch(cfg, 3000, 17)
     b2 = relmodel.simulate_batch(cfg, 3000, 17)
     assert same_runs(b1, b2)
-    assert [b1.record(i) for i in range(len(b1))] == [b2.record(i) for i in range(len(b2))]
+    assert b1.rows(len(b1)) == b2.rows(len(b2))
     b3 = relmodel.simulate_batch(cfg, 3000, 18)
     assert not same_runs(b1, b3)
 
@@ -110,7 +120,9 @@ def test_simulate_batch_chunk_aligned_prefix_stability():
     large = relmodel.simulate_batch(cfg, relmodel.CHUNK + 4000, 5)
     assert len(large) == relmodel.CHUNK + 4000
     assert same_runs(large, small, stop=relmodel.CHUNK)
-    assert large.record(relmodel.CHUNK - 1) == small.record(relmodel.CHUNK - 1)
+    rows = large.rows(relmodel.CHUNK)
+    assert rows[relmodel.CHUNK - 1] == small.rows(relmodel.CHUNK)[relmodel.CHUNK - 1]
+    assert rows[relmodel.CHUNK - 1] == reference_row(small, relmodel.CHUNK - 1)
 
 
 def test_simulate_batch_rejects_bad_inputs():
@@ -148,6 +160,24 @@ def test_empirical_pair_table_errors():
         relmodel.empirical_pair_table(batch, ("B", "Z"))
 
 
+SIGNED = st.sampled_from((-1, 0, 1))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=300))
+@example([(0, 1), (-1, 0), (0, 0)])
+def test_empirical_pair_table_is_a_plain_count(runs):
+    x, y = (np.array(v, dtype=np.int8) for v in zip(*runs))
+    batch = relmodel.TrialBatch(LFConfig(), 0, np.zeros(len(runs), np.int8), {"Ai": x, "Ci": y})
+    counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
+    if sum(counts) == 0:
+        with pytest.raises(InsufficientDataError):
+            relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
+    else:
+        table, n = relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
+        assert table.counts == counts and n == sum(counts)
+
+
 def test_choice_independence_clean_on_fair_batch():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, 10 ** 5, 0)
@@ -176,14 +206,22 @@ def test_choice_independence_needs_variation():
         relmodel.check_choice_independence(batch)
 
 
+def test_rows_are_the_first_runs_in_record_field_order():
+    batch = relmodel.simulate_batch(LFConfig(), 20, 9)
+    rows = batch.rows(8)
+    assert rows == [reference_row(batch, i) for i in range(8)]
+    assert all(tuple(r) == relmodel.RECORD_FIELDS for r in rows)
+    assert batch.rows(0) == [] and len(batch.rows(1000)) == len(batch)
+
+
 def test_jsonl_serialization_round_trips_values():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, 20, 9)
-    records = [batch.record(i) for i in range(len(batch))]
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
-    for i, (line, record) in enumerate(zip(lines, records)):
+    rows = batch.rows(len(batch))
+    lines = [json.dumps(r, sort_keys=True) for r in rows]
+    for i, (line, row) in enumerate(zip(lines, rows)):
         obj = json.loads(line)
-        assert obj == record.to_json_dict()
+        assert obj == row
         assert obj["b_choice"] in ("ask", "super")
         # 0 in a column is null in the row; every other value is the column's
         for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):
