@@ -17,10 +17,10 @@ print(" ", batch.rows(1)[0])
 tables, pair_checks = relmodel.observed_pair_checks(batch)
 for pair_id, table, check in zip(statlab.PAIR_IDS, tables, pair_checks):
     e, _ = statlab.correlation_estimate(table)
-    print(f"pair {pair_id}: n={table.total}, E={e:+.4f}, TV vs Born={check['observed']:.4f}")
+    print(f"pair {pair_id}: n={sum(table)}, E={e:+.4f}, TV vs Born={check['observed']:.4f}")
 
 checks, internal, report = relmodel.audit(batch)
 print("internal joint frequencies:",
-      {cell: round(f, 4) for cell, f in zip(statlab.PAIR_CELLS, internal.freqs())})
-print("choice-independence flags:", list(report.flags) or "none")
+      {cell: round(f, 4) for cell, f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))})
+print("choice-independence flags:", report["flags"] or "none")
 print("all audits pass:", all(c["pass"] for c in checks))

@@ -1,7 +1,7 @@
 """friendlab: desk-scale simulation and feasibility analysis for Extended
 Wigner's Friend experiments.
 
-Subpackages:
+Modules:
 
 * hilbert -- dense state-vector engine (named tensor factors, unitaries,
   projective measurement, Born sampling);
@@ -11,10 +11,11 @@ Subpackages:
   phase-1 simplex, cross-checked against the analytic CHSH criterion;
 * relmodel -- Monte Carlo runs of the frame-relational model where frame
   relations exist only on ask runs, and the audit of a batch of runs;
-* statlab -- the pair vocabulary (pair ids, the cells of a pair table, the
-  correlator and the CHSH sum), empirical pair tables, TV distance,
-  correlation estimators, pass/fail check dicts;
-* cli -- command-line orchestration and the acceptance suite.
+* statlab -- the pair vocabulary (pair ids, pair-table cells, the choice
+  behind each variable letter, the correlator and the CHSH sum), count-table
+  frequencies, TV distance, estimators, pass/fail check dicts;
+* acceptance -- the criteria behind `friendlab accept`;
+* cli -- command-line orchestration.
 """
 
 from . import hilbert, marginal_polytope, relmodel, scenarios, statlab

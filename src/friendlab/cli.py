@@ -40,15 +40,15 @@ class InputError(ValueError):
     pass
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; InputError naming `what` if it
+    cannot be read, is not UTF-8 or JSON (ValueError) or nests too deeply
+    for the parser (RecursionError)."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("config file must hold a JSON object")
-    return obj
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace, key: str, default=None):
@@ -69,6 +69,22 @@ def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int 
         raise InputError(f"{key} must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise InputError(f"{key} must be at least {minimum}, got {val}")
+    return val
+
+
+def _resolve_switch(args: argparse.Namespace, key: str) -> bool:
+    """On/off flag or config value: JSON true or false, never a truthy string."""
+    val = _resolve(args, key, False)
+    if not isinstance(val, bool):
+        raise InputError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
+def _resolve_path(args: argparse.Namespace, key: str) -> str | None:
+    """Path flag or config value, or None; open() would take an int as a descriptor."""
+    val = _resolve(args, key)
+    if val is not None and (not isinstance(val, str) or not val):
+        raise InputError(f"{key} must be a non-empty file path, got {val!r}")
     return val
 
 
@@ -102,12 +118,10 @@ def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None)
         text = render_table(report)
     else:
         raise InputError(f"unknown format {fmt!r}")
-    out = _resolve(args, "out")
+    out = _resolve_path(args, "out")
     if out is None:
         sys.stdout.write(text)
         return
-    if not isinstance(out, str) or not out:  # open() would take an int as a descriptor
-        raise InputError(f"out must be a non-empty file path, got {out!r}")
     try:
         with open(out, "w") as fh:
             fh.write(text)
@@ -204,8 +218,8 @@ def cmd_lf(args: argparse.Namespace) -> int:
     s_analytic = statlab.chsh(analytic.values())
     tables, checks = relmodel.observed_pair_checks(batch)
     pairs_report = {pair: {
-        "n": table.total,
-        "frequencies": list(table.freqs()),
+        "n": sum(table),
+        "frequencies": list(statlab.freqs(table)),
         "born": list(scenarios.born_pair_table(cfg, pair)),
         "E_analytic": analytic[pair],
     } for pair, table in zip(statlab.PAIR_IDS, tables)}
@@ -235,20 +249,12 @@ def cmd_lf(args: argparse.Namespace) -> int:
 # --- feasibility ------------------------------------------------------------
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
-    targets_path = _resolve(args, "targets")
-    from_angles = bool(_resolve(args, "from_angles", False))
+    targets_path = _resolve_path(args, "targets")
+    from_angles = _resolve_switch(args, "from_angles")
     if targets_path and from_angles:
         raise InputError("give either --targets or --from-angles, not both")
     if targets_path:
-        try:
-            with open(targets_path) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read targets: {exc}") from exc
-        try:
-            targets = mp.PairTargets.from_json_dict(obj)
-        except mp.TargetError as exc:
-            raise InputError(str(exc)) from exc
+        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets"))
     elif from_angles:
         targets = mp.PairTargets.from_angles(_resolve_lf_config(args))
     else:
@@ -298,7 +304,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 400000, 100)
     seed = _resolve_int(args, "seed", 0, 0)
-    planted = bool(_resolve(args, "planted_violation", False))
+    planted = _resolve_switch(args, "planted_violation")
     batch = relmodel.simulate_batch(cfg, trials, seed)
     if planted:
         # debug self-test: make Alice's internal outcome follow Bob's choice,
@@ -313,8 +319,8 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
-                                 for (x, y), f in zip(statlab.PAIR_CELLS, internal.freqs())},
-              "independence": independence.to_json_dict(),
+                                 for (x, y), f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))},
+              "independence": independence,
               "analytic_feasibility": verdict.to_json_dict(),
               "records": batch.rows(1000),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
@@ -433,7 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config) if args.config else {}
+        config = _read_json(args.config, "config file") if args.config else {}
+        if not isinstance(config, dict):
+            raise InputError("config file must hold a JSON object")
         unread = sorted(set(config) - set(vars(args)) - {"command", "func", "config"})
         if unread:
             raise InputError(f"config keys that {args.command} does not read: "

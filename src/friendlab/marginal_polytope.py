@@ -135,10 +135,6 @@ class PairTargets:
         return cls.from_correlators(singles, correlators)
 
     @classmethod
-    def uniform(cls) -> "PairTargets":
-        return cls({p: (Fraction(1, 4),) * 4 for p in PAIR_IDS})
-
-    @classmethod
     def pr_box(cls) -> "PairTargets":
         """Perfect correlation on AC, BC, BD, perfect anti-correlation on AD."""
         half = Fraction(1, 2)

@@ -21,6 +21,7 @@ criterion 5 and the demo share.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,13 +29,12 @@ import numpy as np
 from . import scenarios, statlab
 from .hilbert import born_distribution, sample_outcomes
 from .scenarios import LFConfig, RovelliConfig
-from .statlab import PAIR_CELLS, PAIR_IDS, EmpiricalDist
+from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
 
-# per PAIR_IDS index: Bob's and Divya's choice, and does Bob (Divya) ask?
-_CHOICES = tuple(scenarios.PAIR_CHOICES[p] for p in PAIR_IDS)
-_B_ASKS, _D_ASKS = (np.array([c[w] == "ask" for c in _CHOICES]) for w in (0, 1))
+# per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
+_B_ASKS, _D_ASKS = (np.array([p[w] in ("A", "C") for p in PAIR_IDS]) for w in (0, 1))
 _UNIFORM = np.full(len(PAIR_IDS), 0.25)  # every run picks its pair uniformly
 # per PAIR_CELLS index: the first (second) value of the cell
 _FIRST, _SECOND = (np.array(v, dtype=np.int8) for v in zip(*PAIR_CELLS))
@@ -79,7 +79,6 @@ class TrialBatch:
     0 where the variable does not exist on that run."""
 
     config: LFConfig
-    seed: int
     choice: np.ndarray
     columns: dict[str, np.ndarray]
 
@@ -89,10 +88,11 @@ class TrialBatch:
     def rows(self, stop: int) -> list[dict]:
         """The first `stop` runs as report rows: dicts keyed by RECORD_FIELDS,
         with None where a variable does not exist."""
-        choices = zip(*(_CHOICES[k] for k in self.choice[:stop].tolist()))  # Bob's, Divya's
+        wings = zip(*(PAIR_IDS[k] for k in self.choice[:stop].tolist()))  # Bob's, Divya's
         values = [self.columns["Ai"][:stop].tolist(), self.columns["Ci"][:stop].tolist(),
-                  *choices, *([v or None for v in self.columns[name][:stop].tolist()]
-                              for name in _OPTIONAL)]
+                  *([CHOICE[v] for v in wing] for wing in wings),
+                  *([v or None for v in self.columns[name][:stop].tolist()]
+                    for name in _OPTIONAL)]
         return [dict(zip(RECORD_FIELDS, row)) for row in zip(*values)]
 
 
@@ -129,87 +129,63 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
                "Ar": a_ext * a_int, "Cr": c_ext * c_int}
     for col in (k, *columns.values()):
         col.setflags(write=False)
-    return TrialBatch(cfg, seed, k, columns)
+    return TrialBatch(cfg, k, columns)
 
 
-def empirical_pair_table(batch: TrialBatch, pair) -> tuple[EmpiricalDist, int]:
-    """2x2 count table of two variables, such as the pair id "AC" or
-    ("Ai", "Ci"), over the runs where both are present, plus the
-    qualifying-run count (so callers can judge statistical power)."""
+def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
+    """2x2 count table, in PAIR_CELLS order, of two variables such as the
+    pair id "AC" or ("Ai", "Ci"), over the runs where both are present.  Its
+    sum is the qualifying-run count, by which callers judge statistical
+    power."""
     try:
         x, y = batch.columns[pair[0]], batch.columns[pair[1]]
     except KeyError as exc:
         raise ValueError(f"unknown variable in pair {pair}") from exc
     # one count per (x, y) in {-1, 0, 1}^2; 0 marks an absent variable
-    counts = np.bincount(3 * x + y + 4, minlength=9)[_PRESENT_CELLS].tolist()
-    n = sum(counts)
-    if n == 0:
+    counts = tuple(np.bincount(3 * x + y + 4, minlength=9)[_PRESENT_CELLS].tolist())
+    if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
-    return EmpiricalDist(tuple(counts)), n
+    return counts
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Per-wing conditional distributions of the internal outcome given the
-    choice pair (Bob's and Divya's "ask"/"super"), plus any choice pairs
-    whose difference exceeds the 3-sigma band."""
-
-    stats: dict[str, dict[tuple[str, str], tuple[int, int]]]  # wing -> choices -> (n, n_plus)
-    flags: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stats": {wing: {f"{b},{d}": {"n": n, "n_plus": np_}
-                             for (b, d), (n, np_) in pairs.items()}
-                      for wing, pairs in self.stats.items()},
-            "flags": list(self.flags),
-        }
-
-
-def check_choice_independence(batch: TrialBatch) -> IndependenceReport:
-    """Flag any choice pair whose conditional internal-outcome frequency
-    differs from another's by more than SIGMAS binomial standard errors."""
+def check_choice_independence(batch: TrialBatch) -> dict:
+    """The report's independence entry.  `stats` holds, per wing and per
+    choice pair ("ask,super": Bob's and Divya's choice), the runs `n` and
+    those whose internal outcome is +1 `n_plus`; `flags` lists each two
+    choice pairs whose conditional frequencies differ by more than SIGMAS
+    binomial standard errors."""
     n = np.bincount(batch.choice, minlength=4)
     present = np.flatnonzero(n)
     if len(present) < 2:
         raise InsufficientDataError("need at least two distinct choice pairs")
-    stats: dict[str, dict] = {}
+    stats, flags = {}, []
     for wing, internal in (("alice", batch.columns["Ai"]), ("chidi", batch.columns["Ci"])):
         plus = np.bincount(batch.choice[internal == 1], minlength=4)
-        stats[wing] = {scenarios.PAIR_CHOICES[PAIR_IDS[j]]: (int(n[j]), int(plus[j]))
-                       for j in present}
-    flags = []
-    for wing, pairs in stats.items():
-        keys = sorted(pairs)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                n1, k1 = pairs[keys[i]]
-                n2, k2 = pairs[keys[j]]
-                p1, p2 = k1 / n1, k2 / n2
-                pooled = (k1 + k2) / (n1 + n2)
-                band = SIGMAS * (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
-                if abs(p1 - p2) > band:
-                    flags.append({
-                        "wing": wing,
-                        "pair_1": ",".join(keys[i]),
-                        "pair_2": ",".join(keys[j]),
-                        "difference": abs(p1 - p2),
-                        "band": band,
-                    })
-    return IndependenceReport(stats, tuple(flags))
+        counts = {",".join(CHOICE[v] for v in PAIR_IDS[j]): (int(n[j]), int(plus[j]))
+                  for j in present}
+        stats[wing] = {key: {"n": m, "n_plus": k} for key, (m, k) in counts.items()}
+        for (key1, (n1, k1)), (key2, (n2, k2)) in itertools.combinations(counts.items(), 2):
+            p1, p2 = k1 / n1, k2 / n2
+            pooled = (k1 + k2) / (n1 + n2)
+            band = SIGMAS * (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
+            if abs(p1 - p2) > band:
+                flags.append({"wing": wing, "pair_1": key1, "pair_2": key2,
+                              "difference": abs(p1 - p2), "band": band})
+    return {"stats": stats, "flags": flags}
 
 
-def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[EmpiricalDist, ...], list[dict]]:
-    """Each observed pair's table over the runs where both of its variables
-    exist, in PAIR_IDS order, and the check of its TV distance from the
-    pair's Born joint."""
+def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[tuple[int, ...], ...], list[dict]]:
+    """Each observed pair's count table over the runs where both of its
+    variables exist, in PAIR_IDS order, and the check of its TV distance
+    from the pair's Born joint."""
     tables, checks = [], []
     for pair in PAIR_IDS:
-        table, n = empirical_pair_table(batch, pair)
-        tv = statlab.total_variation(table.freqs(), scenarios.born_pair_table(batch.config, pair))
+        table = empirical_pair_table(batch, pair)
+        tv = statlab.total_variation(statlab.freqs(table),
+                                     scenarios.born_pair_table(batch.config, pair))
         tables.append(table)
         checks.append(statlab.check(f"observed pair {pair} vs Born", tv, TV_THRESHOLD,
-                                    n=n, metric="TV"))
+                                    n=sum(table), metric="TV"))
     return tuple(tables), checks
 
 
@@ -225,12 +201,12 @@ def _wing_ok(asks, outcome, external, relation, internal) -> np.ndarray:
                     _unit(outcome) & (external == 0) & (relation == 0))
 
 
-def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceReport]:
+def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
-    choice independence), the internal (Ai, Ci) table and the independence
-    report."""
+    choice independence), the internal (Ai, Ci) count table and the
+    independence report of `check_choice_independence`."""
     col = batch.columns
     ok = (_unit(col["Ai"]) & _unit(col["Ci"])
           & _wing_ok(_B_ASKS[batch.choice], col["B"], col["A"], col["Ar"], col["Ai"])
@@ -239,12 +215,12 @@ def audit(batch: TrialBatch) -> tuple[list[dict], EmpiricalDist, IndependenceRep
     invalid = n - int(ok.sum())
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]
-    internal, n_int = empirical_pair_table(batch, ("Ai", "Ci"))
-    worst = max(abs(f - 0.25) for f in internal.freqs())
+    internal = empirical_pair_table(batch, ("Ai", "Ci"))
+    worst = max(abs(f - 0.25) for f in statlab.freqs(internal))
     checks.append(statlab.check("internal joint cells vs 1/4", worst, INTERNAL_THRESHOLD,
-                                n=n_int))
+                                n=sum(internal)))
     independence = check_choice_independence(batch)
-    checks.append(statlab.check("choice-independence flags", len(independence.flags), 0.0,
+    checks.append(statlab.check("choice-independence flags", len(independence["flags"]), 0.0,
                                 n=n))
     return checks, internal, independence
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -52,11 +51,6 @@ LF_LAYOUT = FactorLayout((("X", 2), ("Y", 2), ("MA", 2), ("MC", 2)))
 ROVELLI_LAYOUT = FactorLayout((("S", 2), ("Y", 2), ("orientation", 2), ("record", 3)))
 
 ROVELLI_RECORDS = ("PP", "PA", "noM2")
-
-
-class Wing(Enum):
-    ALICE = "alice"
-    CHIDI = "chidi"
 
 
 # JSON key of each LFConfig angle, in report order
@@ -176,14 +170,18 @@ def _friend_unitary(theta_degrees: float) -> np.ndarray:
     return np.kron(r, eye2) @ cnot @ np.kron(r.conj().T, eye2)
 
 
-_WING_FACTORS = {Wing.ALICE: ("X", "MA"), Wing.CHIDI: ("Y", "MC")}
+# per variable, its wing: the friend's particle and memory qubits and the
+# LFConfig fields of the wing's ask and super angles.  A and B are measured
+# on Alice's wing, C and D on Chidi's.
+_WINGS = {**dict.fromkeys("AB", ("X", "MA", "ask_a", "super_a")),
+          **dict.fromkeys("CD", ("Y", "MC", "ask_c", "super_c"))}
 
 
-def _wing_unitary(cfg: LFConfig, wing: Wing) -> Operator:
-    theta = cfg.ask_a if wing is Wing.ALICE else cfg.ask_c
-    particle, memory = _WING_FACTORS[wing]
+def _wing_unitary(cfg: LFConfig, var: str) -> Operator:
+    """The friend unitary on the wing of variable `var`."""
+    particle, memory, ask, _ = _WINGS[var]
     sub = FactorLayout(((particle, 2), (memory, 2)))
-    return Operator(sub, _friend_unitary(theta))
+    return Operator(sub, _friend_unitary(getattr(cfg, ask)))
 
 
 def lf_circuit(cfg: LFConfig) -> StateVector:
@@ -192,57 +190,42 @@ def lf_circuit(cfg: LFConfig) -> StateVector:
         (0, 0, 0, 0): SQRT_HALF,
         (1, 1, 0, 0): SQRT_HALF,
     })
-    for wing in (Wing.ALICE, Wing.CHIDI):
-        u = _wing_unitary(cfg, wing)
-        s = apply(u, s, on=_WING_FACTORS[wing])
+    for var in ("A", "C"):
+        u = _wing_unitary(cfg, var)
+        s = apply(u, s, on=u.layout.names)
     return s
 
 
-def observable_spec(cfg: LFConfig, wing: Wing, which: str) -> MeasurementSpec:
-    """The measurement the outside observer performs on one wing.
+def observable_spec(cfg: LFConfig, var: str) -> MeasurementSpec:
+    """The measurement behind one of the variables A, B, C, D.
 
-    which='ask': read the friend's memory qubit in the computational basis
-    (label +1 for 0, -1 for 1), i.e. learn what she recorded.
-    which='super': undo the friend unitary coherently, measure the wing
-    particle along the super angle, redo the friend unitary.
+    A and C ask the friend: read her memory qubit in the computational basis
+    (label +1 for 0, -1 for 1), i.e. learn what she recorded.  B and D
+    supermeasure her lab: undo the friend unitary coherently, measure the
+    wing particle along the super angle, redo the friend unitary.
     """
-    particle, memory = _WING_FACTORS[wing]
-    if which == "ask":
+    _, memory, _, super_angle = _WINGS[var]
+    if var in ("A", "C"):
         return factor_basis_spec(LF_LAYOUT, memory, labels=(+1, -1))
-    if which == "super":
-        theta = cfg.super_a if wing is Wing.ALICE else cfg.super_c
-        u = _wing_unitary(cfg, wing)
-        sub = u.layout
-        eye2 = np.eye(2, dtype=np.complex128)
-        outcomes = []
-        for label, p in angle_projectors(theta):
-            conj = u.matrix @ np.kron(p, eye2) @ u.matrix.conj().T
-            outcomes.append((label, embed(Operator(sub, conj), LF_LAYOUT,
-                                          (particle, memory)).matrix))
-        return MeasurementSpec(LF_LAYOUT, tuple(outcomes))
-    raise ValueError(f"which must be 'ask' or 'super', got {which!r}")
+    u = _wing_unitary(cfg, var)
+    eye2 = np.eye(2, dtype=np.complex128)
+    outcomes = [(label, embed(Operator(u.layout, u.matrix @ np.kron(p, eye2) @ u.matrix.conj().T),
+                              LF_LAYOUT, u.layout.names).matrix)
+                for label, p in angle_projectors(getattr(cfg, super_angle))]
+    return MeasurementSpec(LF_LAYOUT, tuple(outcomes))
 
 
-def pair_spec(cfg: LFConfig, bob_choice: str, divya_choice: str) -> MeasurementSpec:
-    """Joint 4-outcome measurement for one choice pair.  bob_choice selects
-    ask (value A) or super (value B) on the Alice wing; divya_choice does the
-    same for the Chidi wing.  Labels are (bob value, divya value) pairs."""
-    return product_spec(observable_spec(cfg, Wing.ALICE, bob_choice),
-                        observable_spec(cfg, Wing.CHIDI, divya_choice))
-
-
-# pair id -> (bob_choice, divya_choice) that measures it
-PAIR_CHOICES = {"AC": ("ask", "ask"), "AD": ("ask", "super"),
-                "BC": ("super", "ask"), "BD": ("super", "super")}
+def pair_spec(cfg: LFConfig, pair: str) -> MeasurementSpec:
+    """Joint 4-outcome measurement of one of the pairs AC, AD, BC, BD.
+    Labels are (Alice-wing value, Chidi-wing value) pairs."""
+    return product_spec(observable_spec(cfg, pair[0]), observable_spec(cfg, pair[1]))
 
 
 @lru_cache(maxsize=32)
 def born_pair_table(cfg: LFConfig, pair: str) -> tuple[float, ...]:
     """Exact Born joint table for one of the pairs AC, AD, BC, BD, in
     PAIR_CELLS order.  Memoized on the frozen config."""
-    bob_choice, divya_choice = PAIR_CHOICES[pair]
-    state = lf_circuit(cfg)
-    probs = dict(born_distribution(state, pair_spec(cfg, bob_choice, divya_choice)))
+    probs = dict(born_distribution(lf_circuit(cfg), pair_spec(cfg, pair)))
     return tuple(probs[cell] for cell in PAIR_CELLS)
 
 

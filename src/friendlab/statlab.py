@@ -3,17 +3,20 @@
 A pair is one of PAIR_IDS.  A pair table is a 4-sequence in PAIR_CELLS
 order, whether it holds counts, float probabilities or exact Fractions;
 `correlator` and `chsh` are the one definition of E and of S for all of
-them.  Also: empirical pair tables, total variation distance, correlation
-estimators and pass/fail check dicts."""
+them.  A variable is named by its letter; CHOICE spells the measurement
+behind each.  Also: frequencies of count tables, total variation distance,
+correlation estimators and pass/fail check dicts."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # The four observed pairs: A (Bob asks) or B (Bob supermeasures) on Alice's
 # wing, with C (Divya asks) or D (Divya supermeasures) on Chidi's.
 PAIR_IDS = ("AC", "AD", "BC", "BD")
+# each variable's measurement as reports spell it: ask the friend or
+# supermeasure her lab
+CHOICE = {"A": "ask", "B": "super", "C": "ask", "D": "super"}
 PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
@@ -28,27 +31,12 @@ def chsh(e):
     return ac + bc + bd - ad
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Counts of a pair table, in PAIR_CELLS order."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != len(PAIR_CELLS):
-            raise ValueError(f"a pair table has {len(PAIR_CELLS)} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def freqs(self) -> tuple[float, ...]:
-        total = self.total
-        if total == 0:
-            raise ValueError("empty distribution has no frequencies")
-        return tuple(c / total for c in self.counts)
+def freqs(counts) -> tuple[float, ...]:
+    """The frequencies of a count table."""
+    total = sum(counts)
+    if total == 0:
+        raise ValueError("empty distribution has no frequencies")
+    return tuple(c / total for c in counts)
 
 
 def total_variation(p, q) -> float:
@@ -56,18 +44,19 @@ def total_variation(p, q) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p, q, strict=True))
 
 
-def correlation_estimate(table: EmpiricalDist) -> tuple[float, float]:
-    """Correlator E and its binomial-delta-method standard error."""
-    n = table.total
+def correlation_estimate(counts) -> tuple[float, float]:
+    """Correlator E of a count table and its binomial-delta-method standard
+    error."""
+    n = sum(counts)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    e = correlator(table.counts) / n
+    e = correlator(counts) / n
     stderr = math.sqrt(max(1.0 - e * e, 0.0) / n)
     return e, stderr
 
 
 def chsh_estimate(tables) -> tuple[float, float]:
-    """S from the four tables in PAIR_IDS order, with root-sum-square
+    """S from the four count tables in PAIR_IDS order, with root-sum-square
     standard error."""
     e, se = zip(*(correlation_estimate(t) for t in tables))
     ac, ad, bc, bd = se

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -29,6 +30,9 @@ REPORT_SHA256 = {
     "lf 20000 0 json": "097a659f6b80dcfbfc8810a407d0c3f2497a6bc0ba2ccf126805f17293017bed",
     "relmodel 20000 0 json": "2fbf7d026397962bedbe87e0ed627d95c0057e32bc8f145c4e19b3b91993923c",
     "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
+    # the one pinned report whose independence audit raises flags
+    "relmodel 20000 0 planted json":
+        "3791beb9818a3dc9edff97798f68891c2b09df3e600f13c44df111369842b856",
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
     "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
@@ -101,10 +105,13 @@ def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
 
 def test_lf_malformed_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("[not an object]")
-    code, _, err = run(capsys, "lf", "--config", str(cfg))
-    assert code == cli.EXIT_INPUT
-    assert "config file" in err
+    # a file that is not UTF-8 fails to decode before it fails to parse, and
+    # deep nesting exhausts the parser's recursion
+    for content in (b"[not an object]", b"[1, 2]", b"\xff\xfe{}", b"[" * 10 ** 5):
+        cfg.write_bytes(content)
+        code, _, err = run(capsys, "lf", "--config", str(cfg))
+        assert code == cli.EXIT_INPUT
+        assert "config file" in err
 
 
 def test_feasibility_from_angles_infeasible(capsys):
@@ -164,6 +171,9 @@ def test_feasibility_malformed_targets(capsys, tmp_path):
         code, _, err = run(capsys, "feasibility", "--targets", str(targets))
         assert code == cli.EXIT_INPUT
         assert err.startswith("error:")
+    targets.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "feasibility", "--targets", str(targets))
+    assert code == cli.EXIT_INPUT and err.startswith("error: cannot read targets")
 
 
 def test_feasibility_requires_a_source(capsys):
@@ -195,16 +205,17 @@ def test_relmodel_report_checks_are_the_shared_audit(capsys):
     batch = relmodel.simulate_batch(LFConfig(), 20000, 3)
     checks, internal, independence = relmodel.audit(batch)
     assert rep["checks"] == checks
-    assert rep["independence"] == json.loads(json.dumps(independence.to_json_dict()))
-    assert rep["internal_joint"]["+1,-1"] == internal.freqs()[1]
+    assert rep["independence"] == independence
+    assert rep["internal_joint"]["+1,-1"] == internal[1] / sum(internal)
 
 
 def test_relmodel_planted_violation_fails(capsys):
     code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
                        "--planted-violation", "--format", "json")
     assert code == cli.EXIT_FAIL
+    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 planted json"]
     rep = json.loads(out)
-    assert rep["pass"] is False
+    assert rep["pass"] is False and rep["independence"]["flags"]
     flagged = [c for c in rep["checks"] if c["name"] == "choice-independence flags"]
     assert flagged and not flagged[0]["pass"]
 
@@ -334,3 +345,49 @@ def test_non_path_out_in_config_is_input_error(capsys, tmp_path, out):
     code, stdout, err = run(capsys, "basic", "--config", str(cfg), "--format", "json")
     assert code == cli.EXIT_INPUT
     assert stdout == "" and "out must be a non-empty file path" in err
+
+
+@pytest.mark.parametrize("targets", [1, True, 2.5, ["t.json"], {"AC": 1}])
+def test_non_path_targets_in_config_is_input_error(capsys, tmp_path, targets):
+    # open() takes an int (or a bool) as a file descriptor, and closing the
+    # file it returns closes that descriptor: 1 would close stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"targets": targets}))
+    stdout = os.fstat(1)
+    saved = os.dup(1)
+    try:
+        code, out, err = run(capsys, "feasibility", "--config", str(cfg))
+        after = os.fstat(1)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert (after.st_dev, after.st_ino) == (stdout.st_dev, stdout.st_ino)
+    assert code == cli.EXIT_INPUT
+    assert out == "" and "targets must be a non-empty file path" in err
+
+
+@pytest.mark.parametrize("command, key", [("feasibility", "from_angles"),
+                                          ("relmodel", "planted_violation")])
+def test_switch_in_config_must_be_json_true_or_false(capsys, tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    # bool() would read the string "false" (and "no") as true
+    for value in ("no", "false", 0, 1):
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == cli.EXIT_INPUT, value
+        assert out == "" and f"{key} must be true or false" in err
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(GRID_TARGETS))
+    # JSON true and false give the reports of the flag and of its absence
+    runs = {"from_angles": [({"from_angles": True}, "feasibility from-angles json", 0),
+                            ({"from_angles": False, "targets": str(targets)},
+                             "feasibility grid json", 0)],
+            "planted_violation": [({"planted_violation": True},
+                                   "relmodel 20000 0 planted json", 1),
+                                  ({"planted_violation": False}, "relmodel 20000 0 json", 0)]}
+    for config, pin, exit_code in runs[key]:
+        if command == "relmodel":
+            config = {**config, "trials": 20000, "seed": 0}
+        cfg.write_text(json.dumps({**config, "format": "json"}))
+        code, out, _ = run(capsys, command, "--config", str(cfg))
+        assert code == exit_code and sha256(out) == REPORT_SHA256[pin]

@@ -9,6 +9,8 @@ from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 from friendlab.statlab import correlator
 
+UNIFORM = mp.PairTargets({pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS})
+
 
 def product_targets(pa, pb, pc, pd):
     """Targets of four independent biased coins P(var=+1)."""
@@ -42,7 +44,7 @@ def test_targets_inconsistent_singles_is_input_error():
 
 
 def test_chsh_uniform_is_zero():
-    assert mp.chsh_value(mp.PairTargets.uniform()) == 0
+    assert mp.chsh_value(UNIFORM) == 0
 
 
 def test_chsh_extreme_box_is_four():
@@ -101,7 +103,7 @@ def test_shrunk_targets_feasible_at_boundary():
 
 
 def test_six_variable_matches_four_variable_on_examples():
-    for t in (mp.PairTargets.uniform(), shrunk_targets(),
+    for t in (UNIFORM, shrunk_targets(),
               mp.PairTargets.from_angles(LFConfig()),
               product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))):
         assert mp.feasible_joint_6(t).feasible == mp.feasible_joint_4(t).feasible
@@ -130,7 +132,7 @@ def test_constructive_six_variable_witness_from_four():
 
 
 def test_fine_criterion_examples():
-    assert mp.fine_criterion(mp.PairTargets.uniform())
+    assert mp.fine_criterion(UNIFORM)
     assert mp.fine_criterion(shrunk_targets())
     assert not mp.fine_criterion(mp.PairTargets.from_angles(LFConfig()))
     assert not mp.fine_criterion(mp.PairTargets.pr_box())
@@ -179,17 +181,15 @@ def test_moment_form_cross_check():
 
 def test_monotone_mix_toward_uniform_preserves_feasibility():
     t = shrunk_targets()
-    uniform = mp.PairTargets.uniform()
     for lam in (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        mixed = t.mix(uniform, lam)
+        mixed = t.mix(UNIFORM, lam)
         assert mp.feasible_joint_4(mixed).feasible
 
 
 def test_infeasible_mix_becomes_feasible_below_boundary():
     tsirelson = mp.PairTargets.from_angles(LFConfig())
-    uniform = mp.PairTargets.uniform()
-    assert not mp.feasible_joint_4(tsirelson.mix(uniform, Fraction(9, 10))).feasible
-    assert mp.feasible_joint_4(tsirelson.mix(uniform, Fraction(1, 2))).feasible
+    assert not mp.feasible_joint_4(tsirelson.mix(UNIFORM, Fraction(9, 10))).feasible
+    assert mp.feasible_joint_4(tsirelson.mix(UNIFORM, Fraction(1, 2))).feasible
 
 
 def test_verdict_invariants():
@@ -212,7 +212,7 @@ def test_targets_json_accepts_decimals():
     # exponents are taken as written up to MAX_EXPONENT, and refused beyond
     singles = dict.fromkeys(mp.VARS_4, "5E-1")
     zero = dict.fromkeys(mp.PAIR_IDS, f"0e{mp.MAX_EXPONENT}")
-    assert mp.PairTargets.from_correlators(singles, zero) == mp.PairTargets.uniform()
+    assert mp.PairTargets.from_correlators(singles, zero) == UNIFORM
     with pytest.raises(mp.TargetError):
         mp.PairTargets.from_correlators(singles, dict.fromkeys(mp.PAIR_IDS,
                                                                f"0e-{mp.MAX_EXPONENT + 1}"))

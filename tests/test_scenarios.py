@@ -16,7 +16,6 @@ from friendlab.hilbert import (
 from friendlab.scenarios import (
     LFConfig,
     RovelliConfig,
-    Wing,
     apply_global_rotation,
     build_basic_wf_state,
     build_frame_relational_state,
@@ -124,7 +123,7 @@ def test_lf_circuit_zero_angles_state():
 
 def memory_correlation(cfg):
     s = lf_circuit(cfg)
-    spec = pair_spec(cfg, "ask", "ask")
+    spec = pair_spec(cfg, "AC")
     return sum(x * y * p for (x, y), p in born_distribution(s, spec))
 
 
@@ -203,17 +202,12 @@ def test_default_angles_hit_tsirelson():
 
 
 def test_super_projectors_are_rank_two_and_complete():
-    spec = observable_spec(LFConfig(), Wing.ALICE, "super")
+    spec = observable_spec(LFConfig(), "B")
     total = np.zeros((16, 16), dtype=complex)
     for _, p in spec.outcomes:
         assert np.linalg.matrix_rank(p) == 8  # rank 2 in the wing, times dim-4 identity
         total += p
     np.testing.assert_allclose(total, np.eye(16), atol=1e-10)
-
-
-def test_observable_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        observable_spec(LFConfig(), Wing.ALICE, "peek")
 
 
 # --- sequential scenario ----------------------------------------------------

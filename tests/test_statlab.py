@@ -6,34 +6,20 @@ import pytest
 
 from friendlab.statlab import (
     PAIR_CELLS,
-    EmpiricalDist,
     check,
     chsh,
     chsh_estimate,
     correlation_estimate,
     correlator,
+    freqs,
     total_variation,
 )
 
 
-def table(*counts):
-    return EmpiricalDist(counts)
-
-
-def test_empirical_dist_validation():
-    for counts in ((1,), (1, 1, 1, 1, 1)):
-        with pytest.raises(ValueError):
-            EmpiricalDist(counts)
+def test_freqs_of_a_count_table():
+    assert freqs((3, 1, 0, 0)) == (0.75, 0.25, 0.0, 0.0)
     with pytest.raises(ValueError):
-        table(1, -1, 0, 0)
-    with pytest.raises(ValueError):
-        table(0, 0, 0, 0).freqs()
-
-
-def test_empirical_dist_freqs_and_total():
-    d = table(3, 1, 0, 0)
-    assert d.total == 4
-    assert d.freqs() == (0.75, 0.25, 0.0, 0.0)
+        freqs((0, 0, 0, 0))
 
 
 def test_correlator_and_chsh_on_counts_floats_and_fractions():
@@ -61,7 +47,7 @@ def test_total_variation_examples():
     assert total_variation(p, p) == 0.0
     assert total_variation(p, (1.0, 0.0, 0.0, 0.0)) == pytest.approx(0.5)
     assert total_variation((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0)
-    assert total_variation(table(1, 1, 1, 1).freqs(), (0.25,) * 4) == 0.0
+    assert total_variation(freqs((1, 1, 1, 1)), (0.25,) * 4) == 0.0
     with pytest.raises(ValueError):
         total_variation(p, (1.0,))
 
@@ -77,35 +63,35 @@ def test_total_variation_symmetry_and_triangle():
 
 def test_total_variation_mixed_argument_types():
     # float frequencies against an exact Fraction table or a list of ints
-    d = table(1, 1, 1, 1)
-    assert total_variation(d.freqs(), (Fraction(1, 4),) * 4) == pytest.approx(0.0)
-    assert total_variation(table(1, 0, 0, 0).freqs(), [0, 1, 0, 0]) == pytest.approx(1.0)
+    d = (1, 1, 1, 1)
+    assert total_variation(freqs(d), (Fraction(1, 4),) * 4) == pytest.approx(0.0)
+    assert total_variation(freqs((1, 0, 0, 0)), [0, 1, 0, 0]) == pytest.approx(1.0)
     assert total_variation((Fraction(1, 2), Fraction(1, 2), 0, 0),
                            (Fraction(1, 4),) * 4) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        total_variation(d.freqs(), (1.0,))
+        total_variation(freqs(d), (1.0,))
 
 
 def test_correlation_estimate_frozen_example():
     # 2000 samples, 854 in each agreeing cell and 146 in each disagreeing one:
     # E = (1708 - 292) / 2000 = 0.708, stderr = sqrt((1 - 0.708^2)/2000)
-    d = table(854, 146, 146, 854)
+    d = (854, 146, 146, 854)
     e, stderr = correlation_estimate(d)
     assert e == pytest.approx(0.708)
     assert stderr == pytest.approx(math.sqrt((1 - 0.708 ** 2) / 2000), abs=1e-12)
 
 
 def test_correlation_estimate_extremes():
-    assert correlation_estimate(table(5, 0, 0, 5)) == (1.0, 0.0)
-    e, _ = correlation_estimate(table(0, 5, 5, 0))
+    assert correlation_estimate((5, 0, 0, 5)) == (1.0, 0.0)
+    e, _ = correlation_estimate((0, 5, 5, 0))
     assert e == -1.0
     with pytest.raises(ValueError):
-        correlation_estimate(table(1, 0, 0, 0))
+        correlation_estimate((1, 0, 0, 0))
 
 
 def test_chsh_estimate_perfect_tables():
-    aligned = table(500, 0, 0, 500)
-    anti = table(0, 500, 500, 0)
+    aligned = (500, 0, 0, 500)
+    anti = (0, 500, 500, 0)
     # tables in PAIR_IDS order AC, AD, BC, BD
     s, stderr = chsh_estimate((aligned, anti, aligned, aligned))
     assert s == pytest.approx(4.0)
@@ -124,7 +110,7 @@ def test_estimator_consistency_under_growing_samples():
     probs = np.array([(1 + x * y * e_true) / 4 for x, y in PAIR_CELLS])
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         counts = rng.multinomial(n, probs)
-        e, stderr = correlation_estimate(table(*(int(c) for c in counts)))
+        e, stderr = correlation_estimate(tuple(int(c) for c in counts))
         assert abs(e - e_true) < 4 * stderr + 1e-12
         assert stderr == pytest.approx(math.sqrt((1 - e * e) / n))
 
