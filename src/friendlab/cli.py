@@ -253,10 +253,13 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     from_angles = _resolve_switch(args, "from_angles")
     if targets_path and from_angles:
         raise InputError("give either --targets or --from-angles, not both")
+    resolution = None
     if targets_path:
         targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets"))
     elif from_angles:
-        targets = mp.PairTargets.from_angles(_resolve_lf_config(args))
+        cfg = _resolve_lf_config(args)
+        targets = mp.PairTargets.from_angles(cfg)
+        resolution = mp.snap_resolution(cfg)
     else:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
@@ -270,6 +273,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
               "chsh_value": str(s), "chsh_value_float": float(s),
               "joint_4": v4.to_json_dict(), "joint_6": v6.to_json_dict(),
               "fine_criterion": fine, "methods_agree": agree}
+    if resolution:
+        report["resolution"] = resolution
 
     def table(rep: dict) -> str:
         lines = [f"pairwise targets: S = {rep['chsh_value']} ~ {rep['chsh_value_float']:.4f}",
@@ -281,6 +286,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
                          f"{[str(p) for p in v4.witness.probs]}")
         else:
             lines.append(f"  max violation over 2: {v4.max_violation}")
+        if resolution:
+            lines.append(f"  resolution: verdicts on targets snapped to {resolution['snap']}, not "
+                         f"the circuit (largest CHSH variant {resolution['undecided_band']})")
         if not agree:
             lines.append("  METHOD DISAGREEMENT - this is a bug")
         return "\n".join(lines) + "\n"

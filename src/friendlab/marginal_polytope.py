@@ -6,13 +6,13 @@ Given 2x2 probability tables for the four observed pairs (A,C), (A,D),
 refinement in which A and C split into an internal outcome and a frame
 relation (A = A_internal * A_relation, same for C).
 
-All arithmetic is exact rational: a verdict is a theorem about the input,
-never a tolerance call.  The solver is a phase-1 simplex with Bland's rule
-over the atom probabilities, on a tableau that is integer over a common
-denominator: Fraction appears only at a pivot other than 1 and in the
-returned witness.  Its 17-row cell systems are constant 0/1 ints, built
-once; a call supplies only the right-hand side.  An analytic cross-check
-(all eight CHSH-type sign variants at most 2) is kept independent of it.
+All arithmetic is exact: a verdict is a theorem about the input, never a
+tolerance call.  Targets and witnesses are integer count tables over one
+common denominator each, so validation, Fine's criterion (all eight CHSH
+sign variants at most 2, independent of the solver) and the witness check
+compare ints.  The solver, a phase-1 simplex with Bland's rule, runs on an
+integer tableau whose 17-row 0/1 cell systems are built once.  Fraction
+appears only at a pivot other than 1 and in the values a report prints.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 from . import scenarios
-from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator
+from .hilbert import ATOL
+from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
@@ -59,43 +60,53 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """The lcm of the denominators of `values` (ints or Fractions) and each
+    value times it: the values as a count table over that denominator."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def _plus(table, var: str, pair: str):
+    """P(var = +1), or its count, from the pair table of `pair`."""
+    return table[0] + (table[1] if pair[0] == var else table[2])
+
+
 @dataclass(frozen=True)
 class PairTargets:
-    """The four pairwise tables, each a 4-tuple of Fractions in PAIR_CELLS
-    order."""
+    """The four pairwise tables as 4-tuples of Fractions in PAIR_CELLS order,
+    and as int `counts` over `scale`, the lcm of all sixteen denominators."""
 
     tables: dict[str, tuple[Fraction, ...]]
+    scale: int = field(init=False, repr=False, compare=False)
+    counts: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.tables) != set(PAIR_IDS):
             raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.tables)}")
-        norm = {}
-        for pair in PAIR_IDS:
-            cells = tuple(_frac(v) for v in self.tables[pair])
+        norm = {pair: tuple(_frac(v) for v in self.tables[pair]) for pair in PAIR_IDS}
+        for pair, cells in norm.items():
             if len(cells) != len(PAIR_CELLS):
                 raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
-            if any(v < 0 for v in cells):
+        scale, flat = _over_one_denominator([v for pair in PAIR_IDS for v in norm[pair]])
+        counts = {pair: flat[4 * k:4 * k + 4] for k, pair in enumerate(PAIR_IDS)}
+        for pair, cells in counts.items():
+            if any(n < 0 for n in cells):
                 raise TargetError(f"table {pair} has a negative cell")
-            if sum(cells) != 1:
+            if sum(cells) != scale:
                 raise TargetError(f"table {pair} does not sum to 1")
-            norm[pair] = cells
         object.__setattr__(self, "tables", norm)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "counts", counts)
         for var, (p1, p2) in _SINGLE_SOURCES.items():
-            if self.single(var, source=p1) != self.single(var, source=p2):
+            if _plus(counts[p1], var, p1) != _plus(counts[p2], var, p2):
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
 
-    def single(self, var: str, source: str | None = None) -> Fraction:
-        """P(var = +1), computed from one of the tables containing it."""
-        pair = source or _SINGLE_SOURCES[var][0]
-        if var not in pair:
-            raise TargetError(f"variable {var} does not occur in pair {pair}")
-        t = self.tables[pair]
-        return t[0] + (t[1] if pair[0] == var else t[2])
-
-    def correlators(self) -> tuple[Fraction, ...]:
-        """E(pair) for each pair, in PAIR_IDS order."""
-        return tuple(correlator(self.tables[pair]) for pair in PAIR_IDS)
+    @functools.cached_property
+    def variants(self) -> dict[tuple[int, int, int, int], int]:
+        """scale times each CHSH sign variant (statlab.sign_variants)."""
+        return sign_variants([correlator(self.counts[pair]) for pair in PAIR_IDS])
 
     # -- constructors -------------------------------------------------------
 
@@ -105,13 +116,9 @@ class PairTargets:
         """Build tables from P(var=+1) marginals and pair correlators; the
         shared singles make cross-table consistency exact by construction."""
         m = {v: 2 * _frac(singles[v]) - 1 for v in VARS_4}
-        tables = {}
-        for pair in PAIR_IDS:
-            v, w = pair[0], pair[1]
-            e = _frac(correlators[pair])
-            tables[pair] = tuple(Fraction(1 + x * m[v] + y * m[w] + x * y * e) / 4
-                                 for x, y in PAIR_CELLS)
-        return cls(tables)
+        e = {pair: _frac(correlators[pair]) for pair in PAIR_IDS}
+        return cls({p: tuple(Fraction(1 + x * m[p[0]] + y * m[p[1]] + x * y * e[p]) / 4
+                             for x, y in PAIR_CELLS) for p in PAIR_IDS})
 
     @classmethod
     def from_angles(cls, cfg) -> "PairTargets":
@@ -123,16 +130,9 @@ class PairTargets:
         def snap(x: float) -> Fraction:
             return Fraction(round(x * SNAP), SNAP)
 
-        singles, correlators = {}, {}
-        for pair in PAIR_IDS:
-            table = scenarios.born_pair_table(cfg, pair)
-            correlators[pair] = snap(correlator(table))
-            v, w = pair[0], pair[1]
-            if v not in singles:
-                singles[v] = snap(table[0] + table[1])
-            if w not in singles:
-                singles[w] = snap(table[0] + table[2])
-        return cls.from_correlators(singles, correlators)
+        born = {pair: scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS}
+        singles = {v: snap(_plus(born[p], v, p)) for v, (p, _) in _SINGLE_SOURCES.items()}
+        return cls.from_correlators(singles, {p: snap(correlator(t)) for p, t in born.items()})
 
     @classmethod
     def pr_box(cls) -> "PairTargets":
@@ -176,25 +176,31 @@ class PairTargets:
 
 def chsh_value(t: PairTargets) -> Fraction:
     """S = E(A,C) + E(B,C) + E(B,D) - E(A,D)."""
-    return chsh(t.correlators())
+    return Fraction(chsh([correlator(t.counts[pair]) for pair in PAIR_IDS]), t.scale)
 
 
 def chsh_variants(t: PairTargets) -> dict[tuple[int, int, int, int], Fraction]:
     """All eight sign variants (s_AC, s_AD, s_BC, s_BD) with an odd number of
     minus signs; each is at most 2 for any joint distribution."""
-    e = t.correlators()
-    out = {}
-    for signs in itertools.product((+1, -1), repeat=4):
-        if signs[0] * signs[1] * signs[2] * signs[3] != -1:
-            continue
-        out[signs] = sum(x if s > 0 else -x for s, x in zip(signs, e))
-    return out
+    return {signs: Fraction(v, t.scale) for signs, v in t.variants.items()}
 
 
 def fine_criterion(t: PairTargets) -> bool:
     """Analytic feasibility oracle: true iff every CHSH sign variant is at
     most 2.  Independent of the simplex; the two must agree on every input."""
-    return all(v <= 2 for v in chsh_variants(t).values())
+    return max(t.variants.values()) <= 2 * t.scale
+
+
+def snap_resolution(cfg) -> dict | None:
+    """None, or the report's "resolution" entry when the largest float Born
+    CHSH variant lies within 2/SNAP (plus round-off) of 2: the snap moves
+    each of the four correlators by at most 1/(2*SNAP), so a verdict on
+    `PairTargets.from_angles(cfg)` then holds for the snapped targets only."""
+    top = max(sign_variants(scenarios.pair_correlations(cfg).values()).values())
+    if abs(top - 2) > 2 / SNAP + ATOL:
+        return None
+    return {"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
+            "largest_born_variant": top}
 
 
 # --- joint atoms and verdicts ----------------------------------------------
@@ -218,31 +224,40 @@ def atom_table(variables: tuple[str, ...]) -> tuple[MappingProxyType, ...]:
 @dataclass(frozen=True)
 class JointAtomVector:
     """Exact probability vector over the atoms of `variables`, in the order
-    of `atom_table`."""
+    of `atom_table`, and as int `counts` over `scale`, its lcm denominator."""
 
     variables: tuple[str, ...]
     probs: tuple[Fraction, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.probs) != 2 ** len(self.variables):
             raise ValueError("probability vector length does not match arity")
-        if any(p < 0 for p in self.probs):
+        scale, counts = _over_one_denominator(self.probs)
+        if any(n < 0 for n in counts):
             raise ValueError("atom probabilities must be non-negative")
-        if sum(self.probs) != 1:
+        if sum(counts) != scale:
             raise ValueError("atom probabilities must sum to 1")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "counts", counts)
 
-    def pair_marginal(self, pair: str) -> tuple[Fraction, ...]:
-        """Exact induced pair table, in PAIR_CELLS order, for a pair id such
-        as 'AC'; composite A and C are products of internal and relation
-        variables when the vector is six-variable."""
+    def _marginal_counts(self, pair: str) -> tuple[int, ...]:
+        """scale times the induced table of a pair id such as 'AC'; A and C
+        are the composites Ai*Ar and Ci*Cr when the vector is six-variable."""
         v, w = pair[0], pair[1]
-        out = dict.fromkeys(PAIR_CELLS, Fraction(0))
-        for values, p in zip(atom_table(self.variables), self.probs):
-            out[values[v], values[w]] += p
+        out = dict.fromkeys(PAIR_CELLS, 0)
+        for values, n in zip(atom_table(self.variables), self.counts):
+            out[values[v], values[w]] += n
         return tuple(out.values())
 
+    def pair_marginal(self, pair: str) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.scale) for n in self._marginal_counts(pair))
+
     def reproduces(self, t: PairTargets) -> bool:
-        return all(self.pair_marginal(pair) == t.tables[pair] for pair in PAIR_IDS)
+        """Every induced pair table equals its target (counts cross-multiplied)."""
+        return all(m * t.scale == k * self.scale for pair in PAIR_IDS
+                   for m, k in zip(self._marginal_counts(pair), t.counts[pair]))
 
 
 @dataclass(frozen=True)
@@ -273,29 +288,24 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
 
     Phase-1 simplex minimizing the sum of artificial variables, with Bland's
     rule (lowest-index entering column, lowest-index basic tie-break) so
-    termination is guaranteed.  The tableau is integer over a common
-    denominator: b is scaled once by the lcm of its denominators, the ratio
-    test cross-multiplies, and only a pivot other than 1 divides its row
-    into Fractions, so int rows such as the cell systems stay ints.  Scaling
-    b changes no pivot.  Returns the solution (Fractions) restricted to the
-    original columns, or None when the system is infeasible.
+    termination is guaranteed.  The tableau is integer: b is scaled once by
+    the lcm of its denominators (which changes no pivot), the ratio test
+    cross-multiplies, only a pivot other than 1 divides its row into
+    Fractions, and a pivot updates only the columns where its row is nonzero.
+    Returns the solution (Fractions) on the original columns, or None when
+    the system is infeasible.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    rhs = [Fraction(r) for r in rhs]
-    scale = math.lcm(*(r.denominator for r in rhs))
+    scale, b_scaled = _over_one_denominator(rhs)
     tab = []
-    for i in range(m):
-        row = list(rows[i])
-        b = rhs[i].numerator * (scale // rhs[i].denominator)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        tab.append(row + [1 if j == i else 0 for j in range(m)] + [b])
+    for i, (row, b) in enumerate(zip(rows, b_scaled)):
+        sign = -1 if b < 0 else 1
+        tab.append([sign * v for v in row] + [1 if j == i else 0 for j in range(m)] + [sign * b])
     basis = [n + i for i in range(m)]
-    # reduced-cost row for minimizing the artificial sum, given the all-
-    # artificial starting basis: z_j - c_j = column sum, minus 1 on artificials
-    z = [sum(tab[i][j] for i in range(m)) for j in range(n + m + 1)]
+    # reduced-cost row of the artificial sum for the all-artificial basis:
+    # z_j - c_j = column sum (of at least a zero row), minus 1 on artificials
+    z = [sum(col) for col in zip([0] * (n + m + 1), *tab)]
     for j in range(n, n + m):
         z[j] -= 1
 
@@ -312,16 +322,16 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
                     leave = i
         if leave is None:  # cannot happen: phase-1 objective is bounded below
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        piv = tab[leave][enter]
+        pivot_row = tab[leave]
+        piv = pivot_row[enter]
         if piv != 1:
-            tab[leave] = [Fraction(v, piv) for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [v - f * w for v, w in zip(z, tab[leave])]
+            pivot_row = tab[leave] = [Fraction(v, piv) for v in pivot_row]
+        cols = [(j, w) for j, w in enumerate(pivot_row) if w != 0]
+        for row in (*tab, z):
+            f = row[enter]
+            if f != 0 and row is not pivot_row:
+                for j, w in cols:
+                    row[j] -= f * w
         basis[leave] = enter
 
     if z[-1] != 0:
@@ -346,15 +356,12 @@ def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _max_violation(t: PairTargets) -> Fraction:
-    return max(v - 2 for v in chsh_variants(t).values())
-
-
 def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdict:
     rhs = [1, *(v for pair in PAIR_IDS for v in t.tables[pair])]
     x = solve_nonnegative(_cell_rows(variables), rhs)
     if x is None:
-        return FeasibilityVerdict(False, None, _max_violation(t))
+        top = max(t.variants.values())  # Fine's criterion gives the violation
+        return FeasibilityVerdict(False, None, Fraction(top - 2 * t.scale, t.scale))
     return FeasibilityVerdict(True, JointAtomVector(variables, tuple(x)), None)
 
 

@@ -184,8 +184,10 @@ def _wing_unitary(cfg: LFConfig, var: str) -> Operator:
     return Operator(sub, _friend_unitary(getattr(cfg, ask)))
 
 
+@lru_cache(maxsize=8)
 def lf_circuit(cfg: LFConfig) -> StateVector:
-    """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC."""
+    """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC;
+    memoized on the frozen config."""
     s = StateVector.from_terms(LF_LAYOUT, {
         (0, 0, 0, 0): SQRT_HALF,
         (1, 1, 0, 0): SQRT_HALF,
@@ -196,8 +198,9 @@ def lf_circuit(cfg: LFConfig) -> StateVector:
     return s
 
 
+@lru_cache(maxsize=32)
 def observable_spec(cfg: LFConfig, var: str) -> MeasurementSpec:
-    """The measurement behind one of the variables A, B, C, D.
+    """The measurement behind one of the variables A, B, C, D (memoized).
 
     A and C ask the friend: read her memory qubit in the computational basis
     (label +1 for 0, -1 for 1), i.e. learn what she recorded.  B and D
@@ -234,8 +237,9 @@ def pair_correlations(cfg: LFConfig) -> dict[str, float]:
     return {pair: correlator(born_pair_table(cfg, pair)) for pair in PAIR_IDS}
 
 
-def build_rovelli_states(cfg: RovelliConfig) -> list[StateVector]:
-    """The three possible final states of the sequential scenario.
+@lru_cache(maxsize=2)
+def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:
+    """The three possible final states of the sequential scenario (memoized).
 
     Record values: PP (second measurement agreed with the first), PA (second
     disagreed), noM2 (first outcome was not the trigger, so no second
@@ -249,10 +253,7 @@ def build_rovelli_states(cfg: RovelliConfig) -> list[StateVector]:
     for record, y_rule in ((0, "same"), (1, "opposite"), (2, "ready")):
         terms: dict[tuple[int, int, int, int], complex] = {}
         for orientation in (0, 1):
-            if record == 2:
-                s_bit = (1 - t) if orientation == 0 else t
-            else:
-                s_bit = t if orientation == 0 else (1 - t)
+            s_bit = t ^ orientation ^ (record == 2)  # noM2 sees the non-trigger
             if y_rule == "same":
                 terms[(s_bit, s_bit, orientation, record)] = SQRT_HALF
             elif y_rule == "opposite":
@@ -261,7 +262,7 @@ def build_rovelli_states(cfg: RovelliConfig) -> list[StateVector]:
                 for y_bit in (0, 1):
                     terms[(s_bit, y_bit, orientation, record)] = SQRT_HALF * SQRT_HALF
         states.append(StateVector.from_terms(ROVELLI_LAYOUT, terms))
-    return states
+    return tuple(states)
 
 
 def rovelli_branches(state: StateVector) -> tuple[StateVector, StateVector]:

@@ -2,13 +2,15 @@
 
 A pair is one of PAIR_IDS.  A pair table is a 4-sequence in PAIR_CELLS
 order, whether it holds counts, float probabilities or exact Fractions;
-`correlator` and `chsh` are the one definition of E and of S for all of
-them.  A variable is named by its letter; CHOICE spells the measurement
-behind each.  Also: frequencies of count tables, total variation distance,
-correlation estimators and pass/fail check dicts."""
+`correlator`, `chsh` and `sign_variants` are the one definition of E, of S
+and of the CHSH sign variants for all of them.  A variable is named by its
+letter; CHOICE spells the measurement behind each.  Also: frequencies of
+count tables, total variation distance, correlation estimators and
+pass/fail check dicts."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # The four observed pairs: A (Bob asks) or B (Bob supermeasures) on Alice's
@@ -18,6 +20,7 @@ PAIR_IDS = ("AC", "AD", "BC", "BD")
 # supermeasure her lab
 CHOICE = {"A": "ask", "B": "super", "C": "ask", "D": "super"}
 PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+ODD_SIGNS = tuple(s for s in itertools.product((+1, -1), repeat=4) if math.prod(s) == -1)
 
 
 def correlator(t):
@@ -29,6 +32,12 @@ def chsh(e):
     """S = E_AC + E_BC + E_BD - E_AD from the correlators in PAIR_IDS order."""
     ac, ad, bc, bd = e
     return ac + bc + bd - ad
+
+
+def sign_variants(e) -> dict:
+    """sum(s * E) of the correlators in PAIR_IDS order for each of ODD_SIGNS (an
+    odd number of -1); under a joint distribution each is at most 2 (Fine 1982)."""
+    return {signs: sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
 
 
 def freqs(counts) -> tuple[float, ...]:

@@ -125,6 +125,27 @@ def test_feasibility_from_angles_infeasible(capsys):
     assert rep["methods_agree"] is True
 
 
+def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
+    # the circuit's largest float CHSH variant is 2 + 6.7e-8, so the circuit
+    # itself is infeasible, while its targets snapped to 1e-6 are feasible:
+    # the verdict is stated about the snapped targets only
+    argv = ("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    assert rep["joint_4"]["feasible"] and rep["joint_6"]["feasible"] and rep["fine_criterion"]
+    resolution = rep["resolution"]
+    assert resolution["snap"] == "1/1000000"
+    assert resolution["undecided_band"] == "2 +/- 2/1000000"
+    assert 2 < resolution["largest_born_variant"] < 2 + 1e-7
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_PASS
+    assert "snapped to 1/1000000, not the circuit" in out
+    # far from the boundary the report is unchanged (see the sha256 pin)
+    _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", "0,90,0,135")
+    assert "resolution" not in out
+
+
 def test_feasibility_targets_file_feasible(capsys, tmp_path):
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps(

@@ -7,6 +7,7 @@ import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,12 @@ def _decimal_text(x: Fraction) -> str:
     return text
 
 
+def _not_in_lowest_terms(t: mp.PairTargets, k: int) -> dict:
+    """The targets as JSON with each cell written p*k/q*k."""
+    return {pair: [[f"{v.numerator * k}/{v.denominator * k}" for v in row]
+                   for row in (cells[:2], cells[2:])] for pair, cells in t.tables.items()}
+
+
 def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
     as_fraction = t.to_json_dict()
 
@@ -50,7 +57,7 @@ def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
     return [
         as_fraction,
         written(_decimal_text),
-        written(lambda v: f"{v.numerator * k}/{v.denominator * k}"),  # not in lowest terms
+        _not_in_lowest_terms(t, k),
         json.loads(json.dumps(as_fraction)),
         json.loads(json.dumps(written(_decimal_text))),
     ]
@@ -103,6 +110,67 @@ def test_every_feasible_witness_reproduces_its_targets(t):
         assert verdict.feasible == (verdict.witness is not None)
         if verdict.feasible:
             assert verdict.witness.reproduces(t)
+
+
+def _reference_marginals(variables, probs) -> dict:
+    """Each pair table of a joint over +/-1 atoms (lexicographic, +1 first),
+    summed in plain Fractions; A and C are Ai*Ar and Ci*Cr when six-variable."""
+    sums = {pair: [Fraction(0)] * 4 for pair in mp.PAIR_IDS}
+    for atom, p in zip(itertools.product((+1, -1), repeat=len(variables)), probs):
+        value = dict(zip(variables, atom))
+        if "Ai" in value:
+            value["A"], value["C"] = value["Ai"] * value["Ar"], value["Ci"] * value["Cr"]
+        for pair in mp.PAIR_IDS:
+            sums[pair][mp.PAIR_CELLS.index((value[pair[0]], value[pair[1]]))] += p
+    return {pair: tuple(cells) for pair, cells in sums.items()}
+
+
+def _reference_variants(t) -> dict:
+    """The eight CHSH sign variants of the Fraction tables, in plain Fractions."""
+    e = [a - b - c + d for a, b, c, d in (t.tables[pair] for pair in mp.PAIR_IDS)]
+    return {signs: sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
+
+
+@PROPERTY
+@given(boundary_targets(), st.integers(2, 10 ** 6))
+def test_integer_engine_matches_a_plain_fraction_reference(case, k):
+    # singles and correlators carry unrelated denominators up to 1e9, and
+    # every cell is written with numerator and denominator k times too large
+    t, delta = case
+    t = mp.PairTargets.from_json_dict(_not_in_lowest_terms(t, k))
+    variants = _reference_variants(t)
+    assert mp.chsh_variants(t) == variants
+    assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
+    for verdict in (mp.feasible_joint_4(t), mp.feasible_joint_6(t)):
+        if verdict.feasible:
+            witness = verdict.witness
+            assert _reference_marginals(witness.variables, witness.probs) == t.tables
+            assert witness.reproduces(t)
+        else:
+            assert verdict.max_violation == max(variants.values()) - 2
+
+
+@PROPERTY
+@given(boundary_targets().filter(lambda case: case[1] <= 0), st.data())
+def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
+    # distinct atoms of A, B, C, D differ in some variable, so in the cell of
+    # some pair: moving 1/scale of mass changes that pair's table
+    t, _ = case
+    witness = mp.feasible_joint_4(t).witness
+    source = data.draw(st.sampled_from([i for i, n in enumerate(witness.counts) if n > 0]))
+    target = data.draw(st.sampled_from([i for i in range(16) if i != source]))
+    probs = list(witness.probs)
+    probs[source] -= Fraction(1, witness.scale)
+    probs[target] += Fraction(1, witness.scale)
+    assert _reference_marginals(mp.VARS_4, probs) != t.tables
+    assert not mp.JointAtomVector(mp.VARS_4, tuple(probs)).reproduces(t)
+
+
+def test_joint_atom_vector_refuses_a_sum_off_by_1e_minus_30():
+    uniform = [Fraction(1, 16)] * 16
+    for off in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
+        with pytest.raises(ValueError, match="sum to 1"):
+            mp.JointAtomVector(mp.VARS_4, tuple([uniform[0] + off, *uniform[1:]]))
 
 
 @st.composite

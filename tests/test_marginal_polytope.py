@@ -157,6 +157,13 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
     assert saw_feasible > 10 and saw_infeasible > 10
 
 
+def single(t, var):
+    """P(var = +1) from the first table that holds var."""
+    pair = next(p for p in mp.PAIR_IDS if var in p)
+    table = t.tables[pair]
+    return table[0] + (table[1] if pair[0] == var else table[2])
+
+
 def moment_form_feasible(t):
     """Reference LP over the same 16 atoms, constrained by normalization, the
     4 single-variable expectations and the 4 pair correlators instead of the
@@ -164,7 +171,7 @@ def moment_form_feasible(t):
     atoms = list(itertools.product((+1, -1), repeat=4))
     index = {v: k for k, v in enumerate(mp.VARS_4)}
     rows = [[1] * len(atoms)] + [[a[k] for a in atoms] for k in range(4)]
-    rhs = [Fraction(1)] + [2 * t.single(v) - 1 for v in mp.VARS_4]
+    rhs = [Fraction(1)] + [2 * single(t, v) - 1 for v in mp.VARS_4]
     for pair in mp.PAIR_IDS:
         i, j = index[pair[0]], index[pair[1]]
         rows.append([a[i] * a[j] for a in atoms])

@@ -210,6 +210,23 @@ def test_super_projectors_are_rank_two_and_complete():
     np.testing.assert_allclose(total, np.eye(16), atol=1e-10)
 
 
+def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
+    # equal configs (ints and floats spell the same angles) share one value,
+    # so no caller may be able to write into it
+    a, b = LFConfig(0, 90, 45, 135), LFConfig(0.0, 90.0, 45.0, 135.0)
+    circuit = lf_circuit(a)
+    assert circuit is lf_circuit(b)
+    with pytest.raises(ValueError):
+        circuit.amps[0] = 0.0
+    for var in "ABCD":
+        spec = observable_spec(a, var)
+        assert spec is observable_spec(b, var)
+        assert not any(p.flags.writeable for _, p in spec.outcomes)
+    states = build_rovelli_states(RovelliConfig(-1))
+    assert isinstance(states, tuple) and states is build_rovelli_states(RovelliConfig(-1))
+    assert not any(s.amps.flags.writeable for s in states)
+
+
 # --- sequential scenario ----------------------------------------------------
 
 def test_rovelli_records_are_definite():
