@@ -105,9 +105,16 @@ def _resolve_lf_config(args: argparse.Namespace) -> LFConfig:
                      "as 'a,b,c,d', a 4-list, or an object")
 
 
-def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None) -> None:
+def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None,
+          spliced: dict[str, str] | None = None) -> None:
+    """Write the report in the requested format.  `spliced` maps further
+    keys of the JSON report to their values, already as canonical JSON."""
     fmt = _resolve(args, "format", "table")
-    if fmt == "json":
+    if fmt == "json" and spliced:  # json.dumps below of the report with those entries
+        parts = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
+                 for key, value in report.items()} | spliced
+        text = "{" + ",".join(f"{json.dumps(key)}:{parts[key]}" for key in sorted(parts)) + "}\n"
+    elif fmt == "json":
         # no indent: an indent sends json.dumps to its pure-Python encoder
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt == "csv":
@@ -299,12 +306,11 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 
 # --- relmodel ---------------------------------------------------------------
 
-def _records_csv(report: dict) -> str:
+def _records_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(relmodel.RECORD_FIELDS)
-    for rec in report["records"]:
-        w.writerow(["" if rec[f] is None else rec[f] for f in relmodel.RECORD_FIELDS])
+    w.writerows(row.values() for row in rows)  # keyed in field order; None writes ""
     return buf.getvalue()
 
 
@@ -317,10 +323,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
     if planted:
         # debug self-test: make Alice's internal outcome follow Bob's choice,
         # which must trip the choice-independence audit
-        a_external = batch.columns["A"]  # 0 exactly where Bob supermeasures
-        batch = dataclasses.replace(batch, columns={
-            **batch.columns, "Ai": np.where(a_external != 0, 1, -1).astype(np.int8),
-            "Ar": a_external})
+        batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
     checks, internal, independence = relmodel.audit(batch)
     targets = mp.PairTargets.from_angles(cfg)
     verdict = mp.feasible_joint_4(targets)
@@ -330,7 +333,6 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                                  for (x, y), f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))},
               "independence": independence,
               "analytic_feasibility": verdict.to_json_dict(),
-              "records": batch.rows(1000),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
@@ -340,7 +342,9 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 
-    _emit(args, report, table, _records_csv)
+    # the first 1000 runs: "records" in JSON, the rows of the CSV
+    _emit(args, report, table, lambda rep: _records_csv(batch.rows(1000)),
+          spliced={"records": batch.rows_json(1000)})
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 

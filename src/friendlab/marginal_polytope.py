@@ -49,7 +49,9 @@ def _frac(x) -> Fraction:
     """The exact value of a target entry.  Strings ("0.375", "3/8") and
     rationals are taken as written; a float is snapped to the nearest
     fraction with denominator at most SNAP, since a binary float is rarely
-    the decimal its writer meant."""
+    the decimal its writer meant.  A Fraction is immutable and returned as is."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):  # an int to Python, but JSON true is no probability
         raise TargetError(f"a target entry must be a number, got {x!r}")
     if isinstance(x, float):
@@ -177,12 +179,6 @@ class PairTargets:
 def chsh_value(t: PairTargets) -> Fraction:
     """S = E(A,C) + E(B,C) + E(B,D) - E(A,D)."""
     return Fraction(chsh([correlator(t.counts[pair]) for pair in PAIR_IDS]), t.scale)
-
-
-def chsh_variants(t: PairTargets) -> dict[tuple[int, int, int, int], Fraction]:
-    """All eight sign variants (s_AC, s_AD, s_BC, s_BD) with an odd number of
-    minus signs; each is at most 2 for any joint distribution."""
-    return {signs: Fraction(v, t.scale) for signs, v in t.variants.items()}
 
 
 def fine_criterion(t: PairTargets) -> bool:

@@ -5,15 +5,16 @@ and independently of anything the outside observers later choose.  External
 outcomes are drawn from the Born joint of whichever pair of measurements is
 actually performed.  A frame relation comes into existence only on the wings
 where the outside observer asks the friend: it is computed at reveal time as
-external * internal, never pre-sampled.  Absence is a first-class value,
-because the whole content of the model is which variables exist on which
-runs: a TrialBatch holds the pair each run measures (an index into
-PAIR_IDS) and one int8 column per variable with 0 where it is absent, and
-the RunRecord rows written to reports hold None (null in JSON, an empty
-field in CSV).
+external * internal, never pre-sampled.  Which variables exist on a run, and
+their values, follow from its pair k (a PAIR_IDS index), its internal bits
+ia and ic (0 for +1, 1 for -1) and its Born cell (a PAIR_CELLS index), so a
+run is one of 64 codes 16*k + 8*ia + 4*ic + cell.  A TrialBatch is a uint8
+column of codes read through 64-entry tables of k and of each variable, 0
+where it is absent; the audits read a batch as its histogram of codes.
+Report rows hold None there (null in JSON, an empty field in CSV).
 
-The sequential scenario is a batch of the same kind: `simulate_rovelli`
-returns int8 columns (first outcome, whether the second measurement ran, the
+The sequential scenario is a columnar batch: `simulate_rovelli` returns
+int8 columns (first outcome, whether the second measurement ran, the
 second outcome or 0, the record read from the final state), and
 `rovelli_audit` is the one report on it that the `rovelli` command,
 criterion 5 and the demo share.
@@ -21,7 +22,9 @@ criterion 5 and the demo share.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,12 +35,11 @@ from .scenarios import LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
+CODES = 64       # 4 pairs x 2 x 2 internal outcomes x 4 Born cells
+VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
 _B_ASKS, _D_ASKS = (np.array([p[w] in ("A", "C") for p in PAIR_IDS]) for w in (0, 1))
-_UNIFORM = np.full(len(PAIR_IDS), 0.25)  # every run picks its pair uniformly
-# per PAIR_CELLS index: the first (second) value of the cell
-_FIRST, _SECOND = (np.array(v, dtype=np.int8) for v in zip(*PAIR_CELLS))
 # per PAIR_CELLS index: its bin 3x + y + 4 in empirical_pair_table (8, 6, 2, 0)
 _PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 
@@ -68,32 +70,61 @@ class RunRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
-# the column behind each RunRecord field after the two choices; 0 becomes None
+# the variable behind each RunRecord field after the two choices; 0 becomes None
 _OPTIONAL = ("B", "D", "A", "C", "Ar", "Cr")
+
+
+def _decode(code: int) -> dict[str, int]:
+    """k and each variable of a run with this code, 0 where it does not exist."""
+    (bob, divya), (x, y) = PAIR_IDS[code >> 4], PAIR_CELLS[code & 3]
+    v = {"k": code >> 4, "Ai": 1 - 2 * (code >> 3 & 1), "Ci": 1 - 2 * (code >> 2 & 1),
+         "A": 0, "B": 0, "C": 0, "D": 0, bob: x, divya: y}
+    return {**v, "Ar": v["A"] * v["Ai"], "Cr": v["C"] * v["Ci"]}
+
+
+_DECODED = [_decode(code) for code in range(CODES)]
+_TABLE = np.array([[d[name] for d in _DECODED] for name in ("k", *VARIABLES)], np.int8)
+_TABLE.setflags(write=False)
+TABLES = dict(zip(("k", *VARIABLES), _TABLE))  # read-only rows of _TABLE
+# per code: its report row, and the row as canonical JSON (sorted keys, no whitespace)
+_ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
+                                  *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
+_FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
+# --planted-violation: Alice's internal outcome is +1 exactly when Bob asks
+PLANTED = np.array([c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(CODES)], np.uint8)
+PLANTED.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Runs as read-only int8 columns: `choice` indexes PAIR_IDS and
-    `columns` maps each variable (Ai, Ci, A, B, C, D, Ar, Cr) to its values,
-    0 where the variable does not exist on that run."""
+    """Runs as a uint8 column of codes, made read-only, and the `tables` of
+    k and each variable per code (TABLES, unless a test corrupts one).  The
+    audits read a batch through its code `histogram` and these tables;
+    report rows decode the codes themselves."""
 
     config: LFConfig
-    choice: np.ndarray
-    columns: dict[str, np.ndarray]
+    code: np.ndarray
+    tables: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        self.code.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.choice)
+        return len(self.code)
+
+    @functools.cached_property
+    def histogram(self) -> np.ndarray:
+        """The number of runs with each code."""
+        return np.bincount(self.code, minlength=CODES)
 
     def rows(self, stop: int) -> list[dict]:
         """The first `stop` runs as report rows: dicts keyed by RECORD_FIELDS,
         with None where a variable does not exist."""
-        wings = zip(*(PAIR_IDS[k] for k in self.choice[:stop].tolist()))  # Bob's, Divya's
-        values = [self.columns["Ai"][:stop].tolist(), self.columns["Ci"][:stop].tolist(),
-                  *([CHOICE[v] for v in wing] for wing in wings),
-                  *([v or None for v in self.columns[name][:stop].tolist()]
-                    for name in _OPTIONAL)]
-        return [dict(zip(RECORD_FIELDS, row)) for row in zip(*values)]
+        return [dict(_ROWS[c]) for c in self.code[:stop].tolist()]
+
+    def rows_json(self, stop: int) -> str:
+        """`rows(stop)` as canonical JSON, joined from pre-encoded rows."""
+        return "[" + ",".join([_FRAGMENTS[c] for c in self.code[:stop].tolist()]) + "]"
 
 
 def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
@@ -102,34 +133,30 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     Trials are generated in fixed-size chunks of CHUNK, each with its own rng
     seeded from (seed, chunk index); sharding work across processes along
     chunk boundaries therefore reproduces the single-process batch exactly,
-    independent of shard count and order.
+    independent of shard count and order.  Per chunk the draws are the pairs,
+    the two internal bits and one uniform per run for its Born cell.
     """
     if n < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
     tables = np.array([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS])
-    cdf_rows = np.cumsum(tables, axis=1).T.copy()  # row j: P(cell <= j) per pair
+    # row j: P(cell <= j) per pair; a uniform past the float sum of a table
+    # lands in cell 3, since Born probabilities are non-negative
+    cdf_rows = np.cumsum(tables, axis=1).T[:3].copy()
     chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        k = rng.choice(4, size=m, p=_UNIFORM)
-        a_int = 1 - 2 * rng.integers(0, 2, size=m)
-        c_int = 1 - 2 * rng.integers(0, 2, size=m)
+        # floor(4u): the draws and values of rng.choice(4, p=[1/4] * 4)
+        k = (rng.random(m) * 4).astype(np.intp)
+        code = 16 * k + 8 * rng.integers(0, 2, size=m)
+        code = (code + 4 * rng.integers(0, 2, size=m)).astype(np.uint8)
         u = rng.random(m)
-        cell = sum(u >= row[k] for row in cdf_rows)  # int: sum() starts from 0
-        chunks.append((k, a_int, c_int, np.minimum(cell, 3)))  # guard against float round-off
-    k, a_int, c_int, cell = (np.concatenate(parts).astype(np.int8) for parts in zip(*chunks))
-    b_asks, d_asks = _B_ASKS[k], _D_ASKS[k]
-    bob, divya = _FIRST[cell], _SECOND[cell]
-    a_ext, c_ext = np.where(b_asks, bob, 0), np.where(d_asks, divya, 0)
-    columns = {"Ai": a_int, "Ci": c_int, "A": a_ext, "B": np.where(b_asks, 0, bob),
-               "C": c_ext, "D": np.where(d_asks, 0, divya),
-               "Ar": a_ext * a_int, "Cr": c_ext * c_int}
-    for col in (k, *columns.values()):
-        col.setflags(write=False)
-    return TrialBatch(cfg, k, columns)
+        for row in cdf_rows:
+            code += u >= row.take(k)
+        chunks.append(code)
+    return TrialBatch(cfg, np.concatenate(chunks), TABLES)
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -137,12 +164,12 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     pair id "AC" or ("Ai", "Ci"), over the runs where both are present.  Its
     sum is the qualifying-run count, by which callers judge statistical
     power."""
-    try:
-        x, y = batch.columns[pair[0]], batch.columns[pair[1]]
-    except KeyError as exc:
-        raise ValueError(f"unknown variable in pair {pair}") from exc
-    # one count per (x, y) in {-1, 0, 1}^2; 0 marks an absent variable
-    counts = tuple(np.bincount(3 * x + y + 4, minlength=9)[_PRESENT_CELLS].tolist())
+    if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
+        raise ValueError(f"unknown variable in pair {pair}")
+    x, y = batch.tables[pair[0]], batch.tables[pair[1]]
+    # each code's runs in the bin of its (x, y) in {-1, 0, 1}^2, 0 marking absent
+    counts = np.bincount(3 * x + y + 4, weights=batch.histogram, minlength=9)[_PRESENT_CELLS]
+    counts = tuple(int(c) for c in counts.tolist())
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
     return counts
@@ -154,13 +181,14 @@ def check_choice_independence(batch: TrialBatch) -> dict:
     those whose internal outcome is +1 `n_plus`; `flags` lists each two
     choice pairs whose conditional frequencies differ by more than SIGMAS
     binomial standard errors."""
-    n = np.bincount(batch.choice, minlength=4)
+    runs, pair = batch.histogram, batch.tables["k"]
+    n = np.bincount(pair, weights=runs, minlength=4)
     present = np.flatnonzero(n)
     if len(present) < 2:
         raise InsufficientDataError("need at least two distinct choice pairs")
     stats, flags = {}, []
-    for wing, internal in (("alice", batch.columns["Ai"]), ("chidi", batch.columns["Ci"])):
-        plus = np.bincount(batch.choice[internal == 1], minlength=4)
+    for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
+        plus = np.bincount(pair, weights=runs * (batch.tables[internal] == 1), minlength=4)
         counts = {",".join(CHOICE[v] for v in PAIR_IDS[j]): (int(n[j]), int(plus[j]))
                   for j in present}
         stats[wing] = {key: {"n": m, "n_plus": k} for key, (m, k) in counts.items()}
@@ -193,26 +221,24 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return (x == 1) | (x == -1)
 
 
-def _wing_ok(asks, outcome, external, relation, internal) -> np.ndarray:
-    """Per run: an asked wing has an external value and a relation whose
-    product with the internal outcome is the external value, and no super
-    outcome; a supermeasured wing has only its super outcome."""
-    return np.where(asks, (outcome == 0) & _unit(relation) & (external == internal * relation),
-                    _unit(outcome) & (external == 0) & (relation == 0))
-
-
 def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
-    col = batch.columns
-    ok = (_unit(col["Ai"]) & _unit(col["Ci"])
-          & _wing_ok(_B_ASKS[batch.choice], col["B"], col["A"], col["Ar"], col["Ai"])
-          & _wing_ok(_D_ASKS[batch.choice], col["D"], col["C"], col["Cr"], col["Ci"]))
+    t = batch.tables
+    # per code: both internal outcomes exist; an asked wing has an external
+    # value equal to internal * relation and no super outcome, and a
+    # supermeasured wing has only its super outcome
+    ok = _unit(t["Ai"]) & _unit(t["Ci"])
+    for asks, outcome, external, relation, internal in (
+            (_B_ASKS[t["k"]], t["B"], t["A"], t["Ar"], t["Ai"]),
+            (_D_ASKS[t["k"]], t["D"], t["C"], t["Cr"], t["Ci"])):
+        ok &= np.where(asks, (outcome == 0) & _unit(relation) & (external == internal * relation),
+                       _unit(outcome) & (external == 0) & (relation == 0))
     n = len(batch)
-    invalid = n - int(ok.sum())
+    invalid = int(batch.histogram[~ok].sum())
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]
     internal = empirical_pair_table(batch, ("Ai", "Ci"))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -239,6 +240,21 @@ def test_relmodel_planted_violation_fails(capsys):
     assert rep["pass"] is False and rep["independence"]["flags"]
     flagged = [c for c in rep["checks"] if c["name"] == "choice-independence flags"]
     assert flagged and not flagged[0]["pass"]
+
+
+@pytest.mark.parametrize("trials", [100, 999, 1000, 20000])
+@pytest.mark.parametrize("planted", [False, True])
+def test_relmodel_json_splice_is_the_canonical_encoding(capsys, trials, planted):
+    # the records are spliced in as pre-encoded rows; with the rows as dicts,
+    # json.dumps of the whole report must give the same bytes
+    code, out, _ = run(capsys, "relmodel", "--trials", str(trials), "--seed", "7",
+                       "--format", "json", *(["--planted-violation"] if planted else []))
+    batch = relmodel.simulate_batch(LFConfig(), trials, 7)
+    if planted:
+        batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
+    report = {**json.loads(out), "records": batch.rows(1000)}
+    assert len(report["records"]) == min(trials, 1000)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_relmodel_csv_records(capsys):

@@ -89,7 +89,7 @@ def boundary_targets(draw):
     correlators = {pair: s * (base + d) for pair, s, d in zip(mp.PAIR_IDS, signs, offsets)}
     singles = {v: (1 + draw(small)) / 2 for v in mp.VARS_4}
     t = mp.PairTargets.from_correlators(singles, correlators)
-    assert mp.chsh_variants(t)[signs] == 2 + delta
+    assert Fraction(t.variants[signs], t.scale) == 2 + delta
     return t, delta
 
 
@@ -139,7 +139,7 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     t, delta = case
     t = mp.PairTargets.from_json_dict(_not_in_lowest_terms(t, k))
     variants = _reference_variants(t)
-    assert mp.chsh_variants(t) == variants
+    assert {signs: Fraction(v, t.scale) for signs, v in t.variants.items()} == variants
     assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
     for verdict in (mp.feasible_joint_4(t), mp.feasible_joint_6(t)):
         if verdict.feasible:

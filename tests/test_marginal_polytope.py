@@ -61,7 +61,7 @@ def test_chsh_tsirelson_from_angles():
 
 def test_chsh_variants_count_and_default():
     t = mp.PairTargets.from_angles(LFConfig())
-    variants = mp.chsh_variants(t)
+    variants = {signs: Fraction(v, t.scale) for signs, v in t.variants.items()}
     assert len(variants) == 8
     assert variants[(+1, -1, +1, +1)] == mp.chsh_value(t)
 

@@ -15,44 +15,104 @@ from friendlab.statlab import CHOICE, PAIR_IDS
 COS45 = math.cos(math.radians(45.0))
 
 
-def with_columns(batch, **columns):
-    return dataclasses.replace(batch, columns={**batch.columns, **columns})
+def with_tables(batch, **tables):
+    return dataclasses.replace(batch, tables={**batch.tables, **tables})
+
+
+def edited(table, code, value):
+    """A copy of a 64-entry table with the entry of `code` set to `value`."""
+    table = table.copy()
+    table[code] = value
+    return table
 
 
 def runs_of_pair(pair, n, seed):
     """The runs that measure `pair` in a batch of 5n runs at `seed`: at least
     n of them, so a test on one pair keeps at least n qualifying runs."""
     batch = relmodel.simulate_batch(LFConfig(), 5 * n, seed)
-    mine = batch.choice == PAIR_IDS.index(pair)
+    mine = batch.code >> 4 == PAIR_IDS.index(pair)
     assert mine.sum() >= n
-    return dataclasses.replace(batch, choice=batch.choice[mine],
-                               columns={v: col[mine] for v, col in batch.columns.items()})
+    return dataclasses.replace(batch, code=batch.code[mine])
+
+
+def decode(code) -> dict:
+    """The variables of a run with this code 16*k + 8*ia + 4*ic + cell,
+    decoded here one at a time; None where a variable does not exist."""
+    code = int(code)
+    (bob, divya), (x, y) = PAIR_IDS[code >> 4], statlab.PAIR_CELLS[code & 3]
+    ai, ci = (-1 if code & 8 else 1), (-1 if code & 4 else 1)
+    a, c = (x if bob == "A" else None), (y if divya == "C" else None)
+    return {"pair": bob + divya, "Ai": ai, "Ci": ci, "A": a, "B": x if bob == "B" else None,
+            "C": c, "D": y if divya == "D" else None,
+            "Ar": None if a is None else a * ai, "Cr": None if c is None else c * ci}
 
 
 def reference_row(batch, i) -> dict:
-    """Run i as a report row, built one variable at a time."""
-    bob, divya = PAIR_IDS[batch.choice[i]]
-    v = {name: int(col[i]) for name, col in batch.columns.items()}
-    return dataclasses.asdict(RunRecord(v["Ai"], v["Ci"], CHOICE[bob], CHOICE[divya],
-                                        *(v[name] or None
-                                          for name in ("B", "D", "A", "C", "Ar", "Cr"))))
+    """Run i as a report row, decoded from its code."""
+    v = decode(batch.code[i])
+    return dataclasses.asdict(RunRecord(v["Ai"], v["Ci"], *(CHOICE[w] for w in v["pair"]),
+                                        *(v[name] for name in ("B", "D", "A", "C", "Ar", "Cr"))))
 
 
 def same_runs(b1, b2, stop=None) -> bool:
     """Do the first `stop` runs (all when None) of b1 equal b2's runs?"""
-    return (np.array_equal(b1.choice[:stop], b2.choice)
-            and b1.columns.keys() == b2.columns.keys()
-            and all(np.array_equal(col[:stop], b2.columns[v]) for v, col in b1.columns.items()))
+    return np.array_equal(b1.code[:stop], b2.code)
+
+
+def reference_codes(cfg, n, seed):
+    """simulate_batch's codes from the same draws, written out as before the
+    code column: per chunk rng.choice for the pairs, the two internal bits,
+    one uniform per run placed in its pair's cumulative Born table."""
+    cdf = np.cumsum([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS], axis=1)
+    codes = []
+    for chunk in range(-(-n // relmodel.CHUNK)):
+        m = min(relmodel.CHUNK, n - chunk * relmodel.CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+        k = rng.choice(4, size=m, p=[0.25] * 4)
+        ia, ic = rng.integers(0, 2, size=m), rng.integers(0, 2, size=m)
+        cell = np.minimum((rng.random(m)[:, None] >= cdf[k]).sum(axis=1), 3)
+        codes.append(16 * k + 8 * ia + 4 * ic + cell)
+    return np.concatenate(codes)
+
+
+def test_every_code_obeys_the_presence_discipline_and_product_identity():
+    tables = {name: table.tolist() for name, table in relmodel.TABLES.items()}
+    assert relmodel.CODES == 64 and all(len(t) == 64 for t in tables.values())
+    for code in range(64):
+        v = {name: t[code] for name, t in tables.items()}
+        want = decode(code)
+        assert PAIR_IDS[v["k"]] == want["pair"]
+        assert {name: v[name] or None for name in relmodel.VARIABLES} == {
+            name: want[name] for name in relmodel.VARIABLES}
+        # both internal outcomes always exist
+        assert v["Ai"] in (1, -1) and v["Ci"] in (1, -1)
+        for asks, outcome, external, relation, internal in (
+                (want["pair"][0] == "A", v["B"], v["A"], v["Ar"], v["Ai"]),
+                (want["pair"][1] == "C", v["D"], v["C"], v["Cr"], v["Ci"])):
+            if asks:  # a relation exists, external = internal * relation
+                assert outcome == 0 and relation in (1, -1)
+                assert external == internal * relation
+            else:  # only the supermeasurement's outcome exists
+                assert outcome in (1, -1) and external == 0 and relation == 0
+        # the planted violation changes only Alice's internal bit: +1 exactly
+        # when Bob asks
+        planted = int(relmodel.PLANTED[code])
+        assert planted ^ code in (0, 8)
+        assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
+    every = relmodel.TrialBatch(LFConfig(), np.arange(64, dtype=np.uint8), relmodel.TABLES)
+    assert every.rows(64) == [reference_row(every, code) for code in range(64)]
+    assert every.rows_json(64) == json.dumps(every.rows(64), sort_keys=True,
+                                             separators=(",", ":"))
 
 
 def test_run_trial_presence_discipline_per_choice_pair():
     for pair in PAIR_IDS:
         b_choice, d_choice = CHOICE[pair[0]], CHOICE[pair[1]]
         batch = runs_of_pair(pair, 50, 0)
-        col = batch.columns
-        assert all(v.dtype == np.int8 for v in (batch.choice, *col.values()))
-        assert set(np.abs(col["Ai"])) == set(np.abs(col["Ci"])) == {1}
-        for r in batch.rows(len(batch)):
+        assert batch.code.dtype == np.uint8 and not batch.code.flags.writeable
+        rows = batch.rows(len(batch))
+        assert {r["a_internal"] for r in rows} == {r["c_internal"] for r in rows} == {1, -1}
+        for r in rows:
             assert (r["b_choice"], r["d_choice"]) == (b_choice, d_choice)
             if b_choice == "ask":
                 assert r["b_outcome"] is None
@@ -71,22 +131,23 @@ def test_run_trial_presence_discipline_per_choice_pair():
 def test_record_validation_catches_broken_invariants():
     batch = relmodel.simulate_batch(LFConfig(), 2000, 6)
     assert relmodel.audit(batch)[0][0]["observed"] == 0.0
-    b_asks = np.array([CHOICE[p[0]] == "ask" for p in PAIR_IDS])[batch.choice]
-    d_asks = np.array([CHOICE[p[1]] == "ask" for p in PAIR_IDS])[batch.choice]
-    broken = [("Ar", b_asks, lambda v: -v),                   # relation flipped
-              ("A", ~b_asks, lambda v: 1),                    # supermeasured wing with A
-              ("Ci", np.ones(len(batch), bool), lambda v: 0),  # internal value of 0
-              ("D", d_asks, lambda v: -1)]                    # asked wing with a super outcome
-    runs, columns = [], {}
-    for name, where, edit in broken:
-        i = next(int(k) for k in np.flatnonzero(where) if k not in runs)
-        runs.append(i)
-        single = batch.columns[name].copy()
-        single[i] = edit(single[i])
-        assert relmodel.audit(with_columns(batch, **{name: single}))[0][0]["observed"] == 1.0
-        columns[name] = single
-    checks = relmodel.audit(with_columns(batch, **columns))[0]
-    assert checks[0]["observed"] == len(broken) and not checks[0]["pass"]
+    pair = batch.code >> 4
+    b_asks, d_asks = (pair <= 1), (pair % 2 == 0)  # AC, AD; AC, BC
+    t = relmodel.TABLES
+    broken = [("Ar", b_asks, lambda c: -t["Ar"][c]),            # relation flipped
+              ("A", ~b_asks, lambda c: 1),                      # supermeasured wing with A
+              ("Ci", np.ones(len(batch), bool), lambda c: 0),   # internal value of 0
+              ("D", d_asks, lambda c: -1)]                      # asked wing with a super outcome
+    codes, tables, expected = [], {}, 0
+    for name, where, value in broken:
+        code = next(int(c) for c in batch.code[where] if c not in codes)
+        codes.append(code)
+        runs = int((batch.code == code).sum())
+        table = edited(t[name], code, value(code))
+        assert relmodel.audit(with_tables(batch, **{name: table}))[0][0]["observed"] == runs
+        tables[name], expected = table, expected + runs
+    checks = relmodel.audit(with_tables(batch, **tables))[0]
+    assert checks[0]["observed"] == expected and not checks[0]["pass"]
 
 
 def test_born_target_table_matches_cosine_correlators():
@@ -133,6 +194,25 @@ def test_simulate_batch_rejects_bad_inputs():
         relmodel.simulate_batch(cfg, 10, -1)
 
 
+def test_pair_draw_is_rng_choice_of_four_uniform():
+    # floor(4u) takes the same doubles as rng.choice(4, p=[1/4] * 4) and leaves
+    # the generator in the same state
+    for seed in range(5):
+        for m in (1, relmodel.CHUNK - 1, relmodel.CHUNK, relmodel.CHUNK + 1):
+            by_choice, by_floor = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(by_choice.choice(4, size=m, p=[0.25] * 4),
+                                  (by_floor.random(m) * 4).astype(np.int8))
+            assert np.array_equal(by_choice.random(3), by_floor.random(3))
+
+
+def test_simulate_batch_matches_reference_draws():
+    cfg = LFConfig(10.0, 80.0, 35.0, 170.0)
+    for seed in (0, 1, 5):
+        for n in (1, relmodel.CHUNK - 1, relmodel.CHUNK, relmodel.CHUNK + 1):
+            assert np.array_equal(relmodel.simulate_batch(cfg, n, seed).code,
+                                  reference_codes(cfg, n, seed))
+
+
 def test_supermeasured_pair_matches_born_correlator():
     batch = runs_of_pair("BD", 10 ** 5, 3)
     table = relmodel.empirical_pair_table(batch, ("B", "D"))
@@ -162,20 +242,31 @@ def test_empirical_pair_table_errors():
 
 
 SIGNED = st.sampled_from((-1, 0, 1))
+TABLE = st.lists(SIGNED, min_size=64, max_size=64)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=300))
-@example([(0, 1), (-1, 0), (0, 0)])
-def test_empirical_pair_table_is_a_plain_count(runs):
-    x, y = (np.array(v, dtype=np.int8) for v in zip(*runs))
-    batch = relmodel.TrialBatch(LFConfig(), np.zeros(len(runs), np.int8), {"Ai": x, "Ci": y})
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=300), TABLE, TABLE)
+@example([5, 17, 63], [0] * 64, [1] * 64)
+def test_empirical_pair_table_is_a_plain_count(codes, x, y):
+    # arbitrary code columns read through arbitrary Ai and Ci tables
+    batch = relmodel.TrialBatch(LFConfig(), np.array(codes, np.uint8),
+                                {**relmodel.TABLES, "Ai": np.array(x, np.int8),
+                                 "Ci": np.array(y, np.int8)})
+    runs = [(x[c], y[c]) for c in codes]
     counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
     if sum(counts) == 0:
         with pytest.raises(InsufficientDataError):
             relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
     else:
         assert relmodel.empirical_pair_table(batch, ("Ai", "Ci")) == counts
+    # and through the model's own tables, each pair against decoded runs
+    batch = dataclasses.replace(batch, tables=relmodel.TABLES)
+    for pair in PAIR_IDS:
+        runs = [(v[pair[0]], v[pair[1]]) for v in map(decode, codes)]
+        counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
+        if sum(counts):
+            assert relmodel.empirical_pair_table(batch, pair) == counts
 
 
 def test_choice_independence_clean_on_fair_batch():
@@ -191,10 +282,10 @@ def test_choice_independence_clean_on_fair_batch():
 def test_choice_independence_flags_planted_dependence():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, 20000, 4)
-    # force the internal outcome to +1 on asked runs, keeping the product identity
-    a_external = batch.columns["A"]
-    bad = with_columns(batch, Ai=np.where(a_external != 0, 1, batch.columns["Ai"]).astype(np.int8),
-                       Ar=a_external)
+    # force the internal outcome to +1 on asked runs (AC, AD): clear the Ai
+    # bit of their codes; the relation follows, keeping the product identity
+    asked = batch.code >> 4 <= 1
+    bad = dataclasses.replace(batch, code=np.where(asked, batch.code & 0xF7, batch.code))
     assert relmodel.audit(bad)[0][0]["observed"] == 0.0
     report = relmodel.check_choice_independence(bad)
     assert report["flags"]
@@ -224,9 +315,9 @@ def test_jsonl_serialization_round_trips_values():
         obj = json.loads(line)
         assert obj == row
         assert obj["b_choice"] in ("ask", "super")
-        # 0 in a column is null in the row; every other value is the column's
+        # 0 in a table is null in the row; every other value is the table's
         for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):
-            value = int(batch.columns[name][i])
+            value = int(relmodel.TABLES[name][batch.code[i]])
             assert obj[field] == (value or None)
 
 
@@ -240,12 +331,12 @@ def test_audit_checks_in_order_and_catches_broken_records():
         + ["internal joint cells vs 1/4", "choice-independence flags"])
     assert all(c["pass"] for c in checks)
     assert sum(internal) == 20000 and not independence["flags"]
-    # flip one asked relation: the product identity breaks on that run only
-    i = int(np.flatnonzero(batch.columns["Ar"])[0])
-    relation = batch.columns["Ar"].copy()
-    relation[i] = -relation[i]
-    checks, _, _ = relmodel.audit(with_columns(batch, Ar=relation))
-    assert checks[0]["observed"] == 1.0 and not checks[0]["pass"]
+    # flip the relation of the first asked run's code: the product identity
+    # breaks on exactly the runs with that code
+    code = int(batch.code[np.flatnonzero(batch.code >> 4 <= 1)[0]])
+    relation = edited(relmodel.TABLES["Ar"], code, -relmodel.TABLES["Ar"][code])
+    checks, _, _ = relmodel.audit(with_tables(batch, Ar=relation))
+    assert checks[0]["observed"] == (batch.code == code).sum() and not checks[0]["pass"]
 
 
 NO_M2 = scenarios.ROVELLI_RECORDS.index("noM2")
