@@ -34,6 +34,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class InputError(ValueError):
@@ -110,13 +111,9 @@ def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None,
     """Write the report in the requested format.  `spliced` maps further
     keys of the JSON report to their values, already as canonical JSON."""
     fmt = _resolve(args, "format", "table")
-    if fmt == "json" and spliced:  # json.dumps below of the report with those entries
-        parts = {key: json.dumps(value, sort_keys=True, separators=(",", ":"))
-                 for key, value in report.items()} | spliced
-        text = "{" + ",".join(f"{json.dumps(key)}:{parts[key]}" for key in sorted(parts)) + "}\n"
-    elif fmt == "json":
-        # no indent: an indent sends json.dumps to its pure-Python encoder
-        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "json":  # each value by the C encoder (an indent would be pure Python)
+        parts = {key: _canonical(value) for key, value in report.items()} | (spliced or {})
+        text = "{" + ",".join(f"{_canonical(key)}:{parts[key]}" for key in sorted(parts)) + "}\n"
     elif fmt == "csv":
         if render_csv is None:
             raise InputError("this command has no CSV representation")

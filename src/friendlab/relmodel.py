@@ -35,7 +35,6 @@ from .scenarios import LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
-CODES = 64       # 4 pairs x 2 x 2 internal outcomes x 4 Born cells
 VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
@@ -82,32 +81,30 @@ def _decode(code: int) -> dict[str, int]:
     return {**v, "Ar": v["A"] * v["Ai"], "Cr": v["C"] * v["Ci"]}
 
 
-_DECODED = [_decode(code) for code in range(CODES)]
-_TABLE = np.array([[d[name] for d in _DECODED] for name in ("k", *VARIABLES)], np.int8)
-_TABLE.setflags(write=False)
-TABLES = dict(zip(("k", *VARIABLES), _TABLE))  # read-only rows of _TABLE
-# per code: its report row, and the row as canonical JSON (sorted keys, no whitespace)
+_DECODED = [_decode(code) for code in range(64)]
+# per code: k and each variable (read-only once in a TrialBatch), its report row
+# and the row as canonical JSON (sorted keys, no whitespace)
+TABLES = {name: np.array([d[name] for d in _DECODED], np.int8) for name in ("k", *VARIABLES)}
 _ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
                                   *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
 _FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
 # --planted-violation: Alice's internal outcome is +1 exactly when Bob asks
-PLANTED = np.array([c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(CODES)], np.uint8)
+PLANTED = np.array([c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64)], np.uint8)
 PLANTED.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Runs as a uint8 column of codes, made read-only, and the `tables` of
-    k and each variable per code (TABLES, unless a test corrupts one).  The
-    audits read a batch through its code `histogram` and these tables;
-    report rows decode the codes themselves."""
+    """Runs as a uint8 column of codes and the `tables` of k and each
+    variable per code (TABLES, unless a test corrupts one), made read-only."""
 
     config: LFConfig
     code: np.ndarray
     tables: dict[str, np.ndarray]
 
     def __post_init__(self):
-        self.code.setflags(write=False)
+        for column in (self.code, *self.tables.values()):
+            column.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.code)
@@ -115,11 +112,10 @@ class TrialBatch:
     @functools.cached_property
     def histogram(self) -> np.ndarray:
         """The number of runs with each code."""
-        return np.bincount(self.code, minlength=CODES)
+        return np.bincount(self.code, minlength=64)
 
     def rows(self, stop: int) -> list[dict]:
-        """The first `stop` runs as report rows: dicts keyed by RECORD_FIELDS,
-        with None where a variable does not exist."""
+        """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
         return [dict(_ROWS[c]) for c in self.code[:stop].tolist()]
 
     def rows_json(self, stop: int) -> str:
@@ -133,8 +129,7 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     Trials are generated in fixed-size chunks of CHUNK, each with its own rng
     seeded from (seed, chunk index); sharding work across processes along
     chunk boundaries therefore reproduces the single-process batch exactly,
-    independent of shard count and order.  Per chunk the draws are the pairs,
-    the two internal bits and one uniform per run for its Born cell.
+    independent of shard count and order.
     """
     if n < 1:
         raise ValueError("need at least one trial")
@@ -217,10 +212,6 @@ def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(tables), checks
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    return (x == 1) | (x == -1)
-
-
 def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
@@ -228,15 +219,15 @@ def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
     t = batch.tables
-    # per code: both internal outcomes exist; an asked wing has an external
-    # value equal to internal * relation and no super outcome, and a
-    # supermeasured wing has only its super outcome
-    ok = _unit(t["Ai"]) & _unit(t["Ci"])
+    # per code: both internal outcomes exist; an asked wing has a relation and
+    # external = internal * relation, a supermeasured wing only its super outcome
+    ok = (abs(t["Ai"]) == 1) & (abs(t["Ci"]) == 1)
     for asks, outcome, external, relation, internal in (
             (_B_ASKS[t["k"]], t["B"], t["A"], t["Ar"], t["Ai"]),
             (_D_ASKS[t["k"]], t["D"], t["C"], t["Cr"], t["Ci"])):
-        ok &= np.where(asks, (outcome == 0) & _unit(relation) & (external == internal * relation),
-                       _unit(outcome) & (external == 0) & (relation == 0))
+        ok &= np.where(asks, (outcome == 0) & (abs(relation) == 1)
+                       & (external == internal * relation),
+                       (abs(outcome) == 1) & (external == 0) & (relation == 0))
     n = len(batch)
     invalid = int(batch.histogram[~ok].sum())
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]

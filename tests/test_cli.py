@@ -257,6 +257,17 @@ def test_relmodel_json_splice_is_the_canonical_encoding(capsys, trials, planted)
     assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["basic"], ["basic", "--amps", "0.6,0.8"], ["lf", "--trials", "20000"],
+    ["feasibility", "--from-angles"], ["rovelli", "--trials", "50"]])
+def test_every_json_report_is_the_canonical_encoding(capsys, argv):
+    # _emit encodes each top-level entry on its own; the joined text must be
+    # json.dumps of the whole report (floats round-trip through repr)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_relmodel_csv_records(capsys):
     code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "2",
                        "--format", "csv")
