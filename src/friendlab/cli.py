@@ -311,6 +311,12 @@ def _records_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=8)
+def _analytic_verdict(cfg: LFConfig) -> mp.FeasibilityVerdict:
+    """feasible_joint_4 of the circuit's Born targets, memoized on the frozen config."""
+    return mp.feasible_joint_4(mp.PairTargets.from_angles(cfg))
+
+
 def cmd_relmodel(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 400000, 100)
@@ -322,8 +328,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
         # which must trip the choice-independence audit
         batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
     checks, internal, independence = relmodel.audit(batch)
-    targets = mp.PairTargets.from_angles(cfg)
-    verdict = mp.feasible_joint_4(targets)
+    verdict = _analytic_verdict(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f

@@ -6,6 +6,13 @@ deliberately dense and small; the scenarios built on top of it never need
 more than 24 dimensions.  Sampling is batched: `sample_outcomes` computes one
 Born distribution and maps n uniforms onto it.  It returns label indices,
 not post-measurement states.
+
+Projectors are validated once, where arbitrary ones enter: the
+`MeasurementSpec` constructor, which the factor builders also use.  Specs
+valid by construction (`MeasurementSpec.by_construction`), the products of two
+commuting valid specs and the circuit's unitary-conjugated supermeasurements,
+skip that re-check, which would be most of a Born table's cost; the tests run the
+full check on them over random angles.
 """
 
 from __future__ import annotations
@@ -168,19 +175,26 @@ def embed(u: Operator, layout: FactorLayout, on: tuple[str, ...]) -> Operator:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """A complete set of mutually orthogonal projectors with hashable labels."""
+    """A complete set of orthogonal projectors with hashable labels, as the constructor checks."""
 
     layout: FactorLayout
     outcomes: tuple[tuple[object, np.ndarray], ...]
+
+    @classmethod
+    def by_construction(cls, layout: FactorLayout, outcomes: tuple) -> "MeasurementSpec":
+        """A spec whose read-only projectors are valid by construction, taken
+        as they are, without the constructor's checks."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "layout", layout)
+        object.__setattr__(spec, "outcomes", outcomes)
+        return spec
 
     def __post_init__(self):
         if not self.outcomes:
             raise MeasurementError("measurement needs at least one projector")
         d = self.layout.dim
-        checked = []
-        total = np.zeros((d, d), dtype=np.complex128)
-        for label, p in self.outcomes:
-            p = np.asarray(p, dtype=np.complex128).copy()
+        checked = [(label, np.array(p, dtype=np.complex128)) for label, p in self.outcomes]
+        for i, (label, p) in enumerate(checked):
             if p.shape != (d, d):
                 raise LayoutError(f"projector for {label!r} has shape {p.shape}, want {(d, d)}")
             if not np.allclose(p, p.conj().T, atol=ATOL):
@@ -188,17 +202,12 @@ class MeasurementSpec:
             if not np.allclose(p @ p, p, atol=ATOL):
                 raise MeasurementError(f"projector for {label!r} is not idempotent")
             p.setflags(write=False)
-            checked.append((label, p))
-            total += p
-        for i in range(len(checked)):
-            for j in range(i + 1, len(checked)):
-                if not np.allclose(checked[i][1] @ checked[j][1], 0.0, atol=ATOL):
-                    raise MeasurementError(
-                        f"projectors {checked[i][0]!r} and {checked[j][0]!r} are not orthogonal")
-        if not np.allclose(total, np.eye(d), atol=ATOL):
+            for other, q in checked[:i]:
+                if not np.allclose(q @ p, 0.0, atol=ATOL):
+                    raise MeasurementError(f"projectors {other!r} and {label!r} are not orthogonal")
+        if not np.allclose(sum(p for _, p in checked), np.eye(d), atol=ATOL):
             raise MeasurementError("projectors do not sum to the identity")
-        labels = [label for label, _ in checked]
-        if len(set(labels)) != len(labels):
+        if len({label for label, _ in checked}) != len(checked):
             raise MeasurementError("outcome labels must be distinct")
         object.__setattr__(self, "outcomes", tuple(checked))
 
@@ -251,11 +260,14 @@ def rotation_matrix(theta_degrees: float) -> np.ndarray:
 def angle_projectors(theta_degrees: float) -> tuple[tuple[int, np.ndarray], ...]:
     """(+1, -1)-labelled 2x2 projectors for a measurement along theta."""
     r = rotation_matrix(theta_degrees)
-    out = []
-    for label, k in ((+1, 0), (-1, 1)):
-        v = r[:, k].reshape(2, 1)
-        out.append((label, v @ v.conj().T))
-    return tuple(out)
+    return tuple((label, np.outer(r[:, k], r[:, k].conj())) for label, k in ((+1, 0), (-1, 1)))
+
+
+def _factor_spec(layout: FactorLayout, name: str, projectors) -> MeasurementSpec:
+    """Labelled projectors on one factor, identity elsewhere."""
+    sub = FactorLayout(((name, layout.dim_of(name)),))
+    return MeasurementSpec(layout, tuple((label, embed(Operator(sub, p), layout, (name,)).matrix)
+                                         for label, p in projectors))
 
 
 @functools.cache
@@ -264,37 +276,31 @@ def factor_basis_spec(layout: FactorLayout, name: str,
     """Computational-basis measurement of one factor, identity elsewhere.
     Memoized: a spec is immutable, so one serves every caller."""
     d = layout.dim_of(name)
-    if labels is None:
-        labels = tuple(range(d))
+    labels = tuple(range(d)) if labels is None else labels
     if len(labels) != d:
         raise MeasurementError(f"need {d} labels for factor {name!r}")
-    outcomes = []
-    for k, label in enumerate(labels):
-        p = np.zeros((d, d), dtype=np.complex128)
-        p[k, k] = 1.0
-        outcomes.append((label, embed(Operator(FactorLayout(((name, d),)), p), layout, (name,)).matrix))
-    return MeasurementSpec(layout, tuple(outcomes))
+    return _factor_spec(layout, name, zip(labels, map(np.diag, np.eye(d))))
 
 
 def factor_angle_spec(layout: FactorLayout, name: str, theta_degrees: float) -> MeasurementSpec:
     """Measurement of a qubit factor along theta, identity elsewhere."""
     if layout.dim_of(name) != 2:
         raise LayoutError(f"factor {name!r} is not a qubit")
-    sub = FactorLayout(((name, 2),))
-    outcomes = [(label, embed(Operator(sub, p), layout, (name,)).matrix)
-                for label, p in angle_projectors(theta_degrees)]
-    return MeasurementSpec(layout, tuple(outcomes))
+    return _factor_spec(layout, name, angle_projectors(theta_degrees))
 
 
 def product_spec(a: MeasurementSpec, b: MeasurementSpec) -> MeasurementSpec:
     """Joint measurement from two commuting specs on the same layout; labels
-    become (label_a, label_b) pairs.  Zero products are dropped."""
+    become (label_a, label_b) pairs, one per product (a zero one included).
+    Products of commuting complete sets form one: commuting is the only check."""
     if a.layout != b.layout:
         raise LayoutError("product measurement requires identical layouts")
-    outcomes = []
-    for la, pa in a.outcomes:
-        for lb, pb in b.outcomes:
-            if not np.allclose(pa @ pb, pb @ pa, atol=ATOL):
-                raise MeasurementError("projectors do not commute; no joint measurement")
-            outcomes.append(((la, lb), pa @ pb))
-    return MeasurementSpec(a.layout, tuple(outcomes))
+    pa = np.stack([p for _, p in a.outcomes])[:, None]
+    pb = np.stack([p for _, p in b.outcomes])[None, :]
+    products = pa @ pb
+    if not np.allclose(products, pb @ pa, atol=ATOL):
+        raise MeasurementError("projectors do not commute; no joint measurement")
+    products.setflags(write=False)
+    return MeasurementSpec.by_construction(a.layout, tuple(
+        ((la, lb), products[i, j])
+        for i, la in enumerate(a.labels) for j, lb in enumerate(b.labels)))

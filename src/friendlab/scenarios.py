@@ -118,26 +118,21 @@ def build_basic_wf_state(a: complex, b: complex) -> StateVector:
     return StateVector.from_terms(BASIC_LAYOUT, {(0, 0): a, (1, 1): b})
 
 
-def build_frame_relational_state(outcome: int) -> StateVector:
-    """Equal superposition of (S up, lab aligned) and (S down, lab flipped),
-    with the record register in the same definite basis state in both
-    branches.  outcome=+1 writes 'parallel', -1 writes 'antiparallel'."""
-    if outcome not in (+1, -1):
-        raise ValueError("outcome must be +1 or -1")
-    rec = 0 if outcome == +1 else 1
-    return StateVector.from_terms(FRAME_LAYOUT, {
-        (1, 0, rec): SQRT_HALF,
-        (0, 1, rec): SQRT_HALF,
-    })
-
-
 def frame_relational_branches(outcome: int) -> tuple[StateVector, StateVector]:
-    """The two orthonormal orientation branches of the frame-relational state."""
+    """The two orthonormal orientation branches (S up, lab aligned) and (S
+    down, lab flipped), with the record register in the same definite basis
+    state in both.  outcome=+1 writes 'parallel', -1 writes 'antiparallel'."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     rec = 0 if outcome == +1 else 1
     return (StateVector.from_terms(FRAME_LAYOUT, {(1, 0, rec): 1.0}),
             StateVector.from_terms(FRAME_LAYOUT, {(0, 1, rec): 1.0}))
+
+
+def build_frame_relational_state(outcome: int) -> StateVector:
+    """Equal superposition of the two `frame_relational_branches`."""
+    a, b = frame_relational_branches(outcome)
+    return StateVector(FRAME_LAYOUT, SQRT_HALF * (a.amps + b.amps))
 
 
 def interference_witness(s: StateVector, branch_a: StateVector,
@@ -163,10 +158,7 @@ def _friend_unitary(theta_degrees: float) -> np.ndarray:
     ends up holding the wing value in the theta-rotated basis."""
     r = rotation_matrix(theta_degrees)
     eye2 = np.eye(2, dtype=np.complex128)
-    flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    cnot = np.zeros((4, 4), dtype=np.complex128)
-    cnot[0:2, 0:2] = eye2
-    cnot[2:4, 2:4] = flip
+    cnot = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
     return np.kron(r, eye2) @ cnot @ np.kron(r.conj().T, eye2)
 
 
@@ -215,7 +207,7 @@ def observable_spec(cfg: LFConfig, var: str) -> MeasurementSpec:
     outcomes = [(label, embed(Operator(u.layout, u.matrix @ np.kron(p, eye2) @ u.matrix.conj().T),
                               LF_LAYOUT, u.layout.names).matrix)
                 for label, p in angle_projectors(getattr(cfg, super_angle))]
-    return MeasurementSpec(LF_LAYOUT, tuple(outcomes))
+    return MeasurementSpec.by_construction(LF_LAYOUT, tuple(outcomes))  # conjugate of a valid spec
 
 
 def pair_spec(cfg: LFConfig, pair: str) -> MeasurementSpec:
@@ -250,17 +242,14 @@ def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:
     """
     t = 1 if cfg.trigger == +1 else 0  # lab-relative S bit meaning "trigger seen"
     states = []
-    for record, y_rule in ((0, "same"), (1, "opposite"), (2, "ready")):
+    for record in range(len(ROVELLI_RECORDS)):
         terms: dict[tuple[int, int, int, int], complex] = {}
         for orientation in (0, 1):
             s_bit = t ^ orientation ^ (record == 2)  # noM2 sees the non-trigger
-            if y_rule == "same":
-                terms[(s_bit, s_bit, orientation, record)] = SQRT_HALF
-            elif y_rule == "opposite":
-                terms[(s_bit, 1 - s_bit, orientation, record)] = SQRT_HALF
-            else:
-                for y_bit in (0, 1):
-                    terms[(s_bit, y_bit, orientation, record)] = SQRT_HALF * SQRT_HALF
+            # Y copies S (PP), opposes it (PA) or stays ready (noM2)
+            for y_bit in ((s_bit,), (1 - s_bit,), (0, 1))[record]:
+                terms[(s_bit, y_bit, orientation, record)] = (
+                    SQRT_HALF * SQRT_HALF if record == 2 else SQRT_HALF)
         states.append(StateVector.from_terms(ROVELLI_LAYOUT, terms))
     return tuple(states)
 

@@ -39,6 +39,18 @@ REPORT_SHA256 = {
     "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
 }
 
+# sha256 of `lf --trials 20000 --seed 0` and `feasibility --from-angles` JSON at
+# angle sets away from the defaults: both reports carry values computed from the
+# raw Born floats, so a last-ulp change in a Born table shows here
+ANGLES_SHA256 = {
+    "12.5,97.25,51,173.75": (
+        "e9c2eafc9f76ec1eb207e5e1a214c62642edcf0b0fcb7ce10b61f457a39b94ee",
+        "6670ad79e8ce212a8f2e4e9de25cd5e92c963943a9a51bbbf16af23ee1728684"),
+    "200,330.75,17.125,301": (
+        "b66c681f5c2def4b49f27635309a9d470603f3e5ac8b4483bdb686a55fb37fc4",
+        "bc79ca9491b320c9527cb41a0736f133a6c44027b23fb458e0b1c7dfd21011e6"),
+}
+
 
 def test_basic_default_is_balanced(capsys):
     code, out, _ = run(capsys, "basic", "--format", "json")
@@ -91,6 +103,17 @@ def test_lf_csv_output(capsys):
     code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "0", "--format", "json")
     assert code == cli.EXIT_PASS
     assert sha256(out) == REPORT_SHA256["lf 20000 0 json"]
+
+
+@pytest.mark.parametrize("angles", sorted(ANGLES_SHA256))
+def test_born_reports_at_other_angles_are_pinned(capsys, angles):
+    lf_pin, feasibility_pin = ANGLES_SHA256[angles]
+    code, out, _ = run(capsys, "lf", "--angles", angles, "--trials", "20000", "--seed", "0",
+                       "--format", "json")
+    assert code == cli.EXIT_PASS and sha256(out) == lf_pin
+    code, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", angles,
+                       "--format", "json")
+    assert code == cli.EXIT_PASS and sha256(out) == feasibility_pin
 
 
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):

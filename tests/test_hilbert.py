@@ -200,6 +200,33 @@ def test_measurement_spec_validation():
         MeasurementSpec(Q, ((0, p0), (1, p0)))  # not orthogonal
     with pytest.raises(MeasurementError):
         MeasurementSpec(Q, ((0, np.array([[0.5, 0.5], [0.5, 0.5]]) * 2),))
+    p1 = np.diag([0.0, 1.0])
+    with pytest.raises(MeasurementError, match="not Hermitian"):
+        MeasurementSpec(Q, ((0, np.array([[1.0, 1.0], [0.0, 0.0]])), (1, p1)))
+    with pytest.raises(MeasurementError, match="distinct"):
+        MeasurementSpec(Q, ((0, p0), (0, p1)))
+    with pytest.raises(LayoutError):
+        MeasurementSpec(Q, ((0, np.eye(3)),))
+    spec = MeasurementSpec(Q, ((0, p0), (1, p1)))
+    assert spec.labels == (0, 1) and not spec.outcomes[0][1].flags.writeable
+
+
+def test_product_spec_refuses_non_commuting_specs():
+    # 0 and 45 degrees on the same qubit: the projectors do not commute
+    with pytest.raises(MeasurementError, match="do not commute"):
+        product_spec(factor_angle_spec(Q, "q", 0.0), factor_angle_spec(Q, "q", 45.0))
+    with pytest.raises(LayoutError):
+        product_spec(factor_angle_spec(Q, "q", 0.0), factor_angle_spec(R, "r", 0.0))
+
+
+def test_product_spec_keeps_zero_products():
+    # a spec with itself commutes; its two cross products are zero projectors,
+    # kept so that every (label_a, label_b) pair is an outcome
+    spec = product_spec(z_spec(), z_spec())
+    assert spec.labels == ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+    assert [float(np.abs(p).max()) for _, p in spec.outcomes] == [1.0, 0.0, 0.0, 1.0]
+    assert not any(p.flags.writeable for _, p in spec.outcomes)
+    MeasurementSpec(spec.layout, spec.outcomes)  # the full check passes
 
 
 def test_angle_projectors_complete():
