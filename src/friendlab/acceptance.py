@@ -12,7 +12,7 @@ import numpy as np
 
 from . import marginal_polytope as mp
 from . import relmodel, scenarios, statlab
-from .hilbert import FactorLayout, Operator, born_distribution, factor_angle_spec
+from .hilbert import born_distribution, factor_angle_spec
 from .scenarios import LFConfig, RovelliConfig
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -107,11 +107,10 @@ def _scenario_states() -> list[tuple[str, object]]:
     return out
 
 
-def _random_orientation_unitary(rng: np.random.Generator) -> Operator:
+def _random_orientation_unitary(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(g)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return Operator(FactorLayout((("orientation", 2),)), q)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
 def criterion_4(seed: int) -> dict:

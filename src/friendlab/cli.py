@@ -257,6 +257,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     from_angles = _resolve_switch(args, "from_angles")
     if targets_path and from_angles:
         raise InputError("give either --targets or --from-angles, not both")
+    if not from_angles and _resolve(args, "angles") is not None:
+        raise InputError("feasibility reads angles only with --from-angles")
     resolution = None
     if targets_path:
         targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets"))

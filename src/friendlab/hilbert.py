@@ -1,18 +1,22 @@
 """Minimal dense state-vector engine over named tensor factors.
 
-Everything is immutable: states, operators and measurement specs are frozen
-after construction, and every operation returns a fresh value.  The engine is
-deliberately dense and small; the scenarios built on top of it never need
-more than 24 dimensions.  Sampling is batched: `sample_outcomes` computes one
-Born distribution and maps n uniforms onto it.  It returns label indices,
-not post-measurement states.
+Everything is immutable: states and measurement specs are frozen after
+construction, and every operation returns a fresh value.  A unitary is a
+plain matrix on named factors: `lift(matrix, layout, on)` returns the
+read-only full-layout matrix acting on the factors `on` and as the identity
+elsewhere, and a state transforms as `StateVector(layout, lift(...) @ amps)`,
+whose norm check guards the result.  The engine is deliberately dense and
+small; the scenarios built on top of it never need more than 24 dimensions.
+Sampling is batched: `sample_outcomes` computes one Born distribution and
+maps n uniforms onto it.  It returns label indices, not post-measurement
+states.
 
 Projectors are validated once, where arbitrary ones enter: the
 `MeasurementSpec` constructor, which the factor builders also use.  Specs
 valid by construction (`MeasurementSpec.by_construction`), the products of two
 commuting valid specs and the circuit's unitary-conjugated supermeasurements,
 skip that re-check, which would be most of a Born table's cost; the tests run the
-full check on them over random angles.
+full check on them, and check the circuit's unitaries, over random angles.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ ATOL = 1e-10
 
 class LayoutError(ValueError):
     """Factor-name collision, unknown factor, or dimension mismatch."""
-
-
-class OperatorError(ValueError):
-    """Operator is malformed or fails a required property (unitarity)."""
 
 
 class MeasurementError(ValueError):
@@ -116,61 +116,21 @@ class StateVector:
         return complex(np.vdot(self.amps, other.amps))
 
 
-@dataclass(frozen=True)
-class Operator:
-    layout: FactorLayout
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise OperatorError("operator matrix must be square")
-        if m.shape[0] != self.layout.dim:
-            raise LayoutError("operator dimension does not match layout")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise OperatorError("operator entries must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def is_unitary(self, atol: float = ATOL) -> bool:
-        d = self.matrix.shape[0]
-        return bool(np.allclose(self.matrix.conj().T @ self.matrix, np.eye(d), atol=atol))
-
-
-def _apply_to_columns(matrix: np.ndarray, amps: np.ndarray,
-                      layout: FactorLayout, on: tuple[str, ...]) -> np.ndarray:
-    """Apply `matrix` to the factors named in `on`, identity elsewhere.
-    `amps` has shape (layout.dim, k); each column is transformed."""
-    k = amps.shape[1]
+def lift(matrix: np.ndarray, layout: FactorLayout, on: tuple[str, ...]) -> np.ndarray:
+    """The read-only full-layout matrix that acts as `matrix` on the factors
+    named in `on`, in that order, and as the identity elsewhere."""
     axes = [layout.axis(n) for n in on]
-    dims = layout.dims
+    dims, d = layout.dims, layout.dim
     d_on = math.prod(dims[a] for a in axes)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (d_on, d_on):
-        raise LayoutError(
-            f"operator dim {matrix.shape[0]} does not match factors {on} (dim {d_on})")
-    t = amps.reshape(dims + (k,))
-    t = np.moveaxis(t, axes, range(len(axes)))
+        raise LayoutError(f"matrix shape {matrix.shape} does not fit factors {on} (dim {d_on})")
+    t = np.moveaxis(np.eye(d, dtype=np.complex128).reshape(dims + (d,)), axes, range(len(axes)))
     moved_shape = t.shape
-    t = matrix @ t.reshape(d_on, -1)
-    t = t.reshape(moved_shape)
-    t = np.moveaxis(t, range(len(axes)), axes)
-    return t.reshape(layout.dim, k)
-
-
-def apply(u: Operator, s: StateVector, on: tuple[str, ...] | None = None) -> StateVector:
-    """Apply a unitary to the designated factors of `s` (all factors if None)."""
-    if not u.is_unitary():
-        raise OperatorError("apply requires a unitary operator")
-    names = tuple(on) if on is not None else s.layout.names
-    out = _apply_to_columns(u.matrix, s.amps.reshape(-1, 1), s.layout, names)
-    return StateVector(s.layout, out.reshape(-1))
-
-
-def embed(u: Operator, layout: FactorLayout, on: tuple[str, ...]) -> Operator:
-    """Lift an operator acting on the named factors to the full layout."""
-    d = layout.dim
-    full = _apply_to_columns(u.matrix, np.eye(d, dtype=np.complex128), layout, tuple(on))
-    return Operator(layout, full)
+    t = (matrix @ t.reshape(d_on, -1)).reshape(moved_shape)
+    full = np.moveaxis(t, range(len(axes)), axes).reshape(d, d).copy()
+    full.setflags(write=False)
+    return full
 
 
 @dataclass(frozen=True)
@@ -265,8 +225,7 @@ def angle_projectors(theta_degrees: float) -> tuple[tuple[int, np.ndarray], ...]
 
 def _factor_spec(layout: FactorLayout, name: str, projectors) -> MeasurementSpec:
     """Labelled projectors on one factor, identity elsewhere."""
-    sub = FactorLayout(((name, layout.dim_of(name)),))
-    return MeasurementSpec(layout, tuple((label, embed(Operator(sub, p), layout, (name,)).matrix)
+    return MeasurementSpec(layout, tuple((label, lift(p, layout, (name,)))
                                          for label, p in projectors))
 
 

@@ -163,15 +163,18 @@ class PairTargets:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
-        """Inverse of to_json_dict: each table must be 2 rows of 2 cells."""
+        """Inverse of to_json_dict: each table must be an array of 2 arrays of 2 cells."""
         try:
-            rows = {pair: [[_frac(v) for v in row] for row in obj[pair]] for pair in PAIR_IDS}
+            tables = {pair: obj[pair] for pair in PAIR_IDS}
+            for pair, table in tables.items():
+                if not (isinstance(table, list) and len(table) == 2
+                        and all(isinstance(row, list) and len(row) == 2 for row in table)):
+                    raise TypeError(f"table {pair} must be an array of 2 arrays of 2 cells")
+            cells = {pair: tuple(_frac(v) for row in table for v in row)
+                     for pair, table in tables.items()}
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
-        for pair, table in rows.items():
-            if len(table) != 2 or any(len(row) != 2 for row in table):
-                raise TargetError(f"table {pair} must be 2x2")
-        return cls({pair: (*table[0], *table[1]) for pair, table in rows.items()})
+        return cls(cells)
 
 
 # --- CHSH combinations ------------------------------------------------------

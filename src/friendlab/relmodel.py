@@ -30,8 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import scenarios, statlab
-from .hilbert import born_distribution, sample_outcomes
-from .scenarios import LFConfig, RovelliConfig
+from .hilbert import (FactorLayout, StateVector, born_distribution, factor_basis_spec,
+                      sample_outcomes)
+from .scenarios import SQRT_HALF, LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
@@ -45,6 +46,11 @@ _PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 SIGMAS = 3.0               # choice-independence band, in binomial standard errors
+
+# the sequential scenario's ready qubit (|up>+|down>)/sqrt(2) and its z measurement
+_READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
+_Z = factor_basis_spec(_READY.layout, "q", labels=(+1, -1))
+_Z_LABELS = np.array(_Z.labels, dtype=np.int8)
 
 
 class InsufficientDataError(ValueError):
@@ -252,14 +258,10 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> dict[str, np.ndar
     Draw order: n first outcomes, one second outcome per performed run, then
     the records of the runs ending in each final state, state by state."""
     rng = np.random.default_rng(seed)
-    ready = scenarios.StateVector(scenarios.FactorLayout((("q", 2),)),
-                                  np.array([scenarios.SQRT_HALF, scenarios.SQRT_HALF]))
-    z = scenarios.factor_basis_spec(ready.layout, "q", labels=(+1, -1))
-    z_labels = np.array(z.labels, dtype=np.int8)
-    first = z_labels[sample_outcomes(ready, z, n, rng)]
+    first = _Z_LABELS[sample_outcomes(_READY, _Z, n, rng)]
     performed = first == cfg.trigger
     second = np.zeros(n, dtype=np.int8)
-    second[performed] = z_labels[sample_outcomes(ready, z, int(performed.sum()), rng)]
+    second[performed] = _Z_LABELS[sample_outcomes(_READY, _Z, int(performed.sum()), rng)]
     final = np.where(performed, np.where(second == first, 0, 1), 2)  # PP, PA, noM2 state
     spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
     record = np.zeros(n, dtype=np.int8)

@@ -28,15 +28,12 @@ import numpy as np
 from .hilbert import (
     ATOL,
     FactorLayout,
-    LayoutError,
     MeasurementSpec,
-    Operator,
     StateVector,
     angle_projectors,
-    apply,
     born_distribution,
-    embed,
     factor_basis_spec,
+    lift,
     product_spec,
     rotation_matrix,
 )
@@ -152,42 +149,39 @@ def interference_witness(s: StateVector, branch_a: StateVector,
     return min(max(abs(plus_overlap) ** 2, 0.0), 1.0)
 
 
+@lru_cache(maxsize=8)
 def _friend_unitary(theta_degrees: float) -> np.ndarray:
     """4x4 unitary on (wing particle, memory): rotate the wing by -theta,
     copy it into the memory with a controlled flip, rotate back.  The memory
-    ends up holding the wing value in the theta-rotated basis."""
+    ends up holding the wing value in the theta-rotated basis.  Memoized and
+    read-only: the circuit and the supermeasurement share one per ask angle."""
     r = rotation_matrix(theta_degrees)
     eye2 = np.eye(2, dtype=np.complex128)
     cnot = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
-    return np.kron(r, eye2) @ cnot @ np.kron(r.conj().T, eye2)
+    u = np.kron(r, eye2) @ cnot @ np.kron(r.conj().T, eye2)
+    u.setflags(write=False)
+    return u
 
 
-# per variable, its wing: the friend's particle and memory qubits and the
+# per variable, its wing: the friend's (particle, memory) qubits and the
 # LFConfig fields of the wing's ask and super angles.  A and B are measured
 # on Alice's wing, C and D on Chidi's.
-_WINGS = {**dict.fromkeys("AB", ("X", "MA", "ask_a", "super_a")),
-          **dict.fromkeys("CD", ("Y", "MC", "ask_c", "super_c"))}
-
-
-def _wing_unitary(cfg: LFConfig, var: str) -> Operator:
-    """The friend unitary on the wing of variable `var`."""
-    particle, memory, ask, _ = _WINGS[var]
-    sub = FactorLayout(((particle, 2), (memory, 2)))
-    return Operator(sub, _friend_unitary(getattr(cfg, ask)))
+_WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_a", "super_a")),
+          **dict.fromkeys("CD", (("Y", "MC"), "ask_c", "super_c"))}
 
 
 @lru_cache(maxsize=8)
 def lf_circuit(cfg: LFConfig) -> StateVector:
     """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC;
     memoized on the frozen config."""
-    s = StateVector.from_terms(LF_LAYOUT, {
+    amps = StateVector.from_terms(LF_LAYOUT, {
         (0, 0, 0, 0): SQRT_HALF,
         (1, 1, 0, 0): SQRT_HALF,
-    })
+    }).amps
     for var in ("A", "C"):
-        u = _wing_unitary(cfg, var)
-        s = apply(u, s, on=u.layout.names)
-    return s
+        wing, ask, _ = _WINGS[var]
+        amps = lift(_friend_unitary(getattr(cfg, ask)), LF_LAYOUT, wing) @ amps
+    return StateVector(LF_LAYOUT, amps)
 
 
 @lru_cache(maxsize=32)
@@ -199,13 +193,12 @@ def observable_spec(cfg: LFConfig, var: str) -> MeasurementSpec:
     supermeasure her lab: undo the friend unitary coherently, measure the
     wing particle along the super angle, redo the friend unitary.
     """
-    _, memory, _, super_angle = _WINGS[var]
+    wing, ask, super_angle = _WINGS[var]
     if var in ("A", "C"):
-        return factor_basis_spec(LF_LAYOUT, memory, labels=(+1, -1))
-    u = _wing_unitary(cfg, var)
+        return factor_basis_spec(LF_LAYOUT, wing[1], labels=(+1, -1))
+    u = _friend_unitary(getattr(cfg, ask))
     eye2 = np.eye(2, dtype=np.complex128)
-    outcomes = [(label, embed(Operator(u.layout, u.matrix @ np.kron(p, eye2) @ u.matrix.conj().T),
-                              LF_LAYOUT, u.layout.names).matrix)
+    outcomes = [(label, lift(u @ np.kron(p, eye2) @ u.conj().T, LF_LAYOUT, wing))
                 for label, p in angle_projectors(getattr(cfg, super_angle))]
     return MeasurementSpec.by_construction(LF_LAYOUT, tuple(outcomes))  # conjugate of a valid spec
 
@@ -274,10 +267,7 @@ def record_spec(layout: FactorLayout, labels: tuple[object, ...] | None = None) 
     return factor_basis_spec(layout, "record", labels=labels)
 
 
-def apply_global_rotation(s: StateVector, u: Operator) -> StateVector:
-    """Apply a unitary acting on the orientation factor only.  Record
+def apply_global_rotation(s: StateVector, u: np.ndarray) -> StateVector:
+    """Apply a 2x2 unitary to the orientation factor only.  Record
     observables commute with it, so no record statistic can change."""
-    names = u.layout.names
-    if set(names) != {"orientation"}:
-        raise LayoutError("global rotations may act on the orientation factor only")
-    return apply(u, s, on=names)
+    return StateVector(s.layout, lift(u, s.layout, ("orientation",)) @ s.amps)

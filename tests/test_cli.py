@@ -211,7 +211,13 @@ def test_feasibility_malformed_targets(capsys, tmp_path):
     # the value is 0, but parsing it as written would build 10**999999999
     huge_exponent = {**GRID_TARGETS, "BD": [["0e999999999", "1/2"], ["1/2", "0"]]}
     not_2x2 = {**GRID_TARGETS, "BD": [["1/4", "1/4", "1/4", "1/4"]]}
-    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean, huge_exponent, not_2x2):
+    # an object table iterates as its keys and a string row as its characters,
+    # so each would read as the consistent [[1, 0], [0, 0]] of the other tables
+    ones = {pair: [["1", "0"], ["0", "0"]] for pair in ("AC", "AD", "BC", "BD")}
+    object_table = {**ones, "AC": {"10": None, "00": None}}
+    string_rows = {**ones, "AD": ["10", "00"]}
+    for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean, huge_exponent, not_2x2,
+                object_table, string_rows):
         targets.write_text(json.dumps(obj))
         code, _, err = run(capsys, "feasibility", "--targets", str(targets))
         assert code == cli.EXIT_INPUT
@@ -219,6 +225,19 @@ def test_feasibility_malformed_targets(capsys, tmp_path):
     targets.write_bytes(b"\xff\xfe{}")
     code, _, err = run(capsys, "feasibility", "--targets", str(targets))
     assert code == cli.EXIT_INPUT and err.startswith("error: cannot read targets")
+
+
+def test_feasibility_refuses_angles_without_from_angles(capsys, tmp_path):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(GRID_TARGETS))
+    code, out, err = run(capsys, "feasibility", "--targets", str(targets), "--angles", "1,2,3,4")
+    assert (code, out) == (cli.EXIT_INPUT, "") and "--from-angles" in err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"targets": str(targets), "angles": [1, 2, 3, 4]}))
+    code, out, err = run(capsys, "feasibility", "--config", str(cfg))
+    assert (code, out) == (cli.EXIT_INPUT, "") and "--from-angles" in err
+    code, _, _ = run(capsys, "feasibility", "--targets", str(targets))
+    assert code == cli.EXIT_PASS
 
 
 def test_feasibility_requires_a_source(capsys):

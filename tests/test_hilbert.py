@@ -8,15 +8,12 @@ from friendlab.hilbert import (
     LayoutError,
     MeasurementError,
     MeasurementSpec,
-    Operator,
-    OperatorError,
     StateVector,
     angle_projectors,
-    apply,
     born_distribution,
-    embed,
     factor_angle_spec,
     factor_basis_spec,
+    lift,
     product_spec,
     rotation_matrix,
     sample_outcomes,
@@ -44,27 +41,32 @@ def test_state_requires_normalization():
         StateVector(Q, np.array([np.nan, 0.0]))
 
 
+def transform(u, s, on=None):
+    """The state `u` makes of `s`, acting on the factors `on` (all if None)."""
+    return StateVector(s.layout, lift(u, s.layout, on or s.layout.names) @ s.amps)
+
+
 def test_apply_identity_and_flip():
     s = StateVector(Q, np.array([0.6, 0.8]))
-    eye = Operator(Q, np.eye(2))
-    np.testing.assert_allclose(apply(eye, s).amps, s.amps)
-    flip = Operator(Q, np.array([[0, 1], [1, 0]]))
-    np.testing.assert_allclose(apply(flip, ket(Q, 0)).amps, [0, 1])
+    np.testing.assert_allclose(transform(np.eye(2), s).amps, s.amps)
+    np.testing.assert_allclose(transform(np.array([[0, 1], [1, 0]]), ket(Q, 0)).amps, [0, 1])
 
 
 def test_apply_rotation_twice_is_flip():
     # R(90) @ R(90) = [[0,-1],[1,0]]: |0> -> |1> exactly, no phase needed
-    r = Operator(Q, rotation_matrix(90.0))
-    s = apply(r, apply(r, ket(Q, 0)))
-    np.testing.assert_allclose(s.amps, [0, 1], atol=1e-12)
+    r = rotation_matrix(90.0)
+    np.testing.assert_allclose(transform(r, transform(r, ket(Q, 0))).amps, [0, 1], atol=1e-12)
 
 
 def test_apply_rejects_nonunitary_and_mismatch():
-    with pytest.raises(OperatorError):
-        apply(Operator(Q, np.array([[1, 0], [0, 2]])), ket(Q, 0))
+    # the norm check of the resulting state refuses a non-unitary's output
+    with pytest.raises(ValueError, match="not normalized"):
+        transform(np.array([[1, 0], [0, 2]]), ket(Q, 1))
     layout = FactorLayout((("a", 2), ("b", 2)))
     with pytest.raises(LayoutError):
-        apply(Operator(Q, np.eye(2)), ket(layout, 0, 0), on=("a", "b"))
+        lift(np.eye(2), layout, ("a", "b"))
+    with pytest.raises(LayoutError):
+        lift(np.eye(2), layout, ("q",))
 
 
 def test_apply_on_subset_matches_kron():
@@ -72,18 +74,36 @@ def test_apply_on_subset_matches_kron():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     amps /= np.linalg.norm(amps)
-    s = StateVector(layout, amps)
     u = rotation_matrix(37.0)
-    got = apply(Operator(FactorLayout((("b", 2),)), u), s, on=("b",))
+    got = transform(u, StateVector(layout, amps), on=("b",))
     want = np.kron(np.kron(np.eye(2), u), np.eye(2)) @ amps
     np.testing.assert_allclose(got.amps, want, atol=1e-12)
 
 
-def test_embed_matches_kron_order():
-    layout = FactorLayout((("a", 2), ("b", 2)))
-    u = rotation_matrix(63.0)
-    full = embed(Operator(FactorLayout((("b", 2),)), u), layout, ("b",))
-    np.testing.assert_allclose(full.matrix, np.kron(np.eye(2), u), atol=1e-14)
+LAYOUT3 = FactorLayout((("a", 2), ("b", 3), ("c", 2)))
+
+
+def unit(i, j):
+    """The 2x2 matrix unit |i><j|."""
+    return np.outer(np.eye(2)[i], np.eye(2)[j])
+
+
+@pytest.mark.parametrize("on, kron_of", [
+    (("a",), lambda m: np.kron(m, np.eye(6))),
+    (("b",), lambda m: np.kron(np.kron(np.eye(2), m), np.eye(2))),
+    (("c",), lambda m: np.kron(np.eye(6), m)),
+    # m on (c, a), c the more significant: the sum over |i><j| on c of
+    # m's (i, j) block, which acts on a
+    (("c", "a"), lambda m: sum(np.kron(np.kron(m[2 * i:2 * i + 2, 2 * j:2 * j + 2], np.eye(3)),
+                                       unit(i, j)) for i in range(2) for j in range(2))),
+], ids=["a", "b", "c", "c,a"])
+def test_lift_matches_kron_order(on, kron_of):
+    d = math.prod(LAYOUT3.dim_of(n) for n in on)
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    full = lift(m, LAYOUT3, on)
+    np.testing.assert_allclose(full, kron_of(m), atol=1e-14)
+    assert full.shape == (12, 12) and not full.flags.writeable
 
 
 def z_spec():
@@ -185,10 +205,10 @@ def test_norm_preserved_under_random_unitaries():
         h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h = (h + h.conj().T) / 2
         w, v = np.linalg.eigh(h)
-        u = Operator(layout, v @ np.diag(np.exp(1j * w)) @ v.conj().T)
+        u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
         amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         amps /= np.linalg.norm(amps)
-        out = apply(u, StateVector(layout, amps))
+        out = transform(u, StateVector(layout, amps))
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from friendlab import scenarios, statlab
 from friendlab.hilbert import (
-    FactorLayout,
     LayoutError,
-    Operator,
     StateVector,
     born_distribution,
     factor_basis_spec,
@@ -284,17 +282,15 @@ def test_rovelli_rejects_bad_trigger():
 
 def test_global_rotation_identity_and_flip():
     s = build_frame_relational_state(+1)
-    layout = FactorLayout((("orientation", 2),))
-    eye = Operator(layout, np.eye(2))
-    np.testing.assert_allclose(apply_global_rotation(s, eye).amps, s.amps)
-    flip = Operator(layout, np.array([[0, 1], [1, 0]]))
+    np.testing.assert_allclose(apply_global_rotation(s, np.eye(2)).amps, s.amps)
+    flip = np.array([[0, 1], [1, 0]])
     assert record_expectation(apply_global_rotation(s, flip)) == pytest.approx(1.0)
 
 
-def test_global_rotation_rejects_other_factors():
-    s = build_frame_relational_state(+1)
+def test_global_rotation_needs_an_orientation_factor():
+    s = build_basic_wf_state(1.0, 0.0)  # layout (S, A)
     with pytest.raises(LayoutError):
-        apply_global_rotation(s, Operator(FactorLayout((("S", 2),)), np.eye(2)))
+        apply_global_rotation(s, np.eye(2))
 
 
 def all_states_with_orientation():
@@ -305,12 +301,11 @@ def all_states_with_orientation():
 
 def test_record_statistics_invariant_under_orientation_unitaries():
     rng = np.random.default_rng(20)
-    layout = FactorLayout((("orientation", 2),))
     for s in all_states_with_orientation():
         spec = scenarios.record_spec(s.layout)
         base = dict(born_distribution(s, spec))
         for _ in range(100):
-            u = Operator(layout, random_unitary(rng))
+            u = random_unitary(rng)
             after = dict(born_distribution(apply_global_rotation(s, u), spec))
             assert all(abs(after[k] - base[k]) < 1e-10 for k in base)
 

@@ -1,15 +1,24 @@
-"""Property tests of the measurement specs that skip the constructor's checks
-because they are valid by construction: the circuit's observable and pair
-specs pass the full check at random angles, and the Born pair tables built
-from them match the circuit's closed form."""
+"""Property tests of what the circuit takes as valid by construction, with no
+runtime check: the friend unitaries are unitary and the two wings' commute,
+the circuit's observable and pair specs pass the full check at random
+angles, and the Born pair tables built from them match the closed form."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlab.hilbert import MeasurementSpec
-from friendlab.scenarios import LFConfig, born_pair_table, observable_spec, pair_spec
+from friendlab.hilbert import MeasurementSpec, lift
+from friendlab.scenarios import (
+    LF_LAYOUT,
+    LFConfig,
+    _friend_unitary,
+    born_pair_table,
+    lf_circuit,
+    observable_spec,
+    pair_spec,
+)
 from friendlab.statlab import PAIR_CELLS, PAIR_IDS
 
 # derandomized so the suite's run time and outcome do not vary between runs
@@ -20,6 +29,29 @@ CONFIGS = st.builds(LFConfig, ANGLE, ANGLE, ANGLE, ANGLE)
 
 # each variable's measurement angle in LFConfig
 ANGLE_OF = {"A": "ask_a", "B": "super_a", "C": "ask_c", "D": "super_c"}
+
+
+@PROPERTY
+@given(ANGLE, ANGLE)
+def test_friend_unitaries_are_unitary_and_the_wings_commute(theta_a, theta_c):
+    for theta in (theta_a, theta_c):
+        u = _friend_unitary(theta)
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+        assert not u.flags.writeable
+    alice = lift(_friend_unitary(theta_a), LF_LAYOUT, ("X", "MA"))
+    chidi = lift(_friend_unitary(theta_c), LF_LAYOUT, ("Y", "MC"))
+    assert np.abs(alice @ chidi - chidi @ alice).max() <= 1e-12
+
+
+def test_a_fresh_config_builds_one_friend_unitary_per_ask_angle():
+    # ask_a and ask_c differ in the first config and are equal in the second
+    for cfg, ask_angles in ((LFConfig(12.5, 97.25, 51.0, 173.75), 2),
+                            (LFConfig(30.0, 60.0, 30.0, 120.0), 1)):
+        for cache in (born_pair_table, lf_circuit, observable_spec, _friend_unitary):
+            cache.cache_clear()
+        for pair in PAIR_IDS:
+            born_pair_table(cfg, pair)
+        assert _friend_unitary.cache_info().misses == ask_angles
 
 
 def _full_check(spec: MeasurementSpec):
