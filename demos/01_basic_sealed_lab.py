@@ -22,8 +22,7 @@ print("Born distribution of the system qubit:", dict(born_distribution(state, sp
 
 for outcome in (+1, -1):
     frame = scenarios.build_frame_relational_state(outcome)
-    branch_a, branch_b = scenarios.frame_relational_branches(outcome)
-    w = scenarios.interference_witness(frame, branch_a, branch_b)
+    w = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
     rec = dict(born_distribution(frame, scenarios.record_spec(scenarios.FRAME_LAYOUT)))
     print(f"frame-relational state, outcome {outcome:+d}: "
           f"record distribution {rec}, witness {w:.6f}")

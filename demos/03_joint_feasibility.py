@@ -26,4 +26,4 @@ shrunk = mp.PairTargets.from_correlators(
     {"AC": half, "BC": half, "BD": half, "AD": -half})
 v = mp.feasible_joint_4(shrunk)
 print(f"shrunk targets: S = {mp.chsh_value(shrunk)}, feasible: {v.feasible}")
-print("  witness atom probabilities:", [str(p) for p in v.witness.probs])
+print("  witness atom probabilities:", [str(p) for p in v.witness])

@@ -131,8 +131,7 @@ def criterion_4(seed: int) -> dict:
                                     n=UNITARIES))
     for outcome in (+1, -1):
         s = scenarios.build_frame_relational_state(outcome)
-        ba, bb = scenarios.frame_relational_branches(outcome)
-        w = scenarios.interference_witness(s, ba, bb)
+        w = scenarios.interference_witness(s, *scenarios.orientation_branches(s))
         checks.append(statlab.check(f"frame-relational({outcome:+d}) witness vs 1",
                                     abs(w - 1.0), 1e-10))
     return {"criterion": 4, "name": "invariant-subspace",

@@ -169,8 +169,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
     equal_weights = abs(abs(a) - abs(b)) <= 1e-9
     if equal_weights:
         frame = scenarios.build_frame_relational_state(outcome)
-        ba, bb = scenarios.frame_relational_branches(outcome)
-        witness = scenarios.interference_witness(frame, ba, bb)
+        witness = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
         rec = dict(born_distribution(frame, scenarios.record_spec(scenarios.FRAME_LAYOUT)))
         report["frame_relational"] = {
             "outcome": outcome,
@@ -289,7 +288,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
                  f"  analytic criterion: {'feasible' if fine else 'infeasible'}"]
         if v4.feasible:
             lines.append(f"  witness atoms (A,B,C,D lexicographic): "
-                         f"{[str(p) for p in v4.witness.probs]}")
+                         f"{[str(p) for p in v4.witness]}")
         else:
             lines.append(f"  max violation over 2: {v4.max_violation}")
         if resolution:

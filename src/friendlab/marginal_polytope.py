@@ -7,12 +7,12 @@ refinement in which A and C split into an internal outcome and a frame
 relation (A = A_internal * A_relation, same for C).
 
 All arithmetic is exact: a verdict is a theorem about the input, never a
-tolerance call.  Targets and witnesses are integer count tables over one
-common denominator each, so validation, Fine's criterion (all eight CHSH
-sign variants at most 2, independent of the solver) and the witness check
-compare ints.  The solver, a phase-1 simplex with Bland's rule, runs on an
-integer tableau whose 17-row 0/1 cell systems are built once.  Fraction
-appears only at a pivot other than 1 and in the values a report prints.
+tolerance call.  Targets are integer count tables over one common
+denominator, so validation and Fine's criterion (all eight CHSH sign
+variants at most 2, independent of the solver) compare ints.  The 17-row
+0/1 cell system `_cell_rows` with the targets' counts as right-hand side is
+the one integer system that the solver, a phase-1 simplex with Bland's
+rule, solves and `reproduces` checks a witness against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import scenarios
 from .hilbert import ATOL
@@ -165,16 +164,17 @@ class PairTargets:
     def from_json_dict(cls, obj: dict) -> "PairTargets":
         """Inverse of to_json_dict: each table must be an array of 2 arrays of 2 cells."""
         try:
-            tables = {pair: obj[pair] for pair in PAIR_IDS}
-            for pair, table in tables.items():
+            if not isinstance(obj, dict):
+                raise TypeError("targets must be an object of tables")
+            for pair, table in obj.items():
                 if not (isinstance(table, list) and len(table) == 2
                         and all(isinstance(row, list) and len(row) == 2 for row in table)):
                     raise TypeError(f"table {pair} must be an array of 2 arrays of 2 cells")
             cells = {pair: tuple(_frac(v) for row in table for v in row)
-                     for pair, table in tables.items()}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                     for pair, table in obj.items()}
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
-        return cls(cells)
+        return cls(cells)  # refuses a missing table and one that no pair id names
 
 
 # --- CHSH combinations ------------------------------------------------------
@@ -202,67 +202,14 @@ def snap_resolution(cfg) -> dict | None:
             "largest_born_variant": top}
 
 
-# --- joint atoms and verdicts ----------------------------------------------
-
-@functools.cache
-def atom_table(variables: tuple[str, ...]) -> tuple[MappingProxyType, ...]:
-    """For each atom of `variables` (deterministic +/-1 assignments in
-    lexicographic order, +1 before -1), a read-only map from every variable
-    to its value; the six-variable form also maps the composites A = Ai*Ar
-    and C = Ci*Cr."""
-    table = []
-    for assignment in itertools.product((+1, -1), repeat=len(variables)):
-        values = dict(zip(variables, assignment))
-        if "Ai" in values:
-            values["A"] = values["Ai"] * values["Ar"]
-            values["C"] = values["Ci"] * values["Cr"]
-        table.append(MappingProxyType(values))
-    return tuple(table)
-
-
-@dataclass(frozen=True)
-class JointAtomVector:
-    """Exact probability vector over the atoms of `variables`, in the order
-    of `atom_table`, and as int `counts` over `scale`, its lcm denominator."""
-
-    variables: tuple[str, ...]
-    probs: tuple[Fraction, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.probs) != 2 ** len(self.variables):
-            raise ValueError("probability vector length does not match arity")
-        scale, counts = _over_one_denominator(self.probs)
-        if any(n < 0 for n in counts):
-            raise ValueError("atom probabilities must be non-negative")
-        if sum(counts) != scale:
-            raise ValueError("atom probabilities must sum to 1")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "counts", counts)
-
-    def _marginal_counts(self, pair: str) -> tuple[int, ...]:
-        """scale times the induced table of a pair id such as 'AC'; A and C
-        are the composites Ai*Ar and Ci*Cr when the vector is six-variable."""
-        v, w = pair[0], pair[1]
-        out = dict.fromkeys(PAIR_CELLS, 0)
-        for values, n in zip(atom_table(self.variables), self.counts):
-            out[values[v], values[w]] += n
-        return tuple(out.values())
-
-    def pair_marginal(self, pair: str) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.scale) for n in self._marginal_counts(pair))
-
-    def reproduces(self, t: PairTargets) -> bool:
-        """Every induced pair table equals its target (counts cross-multiplied)."""
-        return all(m * t.scale == k * self.scale for pair in PAIR_IDS
-                   for m, k in zip(self._marginal_counts(pair), t.counts[pair]))
-
+# --- verdicts ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """`witness`: the solver's atom probabilities, in `_cell_rows` column order."""
+
     feasible: bool
-    witness: JointAtomVector | None
+    witness: tuple[Fraction, ...] | None
     max_violation: Fraction | None
 
     def __post_init__(self):
@@ -274,7 +221,7 @@ class FeasibilityVerdict:
     def to_json_dict(self) -> dict:
         return {
             "feasible": self.feasible,
-            "witness": None if self.witness is None else [str(p) for p in self.witness.probs],
+            "witness": None if self.witness is None else [str(p) for p in self.witness],
             "max_violation": None if self.max_violation is None else str(self.max_violation),
         }
 
@@ -344,9 +291,16 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
 
 @functools.cache
 def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """The constant 0/1 rows over the atoms of `variables`: normalization,
-    then one row per pair cell, in the order `_feasibility` writes the rhs."""
-    atoms = atom_table(variables)
+    """The 0/1 cell system over the atoms of `variables` (+/-1 assignments,
+    lexicographic, +1 first; six variables give the composites A = Ai*Ar and
+    C = Ci*Cr): normalization, then each pair's cells in PAIR_IDS order."""
+    atoms = []
+    for assignment in itertools.product((+1, -1), repeat=len(variables)):
+        values = dict(zip(variables, assignment))
+        if "Ai" in values:
+            values["A"] = values["Ai"] * values["Ar"]
+            values["C"] = values["Ci"] * values["Cr"]
+        atoms.append(values)
     rows = [(1,) * len(atoms)]
     for pair in PAIR_IDS:
         v, w = pair[0], pair[1]
@@ -355,13 +309,29 @@ def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _cell_counts(t: PairTargets) -> tuple[int, ...]:
+    """The right-hand side of the cell system in counts over t.scale."""
+    return (t.scale, *(n for pair in PAIR_IDS for n in t.counts[pair]))
+
+
+def reproduces(variables: tuple[str, ...], probs, t: PairTargets) -> bool:
+    """The witness check: `probs` (in `_cell_rows` order), over one
+    denominator, are non-negative counts whose every row sum, cross-multiplied
+    by t.scale, equals that row's target count."""
+    rows = _cell_rows(variables)
+    scale, counts = _over_one_denominator(probs)
+    return (len(counts) == len(rows[0]) and min(counts) >= 0
+            and all(sum(itertools.compress(counts, row)) * t.scale == b * scale
+                    for row, b in zip(rows, _cell_counts(t))))
+
+
 def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdict:
-    rhs = [1, *(v for pair in PAIR_IDS for v in t.tables[pair])]
-    x = solve_nonnegative(_cell_rows(variables), rhs)
+    x = solve_nonnegative(_cell_rows(variables), _cell_counts(t))
     if x is None:
         top = max(t.variants.values())  # Fine's criterion gives the violation
         return FeasibilityVerdict(False, None, Fraction(top - 2 * t.scale, t.scale))
-    return FeasibilityVerdict(True, JointAtomVector(variables, tuple(x)), None)
+    # the witness is x / t.scale; most atoms are 0 and skip the Fraction division
+    return FeasibilityVerdict(True, tuple(n / t.scale if n else n for n in x), None)
 
 
 def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
@@ -383,16 +353,19 @@ def methods_agree(t: PairTargets, v4: FeasibilityVerdict, v6: FeasibilityVerdict
     """The two LPs and Fine's criterion give one verdict, and every feasible
     witness reproduces the targets."""
     return (v4.feasible == v6.feasible == fine
-            and all(v.witness.reproduces(t) for v in (v4, v6) if v.feasible))
+            and all(reproduces(variables, v.witness, t)
+                    for variables, v in ((VARS_4, v4), (VARS_6, v6)) if v.feasible))
 
 
 def random_pair_targets(rng) -> PairTargets:
     """Random valid targets: an exact-rational random local joint mixed with
     the extremal nonlocal box, so both feasible and infeasible inputs occur."""
     weights = [int(w) for w in rng.integers(0, RANDOM_GRID, size=16)]
-    total = sum(weights) or 1
-    local = JointAtomVector(VARS_4, tuple(Fraction(w, total) for w in weights)
-                            if sum(weights) else (Fraction(1),) + (Fraction(0),) * 15)
-    local_targets = PairTargets({pair: local.pair_marginal(pair) for pair in PAIR_IDS})
+    if not any(weights):
+        weights[0] = 1
+    cells = [Fraction(sum(itertools.compress(weights, row)), sum(weights))
+             for row in _cell_rows(VARS_4)[1:]]
+    local_targets = PairTargets({pair: tuple(cells[4 * k:4 * k + 4])
+                                 for k, pair in enumerate(PAIR_IDS)})
     lam = Fraction(int(rng.integers(0, RANDOM_GRID + 1)), RANDOM_GRID)
     return PairTargets.pr_box().mix(local_targets, lam)

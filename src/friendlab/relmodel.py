@@ -287,7 +287,7 @@ def rovelli_audit(cfg: RovelliConfig, n: int,
     states = [{"record": record,
                "record_probabilities": dict(born_distribution(state, spec)),
                "interference_witness": scenarios.interference_witness(
-                   state, *scenarios.rovelli_branches(state))}
+                   state, *scenarios.orientation_branches(state))}
               for record, state in zip(scenarios.ROVELLI_RECORDS,
                                        scenarios.build_rovelli_states(cfg))]
     runs = simulate_rovelli(cfg, n, seed)

@@ -115,21 +115,15 @@ def build_basic_wf_state(a: complex, b: complex) -> StateVector:
     return StateVector.from_terms(BASIC_LAYOUT, {(0, 0): a, (1, 1): b})
 
 
-def frame_relational_branches(outcome: int) -> tuple[StateVector, StateVector]:
-    """The two orthonormal orientation branches (S up, lab aligned) and (S
-    down, lab flipped), with the record register in the same definite basis
-    state in both.  outcome=+1 writes 'parallel', -1 writes 'antiparallel'."""
+def build_frame_relational_state(outcome: int) -> StateVector:
+    """Equal superposition of the orientation branches (S up, lab aligned)
+    and (S down, lab flipped), with the record register in the same definite
+    basis state in both.  outcome=+1 writes 'parallel', -1 writes
+    'antiparallel'."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     rec = 0 if outcome == +1 else 1
-    return (StateVector.from_terms(FRAME_LAYOUT, {(1, 0, rec): 1.0}),
-            StateVector.from_terms(FRAME_LAYOUT, {(0, 1, rec): 1.0}))
-
-
-def build_frame_relational_state(outcome: int) -> StateVector:
-    """Equal superposition of the two `frame_relational_branches`."""
-    a, b = frame_relational_branches(outcome)
-    return StateVector(FRAME_LAYOUT, SQRT_HALF * (a.amps + b.amps))
+    return StateVector.from_terms(FRAME_LAYOUT, {(1, 0, rec): SQRT_HALF, (0, 1, rec): SQRT_HALF})
 
 
 def interference_witness(s: StateVector, branch_a: StateVector,
@@ -247,17 +241,16 @@ def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:
     return tuple(states)
 
 
-def rovelli_branches(state: StateVector) -> tuple[StateVector, StateVector]:
-    """Split a sequential-scenario state into its two orientation branches."""
-    dims = state.layout.dims
-    axis = state.layout.axis("orientation")
-    t = state.amps.reshape(dims)
+def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
+    """Split a lab state into its two orientation branches (aligned, then
+    flipped), each scaled by sqrt(2): orthonormal for the equal-weight
+    frame-relational and sequential-scenario states."""
+    t = state.amps.reshape(state.layout.dims)
+    before = (slice(None),) * state.layout.axis("orientation")  # the factors before it
     branches = []
     for o in (0, 1):
         sel = np.zeros_like(t)
-        idx = [slice(None)] * len(dims)
-        idx[axis] = o
-        sel[tuple(idx)] = t[tuple(idx)]
+        sel[(*before, o)] = t[(*before, o)]
         branches.append(StateVector(state.layout, math.sqrt(2.0) * sel.reshape(-1)))
     return branches[0], branches[1]
 

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 
 import pytest
@@ -203,6 +205,26 @@ def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypat
     assert rep["methods_agree"] is False
 
 
+def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, monkeypatch):
+    # a defective solver answer that keeps every pair table but sends atom 0
+    # negative: shifted along A*B*C*D, which the cell system cannot see
+    real = mp.solve_nonnegative
+
+    def shifted(rows, rhs):
+        x = real(rows, rhs)
+        parity = [math.prod(a) for a in itertools.product((1, -1), repeat=len(x).bit_length() - 1)]
+        c = -parity[0] * (x[0] + 1)
+        return [v + c * s for v, s in zip(x, parity)]
+
+    monkeypatch.setattr(mp, "solve_nonnegative", shifted)
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(GRID_TARGETS))
+    code, out, err = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert (code, err) == (cli.EXIT_DISAGREE, "")
+    rep = json.loads(out)
+    assert rep["joint_4"]["witness"][0] == "-1/8" and rep["methods_agree"] is False
+
+
 def test_feasibility_malformed_targets(capsys, tmp_path):
     targets = tmp_path / "targets.json"
     infinite = {pair: [[float("inf"), 0], [0, 0]] for pair in ("AC", "AD", "BC", "BD")}
@@ -216,12 +238,15 @@ def test_feasibility_malformed_targets(capsys, tmp_path):
     ones = {pair: [["1", "0"], ["0", "0"]] for pair in ("AC", "AD", "BC", "BD")}
     object_table = {**ones, "AC": {"10": None, "00": None}}
     string_rows = {**ones, "AD": ["10", "00"]}
+    # a table beside the four that no pair reads
+    fifth_table = {**GRID_TARGETS, "DA": [["1", "0"], ["0", "0"]]}
     for obj in ({"AC": [[1, 0], [0, 0]]}, infinite, boolean, huge_exponent, not_2x2,
-                object_table, string_rows):
+                object_table, string_rows, fifth_table):
         targets.write_text(json.dumps(obj))
         code, _, err = run(capsys, "feasibility", "--targets", str(targets))
         assert code == cli.EXIT_INPUT
         assert err.startswith("error:")
+    assert "DA" in err  # the last refusal names the table no pair reads
     targets.write_bytes(b"\xff\xfe{}")
     code, _, err = run(capsys, "feasibility", "--targets", str(targets))
     assert code == cli.EXIT_INPUT and err.startswith("error: cannot read targets")

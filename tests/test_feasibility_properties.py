@@ -4,10 +4,10 @@ witnesses that reproduce their targets."""
 
 import itertools
 import json
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +27,8 @@ def decimal_targets(draw):
     scale = 10 ** draw(st.integers(1, 4))
     cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=15, max_size=15)))
     weights = [b - a for a, b in zip([0] + cuts, cuts + [scale])]
-    local = mp.JointAtomVector(mp.VARS_4, tuple(Fraction(w, scale) for w in weights))
-    local_targets = mp.PairTargets({pair: local.pair_marginal(pair) for pair in mp.PAIR_IDS})
+    local_targets = mp.PairTargets(
+        _reference_marginals(mp.VARS_4, [Fraction(w, scale) for w in weights]))
     mix_scale = 10 ** draw(st.integers(1, 9))
     lam = Fraction(draw(st.integers(0, mix_scale)), mix_scale)
     return mp.PairTargets.pr_box().mix(local_targets, lam)
@@ -106,10 +106,14 @@ def test_three_methods_agree_next_to_the_boundary(case):
 @PROPERTY
 @given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0])))
 def test_every_feasible_witness_reproduces_its_targets(t):
-    for verdict in (mp.feasible_joint_4(t), mp.feasible_joint_6(t)):
+    for variables, verdict in _both_verdicts(t):
         assert verdict.feasible == (verdict.witness is not None)
         if verdict.feasible:
-            assert verdict.witness.reproduces(t)
+            assert mp.reproduces(variables, verdict.witness, t)
+
+
+def _both_verdicts(t) -> list:
+    return [(mp.VARS_4, mp.feasible_joint_4(t)), (mp.VARS_6, mp.feasible_joint_6(t))]
 
 
 def _reference_marginals(variables, probs) -> dict:
@@ -141,11 +145,10 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     variants = _reference_variants(t)
     assert {signs: Fraction(v, t.scale) for signs, v in t.variants.items()} == variants
     assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
-    for verdict in (mp.feasible_joint_4(t), mp.feasible_joint_6(t)):
+    for variables, verdict in _both_verdicts(t):
         if verdict.feasible:
-            witness = verdict.witness
-            assert _reference_marginals(witness.variables, witness.probs) == t.tables
-            assert witness.reproduces(t)
+            assert _reference_marginals(variables, verdict.witness) == t.tables
+            assert mp.reproduces(variables, verdict.witness, t)
         else:
             assert verdict.max_violation == max(variants.values()) - 2
 
@@ -157,20 +160,44 @@ def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
     # some pair: moving 1/scale of mass changes that pair's table
     t, _ = case
     witness = mp.feasible_joint_4(t).witness
-    source = data.draw(st.sampled_from([i for i, n in enumerate(witness.counts) if n > 0]))
+    count = Fraction(1, math.lcm(*(p.denominator for p in witness)))
+    source = data.draw(st.sampled_from([i for i, p in enumerate(witness) if p > 0]))
     target = data.draw(st.sampled_from([i for i in range(16) if i != source]))
-    probs = list(witness.probs)
-    probs[source] -= Fraction(1, witness.scale)
-    probs[target] += Fraction(1, witness.scale)
+    probs = list(witness)
+    probs[source] -= count
+    probs[target] += count
     assert _reference_marginals(mp.VARS_4, probs) != t.tables
-    assert not mp.JointAtomVector(mp.VARS_4, tuple(probs)).reproduces(t)
+    assert not mp.reproduces(mp.VARS_4, probs, t)
 
 
-def test_joint_atom_vector_refuses_a_sum_off_by_1e_minus_30():
+def shifted_along_parity(variables, witness) -> list[Fraction]:
+    """`witness` plus a multiple of the parity vector A*B*C*D (over six
+    variables Ai*Ar*B*Ci*Cr*D), just large enough to send atom 0 to -1/2^64.
+    The vector lies in the kernel of the cell system: a pair cell fixes two of
+    A, B, C, D, and the product of the other two sums to zero over its atoms."""
+    parity = [math.prod(atom) for atom in itertools.product((+1, -1), repeat=len(variables))]
+    c = -parity[0] * (witness[0] + Fraction(1, 2 ** 64))
+    return [p + c * s for p, s in zip(witness, parity)]
+
+
+@PROPERTY
+@given(boundary_targets().filter(lambda case: case[1] <= 0))
+def test_reproduces_refuses_a_witness_shifted_along_the_parity_vector(case):
+    # every pair table and the normalization still hold; one atom is negative
+    t, _ = case
+    for variables, verdict in _both_verdicts(t):
+        shifted = shifted_along_parity(variables, verdict.witness)
+        assert _reference_marginals(variables, shifted) == t.tables and sum(shifted) == 1
+        assert shifted[0] < 0
+        assert not mp.reproduces(variables, shifted, t)
+
+
+def test_reproduces_refuses_a_sum_off_by_1e_minus_30():
     uniform = [Fraction(1, 16)] * 16
+    targets = mp.PairTargets(_reference_marginals(mp.VARS_4, uniform))
+    assert mp.reproduces(mp.VARS_4, uniform, targets)
     for off in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
-        with pytest.raises(ValueError, match="sum to 1"):
-            mp.JointAtomVector(mp.VARS_4, tuple([uniform[0] + off, *uniform[1:]]))
+        assert not mp.reproduces(mp.VARS_4, [uniform[0] + off, *uniform[1:]], targets)
 
 
 @st.composite

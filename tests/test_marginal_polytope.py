@@ -70,7 +70,7 @@ def test_product_targets_feasible_with_exact_witness():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert verdict.witness.reproduces(t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
 
 
 def test_tsirelson_infeasible_with_enumeration_oracle():
@@ -99,7 +99,7 @@ def test_shrunk_targets_feasible_at_boundary():
     assert mp.chsh_value(t) == 2
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert verdict.witness.reproduces(t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
 
 
 def test_six_variable_matches_four_variable_on_examples():
@@ -113,7 +113,7 @@ def test_six_variable_witness_reproduces_composites():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_6(t)
     assert verdict.feasible
-    assert verdict.witness.reproduces(t)
+    assert mp.reproduces(mp.VARS_6, verdict.witness, t)
 
 
 def test_constructive_six_variable_witness_from_four():
@@ -122,13 +122,12 @@ def test_constructive_six_variable_witness_from_four():
     t = shrunk_targets()
     w4 = mp.feasible_joint_4(t).witness
     probs = {assign: Fraction(0) for assign in itertools.product((+1, -1), repeat=6)}
-    for (a, b, c, d), p in zip(itertools.product((+1, -1), repeat=4), w4.probs):
+    for (a, b, c, d), p in zip(itertools.product((+1, -1), repeat=4), w4):
         for ai in (+1, -1):
             for ci in (+1, -1):
                 probs[(ai, a * ai, b, ci, c * ci, d)] += p / 4
-    w6 = mp.JointAtomVector(mp.VARS_6, tuple(
-        probs[assign] for assign in itertools.product((+1, -1), repeat=6)))
-    assert w6.reproduces(t)
+    w6 = [probs[assign] for assign in itertools.product((+1, -1), repeat=6)]
+    assert mp.reproduces(mp.VARS_6, w6, t)
 
 
 def test_fine_criterion_examples():
@@ -149,8 +148,8 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
         assert fine == v4.feasible == v6.feasible
         if v4.feasible:
             saw_feasible += 1
-            assert v4.witness.reproduces(t)
-            assert v6.witness.reproduces(t)
+            assert mp.reproduces(mp.VARS_4, v4.witness, t)
+            assert mp.reproduces(mp.VARS_6, v6.witness, t)
         else:
             saw_infeasible += 1
             assert v4.max_violation > 0

@@ -18,13 +18,12 @@ from friendlab.scenarios import (
     build_basic_wf_state,
     build_frame_relational_state,
     build_rovelli_states,
-    frame_relational_branches,
     interference_witness,
     lf_circuit,
     observable_spec,
+    orientation_branches,
     pair_correlations,
     pair_spec,
-    rovelli_branches,
 )
 
 COS45 = math.cos(math.radians(45.0))
@@ -92,8 +91,8 @@ def test_frame_relational_rejects_bad_outcome():
 
 
 def test_interference_witness_cases():
-    ba, bb = frame_relational_branches(+1)
     coherent = build_frame_relational_state(+1)
+    ba, bb = orientation_branches(coherent)
     assert interference_witness(coherent, ba, bb) == pytest.approx(1.0)
     assert interference_witness(ba, ba, bb) == pytest.approx(0.5)
     minus = StateVector(scenarios.FRAME_LAYOUT, (ba.amps - bb.amps) / math.sqrt(2))
@@ -101,7 +100,7 @@ def test_interference_witness_cases():
 
 
 def test_interference_witness_rejects_state_outside_span():
-    ba, bb = frame_relational_branches(+1)
+    ba, bb = orientation_branches(build_frame_relational_state(+1))
     outside = build_frame_relational_state(-1)
     with pytest.raises(ValueError):
         interference_witness(outside, ba, bb)
@@ -244,7 +243,7 @@ def test_rovelli_ready_state_untouched_in_no_measurement_branch():
 
 def test_rovelli_witness_is_coherent():
     for s in build_rovelli_states(RovelliConfig()):
-        b0, b1 = rovelli_branches(s)
+        b0, b1 = orientation_branches(s)
         assert interference_witness(s, b0, b1) == pytest.approx(1.0)
 
 
