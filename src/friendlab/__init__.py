@@ -4,7 +4,7 @@ Wigner's Friend experiments.
 Modules:
 
 * hilbert -- dense state-vector engine (named tensor factors, unitaries,
-  projective measurement, Born sampling);
+  computational-basis readings, Born sampling);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
   and sequential-measurement experiments;
 * marginal_polytope -- exact-rational feasibility of pairwise targets via

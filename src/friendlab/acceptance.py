@@ -12,7 +12,7 @@ import numpy as np
 
 from . import marginal_polytope as mp
 from . import relmodel, scenarios, statlab
-from .hilbert import born_distribution, factor_angle_spec
+from .hilbert import StateVector, born_distribution, factor_basis_spec, lift, rotation_matrix
 from .scenarios import LFConfig, RovelliConfig
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -153,9 +153,10 @@ def criterion_5(seed: int) -> dict:
                                     others, 1e-10))
         checks.append(statlab.check(f"state {own}: witness vs 1",
                                     abs(sr["interference_witness"] - 1.0), 1e-10))
-    ready_plus = dict(born_distribution(
-        scenarios.build_rovelli_states(cfg)[2],
-        factor_angle_spec(scenarios.ROVELLI_LAYOUT, "Y", 90.0)))
+    no_m2 = scenarios.build_rovelli_states(cfg)[2]  # Y along 90 degrees reads +1
+    y_90 = lift(rotation_matrix(90.0).conj().T, no_m2.layout, ("Y",))
+    ready_plus = dict(born_distribution(StateVector(no_m2.layout, y_90 @ no_m2.amps),
+                                        factor_basis_spec(no_m2.layout, "Y", (+1, -1))))
     checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
                                 abs(ready_plus[+1] - 1.0), 1e-10))
     checks.append(statlab.check("inconsistent reports", ROVELLI_TRIALS - consistent, 0.0,

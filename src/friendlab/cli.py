@@ -457,7 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _read_json(args.config, "config file") if args.config else {}
         if not isinstance(config, dict):
             raise InputError("config file must hold a JSON object")
-        unread = sorted(set(config) - set(vars(args)) - {"command", "func", "config"})
+        # the parser's own entries are no options a config file can set
+        unread = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
         if unread:
             raise InputError(f"config keys that {args.command} does not read: "
                              + ", ".join(unread))

@@ -5,18 +5,14 @@ construction, and every operation returns a fresh value.  A unitary is a
 plain matrix on named factors: `lift(matrix, layout, on)` returns the
 read-only full-layout matrix acting on the factors `on` and as the identity
 elsewhere, and a state transforms as `StateVector(layout, lift(...) @ amps)`,
-whose norm check guards the result.  The engine is deliberately dense and
-small; the scenarios built on top of it never need more than 24 dimensions.
-Sampling is batched: `sample_outcomes` computes one Born distribution and
-maps n uniforms onto it.  It returns label indices, not post-measurement
-states.
-
-Projectors are validated once, where arbitrary ones enter: the
-`MeasurementSpec` constructor, which the factor builders also use.  Specs
-valid by construction (`MeasurementSpec.by_construction`), the products of two
-commuting valid specs and the circuit's unitary-conjugated supermeasurements,
-skip that re-check, which would be most of a Born table's cost; the tests run the
-full check on them, and check the circuit's unitaries, over random angles.
+whose norm check guards the result.  A measurement is a frame change, which
+is such a unitary, followed by a computational-basis reading of named factors
+(`MeasurementSpec`); a reading of distinct factors is complete and orthogonal
+by its type, so no projector is ever built or checked.  The engine is
+deliberately dense and small; the scenarios built on top of it never need
+more than 24 dimensions.  Sampling is batched: `sample_outcomes` computes
+one Born distribution and maps n uniforms onto it.  It returns label
+indices, not post-measurement states.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ class LayoutError(ValueError):
 
 
 class MeasurementError(ValueError):
-    """Projector set is not a complete orthogonal measurement."""
+    """A reading of no factor, of one factor twice, or with bad labels."""
 
 
 @dataclass(frozen=True)
@@ -135,59 +131,43 @@ def lift(matrix: np.ndarray, layout: FactorLayout, on: tuple[str, ...]) -> np.nd
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """A complete set of orthogonal projectors with hashable labels, as the constructor checks."""
+    """A computational-basis reading of the named factors `read`, in that
+    order, with one distinct label per joint basis value (the first factor
+    read is the most significant digit).  Any other measurement is a basis
+    change applied to the state with `lift`, then a reading."""
 
     layout: FactorLayout
-    outcomes: tuple[tuple[object, np.ndarray], ...]
-
-    @classmethod
-    def by_construction(cls, layout: FactorLayout, outcomes: tuple) -> "MeasurementSpec":
-        """A spec whose read-only projectors are valid by construction, taken
-        as they are, without the constructor's checks."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "layout", layout)
-        object.__setattr__(spec, "outcomes", outcomes)
-        return spec
+    read: tuple[str, ...]
+    labels: tuple[object, ...]
+    # the axes of the squared amplitudes that a reading sums (every factor
+    # not read, and the real/imaginary axis last), and the order of the rest
+    _summed: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.outcomes:
-            raise MeasurementError("measurement needs at least one projector")
-        d = self.layout.dim
-        checked = [(label, np.array(p, dtype=np.complex128)) for label, p in self.outcomes]
-        for i, (label, p) in enumerate(checked):
-            if p.shape != (d, d):
-                raise LayoutError(f"projector for {label!r} has shape {p.shape}, want {(d, d)}")
-            if not np.allclose(p, p.conj().T, atol=ATOL):
-                raise MeasurementError(f"projector for {label!r} is not Hermitian")
-            if not np.allclose(p @ p, p, atol=ATOL):
-                raise MeasurementError(f"projector for {label!r} is not idempotent")
-            p.setflags(write=False)
-            for other, q in checked[:i]:
-                if not np.allclose(q @ p, 0.0, atol=ATOL):
-                    raise MeasurementError(f"projectors {other!r} and {label!r} are not orthogonal")
-        if not np.allclose(sum(p for _, p in checked), np.eye(d), atol=ATOL):
-            raise MeasurementError("projectors do not sum to the identity")
-        if len({label for label, _ in checked}) != len(checked):
+        read, labels = tuple(self.read), tuple(self.labels)
+        axes = [self.layout.axis(n) for n in read]
+        if not read or len(set(read)) != len(read):
+            raise MeasurementError(f"a reading needs distinct factors, got {read}")
+        n = math.prod(self.layout.dims[a] for a in axes)
+        if len(labels) != n:
+            raise MeasurementError(f"reading {read} needs {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
             raise MeasurementError("outcome labels must be distinct")
-        object.__setattr__(self, "outcomes", tuple(checked))
-
-    @property
-    def labels(self) -> tuple[object, ...]:
-        return tuple(label for label, _ in self.outcomes)
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_summed", tuple(
+            a for a in range(len(self.layout.factors) + 1) if a not in axes))
+        object.__setattr__(self, "_order", tuple(sorted(axes).index(a) for a in axes))
 
 
 def born_distribution(s: StateVector, m: MeasurementSpec) -> list[tuple[object, float]]:
-    """Outcome probabilities <s|P|s> for each projector of the spec."""
+    """(label, probability) in read order: the squared amplitudes summed over
+    the factors the spec does not read."""
     if s.layout != m.layout:
         raise LayoutError("measurement layout does not match state layout")
-    probs = []
-    for label, p in m.outcomes:
-        pr = float(np.vdot(s.amps, p @ s.amps).real)
-        probs.append((label, min(max(pr, 0.0), 1.0)))
-    total = sum(pr for _, pr in probs)
-    if abs(total - 1.0) > 1e-9:
-        raise MeasurementError(f"probabilities sum to {total}, not 1")
-    return probs
+    sq = np.square(s.amps.view(np.float64)).reshape(s.layout.dims + (2,))
+    return list(zip(m.labels, sq.sum(axis=m._summed).transpose(m._order).ravel().tolist()))
 
 
 def sample_outcomes(s: StateVector, m: MeasurementSpec, n: int,
@@ -208,8 +188,9 @@ def sample_outcomes(s: StateVector, m: MeasurementSpec, n: int,
 #
 # Measurement angles live in the real x-z plane:
 #   R(theta) = [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]
-# and "measure along theta" means projecting onto R(theta)|0>, R(theta)|1>
-# with labels +1, -1.  Real rotations are enough to reach the Tsirelson point.
+# and "measure along theta" means applying R(theta)^dagger and reading the
+# qubit, value 0 as +1 and 1 as -1.  Real rotations are enough to reach the
+# Tsirelson point.
 
 def rotation_matrix(theta_degrees: float) -> np.ndarray:
     h = math.radians(theta_degrees) / 2.0
@@ -217,49 +198,11 @@ def rotation_matrix(theta_degrees: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def angle_projectors(theta_degrees: float) -> tuple[tuple[int, np.ndarray], ...]:
-    """(+1, -1)-labelled 2x2 projectors for a measurement along theta."""
-    r = rotation_matrix(theta_degrees)
-    return tuple((label, np.outer(r[:, k], r[:, k].conj())) for label, k in ((+1, 0), (-1, 1)))
-
-
-def _factor_spec(layout: FactorLayout, name: str, projectors) -> MeasurementSpec:
-    """Labelled projectors on one factor, identity elsewhere."""
-    return MeasurementSpec(layout, tuple((label, lift(p, layout, (name,)))
-                                         for label, p in projectors))
-
-
 @functools.cache
 def factor_basis_spec(layout: FactorLayout, name: str,
                       labels: tuple[object, ...] | None = None) -> MeasurementSpec:
-    """Computational-basis measurement of one factor, identity elsewhere.
-    Memoized: a spec is immutable, so one serves every caller."""
-    d = layout.dim_of(name)
-    labels = tuple(range(d)) if labels is None else labels
-    if len(labels) != d:
-        raise MeasurementError(f"need {d} labels for factor {name!r}")
-    return _factor_spec(layout, name, zip(labels, map(np.diag, np.eye(d))))
-
-
-def factor_angle_spec(layout: FactorLayout, name: str, theta_degrees: float) -> MeasurementSpec:
-    """Measurement of a qubit factor along theta, identity elsewhere."""
-    if layout.dim_of(name) != 2:
-        raise LayoutError(f"factor {name!r} is not a qubit")
-    return _factor_spec(layout, name, angle_projectors(theta_degrees))
-
-
-def product_spec(a: MeasurementSpec, b: MeasurementSpec) -> MeasurementSpec:
-    """Joint measurement from two commuting specs on the same layout; labels
-    become (label_a, label_b) pairs, one per product (a zero one included).
-    Products of commuting complete sets form one: commuting is the only check."""
-    if a.layout != b.layout:
-        raise LayoutError("product measurement requires identical layouts")
-    pa = np.stack([p for _, p in a.outcomes])[:, None]
-    pb = np.stack([p for _, p in b.outcomes])[None, :]
-    products = pa @ pb
-    if not np.allclose(products, pb @ pa, atol=ATOL):
-        raise MeasurementError("projectors do not commute; no joint measurement")
-    products.setflags(write=False)
-    return MeasurementSpec.by_construction(a.layout, tuple(
-        ((la, lb), products[i, j])
-        for i, la in enumerate(a.labels) for j, lb in enumerate(b.labels)))
+    """Computational-basis reading of one factor, labelled 0..d-1 unless
+    `labels` says otherwise.  Memoized: a spec is immutable, so one serves
+    every caller."""
+    return MeasurementSpec(layout, (name,),
+                           tuple(range(layout.dim_of(name))) if labels is None else labels)

@@ -39,7 +39,7 @@ CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
 VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
-_B_ASKS, _D_ASKS = (np.array([p[w] in ("A", "C") for p in PAIR_IDS]) for w in (0, 1))
+_B_ASKS, _D_ASKS = (np.array([CHOICE[p[w]] == "ask" for p in PAIR_IDS]) for w in (0, 1))
 # per PAIR_CELLS index: its bin 3x + y + 4 in empirical_pair_table (8, 6, 2, 0)
 _PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 

@@ -30,14 +30,12 @@ from .hilbert import (
     FactorLayout,
     MeasurementSpec,
     StateVector,
-    angle_projectors,
     born_distribution,
     factor_basis_spec,
     lift,
-    product_spec,
     rotation_matrix,
 )
-from .statlab import PAIR_CELLS, PAIR_IDS, correlator
+from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS, correlator
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -179,36 +177,28 @@ def lf_circuit(cfg: LFConfig) -> StateVector:
 
 
 @lru_cache(maxsize=32)
-def observable_spec(cfg: LFConfig, var: str) -> MeasurementSpec:
-    """The measurement behind one of the variables A, B, C, D (memoized).
-
-    A and C ask the friend: read her memory qubit in the computational basis
-    (label +1 for 0, -1 for 1), i.e. learn what she recorded.  B and D
-    supermeasure her lab: undo the friend unitary coherently, measure the
-    wing particle along the super angle, redo the friend unitary.
-    """
-    wing, ask, super_angle = _WINGS[var]
-    if var in ("A", "C"):
-        return factor_basis_spec(LF_LAYOUT, wing[1], labels=(+1, -1))
-    u = _friend_unitary(getattr(cfg, ask))
-    eye2 = np.eye(2, dtype=np.complex128)
-    outcomes = [(label, lift(u @ np.kron(p, eye2) @ u.conj().T, LF_LAYOUT, wing))
-                for label, p in angle_projectors(getattr(cfg, super_angle))]
-    return MeasurementSpec.by_construction(LF_LAYOUT, tuple(outcomes))  # conjugate of a valid spec
-
-
-def pair_spec(cfg: LFConfig, pair: str) -> MeasurementSpec:
-    """Joint 4-outcome measurement of one of the pairs AC, AD, BC, BD.
-    Labels are (Alice-wing value, Chidi-wing value) pairs."""
-    return product_spec(observable_spec(cfg, pair[0]), observable_spec(cfg, pair[1]))
-
-
-@lru_cache(maxsize=32)
 def born_pair_table(cfg: LFConfig, pair: str) -> tuple[float, ...]:
     """Exact Born joint table for one of the pairs AC, AD, BC, BD, in
-    PAIR_CELLS order.  Memoized on the frozen config."""
-    probs = dict(born_distribution(lf_circuit(cfg), pair_spec(cfg, pair)))
-    return tuple(probs[cell] for cell in PAIR_CELLS)
+    PAIR_CELLS order (memoized on the frozen config).
+
+    Asking the friend (A, C) reads her memory qubit: what she recorded.  A
+    supermeasurement (B, D) undoes the friend unitary on her wing, rotates
+    the wing particle by minus the super angle and reads the particle.
+    Value 0 reads as +1, value 1 as -1.
+    """
+    amps = lf_circuit(cfg).amps
+    read = []
+    for var in pair:
+        (particle, memory), ask, super_angle = _WINGS[var]
+        if CHOICE[var] == "ask":
+            read.append(memory)
+            continue
+        frame = (np.kron(rotation_matrix(getattr(cfg, super_angle)).conj().T, np.eye(2))
+                 @ _friend_unitary(getattr(cfg, ask)).conj().T)
+        amps = lift(frame, LF_LAYOUT, (particle, memory)) @ amps
+        read.append(particle)
+    spec = MeasurementSpec(LF_LAYOUT, tuple(read), PAIR_CELLS)
+    return tuple(p for _, p in born_distribution(StateVector(LF_LAYOUT, amps), spec))
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:

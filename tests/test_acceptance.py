@@ -57,7 +57,7 @@ def test_criterion_5_sequential_consistency():
 
 
 # sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
-ACCEPT_42_SHA256 = "56e7c759533cbd3ebafa6e8bf1bfa0bec6cef7a89f6d87ff21aed6de7a0f1d7b"
+ACCEPT_42_SHA256 = "c1a65e0681d7756155ee971ffeaee2e80f4bf06b619fefd407c64eab14922b10"
 
 
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):

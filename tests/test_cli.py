@@ -30,12 +30,12 @@ GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"
 
 # sha256 of reports at fixed seeds, so that refactors keep every output byte
 REPORT_SHA256 = {
-    "lf 20000 0 json": "097a659f6b80dcfbfc8810a407d0c3f2497a6bc0ba2ccf126805f17293017bed",
-    "relmodel 20000 0 json": "2fbf7d026397962bedbe87e0ed627d95c0057e32bc8f145c4e19b3b91993923c",
+    "lf 20000 0 json": "0353310f210dbe159cd34fb441186a5515197a3b5dfd8c1b5f48afd813ff64e0",
+    "relmodel 20000 0 json": "362b8097a1dafded40fa76b4b887e64f5d7a583f126404ce0f15cd430aa669cc",
     "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
     # the one pinned report whose independence audit raises flags
     "relmodel 20000 0 planted json":
-        "3791beb9818a3dc9edff97798f68891c2b09df3e600f13c44df111369842b856",
+        "9532004162875711f415d47a428573ecba2959cab151c6ccad9eab2fdca4fdd3",
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
     "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
@@ -46,10 +46,10 @@ REPORT_SHA256 = {
 # raw Born floats, so a last-ulp change in a Born table shows here
 ANGLES_SHA256 = {
     "12.5,97.25,51,173.75": (
-        "e9c2eafc9f76ec1eb207e5e1a214c62642edcf0b0fcb7ce10b61f457a39b94ee",
+        "51a709b074e0b2894b5a473ed90e7fde54be2ad31c327f1b5154a254aff2b387",
         "6670ad79e8ce212a8f2e4e9de25cd5e92c963943a9a51bbbf16af23ee1728684"),
     "200,330.75,17.125,301": (
-        "b66c681f5c2def4b49f27635309a9d470603f3e5ac8b4483bdb686a55fb37fc4",
+        "ccbde3929035ee6387211233a5f47089193c52623a5bc71399ab74d0a41b4d61",
         "bc79ca9491b320c9527cb41a0736f133a6c44027b23fb458e0b1c7dfd21011e6"),
 }
 
@@ -435,7 +435,10 @@ def test_bad_angles_in_config_is_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, config, unread", [
     ("rovelli", {"trails": 5}, "trails"), ("basic", {"trials": 5}, "trials"),
-    ("basic", {"trials": 5, "seed": 3, "angles": [1, 2, 3, 4]}, "angles, seed, trials")])
+    ("basic", {"trials": 5, "seed": 3, "angles": [1, 2, 3, 4]}, "angles, seed, trials"),
+    # the parser's own entries are no options either
+    ("feasibility", {"command": "lf"}, "command"), ("lf", {"func": "main"}, "func"),
+    ("rovelli", {"config": "other.json", "seed": 1}, "config")])
 def test_config_key_the_command_does_not_read_is_input_error(capsys, tmp_path, command,
                                                              config, unread):
     cfg = tmp_path / "cfg.json"

@@ -7,9 +7,12 @@ import pytest
 from friendlab import scenarios, statlab
 from friendlab.hilbert import (
     LayoutError,
+    MeasurementSpec,
     StateVector,
     born_distribution,
     factor_basis_spec,
+    lift,
+    rotation_matrix,
 )
 from friendlab.scenarios import (
     LFConfig,
@@ -19,11 +22,10 @@ from friendlab.scenarios import (
     build_frame_relational_state,
     build_rovelli_states,
     interference_witness,
+    born_pair_table,
     lf_circuit,
-    observable_spec,
     orientation_branches,
     pair_correlations,
-    pair_spec,
 )
 
 COS45 = math.cos(math.radians(45.0))
@@ -119,9 +121,8 @@ def test_lf_circuit_zero_angles_state():
 
 
 def memory_correlation(cfg):
-    s = lf_circuit(cfg)
-    spec = pair_spec(cfg, "AC")
-    return sum(x * y * p for (x, y), p in born_distribution(s, spec))
+    spec = MeasurementSpec(scenarios.LF_LAYOUT, ("MA", "MC"), statlab.PAIR_CELLS)
+    return sum(x * y * p for (x, y), p in born_distribution(lf_circuit(cfg), spec))
 
 
 def test_lf_circuit_norm_any_angles():
@@ -198,15 +199,6 @@ def test_default_angles_hit_tsirelson():
     assert s == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
 
-def test_super_projectors_are_rank_two_and_complete():
-    spec = observable_spec(LFConfig(), "B")
-    total = np.zeros((16, 16), dtype=complex)
-    for _, p in spec.outcomes:
-        assert np.linalg.matrix_rank(p) == 8  # rank 2 in the wing, times dim-4 identity
-        total += p
-    np.testing.assert_allclose(total, np.eye(16), atol=1e-10)
-
-
 def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     # equal configs (ints and floats spell the same angles) share one value,
     # so no caller may be able to write into it
@@ -215,10 +207,9 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     assert circuit is lf_circuit(b)
     with pytest.raises(ValueError):
         circuit.amps[0] = 0.0
-    for var in "ABCD":
-        spec = observable_spec(a, var)
-        assert spec is observable_spec(b, var)
-        assert not any(p.flags.writeable for _, p in spec.outcomes)
+    for pair in statlab.PAIR_IDS:
+        table = born_pair_table(a, pair)
+        assert isinstance(table, tuple) and table is born_pair_table(b, pair)
     states = build_rovelli_states(RovelliConfig(-1))
     assert isinstance(states, tuple) and states is build_rovelli_states(RovelliConfig(-1))
     assert not any(s.amps.flags.writeable for s in states)
@@ -235,9 +226,11 @@ def test_rovelli_records_are_definite():
 
 
 def test_rovelli_ready_state_untouched_in_no_measurement_branch():
-    states = build_rovelli_states(RovelliConfig())
-    from friendlab.hilbert import factor_angle_spec
-    dist = dict(born_distribution(states[2], factor_angle_spec(scenarios.ROVELLI_LAYOUT, "Y", 90.0)))
+    no_m2 = build_rovelli_states(RovelliConfig())[2]
+    # Y along 90 degrees: rotate Y by R(90)^dagger, then read it
+    y_90 = lift(rotation_matrix(90.0).conj().T, no_m2.layout, ("Y",))
+    dist = dict(born_distribution(StateVector(no_m2.layout, y_90 @ no_m2.amps),
+                                  factor_basis_spec(no_m2.layout, "Y", (+1, -1))))
     assert dist[+1] == pytest.approx(1.0)
 
 

@@ -1,7 +1,8 @@
 """Property tests of what the circuit takes as valid by construction, with no
 runtime check: the friend unitaries are unitary and the two wings' commute,
-the circuit's observable and pair specs pass the full check at random
-angles, and the Born pair tables built from them match the closed form."""
+and at random angles the Born pair tables, read after each wing's frame
+change, match both the conjugated projectors a supermeasurement stands for
+and the closed form."""
 
 import math
 
@@ -9,17 +10,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlab.hilbert import MeasurementSpec, lift
+from friendlab.hilbert import lift, rotation_matrix
 from friendlab.scenarios import (
     LF_LAYOUT,
     LFConfig,
     _friend_unitary,
     born_pair_table,
     lf_circuit,
-    observable_spec,
-    pair_spec,
 )
-from friendlab.statlab import PAIR_CELLS, PAIR_IDS
+from friendlab.statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 # derandomized so the suite's run time and outcome do not vary between runs
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -47,27 +46,43 @@ def test_a_fresh_config_builds_one_friend_unitary_per_ask_angle():
     # ask_a and ask_c differ in the first config and are equal in the second
     for cfg, ask_angles in ((LFConfig(12.5, 97.25, 51.0, 173.75), 2),
                             (LFConfig(30.0, 60.0, 30.0, 120.0), 1)):
-        for cache in (born_pair_table, lf_circuit, observable_spec, _friend_unitary):
+        for cache in (born_pair_table, lf_circuit, _friend_unitary):
             cache.cache_clear()
         for pair in PAIR_IDS:
             born_pair_table(cfg, pair)
         assert _friend_unitary.cache_info().misses == ask_angles
 
 
-def _full_check(spec: MeasurementSpec):
-    """The constructor's checks on the spec's projectors; it raises if any fails."""
-    checked = MeasurementSpec(spec.layout, spec.outcomes)
-    assert checked.labels == spec.labels
-    assert not any(p.flags.writeable for _, p in spec.outcomes)
+# each variable's wing: the friend's (particle, memory) factors and her ask angle
+WING_OF = {"A": ("X", "MA", "ask_a"), "B": ("X", "MA", "ask_a"),
+           "C": ("Y", "MC", "ask_c"), "D": ("Y", "MC", "ask_c")}
+
+
+def _projectors(cfg, var):
+    """The (+1, -1) projectors of one variable on the 16-dim layout: the
+    friend's memory for A and C, and for B and D the wing particle along the
+    super angle, conjugated by the friend unitary."""
+    particle, memory, ask = WING_OF[var]
+    if CHOICE[var] == "ask":
+        return [lift(np.diag(np.eye(2)[k]), LF_LAYOUT, (memory,)) for k in (0, 1)]
+    u = _friend_unitary(getattr(cfg, ask))
+    r = rotation_matrix(getattr(cfg, ANGLE_OF[var]))
+    return [lift(u @ np.kron(np.outer(r[:, k], r[:, k].conj()), np.eye(2)) @ u.conj().T,
+                 LF_LAYOUT, (particle, memory)) for k in (0, 1)]
 
 
 @PROPERTY
 @given(CONFIGS)
-def test_circuit_specs_pass_the_full_check(cfg):
+def test_born_pair_tables_match_the_conjugated_projectors(cfg):
+    amps = lf_circuit(cfg).amps
     for var in "ABCD":
-        _full_check(observable_spec(cfg, var))
+        ps = _projectors(cfg, var)  # the reference is itself a complete rank-8 measurement
+        assert [np.linalg.matrix_rank(p) for p in ps] == [8, 8]
+        assert np.abs(ps[0] + ps[1] - np.eye(16)).max() <= 1e-12
     for pair in PAIR_IDS:
-        _full_check(pair_spec(cfg, pair))
+        pa, pc = _projectors(cfg, pair[0]), _projectors(cfg, pair[1])
+        want = [np.vdot(amps, pa[i] @ pc[j] @ amps).real for i in (0, 1) for j in (0, 1)]
+        assert all(abs(b - w) <= 1e-15 for b, w in zip(born_pair_table(cfg, pair), want))
 
 
 @PROPERTY
