@@ -227,17 +227,59 @@ def test_measurement_spec_validation():
         MeasurementSpec(layout, ("b", "a"), range(5))
     with pytest.raises(MeasurementError, match="distinct"):
         MeasurementSpec(layout, ("a",), (0, 0))
-    # reading one factor twice would be the product of a measurement with
-    # itself, whose cross outcomes are impossible: no reading of distinct factors
-    with pytest.raises(MeasurementError, match="distinct factors"):
-        MeasurementSpec(layout, ("a", "a"), ((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
-    with pytest.raises(LayoutError):
-        born_distribution(ket(Q, 0), factor_basis_spec(R, "r"))  # another layout
     spec = MeasurementSpec(layout, ["b", "a"], range(6))
     assert spec.read == ("b", "a") and spec.labels == tuple(range(6))
     assert spec == MeasurementSpec(layout, ("b", "a"), tuple(range(6)))
     # a spec stores its reading, never a matrix
     assert not any(isinstance(v, np.ndarray) for v in vars(spec).values())
+
+
+def test_product_spec_refuses_non_commuting_specs():
+    # two angles on one qubit do not commute, so they are never one reading:
+    # a reading names each factor once, and a spec reads only its own layout
+    with pytest.raises(MeasurementError, match="distinct factors"):
+        MeasurementSpec(Q, ("q", "q"), ((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
+    with pytest.raises(LayoutError):
+        born_distribution(ket(Q, 0), factor_basis_spec(R, "r"))
+    # readings of distinct factors commute, and their product is the joint reading
+    layout = FactorLayout((("a", 2), ("c", 2)))
+    pa = [lift(np.diag(np.eye(2)[k]), layout, ("a",)) for k in (0, 1)]
+    pc = [lift(np.diag(np.eye(2)[k]), layout, ("c",)) for k in (0, 1)]
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    s = StateVector(layout, amps / np.linalg.norm(amps))
+    joint = born_distribution(s, MeasurementSpec(layout, ("a", "c"), range(4)))
+    for (_, p), (i, j) in zip(joint, itertools.product((0, 1), (0, 1))):
+        assert np.abs(pa[i] @ pc[j] - pc[j] @ pa[i]).max() == 0.0
+        assert abs(p - np.vdot(s.amps, pa[i] @ pc[j] @ s.amps).real) <= 1e-15
+
+
+def test_product_spec_keeps_zero_products():
+    # on Phi+ the two cross outcomes of reading both qubits have probability
+    # zero; they are kept, so that every (label_a, label_c) pair is an outcome
+    layout = FactorLayout((("a", 2), ("c", 2)))
+    phi = StateVector(layout, np.array([1, 0, 0, 1]) / math.sqrt(2))
+    labels = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+    dist = born_distribution(phi, MeasurementSpec(layout, ("a", "c"), labels))
+    assert [label for label, _ in dist] == list(labels)
+    assert [p for _, p in dist] == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-15)
+    assert dist[1][1] == 0.0 and dist[2][1] == 0.0
+
+
+def test_angle_projectors_complete():
+    # measuring along theta is rotate-then-read: its projectors R|k><k|R^dagger
+    # are complete, and reading the rotated state gives their Born weights
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    s = StateVector(Q, amps / np.linalg.norm(amps))
+    for theta in (0.0, 30.0, 45.0, 90.0, 217.0):
+        r = rotation_matrix(theta)
+        ps = [np.outer(r[:, k], r[:, k].conj()) for k in (0, 1)]
+        np.testing.assert_allclose(sum(ps), np.eye(2), atol=1e-12)
+        rotated = StateVector(Q, lift(r.conj().T, Q, ("q",)) @ s.amps)
+        dist = born_distribution(rotated, z_spec())
+        for (_, p), proj in zip(dist, ps):
+            assert abs(p - np.vdot(s.amps, proj @ s.amps).real) <= 1e-15
 
 
 # derandomized so the suite's run time and outcome do not vary between runs

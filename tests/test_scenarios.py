@@ -199,6 +199,26 @@ def test_default_angles_hit_tsirelson():
     assert s == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
 
+def test_super_projectors_are_rank_two_and_complete():
+    # the supermeasurement B is a frame change on Alice's wing, then a reading
+    # of the particle: its projectors F^dagger|k><k|F are rank 2 in the wing,
+    # times the dim-4 identity, complete, and give what the reading gives
+    cfg = LFConfig()
+    frame = (np.kron(rotation_matrix(cfg.super_a).conj().T, np.eye(2))
+             @ scenarios._friend_unitary(cfg.ask_a).conj().T)
+    amps = lf_circuit(cfg).amps
+    framed = StateVector(scenarios.LF_LAYOUT, lift(frame, scenarios.LF_LAYOUT, ("X", "MA")) @ amps)
+    dist = born_distribution(framed, factor_basis_spec(scenarios.LF_LAYOUT, "X"))
+    total = np.zeros((16, 16), dtype=complex)
+    for k, (_, prob) in enumerate(dist):
+        wing = frame.conj().T @ np.kron(np.diag(np.eye(2)[k]), np.eye(2)) @ frame
+        p = lift(wing, scenarios.LF_LAYOUT, ("X", "MA"))
+        assert np.linalg.matrix_rank(p) == 8
+        assert abs(prob - np.vdot(amps, p @ amps).real) <= 1e-15
+        total += p
+    np.testing.assert_allclose(total, np.eye(16), atol=1e-10)
+
+
 def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     # equal configs (ints and floats spell the same angles) share one value,
     # so no caller may be able to write into it

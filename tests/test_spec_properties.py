@@ -87,6 +87,22 @@ def test_born_pair_tables_match_the_conjugated_projectors(cfg):
 
 @PROPERTY
 @given(CONFIGS)
+def test_circuit_specs_pass_the_full_check(cfg):
+    # a supermeasurement's frame change is unitary, so every pair table is a
+    # complete measurement: four non-negative cells that sum to 1
+    for var in "BD":
+        _, _, ask = WING_OF[var]
+        r = rotation_matrix(getattr(cfg, ANGLE_OF[var]))
+        frame = np.kron(r.conj().T, np.eye(2)) @ _friend_unitary(getattr(cfg, ask)).conj().T
+        assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-12
+    for pair in PAIR_IDS:
+        table = born_pair_table(cfg, pair)
+        assert len(table) == len(PAIR_CELLS) and min(table) >= 0.0
+        assert abs(sum(table) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(CONFIGS)
 def test_born_pair_tables_match_the_closed_form(cfg):
     # every single is 1/2 and E(xy) = cos(theta_x - theta_y): the friend copies
     # the wing value and the supermeasurement undoes the copy, so each pair
