@@ -51,19 +51,19 @@ def criterion_1(seed: int) -> dict:
 
 
 def criterion_2(seed: int) -> dict:
-    """Tsirelson targets infeasible in both the 4- and 6-variable LP; the
+    """Tsirelson targets infeasible over 4 and 6 variables; the
     1/sqrt(2)-shrunk targets feasible; on every random target the analytic
-    criterion agrees with both LPs and every feasible witness reproduces the
-    target (`mp.methods_agree`)."""
+    criterion agrees with the LP and its 6-variable lift, and every feasible
+    witness reproduces the target (`mp.methods_agree`)."""
     tsirelson = mp.PairTargets.from_angles(LFConfig())
     v4 = mp.feasible_joint_4(tsirelson)
-    v6 = mp.feasible_joint_6(tsirelson)
+    v6 = mp.feasible_joint_6(v4)
     half = "1/2"
     shrunk = mp.PairTargets.from_correlators(
         {v: half for v in mp.VARS_4},
         {"AC": half, "BC": half, "BD": half, "AD": "-1/2"})
     s4 = mp.feasible_joint_4(shrunk)
-    s6 = mp.feasible_joint_6(shrunk)
+    s6 = mp.feasible_joint_6(s4)
     rng = np.random.default_rng(seed)
     disagreements = 0
     infeasible_count = 0
@@ -71,7 +71,7 @@ def criterion_2(seed: int) -> dict:
         t = mp.random_pair_targets(rng)
         fine = mp.fine_criterion(t)
         lp4 = mp.feasible_joint_4(t)
-        lp6 = mp.feasible_joint_6(t)
+        lp6 = mp.feasible_joint_6(lp4)
         if not mp.methods_agree(t, lp4, lp6, fine):
             disagreements += 1
         if not fine:

@@ -41,13 +41,14 @@ class InputError(ValueError):
     pass
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in the file at `path`; InputError naming `what` if it
-    cannot be read, is not UTF-8 or JSON (ValueError) or nests too deeply
-    for the parser (RecursionError)."""
+def _read_json(path: str, what: str, parse_float=float):
+    """The JSON value in the file at `path`, non-integer numbers read by
+    `parse_float`; InputError naming `what` if it cannot be read, is not
+    UTF-8 or JSON (ValueError) or nests too deeply for the parser
+    (RecursionError)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=parse_float)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
 
@@ -260,7 +261,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         raise InputError("feasibility reads angles only with --from-angles")
     resolution = None
     if targets_path:
-        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets"))
+        # a number is decided as written, not as the binary float nearest it
+        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets", str))
     elif from_angles:
         cfg = _resolve_lf_config(args)
         targets = mp.PairTargets.from_angles(cfg)
@@ -269,7 +271,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
     v4 = mp.feasible_joint_4(targets)
-    v6 = mp.feasible_joint_6(targets)
+    v6 = mp.feasible_joint_6(v4)
     fine = mp.fine_criterion(targets)
     s = mp.chsh_value(targets)
     agree = mp.methods_agree(targets, v4, v6, fine)

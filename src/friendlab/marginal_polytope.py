@@ -12,7 +12,8 @@ denominator, so validation and Fine's criterion (all eight CHSH sign
 variants at most 2, independent of the solver) compare ints.  The 17-row
 0/1 cell system `_cell_rows` with the targets' counts as right-hand side is
 the one integer system that the solver, a phase-1 simplex with Bland's
-rule, solves and `reproduces` checks a witness against.
+rule, solves and `reproduces` checks a witness against.  Over six
+variables the system only repeats columns, so that verdict is lifted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scenarios
@@ -29,7 +30,7 @@ from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
-SNAP = 10 ** 6    # largest denominator a float target or a Born probability snaps to
+SNAP = 10 ** 6    # denominator a Born single or correlator snaps to
 RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
 # largest decimal exponent a target entry may carry: Fraction("1e-N") builds
 # 10**N before any check, and CPython already limits int strings to 4300 digits
@@ -45,16 +46,13 @@ class TargetError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    """The exact value of a target entry.  Strings ("0.375", "3/8") and
-    rationals are taken as written; a float is snapped to the nearest
-    fraction with denominator at most SNAP, since a binary float is rarely
-    the decimal its writer meant.  A Fraction is immutable and returned as is."""
+    """The exact value of a target entry: a string ("0.375", "3/8",
+    "375e-3") as written, an int, a rational or a float's exact binary
+    value.  A Fraction is immutable and returned as is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):  # an int to Python, but JSON true is no probability
         raise TargetError(f"a target entry must be a number, got {x!r}")
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(SNAP)
     if isinstance(x, str) and "e" in x.lower():
         if abs(int(x.lower().partition("e")[2])) > MAX_EXPONENT:
             raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
@@ -75,34 +73,38 @@ def _plus(table, var: str, pair: str):
 
 @dataclass(frozen=True)
 class PairTargets:
-    """The four pairwise tables as 4-tuples of Fractions in PAIR_CELLS order,
-    and as int `counts` over `scale`, the lcm of all sixteen denominators."""
+    """The four pairwise tables as int `counts`, 4-tuples in PAIR_CELLS
+    order, over one common denominator `scale`, in lowest terms: counts
+    given over a larger scale are reduced."""
 
-    tables: dict[str, tuple[Fraction, ...]]
-    scale: int = field(init=False, repr=False, compare=False)
-    counts: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    scale: int
+    counts: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        if set(self.tables) != set(PAIR_IDS):
-            raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.tables)}")
-        norm = {pair: tuple(_frac(v) for v in self.tables[pair]) for pair in PAIR_IDS}
-        for pair, cells in norm.items():
+        if set(self.counts) != set(PAIR_IDS):
+            raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.counts)}")
+        for pair in PAIR_IDS:
+            cells = self.counts[pair]
             if len(cells) != len(PAIR_CELLS):
                 raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
-        scale, flat = _over_one_denominator([v for pair in PAIR_IDS for v in norm[pair]])
-        counts = {pair: flat[4 * k:4 * k + 4] for k, pair in enumerate(PAIR_IDS)}
-        for pair, cells in counts.items():
             if any(n < 0 for n in cells):
                 raise TargetError(f"table {pair} has a negative cell")
-            if sum(cells) != scale:
+            if self.scale <= 0 or sum(cells) != self.scale:
                 raise TargetError(f"table {pair} does not sum to 1")
-        object.__setattr__(self, "tables", norm)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "counts", counts)
+        g = math.gcd(self.scale, *(n for cells in self.counts.values() for n in cells))
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "counts", {pair: tuple(n // g for n in self.counts[pair])
+                                            for pair in PAIR_IDS})
         for var, (p1, p2) in _SINGLE_SOURCES.items():
-            if _plus(counts[p1], var, p1) != _plus(counts[p2], var, p2):
+            if _plus(self.counts[p1], var, p1) != _plus(self.counts[p2], var, p2):
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
+
+    @functools.cached_property
+    def tables(self) -> dict[str, tuple[Fraction, ...]]:
+        """Each table's cells as Fractions."""
+        return {pair: tuple(Fraction(n, self.scale) for n in cells)
+                for pair, cells in self.counts.items()}
 
     @functools.cached_property
     def variants(self) -> dict[tuple[int, int, int, int], int]:
@@ -115,11 +117,14 @@ class PairTargets:
     def from_correlators(cls, singles: dict[str, object],
                          correlators: dict[str, object]) -> "PairTargets":
         """Build tables from P(var=+1) marginals and pair correlators; the
-        shared singles make cross-table consistency exact by construction."""
-        m = {v: 2 * _frac(singles[v]) - 1 for v in VARS_4}
-        e = {pair: _frac(correlators[pair]) for pair in PAIR_IDS}
-        return cls({p: tuple(Fraction(1 + x * m[p[0]] + y * m[p[1]] + x * y * e[p]) / 4
-                             for x, y in PAIR_CELLS) for p in PAIR_IDS})
+        shared singles make cross-table consistency exact by construction.
+        Over the common denominator D of every m = 2 P(var=+1) - 1 and E, a
+        cell (1 + x m_v + y m_w + x y E(v, w)) / 4 is a count over 4 D."""
+        d, ints = _over_one_denominator([*(2 * _frac(singles[v]) - 1 for v in VARS_4),
+                                         *(_frac(correlators[pair]) for pair in PAIR_IDS)])
+        m, e = dict(zip(VARS_4, ints)), dict(zip(PAIR_IDS, ints[4:]))
+        return cls(4 * d, {p: tuple(d + x * m[p[0]] + y * m[p[1]] + x * y * e[p]
+                                    for x, y in PAIR_CELLS) for p in PAIR_IDS})
 
     @classmethod
     def from_angles(cls, cfg) -> "PairTargets":
@@ -134,24 +139,6 @@ class PairTargets:
         born = {pair: scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS}
         singles = {v: snap(_plus(born[p], v, p)) for v, (p, _) in _SINGLE_SOURCES.items()}
         return cls.from_correlators(singles, {p: snap(correlator(t)) for p, t in born.items()})
-
-    @classmethod
-    def pr_box(cls) -> "PairTargets":
-        """Perfect correlation on AC, BC, BD, perfect anti-correlation on AD."""
-        half = Fraction(1, 2)
-        zero = Fraction(0)
-        corr = (half, zero, zero, half)
-        anti = (zero, half, half, zero)
-        return cls({"AC": corr, "BC": corr, "BD": corr, "AD": anti})
-
-    def mix(self, other: "PairTargets", lam: object) -> "PairTargets":
-        """Cell-wise convex combination lam*self + (1-lam)*other."""
-        lam = _frac(lam)
-        if not 0 <= lam <= 1:
-            raise TargetError("mixing weight must lie in [0, 1]")
-        return PairTargets({pair: tuple(lam * a + (1 - lam) * b
-                                        for a, b in zip(self.tables[pair], other.tables[pair]))
-                            for pair in PAIR_IDS})
 
     # -- serialization ------------------------------------------------------
 
@@ -170,11 +157,12 @@ class PairTargets:
                 if not (isinstance(table, list) and len(table) == 2
                         and all(isinstance(row, list) and len(row) == 2 for row in table)):
                     raise TypeError(f"table {pair} must be an array of 2 arrays of 2 cells")
-            cells = {pair: tuple(_frac(v) for row in table for v in row)
-                     for pair, table in obj.items()}
+            scale, flat = _over_one_denominator(
+                [_frac(v) for table in obj.values() for row in table for v in row])
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
-        return cls(cells)  # refuses a missing table and one that no pair id names
+        # the constructor refuses a missing table and one that no pair id names
+        return cls(scale, {pair: flat[4 * k:4 * k + 4] for k, pair in enumerate(obj)})
 
 
 # --- CHSH combinations ------------------------------------------------------
@@ -206,7 +194,8 @@ def snap_resolution(cfg) -> dict | None:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """`witness`: the solver's atom probabilities, in `_cell_rows` column order."""
+    """`witness`: the solver's atom probabilities, or their six-variable lift,
+    in `_cell_rows` column order."""
 
     feasible: bool
     witness: tuple[Fraction, ...] | None
@@ -325,8 +314,10 @@ def reproduces(variables: tuple[str, ...], probs, t: PairTargets) -> bool:
                     for row, b in zip(rows, _cell_counts(t))))
 
 
-def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdict:
-    x = solve_nonnegative(_cell_rows(variables), _cell_counts(t))
+def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
+    """Does a joint distribution over (A, B, C, D) in {+1,-1}^4 reproduce all
+    four pair tables exactly?"""
+    x = solve_nonnegative(_cell_rows(VARS_4), _cell_counts(t))
     if x is None:
         top = max(t.variants.values())  # Fine's criterion gives the violation
         return FeasibilityVerdict(False, None, Fraction(top - 2 * t.scale, t.scale))
@@ -334,18 +325,18 @@ def _feasibility(t: PairTargets, variables: tuple[str, ...]) -> FeasibilityVerdi
     return FeasibilityVerdict(True, tuple(n / t.scale if n else n for n in x), None)
 
 
-def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
-    """Does a joint distribution over (A, B, C, D) in {+1,-1}^4 reproduce all
-    four pair tables exactly?"""
-    return _feasibility(t, VARS_4)
-
-
-def feasible_joint_6(t: PairTargets) -> FeasibilityVerdict:
-    """Six-variable refinement: the targets constrain the composites
-    A = Ai*Ar and C = Ci*Cr together with B and D.  Provably equivalent to
-    the four-variable question; implemented separately so the equivalence is
-    a tested theorem, not an assumption."""
-    return _feasibility(t, VARS_6)
+def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
+    """The six-variable verdict, lifted from the four-variable verdict `v4`.
+    Each column of the six-variable cell system is the four-variable column
+    of its (A, B, C, D) = (Ai*Ar, B, Ci*Cr, D), and duplicated columns keep
+    feasibility either way.  A feasible witness goes on the atoms with
+    Ai = Ci = +1; `methods_agree` checks it against the 64-column system."""
+    if not v4.feasible:
+        return v4
+    witness = [Fraction(0)] * 2 ** len(VARS_6)
+    for k, p in enumerate(v4.witness):  # atom bits (A, B, C, D) -> (Ar, B, Cr, D)
+        witness[((k & 12) << 1) | (k & 3)] = p
+    return FeasibilityVerdict(True, tuple(witness), None)
 
 
 def methods_agree(t: PairTargets, v4: FeasibilityVerdict, v6: FeasibilityVerdict,
@@ -358,14 +349,17 @@ def methods_agree(t: PairTargets, v4: FeasibilityVerdict, v6: FeasibilityVerdict
 
 
 def random_pair_targets(rng) -> PairTargets:
-    """Random valid targets: an exact-rational random local joint mixed with
-    the extremal nonlocal box, so both feasible and infeasible inputs occur."""
+    """Random valid targets: a local joint with integer atom weights below
+    RANDOM_GRID, over their sum W, mixed at weight lam/RANDOM_GRID with the
+    extremal nonlocal box, so both feasible and infeasible inputs occur.
+    Every cell is a count over 2 * RANDOM_GRID * W."""
     weights = [int(w) for w in rng.integers(0, RANDOM_GRID, size=16)]
     if not any(weights):
         weights[0] = 1
-    cells = [Fraction(sum(itertools.compress(weights, row)), sum(weights))
-             for row in _cell_rows(VARS_4)[1:]]
-    local_targets = PairTargets({pair: tuple(cells[4 * k:4 * k + 4])
-                                 for k, pair in enumerate(PAIR_IDS)})
-    lam = Fraction(int(rng.integers(0, RANDOM_GRID + 1)), RANDOM_GRID)
-    return PairTargets.pr_box().mix(local_targets, lam)
+    total = sum(weights)
+    lam = int(rng.integers(0, RANDOM_GRID + 1))
+    local = [sum(itertools.compress(weights, row)) for row in _cell_rows(VARS_4)[1:]]
+    box = [int(x * y == (-1 if pair == "AD" else 1)) for pair in PAIR_IDS for x, y in PAIR_CELLS]
+    counts = [lam * total * b + 2 * (RANDOM_GRID - lam) * n for b, n in zip(box, local)]
+    return PairTargets(2 * RANDOM_GRID * total,
+                       {pair: tuple(counts[4 * k:4 * k + 4]) for k, pair in enumerate(PAIR_IDS)})

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -193,9 +194,9 @@ def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypat
     uniform = {pair: [["1/4", "1/4"], ["1/4", "1/4"]] for pair in ("AC", "AD", "BC", "BD")}
     other = {pair: [["1/2", "0"], ["0", "1/2"]] for pair in ("AC", "AD", "BC", "BD")}
     real = mp.feasible_joint_6
-    wrong = real(mp.PairTargets.from_json_dict(other))
+    wrong = real(mp.feasible_joint_4(mp.PairTargets.from_json_dict(other)))
     assert wrong.feasible
-    monkeypatch.setattr(mp, "feasible_joint_6", lambda t: wrong)
+    monkeypatch.setattr(mp, "feasible_joint_6", lambda v4: wrong)
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps(uniform))
     code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
@@ -223,6 +224,26 @@ def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, 
     assert (code, err) == (cli.EXIT_DISAGREE, "")
     rep = json.loads(out)
     assert rep["joint_4"]["witness"][0] == "-1/8" and rep["methods_agree"] is False
+
+
+def test_feasibility_decides_json_numbers_as_written(capsys, tmp_path):
+    # S = 2 + 6e-9: the nearest fractions with denominators up to 1e6 would
+    # read 2/5 and 1/10, S = 2 and feasible
+    near = '[[0.400000001, 0.099999999], [0.099999999, 0.400000001]]'
+    text = f'{{"AC": {near}, "AD": [[0.2, 0.3], [0.3, 0.2]], "BC": {near}, "BD": {near}}}'
+    as_strings = re.sub(r"(\d\.\d+)", r'"\1"', text)
+    assert '"0.400000001"' in as_strings
+    targets = tmp_path / "targets.json"
+    reports = []
+    for written in (text, as_strings):
+        targets.write_text(written)
+        code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+        assert code == cli.EXIT_PASS
+        reports.append(out)
+    assert reports[0] == reports[1]
+    rep = json.loads(reports[0])
+    assert rep["chsh_value"] == "500000003/250000000"
+    assert not rep["joint_4"]["feasible"] and rep["targets"]["AC"][0][0] == "400000001/1000000000"
 
 
 def test_feasibility_malformed_targets(capsys, tmp_path):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_targets import from_tables, mix, pr_box, reference_marginals
 from friendlab import marginal_polytope as mp
 
 # derandomized so the suite's run time and outcome do not vary between runs
@@ -27,11 +28,11 @@ def decimal_targets(draw):
     scale = 10 ** draw(st.integers(1, 4))
     cuts = sorted(draw(st.lists(st.integers(0, scale), min_size=15, max_size=15)))
     weights = [b - a for a, b in zip([0] + cuts, cuts + [scale])]
-    local_targets = mp.PairTargets(
-        _reference_marginals(mp.VARS_4, [Fraction(w, scale) for w in weights]))
+    local_targets = from_tables(
+        reference_marginals(mp.VARS_4, [Fraction(w, scale) for w in weights]))
     mix_scale = 10 ** draw(st.integers(1, 9))
     lam = Fraction(draw(st.integers(0, mix_scale)), mix_scale)
-    return mp.PairTargets.pr_box().mix(local_targets, lam)
+    return mix(pr_box(), local_targets, lam)
 
 
 def _decimal_text(x: Fraction) -> str:
@@ -97,7 +98,8 @@ def boundary_targets(draw):
 @given(boundary_targets())
 def test_three_methods_agree_next_to_the_boundary(case):
     t, delta = case
-    v4, v6 = mp.feasible_joint_4(t), mp.feasible_joint_6(t)
+    v4 = mp.feasible_joint_4(t)
+    v6 = mp.feasible_joint_6(v4)
     assert mp.fine_criterion(t) == v4.feasible == v6.feasible == (delta <= 0)
     if not v4.feasible:
         assert v4.max_violation == v6.max_violation == delta
@@ -112,21 +114,24 @@ def test_every_feasible_witness_reproduces_its_targets(t):
             assert mp.reproduces(variables, verdict.witness, t)
 
 
+@PROPERTY
+@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0])))
+def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
+    # the simplex on the six-variable cell system is the reference the lift
+    # stands in for: the same verdict, and the same witness, since Bland's
+    # rule enters the lowest-index copy of each four-variable column
+    x = mp.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
+    lifted = mp.feasible_joint_6(mp.feasible_joint_4(t))
+    assert lifted.feasible == (x is not None)
+    if lifted.feasible:
+        assert lifted.witness == tuple(n / t.scale for n in x)
+    else:
+        assert lifted.max_violation == Fraction(max(t.variants.values()), t.scale) - 2
+
+
 def _both_verdicts(t) -> list:
-    return [(mp.VARS_4, mp.feasible_joint_4(t)), (mp.VARS_6, mp.feasible_joint_6(t))]
-
-
-def _reference_marginals(variables, probs) -> dict:
-    """Each pair table of a joint over +/-1 atoms (lexicographic, +1 first),
-    summed in plain Fractions; A and C are Ai*Ar and Ci*Cr when six-variable."""
-    sums = {pair: [Fraction(0)] * 4 for pair in mp.PAIR_IDS}
-    for atom, p in zip(itertools.product((+1, -1), repeat=len(variables)), probs):
-        value = dict(zip(variables, atom))
-        if "Ai" in value:
-            value["A"], value["C"] = value["Ai"] * value["Ar"], value["Ci"] * value["Cr"]
-        for pair in mp.PAIR_IDS:
-            sums[pair][mp.PAIR_CELLS.index((value[pair[0]], value[pair[1]]))] += p
-    return {pair: tuple(cells) for pair, cells in sums.items()}
+    v4 = mp.feasible_joint_4(t)
+    return [(mp.VARS_4, v4), (mp.VARS_6, mp.feasible_joint_6(v4))]
 
 
 def _reference_variants(t) -> dict:
@@ -147,7 +152,7 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
     for variables, verdict in _both_verdicts(t):
         if verdict.feasible:
-            assert _reference_marginals(variables, verdict.witness) == t.tables
+            assert reference_marginals(variables, verdict.witness) == t.tables
             assert mp.reproduces(variables, verdict.witness, t)
         else:
             assert verdict.max_violation == max(variants.values()) - 2
@@ -166,7 +171,7 @@ def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
     probs = list(witness)
     probs[source] -= count
     probs[target] += count
-    assert _reference_marginals(mp.VARS_4, probs) != t.tables
+    assert reference_marginals(mp.VARS_4, probs) != t.tables
     assert not mp.reproduces(mp.VARS_4, probs, t)
 
 
@@ -187,14 +192,14 @@ def test_reproduces_refuses_a_witness_shifted_along_the_parity_vector(case):
     t, _ = case
     for variables, verdict in _both_verdicts(t):
         shifted = shifted_along_parity(variables, verdict.witness)
-        assert _reference_marginals(variables, shifted) == t.tables and sum(shifted) == 1
+        assert reference_marginals(variables, shifted) == t.tables and sum(shifted) == 1
         assert shifted[0] < 0
         assert not mp.reproduces(variables, shifted, t)
 
 
 def test_reproduces_refuses_a_sum_off_by_1e_minus_30():
     uniform = [Fraction(1, 16)] * 16
-    targets = mp.PairTargets(_reference_marginals(mp.VARS_4, uniform))
+    targets = from_tables(reference_marginals(mp.VARS_4, uniform))
     assert mp.reproduces(mp.VARS_4, uniform, targets)
     for off in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
         assert not mp.reproduces(mp.VARS_4, [uniform[0] + off, *uniform[1:]], targets)

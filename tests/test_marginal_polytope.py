@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fraction_targets import from_tables, mix, pr_box, reference_marginals
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 from friendlab.statlab import correlator
 
-UNIFORM = mp.PairTargets({pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS})
+UNIFORM = from_tables({pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS})
 
 
 def product_targets(pa, pb, pc, pd):
@@ -21,7 +22,7 @@ def product_targets(pa, pb, pc, pd):
         v, w = pair[0], pair[1]
         tables[pair] = tuple((p[v] if x == 1 else 1 - p[v]) * (p[w] if y == 1 else 1 - p[w])
                              for x, y in mp.PAIR_CELLS)
-    return mp.PairTargets(tables)
+    return from_tables(tables)
 
 
 def test_targets_validation():
@@ -29,10 +30,10 @@ def test_targets_validation():
            for pair in mp.PAIR_IDS}
     bad["AC"] = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
     with pytest.raises(mp.TargetError):
-        mp.PairTargets(bad)
+        from_tables(bad)
     bad["AC"] = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     with pytest.raises(mp.TargetError):
-        mp.PairTargets(bad)
+        from_tables(bad)
 
 
 def test_targets_inconsistent_singles_is_input_error():
@@ -40,7 +41,26 @@ def test_targets_inconsistent_singles_is_input_error():
     # A-marginal is 1/2 in AC but 3/4 in AD
     tables["AD"] = (Fraction(3, 8), Fraction(3, 8), Fraction(1, 8), Fraction(1, 8))
     with pytest.raises(mp.TargetError):
-        mp.PairTargets(tables)
+        from_tables(tables)
+
+
+def test_counts_are_reduced_to_lowest_terms():
+    doubled = mp.PairTargets(8, {pair: (2, 2, 2, 2) for pair in mp.PAIR_IDS})
+    assert doubled.scale == 4 and doubled.counts == {pair: (1, 1, 1, 1) for pair in mp.PAIR_IDS}
+    assert doubled == UNIFORM
+
+
+def test_random_targets_match_the_fraction_mix_of_the_same_draws():
+    for seed in range(250):
+        rng = np.random.default_rng(seed)
+        weights = [int(w) for w in rng.integers(0, mp.RANDOM_GRID, size=16)]
+        if not any(weights):
+            weights[0] = 1
+        lam = Fraction(int(rng.integers(0, mp.RANDOM_GRID + 1)), mp.RANDOM_GRID)
+        local = reference_marginals(mp.VARS_4, [Fraction(w, sum(weights)) for w in weights])
+        expected = mix(pr_box(), from_tables(local), lam)
+        t = mp.random_pair_targets(np.random.default_rng(seed))
+        assert (t.scale, t.counts) == (expected.scale, expected.counts)
 
 
 def test_chsh_uniform_is_zero():
@@ -48,7 +68,7 @@ def test_chsh_uniform_is_zero():
 
 
 def test_chsh_extreme_box_is_four():
-    assert mp.chsh_value(mp.PairTargets.pr_box()) == 4
+    assert mp.chsh_value(pr_box()) == 4
 
 
 def test_chsh_tsirelson_from_angles():
@@ -106,12 +126,16 @@ def test_six_variable_matches_four_variable_on_examples():
     for t in (UNIFORM, shrunk_targets(),
               mp.PairTargets.from_angles(LFConfig()),
               product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))):
-        assert mp.feasible_joint_6(t).feasible == mp.feasible_joint_4(t).feasible
+        v4 = mp.feasible_joint_4(t)
+        v6 = mp.feasible_joint_6(v4)
+        solved = mp.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
+        assert v6.feasible == v4.feasible == (solved is not None)
+        assert v6.max_violation == v4.max_violation
 
 
 def test_six_variable_witness_reproduces_composites():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
-    verdict = mp.feasible_joint_6(t)
+    verdict = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert verdict.feasible
     assert mp.reproduces(mp.VARS_6, verdict.witness, t)
 
@@ -134,7 +158,7 @@ def test_fine_criterion_examples():
     assert mp.fine_criterion(UNIFORM)
     assert mp.fine_criterion(shrunk_targets())
     assert not mp.fine_criterion(mp.PairTargets.from_angles(LFConfig()))
-    assert not mp.fine_criterion(mp.PairTargets.pr_box())
+    assert not mp.fine_criterion(pr_box())
 
 
 def test_fine_criterion_agrees_with_both_lps_on_random_targets():
@@ -144,7 +168,7 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
         t = mp.random_pair_targets(rng)
         fine = mp.fine_criterion(t)
         v4 = mp.feasible_joint_4(t)
-        v6 = mp.feasible_joint_6(t)
+        v6 = mp.feasible_joint_6(v4)
         assert fine == v4.feasible == v6.feasible
         if v4.feasible:
             saw_feasible += 1
@@ -188,14 +212,14 @@ def test_moment_form_cross_check():
 def test_monotone_mix_toward_uniform_preserves_feasibility():
     t = shrunk_targets()
     for lam in (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        mixed = t.mix(UNIFORM, lam)
+        mixed = mix(t, UNIFORM, lam)
         assert mp.feasible_joint_4(mixed).feasible
 
 
 def test_infeasible_mix_becomes_feasible_below_boundary():
     tsirelson = mp.PairTargets.from_angles(LFConfig())
-    assert not mp.feasible_joint_4(tsirelson.mix(UNIFORM, Fraction(9, 10))).feasible
-    assert mp.feasible_joint_4(tsirelson.mix(UNIFORM, Fraction(1, 2))).feasible
+    assert not mp.feasible_joint_4(mix(tsirelson, UNIFORM, Fraction(9, 10))).feasible
+    assert mp.feasible_joint_4(mix(tsirelson, UNIFORM, Fraction(1, 2))).feasible
 
 
 def test_verdict_invariants():
