@@ -2,17 +2,19 @@
 
 Everything is immutable: states and measurement specs are frozen after
 construction, and every operation returns a fresh value.  A unitary is a
-plain matrix on named factors: `lift(matrix, layout, on)` returns the
-read-only full-layout matrix acting on the factors `on` and as the identity
-elsewhere, and a state transforms as `StateVector(layout, lift(...) @ amps)`,
-whose norm check guards the result.  A measurement is a frame change, which
-is such a unitary, followed by a computational-basis reading of named factors
-(`MeasurementSpec`); a reading of distinct factors is complete and orthogonal
-by its type, so no projector is ever built or checked.  The engine is
-deliberately dense and small; the scenarios built on top of it never need
-more than 24 dimensions.  Sampling is batched: `sample_outcomes` computes
-one Born distribution and maps n uniforms onto it.  It returns label
-indices, not post-measurement states.
+plain matrix on named factors, and `apply(matrix, state, on)` is the state
+it makes.  No float that reaches a report passes through BLAS or LAPACK:
+`apply` and `StateVector.inner` multiply split real and imaginary parts
+elementwise and sum them with numpy in an order this module fixes, so every
+report is the same bytes whichever kernels numpy and its BLAS pick for the
+CPU.  A measurement is a frame change, which is such a unitary, followed by
+a computational-basis reading of named factors (`MeasurementSpec`); a
+reading of distinct factors is complete and orthogonal by its type, so no
+projector is ever built or checked.  The engine is deliberately dense and
+small; the scenarios built on top of it never need more than 24 dimensions.
+Sampling is batched: `sample_outcomes` computes one Born distribution and
+maps n uniforms onto it.  It returns label indices, not post-measurement
+states.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ class FactorLayout:
         if any(d < 1 for _, d in factors):
             raise LayoutError("factor dimensions must be positive")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.factors)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return math.prod(d for _, d in self.factors)
 
@@ -70,16 +72,6 @@ class FactorLayout:
 
     def dim_of(self, name: str) -> int:
         return self.factors[self.axis(name)][1]
-
-    def flat_index(self, assignment: tuple[int, ...]) -> int:
-        if len(assignment) != len(self.factors):
-            raise LayoutError("assignment length does not match factor count")
-        idx = 0
-        for v, (_, d) in zip(assignment, self.factors):
-            if not 0 <= v < d:
-                raise LayoutError(f"basis value {v} out of range for dim {d}")
-            idx = idx * d + v
-        return idx
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ class StateVector:
             raise LayoutError("amplitude length does not match layout dimension")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.square(amps.view(np.float64)).sum())
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
@@ -101,32 +93,45 @@ class StateVector:
 
     @classmethod
     def from_terms(cls, layout: FactorLayout, terms: dict[tuple[int, ...], complex]) -> "StateVector":
-        amps = np.zeros(layout.dim, dtype=np.complex128)
+        amps = np.zeros(layout.dims, dtype=np.complex128)
         for assignment, amp in terms.items():
-            amps[layout.flat_index(assignment)] = amp
+            if len(assignment) != len(layout.dims) or not all(
+                    0 <= v < d for v, d in zip(assignment, layout.dims)):
+                raise LayoutError(f"basis state {assignment} does not fit dims {layout.dims}")
+            amps[tuple(assignment)] = amp
         return cls(layout, amps)
 
     def inner(self, other: "StateVector") -> complex:
         if self.layout != other.layout:
             raise LayoutError("inner product requires identical layouts")
-        return complex(np.vdot(self.amps, other.amps))
+        # the four sums of split-part products [[rr, ri], [ir, ii]], in numpy
+        (rr, ri), (ir, ii) = (self.amps.view(np.float64).reshape(-1, 2, 1)
+                              * other.amps.view(np.float64).reshape(-1, 1, 2)).sum(axis=0).tolist()
+        return complex(rr + ii, ri - ir)
 
 
-def lift(matrix: np.ndarray, layout: FactorLayout, on: tuple[str, ...]) -> np.ndarray:
-    """The read-only full-layout matrix that acts as `matrix` on the factors
-    named in `on`, in that order, and as the identity elsewhere."""
-    axes = [layout.axis(n) for n in on]
-    dims, d = layout.dims, layout.dim
-    d_on = math.prod(dims[a] for a in axes)
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (d_on, d_on):
-        raise LayoutError(f"matrix shape {matrix.shape} does not fit factors {on} (dim {d_on})")
-    t = np.moveaxis(np.eye(d, dtype=np.complex128).reshape(dims + (d,)), axes, range(len(axes)))
-    moved_shape = t.shape
-    t = (matrix @ t.reshape(d_on, -1)).reshape(moved_shape)
-    full = np.moveaxis(t, range(len(axes)), axes).reshape(d, d).copy()
-    full.setflags(write=False)
-    return full
+def apply(matrix: np.ndarray, state: StateVector, on: tuple[str, ...]) -> StateVector:
+    """The state `matrix` makes of `state`, acting on the factors `on`, in
+    that order, and as the identity elsewhere: the `on` axes move to the
+    front and out[i] = sum_j m[i, j] * t[j] is a broadcast multiply and a sum
+    over j, in split real and imaginary float64 parts (no BLAS, and no SIMD
+    complex multiply, which may fuse a multiply-add).  The returned state's
+    norm check refuses a non-unitary's output."""
+    layout = state.layout
+    axes = tuple(layout.axis(n) for n in on)
+    dims = layout.dims
+    d = math.prod(dims[a] for a in axes)
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.shape != (d, d) or len(set(axes)) != len(axes):
+        raise LayoutError(f"matrix shape {m.shape} does not fit factors {tuple(on)} (dim {d})")
+    perm = axes + tuple(a for a in range(len(dims)) if a not in axes)
+    t = state.amps.reshape(dims).transpose(perm).reshape(1, d, -1)
+    m = m[:, :, None]
+    out = np.empty((d, t.shape[2]), dtype=np.complex128)
+    out.real = (m.real * t.real - m.imag * t.imag).sum(axis=1)
+    out.imag = (m.real * t.imag + m.imag * t.real).sum(axis=1)
+    moved = out.reshape(tuple(dims[a] for a in perm))
+    return StateVector(layout, moved.transpose(tuple(perm.index(a) for a in range(len(dims)))))
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ class MeasurementSpec:
     """A computational-basis reading of the named factors `read`, in that
     order, with one distinct label per joint basis value (the first factor
     read is the most significant digit).  Any other measurement is a basis
-    change applied to the state with `lift`, then a reading."""
+    change applied to the state with `apply`, then a reading."""
 
     layout: FactorLayout
     read: tuple[str, ...]

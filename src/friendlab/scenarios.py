@@ -30,9 +30,9 @@ from .hilbert import (
     FactorLayout,
     MeasurementSpec,
     StateVector,
+    apply,
     born_distribution,
     factor_basis_spec,
-    lift,
     rotation_matrix,
 )
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS, correlator
@@ -144,13 +144,16 @@ def interference_witness(s: StateVector, branch_a: StateVector,
 @lru_cache(maxsize=8)
 def _friend_unitary(theta_degrees: float) -> np.ndarray:
     """4x4 unitary on (wing particle, memory): rotate the wing by -theta,
-    copy it into the memory with a controlled flip, rotate back.  The memory
-    ends up holding the wing value in the theta-rotated basis.  Memoized and
-    read-only: the circuit and the supermeasurement share one per ask angle."""
-    r = rotation_matrix(theta_degrees)
-    eye2 = np.eye(2, dtype=np.complex128)
-    cnot = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
-    u = np.kron(r, eye2) @ cnot @ np.kron(r.conj().T, eye2)
+    copy it into the memory with a controlled flip, rotate back; that is
+    P0 (x) I + P1 (x) X, with Pk the projector on column k of R(theta).
+    Memoized and read-only: the circuit and the supermeasurement share one
+    per ask angle."""
+    r = rotation_matrix(theta_degrees).real  # a real rotation
+    p0, p1 = (np.outer(r[:, k], r[:, k]) for k in (0, 1))
+    u = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # (wing, memory) out, then in
+    u[:, [0, 1], :, [0, 1]] = p0  # the memory kept where the wing reads 0
+    u[:, [1, 0], :, [0, 1]] = p1  # and flipped where it reads 1
+    u = u.reshape(4, 4)
     u.setflags(write=False)
     return u
 
@@ -166,14 +169,11 @@ _WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_a", "super_a")),
 def lf_circuit(cfg: LFConfig) -> StateVector:
     """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC;
     memoized on the frozen config."""
-    amps = StateVector.from_terms(LF_LAYOUT, {
-        (0, 0, 0, 0): SQRT_HALF,
-        (1, 1, 0, 0): SQRT_HALF,
-    }).amps
+    state = StateVector.from_terms(LF_LAYOUT, {(0, 0, 0, 0): SQRT_HALF, (1, 1, 0, 0): SQRT_HALF})
     for var in ("A", "C"):
         wing, ask, _ = _WINGS[var]
-        amps = lift(_friend_unitary(getattr(cfg, ask)), LF_LAYOUT, wing) @ amps
-    return StateVector(LF_LAYOUT, amps)
+        state = apply(_friend_unitary(getattr(cfg, ask)), state, wing)
+    return state
 
 
 @lru_cache(maxsize=32)
@@ -186,19 +186,18 @@ def born_pair_table(cfg: LFConfig, pair: str) -> tuple[float, ...]:
     the wing particle by minus the super angle and reads the particle.
     Value 0 reads as +1, value 1 as -1.
     """
-    amps = lf_circuit(cfg).amps
+    state = lf_circuit(cfg)
     read = []
     for var in pair:
         (particle, memory), ask, super_angle = _WINGS[var]
         if CHOICE[var] == "ask":
             read.append(memory)
             continue
-        frame = (np.kron(rotation_matrix(getattr(cfg, super_angle)).conj().T, np.eye(2))
-                 @ _friend_unitary(getattr(cfg, ask)).conj().T)
-        amps = lift(frame, LF_LAYOUT, (particle, memory)) @ amps
+        state = apply(_friend_unitary(getattr(cfg, ask)).conj().T, state, (particle, memory))
+        state = apply(rotation_matrix(getattr(cfg, super_angle)).conj().T, state, (particle,))
         read.append(particle)
     spec = MeasurementSpec(LF_LAYOUT, tuple(read), PAIR_CELLS)
-    return tuple(p for _, p in born_distribution(StateVector(LF_LAYOUT, amps), spec))
+    return tuple(p for _, p in born_distribution(state, spec))
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:
@@ -235,22 +234,17 @@ def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
     """Split a lab state into its two orientation branches (aligned, then
     flipped), each scaled by sqrt(2): orthonormal for the equal-weight
     frame-relational and sequential-scenario states."""
-    t = state.amps.reshape(state.layout.dims)
-    before = (slice(None),) * state.layout.axis("orientation")  # the factors before it
+    axis = state.layout.axis("orientation")
+    # scaled in split float parts, not by a complex multiply
+    t = math.sqrt(2.0) * state.amps.view(np.float64).reshape(state.layout.dims + (2,))
     branches = []
     for o in (0, 1):
-        sel = np.zeros_like(t)
-        sel[(*before, o)] = t[(*before, o)]
-        branches.append(StateVector(state.layout, math.sqrt(2.0) * sel.reshape(-1)))
+        sel = t.copy()
+        sel.swapaxes(0, axis)[1 - o] = 0.0  # drop the other orientation
+        branches.append(StateVector(state.layout, sel.view(np.complex128)))
     return branches[0], branches[1]
 
 
 def record_spec(layout: FactorLayout, labels: tuple[object, ...] | None = None) -> MeasurementSpec:
     """Computational-basis measurement of the record register."""
     return factor_basis_spec(layout, "record", labels=labels)
-
-
-def apply_global_rotation(s: StateVector, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to the orientation factor only.  Record
-    observables commute with it, so no record statistic can change."""
-    return StateVector(s.layout, lift(u, s.layout, ("orientation",)) @ s.amps)

@@ -4,7 +4,10 @@ line, plus the end-to-end byte-identity check on the `accept` command."""
 import hashlib
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendlab import acceptance, cli
 
@@ -51,13 +54,34 @@ def test_criterion_4_invariant_subspace():
     _run(acceptance.criterion_4, 42, 120.0)
 
 
+# derandomized so the suite's run time and outcome do not vary between runs
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_haar_draw_is_unitary(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        u = acceptance._random_orientation_unitary(rng)
+        assert u.shape == (2, 2) and u.dtype == np.complex128
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
+
+
+def test_haar_draw_has_the_haar_moments():
+    # under Haar measure on U(2), |u00|^2 is uniform on [0, 1] (mean 1/2,
+    # variance 1/12) and u00 has a uniform phase, so E[u00] = E[u00^2] = 0
+    rng = np.random.default_rng(4)
+    u00 = np.array([acceptance._random_orientation_unitary(rng)[0, 0] for _ in range(20000)])
+    p = np.abs(u00) ** 2
+    assert abs(p.mean() - 1 / 2) < 0.01 and abs(p.var() - 1 / 12) < 0.005
+    assert abs(u00.mean()) < 0.02 and abs((u00 ** 2).mean()) < 0.02
+
+
 def test_criterion_5_sequential_consistency():
     result = _run(acceptance.criterion_5, 42, 120.0)
     assert result["trials"] == 10 ** 4
 
 
 # sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
-ACCEPT_42_SHA256 = "c1a65e0681d7756155ee971ffeaee2e80f4bf06b619fefd407c64eab14922b10"
+ACCEPT_42_SHA256 = "c2305772263975d91ad2e2353eb8b7cc1cdb18f77b1f931722f9f7c9e71b6da6"
 
 
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):

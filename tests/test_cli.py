@@ -7,8 +7,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_acceptance import ACCEPT_42_SHA256
 
 from friendlab import cli, relmodel
 from friendlab import marginal_polytope as mp
@@ -31,12 +35,12 @@ GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"
 
 # sha256 of reports at fixed seeds, so that refactors keep every output byte
 REPORT_SHA256 = {
-    "lf 20000 0 json": "0353310f210dbe159cd34fb441186a5515197a3b5dfd8c1b5f48afd813ff64e0",
-    "relmodel 20000 0 json": "362b8097a1dafded40fa76b4b887e64f5d7a583f126404ce0f15cd430aa669cc",
+    "lf 20000 0 json": "6242faf267f2d58211b54e00e8a2d019c1cd5502f6d3b9ca58049838d98b8357",
+    "relmodel 20000 0 json": "7a41d81bfc477278b590947fa2d3a9d3942f717f0be083f35a312fa48af876a6",
     "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
     # the one pinned report whose independence audit raises flags
     "relmodel 20000 0 planted json":
-        "9532004162875711f415d47a428573ecba2959cab151c6ccad9eab2fdca4fdd3",
+        "26160cd86e80c003d694702bfc24ef7e5c7f63fa0882a011597402c8491fe2b8",
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
     "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
@@ -47,10 +51,10 @@ REPORT_SHA256 = {
 # raw Born floats, so a last-ulp change in a Born table shows here
 ANGLES_SHA256 = {
     "12.5,97.25,51,173.75": (
-        "51a709b074e0b2894b5a473ed90e7fde54be2ad31c327f1b5154a254aff2b387",
+        "62560d4b7c2c93cdb0b79cf01ae2e73559c748b776331ded68da0f1fd1ba9978",
         "6670ad79e8ce212a8f2e4e9de25cd5e92c963943a9a51bbbf16af23ee1728684"),
     "200,330.75,17.125,301": (
-        "ccbde3929035ee6387211233a5f47089193c52623a5bc71399ab74d0a41b4d61",
+        "0fd99690b335aedadb96705e4bb61d94e164245f4b4ce6f8b1ce1bd32f3420ce",
         "bc79ca9491b320c9527cb41a0736f133a6c44027b23fb458e0b1c7dfd21011e6"),
 }
 
@@ -117,6 +121,32 @@ def test_born_reports_at_other_angles_are_pinned(capsys, angles):
     code, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", angles,
                        "--format", "json")
     assert code == cli.EXIT_PASS and sha256(out) == feasibility_pin
+
+
+# per variable, a setting that makes numpy round differently from this host's
+# defaults: OpenBLAS's oldest x86-64 kernel, and numpy without its AVX2 and
+# AVX-512 loops
+OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}
+
+
+@pytest.mark.parametrize("var", sorted(OTHER_KERNELS))
+def test_reports_are_the_same_bytes_under_other_cpu_kernels(var):
+    # numpy reads these variables once, at import, so each run is a child
+    # process; no float that reaches a report passes through BLAS, LAPACK or a
+    # SIMD complex multiply, so the pinned bytes must not move
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, var: OTHER_KERNELS[var],
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [(ACCEPT_42_SHA256, ["accept", "--seed", "42"]),
+            (REPORT_SHA256["lf 20000 0 json"], ["lf", "--trials", "20000", "--seed", "0"])]
+    children = [(pin, subprocess.Popen([sys.executable, "-m", "friendlab.cli", *argv,
+                                        "--format", "json"],
+                                       env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+                for pin, argv in runs]
+    for pin, child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == cli.EXIT_PASS, err.decode()
+        assert hashlib.sha256(out).hexdigest() == pin
 
 
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):

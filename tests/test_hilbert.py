@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kron_oracle import embed
 
 from friendlab.hilbert import (
     FactorLayout,
@@ -13,9 +14,9 @@ from friendlab.hilbert import (
     MeasurementError,
     MeasurementSpec,
     StateVector,
+    apply,
     born_distribution,
     factor_basis_spec,
-    lift,
     rotation_matrix,
     sample_outcomes,
 )
@@ -42,43 +43,57 @@ def test_state_requires_normalization():
         StateVector(Q, np.array([np.nan, 0.0]))
 
 
-def transform(u, s, on=None):
-    """The state `u` makes of `s`, acting on the factors `on` (all if None)."""
-    return StateVector(s.layout, lift(u, s.layout, on or s.layout.names) @ s.amps)
+def test_from_terms_refuses_a_basis_state_outside_the_layout():
+    layout = FactorLayout((("a", 2), ("b", 3)))
+    assert StateVector.from_terms(layout, {(1, 2): 1.0}).amps.tolist() == [0, 0, 0, 0, 0, 1]
+    for assignment in ((1,), (0, 1, 0), (0, 3), (-1, 0)):
+        with pytest.raises(LayoutError):
+            StateVector.from_terms(layout, {assignment: 1.0})
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, layout):
+    amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    return StateVector(layout, amps / np.linalg.norm(amps))
 
 
 def test_apply_identity_and_flip():
     s = StateVector(Q, np.array([0.6, 0.8]))
-    np.testing.assert_allclose(transform(np.eye(2), s).amps, s.amps)
-    np.testing.assert_allclose(transform(np.array([[0, 1], [1, 0]]), ket(Q, 0)).amps, [0, 1])
+    np.testing.assert_allclose(apply(np.eye(2), s, ("q",)).amps, s.amps)
+    np.testing.assert_allclose(apply(np.array([[0, 1], [1, 0]]), ket(Q, 0), ("q",)).amps, [0, 1])
 
 
 def test_apply_rotation_twice_is_flip():
     # R(90) @ R(90) = [[0,-1],[1,0]]: |0> -> |1> exactly, no phase needed
     r = rotation_matrix(90.0)
-    np.testing.assert_allclose(transform(r, transform(r, ket(Q, 0))).amps, [0, 1], atol=1e-12)
+    np.testing.assert_allclose(apply(r, apply(r, ket(Q, 0), ("q",)), ("q",)).amps, [0, 1],
+                               atol=1e-12)
 
 
 def test_apply_rejects_nonunitary_and_mismatch():
     # the norm check of the resulting state refuses a non-unitary's output
     with pytest.raises(ValueError, match="not normalized"):
-        transform(np.array([[1, 0], [0, 2]]), ket(Q, 1))
+        apply(np.array([[1, 0], [0, 2]]), ket(Q, 1), ("q",))
     layout = FactorLayout((("a", 2), ("b", 2)))
+    s = ket(layout, 0, 0)
     with pytest.raises(LayoutError):
-        lift(np.eye(2), layout, ("a", "b"))
+        apply(np.eye(2), s, ("a", "b"))  # a 2x2 matrix on a 4-dim pair of factors
     with pytest.raises(LayoutError):
-        lift(np.eye(2), layout, ("q",))
+        apply(np.eye(2), s, ("q",))  # no such factor
+    with pytest.raises(LayoutError):
+        apply(np.eye(4), s, ("a", "a"))  # one factor twice
 
 
 def test_apply_on_subset_matches_kron():
     layout = FactorLayout((("a", 2), ("b", 2), ("c", 2)))
-    rng = np.random.default_rng(5)
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps /= np.linalg.norm(amps)
+    s = random_state(np.random.default_rng(5), layout)
     u = rotation_matrix(37.0)
-    got = transform(u, StateVector(layout, amps), on=("b",))
-    want = np.kron(np.kron(np.eye(2), u), np.eye(2)) @ amps
-    np.testing.assert_allclose(got.amps, want, atol=1e-12)
+    want = np.kron(np.kron(np.eye(2), u), np.eye(2)) @ s.amps
+    np.testing.assert_allclose(apply(u, s, ("b",)).amps, want, atol=1e-12)
 
 
 LAYOUT3 = FactorLayout((("a", 2), ("b", 3), ("c", 2)))
@@ -98,13 +113,17 @@ def unit(i, j):
     (("c", "a"), lambda m: sum(np.kron(np.kron(m[2 * i:2 * i + 2, 2 * j:2 * j + 2], np.eye(3)),
                                        unit(i, j)) for i in range(2) for j in range(2))),
 ], ids=["a", "b", "c", "c,a"])
-def test_lift_matches_kron_order(on, kron_of):
+def test_apply_matches_kron_order(on, kron_of):
     d = math.prod(LAYOUT3.dim_of(n) for n in on)
     rng = np.random.default_rng(d)
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    full = lift(m, LAYOUT3, on)
-    np.testing.assert_allclose(full, kron_of(m), atol=1e-14)
-    assert full.shape == (12, 12) and not full.flags.writeable
+    m = random_unitary(rng, d)
+    # the oracle the other tests use builds the same matrix
+    np.testing.assert_allclose(embed(m, LAYOUT3, on), kron_of(m), atol=1e-14)
+    for _ in range(5):
+        s = random_state(rng, LAYOUT3)
+        out = apply(m, s, on)
+        assert out.layout == LAYOUT3 and not out.amps.flags.writeable
+        np.testing.assert_allclose(out.amps, kron_of(m) @ s.amps, atol=1e-14)
 
 
 def z_spec():
@@ -141,7 +160,7 @@ def test_born_bell_state_angle_correlation():
 
     # rotate each qubit to its angle's frame, then read both
     frame = np.kron(rotation_matrix(0.0), rotation_matrix(45.0)).conj().T
-    rotated = StateVector(layout, lift(frame, layout, ("a", "c")) @ phi.amps)
+    rotated = apply(frame, phi, ("a", "c"))
     spec = MeasurementSpec(layout, ("a", "c"), ((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
     e = sum(la * lc * p for (la, lc), p in born_distribution(rotated, spec))
     assert abs(e - oracle) < 1e-12
@@ -209,9 +228,7 @@ def test_norm_preserved_under_random_unitaries():
         h = (h + h.conj().T) / 2
         w, v = np.linalg.eigh(h)
         u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
-        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        amps /= np.linalg.norm(amps)
-        out = transform(u, StateVector(layout, amps))
+        out = apply(u, random_state(rng, layout), layout.names)
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
 
@@ -243,8 +260,8 @@ def test_product_spec_refuses_non_commuting_specs():
         born_distribution(ket(Q, 0), factor_basis_spec(R, "r"))
     # readings of distinct factors commute, and their product is the joint reading
     layout = FactorLayout((("a", 2), ("c", 2)))
-    pa = [lift(np.diag(np.eye(2)[k]), layout, ("a",)) for k in (0, 1)]
-    pc = [lift(np.diag(np.eye(2)[k]), layout, ("c",)) for k in (0, 1)]
+    pa = [np.kron(np.diag(np.eye(2)[k]), np.eye(2)) for k in (0, 1)]
+    pc = [np.kron(np.eye(2), np.diag(np.eye(2)[k])) for k in (0, 1)]
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     s = StateVector(layout, amps / np.linalg.norm(amps))
@@ -276,7 +293,7 @@ def test_angle_projectors_complete():
         r = rotation_matrix(theta)
         ps = [np.outer(r[:, k], r[:, k].conj()) for k in (0, 1)]
         np.testing.assert_allclose(sum(ps), np.eye(2), atol=1e-12)
-        rotated = StateVector(Q, lift(r.conj().T, Q, ("q",)) @ s.amps)
+        rotated = apply(r.conj().T, s, ("q",))
         dist = born_distribution(rotated, z_spec())
         for (_, p), proj in zip(dist, ps):
             assert abs(p - np.vdot(s.amps, proj @ s.amps).real) <= 1e-15

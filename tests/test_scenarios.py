@@ -3,21 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from kron_oracle import embed
 
 from friendlab import scenarios, statlab
 from friendlab.hilbert import (
     LayoutError,
     MeasurementSpec,
     StateVector,
+    apply,
     born_distribution,
     factor_basis_spec,
-    lift,
     rotation_matrix,
 )
 from friendlab.scenarios import (
     LFConfig,
     RovelliConfig,
-    apply_global_rotation,
     build_basic_wf_state,
     build_frame_relational_state,
     build_rovelli_states,
@@ -207,12 +207,12 @@ def test_super_projectors_are_rank_two_and_complete():
     frame = (np.kron(rotation_matrix(cfg.super_a).conj().T, np.eye(2))
              @ scenarios._friend_unitary(cfg.ask_a).conj().T)
     amps = lf_circuit(cfg).amps
-    framed = StateVector(scenarios.LF_LAYOUT, lift(frame, scenarios.LF_LAYOUT, ("X", "MA")) @ amps)
+    framed = apply(frame, lf_circuit(cfg), ("X", "MA"))
     dist = born_distribution(framed, factor_basis_spec(scenarios.LF_LAYOUT, "X"))
     total = np.zeros((16, 16), dtype=complex)
     for k, (_, prob) in enumerate(dist):
         wing = frame.conj().T @ np.kron(np.diag(np.eye(2)[k]), np.eye(2)) @ frame
-        p = lift(wing, scenarios.LF_LAYOUT, ("X", "MA"))
+        p = embed(wing, scenarios.LF_LAYOUT, ("X", "MA"))
         assert np.linalg.matrix_rank(p) == 8
         assert abs(prob - np.vdot(amps, p @ amps).real) <= 1e-15
         total += p
@@ -248,9 +248,8 @@ def test_rovelli_records_are_definite():
 def test_rovelli_ready_state_untouched_in_no_measurement_branch():
     no_m2 = build_rovelli_states(RovelliConfig())[2]
     # Y along 90 degrees: rotate Y by R(90)^dagger, then read it
-    y_90 = lift(rotation_matrix(90.0).conj().T, no_m2.layout, ("Y",))
-    dist = dict(born_distribution(StateVector(no_m2.layout, y_90 @ no_m2.amps),
-                                  factor_basis_spec(no_m2.layout, "Y", (+1, -1))))
+    y_90 = apply(rotation_matrix(90.0).conj().T, no_m2, ("Y",))
+    dist = dict(born_distribution(y_90, factor_basis_spec(no_m2.layout, "Y", (+1, -1))))
     assert dist[+1] == pytest.approx(1.0)
 
 
@@ -291,18 +290,19 @@ def test_rovelli_rejects_bad_trigger():
 
 
 # --- orientation invariance -------------------------------------------------
+# a global rotation is a 2x2 unitary on the orientation factor only
 
 def test_global_rotation_identity_and_flip():
     s = build_frame_relational_state(+1)
-    np.testing.assert_allclose(apply_global_rotation(s, np.eye(2)).amps, s.amps)
+    np.testing.assert_allclose(apply(np.eye(2), s, ("orientation",)).amps, s.amps)
     flip = np.array([[0, 1], [1, 0]])
-    assert record_expectation(apply_global_rotation(s, flip)) == pytest.approx(1.0)
+    assert record_expectation(apply(flip, s, ("orientation",))) == pytest.approx(1.0)
 
 
 def test_global_rotation_needs_an_orientation_factor():
     s = build_basic_wf_state(1.0, 0.0)  # layout (S, A)
     with pytest.raises(LayoutError):
-        apply_global_rotation(s, np.eye(2))
+        apply(np.eye(2), s, ("orientation",))
 
 
 def all_states_with_orientation():
@@ -318,7 +318,7 @@ def test_record_statistics_invariant_under_orientation_unitaries():
         base = dict(born_distribution(s, spec))
         for _ in range(100):
             u = random_unitary(rng)
-            after = dict(born_distribution(apply_global_rotation(s, u), spec))
+            after = dict(born_distribution(apply(u, s, ("orientation",)), spec))
             assert all(abs(after[k] - base[k]) < 1e-10 for k in base)
 
 

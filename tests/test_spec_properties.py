@@ -9,8 +9,9 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kron_oracle import embed
 
-from friendlab.hilbert import lift, rotation_matrix
+from friendlab.hilbert import rotation_matrix
 from friendlab.scenarios import (
     LF_LAYOUT,
     LFConfig,
@@ -37,8 +38,8 @@ def test_friend_unitaries_are_unitary_and_the_wings_commute(theta_a, theta_c):
         u = _friend_unitary(theta)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
         assert not u.flags.writeable
-    alice = lift(_friend_unitary(theta_a), LF_LAYOUT, ("X", "MA"))
-    chidi = lift(_friend_unitary(theta_c), LF_LAYOUT, ("Y", "MC"))
+    alice = embed(_friend_unitary(theta_a), LF_LAYOUT, ("X", "MA"))
+    chidi = embed(_friend_unitary(theta_c), LF_LAYOUT, ("Y", "MC"))
     assert np.abs(alice @ chidi - chidi @ alice).max() <= 1e-12
 
 
@@ -64,23 +65,23 @@ def _projectors(cfg, var):
     super angle, conjugated by the friend unitary."""
     particle, memory, ask = WING_OF[var]
     if CHOICE[var] == "ask":
-        return [lift(np.diag(np.eye(2)[k]), LF_LAYOUT, (memory,)) for k in (0, 1)]
+        return [embed(np.diag(np.eye(2)[k]), LF_LAYOUT, (memory,)) for k in (0, 1)]
     u = _friend_unitary(getattr(cfg, ask))
     r = rotation_matrix(getattr(cfg, ANGLE_OF[var]))
-    return [lift(u @ np.kron(np.outer(r[:, k], r[:, k].conj()), np.eye(2)) @ u.conj().T,
-                 LF_LAYOUT, (particle, memory)) for k in (0, 1)]
+    return [embed(u @ np.kron(np.outer(r[:, k], r[:, k].conj()), np.eye(2)) @ u.conj().T,
+                  LF_LAYOUT, (particle, memory)) for k in (0, 1)]
 
 
 @PROPERTY
 @given(CONFIGS)
 def test_born_pair_tables_match_the_conjugated_projectors(cfg):
     amps = lf_circuit(cfg).amps
-    for var in "ABCD":
-        ps = _projectors(cfg, var)  # the reference is itself a complete rank-8 measurement
+    projectors = {var: _projectors(cfg, var) for var in "ABCD"}
+    for ps in projectors.values():  # the reference is itself a complete rank-8 measurement
         assert [np.linalg.matrix_rank(p) for p in ps] == [8, 8]
         assert np.abs(ps[0] + ps[1] - np.eye(16)).max() <= 1e-12
     for pair in PAIR_IDS:
-        pa, pc = _projectors(cfg, pair[0]), _projectors(cfg, pair[1])
+        pa, pc = projectors[pair[0]], projectors[pair[1]]
         want = [np.vdot(amps, pa[i] @ pc[j] @ amps).real for i in (0, 1) for j in (0, 1)]
         assert all(abs(b - w) <= 1e-15 for b, w in zip(born_pair_table(cfg, pair), want))
 
