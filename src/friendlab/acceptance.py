@@ -50,27 +50,20 @@ def criterion_1(seed: int) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _decide(t: mp.PairTargets) -> tuple[mp.FeasibilityVerdict, bool, bool]:
-    """The LP verdict on `t`, Fine's criterion, and whether they, the
-    6-variable lift and every feasible witness agree (`mp.methods_agree`)."""
-    fine, v4 = mp.fine_criterion(t), mp.feasible_joint_4(t)
-    return v4, fine, mp.methods_agree(t, v4, mp.feasible_joint_6(v4), fine)
-
-
 def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible and the 1/sqrt(2)-shrunk targets
     feasible; on those two and on every random target the methods agree."""
     tsirelson = mp.PairTargets.from_angles(LFConfig())
-    v4, _, tsirelson_agree = _decide(tsirelson)
+    v4, _, _, tsirelson_agree = mp.decide(tsirelson)
     half = "1/2"
     shrunk = mp.PairTargets.from_correlators(
         {v: half for v in mp.VARS_4},
         {"AC": half, "BC": half, "BD": half, "AD": "-1/2"})
-    s4, _, shrunk_agree = _decide(shrunk)
+    s4, _, _, shrunk_agree = mp.decide(shrunk)
     rng = np.random.default_rng(seed)
-    decided = [_decide(mp.random_pair_targets(rng)) for _ in range(RANDOM_TARGETS)]
-    disagreements = sum(not agree for _, _, agree in decided)
-    infeasible_count = sum(not fine for _, fine, _ in decided)
+    decided = [mp.decide(mp.random_pair_targets(rng)) for _ in range(RANDOM_TARGETS)]
+    disagreements = sum(not agree for *_, agree in decided)
+    infeasible_count = sum(not fine for _, _, fine, _ in decided)
     checks = [
         statlab.check("tsirelson 4-variable infeasible", 0.0 if not v4.feasible else 1.0, 0.0),
         statlab.check("tsirelson LP/analytic/lift agreement", not tsirelson_agree, 0.0),
@@ -125,7 +118,7 @@ def criterion_4(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
     for name, state in _scenario_states():
-        spec = scenarios.record_spec(state.layout)
+        spec = factor_basis_spec(state.layout, "record")
         base = dict(born_distribution(state, spec))
         worst = 0.0
         for _ in range(UNITARIES):

@@ -171,7 +171,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
     if equal_weights:
         frame = scenarios.build_frame_relational_state(outcome)
         witness = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
-        rec = dict(born_distribution(frame, scenarios.record_spec(scenarios.FRAME_LAYOUT)))
+        rec = dict(born_distribution(frame, factor_basis_spec(scenarios.FRAME_LAYOUT, "record")))
         report["frame_relational"] = {
             "outcome": outcome,
             "interference_witness": witness,
@@ -224,7 +224,7 @@ def cmd_lf(args: argparse.Namespace) -> int:
     pairs_report = {pair: {
         "n": sum(table),
         "frequencies": list(statlab.freqs(table)),
-        "born": list(scenarios.born_pair_table(cfg, pair)),
+        "born": list(scenarios.born_tables(cfg)[pair]),
         "E_analytic": analytic[pair],
     } for pair, table in zip(statlab.PAIR_IDS, tables)}
     s_mc, stderr = statlab.chsh_estimate(tables)
@@ -270,11 +270,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     else:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
-    v4 = mp.feasible_joint_4(targets)
-    v6 = mp.feasible_joint_6(v4)
-    fine = mp.fine_criterion(targets)
+    v4, v6, fine, agree = mp.decide(targets)
     s = mp.chsh_value(targets)
-    agree = mp.methods_agree(targets, v4, v6, fine)
     report = {"command": "feasibility",
               "targets": targets.to_json_dict(),
               "chsh_value": str(s), "chsh_value_float": float(s),

@@ -12,9 +12,9 @@ a computational-basis reading of named factors (`MeasurementSpec`); a
 reading of distinct factors is complete and orthogonal by its type, so no
 projector is ever built or checked.  The engine is deliberately dense and
 small; the scenarios built on top of it never need more than 24 dimensions.
-Sampling is batched: `sample_outcomes` computes one Born distribution and
-maps n uniforms onto it.  It returns label indices, not post-measurement
-states.
+A reading's Born probabilities come from `born_distribution` alone;
+`sample_outcomes` maps n uniforms onto one such distribution and returns
+label indices, not post-measurement states.
 """
 
 from __future__ import annotations
@@ -175,16 +175,16 @@ def born_distribution(s: StateVector, m: MeasurementSpec) -> list[tuple[object, 
     return list(zip(m.labels, sq.sum(axis=m._summed).transpose(m._order).ravel().tolist()))
 
 
-def sample_outcomes(s: StateVector, m: MeasurementSpec, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """n independent Born samples, as indices into `m.labels`.
+def sample_outcomes(born, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent samples of `born`, a `born_distribution` result, as
+    indices into its (label, probability) pairs.
 
     One uniform per sample, in order, mapped to the first outcome whose
     cumulative probability exceeds it.  A zero-probability outcome has an
     empty interval, so it is never selected; a uniform in the float
     round-off tail goes to the last positive-probability outcome.
     """
-    probs = np.array([pr for _, pr in born_distribution(s, m)])
+    probs = np.array([pr for _, pr in born])
     idx = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
     return np.minimum(idx, np.flatnonzero(probs)[-1])
 

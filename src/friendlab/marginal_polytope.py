@@ -136,7 +136,7 @@ class PairTargets:
         def snap(x: float) -> Fraction:
             return Fraction(round(x * SNAP), SNAP)
 
-        born = {pair: scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS}
+        born = scenarios.born_tables(cfg)
         singles = {v: snap(_plus(born[p], v, p)) for v, (p, _) in _SINGLE_SOURCES.items()}
         return cls.from_correlators(singles, {p: snap(correlator(t)) for p, t in born.items()})
 
@@ -330,7 +330,7 @@ def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
     Each column of the six-variable cell system is the four-variable column
     of its (A, B, C, D) = (Ai*Ar, B, Ci*Cr, D), and duplicated columns keep
     feasibility either way.  A feasible witness goes on the atoms with
-    Ai = Ci = +1; `methods_agree` checks it against the 64-column system."""
+    Ai = Ci = +1; `decide` checks it against the 64-column system."""
     if not v4.feasible:
         return v4
     witness = [Fraction(0)] * 2 ** len(VARS_6)
@@ -339,13 +339,16 @@ def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
     return FeasibilityVerdict(True, tuple(witness), None)
 
 
-def methods_agree(t: PairTargets, v4: FeasibilityVerdict, v6: FeasibilityVerdict,
-                  fine: bool) -> bool:
-    """The two LPs and Fine's criterion give one verdict, and every feasible
-    witness reproduces the targets."""
-    return (v4.feasible == v6.feasible == fine
-            and all(reproduces(variables, v.witness, t)
-                    for variables, v in ((VARS_4, v4), (VARS_6, v6)) if v.feasible))
+def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool, bool]:
+    """The one feasibility pipeline of the CLI and the acceptance suite: the
+    four- and six-variable verdicts on `t`, Fine's criterion, and whether the
+    three agree and every feasible witness reproduces the targets."""
+    v4, fine = feasible_joint_4(t), fine_criterion(t)
+    v6 = feasible_joint_6(v4)
+    agree = (v4.feasible == v6.feasible == fine
+             and all(reproduces(variables, v.witness, t)
+                     for variables, v in ((VARS_4, v4), (VARS_6, v6)) if v.feasible))
+    return v4, v6, fine, agree
 
 
 def random_pair_targets(rng) -> PairTargets:

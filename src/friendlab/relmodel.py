@@ -9,15 +9,15 @@ external * internal, never pre-sampled.  Which variables exist on a run, and
 their values, follow from its pair k (a PAIR_IDS index), its internal bits
 ia and ic (0 for +1, 1 for -1) and its Born cell (a PAIR_CELLS index), so a
 run is one of 64 codes 16*k + 8*ia + 4*ic + cell.  A TrialBatch is a uint8
-column of codes read through 64-entry tables of k and of each variable, 0
-where it is absent; the audits read a batch as its histogram of codes.
+column of codes read through the 64-entry TABLES of k and of each variable,
+0 where it is absent; the audits read a batch as its histogram of codes.
 Report rows hold None there (null in JSON, an empty field in CSV).
 
 The sequential scenario is a columnar batch: `simulate_rovelli` returns
 int8 columns (first outcome, whether the second measurement ran, the
-second outcome or 0, the record read from the final state), and
-`rovelli_audit` is the one report on it that the `rovelli` command,
-criterion 5 and the demo share.
+second outcome or 0, the record drawn from the final state's distribution
+in `scenarios.rovelli_states`), and `rovelli_audit` is the one report on it
+that the `rovelli` command, criterion 5 and the demo share.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 SIGMAS = 3.0               # choice-independence band, in binomial standard errors
 
-# the sequential scenario's ready qubit (|up>+|down>)/sqrt(2) and its z measurement
+# the z distribution of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
 _READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
-_Z = factor_basis_spec(_READY.layout, "q", labels=(+1, -1))
-_Z_LABELS = np.array(_Z.labels, dtype=np.int8)
+_READY_Z = tuple(born_distribution(_READY, factor_basis_spec(_READY.layout, "q", (+1, -1))))
+_Z_LABELS = np.array([label for label, _ in _READY_Z], dtype=np.int8)
 
 
 class InsufficientDataError(ValueError):
@@ -88,9 +88,11 @@ def _decode(code: int) -> dict[str, int]:
 
 
 _DECODED = [_decode(code) for code in range(64)]
-# per code: k and each variable (read-only once in a TrialBatch), its report row
-# and the row as canonical JSON (sorted keys, no whitespace)
+# per code: k and each variable (read-only), its report row and the row as
+# canonical JSON (sorted keys, no whitespace)
 TABLES = {name: np.array([d[name] for d in _DECODED], np.int8) for name in ("k", *VARIABLES)}
+for _table in TABLES.values():
+    _table.setflags(write=False)
 _ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
                                   *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
 _FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
@@ -101,16 +103,14 @@ PLANTED.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Runs as a uint8 column of codes and the `tables` of k and each
-    variable per code (TABLES, unless a test corrupts one), made read-only."""
+    """Runs as a uint8 column of codes, made read-only; TABLES gives k and
+    each variable per code."""
 
     config: LFConfig
     code: np.ndarray
-    tables: dict[str, np.ndarray]
 
     def __post_init__(self):
-        for column in (self.code, *self.tables.values()):
-            column.setflags(write=False)
+        self.code.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.code)
@@ -141,10 +141,11 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
-    tables = np.array([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS])
-    # row j: P(cell <= j) per pair; a uniform past the float sum of a table
-    # lands in cell 3, since Born probabilities are non-negative
+    tables = np.array(list(scenarios.born_tables(cfg).values()))
+    # row j: P(cell <= j) per pair, past which a uniform moves on from cell j,
+    # but never from a pair's last positive cell: it takes the round-off tail
     cdf_rows = np.cumsum(tables, axis=1).T[:3].copy()
+    cdf_rows[np.arange(3)[:, None] >= 3 - np.argmax(tables[:, ::-1] > 0, axis=1)] = np.inf
     chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
@@ -157,7 +158,7 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
         for row in cdf_rows:
             code += u >= row.take(k)
         chunks.append(code)
-    return TrialBatch(cfg, np.concatenate(chunks), TABLES)
+    return TrialBatch(cfg, np.concatenate(chunks))
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -167,7 +168,7 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     power."""
     if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
         raise ValueError(f"unknown variable in pair {pair}")
-    x, y = batch.tables[pair[0]], batch.tables[pair[1]]
+    x, y = TABLES[pair[0]], TABLES[pair[1]]
     # each code's runs in the bin of its (x, y) in {-1, 0, 1}^2, 0 marking absent
     counts = np.bincount(3 * x + y + 4, weights=batch.histogram, minlength=9)[_PRESENT_CELLS]
     counts = tuple(int(c) for c in counts.tolist())
@@ -182,14 +183,14 @@ def check_choice_independence(batch: TrialBatch) -> dict:
     those whose internal outcome is +1 `n_plus`; `flags` lists each two
     choice pairs whose conditional frequencies differ by more than SIGMAS
     binomial standard errors."""
-    runs, pair = batch.histogram, batch.tables["k"]
+    runs, pair = batch.histogram, TABLES["k"]
     n = np.bincount(pair, weights=runs, minlength=4)
     present = np.flatnonzero(n)
     if len(present) < 2:
         raise InsufficientDataError("need at least two distinct choice pairs")
     stats, flags = {}, []
     for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
-        plus = np.bincount(pair, weights=runs * (batch.tables[internal] == 1), minlength=4)
+        plus = np.bincount(pair, weights=runs * (TABLES[internal] == 1), minlength=4)
         counts = {",".join(CHOICE[v] for v in PAIR_IDS[j]): (int(n[j]), int(plus[j]))
                   for j in present}
         stats[wing] = {key: {"n": m, "n_plus": k} for key, (m, k) in counts.items()}
@@ -208,10 +209,9 @@ def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[tuple[int, ...], ...]
     variables exist, in PAIR_IDS order, and the check of its TV distance
     from the pair's Born joint."""
     tables, checks = [], []
-    for pair in PAIR_IDS:
+    for pair, born in scenarios.born_tables(batch.config).items():
         table = empirical_pair_table(batch, pair)
-        tv = statlab.total_variation(statlab.freqs(table),
-                                     scenarios.born_pair_table(batch.config, pair))
+        tv = statlab.total_variation(statlab.freqs(table), born)
         tables.append(table)
         checks.append(statlab.check(f"observed pair {pair} vs Born", tv, TV_THRESHOLD,
                                     n=sum(table), metric="TV"))
@@ -224,7 +224,7 @@ def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
-    t = batch.tables
+    t = TABLES
     # per code: both internal outcomes exist; an asked wing has a relation and
     # external = internal * relation, a supermeasured wing only its super outcome
     ok = (abs(t["Ai"]) == 1) & (abs(t["Ci"]) == 1)
@@ -253,21 +253,20 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> dict[str, np.ndar
     first outcome (+1/-1); `performed` is 1 exactly when it equals the
     trigger, and only then does `second` hold a second outcome (0
     otherwise).  `record` indexes ROVELLI_RECORDS: the label an outside
-    observer reads from the record register, drawn from the Born
+    observer reads from the record register, drawn from the record
     distribution of the run's final state, never copied from `performed`.
     Draw order: n first outcomes, one second outcome per performed run, then
     the records of the runs ending in each final state, state by state."""
     rng = np.random.default_rng(seed)
-    first = _Z_LABELS[sample_outcomes(_READY, _Z, n, rng)]
+    first = _Z_LABELS[sample_outcomes(_READY_Z, n, rng)]
     performed = first == cfg.trigger
     second = np.zeros(n, dtype=np.int8)
-    second[performed] = _Z_LABELS[sample_outcomes(_READY, _Z, int(performed.sum()), rng)]
+    second[performed] = _Z_LABELS[sample_outcomes(_READY_Z, int(performed.sum()), rng)]
     final = np.where(performed, np.where(second == first, 0, 1), 2)  # PP, PA, noM2 state
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
     record = np.zeros(n, dtype=np.int8)
-    for k, state in enumerate(scenarios.build_rovelli_states(cfg)):
+    for k, (born, _) in enumerate(scenarios.rovelli_states(cfg)):
         runs = final == k
-        record[runs] = sample_outcomes(state, spec, int(runs.sum()), rng)
+        record[runs] = sample_outcomes(born, int(runs.sum()), rng)
     columns = {"first": first, "performed": performed.astype(np.int8),
                "second": second, "record": record}
     for col in columns.values():
@@ -283,13 +282,10 @@ def rovelli_audit(cfg: RovelliConfig, n: int,
     `simulate_rovelli`; and how many runs are consistent: the record read
     says a second measurement happened exactly when the first outcome was
     the trigger."""
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
-    states = [{"record": record,
-               "record_probabilities": dict(born_distribution(state, spec)),
-               "interference_witness": scenarios.interference_witness(
-                   state, *scenarios.orientation_branches(state))}
-              for record, state in zip(scenarios.ROVELLI_RECORDS,
-                                       scenarios.build_rovelli_states(cfg))]
+    states = [{"record": record, "record_probabilities": dict(born),
+               "interference_witness": witness}
+              for record, (born, witness) in zip(scenarios.ROVELLI_RECORDS,
+                                                 scenarios.rovelli_states(cfg))]
     runs = simulate_rovelli(cfg, n, seed)
     reported = runs["record"] != scenarios.ROVELLI_RECORDS.index("noM2")
     consistent = int((reported == (runs["first"] == cfg.trigger)).sum())

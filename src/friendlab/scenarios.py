@@ -14,7 +14,9 @@ Four families of states:
 * the sequential scenario where the friend performs a second measurement only
   when the first gave the trigger outcome.
 
-All builders are pure functions of immutable inputs.
+All builders are pure functions of immutable inputs.  A scenario's Born data
+is one memoized value of its frozen config: `born_tables` for the circuit,
+`rovelli_states` for the sequential scenario.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -163,12 +166,15 @@ def _friend_unitary(theta_degrees: float) -> np.ndarray:
 # on Alice's wing, C and D on Chidi's.
 _WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_a", "super_a")),
           **dict.fromkeys("CD", (("Y", "MC"), "ask_c", "super_c"))}
+# per variable, the factor read: asking a friend (A, C) reads her memory
+# qubit, what she recorded, and a supermeasurement (B, D) the wing particle
+_READS = {var: _WINGS[var][0][CHOICE[var] == "ask"] for var in _WINGS}
+_PAIR_SPECS = {p: MeasurementSpec(LF_LAYOUT, (_READS[p[0]], _READS[p[1]]), PAIR_CELLS)
+               for p in PAIR_IDS}
 
 
-@lru_cache(maxsize=8)
 def lf_circuit(cfg: LFConfig) -> StateVector:
-    """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC;
-    memoized on the frozen config."""
+    """Both friend unitaries applied to Phi+_XY tensor |0>_MA |0>_MC."""
     state = StateVector.from_terms(LF_LAYOUT, {(0, 0, 0, 0): SQRT_HALF, (1, 1, 0, 0): SQRT_HALF})
     for var in ("A", "C"):
         wing, ask, _ = _WINGS[var]
@@ -176,38 +182,33 @@ def lf_circuit(cfg: LFConfig) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=32)
-def born_pair_table(cfg: LFConfig, pair: str) -> tuple[float, ...]:
-    """Exact Born joint table for one of the pairs AC, AD, BC, BD, in
-    PAIR_CELLS order (memoized on the frozen config).
+@lru_cache(maxsize=8)
+def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
+    """The exact Born joint table of each pair, keyed in PAIR_IDS order, in
+    PAIR_CELLS order, value 0 reading as +1 and 1 as -1 (read-only; memoized
+    on the frozen config).  BC and BD share Alice's supermeasured wing, so a
+    fresh config takes 8 `apply` calls."""
 
-    Asking the friend (A, C) reads her memory qubit: what she recorded.  A
-    supermeasurement (B, D) undoes the friend unitary on her wing, rotates
-    the wing particle by minus the super angle and reads the particle.
-    Value 0 reads as +1, value 1 as -1.
-    """
-    state = lf_circuit(cfg)
-    read = []
-    for var in pair:
+    def supermeasured(state: StateVector, var: str) -> StateVector:
+        # the friend unitary on the wing undone, the particle rotated by -super
         (particle, memory), ask, super_angle = _WINGS[var]
-        if CHOICE[var] == "ask":
-            read.append(memory)
-            continue
         state = apply(_friend_unitary(getattr(cfg, ask)).conj().T, state, (particle, memory))
-        state = apply(rotation_matrix(getattr(cfg, super_angle)).conj().T, state, (particle,))
-        read.append(particle)
-    spec = MeasurementSpec(LF_LAYOUT, tuple(read), PAIR_CELLS)
-    return tuple(p for _, p in born_distribution(state, spec))
+        return apply(rotation_matrix(getattr(cfg, super_angle)).conj().T, state, (particle,))
+
+    ac = lf_circuit(cfg)
+    bc = supermeasured(ac, "B")
+    states = {"AC": ac, "AD": supermeasured(ac, "D"), "BC": bc, "BD": supermeasured(bc, "D")}
+    return MappingProxyType({pair: tuple(p for _, p in born_distribution(states[pair], spec))
+                             for pair, spec in _PAIR_SPECS.items()})
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:
     """Analytic correlators E(pair) for all four pairs, in PAIR_IDS order."""
-    return {pair: correlator(born_pair_table(cfg, pair)) for pair in PAIR_IDS}
+    return {pair: correlator(table) for pair, table in born_tables(cfg).items()}
 
 
-@lru_cache(maxsize=2)
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:
-    """The three possible final states of the sequential scenario (memoized).
+    """The three possible final states of the sequential scenario.
 
     Record values: PP (second measurement agreed with the first), PA (second
     disagreed), noM2 (first outcome was not the trigger, so no second
@@ -245,6 +246,12 @@ def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
     return branches[0], branches[1]
 
 
-def record_spec(layout: FactorLayout, labels: tuple[object, ...] | None = None) -> MeasurementSpec:
-    """Computational-basis measurement of the record register."""
-    return factor_basis_spec(layout, "record", labels=labels)
+@lru_cache(maxsize=2)
+def rovelli_states(cfg: RovelliConfig) -> tuple[tuple[tuple, float], ...]:
+    """Per final state of `build_rovelli_states`, in ROVELLI_RECORDS order:
+    its record Born distribution, as (label, probability) pairs, and its
+    interference witness (memoized on the frozen config)."""
+    spec = factor_basis_spec(ROVELLI_LAYOUT, "record", ROVELLI_RECORDS)
+    return tuple((tuple(born_distribution(s, spec)),
+                  interference_witness(s, *orientation_branches(s)))
+                 for s in build_rovelli_states(cfg))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from friendlab.statlab import CHOICE, PAIR_IDS
 COS45 = math.cos(math.radians(45.0))
 
 
-def with_tables(batch, **tables):
-    return dataclasses.replace(batch, tables={**batch.tables, **tables})
+def audit_with(batch, **tables):
+    """relmodel.audit(batch) with the given entries of TABLES replaced."""
+    with mock.patch.dict(relmodel.TABLES, tables):
+        return relmodel.audit(batch)
 
 
 def edited(table, code, value):
@@ -62,15 +65,17 @@ def same_runs(b1, b2, stop=None) -> bool:
 def reference_codes(cfg, n, seed):
     """simulate_batch's codes from the same draws, written out as before the
     code column: per chunk rng.choice for the pairs, the two internal bits,
-    one uniform per run placed in its pair's cumulative Born table."""
-    cdf = np.cumsum([scenarios.born_pair_table(cfg, pair) for pair in PAIR_IDS], axis=1)
+    one uniform per run placed in its pair's cumulative Born table, at most
+    at the pair's last positive cell."""
+    born = np.array(list(scenarios.born_tables(cfg).values()))
+    cdf, last = np.cumsum(born, axis=1), [max(np.flatnonzero(t)) for t in born]
     codes = []
     for chunk in range(-(-n // relmodel.CHUNK)):
         m = min(relmodel.CHUNK, n - chunk * relmodel.CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
         k = rng.choice(4, size=m, p=[0.25] * 4)
         ia, ic = rng.integers(0, 2, size=m), rng.integers(0, 2, size=m)
-        cell = np.minimum((rng.random(m)[:, None] >= cdf[k]).sum(axis=1), 3)
+        cell = np.minimum((rng.random(m)[:, None] >= cdf[k]).sum(axis=1), np.take(last, k))
         codes.append(16 * k + 8 * ia + 4 * ic + cell)
     return np.concatenate(codes)
 
@@ -99,7 +104,7 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
         planted = int(relmodel.PLANTED[code])
         assert planted ^ code in (0, 8)
         assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
-    every = relmodel.TrialBatch(LFConfig(), np.arange(64, dtype=np.uint8), relmodel.TABLES)
+    every = relmodel.TrialBatch(LFConfig(), np.arange(64, dtype=np.uint8))
     assert every.rows(64) == [reference_row(every, code) for code in range(64)]
     assert every.rows_json(64) == json.dumps(every.rows(64), sort_keys=True,
                                              separators=(",", ":"))
@@ -110,7 +115,7 @@ def test_run_trial_presence_discipline_per_choice_pair():
         b_choice, d_choice = CHOICE[pair[0]], CHOICE[pair[1]]
         batch = runs_of_pair(pair, 50, 0)
         assert batch.code.dtype == np.uint8 and not batch.code.flags.writeable
-        assert not any(table.flags.writeable for table in batch.tables.values())
+        assert not any(table.flags.writeable for table in relmodel.TABLES.values())
         rows = batch.rows(len(batch))
         assert {r["a_internal"] for r in rows} == {r["c_internal"] for r in rows} == {1, -1}
         for r in rows:
@@ -145,9 +150,9 @@ def test_record_validation_catches_broken_invariants():
         codes.append(code)
         runs = int((batch.code == code).sum())
         table = edited(t[name], code, value(code))
-        assert relmodel.audit(with_tables(batch, **{name: table}))[0][0]["observed"] == runs
+        assert audit_with(batch, **{name: table})[0][0]["observed"] == runs
         tables[name], expected = table, expected + runs
-    checks = relmodel.audit(with_tables(batch, **tables))[0]
+    checks = audit_with(batch, **tables)[0]
     assert checks[0]["observed"] == expected and not checks[0]["pass"]
 
 
@@ -155,7 +160,7 @@ def test_born_target_table_matches_cosine_correlators():
     cfg = LFConfig()
     expected = {"AC": COS45, "AD": -COS45, "BC": COS45, "BD": COS45}
     for pair, e_want in expected.items():
-        table = scenarios.born_pair_table(cfg, pair)
+        table = scenarios.born_tables(cfg)[pair]
         assert len(table) == len(statlab.PAIR_CELLS)
         # at the Tsirelson angles the agreeing cells both hold (1 + E) / 4
         assert table[0] == pytest.approx((1 + e_want) / 4, abs=1e-12)
@@ -229,7 +234,7 @@ def test_batch_cell_counts_within_binomial_band():
     table = relmodel.empirical_pair_table(batch, ("A", "C"))
     n = sum(table)
     assert n == len(batch) >= 10 ** 5
-    for freq, p in zip(statlab.freqs(table), scenarios.born_pair_table(cfg, "AC"), strict=True):
+    for freq, p in zip(statlab.freqs(table), scenarios.born_tables(cfg)["AC"], strict=True):
         band = 4 * math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= band + 1e-12
 
@@ -251,18 +256,16 @@ TABLE = st.lists(SIGNED, min_size=64, max_size=64)
 @example([5, 17, 63], [0] * 64, [1] * 64)
 def test_empirical_pair_table_is_a_plain_count(codes, x, y):
     # arbitrary code columns read through arbitrary Ai and Ci tables
-    batch = relmodel.TrialBatch(LFConfig(), np.array(codes, np.uint8),
-                                {**relmodel.TABLES, "Ai": np.array(x, np.int8),
-                                 "Ci": np.array(y, np.int8)})
+    batch = relmodel.TrialBatch(LFConfig(), np.array(codes, np.uint8))
     runs = [(x[c], y[c]) for c in codes]
     counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
-    if sum(counts) == 0:
-        with pytest.raises(InsufficientDataError):
-            relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
-    else:
-        assert relmodel.empirical_pair_table(batch, ("Ai", "Ci")) == counts
+    with mock.patch.dict(relmodel.TABLES, Ai=np.array(x, np.int8), Ci=np.array(y, np.int8)):
+        if sum(counts) == 0:
+            with pytest.raises(InsufficientDataError):
+                relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
+        else:
+            assert relmodel.empirical_pair_table(batch, ("Ai", "Ci")) == counts
     # and through the model's own tables, each pair against decoded runs
-    batch = dataclasses.replace(batch, tables=relmodel.TABLES)
     for pair in PAIR_IDS:
         runs = [(v[pair[0]], v[pair[1]]) for v in map(decode, codes)]
         counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
@@ -336,7 +339,7 @@ def test_audit_checks_in_order_and_catches_broken_records():
     # breaks on exactly the runs with that code
     code = int(batch.code[np.flatnonzero(batch.code >> 4 <= 1)[0]])
     relation = edited(relmodel.TABLES["Ar"], code, -relmodel.TABLES["Ar"][code])
-    checks, _, _ = relmodel.audit(with_tables(batch, Ar=relation))
+    checks, _, _ = audit_with(batch, Ar=relation)
     assert checks[0]["observed"] == (batch.code == code).sum() and not checks[0]["pass"]
 
 
@@ -377,31 +380,67 @@ def test_rovelli_first_outcome_balanced():
     assert abs(plus / n - 0.5) < 0.02
 
 
-class _EdgeUniforms:
-    """A generator stand-in whose uniforms are the two ends of [0, 1)."""
+class _Draws:
+    """A generator stand-in: each `random` call returns the next given
+    uniforms, and `integers` returns zeros."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
 
     def random(self, n):
-        return np.array([0.0, 1 - 2 ** -53])[:n]
+        return np.array(next(self.draws))[:n]
+
+    def integers(self, low, high, size):
+        return np.zeros(size, np.int64)
+
+
+def test_a_uniform_in_the_round_off_tail_never_draws_a_zero_cell(monkeypatch):
+    # BC's cells 0 and 3 have probability 0, and its float sum stops short of
+    # 1 - 2**-53; one run per pair draws that uniform
+    cfg = LFConfig(0, 90, 270, 135)
+    born = scenarios.born_tables(cfg)
+    assert born["BC"][3] == 0.0 and sum(born["BC"]) < 1 - 2 ** -53
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _Draws(np.arange(4) / 4, [1 - 2 ** -53] * 4))
+    codes = relmodel.simulate_batch(cfg, 4, 0).code.tolist()
+    assert [code >> 4 for code in codes] == [0, 1, 2, 3]
+    assert all(born[PAIR_IDS[code >> 4]][code & 3] > 0 for code in codes)
 
 
 def test_rovelli_record_is_drawn_from_the_final_state(monkeypatch, capsys):
     # the noM2 state gives PP, the first record label, probability 0; u = 0.0
     # would pick it with side="left", and 1 - 2**-53 lies past the float sum
     # of the probabilities, in the round-off tail
-    no_m2 = scenarios.build_rovelli_states(RovelliConfig())[NO_M2]
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
-    probs = [pr for _, pr in hilbert.born_distribution(no_m2, spec)]
+    no_m2 = scenarios.rovelli_states(RovelliConfig())[NO_M2][0]
+    probs = [pr for _, pr in no_m2]
     assert probs[0] == 0.0 and sum(probs) < 1 - 2 ** -53
-    assert hilbert.sample_outcomes(no_m2, spec, 2, _EdgeUniforms()).tolist() == [NO_M2, NO_M2]
+    ends = _Draws([0.0, 1 - 2 ** -53])  # the two ends of [0, 1)
+    assert hilbert.sample_outcomes(no_m2, 2, ends).tolist() == [NO_M2, NO_M2]
     # swap the PP and noM2 final states: a record read from the state now
     # disagrees with the run, which a record copied from the run would hide
-    build = scenarios.build_rovelli_states
+    real = scenarios.rovelli_states
 
     def swapped(cfg):
-        pp, pa, no_m2 = build(cfg)
-        return [no_m2, pa, pp]
+        pp, pa, no_m2 = real(cfg)
+        return no_m2, pa, pp
 
-    monkeypatch.setattr(scenarios, "build_rovelli_states", swapped)
+    monkeypatch.setattr(scenarios, "rovelli_states", swapped)
     code = cli.main(["rovelli", "--trials", "500", "--seed", "0", "--format", "json"])
     assert code == cli.EXIT_FAIL
     assert json.loads(capsys.readouterr().out)["consistency_rate"] < 1.0
+
+
+def test_a_repeated_rovelli_config_rebuilds_no_branch_or_witness(monkeypatch):
+    cfg = RovelliConfig(-1)
+    relmodel.rovelli_audit(cfg, 10, 0)
+    calls = []
+    for name in ("build_rovelli_states", "orientation_branches", "interference_witness"):
+        real = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    relmodel.rovelli_audit(cfg, 10, 0)
+    assert calls == []
+    scenarios.rovelli_states.cache_clear()  # a fresh config builds each once
+    relmodel.rovelli_audit(cfg, 10, 0)
+    assert sorted(calls) == ["build_rovelli_states", *["interference_witness"] * 3,
+                             *["orientation_branches"] * 3]

@@ -18,14 +18,15 @@ from friendlab.hilbert import (
 from friendlab.scenarios import (
     LFConfig,
     RovelliConfig,
+    born_tables,
     build_basic_wf_state,
     build_frame_relational_state,
     build_rovelli_states,
     interference_witness,
-    born_pair_table,
     lf_circuit,
     orientation_branches,
     pair_correlations,
+    rovelli_states,
 )
 
 COS45 = math.cos(math.radians(45.0))
@@ -70,7 +71,7 @@ def test_basic_rejects_unnormalized():
 # --- frame-relational states ------------------------------------------------
 
 def record_expectation(s):
-    dist = dict(born_distribution(s, scenarios.record_spec(s.layout)))
+    dist = dict(born_distribution(s, factor_basis_spec(s.layout, "record")))
     return dist[0] - dist[1]
 
 
@@ -223,26 +224,24 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     # equal configs (ints and floats spell the same angles) share one value,
     # so no caller may be able to write into it
     a, b = LFConfig(0, 90, 45, 135), LFConfig(0.0, 90.0, 45.0, 135.0)
-    circuit = lf_circuit(a)
-    assert circuit is lf_circuit(b)
+    tables = born_tables(a)
+    assert tables is born_tables(b) and tuple(tables) == statlab.PAIR_IDS
+    assert all(isinstance(table, tuple) for table in tables.values())
+    with pytest.raises(TypeError):
+        tables["AC"] = (0.25,) * 4
     with pytest.raises(ValueError):
-        circuit.amps[0] = 0.0
-    for pair in statlab.PAIR_IDS:
-        table = born_pair_table(a, pair)
-        assert isinstance(table, tuple) and table is born_pair_table(b, pair)
-    states = build_rovelli_states(RovelliConfig(-1))
-    assert isinstance(states, tuple) and states is build_rovelli_states(RovelliConfig(-1))
-    assert not any(s.amps.flags.writeable for s in states)
+        lf_circuit(a).amps[0] = 0.0
+    states = rovelli_states(RovelliConfig(-1))
+    assert isinstance(states, tuple) and states is rovelli_states(RovelliConfig(-1))
+    assert all(isinstance(born, tuple) for born, _ in states)
+    assert not any(s.amps.flags.writeable for s in build_rovelli_states(RovelliConfig(-1)))
 
 
 # --- sequential scenario ----------------------------------------------------
 
 def test_rovelli_records_are_definite():
-    states = build_rovelli_states(RovelliConfig())
-    spec = scenarios.record_spec(scenarios.ROVELLI_LAYOUT, labels=scenarios.ROVELLI_RECORDS)
-    for i, s in enumerate(states):
-        dist = dict(born_distribution(s, spec))
-        assert dist[scenarios.ROVELLI_RECORDS[i]] == pytest.approx(1.0)
+    for record, (born, _) in zip(scenarios.ROVELLI_RECORDS, rovelli_states(RovelliConfig())):
+        assert dict(born)[record] == pytest.approx(1.0)
 
 
 def test_rovelli_ready_state_untouched_in_no_measurement_branch():
@@ -254,9 +253,10 @@ def test_rovelli_ready_state_untouched_in_no_measurement_branch():
 
 
 def test_rovelli_witness_is_coherent():
-    for s in build_rovelli_states(RovelliConfig()):
+    for s, (_, witness) in zip(build_rovelli_states(RovelliConfig()),
+                               rovelli_states(RovelliConfig())):
         b0, b1 = orientation_branches(s)
-        assert interference_witness(s, b0, b1) == pytest.approx(1.0)
+        assert interference_witness(s, b0, b1) == witness == pytest.approx(1.0)
 
 
 def lab_relative_s(assignment, layout):
@@ -314,7 +314,7 @@ def all_states_with_orientation():
 def test_record_statistics_invariant_under_orientation_unitaries():
     rng = np.random.default_rng(20)
     for s in all_states_with_orientation():
-        spec = scenarios.record_spec(s.layout)
+        spec = factor_basis_spec(s.layout, "record")
         base = dict(born_distribution(s, spec))
         for _ in range(100):
             u = random_unitary(rng)

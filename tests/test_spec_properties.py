@@ -5,18 +5,20 @@ change, match both the conjugated projectors a supermeasurement stands for
 and the closed form."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kron_oracle import embed
 
+from friendlab import scenarios
 from friendlab.hilbert import rotation_matrix
 from friendlab.scenarios import (
     LF_LAYOUT,
     LFConfig,
     _friend_unitary,
-    born_pair_table,
+    born_tables,
     lf_circuit,
 )
 from friendlab.statlab import CHOICE, PAIR_CELLS, PAIR_IDS
@@ -47,11 +49,23 @@ def test_a_fresh_config_builds_one_friend_unitary_per_ask_angle():
     # ask_a and ask_c differ in the first config and are equal in the second
     for cfg, ask_angles in ((LFConfig(12.5, 97.25, 51.0, 173.75), 2),
                             (LFConfig(30.0, 60.0, 30.0, 120.0), 1)):
-        for cache in (born_pair_table, lf_circuit, _friend_unitary):
+        for cache in (born_tables, _friend_unitary):
             cache.cache_clear()
-        for pair in PAIR_IDS:
-            born_pair_table(cfg, pair)
+        born_tables(cfg)
         assert _friend_unitary.cache_info().misses == ask_angles
+
+
+@PROPERTY
+@given(CONFIGS)
+def test_a_fresh_config_takes_eight_frame_changes(cfg):
+    # the two friend unitaries of the circuit, then one supermeasurement frame
+    # change (2 applies) each for B on the circuit, D on the circuit and D on
+    # B's state; a repeated config takes none
+    born_tables.cache_clear()
+    with mock.patch.object(scenarios, "apply", wraps=scenarios.apply) as counted:
+        born_tables(cfg)
+        born_tables(cfg)
+    assert counted.call_count == 8
 
 
 # each variable's wing: the friend's (particle, memory) factors and her ask angle
@@ -83,7 +97,7 @@ def test_born_pair_tables_match_the_conjugated_projectors(cfg):
     for pair in PAIR_IDS:
         pa, pc = projectors[pair[0]], projectors[pair[1]]
         want = [np.vdot(amps, pa[i] @ pc[j] @ amps).real for i in (0, 1) for j in (0, 1)]
-        assert all(abs(b - w) <= 1e-15 for b, w in zip(born_pair_table(cfg, pair), want))
+        assert all(abs(b - w) <= 1e-15 for b, w in zip(born_tables(cfg)[pair], want))
 
 
 @PROPERTY
@@ -97,7 +111,7 @@ def test_circuit_specs_pass_the_full_check(cfg):
         frame = np.kron(r.conj().T, np.eye(2)) @ _friend_unitary(getattr(cfg, ask)).conj().T
         assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-12
     for pair in PAIR_IDS:
-        table = born_pair_table(cfg, pair)
+        table = born_tables(cfg)[pair]
         assert len(table) == len(PAIR_CELLS) and min(table) >= 0.0
         assert abs(sum(table) - 1.0) <= 1e-12
 
@@ -112,4 +126,4 @@ def test_born_pair_tables_match_the_closed_form(cfg):
         theta = [math.radians(getattr(cfg, ANGLE_OF[v])) for v in pair]
         e = math.cos(theta[0] - theta[1])
         closed = [(1 + x * y * e) / 4 for x, y in PAIR_CELLS]
-        assert all(abs(b - c) <= 1e-12 for b, c in zip(born_pair_table(cfg, pair), closed))
+        assert all(abs(b - c) <= 1e-12 for b, c in zip(born_tables(cfg)[pair], closed))
