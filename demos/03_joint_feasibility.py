@@ -8,8 +8,6 @@ wing into internal and relation parts gives 6 variables but no new
 constraint: that verdict is lifted from the 4-variable one, and a lifted
 witness is checked against the 6-variable cell system."""
 
-from fractions import Fraction
-
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 
@@ -22,10 +20,9 @@ print(f"  4-variable joint feasible: {v.feasible}, "
 print(f"  6-variable joint feasible: {mp.feasible_joint_6(v).feasible}")
 print(f"  closed-form criterion: {mp.fine_criterion(tsirelson)}")
 
-half = Fraction(1, 2)
 shrunk = mp.PairTargets.from_correlators(
-    {v_: half for v_ in mp.VARS_4},
-    {"AC": half, "BC": half, "BD": half, "AD": -half})
+    {v_: "1/2" for v_ in mp.VARS_4},
+    {"AC": "1/2", "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
 v = mp.feasible_joint_4(shrunk)
 print(f"shrunk targets: S = {mp.chsh_value(shrunk)}, feasible: {v.feasible}")
-print("  witness atom probabilities:", [str(p) for p in v.witness])
+print("  witness atom probabilities:", mp.rational_texts(v.witness, v.scale))

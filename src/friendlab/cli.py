@@ -286,8 +286,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
                  f"  6-variable joint: {'feasible' if v6.feasible else 'infeasible'}",
                  f"  analytic criterion: {'feasible' if fine else 'infeasible'}"]
         if v4.feasible:
-            lines.append(f"  witness atoms (A,B,C,D lexicographic): "
-                         f"{[str(p) for p in v4.witness]}")
+            lines.append(f"  witness atoms (A,B,C,D lexicographic): {rep['joint_4']['witness']}")
         else:
             lines.append(f"  max violation over 2: {v4.max_violation}")
         if resolution:

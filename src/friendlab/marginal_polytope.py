@@ -13,7 +13,8 @@ variants at most 2, independent of the solver) compare ints.  The 17-row
 0/1 cell system `_cell_rows` with the targets' counts as right-hand side is
 the one integer system that the solver, a phase-1 simplex with Bland's
 rule, solves and `reproduces` checks a witness against.  Over six
-variables the system only repeats columns, so that verdict is lifted.
+variables the system only repeats columns, so that verdict is lifted.  A
+witness is int counts over one denominator too, printed by `rational_texts`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
+def rational_texts(counts, d: int) -> list[str]:
+    """Each n/d of `counts` over d >= 1 in lowest terms, as
+    `str(Fraction(n, d))` writes it, without building the Fraction."""
+    return [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}" for n in counts]
+
+
 def _plus(table, var: str, pair: str):
     """P(var = +1), or its count, from the pair table of `pair`."""
     return table[0] + (table[1] if pair[0] == var else table[2])
@@ -99,12 +106,6 @@ class PairTargets:
             if _plus(self.counts[p1], var, p1) != _plus(self.counts[p2], var, p2):
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
-
-    @functools.cached_property
-    def tables(self) -> dict[str, tuple[Fraction, ...]]:
-        """Each table's cells as Fractions."""
-        return {pair: tuple(Fraction(n, self.scale) for n in cells)
-                for pair, cells in self.counts.items()}
 
     @functools.cached_property
     def variants(self) -> dict[tuple[int, int, int, int], int]:
@@ -144,8 +145,8 @@ class PairTargets:
 
     def to_json_dict(self) -> dict:
         """Each table as nested rows [[++, +-], [-+, --]]."""
-        return {pair: [[str(v) for v in t[:2]], [str(v) for v in t[2:]]]
-                for pair, t in self.tables.items()}
+        return {pair: [rational_texts(cells[k:k + 2], self.scale) for k in (0, 2)]
+                for pair, cells in self.counts.items()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
@@ -195,11 +196,13 @@ def snap_resolution(cfg) -> dict | None:
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """`witness`: the solver's atom probabilities, or their six-variable lift,
-    in `_cell_rows` column order."""
+    in `_cell_rows` column order, as int counts over the denominator
+    `scale`."""
 
     feasible: bool
-    witness: tuple[Fraction, ...] | None
+    witness: tuple[int, ...] | None
     max_violation: Fraction | None
+    scale: int = 1
 
     def __post_init__(self):
         if self.feasible and self.witness is None:
@@ -210,14 +213,14 @@ class FeasibilityVerdict:
     def to_json_dict(self) -> dict:
         return {
             "feasible": self.feasible,
-            "witness": None if self.witness is None else [str(p) for p in self.witness],
+            "witness": None if self.witness is None else rational_texts(self.witness, self.scale),
             "max_violation": None if self.max_violation is None else str(self.max_violation),
         }
 
 
 # --- exact phase-1 simplex --------------------------------------------------
 
-def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
+def solve_nonnegative(rows, rhs) -> list | None:
     """Find x >= 0 with A x = b exactly (ints or Fractions), or prove none
     exists.
 
@@ -227,54 +230,52 @@ def solve_nonnegative(rows, rhs) -> list[Fraction] | None:
     the lcm of its denominators (which changes no pivot), the ratio test
     cross-multiplies, only a pivot other than 1 divides its row into
     Fractions, and a pivot updates only the columns where its row is nonzero.
-    Returns the solution (Fractions) on the original columns, or None when
-    the system is infeasible.
+    Returns the solution on the original columns (ints when b is ints and
+    every pivot is 1, else Fractions), or None when it is infeasible.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     scale, b_scaled = _over_one_denominator(rhs)
-    tab = []
-    for i, (row, b) in enumerate(zip(rows, b_scaled)):
-        sign = -1 if b < 0 else 1
-        tab.append([sign * v for v in row] + [1 if j == i else 0 for j in range(m)] + [sign * b])
-    basis = [n + i for i in range(m)]
+    signed = [row if b >= 0 else [-v for v in row] for row, b in zip(rows, b_scaled)]
+    zeros = (0,) * m
+    tab = [[*row, *zeros, abs(b)] for row, b in zip(signed, b_scaled)]
+    for i, row in enumerate(tab):
+        row[n + i] = 1
+    basis = list(range(n, n + m))
     # reduced-cost row of the artificial sum for the all-artificial basis:
-    # z_j - c_j = column sum (of at least a zero row), minus 1 on artificials
-    z = [sum(col) for col in zip([0] * (n + m + 1), *tab)]
-    for j in range(n, n + m):
-        z[j] -= 1
+    # column sums of the rows, 1 - 1 on artificials, and sum |b|
+    z = [*map(sum, zip(*signed)), *zeros, sum(map(abs, b_scaled))]
 
     while True:
         enter = next((j for j in range(n + m) if z[j] > 0), None)
         if enter is None:
             break
         leave = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:  # b_i / a < b_leave / a_leave, cross-multiplied
-                d = -1 if leave is None else tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:  # b_i / a < lead_b / lead_a, cross-multiplied
+                d = -1 if leave is None else row[-1] * lead_a - lead_b * a
                 if d < 0 or (d == 0 and basis[i] < basis[leave]):
-                    leave = i
+                    leave, lead_b, lead_a = i, row[-1], a
         if leave is None:  # cannot happen: phase-1 objective is bounded below
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
         pivot_row = tab[leave]
-        piv = pivot_row[enter]
-        if piv != 1:
-            pivot_row = tab[leave] = [Fraction(v, piv) for v in pivot_row]
-        cols = [(j, w) for j, w in enumerate(pivot_row) if w != 0]
+        if lead_a != 1:
+            pivot_row = tab[leave] = [Fraction(v, lead_a) for v in pivot_row]
+        cols = [(j, w) for j, w in enumerate(pivot_row) if w]
         for row in (*tab, z):
             f = row[enter]
-            if f != 0 and row is not pivot_row:
+            if f and row is not pivot_row:
                 for j, w in cols:
                     row[j] -= f * w
         basis[leave] = enter
 
-    if z[-1] != 0:
+    if z[-1]:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(tab[i][-1], scale)
+            x[j] = tab[i][-1] if scale == 1 else Fraction(tab[i][-1], scale)
     return x
 
 
@@ -303,12 +304,11 @@ def _cell_counts(t: PairTargets) -> tuple[int, ...]:
     return (t.scale, *(n for pair in PAIR_IDS for n in t.counts[pair]))
 
 
-def reproduces(variables: tuple[str, ...], probs, t: PairTargets) -> bool:
-    """The witness check: `probs` (in `_cell_rows` order), over one
-    denominator, are non-negative counts whose every row sum, cross-multiplied
-    by t.scale, equals that row's target count."""
+def reproduces(variables: tuple[str, ...], counts, scale: int, t: PairTargets) -> bool:
+    """The witness check: `counts` (in `_cell_rows` order) over `scale` are
+    non-negative and every row sum, cross-multiplied by t.scale, equals that
+    row's target count."""
     rows = _cell_rows(variables)
-    scale, counts = _over_one_denominator(probs)
     return (len(counts) == len(rows[0]) and min(counts) >= 0
             and all(sum(itertools.compress(counts, row)) * t.scale == b * scale
                     for row, b in zip(rows, _cell_counts(t))))
@@ -321,8 +321,9 @@ def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
     if x is None:
         top = max(t.variants.values())  # Fine's criterion gives the violation
         return FeasibilityVerdict(False, None, Fraction(top - 2 * t.scale, t.scale))
-    # the witness is x / t.scale; most atoms are 0 and skip the Fraction division
-    return FeasibilityVerdict(True, tuple(n / t.scale if n else n for n in x), None)
+    # x counts atoms over t.scale; a pivot other than 1 leaves Fractions of a count
+    lcm, counts = _over_one_denominator(x)
+    return FeasibilityVerdict(True, counts, None, t.scale * lcm)
 
 
 def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
@@ -333,10 +334,10 @@ def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
     Ai = Ci = +1; `decide` checks it against the 64-column system."""
     if not v4.feasible:
         return v4
-    witness = [Fraction(0)] * 2 ** len(VARS_6)
-    for k, p in enumerate(v4.witness):  # atom bits (A, B, C, D) -> (Ar, B, Cr, D)
-        witness[((k & 12) << 1) | (k & 3)] = p
-    return FeasibilityVerdict(True, tuple(witness), None)
+    witness = [0] * 2 ** len(VARS_6)
+    for k, n in enumerate(v4.witness):  # atom bits (A, B, C, D) -> (Ar, B, Cr, D)
+        witness[((k & 12) << 1) | (k & 3)] = n
+    return FeasibilityVerdict(True, tuple(witness), None, v4.scale)
 
 
 def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool, bool]:
@@ -346,7 +347,7 @@ def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool
     v4, fine = feasible_joint_4(t), fine_criterion(t)
     v6 = feasible_joint_6(v4)
     agree = (v4.feasible == v6.feasible == fine
-             and all(reproduces(variables, v.witness, t)
+             and all(reproduces(variables, v.witness, v.scale, t)
                      for variables, v in ((VARS_4, v4), (VARS_6, v6)) if v.feasible))
     return v4, v6, fine, agree
 

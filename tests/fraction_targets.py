@@ -1,7 +1,9 @@
-"""Pair targets built from plain Fraction tables: the reference that the
-engine's integer constructors are compared with, the pair tables of a joint
-summed in plain Fractions, and the PR box and convex mixing that the tests
-build targets from."""
+"""Pair targets and witnesses as plain Fractions: targets built from
+Fraction tables (the reference that the engine's integer constructors are
+compared with) and their tables read back, a verdict's witness as atom
+probabilities and Fraction probabilities as counts, the pair tables of a
+joint summed in plain Fractions, and the PR box and convex mixing that the
+tests build targets from."""
 
 import itertools
 import math
@@ -16,6 +18,23 @@ def from_tables(tables: dict) -> mp.PairTargets:
     scale = math.lcm(*(Fraction(v).denominator for cells in tables.values() for v in cells))
     return mp.PairTargets(scale, {pair: tuple(int(v * scale) for v in cells)
                                   for pair, cells in tables.items()})
+
+
+def fraction_tables(t: mp.PairTargets) -> dict:
+    """Each table's cells as Fractions, in PAIR_CELLS order."""
+    return {pair: tuple(Fraction(n, t.scale) for n in cells) for pair, cells in t.counts.items()}
+
+
+def probabilities(verdict: mp.FeasibilityVerdict) -> tuple:
+    """A feasible verdict's witness as atom probabilities."""
+    return tuple(Fraction(n, verdict.scale) for n in verdict.witness)
+
+
+def as_counts(probs) -> tuple[list, int]:
+    """Fractions (or ints) as int counts over the lcm of their denominators,
+    and that lcm: the arguments `reproduces` takes after the variables."""
+    scale = math.lcm(*(Fraction(p).denominator for p in probs))
+    return [int(p * scale) for p in probs], scale
 
 
 def reference_marginals(variables, probs) -> dict:
@@ -40,7 +59,7 @@ def pr_box() -> mp.PairTargets:
 
 def mix(t: mp.PairTargets, other: mp.PairTargets, lam) -> mp.PairTargets:
     """Cell-wise convex combination lam*t + (1-lam)*other."""
-    lam = Fraction(lam)
+    lam, mine, theirs = Fraction(lam), fraction_tables(t), fraction_tables(other)
     return from_tables({pair: tuple(lam * a + (1 - lam) * b
-                                    for a, b in zip(t.tables[pair], other.tables[pair]))
+                                    for a, b in zip(mine[pair], theirs[pair]))
                         for pair in mp.PAIR_IDS})

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,42 @@ REPORT_SHA256 = {
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
     "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
+    # feasible targets next to S = 2 whose witnesses carry big denominators
+    "feasibility boundary json":
+        "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
+    "feasibility decimal json":
+        "0d3c876e22eebab4000d1a3f3005f44cd07da920cbda81612b1e4e0c59e0e566",
+}
+
+# the targets of those two pins.  One writes singles and correlators with
+# denominators up to about 1e9 as p/q, has a CHSH sign variant at exactly 2,
+# and a witness atom of 178 bits (numerator and denominator); the other
+# writes every cell as a 9-digit decimal and has a variant at 2 - 4e-9
+BIG_DENOMINATOR_TARGETS = {
+    "feasibility boundary json": {
+        "AC": [["5057421788621348779/494748967919459831552",
+                "195907577288396254805/494748967919459831552"],
+               ["256028716308051043925/494748967919459831552",
+                "37755252534391184043/494748967919459831552"]],
+        "AD": [["289250664407132325/732848512834549408",
+                "8429392056096411/732848512834549408"],
+               ["38011564333723765/732848512834549408",
+                "397156892037596907/732848512834549408"]],
+        "BC": [["10969216809231/31421602046198",
+                "496107209497/4488800292314"],
+               ["5612414003565/31421602046198",
+                "1623888680989/4488800292314"]],
+        "BD": [["24024201340214880624939155/139180725369532722761940736",
+                "279621392236044355307720955/974265077586729059333585152"],
+               ["38128608666899794902492125/139180725369532722761940736",
+                "259574015300881975333845237/974265077586729059333585152"]],
+    },
+    "feasibility decimal json": {
+        "AC": [["0.124976671", "0.434161341"], ["0.351210553", "0.089651435"]],
+        "AD": [["0.397531056", "0.161606956"], ["0.076525576", "0.364336412"]],
+        "BC": [["0.016576683", "0.433776797"], ["0.459610541", "0.090035979"]],
+        "BD": [["0.182518407", "0.267835073"], ["0.291538225", "0.258108295"]],
+    },
 }
 
 # sha256 of `lf --trials 20000 --seed 0` and `feasibility --from-angles` JSON at
@@ -216,6 +253,32 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
     code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
     assert code == cli.EXIT_PASS
     assert sha256(out) == REPORT_SHA256["feasibility grid json"]
+
+
+@pytest.mark.parametrize("key", sorted(BIG_DENOMINATOR_TARGETS))
+def test_feasibility_reports_with_big_denominators_are_pinned(capsys, tmp_path, key):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(BIG_DENOMINATOR_TARGETS[key]))
+    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    assert rep["joint_4"]["feasible"] and rep["methods_agree"]
+    assert sha256(out) == REPORT_SHA256[key]
+
+
+def test_feasibility_prints_a_witness_left_in_fractions(capsys, tmp_path, monkeypatch):
+    # a pivot other than 1 leaves the solver's answer in Fractions of a count;
+    # no random target has reached one, so a stand-in solver returns quarter
+    # counts: uniform 1/4 cells, whose counts over 4 are 1, give 1/16 atoms
+    monkeypatch.setattr(mp, "solve_nonnegative", lambda rows, rhs: [Fraction(1, 4)] * 16)
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(
+        {pair: [["1/4", "1/4"], ["1/4", "1/4"]] for pair in ("AC", "AD", "BC", "BD")}))
+    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    assert rep["joint_4"]["witness"] == ["1/16"] * 16 and rep["methods_agree"] is True
+    assert sorted(set(rep["joint_6"]["witness"])) == ["0", "1/16"]
 
 
 def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypatch):

@@ -8,10 +8,13 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+import simplex_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_targets import from_tables, mix, pr_box, reference_marginals
+from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
+                              probabilities, reference_marginals)
 from friendlab import marginal_polytope as mp
 
 # derandomized so the suite's run time and outcome do not vary between runs
@@ -46,7 +49,8 @@ def _decimal_text(x: Fraction) -> str:
 def _not_in_lowest_terms(t: mp.PairTargets, k: int) -> dict:
     """The targets as JSON with each cell written p*k/q*k."""
     return {pair: [[f"{v.numerator * k}/{v.denominator * k}" for v in row]
-                   for row in (cells[:2], cells[2:])] for pair, cells in t.tables.items()}
+                   for row in (cells[:2], cells[2:])]
+            for pair, cells in fraction_tables(t).items()}
 
 
 def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
@@ -70,7 +74,7 @@ def test_verdict_does_not_depend_on_how_targets_are_written(t, k):
     expected = mp.feasible_joint_4(t)
     for obj in _spellings(t, k):
         parsed = mp.PairTargets.from_json_dict(obj)
-        assert parsed.tables == t.tables
+        assert fraction_tables(parsed) == fraction_tables(t)
         assert mp.feasible_joint_4(parsed).to_json_dict() == expected.to_json_dict()
 
 
@@ -111,7 +115,7 @@ def test_every_feasible_witness_reproduces_its_targets(t):
     for variables, verdict in _both_verdicts(t):
         assert verdict.feasible == (verdict.witness is not None)
         if verdict.feasible:
-            assert mp.reproduces(variables, verdict.witness, t)
+            assert mp.reproduces(variables, verdict.witness, verdict.scale, t)
 
 
 @PROPERTY
@@ -124,7 +128,7 @@ def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
     lifted = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert lifted.feasible == (x is not None)
     if lifted.feasible:
-        assert lifted.witness == tuple(n / t.scale for n in x)
+        assert probabilities(lifted) == tuple(Fraction(n, t.scale) for n in x)
     else:
         assert lifted.max_violation == Fraction(max(t.variants.values()), t.scale) - 2
 
@@ -136,7 +140,8 @@ def _both_verdicts(t) -> list:
 
 def _reference_variants(t) -> dict:
     """The eight CHSH sign variants of the Fraction tables, in plain Fractions."""
-    e = [a - b - c + d for a, b, c, d in (t.tables[pair] for pair in mp.PAIR_IDS)]
+    tables = fraction_tables(t)
+    e = [a - b - c + d for a, b, c, d in (tables[pair] for pair in mp.PAIR_IDS)]
     return {signs: sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
 
 
@@ -152,8 +157,8 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
     for variables, verdict in _both_verdicts(t):
         if verdict.feasible:
-            assert reference_marginals(variables, verdict.witness) == t.tables
-            assert mp.reproduces(variables, verdict.witness, t)
+            assert reference_marginals(variables, probabilities(verdict)) == fraction_tables(t)
+            assert mp.reproduces(variables, verdict.witness, verdict.scale, t)
         else:
             assert verdict.max_violation == max(variants.values()) - 2
 
@@ -162,17 +167,18 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
 @given(boundary_targets().filter(lambda case: case[1] <= 0), st.data())
 def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
     # distinct atoms of A, B, C, D differ in some variable, so in the cell of
-    # some pair: moving 1/scale of mass changes that pair's table
+    # some pair: moving one count of the witness's denominator changes that
+    # pair's table
     t, _ = case
-    witness = mp.feasible_joint_4(t).witness
-    count = Fraction(1, math.lcm(*(p.denominator for p in witness)))
-    source = data.draw(st.sampled_from([i for i, p in enumerate(witness) if p > 0]))
+    verdict = mp.feasible_joint_4(t)
+    counts = list(verdict.witness)
+    source = data.draw(st.sampled_from([i for i, n in enumerate(counts) if n > 0]))
     target = data.draw(st.sampled_from([i for i in range(16) if i != source]))
-    probs = list(witness)
-    probs[source] -= count
-    probs[target] += count
-    assert reference_marginals(mp.VARS_4, probs) != t.tables
-    assert not mp.reproduces(mp.VARS_4, probs, t)
+    counts[source] -= 1
+    counts[target] += 1
+    moved = [Fraction(n, verdict.scale) for n in counts]
+    assert reference_marginals(mp.VARS_4, moved) != fraction_tables(t)
+    assert not mp.reproduces(mp.VARS_4, counts, verdict.scale, t)
 
 
 def shifted_along_parity(variables, witness) -> list[Fraction]:
@@ -191,18 +197,19 @@ def test_reproduces_refuses_a_witness_shifted_along_the_parity_vector(case):
     # every pair table and the normalization still hold; one atom is negative
     t, _ = case
     for variables, verdict in _both_verdicts(t):
-        shifted = shifted_along_parity(variables, verdict.witness)
-        assert reference_marginals(variables, shifted) == t.tables and sum(shifted) == 1
-        assert shifted[0] < 0
-        assert not mp.reproduces(variables, shifted, t)
+        shifted = shifted_along_parity(variables, probabilities(verdict))
+        assert reference_marginals(variables, shifted) == fraction_tables(t)
+        assert sum(shifted) == 1 and shifted[0] < 0
+        assert not mp.reproduces(variables, *as_counts(shifted), t)
 
 
 def test_reproduces_refuses_a_sum_off_by_1e_minus_30():
     uniform = [Fraction(1, 16)] * 16
     targets = from_tables(reference_marginals(mp.VARS_4, uniform))
-    assert mp.reproduces(mp.VARS_4, uniform, targets)
+    assert mp.reproduces(mp.VARS_4, *as_counts(uniform), targets)
     for off in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
-        assert not mp.reproduces(mp.VARS_4, [uniform[0] + off, *uniform[1:]], targets)
+        assert not mp.reproduces(mp.VARS_4, *as_counts([uniform[0] + off, *uniform[1:]]),
+                                 targets)
 
 
 @st.composite
@@ -223,6 +230,9 @@ def test_simplex_solves_planted_systems_exactly(system):
     x = mp.solve_nonnegative(rows, rhs)
     assert x is not None and all(v >= 0 for v in x)
     assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+    # with negative right-hand sides and pivots other than 1, the reference
+    # solver's pivots give the same values, whether ints or Fractions
+    assert x == simplex_oracle.solve_nonnegative(rows, rhs)
 
 
 @PROPERTY
@@ -238,3 +248,28 @@ def test_simplex_solution_scales_with_the_right_hand_side(system, k):
     rows, rhs = system
     x = mp.solve_nonnegative(rows, rhs)
     assert mp.solve_nonnegative(rows, [k * b for b in rhs]) == [k * v for v in x]
+
+
+def _random_targets(seed: int) -> mp.PairTargets:
+    return mp.random_pair_targets(np.random.default_rng(seed))
+
+
+@PROPERTY
+@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]),
+                 st.integers(0, 2 ** 32).map(_random_targets)))
+def test_simplex_matches_the_oracle_on_the_cell_systems(t):
+    for variables in (mp.VARS_4, mp.VARS_6):
+        system = mp._cell_rows(variables), mp._cell_counts(t)
+        assert mp.solve_nonnegative(*system) == simplex_oracle.solve_nonnegative(*system)
+
+
+@PROPERTY
+@given(st.one_of(st.integers(-2 ** 64, 2 ** 64), st.integers(2 ** 200, 2 ** 256),
+                 st.integers(-2 ** 256, -2 ** 200)),
+       st.one_of(st.integers(1, 16), st.integers(1, 2 ** 256)))
+@example(0, 1)
+@example(0, 10 ** 9)
+@example(-3, 1)
+@example(2 ** 200 + 1, 1)
+def test_rational_texts_writes_what_fraction_writes(n, d):
+    assert mp.rational_texts([n, 0, n], d) == [str(Fraction(n, d)), "0", str(Fraction(n, d))]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fraction_targets import from_tables, mix, pr_box, reference_marginals
+from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
+                              probabilities, reference_marginals)
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 from friendlab.statlab import correlator
@@ -76,7 +77,7 @@ def test_chsh_tsirelson_from_angles():
     assert abs(float(mp.chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
     # every cell is rationalized with bounded denominator
     for pair in mp.PAIR_IDS:
-        assert all(v.denominator <= 4 * 10 ** 6 for v in t.tables[pair])
+        assert all(v.denominator <= 4 * 10 ** 6 for v in fraction_tables(t)[pair])
 
 
 def test_chsh_variants_count_and_default():
@@ -90,7 +91,7 @@ def test_product_targets_feasible_with_exact_witness():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, verdict.scale, t)
 
 
 def test_tsirelson_infeasible_with_enumeration_oracle():
@@ -119,7 +120,7 @@ def test_shrunk_targets_feasible_at_boundary():
     assert mp.chsh_value(t) == 2
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, verdict.scale, t)
 
 
 def test_six_variable_matches_four_variable_on_examples():
@@ -137,21 +138,21 @@ def test_six_variable_witness_reproduces_composites():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_6, verdict.witness, t)
+    assert mp.reproduces(mp.VARS_6, verdict.witness, verdict.scale, t)
 
 
 def test_constructive_six_variable_witness_from_four():
     # split each four-variable atom by a uniform internal coin and the
     # relation forced by A = Ai * Ar; the induced pair marginals must match
     t = shrunk_targets()
-    w4 = mp.feasible_joint_4(t).witness
+    w4 = probabilities(mp.feasible_joint_4(t))
     probs = {assign: Fraction(0) for assign in itertools.product((+1, -1), repeat=6)}
     for (a, b, c, d), p in zip(itertools.product((+1, -1), repeat=4), w4):
         for ai in (+1, -1):
             for ci in (+1, -1):
                 probs[(ai, a * ai, b, ci, c * ci, d)] += p / 4
     w6 = [probs[assign] for assign in itertools.product((+1, -1), repeat=6)]
-    assert mp.reproduces(mp.VARS_6, w6, t)
+    assert mp.reproduces(mp.VARS_6, *as_counts(w6), t)
 
 
 def test_fine_criterion_examples():
@@ -172,8 +173,8 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
         assert fine == v4.feasible == v6.feasible
         if v4.feasible:
             saw_feasible += 1
-            assert mp.reproduces(mp.VARS_4, v4.witness, t)
-            assert mp.reproduces(mp.VARS_6, v6.witness, t)
+            assert mp.reproduces(mp.VARS_4, v4.witness, v4.scale, t)
+            assert mp.reproduces(mp.VARS_6, v6.witness, v6.scale, t)
         else:
             saw_infeasible += 1
             assert v4.max_violation > 0
@@ -183,7 +184,7 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
 def single(t, var):
     """P(var = +1) from the first table that holds var."""
     pair = next(p for p in mp.PAIR_IDS if var in p)
-    table = t.tables[pair]
+    table = fraction_tables(t)[pair]
     return table[0] + (table[1] if pair[0] == var else table[2])
 
 
@@ -198,7 +199,7 @@ def moment_form_feasible(t):
     for pair in mp.PAIR_IDS:
         i, j = index[pair[0]], index[pair[1]]
         rows.append([a[i] * a[j] for a in atoms])
-        rhs.append(correlator(t.tables[pair]))
+        rhs.append(correlator(fraction_tables(t)[pair]))
     return mp.solve_nonnegative(rows, rhs) is not None
 
 
@@ -232,13 +233,13 @@ def test_verdict_invariants():
 def test_targets_json_round_trip():
     t = mp.PairTargets.from_angles(LFConfig())
     back = mp.PairTargets.from_json_dict(t.to_json_dict())
-    assert back.tables == t.tables
+    assert fraction_tables(back) == fraction_tables(t)
 
 
 def test_targets_json_accepts_decimals():
     obj = {pair: [[0.25, 0.25], [0.25, 0.25]] for pair in mp.PAIR_IDS}
     t = mp.PairTargets.from_json_dict(obj)
-    assert t.tables["AC"] == (Fraction(1, 4),) * 4
+    assert fraction_tables(t)["AC"] == (Fraction(1, 4),) * 4
     # exponents are taken as written up to MAX_EXPONENT, and refused beyond
     singles = dict.fromkeys(mp.VARS_4, "5E-1")
     zero = dict.fromkeys(mp.PAIR_IDS, f"0e{mp.MAX_EXPONENT}")
@@ -261,7 +262,7 @@ def test_decimal_and_fraction_spellings_get_the_same_verdict():
                            for v in row] for row in rows]
                    for pair, rows in t.to_json_dict().items()}
         assert decimal["AC"][0][0] == "0.375000025"
-        assert mp.PairTargets.from_json_dict(decimal).tables == t.tables
+        assert fraction_tables(mp.PairTargets.from_json_dict(decimal)) == fraction_tables(t)
     assert verdicts == {False}
 
 
