@@ -6,12 +6,15 @@ rational arithmetic by a 4-variable linear program and cross-checked by a
 closed form criterion on the eight CHSH sign variants.  Splitting each asked
 wing into internal and relation parts gives 6 variables but no new
 constraint: that verdict is lifted from the 4-variable one, and a lifted
-witness is checked against the 6-variable cell system."""
+witness is checked against the 6-variable cell system.  The circuit's Born
+tables become exact targets in `scenarios`; the decision itself needs only
+`marginal_polytope`, which loads no numpy."""
 
 from friendlab import marginal_polytope as mp
+from friendlab import scenarios
 from friendlab.scenarios import LFConfig
 
-tsirelson = mp.PairTargets.from_angles(LFConfig())
+tsirelson = scenarios.circuit_targets(LFConfig())
 print(f"quantum targets: S = {mp.chsh_value(tsirelson)} "
       f"~ {float(mp.chsh_value(tsirelson)):.6f}")
 v = mp.feasible_joint_4(tsirelson)

@@ -1,25 +1,31 @@
 """friendlab: desk-scale simulation and feasibility analysis for Extended
 Wigner's Friend experiments.
 
-Modules:
+Modules, none importing one listed below it, each imported on first use:
 
-* hilbert -- dense state-vector engine (named tensor factors, unitaries,
-  computational-basis readings, Born sampling);
-* scenarios -- builders for the sealed-lab, frame-relational, four-observer
-  and sequential-measurement experiments;
-* marginal_polytope -- exact-rational feasibility of pairwise targets via
-  phase-1 simplex, cross-checked against the analytic CHSH criterion;
-* relmodel -- Monte Carlo runs of the frame-relational model where frame
-  relations exist only on ask runs, and the audit of a batch of runs;
 * statlab -- the pair vocabulary (pair ids, pair-table cells, the choice
   behind each variable letter, the correlator and the CHSH sum), count-table
   frequencies, TV distance, estimators, pass/fail check dicts;
+* marginal_polytope -- exact-rational feasibility of pairwise targets via
+  phase-1 simplex, cross-checked against the analytic CHSH criterion;
+* hilbert -- dense state-vector engine (named tensor factors, unitaries,
+  computational-basis readings, Born sampling);
+* scenarios -- builders for the sealed-lab, frame-relational, four-observer
+  and sequential-measurement experiments, and the circuit's exact targets;
+* relmodel -- Monte Carlo runs of the frame-relational model where frame
+  relations exist only on ask runs, and the audit of a batch of runs;
 * acceptance -- the criteria behind `friendlab accept`;
-* cli -- command-line orchestration.
+* cli -- command-line orchestration; each command imports what it uses.
 """
 
-from . import hilbert, marginal_polytope, relmodel, scenarios, statlab
+import importlib
 
 __all__ = ["hilbert", "scenarios", "marginal_polytope", "relmodel", "statlab"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: `import friendlab` loads no numpy
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

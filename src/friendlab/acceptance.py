@@ -53,7 +53,7 @@ def criterion_1(seed: int) -> dict:
 def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible and the 1/sqrt(2)-shrunk targets
     feasible; on those two and on every random target the methods agree."""
-    tsirelson = mp.PairTargets.from_angles(LFConfig())
+    tsirelson = scenarios.circuit_targets(LFConfig())
     v4, _, _, tsirelson_agree = mp.decide(tsirelson)
     half = "1/2"
     shrunk = mp.PairTargets.from_correlators(

@@ -22,13 +22,8 @@ import io
 import json
 import sys
 
-import numpy as np
-
-from . import acceptance
 from . import marginal_polytope as mp
-from . import relmodel, scenarios, statlab
-from .hilbert import born_distribution, factor_basis_spec
-from .scenarios import LFConfig, RovelliConfig
+from . import statlab
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -90,7 +85,8 @@ def _resolve_path(args: argparse.Namespace, key: str) -> str | None:
     return val
 
 
-def _resolve_lf_config(args: argparse.Namespace) -> LFConfig:
+def _resolve_lf_config(args: argparse.Namespace):
+    from .scenarios import LFConfig
     angles = _resolve(args, "angles")
     if angles is None:
         return LFConfig()
@@ -146,6 +142,7 @@ def _tolerance_lines(checks: list[dict]) -> str:
 # --- basic ------------------------------------------------------------------
 
 def cmd_basic(args: argparse.Namespace) -> int:
+    from . import hilbert, scenarios
     amps = _resolve(args, "amps", "0.7071067811865476,0.7071067811865476")
     parts = [p.strip() for p in str(amps).split(",")]
     if len(parts) != 2:
@@ -159,8 +156,8 @@ def cmd_basic(args: argparse.Namespace) -> int:
     if outcome not in (+1, -1):
         raise InputError("--outcome must be +1 or -1")
 
-    s_spec = factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
-    born = {f"{label:+d}": p for label, p in born_distribution(state, s_spec)}
+    s_spec = hilbert.factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
+    born = {f"{label:+d}": p for label, p in hilbert.born_distribution(state, s_spec)}
     report = {
         "command": "basic",
         "amplitudes": {"a": a, "b": b},
@@ -171,7 +168,8 @@ def cmd_basic(args: argparse.Namespace) -> int:
     if equal_weights:
         frame = scenarios.build_frame_relational_state(outcome)
         witness = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
-        rec = dict(born_distribution(frame, factor_basis_spec(scenarios.FRAME_LAYOUT, "record")))
+        rec = dict(hilbert.born_distribution(
+            frame, hilbert.factor_basis_spec(scenarios.FRAME_LAYOUT, "record")))
         report["frame_relational"] = {
             "outcome": outcome,
             "interference_witness": witness,
@@ -214,6 +212,7 @@ def _pair_table_csv(report: dict) -> str:
 
 
 def cmd_lf(args: argparse.Namespace) -> int:
+    from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 100000, 100)
     seed = _resolve_int(args, "seed", 0, 0)
@@ -264,9 +263,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         # a number is decided as written, not as the binary float nearest it
         targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets", str))
     elif from_angles:
+        from . import scenarios
         cfg = _resolve_lf_config(args)
-        targets = mp.PairTargets.from_angles(cfg)
-        resolution = mp.snap_resolution(cfg)
+        targets = scenarios.circuit_targets(cfg)
+        resolution = scenarios.snap_resolution(cfg)
     else:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
@@ -302,21 +302,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 
 # --- relmodel ---------------------------------------------------------------
 
-def _records_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(relmodel.RECORD_FIELDS)
-    w.writerows(row.values() for row in rows)  # keyed in field order; None writes ""
-    return buf.getvalue()
-
-
-@functools.lru_cache(maxsize=8)
-def _analytic_verdict(cfg: LFConfig) -> mp.FeasibilityVerdict:
-    """feasible_joint_4 of the circuit's Born targets, memoized on the frozen config."""
-    return mp.feasible_joint_4(mp.PairTargets.from_angles(cfg))
-
-
 def cmd_relmodel(args: argparse.Namespace) -> int:
+    from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 400000, 100)
     seed = _resolve_int(args, "seed", 0, 0)
@@ -327,7 +314,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
         # which must trip the choice-independence audit
         batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
     checks, internal, independence = relmodel.audit(batch)
-    verdict = _analytic_verdict(cfg)
+    verdict = scenarios.circuit_verdict(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
@@ -343,24 +330,30 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 
-    # the first 1000 runs: "records" in JSON, the rows of the CSV
-    _emit(args, report, table, lambda rep: _records_csv(batch.rows(1000)),
-          spliced={"records": batch.rows_json(1000)})
+    def records_csv(rep: dict) -> str:  # the first 1000 runs, like "records" in JSON
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(relmodel.RECORD_FIELDS)
+        w.writerows(row.values() for row in batch.rows(1000))  # field order; None writes ""
+        return buf.getvalue()
+
+    _emit(args, report, table, records_csv, spliced={"records": batch.rows_json(1000)})
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 # --- rovelli ----------------------------------------------------------------
 
 def cmd_rovelli(args: argparse.Namespace) -> int:
+    from . import relmodel, scenarios
     trials = _resolve_int(args, "trials", 10000, 1)
     seed = _resolve_int(args, "seed", 0, 0)
     trigger = _resolve_int(args, "trigger", 1, None)
     try:
-        cfg = RovelliConfig(trigger=trigger)
+        cfg = scenarios.RovelliConfig(trigger=trigger)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     states, runs, consistent = relmodel.rovelli_audit(cfg, trials, seed)
-    performed_on_trigger = bool(np.all((runs["second"] != 0) == (runs["first"] == cfg.trigger)))
+    performed_on_trigger = bool(((runs["second"] != 0) == (runs["first"] == cfg.trigger)).all())
     rate = consistent / trials
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "states": states, "consistency_rate": rate,
@@ -383,6 +376,7 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
 # --- accept -----------------------------------------------------------------
 
 def cmd_accept(args: argparse.Namespace) -> int:
+    from . import acceptance
     seed = _resolve_int(args, "seed", 42, 0)
     report = acceptance.run_all(seed)
     report["command"] = "accept"

@@ -15,6 +15,7 @@ the one integer system that the solver, a phase-1 simplex with Bland's
 rule, solves and `reproduces` checks a witness against.  Over six
 variables the system only repeats columns, so that verdict is lifted.  A
 witness is int counts over one denominator too, printed by `rational_texts`.
+The module imports only `statlab`, so deciding targets loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import scenarios
-from .hilbert import ATOL
 from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
-SNAP = 10 ** 6    # denominator a Born single or correlator snaps to
 RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
 # largest decimal exponent a target entry may carry: Fraction("1e-N") builds
 # 10**N before any check, and CPython already limits int strings to 4300 digits
@@ -128,18 +126,16 @@ class PairTargets:
                                     for x, y in PAIR_CELLS) for p in PAIR_IDS})
 
     @classmethod
-    def from_angles(cls, cfg) -> "PairTargets":
-        """Rationalize the Born targets of a circuit configuration to
-        multiples of 1/SNAP.  Singles and correlators (not raw cells) are
-        rounded, so the cross-table consistency required of valid targets
-        survives rounding exactly."""
+    def from_born(cls, tables, snap: int) -> "PairTargets":
+        """Float pair tables, keyed by pair id, with their singles and
+        correlators (not raw cells) rounded to multiples of 1/snap, so the
+        cross-table consistency of valid targets survives rounding exactly."""
 
-        def snap(x: float) -> Fraction:
-            return Fraction(round(x * SNAP), SNAP)
+        def rounded(x: float) -> Fraction:
+            return Fraction(round(x * snap), snap)
 
-        born = scenarios.born_tables(cfg)
-        singles = {v: snap(_plus(born[p], v, p)) for v, (p, _) in _SINGLE_SOURCES.items()}
-        return cls.from_correlators(singles, {p: snap(correlator(t)) for p, t in born.items()})
+        singles = {v: rounded(_plus(tables[p], v, p)) for v, (p, _) in _SINGLE_SOURCES.items()}
+        return cls.from_correlators(singles, {p: rounded(correlator(t)) for p, t in tables.items()})
 
     # -- serialization ------------------------------------------------------
 
@@ -177,18 +173,6 @@ def fine_criterion(t: PairTargets) -> bool:
     """Analytic feasibility oracle: true iff every CHSH sign variant is at
     most 2.  Independent of the simplex; the two must agree on every input."""
     return max(t.variants.values()) <= 2 * t.scale
-
-
-def snap_resolution(cfg) -> dict | None:
-    """None, or the report's "resolution" entry when the largest float Born
-    CHSH variant lies within 2/SNAP (plus round-off) of 2: the snap moves
-    each of the four correlators by at most 1/(2*SNAP), so a verdict on
-    `PairTargets.from_angles(cfg)` then holds for the snapped targets only."""
-    top = max(sign_variants(scenarios.pair_correlations(cfg).values()).values())
-    if abs(top - 2) > 2 / SNAP + ATOL:
-        return None
-    return {"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
-            "largest_born_variant": top}
 
 
 # --- verdicts ---------------------------------------------------------------

@@ -16,7 +16,8 @@ Four families of states:
 
 All builders are pure functions of immutable inputs.  A scenario's Born data
 is one memoized value of its frozen config: `born_tables` for the circuit,
-`rovelli_states` for the sequential scenario.
+`rovelli_states` for the sequential scenario; `circuit_targets` makes exact
+targets of the circuit's Born tables, and `circuit_verdict` decides them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import marginal_polytope as mp
 from .hilbert import (
     ATOL,
     FactorLayout,
@@ -38,9 +40,10 @@ from .hilbert import (
     factor_basis_spec,
     rotation_matrix,
 )
-from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS, correlator
+from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+SNAP = 10 ** 6  # denominator a Born single or correlator snaps to
 
 # Qubit value conventions: 0 = down / aligned, 1 = up / anti-aligned.
 BASIC_LAYOUT = FactorLayout((("S", 2), ("A", 2)))
@@ -205,6 +208,29 @@ def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:
     """Analytic correlators E(pair) for all four pairs, in PAIR_IDS order."""
     return {pair: correlator(table) for pair, table in born_tables(cfg).items()}
+
+
+def circuit_targets(cfg: LFConfig) -> mp.PairTargets:
+    """The circuit's Born tables as exact targets snapped to multiples of 1/SNAP."""
+    return mp.PairTargets.from_born(born_tables(cfg), SNAP)
+
+
+def snap_resolution(cfg: LFConfig) -> dict | None:
+    """None, or the report's "resolution" entry when the largest float Born
+    CHSH variant lies within 2/SNAP (plus round-off) of 2: the snap moves
+    each of the four correlators by at most 1/(2*SNAP), so a verdict on
+    `circuit_targets(cfg)` then holds for the snapped targets only."""
+    top = max(sign_variants(pair_correlations(cfg).values()).values())
+    if abs(top - 2) > 2 / SNAP + ATOL:
+        return None
+    return {"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
+            "largest_born_variant": top}
+
+
+@lru_cache(maxsize=8)
+def circuit_verdict(cfg: LFConfig) -> mp.FeasibilityVerdict:
+    """feasible_joint_4 of `circuit_targets(cfg)`, memoized on the frozen config."""
+    return mp.feasible_joint_4(circuit_targets(cfg))
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:

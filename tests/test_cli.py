@@ -186,6 +186,44 @@ def test_reports_are_the_same_bytes_under_other_cpu_kernels(var):
         assert hashlib.sha256(out).hexdigest() == pin
 
 
+# run in a fresh interpreter with the path of a targets file: the package
+# imports no submodule, marginal_polytope only statlab, deciding the file no
+# numpy, and a module of __all__ resolves as an attribute on first use
+NUMPY_FREE_START = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("friendlab.") or m == "numpy")
+
+import friendlab
+assert loaded() == [], loaded()
+import friendlab.marginal_polytope
+assert loaded() == ["friendlab.marginal_polytope", "friendlab.statlab"], loaded()
+from friendlab import cli
+assert cli.main(["feasibility", "--targets", sys.argv[1], "--format", "json"]) == 0
+assert "numpy" not in sys.modules, loaded()
+assert friendlab.relmodel is sys.modules["friendlab.relmodel"]
+try:
+    friendlab.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("friendlab.nope resolved")
+"""
+
+
+def test_deciding_a_targets_file_loads_no_numpy(tmp_path):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(GRID_TARGETS))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", NUMPY_FREE_START, str(targets)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["joint_4"]["feasible"]
+
+
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"angles": [0, 90, 45, 135], "trials": 20000, "seed": 7}))

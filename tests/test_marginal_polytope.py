@@ -8,7 +8,7 @@ import pytest
 from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
                               probabilities, reference_marginals)
 from friendlab import marginal_polytope as mp
-from friendlab.scenarios import LFConfig
+from friendlab.scenarios import LFConfig, circuit_targets
 from friendlab.statlab import correlator
 
 UNIFORM = from_tables({pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS})
@@ -72,8 +72,8 @@ def test_chsh_extreme_box_is_four():
     assert mp.chsh_value(pr_box()) == 4
 
 
-def test_chsh_tsirelson_from_angles():
-    t = mp.PairTargets.from_angles(LFConfig())
+def test_chsh_tsirelson_circuit_targets():
+    t = circuit_targets(LFConfig())
     assert abs(float(mp.chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
     # every cell is rationalized with bounded denominator
     for pair in mp.PAIR_IDS:
@@ -81,7 +81,7 @@ def test_chsh_tsirelson_from_angles():
 
 
 def test_chsh_variants_count_and_default():
-    t = mp.PairTargets.from_angles(LFConfig())
+    t = circuit_targets(LFConfig())
     variants = {signs: Fraction(v, t.scale) for signs, v in t.variants.items()}
     assert len(variants) == 8
     assert variants[(+1, -1, +1, +1)] == mp.chsh_value(t)
@@ -100,7 +100,7 @@ def test_tsirelson_infeasible_with_enumeration_oracle():
     for a, b, c, d in itertools.product((+1, -1), repeat=4):
         s = a * c + b * c + b * d - a * d
         assert abs(s) <= 2
-    t = mp.PairTargets.from_angles(LFConfig())
+    t = circuit_targets(LFConfig())
     assert mp.chsh_value(t) > 2
     verdict = mp.feasible_joint_4(t)
     assert not verdict.feasible
@@ -125,7 +125,7 @@ def test_shrunk_targets_feasible_at_boundary():
 
 def test_six_variable_matches_four_variable_on_examples():
     for t in (UNIFORM, shrunk_targets(),
-              mp.PairTargets.from_angles(LFConfig()),
+              circuit_targets(LFConfig()),
               product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))):
         v4 = mp.feasible_joint_4(t)
         v6 = mp.feasible_joint_6(v4)
@@ -158,7 +158,7 @@ def test_constructive_six_variable_witness_from_four():
 def test_fine_criterion_examples():
     assert mp.fine_criterion(UNIFORM)
     assert mp.fine_criterion(shrunk_targets())
-    assert not mp.fine_criterion(mp.PairTargets.from_angles(LFConfig()))
+    assert not mp.fine_criterion(circuit_targets(LFConfig()))
     assert not mp.fine_criterion(pr_box())
 
 
@@ -218,7 +218,7 @@ def test_monotone_mix_toward_uniform_preserves_feasibility():
 
 
 def test_infeasible_mix_becomes_feasible_below_boundary():
-    tsirelson = mp.PairTargets.from_angles(LFConfig())
+    tsirelson = circuit_targets(LFConfig())
     assert not mp.feasible_joint_4(mix(tsirelson, UNIFORM, Fraction(9, 10))).feasible
     assert mp.feasible_joint_4(mix(tsirelson, UNIFORM, Fraction(1, 2))).feasible
 
@@ -231,7 +231,7 @@ def test_verdict_invariants():
 
 
 def test_targets_json_round_trip():
-    t = mp.PairTargets.from_angles(LFConfig())
+    t = circuit_targets(LFConfig())
     back = mp.PairTargets.from_json_dict(t.to_json_dict())
     assert fraction_tables(back) == fraction_tables(t)
 

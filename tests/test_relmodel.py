@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friendlab import cli, hilbert, relmodel, scenarios, statlab
+from friendlab import marginal_polytope as mp
 from friendlab.relmodel import InsufficientDataError, RunRecord
 from friendlab.scenarios import LFConfig, RovelliConfig
 from friendlab.statlab import CHOICE, PAIR_IDS
@@ -444,3 +445,14 @@ def test_a_repeated_rovelli_config_rebuilds_no_branch_or_witness(monkeypatch):
     relmodel.rovelli_audit(cfg, 10, 0)
     assert sorted(calls) == ["build_rovelli_states", *["interference_witness"] * 3,
                              *["orientation_branches"] * 3]
+
+
+def test_a_repeated_circuit_config_decides_its_targets_once(monkeypatch, capsys):
+    calls = []
+    real = mp.feasible_joint_4
+    monkeypatch.setattr(mp, "feasible_joint_4", lambda t: calls.append(t) or real(t))
+    scenarios.circuit_verdict.cache_clear()  # a fresh config is decided once
+    for _ in range(2):
+        cli.main(["relmodel", "--trials", "100", "--seed", "0", "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["analytic_feasibility"]["feasible"] is False
+    assert calls == [scenarios.circuit_targets(LFConfig())]

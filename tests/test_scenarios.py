@@ -22,6 +22,7 @@ from friendlab.scenarios import (
     build_basic_wf_state,
     build_frame_relational_state,
     build_rovelli_states,
+    circuit_verdict,
     interference_witness,
     lf_circuit,
     orientation_branches,
@@ -231,6 +232,10 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
         tables["AC"] = (0.25,) * 4
     with pytest.raises(ValueError):
         lf_circuit(a).amps[0] = 0.0
+    verdict = circuit_verdict(a)
+    assert verdict is circuit_verdict(b)
+    with pytest.raises(AttributeError):
+        verdict.feasible = True
     states = rovelli_states(RovelliConfig(-1))
     assert isinstance(states, tuple) and states is rovelli_states(RovelliConfig(-1))
     assert all(isinstance(born, tuple) for born, _ in states)
