@@ -10,19 +10,20 @@ interference witness on the whole lab still reads 1.
 import numpy as np
 
 from friendlab import scenarios
-from friendlab.hilbert import born_distribution, factor_basis_spec
+from friendlab.hilbert import born_distribution
 
 a, b = 0.6, 0.8
 state = scenarios.build_basic_wf_state(a, b)
 print(f"entangled lab state for a={a}, b={b}:")
 print(" ", np.round(state.amps, 6))
 
-spec = factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
-print("Born distribution of the system qubit:", dict(born_distribution(state, spec)))
+# the reading of S, value 0 labelled +1 and value 1 labelled -1
+print("Born distribution of the system qubit:",
+      dict(zip((+1, -1), born_distribution(state, ("S",)))))
 
 for outcome in (+1, -1):
     frame = scenarios.build_frame_relational_state(outcome)
     w = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
-    rec = dict(born_distribution(frame, factor_basis_spec(scenarios.FRAME_LAYOUT, "record")))
+    rec = dict(enumerate(born_distribution(frame, ("record",))))
     print(f"frame-relational state, outcome {outcome:+d}: "
           f"record distribution {rec}, witness {w:.6f}")

@@ -9,11 +9,12 @@ Modules, none importing one listed below it, each imported on first use:
 * marginal_polytope -- exact-rational feasibility of pairwise targets via
   phase-1 simplex, cross-checked against the analytic CHSH criterion;
 * hilbert -- dense state-vector engine (named tensor factors, unitaries,
-  computational-basis readings, Born sampling);
+  the Born probabilities of computational-basis readings);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
   and sequential-measurement experiments, and the circuit's exact targets;
-* relmodel -- Monte Carlo runs of the frame-relational model where frame
-  relations exist only on ask runs, and the audit of a batch of runs;
+* relmodel -- Born sampling, Monte Carlo runs of the frame-relational model
+  where frame relations exist only on ask runs, the sequential runs, and the
+  audit of a batch of runs;
 * acceptance -- the criteria behind `friendlab accept`;
 * cli -- command-line orchestration; each command imports what it uses.
 """

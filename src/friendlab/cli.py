@@ -156,8 +156,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
     if outcome not in (+1, -1):
         raise InputError("--outcome must be +1 or -1")
 
-    s_spec = hilbert.factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
-    born = {f"{label:+d}": p for label, p in hilbert.born_distribution(state, s_spec)}
+    born = dict(zip(("+1", "-1"), hilbert.born_distribution(state, ("S",))))
     report = {
         "command": "basic",
         "amplitudes": {"a": a, "b": b},
@@ -168,8 +167,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
     if equal_weights:
         frame = scenarios.build_frame_relational_state(outcome)
         witness = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
-        rec = dict(hilbert.born_distribution(
-            frame, hilbert.factor_basis_spec(scenarios.FRAME_LAYOUT, "record")))
+        rec = hilbert.born_distribution(frame, ("record",))
         report["frame_relational"] = {
             "outcome": outcome,
             "interference_witness": witness,
@@ -227,8 +225,8 @@ def cmd_lf(args: argparse.Namespace) -> int:
         "E_analytic": analytic[pair],
     } for pair, table in zip(statlab.PAIR_IDS, tables)}
     s_mc, stderr = statlab.chsh_estimate(tables)
-    checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic), 0.05,
-                                n=trials))
+    checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic),
+                                relmodel.CHSH_THRESHOLD, n=trials))
     report = {"command": "lf", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "pairs": pairs_report, "chsh": {"estimate": s_mc, "stderr": stderr,
                                               "analytic": s_analytic},

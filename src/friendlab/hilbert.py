@@ -1,20 +1,20 @@
 """Minimal dense state-vector engine over named tensor factors.
 
-Everything is immutable: states and measurement specs are frozen after
-construction, and every operation returns a fresh value.  A unitary is a
-plain matrix on named factors, and `apply(matrix, state, on)` is the state
-it makes.  No float that reaches a report passes through BLAS or LAPACK:
-`apply` and `StateVector.inner` multiply split real and imaginary parts
-elementwise and sum them with numpy in an order this module fixes, so every
-report is the same bytes whichever kernels numpy and its BLAS pick for the
-CPU.  A measurement is a frame change, which is such a unitary, followed by
-a computational-basis reading of named factors (`MeasurementSpec`); a
-reading of distinct factors is complete and orthogonal by its type, so no
-projector is ever built or checked.  The engine is deliberately dense and
-small; the scenarios built on top of it never need more than 24 dimensions.
-A reading's Born probabilities come from `born_distribution` alone;
-`sample_outcomes` maps n uniforms onto one such distribution and returns
-label indices, not post-measurement states.
+Everything is immutable: states are frozen after construction, and every
+operation returns a fresh value.  A unitary is a plain matrix on named
+factors, and `apply(matrix, state, on)` is the state it makes.  No float
+that reaches a report passes through BLAS or LAPACK: `apply` and
+`StateVector.inner` multiply split real and imaginary parts elementwise and
+sum them with numpy in an order this module fixes, so every report is the
+same bytes whichever kernels numpy and its BLAS pick for the CPU.  A
+measurement is a frame change, which is such a unitary, followed by a
+computational-basis reading of named factors; a reading of distinct factors
+is complete and orthogonal by its type, so no projector is ever built or
+checked.  The engine is deliberately dense and small; the scenarios built on
+top of it never need more than 24 dimensions.  A reading's Born
+probabilities come from `born_distribution(state, read)` alone, and this
+module draws no random numbers: callers name the outcomes, and
+`relmodel.draw_cells` samples them.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ ATOL = 1e-10
 
 
 class LayoutError(ValueError):
-    """Factor-name collision, unknown factor, or dimension mismatch."""
-
-
-class MeasurementError(ValueError):
-    """A reading of no factor, of one factor twice, or with bad labels."""
+    """Factor-name collision, unknown factor, dimension mismatch, or a
+    reading of no factor or of one factor twice."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,6 @@ class FactorLayout:
             if n == name:
                 return i
         raise LayoutError(f"no factor named {name!r} in {self.names}")
-
-    def dim_of(self, name: str) -> int:
-        return self.factors[self.axis(name)][1]
 
 
 @dataclass(frozen=True)
@@ -134,59 +128,26 @@ def apply(matrix: np.ndarray, state: StateVector, on: tuple[str, ...]) -> StateV
     return StateVector(layout, moved.transpose(tuple(perm.index(a) for a in range(len(dims)))))
 
 
-@dataclass(frozen=True)
-class MeasurementSpec:
-    """A computational-basis reading of the named factors `read`, in that
-    order, with one distinct label per joint basis value (the first factor
-    read is the most significant digit).  Any other measurement is a basis
-    change applied to the state with `apply`, then a reading."""
-
-    layout: FactorLayout
-    read: tuple[str, ...]
-    labels: tuple[object, ...]
-    # the axes of the squared amplitudes that a reading sums (every factor
-    # not read, and the real/imaginary axis last), and the order of the rest
-    _summed: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        read, labels = tuple(self.read), tuple(self.labels)
-        axes = [self.layout.axis(n) for n in read]
-        if not read or len(set(read)) != len(read):
-            raise MeasurementError(f"a reading needs distinct factors, got {read}")
-        n = math.prod(self.layout.dims[a] for a in axes)
-        if len(labels) != n:
-            raise MeasurementError(f"reading {read} needs {n} labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise MeasurementError("outcome labels must be distinct")
-        object.__setattr__(self, "read", read)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_summed", tuple(
-            a for a in range(len(self.layout.factors) + 1) if a not in axes))
-        object.__setattr__(self, "_order", tuple(sorted(axes).index(a) for a in axes))
+@functools.cache
+def _reading(layout: FactorLayout, read: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The axes of the squared amplitudes that a reading of `read` sums
+    (every factor not read, and the real/imaginary axis last), and the order
+    of the rest.  Memoized: a reading is a pure function of its layout."""
+    axes = [layout.axis(n) for n in read]
+    if not read or len(set(read)) != len(read):
+        raise LayoutError(f"a reading needs distinct factors, got {read}")
+    return (tuple(a for a in range(len(layout.factors) + 1) if a not in axes),
+            tuple(sorted(axes).index(a) for a in axes))
 
 
-def born_distribution(s: StateVector, m: MeasurementSpec) -> list[tuple[object, float]]:
-    """(label, probability) in read order: the squared amplitudes summed over
-    the factors the spec does not read."""
-    if s.layout != m.layout:
-        raise LayoutError("measurement layout does not match state layout")
+def born_distribution(s: StateVector, read: tuple[str, ...]) -> tuple[float, ...]:
+    """The Born probabilities of a computational-basis reading of the
+    factors `read`, in that order (the first factor read is the most
+    significant digit): the squared amplitudes summed over the factors not
+    read."""
+    summed, order = _reading(s.layout, read)
     sq = np.square(s.amps.view(np.float64)).reshape(s.layout.dims + (2,))
-    return list(zip(m.labels, sq.sum(axis=m._summed).transpose(m._order).ravel().tolist()))
-
-
-def sample_outcomes(born, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent samples of `born`, a `born_distribution` result, as
-    indices into its (label, probability) pairs.
-
-    One uniform per sample, in order, mapped to the first outcome whose
-    cumulative probability exceeds it.  A zero-probability outcome has an
-    empty interval, so it is never selected; a uniform in the float
-    round-off tail goes to the last positive-probability outcome.
-    """
-    probs = np.array([pr for _, pr in born])
-    idx = np.searchsorted(np.cumsum(probs), rng.random(n), side="right")
-    return np.minimum(idx, np.flatnonzero(probs)[-1])
+    return tuple(sq.sum(axis=summed).transpose(order).ravel().tolist())
 
 
 # --- qubit conveniences ----------------------------------------------------
@@ -201,13 +162,3 @@ def rotation_matrix(theta_degrees: float) -> np.ndarray:
     h = math.radians(theta_degrees) / 2.0
     c, s = math.cos(h), math.sin(h)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-@functools.cache
-def factor_basis_spec(layout: FactorLayout, name: str,
-                      labels: tuple[object, ...] | None = None) -> MeasurementSpec:
-    """Computational-basis reading of one factor, labelled 0..d-1 unless
-    `labels` says otherwise.  Memoized: a spec is immutable, so one serves
-    every caller."""
-    return MeasurementSpec(layout, (name,),
-                           tuple(range(layout.dim_of(name))) if labels is None else labels)

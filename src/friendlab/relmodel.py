@@ -17,7 +17,8 @@ The sequential scenario is a columnar batch: `simulate_rovelli` returns
 int8 columns (first outcome, whether the second measurement ran, the
 second outcome or 0, the record drawn from the final state's distribution
 in `scenarios.rovelli_states`), and `rovelli_audit` is the one report on it
-that the `rovelli` command, criterion 5 and the demo share.
+that the `rovelli` command, criterion 5 and the demo share.  Both scenarios
+draw every Born outcome with one sampler, `draw_cells`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import scenarios, statlab
-from .hilbert import (FactorLayout, StateVector, born_distribution, factor_basis_spec,
-                      sample_outcomes)
+from .hilbert import FactorLayout, StateVector, born_distribution
 from .scenarios import SQRT_HALF, LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
@@ -44,13 +44,15 @@ _B_ASKS, _D_ASKS = (np.array([CHOICE[p[w]] == "ask" for p in PAIR_IDS]) for w in
 _PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
+CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 SIGMAS = 3.0               # choice-independence band, in binomial standard errors
 
-# the z distribution of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
+# the z distribution of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2),
+# as a stack of one table, and the outcome of each of its cells
 _READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
-_READY_Z = tuple(born_distribution(_READY, factor_basis_spec(_READY.layout, "q", (+1, -1))))
-_Z_LABELS = np.array([label for label, _ in _READY_Z], dtype=np.int8)
+_READY_Z = np.array([born_distribution(_READY, ("q",))])
+_Z_LABELS = np.array([+1, -1], dtype=np.int8)
 
 
 class InsufficientDataError(ValueError):
@@ -129,6 +131,23 @@ class TrialBatch:
         return "[" + ",".join([_FRAGMENTS[c] for c in self.code[:stop].tolist()]) + "]"
 
 
+def draw_cells(tables: np.ndarray, which, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add to `out` in place, and return it, the cell that each uniform u[i]
+    draws from the probability table tables[which[i]] (`which` may be one
+    index for every draw): the first cell whose cumulative probability
+    exceeds u[i].  A zero-probability cell has an empty interval, so it is
+    never drawn; a uniform in the float round-off tail goes to the table's
+    last positive cell."""
+    # row j: P(cell <= j) per table, past which a uniform moves on from cell j,
+    # but never from a table's last positive cell: it takes the round-off tail
+    cdf_rows = np.cumsum(tables, axis=1).T[:-1].copy()
+    last = len(cdf_rows)
+    cdf_rows[np.arange(last)[:, None] >= last - np.argmax(tables[:, ::-1] > 0, axis=1)] = np.inf
+    for row in cdf_rows:
+        out += u >= row.take(which)
+    return out
+
+
 def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     """n independent trials, each measuring a pair drawn uniformly.
 
@@ -142,10 +161,6 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     if seed < 0:
         raise ValueError("seed must be a non-negative 64-bit integer")
     tables = np.array(list(scenarios.born_tables(cfg).values()))
-    # row j: P(cell <= j) per pair, past which a uniform moves on from cell j,
-    # but never from a pair's last positive cell: it takes the round-off tail
-    cdf_rows = np.cumsum(tables, axis=1).T[:3].copy()
-    cdf_rows[np.arange(3)[:, None] >= 3 - np.argmax(tables[:, ::-1] > 0, axis=1)] = np.inf
     chunks = []
     for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
         m = min(CHUNK, n - chunk_index * CHUNK)
@@ -154,9 +169,10 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
         k = (rng.random(m) * 4).astype(np.intp)
         code = 16 * k + 8 * rng.integers(0, 2, size=m)
         code = (code + 4 * rng.integers(0, 2, size=m)).astype(np.uint8)
+        # u stays bound until the batch is built: a temporary freed right after
+        # the draw costs about 80 more page faults (one u) per 4e4-run batch
         u = rng.random(m)
-        for row in cdf_rows:
-            code += u >= row.take(k)
+        draw_cells(tables, k, u, code)
         chunks.append(code)
     return TrialBatch(cfg, np.concatenate(chunks))
 
@@ -258,15 +274,17 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> dict[str, np.ndar
     Draw order: n first outcomes, one second outcome per performed run, then
     the records of the runs ending in each final state, state by state."""
     rng = np.random.default_rng(seed)
-    first = _Z_LABELS[sample_outcomes(_READY_Z, n, rng)]
+    first = _Z_LABELS[draw_cells(_READY_Z, 0, rng.random(n), np.zeros(n, np.uint8))]
     performed = first == cfg.trigger
+    m = int(performed.sum())
     second = np.zeros(n, dtype=np.int8)
-    second[performed] = _Z_LABELS[sample_outcomes(_READY_Z, int(performed.sum()), rng)]
+    second[performed] = _Z_LABELS[draw_cells(_READY_Z, 0, rng.random(m), np.zeros(m, np.uint8))]
     final = np.where(performed, np.where(second == first, 0, 1), 2)  # PP, PA, noM2 state
+    # the uniforms go to the runs of each final state in turn, in run order
+    u = np.empty(n)
+    u[np.argsort(final, kind="stable")] = rng.random(n)
     record = np.zeros(n, dtype=np.int8)
-    for k, (born, _) in enumerate(scenarios.rovelli_states(cfg)):
-        runs = final == k
-        record[runs] = sample_outcomes(born, int(runs.sum()), rng)
+    draw_cells(np.array([born for born, _ in scenarios.rovelli_states(cfg)]), final, u, record)
     columns = {"first": first, "performed": performed.astype(np.int8),
                "second": second, "record": record}
     for col in columns.values():
@@ -282,7 +300,8 @@ def rovelli_audit(cfg: RovelliConfig, n: int,
     `simulate_rovelli`; and how many runs are consistent: the record read
     says a second measurement happened exactly when the first outcome was
     the trigger."""
-    states = [{"record": record, "record_probabilities": dict(born),
+    states = [{"record": record,
+               "record_probabilities": dict(zip(scenarios.ROVELLI_RECORDS, born)),
                "interference_witness": witness}
               for record, (born, witness) in zip(scenarios.ROVELLI_RECORDS,
                                                  scenarios.rovelli_states(cfg))]

@@ -30,17 +30,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import marginal_polytope as mp
-from .hilbert import (
-    ATOL,
-    FactorLayout,
-    MeasurementSpec,
-    StateVector,
-    apply,
-    born_distribution,
-    factor_basis_spec,
-    rotation_matrix,
-)
-from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS, correlator, sign_variants
+from .hilbert import ATOL, FactorLayout, StateVector, apply, born_distribution, rotation_matrix
+from .statlab import CHOICE, PAIR_IDS, correlator, sign_variants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 SNAP = 10 ** 6  # denominator a Born single or correlator snaps to
@@ -172,8 +163,7 @@ _WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_a", "super_a")),
 # per variable, the factor read: asking a friend (A, C) reads her memory
 # qubit, what she recorded, and a supermeasurement (B, D) the wing particle
 _READS = {var: _WINGS[var][0][CHOICE[var] == "ask"] for var in _WINGS}
-_PAIR_SPECS = {p: MeasurementSpec(LF_LAYOUT, (_READS[p[0]], _READS[p[1]]), PAIR_CELLS)
-               for p in PAIR_IDS}
+_PAIR_READS = {p: (_READS[p[0]], _READS[p[1]]) for p in PAIR_IDS}
 
 
 def lf_circuit(cfg: LFConfig) -> StateVector:
@@ -201,8 +191,8 @@ def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
     ac = lf_circuit(cfg)
     bc = supermeasured(ac, "B")
     states = {"AC": ac, "AD": supermeasured(ac, "D"), "BC": bc, "BD": supermeasured(bc, "D")}
-    return MappingProxyType({pair: tuple(p for _, p in born_distribution(states[pair], spec))
-                             for pair, spec in _PAIR_SPECS.items()})
+    return MappingProxyType({pair: born_distribution(states[pair], read)
+                             for pair, read in _PAIR_READS.items()})
 
 
 def pair_correlations(cfg: LFConfig) -> dict[str, float]:
@@ -273,11 +263,10 @@ def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
 
 
 @lru_cache(maxsize=2)
-def rovelli_states(cfg: RovelliConfig) -> tuple[tuple[tuple, float], ...]:
+def rovelli_states(cfg: RovelliConfig) -> tuple[tuple[tuple[float, ...], float], ...]:
     """Per final state of `build_rovelli_states`, in ROVELLI_RECORDS order:
-    its record Born distribution, as (label, probability) pairs, and its
+    its record Born probabilities, also in ROVELLI_RECORDS order, and its
     interference witness (memoized on the frozen config)."""
-    spec = factor_basis_spec(ROVELLI_LAYOUT, "record", ROVELLI_RECORDS)
-    return tuple((tuple(born_distribution(s, spec)),
+    return tuple((born_distribution(s, ("record",)),
                   interference_witness(s, *orientation_branches(s)))
                  for s in build_rovelli_states(cfg))

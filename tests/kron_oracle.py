@@ -15,7 +15,7 @@ def embed(matrix, layout, on):
     |i><j| of `on`'s joint values of m[i, j] times the kron, over the
     layout's own factor order, of each named factor's unit and the identity
     on every other factor."""
-    dims = [layout.dim_of(n) for n in on]
+    dims = [dict(layout.factors)[n] for n in on]
     values = list(itertools.product(*map(range, dims)))
     full = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
     for (i, vi), (j, vj) in itertools.product(enumerate(values), repeat=2):

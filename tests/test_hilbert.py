@@ -11,18 +11,14 @@ from kron_oracle import embed
 from friendlab.hilbert import (
     FactorLayout,
     LayoutError,
-    MeasurementError,
-    MeasurementSpec,
     StateVector,
     apply,
     born_distribution,
-    factor_basis_spec,
     rotation_matrix,
-    sample_outcomes,
 )
+from friendlab.relmodel import draw_cells
 
 Q = FactorLayout((("q", 2),))
-R = FactorLayout((("r", 2),))
 
 
 def ket(layout, *assignment):
@@ -114,7 +110,7 @@ def unit(i, j):
                                        unit(i, j)) for i in range(2) for j in range(2))),
 ], ids=["a", "b", "c", "c,a"])
 def test_apply_matches_kron_order(on, kron_of):
-    d = math.prod(LAYOUT3.dim_of(n) for n in on)
+    d = math.prod(dict(LAYOUT3.factors)[n] for n in on)
     rng = np.random.default_rng(d)
     m = random_unitary(rng, d)
     # the oracle the other tests use builds the same matrix
@@ -126,21 +122,16 @@ def test_apply_matches_kron_order(on, kron_of):
         np.testing.assert_allclose(out.amps, kron_of(m) @ s.amps, atol=1e-14)
 
 
-def z_spec():
-    return factor_basis_spec(Q, "q", labels=(+1, -1))
-
-
 def test_born_computational_basis():
-    dist = dict(born_distribution(ket(Q, 0), z_spec()))
-    assert dist == {+1: 1.0, -1: 0.0}
+    assert born_distribution(ket(Q, 0), ("q",)) == (1.0, 0.0)
     plus = StateVector(Q, np.array([1, 1]) / math.sqrt(2))
-    dist = dict(born_distribution(plus, z_spec()))
-    assert abs(dist[+1] - 0.5) < 1e-12 and abs(dist[-1] - 0.5) < 1e-12
+    p0, p1 = born_distribution(plus, ("q",))
+    assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
 
 
 def test_born_bell_state_angle_correlation():
     # Oracle: direct 4-dim enumeration of <phi+| Pa (x) Pc |phi+> with
-    # explicitly written projectors, independent of the library's spec
+    # explicitly written projectors, independent of the library's reading
     # machinery.
     layout = FactorLayout((("a", 2), ("c", 2)))
     phi = StateVector(layout, np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -161,24 +152,32 @@ def test_born_bell_state_angle_correlation():
     # rotate each qubit to its angle's frame, then read both
     frame = np.kron(rotation_matrix(0.0), rotation_matrix(45.0)).conj().T
     rotated = apply(frame, phi, ("a", "c"))
-    spec = MeasurementSpec(layout, ("a", "c"), ((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
-    e = sum(la * lc * p for (la, lc), p in born_distribution(rotated, spec))
+    e = sum(la * lc * p for (la, lc), p in zip(itertools.product((+1, -1), repeat=2),
+                                                 born_distribution(rotated, ("a", "c"))))
     assert abs(e - oracle) < 1e-12
 
 
+# --- sampling a reading ------------------------------------------------------
+# hilbert draws no random numbers; relmodel.draw_cells samples its readings
+
+def sample(probs, n, rng):
+    """n draws of one reading's outcome, as cell indices."""
+    return draw_cells(np.array([probs]), 0, rng.random(n), np.zeros(n, dtype=np.uint8))
+
+
 def test_sampling_deterministic():
-    zero = born_distribution(ket(Q, 0), z_spec())
-    assert sample_outcomes(zero, 1, np.random.default_rng(0)).tolist() == [0]
-    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), z_spec())
-    seq1 = sample_outcomes(plus, 20, np.random.default_rng(123))
-    seq2 = sample_outcomes(plus, 20, np.random.default_rng(123))
+    zero = born_distribution(ket(Q, 0), ("q",))
+    assert sample(zero, 1, np.random.default_rng(0)).tolist() == [0]
+    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
+    seq1 = sample(plus, 20, np.random.default_rng(123))
+    seq2 = sample(plus, 20, np.random.default_rng(123))
     assert seq1.tolist() == seq2.tolist()
 
 
 def _loop_sample(dist, u):
     """Reference: walk the positive-probability outcomes, accumulating."""
     acc, last = 0.0, None
-    for i, (_, pr) in enumerate(dist):
+    for i, pr in enumerate(dist):
         if pr > 0:
             acc, last = acc + pr, i
             if u < acc:
@@ -188,23 +187,22 @@ def _loop_sample(dist, u):
 
 def test_sampling_matches_the_per_sample_loop():
     layout = FactorLayout((("a", 2), ("b", 3)))
-    spec = factor_basis_spec(layout, "b")
     rng = np.random.default_rng(5)
     for k in range(20):
         amps = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(2, 3)
         amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
         s = StateVector(layout, amps / np.linalg.norm(amps))
-        dist = born_distribution(s, spec)
+        dist = born_distribution(s, ("b",))
         u = np.random.default_rng(k).random(1000)
-        batched = sample_outcomes(dist, 1000, np.random.default_rng(k))
+        batched = sample(dist, 1000, np.random.default_rng(k))
         assert batched.tolist() == [_loop_sample(dist, x) for x in u]
 
 
 def test_sampling_concentration():
-    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), z_spec())
+    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
     rng = np.random.default_rng(77)
     n = 10 ** 5
-    hits = int((sample_outcomes(plus, n, rng) == z_spec().labels.index(+1)).sum())
+    hits = int((sample(plus, n, rng) == 0).sum())  # cell 0 reads +1
     assert abs(hits / n - 0.5) < 0.01
 
 
@@ -213,11 +211,10 @@ def test_sampling_total_variation_soundness():
     amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     amps /= np.linalg.norm(amps)
     s = StateVector(Q, amps)
-    born = born_distribution(s, z_spec())
-    dist = dict(born)
+    born = born_distribution(s, ("q",))
     n = 10 ** 5
-    counts = dict(zip(z_spec().labels, np.bincount(sample_outcomes(born, n, rng), minlength=2)))
-    tv = 0.5 * sum(abs(counts[k] / n - dist[k]) for k in dist)
+    counts = np.bincount(sample(born, n, rng), minlength=2)
+    tv = 0.5 * sum(abs(c / n - p) for c, p in zip(counts, born))
     assert tv < 0.01
 
 
@@ -233,32 +230,28 @@ def test_norm_preserved_under_random_unitaries():
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
 
-def test_measurement_spec_validation():
+def test_reading_validation():
     layout = FactorLayout((("a", 2), ("b", 3)))
-    with pytest.raises(LayoutError):
-        MeasurementSpec(layout, ("q",), (0, 1))  # unknown factor
-    with pytest.raises(MeasurementError, match="distinct factors"):
-        MeasurementSpec(layout, (), ())
-    with pytest.raises(MeasurementError, match="needs 2 labels"):
-        MeasurementSpec(layout, ("a",), (0, 1, 2))
-    with pytest.raises(MeasurementError, match="needs 6 labels"):
-        MeasurementSpec(layout, ("b", "a"), range(5))
-    with pytest.raises(MeasurementError, match="distinct"):
-        MeasurementSpec(layout, ("a",), (0, 0))
-    spec = MeasurementSpec(layout, ["b", "a"], range(6))
-    assert spec.read == ("b", "a") and spec.labels == tuple(range(6))
-    assert spec == MeasurementSpec(layout, ("b", "a"), tuple(range(6)))
-    # a spec stores its reading, never a matrix
-    assert not any(isinstance(v, np.ndarray) for v in vars(spec).values())
+    s = ket(layout, 1, 0)
+    with pytest.raises(LayoutError, match="no factor named 'q'"):
+        born_distribution(s, ("q",))
+    with pytest.raises(LayoutError, match="distinct factors"):
+        born_distribution(s, ())
+    with pytest.raises(LayoutError, match="distinct factors"):
+        born_distribution(s, ("a", "b", "a"))
+    # one probability per joint value, the first factor read the most significant
+    assert born_distribution(s, ("b", "a")) == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    assert born_distribution(s, ("a", "b")) == (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert born_distribution(s, ("b",)) == (1.0, 0.0, 0.0)
 
 
 def test_product_spec_refuses_non_commuting_specs():
     # two angles on one qubit do not commute, so they are never one reading:
-    # a reading names each factor once, and a spec reads only its own layout
-    with pytest.raises(MeasurementError, match="distinct factors"):
-        MeasurementSpec(Q, ("q", "q"), ((+1, +1), (+1, -1), (-1, +1), (-1, -1)))
+    # a reading names each factor once, and only factors of its state
+    with pytest.raises(LayoutError, match="distinct factors"):
+        born_distribution(ket(Q, 0), ("q", "q"))
     with pytest.raises(LayoutError):
-        born_distribution(ket(Q, 0), factor_basis_spec(R, "r"))
+        born_distribution(ket(Q, 0), ("r",))
     # readings of distinct factors commute, and their product is the joint reading
     layout = FactorLayout((("a", 2), ("c", 2)))
     pa = [np.kron(np.diag(np.eye(2)[k]), np.eye(2)) for k in (0, 1)]
@@ -266,22 +259,20 @@ def test_product_spec_refuses_non_commuting_specs():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     s = StateVector(layout, amps / np.linalg.norm(amps))
-    joint = born_distribution(s, MeasurementSpec(layout, ("a", "c"), range(4)))
-    for (_, p), (i, j) in zip(joint, itertools.product((0, 1), (0, 1))):
+    joint = born_distribution(s, ("a", "c"))
+    for p, (i, j) in zip(joint, itertools.product((0, 1), (0, 1))):
         assert np.abs(pa[i] @ pc[j] - pc[j] @ pa[i]).max() == 0.0
         assert abs(p - np.vdot(s.amps, pa[i] @ pc[j] @ s.amps).real) <= 1e-15
 
 
 def test_product_spec_keeps_zero_products():
     # on Phi+ the two cross outcomes of reading both qubits have probability
-    # zero; they are kept, so that every (label_a, label_c) pair is an outcome
+    # zero; they are kept, so that every joint value is an outcome
     layout = FactorLayout((("a", 2), ("c", 2)))
     phi = StateVector(layout, np.array([1, 0, 0, 1]) / math.sqrt(2))
-    labels = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-    dist = born_distribution(phi, MeasurementSpec(layout, ("a", "c"), labels))
-    assert [label for label, _ in dist] == list(labels)
-    assert [p for _, p in dist] == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-15)
-    assert dist[1][1] == 0.0 and dist[2][1] == 0.0
+    dist = born_distribution(phi, ("a", "c"))
+    assert dist == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-15)
+    assert dist[1] == 0.0 and dist[2] == 0.0
 
 
 def test_angle_projectors_complete():
@@ -295,8 +286,8 @@ def test_angle_projectors_complete():
         ps = [np.outer(r[:, k], r[:, k].conj()) for k in (0, 1)]
         np.testing.assert_allclose(sum(ps), np.eye(2), atol=1e-12)
         rotated = apply(r.conj().T, s, ("q",))
-        dist = born_distribution(rotated, z_spec())
-        for (_, p), proj in zip(dist, ps):
+        dist = born_distribution(rotated, ("q",))
+        for p, proj in zip(dist, ps):
             assert abs(p - np.vdot(s.amps, proj @ s.amps).real) <= 1e-15
 
 
@@ -311,11 +302,10 @@ def test_reading_matches_the_kron_projectors(read, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     s = StateVector(LAYOUT3, amps / np.linalg.norm(amps))
-    dims = [LAYOUT3.dim_of(n) for n in read]
-    spec = MeasurementSpec(LAYOUT3, read, range(math.prod(dims)))
-    dist = born_distribution(s, spec)
-    assert [label for label, _ in dist] == list(range(math.prod(dims)))
-    for (_, p), values in zip(dist, itertools.product(*map(range, dims))):
+    dims = [dict(LAYOUT3.factors)[n] for n in read]
+    dist = born_distribution(s, read)
+    assert len(dist) == math.prod(dims)
+    for p, values in zip(dist, itertools.product(*map(range, dims))):
         value_of = dict(zip(read, values))
         proj = functools.reduce(np.kron, [
             np.diag(np.eye(d)[value_of[n]]) if n in value_of else np.eye(d)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sampler_oracle import sample_outcomes
 
-from friendlab import cli, hilbert, relmodel, scenarios, statlab
+from friendlab import cli, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
 from friendlab.relmodel import InsufficientDataError, RunRecord
 from friendlab.scenarios import LFConfig, RovelliConfig
@@ -408,15 +409,89 @@ def test_a_uniform_in_the_round_off_tail_never_draws_a_zero_cell(monkeypatch):
     assert all(born[PAIR_IDS[code >> 4]][code & 3] > 0 for code in codes)
 
 
+# stacks of 1-4 tables of 2-4 cells, each given as integer weights (some 0)
+# and a shift of its last positive cell by -3 to +3 units in the last place,
+# so that a table sums to 1 give or take a few ulps
+WEIGHTED_TABLES = st.integers(2, 4).flatmap(lambda cells: st.lists(st.tuples(
+    st.lists(st.integers(0, 3), min_size=cells, max_size=cells).filter(any),
+    st.integers(-3, 3)), min_size=1, max_size=4))
+
+
+def _tables(weighted) -> np.ndarray:
+    tables = []
+    for weights, ulps in weighted:
+        probs = np.array(weights) / sum(weights)
+        j = np.flatnonzero(probs)[-1]
+        for _ in range(abs(ulps)):
+            probs[j] = np.nextafter(probs[j], 2.0 if ulps > 0 else 0.0)
+        tables.append(probs)
+    return np.array(tables)
+
+
+# derandomized so the suite's run time and outcome do not vary between runs
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(WEIGHTED_TABLES, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
+def test_draw_cells_matches_the_searchsorted_sampler(weighted, uniforms):
+    # each uniform is drawn from every table, interleaved; the uniforms include
+    # both ends of [0, 1), every cumulative probability and the float below it
+    tables = _tables(weighted)
+    cdf = np.cumsum(tables, axis=1).ravel()
+    u = np.array([0.0, np.nextafter(1.0, 0.0), *uniforms, *cdf, *np.nextafter(cdf, 0.0)])
+    u = np.repeat(u[u < 1.0], len(tables))
+    which = np.tile(np.arange(len(tables)), len(u) // len(tables))
+    out = np.full(len(u), 7, dtype=np.uint8)  # draw_cells adds each cell in place
+    cells = relmodel.draw_cells(tables, which, u, out)
+    assert cells is out
+    want = np.empty(len(u), dtype=np.intp)
+    for t, table in enumerate(tables):
+        want[which == t] = sample_outcomes(table, u[which == t])
+    assert (cells - 7).tolist() == want.tolist()
+    assert (tables[which, cells - 7] > 0).all()
+
+
+def reference_rovelli(cfg, n, seed):
+    """simulate_rovelli's first, second and record columns from the same
+    draws, written out as before the one sampler: n first outcomes, the
+    second outcome of each performed run, then the records of the runs
+    ending in each final state, state by state."""
+    rng = np.random.default_rng(seed)
+    ready = relmodel._READY_Z[0]
+    first = 1 - 2 * sample_outcomes(ready, rng.random(n))
+    performed = first == cfg.trigger
+    second = np.zeros(n, dtype=np.intp)
+    second[performed] = 1 - 2 * sample_outcomes(ready, rng.random(int(performed.sum())))
+    final = np.where(performed, np.where(second == first, 0, 1), 2)
+    record = np.zeros(n, dtype=np.intp)
+    for k, (born, _) in enumerate(scenarios.rovelli_states(cfg)):
+        runs = final == k
+        record[runs] = sample_outcomes(born, rng.random(int(runs.sum())))
+    return first, second, record
+
+
+def test_simulate_rovelli_matches_reference_draws(monkeypatch):
+    # every final state has a definite record, so records drawn from mixed
+    # distributions show which uniform each run's record takes
+    mixed = (((0.5, 0.25, 0.25), 1.0), ((0.0, 0.3, 0.7), 1.0), ((0.2, 0.0, 0.8), 1.0))
+    monkeypatch.setattr(scenarios, "rovelli_states", lambda cfg: mixed)
+    for trigger in (+1, -1):
+        cfg = RovelliConfig(trigger)
+        for seed in (0, 1, 5):
+            for n in (1, 7, 500):
+                runs = relmodel.simulate_rovelli(cfg, n, seed)
+                want = reference_rovelli(cfg, n, seed)
+                for name, col in zip(("first", "second", "record"), want):
+                    assert runs[name].tolist() == col.tolist()
+
+
 def test_rovelli_record_is_drawn_from_the_final_state(monkeypatch, capsys):
-    # the noM2 state gives PP, the first record label, probability 0; u = 0.0
-    # would pick it with side="left", and 1 - 2**-53 lies past the float sum
-    # of the probabilities, in the round-off tail
+    # the noM2 state gives PP, the first record, probability 0; u = 0.0 equals
+    # its cumulative probability, so it must move on past PP, and 1 - 2**-53
+    # lies past the float sum of the probabilities, in the round-off tail
     no_m2 = scenarios.rovelli_states(RovelliConfig())[NO_M2][0]
-    probs = [pr for _, pr in no_m2]
-    assert probs[0] == 0.0 and sum(probs) < 1 - 2 ** -53
-    ends = _Draws([0.0, 1 - 2 ** -53])  # the two ends of [0, 1)
-    assert hilbert.sample_outcomes(no_m2, 2, ends).tolist() == [NO_M2, NO_M2]
+    assert no_m2[0] == 0.0 and sum(no_m2) < 1 - 2 ** -53
+    ends = np.array([0.0, 1 - 2 ** -53])  # the two ends of [0, 1)
+    cells = relmodel.draw_cells(np.array([no_m2]), 0, ends, np.zeros(2, dtype=np.int8))
+    assert cells.tolist() == [NO_M2, NO_M2]
     # swap the PP and noM2 final states: a record read from the state now
     # disagrees with the run, which a record copied from the run would hide
     real = scenarios.rovelli_states

@@ -8,11 +8,9 @@ from kron_oracle import embed
 from friendlab import scenarios, statlab
 from friendlab.hilbert import (
     LayoutError,
-    MeasurementSpec,
     StateVector,
     apply,
     born_distribution,
-    factor_basis_spec,
     rotation_matrix,
 )
 from friendlab.scenarios import (
@@ -58,10 +56,9 @@ def test_basic_bell_type_correlation():
 
 def test_basic_biased_born_table():
     s = build_basic_wf_state(0.6, 0.8)
-    spec = factor_basis_spec(scenarios.BASIC_LAYOUT, "S", labels=(+1, -1))
-    dist = dict(born_distribution(s, spec))
-    assert dist[+1] == pytest.approx(0.36)
-    assert dist[-1] == pytest.approx(0.64)
+    plus, minus = born_distribution(s, ("S",))
+    assert plus == pytest.approx(0.36)
+    assert minus == pytest.approx(0.64)
 
 
 def test_basic_rejects_unnormalized():
@@ -72,7 +69,7 @@ def test_basic_rejects_unnormalized():
 # --- frame-relational states ------------------------------------------------
 
 def record_expectation(s):
-    dist = dict(born_distribution(s, factor_basis_spec(s.layout, "record")))
+    dist = born_distribution(s, ("record",))
     return dist[0] - dist[1]
 
 
@@ -83,8 +80,7 @@ def test_frame_relational_record_is_definite():
 
 def test_frame_relational_orientation_is_balanced():
     s = build_frame_relational_state(+1)
-    spec = factor_basis_spec(scenarios.FRAME_LAYOUT, "orientation")
-    dist = dict(born_distribution(s, spec))
+    dist = born_distribution(s, ("orientation",))
     assert dist[0] == pytest.approx(0.5)
     assert dist[1] == pytest.approx(0.5)
 
@@ -123,8 +119,8 @@ def test_lf_circuit_zero_angles_state():
 
 
 def memory_correlation(cfg):
-    spec = MeasurementSpec(scenarios.LF_LAYOUT, ("MA", "MC"), statlab.PAIR_CELLS)
-    return sum(x * y * p for (x, y), p in born_distribution(lf_circuit(cfg), spec))
+    dist = born_distribution(lf_circuit(cfg), ("MA", "MC"))
+    return sum(x * y * p for (x, y), p in zip(statlab.PAIR_CELLS, dist))
 
 
 def test_lf_circuit_norm_any_angles():
@@ -210,9 +206,9 @@ def test_super_projectors_are_rank_two_and_complete():
              @ scenarios._friend_unitary(cfg.ask_a).conj().T)
     amps = lf_circuit(cfg).amps
     framed = apply(frame, lf_circuit(cfg), ("X", "MA"))
-    dist = born_distribution(framed, factor_basis_spec(scenarios.LF_LAYOUT, "X"))
+    dist = born_distribution(framed, ("X",))
     total = np.zeros((16, 16), dtype=complex)
-    for k, (_, prob) in enumerate(dist):
+    for k, prob in enumerate(dist):
         wing = frame.conj().T @ np.kron(np.diag(np.eye(2)[k]), np.eye(2)) @ frame
         p = embed(wing, scenarios.LF_LAYOUT, ("X", "MA"))
         assert np.linalg.matrix_rank(p) == 8
@@ -245,16 +241,15 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
 # --- sequential scenario ----------------------------------------------------
 
 def test_rovelli_records_are_definite():
-    for record, (born, _) in zip(scenarios.ROVELLI_RECORDS, rovelli_states(RovelliConfig())):
-        assert dict(born)[record] == pytest.approx(1.0)
+    for k, (born, _) in enumerate(rovelli_states(RovelliConfig())):
+        assert born[k] == pytest.approx(1.0)  # the k-th of ROVELLI_RECORDS
 
 
 def test_rovelli_ready_state_untouched_in_no_measurement_branch():
     no_m2 = build_rovelli_states(RovelliConfig())[2]
     # Y along 90 degrees: rotate Y by R(90)^dagger, then read it
     y_90 = apply(rotation_matrix(90.0).conj().T, no_m2, ("Y",))
-    dist = dict(born_distribution(y_90, factor_basis_spec(no_m2.layout, "Y", (+1, -1))))
-    assert dist[+1] == pytest.approx(1.0)
+    assert born_distribution(y_90, ("Y",))[0] == pytest.approx(1.0)  # cell 0 reads +1
 
 
 def test_rovelli_witness_is_coherent():
@@ -319,12 +314,11 @@ def all_states_with_orientation():
 def test_record_statistics_invariant_under_orientation_unitaries():
     rng = np.random.default_rng(20)
     for s in all_states_with_orientation():
-        spec = factor_basis_spec(s.layout, "record")
-        base = dict(born_distribution(s, spec))
+        base = born_distribution(s, ("record",))
         for _ in range(100):
             u = random_unitary(rng)
-            after = dict(born_distribution(apply(u, s, ("orientation",)), spec))
-            assert all(abs(after[k] - base[k]) < 1e-10 for k in base)
+            after = born_distribution(apply(u, s, ("orientation",)), ("record",))
+            assert all(abs(a - b) < 1e-10 for a, b in zip(after, base))
 
 
 def test_config_json_round_trip():
