@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +32,18 @@ from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator, sign_variants
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
 RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
-# largest decimal exponent a target entry may carry: Fraction("1e-N") builds
-# 10**N before any check, and CPython already limits int strings to 4300 digits
+# largest decimal exponent a target entry may carry: the exponent builds a
+# power of ten as long as itself, and CPython limits int strings to 4300 digits
 MAX_EXPONENT = 4300
+
+# A target string, in the grammar of Fraction(str) on Python 3.11, kept on
+# every version (3.10's takes no "_" between digits): a sign, then p/q or a
+# decimal (integer digits, fractional digits or both, and an optional
+# exponent), with whitespace around.  \d is any Unicode decimal digit.
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(rf"""\s*(?P<sign>[-+]?)(?=\.?\d)(?P<whole>(?:{_DIGITS})?)
+    (?:/(?P<den>{_DIGITS})|(?:\.(?P<frac>{_DIGITS})?)?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)\s*""",
+                     re.VERBOSE)
 
 _SINGLE_SOURCES = {"A": ("AC", "AD"), "B": ("BC", "BD"),
                    "C": ("AC", "BC"), "D": ("AD", "BD")}
@@ -44,18 +54,44 @@ class TargetError(ValueError):
     infeasibility: the marginal problem is never posed)."""
 
 
-def _frac(x) -> Fraction:
-    """The exact value of a target entry: a string ("0.375", "3/8",
-    "375e-3") as written, an int, a rational or a float's exact binary
-    value.  A Fraction is immutable and returned as is."""
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """The exact value of a target entry as ints (numerator, denominator),
+    denominator positive, not always in lowest terms: a string as written
+    (`_NUMBER`; a decimal is its digits over 10^k, the exponent folded into
+    k), an int as is, a float or a rational as `Fraction(x)` gives it."""
+    if isinstance(x, str):
+        m = _NUMBER.fullmatch(x)
+        if m is None:
+            raise TargetError(f"a target entry must be a number, got {x!r}")
+        sign, whole, den, frac, exp = m.groups()
+        if den is not None:
+            n, d = int(whole), int(den)
+            if not d:
+                raise TargetError(f"a target entry has denominator 0: {x!r}")
+        else:
+            e = int(exp) if exp else 0
+            if abs(e) > MAX_EXPONENT:
+                raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
+            frac = (frac or "").replace("_", "")
+            # each digit run is one int, as in Fraction, so CPython's limit
+            # on int string length refuses the same strings
+            n = int(whole or 0) * 10 ** len(frac) + int(frac or 0)
+            k = len(frac) - e
+            n, d = (n, 10 ** k) if k >= 0 else (n * 10 ** -k, 1)
+        return (-n if sign == "-" else n), d
     if isinstance(x, bool):  # an int to Python, but JSON true is no probability
         raise TargetError(f"a target entry must be a number, got {x!r}")
-    if isinstance(x, str) and "e" in x.lower():
-        if abs(int(x.lower().partition("e")[2])) > MAX_EXPONENT:
-            raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
-    return Fraction(x)
+    if isinstance(x, int):
+        return x, 1
+    q = Fraction(x)
+    return q.numerator, q.denominator
+
+
+def _over_lcm(ratios) -> tuple[int, list[int]]:
+    """The lcm of the denominators of (numerator, denominator) `ratios` and
+    each numerator scaled to it: the values as counts over one denominator."""
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
@@ -119,8 +155,9 @@ class PairTargets:
         shared singles make cross-table consistency exact by construction.
         Over the common denominator D of every m = 2 P(var=+1) - 1 and E, a
         cell (1 + x m_v + y m_w + x y E(v, w)) / 4 is a count over 4 D."""
-        d, ints = _over_one_denominator([*(2 * _frac(singles[v]) - 1 for v in VARS_4),
-                                         *(_frac(correlators[pair]) for pair in PAIR_IDS)])
+        plus = [_ratio(singles[v]) for v in VARS_4]
+        d, ints = _over_lcm([*((2 * n - q, q) for n, q in plus),  # m = 2 P(var=+1) - 1
+                             *(_ratio(correlators[pair]) for pair in PAIR_IDS)])
         m, e = dict(zip(VARS_4, ints)), dict(zip(PAIR_IDS, ints[4:]))
         return cls(4 * d, {p: tuple(d + x * m[p[0]] + y * m[p[1]] + x * y * e[p]
                                     for x, y in PAIR_CELLS) for p in PAIR_IDS})
@@ -154,9 +191,9 @@ class PairTargets:
                 if not (isinstance(table, list) and len(table) == 2
                         and all(isinstance(row, list) and len(row) == 2 for row in table)):
                     raise TypeError(f"table {pair} must be an array of 2 arrays of 2 cells")
-            scale, flat = _over_one_denominator(
-                [_frac(v) for table in obj.values() for row in table for v in row])
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            scale, flat = _over_lcm([_ratio(v) for table in obj.values() for row in table
+                                     for v in row])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
         # the constructor refuses a missing table and one that no pair id names
         return cls(scale, {pair: flat[4 * k:4 * k + 4] for k, pair in enumerate(obj)})

@@ -104,7 +104,10 @@ class RovelliConfig:
 
 def build_basic_wf_state(a: complex, b: complex) -> StateVector:
     """a|down>_S|down>_A + b|up>_S|up>_A over layout (S, A)."""
-    norm = abs(a) ** 2 + abs(b) ** 2
+    try:
+        norm = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:  # a float amplitude above about 1e154
+        norm = math.inf
     if not abs(norm - 1.0) <= ATOL:  # also refuses NaN
         raise ValueError(f"amplitudes not normalized: |a|^2 + |b|^2 = {norm}")
     return StateVector.from_terms(BASIC_LAYOUT, {(0, 0): a, (1, 1): b})

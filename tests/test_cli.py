@@ -50,7 +50,14 @@ REPORT_SHA256 = {
         "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
     "feasibility decimal json":
         "0d3c876e22eebab4000d1a3f3005f44cd07da920cbda81612b1e4e0c59e0e566",
+    # every table is SPELLED_TABLE; CI's installed script must print these bytes
+    # on each Python it runs
+    "feasibility spellings json":
+        "9db5eda4d4989052633f09c51c4de73da658d9ac2c9857ecb962ebd0f6c1feb8",
 }
+
+# 1/4 as a JSON number, as p/q, with an exponent and with underscores
+SPELLED_TABLE = [[0.25, "1/4"], ["25e-2", "2_5/1_00"]]
 
 # the targets of those two pins.  One writes singles and correlators with
 # denominators up to about 1e9 as p/q, has a CHSH sign variant at exactly 2,
@@ -115,8 +122,9 @@ def test_basic_unequal_amps_reports_degenerate(capsys):
 
 def test_basic_rejects_unnormalized_amps(capsys):
     # NaN compares false to everything, so it must not slip past the norm test
-    # 0.6,0.8000000005 is off by 8e-10, more than build_basic_wf_state allows
-    for amps in ("0.9,0.9", "nan,nan", "0.6,0.8000000005"):
+    # 0.6,0.8000000005 is off by 8e-10, more than build_basic_wf_state allows;
+    # 1e200 squared overflows a float
+    for amps in ("0.9,0.9", "nan,nan", "0.6,0.8000000005", "1e200,0"):
         code, out, err = run(capsys, "basic", "--amps", amps)
         assert code == cli.EXIT_INPUT
         assert out == "" and "not normalized" in err
@@ -291,6 +299,10 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
     code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
     assert code == cli.EXIT_PASS
     assert sha256(out) == REPORT_SHA256["feasibility grid json"]
+    targets.write_text(json.dumps(dict.fromkeys(("AC", "AD", "BC", "BD"), SPELLED_TABLE)))
+    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
+    assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256["feasibility spellings json"]
 
 
 @pytest.mark.parametrize("key", sorted(BIG_DENOMINATOR_TARGETS))

@@ -5,10 +5,12 @@ witnesses that reproduce their targets."""
 import itertools
 import json
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import simplex_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,60 @@ def test_verdict_does_not_depend_on_how_targets_are_written(t, k):
         parsed = mp.PairTargets.from_json_dict(obj)
         assert fraction_tables(parsed) == fraction_tables(t)
         assert mp.feasible_joint_4(parsed).to_json_dict() == expected.to_json_dict()
+
+
+# digits: ASCII, ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT FIVE, and "_"
+# where this Python's Fraction knows it (3.11 on), so underscores land
+# between, before, after and next to digits
+_DIGITS = "0159\u0663\uff15" + "_" * (sys.version_info >= (3, 11))
+_SPACES = st.sampled_from(["", " ", "\t\n", "\u2003"])  # U+2003 is an em space
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def number_texts(draw):
+    """Strings in and next to the grammar of a target entry: a sign and
+    digits, then a slash (with or without spaces around it) and digits, or a
+    point with digits on either side or neither and an exponent, or both."""
+    text = draw(_SPACES) + draw(_SIGNS) + draw(st.text(_DIGITS, max_size=4))
+    form = draw(st.sampled_from(["", "/", " / ", "/ ", ".", "e", ".e"]))
+    if "/" in form:
+        text += form + draw(st.text(_DIGITS, max_size=4))
+    if "." in form:
+        text += "." + draw(st.text(_DIGITS, max_size=4))
+    if "e" in form:  # at most 3 characters, so every exponent is within MAX_EXPONENT
+        text += draw(st.sampled_from("eE")) + draw(_SIGNS) + draw(st.text(_DIGITS, max_size=3))
+    return text + draw(_SPACES)
+
+
+# the spellings the grammar turns on, beside what number_texts draws
+EDGE_TEXTS = ["1/2", "1 / 2", "1/0", "0/0", "-0/5", ".", ".5", "5.", "-.5e-1", "+5.E+2",
+              "1e-0", "\u0663/\uff15", "5.d", "1__0", "_1", "1_", "1_0/3", "1._5"]
+
+
+def _worth_what_fraction_reads(text):
+    """Fraction(str) of this Python is the oracle: the same value, or a
+    TargetError wherever it raises."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(mp.TargetError):
+            mp._ratio(text)
+        return
+    n, d = mp._ratio(text)
+    assert d > 0 and Fraction(n, d) == expected
+
+
+@pytest.mark.parametrize("text", [t for t in EDGE_TEXTS
+                                  if "_" not in t or sys.version_info >= (3, 11)])
+def test_an_edge_spelling_is_worth_what_fraction_reads(text):
+    _worth_what_fraction_reads(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(number_texts())
+def test_a_target_string_is_worth_what_fraction_reads(text):
+    _worth_what_fraction_reads(text)
 
 
 @st.composite

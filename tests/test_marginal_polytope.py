@@ -249,6 +249,12 @@ def test_targets_json_accepts_decimals():
                                                                f"0e-{mp.MAX_EXPONENT + 1}"))
 
 
+def test_underscores_and_bare_points_parse_on_every_python():
+    # Python 3.10's Fraction refuses "1_000/3_000"; targets keep 3.11's grammar
+    assert Fraction(*mp._ratio("1_000/3_000")) == Fraction(1, 3)
+    assert Fraction(*mp._ratio(" +.5e-0 ")) == Fraction(1, 2)
+
+
 def test_decimal_and_fraction_spellings_get_the_same_verdict():
     # AC = 0.5000001 puts S at 2 + 1e-7: infeasible however it is written
     verdicts = set()
