@@ -1,12 +1,13 @@
 """Exact feasibility of a joint distribution behind the pair tables.
 
 Given the four 2x2 pair tables, does any joint distribution over all the
-variables reproduce them as marginals?  The answer is decided in exact
-rational arithmetic by a 4-variable linear program and cross-checked by a
-closed form criterion on the eight CHSH sign variants.  Splitting each asked
-wing into internal and relation parts gives 6 variables but no new
-constraint: that verdict is lifted from the 4-variable one, and a lifted
-witness is checked against the 6-variable cell system.  The circuit's Born
+variables reproduce them as marginals?  The answer is decided in integer
+counts by Fine's gluing of the triples (A, C, D) and (B, C, D) along (C, D)
+and cross-checked by a closed form criterion on the eight CHSH sign
+variants.  Splitting each asked wing into internal and relation parts gives
+6 variables but no new constraint: that verdict is lifted from the
+4-variable one, and a lifted witness is checked against the 6-variable cell
+system.  The circuit's Born
 tables become exact targets in `scenarios`; the decision itself needs only
 `marginal_polytope`, which loads no numpy."""
 

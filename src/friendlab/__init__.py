@@ -6,8 +6,8 @@ Modules, none importing one listed below it, each imported on first use:
 * statlab -- the pair vocabulary (pair ids, pair-table cells, the choice
   behind each variable letter, the correlator and the CHSH sum), count-table
   frequencies, TV distance, estimators, pass/fail check dicts;
-* marginal_polytope -- exact-rational feasibility of pairwise targets via
-  phase-1 simplex, cross-checked against the analytic CHSH criterion;
+* marginal_polytope -- exact feasibility of pairwise targets by Fine's gluing
+  in integer counts, each verdict checked by its witness or certificate;
 * hilbert -- dense state-vector engine (named tensor factors, unitaries,
   the Born probabilities of computational-basis readings);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer

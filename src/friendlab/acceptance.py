@@ -19,7 +19,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 COS45 = math.cos(math.radians(45.0))
 
 CHSH_TRIALS = 4 * 10 ** 5     # criterion 1: runs behind the Monte Carlo S
-RANDOM_TARGETS = 1000          # criterion 2: targets for the LP/analytic cross-check
+RANDOM_TARGETS = 1000          # criterion 2: targets for the gluing/analytic cross-check
 RELMODEL_TRIALS = 4 * 10 ** 5  # criterion 3: frame-relational runs
 UNITARIES = 100                # criterion 4: random orientation unitaries per state
 ROVELLI_TRIALS = 10 ** 4       # criterion 5: asked sequential runs

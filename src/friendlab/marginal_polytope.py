@@ -9,12 +9,13 @@ relation (A = A_internal * A_relation, same for C).
 All arithmetic is exact: a verdict is a theorem about the input, never a
 tolerance call.  Targets are integer count tables over one common
 denominator, so validation and Fine's criterion (all eight CHSH sign
-variants at most 2, independent of the solver) compare ints.  The 17-row
-0/1 cell system `_cell_rows` with the targets' counts as right-hand side is
-the one integer system that the solver, a phase-1 simplex with Bland's
-rule, solves and `reproduces` checks a witness against.  Over six
-variables the system only repeats columns, so that verdict is lifted.  A
-witness is int counts over one denominator too, printed by `rational_texts`.
+variants at most 2) compare ints.  The four-variable verdict is Fine's
+gluing of the triples (A, C, D) and (B, C, D) along (C, D) in counts over
+the targets' denominator, with no division, so a witness is ints over that
+denominator.  The 17-row 0/1 cell system `_cell_rows` with the targets'
+counts as right-hand side checks every verdict: `reproduces` a witness,
+`refutes` the Farkas certificate of the violated CHSH variant.  Over six
+variables the system only repeats columns, so that verdict is lifted.
 The module imports only `statlab`, so deciding targets loads no numpy.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,13 +96,6 @@ def _over_lcm(ratios) -> tuple[int, list[int]]:
     return scale, [n * (scale // d) for n, d in ratios]
 
 
-def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
-    """The lcm of the denominators of `values` (ints or Fractions) and each
-    value times it: the values as a count table over that denominator."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
-
-
 def rational_texts(counts, d: int) -> list[str]:
     """Each n/d of `counts` over d >= 1 in lowest terms, as
     `str(Fraction(n, d))` writes it, without building the Fraction."""
@@ -128,14 +123,15 @@ class PairTargets:
             cells = self.counts[pair]
             if len(cells) != len(PAIR_CELLS):
                 raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
-            if any(n < 0 for n in cells):
+            if min(cells) < 0:
                 raise TargetError(f"table {pair} has a negative cell")
             if self.scale <= 0 or sum(cells) != self.scale:
                 raise TargetError(f"table {pair} does not sum to 1")
         g = math.gcd(self.scale, *(n for cells in self.counts.values() for n in cells))
-        object.__setattr__(self, "scale", self.scale // g)
-        object.__setattr__(self, "counts", {pair: tuple(n // g for n in self.counts[pair])
-                                            for pair in PAIR_IDS})
+        if g > 1:
+            object.__setattr__(self, "scale", self.scale // g)
+            object.__setattr__(self, "counts", {pair: tuple(n // g for n in self.counts[pair])
+                                                for pair in PAIR_IDS})
         for var, (p1, p2) in _SINGLE_SOURCES.items():
             if _plus(self.counts[p1], var, p1) != _plus(self.counts[p2], var, p2):
                 raise TargetError(
@@ -178,8 +174,8 @@ class PairTargets:
 
     def to_json_dict(self) -> dict:
         """Each table as nested rows [[++, +-], [-+, --]]."""
-        return {pair: [rational_texts(cells[k:k + 2], self.scale) for k in (0, 2)]
-                for pair, cells in self.counts.items()}
+        return {pair: [rational_texts(self.counts[pair][k:k + 2], self.scale) for k in (0, 2)]
+                for pair in PAIR_IDS}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
@@ -196,7 +192,7 @@ class PairTargets:
         except (TypeError, ValueError, OverflowError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
         # the constructor refuses a missing table and one that no pair id names
-        return cls(scale, {pair: flat[4 * k:4 * k + 4] for k, pair in enumerate(obj)})
+        return cls(scale, {pair: tuple(flat[4 * k:4 * k + 4]) for k, pair in enumerate(obj)})
 
 
 # --- CHSH combinations ------------------------------------------------------
@@ -208,7 +204,7 @@ def chsh_value(t: PairTargets) -> Fraction:
 
 def fine_criterion(t: PairTargets) -> bool:
     """Analytic feasibility oracle: true iff every CHSH sign variant is at
-    most 2.  Independent of the simplex; the two must agree on every input."""
+    most 2.  Independent of the gluing; the two must agree on every input."""
     return max(t.variants.values()) <= 2 * t.scale
 
 
@@ -216,9 +212,9 @@ def fine_criterion(t: PairTargets) -> bool:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """`witness`: the solver's atom probabilities, or their six-variable lift,
-    in `_cell_rows` column order, as int counts over the denominator
-    `scale`."""
+    """`witness`: the glued joint's atom probabilities, or their six-variable
+    lift, in `_cell_rows` column order, as int counts over the denominator
+    `scale`, the targets' own."""
 
     feasible: bool
     witness: tuple[int, ...] | None
@@ -237,67 +233,6 @@ class FeasibilityVerdict:
             "witness": None if self.witness is None else rational_texts(self.witness, self.scale),
             "max_violation": None if self.max_violation is None else str(self.max_violation),
         }
-
-
-# --- exact phase-1 simplex --------------------------------------------------
-
-def solve_nonnegative(rows, rhs) -> list | None:
-    """Find x >= 0 with A x = b exactly (ints or Fractions), or prove none
-    exists.
-
-    Phase-1 simplex minimizing the sum of artificial variables, with Bland's
-    rule (lowest-index entering column, lowest-index basic tie-break) so
-    termination is guaranteed.  The tableau is integer: b is scaled once by
-    the lcm of its denominators (which changes no pivot), the ratio test
-    cross-multiplies, only a pivot other than 1 divides its row into
-    Fractions, and a pivot updates only the columns where its row is nonzero.
-    Returns the solution on the original columns (ints when b is ints and
-    every pivot is 1, else Fractions), or None when it is infeasible.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    scale, b_scaled = _over_one_denominator(rhs)
-    signed = [row if b >= 0 else [-v for v in row] for row, b in zip(rows, b_scaled)]
-    zeros = (0,) * m
-    tab = [[*row, *zeros, abs(b)] for row, b in zip(signed, b_scaled)]
-    for i, row in enumerate(tab):
-        row[n + i] = 1
-    basis = list(range(n, n + m))
-    # reduced-cost row of the artificial sum for the all-artificial basis:
-    # column sums of the rows, 1 - 1 on artificials, and sum |b|
-    z = [*map(sum, zip(*signed)), *zeros, sum(map(abs, b_scaled))]
-
-    while True:
-        enter = next((j for j in range(n + m) if z[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:  # b_i / a < lead_b / lead_a, cross-multiplied
-                d = -1 if leave is None else row[-1] * lead_a - lead_b * a
-                if d < 0 or (d == 0 and basis[i] < basis[leave]):
-                    leave, lead_b, lead_a = i, row[-1], a
-        if leave is None:  # cannot happen: phase-1 objective is bounded below
-            raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        pivot_row = tab[leave]
-        if lead_a != 1:
-            pivot_row = tab[leave] = [Fraction(v, lead_a) for v in pivot_row]
-        cols = [(j, w) for j, w in enumerate(pivot_row) if w]
-        for row in (*tab, z):
-            f = row[enter]
-            if f and row is not pivot_row:
-                for j, w in cols:
-                    row[j] -= f * w
-        basis[leave] = enter
-
-    if z[-1]:
-        return None
-    x = [0] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = tab[i][-1] if scale == 1 else Fraction(tab[i][-1], scale)
-    return x
 
 
 @functools.cache
@@ -335,16 +270,47 @@ def reproduces(variables: tuple[str, ...], counts, scale: int, t: PairTargets) -
                     for row, b in zip(rows, _cell_counts(t))))
 
 
+@functools.cache
+def _dual_feasible(variables: tuple[str, ...], y: tuple[int, ...]) -> bool:
+    """A^T y <= 0 over the columns of the cell system of `variables`."""
+    return all(sum(itertools.compress(y, col)) <= 0 for col in zip(*_cell_rows(variables)))
+
+
+def refutes(variables: tuple[str, ...], y, t: PairTargets) -> bool:
+    """The certificate check (Farkas' lemma): y, an int per row of the cell
+    system, with A^T y <= 0 and b^T y > 0 proves no joint reproduces `t`."""
+    return _dual_feasible(variables, tuple(y)) and sum(map(operator.mul, y, _cell_counts(t))) > 0
+
+
+def certificate(signs) -> tuple[int, ...]:
+    """y of CHSH sign variant `signs`: -2 on normalization and s * a * b on each
+    pair's cell (a, b), so b^T y = t.variants[signs] - 2 * t.scale."""
+    return (-2, *(s * a * b for s in signs for a, b in PAIR_CELLS))
+
+
 def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
     """Does a joint distribution over (A, B, C, D) in {+1,-1}^4 reproduce all
-    four pair tables exactly?"""
-    x = solve_nonnegative(_cell_rows(VARS_4), _cell_counts(t))
-    if x is None:
-        top = max(t.variants.values())  # Fine's criterion gives the violation
-        return FeasibilityVerdict(False, None, Fraction(top - 2 * t.scale, t.scale))
-    # x counts atoms over t.scale; a pivot other than 1 leaves Fractions of a count
-    lcm, counts = _over_one_denominator(x)
-    return FeasibilityVerdict(True, counts, None, t.scale * lcm)
+    four pair tables exactly?  Fine's gluing, in counts over t.scale: for X in
+    (A, B) the triple (X, C, D) has a joint exactly when q = N(C+, D+) lies in
+    an interval; take the least q in both, the least N(X+, C+, D+) it allows,
+    and couple A and B on each (C, D) cell by the min coupling."""
+    n = t.scale
+    ac, ad, bc, bd = (t.counts[pair] for pair in PAIR_IDS)
+    c, d = ac[0] + ac[2], ad[0] + ad[2]
+    sides = [(xc[0], xd[0], xc[0] + xc[1]) for xc, xd in ((ac, ad), (bc, bd))]
+    q = max(0, c + d - n, *(max(xc + xd - x, c + d + x - n - xc - xd) for xc, xd, x in sides))
+    if q > min(c, d, *(min(c + xd - xc, d + xc - xd) for xc, xd, _ in sides)):
+        return FeasibilityVerdict(False, None, Fraction(max(t.variants.values()) - 2 * n, n))
+    plus = []  # N(X+, c, d) on the (C, D) cells in PAIR_CELLS order
+    for xc, xd, x in sides:
+        r = max(0, xc + xd - x, xc + q - c, xd + q - d)
+        plus.append((r, xc - r, xd - r, x - xc - xd + r))
+    a, b = plus
+    both = list(map(min, a, b))
+    # (A, B) = (+, +), (+, -), (-, +), (-, -) in turn, each over the (C, D) cells
+    witness = (*both, *map(operator.sub, a, both), *map(operator.sub, b, both),
+               *(k - max(x, y) for k, x, y in zip((q, c - q, d - q, n - c - d + q), a, b)))
+    return FeasibilityVerdict(True, witness, None, n)
 
 
 def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
@@ -364,12 +330,15 @@ def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
 def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool, bool]:
     """The one feasibility pipeline of the CLI and the acceptance suite: the
     four- and six-variable verdicts on `t`, Fine's criterion, and whether the
-    three agree and every feasible witness reproduces the targets."""
+    three agree, every feasible witness reproduces the targets and the
+    violated variant's certificate refutes every infeasible verdict."""
     v4, fine = feasible_joint_4(t), fine_criterion(t)
     v6 = feasible_joint_6(v4)
+    y = certificate(max(t.variants, key=t.variants.get))
     agree = (v4.feasible == v6.feasible == fine
-             and all(reproduces(variables, v.witness, v.scale, t)
-                     for variables, v in ((VARS_4, v4), (VARS_6, v6)) if v.feasible))
+             and all(reproduces(variables, v.witness, v.scale, t) if v.feasible
+                     else refutes(variables, y, t)
+                     for variables, v in ((VARS_4, v4), (VARS_6, v6))))
     return v4, v6, fine, agree
 
 

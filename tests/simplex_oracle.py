@@ -1,7 +1,7 @@
-"""The phase-1 simplex as it stood before its tableau was built from row
-copies and its answer left in ints: a verbatim copy, kept as the reference
-that tests hold `marginal_polytope.solve_nonnegative` to, pivot for pivot
-and so value for value."""
+"""An exact phase-1 simplex with Bland's rule, the one general LP of the
+project: the verdict reference that tests hold Fine's gluing
+(`marginal_polytope.feasible_joint_4`) and its six-variable lift to, on the
+same cell systems, and the reference LP of the moment-form cross-check."""
 
 import math
 from fractions import Fraction

@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,16 +43,16 @@ REPORT_SHA256 = {
         "26160cd86e80c003d694702bfc24ef7e5c7f63fa0882a011597402c8491fe2b8",
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
-    "feasibility grid json": "32b2e74212a332ffed50ba3e772a262f085f387f2dada1ac2ec1e56d29678bab",
+    "feasibility grid json": "01eeb826675c1acf1adc4279f23d380a304b18aec2679a2dbad4d9478e7f3c8e",
     # feasible targets next to S = 2 whose witnesses carry big denominators
     "feasibility boundary json":
         "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
     "feasibility decimal json":
-        "0d3c876e22eebab4000d1a3f3005f44cd07da920cbda81612b1e4e0c59e0e566",
+        "903c15aabb4342cd593ac9644e2311874af10b27b1df404d1ec5300261a38f43",
     # every table is SPELLED_TABLE; CI's installed script must print these bytes
     # on each Python it runs
     "feasibility spellings json":
-        "9db5eda4d4989052633f09c51c4de73da658d9ac2c9857ecb962ebd0f6c1feb8",
+        "27b9b39ac03546f70fc1d5a8ad941388ad19e0514ffad86796db3763ed1d6f7c",
 }
 
 # 1/4 as a JSON number, as p/q, with an exponent and with underscores
@@ -316,21 +315,6 @@ def test_feasibility_reports_with_big_denominators_are_pinned(capsys, tmp_path, 
     assert sha256(out) == REPORT_SHA256[key]
 
 
-def test_feasibility_prints_a_witness_left_in_fractions(capsys, tmp_path, monkeypatch):
-    # a pivot other than 1 leaves the solver's answer in Fractions of a count;
-    # no random target has reached one, so a stand-in solver returns quarter
-    # counts: uniform 1/4 cells, whose counts over 4 are 1, give 1/16 atoms
-    monkeypatch.setattr(mp, "solve_nonnegative", lambda rows, rhs: [Fraction(1, 4)] * 16)
-    targets = tmp_path / "targets.json"
-    targets.write_text(json.dumps(
-        {pair: [["1/4", "1/4"], ["1/4", "1/4"]] for pair in ("AC", "AD", "BC", "BD")}))
-    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
-    assert code == cli.EXIT_PASS
-    rep = json.loads(out)
-    assert rep["joint_4"]["witness"] == ["1/16"] * 16 and rep["methods_agree"] is True
-    assert sorted(set(rep["joint_6"]["witness"])) == ["0", "1/16"]
-
-
 def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypatch):
     # the three verdicts agree (feasible), but the 6-variable witness belongs
     # to other targets: that is not agreement
@@ -350,17 +334,17 @@ def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypat
 
 
 def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, monkeypatch):
-    # a defective solver answer that keeps every pair table but sends atom 0
-    # negative: shifted along A*B*C*D, which the cell system cannot see
-    real = mp.solve_nonnegative
+    # a defective four-variable witness that keeps every pair table but sends
+    # atom 0 negative: shifted along A*B*C*D, which the cell system cannot see
+    real = mp.feasible_joint_4
 
-    def shifted(rows, rhs):
-        x = real(rows, rhs)
-        parity = [math.prod(a) for a in itertools.product((1, -1), repeat=len(x).bit_length() - 1)]
-        c = -parity[0] * (x[0] + 1)
-        return [v + c * s for v, s in zip(x, parity)]
+    def shifted(t):
+        v = real(t)
+        parity = [math.prod(a) for a in itertools.product((1, -1), repeat=4)]
+        c = -parity[0] * (v.witness[0] + v.scale // 8)
+        return dataclasses.replace(v, witness=tuple(n + c * s for n, s in zip(v.witness, parity)))
 
-    monkeypatch.setattr(mp, "solve_nonnegative", shifted)
+    monkeypatch.setattr(mp, "feasible_joint_4", shifted)
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps(GRID_TARGETS))
     code, out, err = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")

@@ -178,13 +178,15 @@ def test_every_feasible_witness_reproduces_its_targets(t):
 @given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0])))
 def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
     # the simplex on the six-variable cell system is the reference the lift
-    # stands in for: the same verdict, and the same witness, since Bland's
-    # rule enters the lowest-index copy of each four-variable column
-    x = mp.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
+    # stands in for: the same verdict, and a witness that solves the same
+    # 64-column system exactly, though not always at the simplex's vertex
+    rows, counts = mp._cell_rows(mp.VARS_6), mp._cell_counts(t)
+    x = simplex_oracle.solve_nonnegative(rows, counts)
     lifted = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert lifted.feasible == (x is not None)
     if lifted.feasible:
-        assert probabilities(lifted) == tuple(Fraction(n, t.scale) for n in x)
+        assert lifted.scale == t.scale and min(lifted.witness) >= 0
+        assert [sum(a * n for a, n in zip(row, lifted.witness)) for row in rows] == list(counts)
     else:
         assert lifted.max_violation == Fraction(max(t.variants.values()), t.scale) - 2
 
@@ -283,40 +285,78 @@ def planted_systems(draw):
 @given(planted_systems())
 def test_simplex_solves_planted_systems_exactly(system):
     rows, rhs = system
-    x = mp.solve_nonnegative(rows, rhs)
+    x = simplex_oracle.solve_nonnegative(rows, rhs)
     assert x is not None and all(v >= 0 for v in x)
     assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
-    # with negative right-hand sides and pivots other than 1, the reference
-    # solver's pivots give the same values, whether ints or Fractions
-    assert x == simplex_oracle.solve_nonnegative(rows, rhs)
 
 
 @PROPERTY
 @given(planted_systems(), st.fractions(-3, 3).filter(bool))
 def test_simplex_refuses_one_row_with_two_right_hand_sides(system, delta):
     rows, rhs = system
-    assert mp.solve_nonnegative(rows + [rows[0]], rhs + [rhs[0] + delta]) is None
+    assert simplex_oracle.solve_nonnegative(rows + [rows[0]], rhs + [rhs[0] + delta]) is None
 
 
 @PROPERTY
 @given(planted_systems(), st.integers(2, 10 ** 6))
 def test_simplex_solution_scales_with_the_right_hand_side(system, k):
     rows, rhs = system
-    x = mp.solve_nonnegative(rows, rhs)
-    assert mp.solve_nonnegative(rows, [k * b for b in rhs]) == [k * v for v in x]
+    x = simplex_oracle.solve_nonnegative(rows, rhs)
+    assert simplex_oracle.solve_nonnegative(rows, [k * b for b in rhs]) == [k * v for v in x]
 
 
 def _random_targets(seed: int) -> mp.PairTargets:
     return mp.random_pair_targets(np.random.default_rng(seed))
 
 
+ANY_TARGETS = st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]),
+                        st.integers(0, 2 ** 32).map(_random_targets))
+
+
 @PROPERTY
-@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]),
-                 st.integers(0, 2 ** 32).map(_random_targets)))
+@given(ANY_TARGETS)
 def test_simplex_matches_the_oracle_on_the_cell_systems(t):
+    # the cell systems are decided by Fine's gluing and its lift, not by a
+    # simplex; the simplex oracle solves the same 16- and 64-column systems
+    # and must reach the same verdict, and a witness is counts over the
+    # targets' own scale
+    for variables, verdict in _both_verdicts(t):
+        x = simplex_oracle.solve_nonnegative(mp._cell_rows(variables), mp._cell_counts(t))
+        assert verdict.feasible == (x is not None) == mp.fine_criterion(t)
+        if verdict.feasible:
+            assert verdict.scale == t.scale and all(type(n) is int for n in verdict.witness)
+
+
+def _violated(t) -> tuple:
+    return max(t.variants, key=t.variants.get)
+
+
+@PROPERTY
+@given(ANY_TARGETS)
+def test_the_violated_variant_certifies_every_infeasible_verdict(t):
+    # and no variant's certificate is accepted for feasible targets
+    for variables, verdict in _both_verdicts(t):
+        certified = [signs for signs in ODD_SIGNS
+                     if mp.refutes(variables, mp.certificate(signs), t)]
+        assert bool(certified) == (not verdict.feasible)
+        assert not certified or _violated(t) in certified
+
+
+@PROPERTY
+@given(boundary_targets().filter(lambda case: case[1] > 0), st.integers(0, 3))
+def test_refutes_refuses_a_broken_certificate(case, k):
+    # a flipped sign makes the variant even, and a dropped pair leaves three
+    # terms that reach 3 on some atom: either way A^T y <= 0 fails
+    t, _ = case
+    y = list(mp.certificate(_violated(t)))
+    cells = slice(1 + 4 * k, 5 + 4 * k)
+    flipped, dropped = y.copy(), y.copy()
+    flipped[cells] = [-v for v in y[cells]]
+    dropped[cells] = [0] * 4
     for variables in (mp.VARS_4, mp.VARS_6):
-        system = mp._cell_rows(variables), mp._cell_counts(t)
-        assert mp.solve_nonnegative(*system) == simplex_oracle.solve_nonnegative(*system)
+        assert mp.refutes(variables, y, t)
+        assert not mp.refutes(variables, flipped, t)
+        assert not mp.refutes(variables, dropped, t)
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import simplex_oracle
 
 from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
                               probabilities, reference_marginals)
@@ -129,7 +130,7 @@ def test_six_variable_matches_four_variable_on_examples():
               product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))):
         v4 = mp.feasible_joint_4(t)
         v6 = mp.feasible_joint_6(v4)
-        solved = mp.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
+        solved = simplex_oracle.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
         assert v6.feasible == v4.feasible == (solved is not None)
         assert v6.max_violation == v4.max_violation
 
@@ -181,6 +182,16 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
     assert saw_feasible > 10 and saw_infeasible > 10
 
 
+def test_decide_requires_a_valid_certificate_for_an_infeasible_verdict(monkeypatch):
+    assert mp.decide(pr_box())[3]
+    real = mp.certificate
+    # the last pair's cells dropped: some atom then breaks A^T y <= 0
+    monkeypatch.setattr(mp, "certificate", lambda signs: (*real(signs)[:13], 0, 0, 0, 0))
+    v4, v6, fine, agree = mp.decide(pr_box())
+    assert not (v4.feasible or v6.feasible or fine or agree)
+    assert mp.decide(UNIFORM)[3]  # a feasible verdict is checked by its witness
+
+
 def single(t, var):
     """P(var = +1) from the first table that holds var."""
     pair = next(p for p in mp.PAIR_IDS if var in p)
@@ -200,7 +211,7 @@ def moment_form_feasible(t):
         i, j = index[pair[0]], index[pair[1]]
         rows.append([a[i] * a[j] for a in atoms])
         rhs.append(correlator(fraction_tables(t)[pair]))
-    return mp.solve_nonnegative(rows, rhs) is not None
+    return simplex_oracle.solve_nonnegative(rows, rhs) is not None
 
 
 def test_moment_form_cross_check():
@@ -275,10 +286,10 @@ def test_decimal_and_fraction_spellings_get_the_same_verdict():
 def test_simplex_rejects_infeasible_system():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert mp.solve_nonnegative(rows, [Fraction(1), Fraction(2)]) is None
+    assert simplex_oracle.solve_nonnegative(rows, [Fraction(1), Fraction(2)]) is None
 
 
 def test_simplex_finds_degenerate_solution():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    x = mp.solve_nonnegative(rows, [Fraction(0), Fraction(1)])
+    x = simplex_oracle.solve_nonnegative(rows, [Fraction(0), Fraction(1)])
     assert x == [Fraction(0), Fraction(1)]
