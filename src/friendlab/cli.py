@@ -344,14 +344,17 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
 def cmd_rovelli(args: argparse.Namespace) -> int:
     from . import relmodel, scenarios
     trials = _resolve_int(args, "trials", 10000, 1)
+    if trials > 2 ** 63 - 1:  # the counts are int64
+        raise InputError(f"trials must be at most {2 ** 63 - 1}, got {trials}")
     seed = _resolve_int(args, "seed", 0, 0)
     trigger = _resolve_int(args, "trigger", 1, None)
     try:
         cfg = scenarios.RovelliConfig(trigger=trigger)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    states, runs, consistent = relmodel.rovelli_audit(cfg, trials, seed)
-    performed_on_trigger = bool(((runs["second"] != 0) == (runs["first"] == cfg.trigger)).all())
+    states, table, consistent = relmodel.rovelli_audit(cfg, trials, seed)
+    t = (1 - cfg.trigger) // 2  # a second outcome on the trigger's runs only
+    performed_on_trigger = not (table[t, 2].any() or table[1 - t, :2].any())
     rate = consistent / trials
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "states": states, "consistency_rate": rate,

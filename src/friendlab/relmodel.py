@@ -13,12 +13,11 @@ column of codes read through the 64-entry TABLES of k and of each variable,
 0 where it is absent; the audits read a batch as its histogram of codes.
 Report rows hold None there (null in JSON, an empty field in CSV).
 
-The sequential scenario is a columnar batch: `simulate_rovelli` returns
-int8 columns (first outcome, whether the second measurement ran, the
-second outcome or 0, the record drawn from the final state's distribution
-in `scenarios.rovelli_states`), and `rovelli_audit` is the one report on it
-that the `rovelli` command, criterion 5 and the demo share.  Both scenarios
-draw every Born outcome with one sampler, `draw_cells`.
+The sequential scenario draws counts, not runs: `simulate_rovelli` counts,
+with `draw_counts`, the runs in each (first outcome, second outcome or none,
+record) cell, the record drawn from the final state's distribution in
+`scenarios.rovelli_states`; `rovelli_audit` is the one report on it that
+the `rovelli` command, criterion 5 and the demo share.
 """
 
 from __future__ import annotations
@@ -48,11 +47,9 @@ CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 SIGMAS = 3.0               # choice-independence band, in binomial standard errors
 
-# the z distribution of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2),
-# as a stack of one table, and the outcome of each of its cells
+# the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
 _READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
-_READY_Z = np.array([born_distribution(_READY, ("q",))])
-_Z_LABELS = np.array([+1, -1], dtype=np.int8)
+_READY_Z = np.array(born_distribution(_READY, ("q",)))
 
 
 class InsufficientDataError(ValueError):
@@ -264,48 +261,48 @@ def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     return checks, internal, independence
 
 
-def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> dict[str, np.ndarray]:
-    """n sequential runs as read-only int8 columns.  `first` is the friend's
-    first outcome (+1/-1); `performed` is 1 exactly when it equals the
-    trigger, and only then does `second` hold a second outcome (0
-    otherwise).  `record` indexes ROVELLI_RECORDS: the label an outside
-    observer reads from the record register, drawn from the record
-    distribution of the run's final state, never copied from `performed`.
-    Draw order: n first outcomes, one second outcome per performed run, then
-    the records of the runs ending in each final state, state by state."""
+def draw_counts(born: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """int64 counts of n draws from the probability table `born`: a multinomial
+    over its positive cells, unnormalized, so a zero cell never gets a count
+    and the round-off tail goes to the last positive cell, as in `draw_cells`."""
+    counts = np.zeros(len(born), np.int64)
+    counts[born > 0] = rng.multinomial(n, born[born > 0])
+    return counts
+
+
+def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> np.ndarray:
+    """How many of n iid sequential runs end in each cell of a read-only 2x3x3
+    int64 table [first (+1, -1)][second (+1, -1, none)][record].  A second
+    outcome exists exactly when the first is the trigger; the record, in
+    ROVELLI_RECORDS order, is drawn from the run's final state, never copied
+    from the run.  Draw order: first outcomes, second outcomes, then each
+    final state's records."""
     rng = np.random.default_rng(seed)
-    first = _Z_LABELS[draw_cells(_READY_Z, 0, rng.random(n), np.zeros(n, np.uint8))]
-    performed = first == cfg.trigger
-    m = int(performed.sum())
-    second = np.zeros(n, dtype=np.int8)
-    second[performed] = _Z_LABELS[draw_cells(_READY_Z, 0, rng.random(m), np.zeros(m, np.uint8))]
-    final = np.where(performed, np.where(second == first, 0, 1), 2)  # PP, PA, noM2 state
-    # the uniforms go to the runs of each final state in turn, in run order
-    u = np.empty(n)
-    u[np.argsort(final, kind="stable")] = rng.random(n)
-    record = np.zeros(n, dtype=np.int8)
-    draw_cells(np.array([born for born, _ in scenarios.rovelli_states(cfg)]), final, u, record)
-    columns = {"first": first, "performed": performed.astype(np.int8),
-               "second": second, "record": record}
-    for col in columns.values():
-        col.setflags(write=False)
-    return columns
+    t = (1 - cfg.trigger) // 2  # the trigger's index on the first and second axes
+    first = draw_counts(_READY_Z, n, rng)
+    second = draw_counts(_READY_Z, first[t], rng)
+    table = np.zeros((2, 3, 3), np.int64)
+    for (born, _), cell, runs in zip(scenarios.rovelli_states(cfg),  # PP, PA, noM2
+                                     ((t, t), (t, 1 - t), (1 - t, 2)),
+                                     (second[t], second[1 - t], first[1 - t])):
+        table[cell] = draw_counts(np.array(born), runs, rng)
+    table.setflags(write=False)
+    return table
 
 
 def rovelli_audit(cfg: RovelliConfig, n: int,
-                  seed: int) -> tuple[list[dict], dict[str, np.ndarray], int]:
+                  seed: int) -> tuple[list[dict], np.ndarray, int]:
     """The sequential scenario's report, shared by the `rovelli` command,
-    criterion 5 and the demo.  Returns, per final state in ROVELLI_RECORDS
-    order, its record probabilities and interference witness; the n runs of
-    `simulate_rovelli`; and how many runs are consistent: the record read
-    says a second measurement happened exactly when the first outcome was
-    the trigger."""
+    criterion 5 and the demo: per final state in ROVELLI_RECORDS order, its
+    record probabilities and interference witness; the count table of
+    `simulate_rovelli`; and how many runs have a record that says a second
+    measurement happened exactly when the first outcome was the trigger."""
     states = [{"record": record,
                "record_probabilities": dict(zip(scenarios.ROVELLI_RECORDS, born)),
                "interference_witness": witness}
               for record, (born, witness) in zip(scenarios.ROVELLI_RECORDS,
                                                  scenarios.rovelli_states(cfg))]
-    runs = simulate_rovelli(cfg, n, seed)
-    reported = runs["record"] != scenarios.ROVELLI_RECORDS.index("noM2")
-    consistent = int((reported == (runs["first"] == cfg.trigger)).sum())
-    return states, runs, consistent
+    table = simulate_rovelli(cfg, n, seed)
+    t = (1 - cfg.trigger) // 2  # noM2 is the last of ROVELLI_RECORDS
+    consistent = int(table[t, :, :2].sum() + table[1 - t, :, 2].sum())
+    return states, table, consistent

@@ -514,6 +514,21 @@ def test_rovelli_consistency(capsys):
             assert sr["record_probabilities"][sr["record"]] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("trials", [10 ** 12, 2 ** 63 - 1])
+def test_rovelli_counts_any_number_of_runs(capsys, trials):
+    # the runs are drawn as counts, so no trial count costs more than another
+    code, out, _ = run(capsys, "rovelli", "--trials", str(trials), "--format", "json")
+    rep = json.loads(out)
+    assert code == cli.EXIT_PASS and rep["trials"] == trials
+    assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is True
+
+
+def test_rovelli_trials_past_int64_is_input_error(capsys):
+    code, out, err = run(capsys, "rovelli", "--trials", str(2 ** 63))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and f"trials must be at most {2 ** 63 - 1}" in err
+
+
 def test_json_output_is_byte_deterministic(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

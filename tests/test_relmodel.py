@@ -345,40 +345,44 @@ def test_audit_checks_in_order_and_catches_broken_records():
     assert checks[0]["observed"] == (batch.code == code).sum() and not checks[0]["pass"]
 
 
-NO_M2 = scenarios.ROVELLI_RECORDS.index("noM2")
+PP, PA, NO_M2 = (scenarios.ROVELLI_RECORDS.index(r) for r in ("PP", "PA", "noM2"))
+
+
+def trigger_index(cfg):
+    """The trigger's index on a count table's first and second axes (+1, -1)."""
+    return (1 - cfg.trigger) // 2
 
 
 def test_rovelli_run_bookkeeping():
-    cfg = RovelliConfig()
-    runs = relmodel.simulate_rovelli(cfg, 200, 0)
-    assert set(runs) == {"first", "performed", "second", "record"}
-    for col in runs.values():
-        assert col.dtype == np.int8 and len(col) == 200 and not col.flags.writeable
-    performed = runs["performed"] == 1
-    assert np.array_equal(performed, runs["first"] == cfg.trigger)
-    assert np.array_equal(runs["second"] == 0, ~performed)
-    assert set(runs["second"][performed].tolist()) <= {+1, -1}
-    assert np.array_equal(runs["record"] != NO_M2, performed)
+    for trigger in (+1, -1):
+        cfg = RovelliConfig(trigger)
+        table = relmodel.simulate_rovelli(cfg, 200, 0)
+        assert table.shape == (2, 3, 3) and table.dtype == np.int64
+        assert not table.flags.writeable and table.sum() == 200
+        t = trigger_index(cfg)
+        # a second outcome exists exactly on the runs whose first is the trigger
+        assert not table[t, 2].any() and not table[1 - t, :2].any()
+        # the record reads noM2 exactly on the runs with no second measurement
+        assert not table[t, :, NO_M2].any() and not table[1 - t, :, [PP, PA]].any()
+        assert table[t].sum() > 0 and table[1 - t].sum() > 0
 
 
 def test_rovelli_run_reports_consistent_when_asked():
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger=trigger)
         n = 2000
-        _, runs, consistent = relmodel.rovelli_audit(cfg, n, 1)
+        _, table, consistent = relmodel.rovelli_audit(cfg, n, 1)
         assert consistent == n
         # the record also tells whether the second outcome agreed with the
         # first (PP) or not (PA), for either trigger
-        performed = runs["performed"] == 1
-        assert np.array_equal(runs["record"][performed],
-                              np.where(runs["second"][performed] == runs["first"][performed],
-                                       scenarios.ROVELLI_RECORDS.index("PP"),
-                                       scenarios.ROVELLI_RECORDS.index("PA")))
+        t = trigger_index(cfg)
+        assert table[t, t, PP] > 0 and table[t, 1 - t, PA] > 0
+        assert table[t, t, PP] + table[t, 1 - t, PA] == table[t].sum()
 
 
 def test_rovelli_first_outcome_balanced():
     n = 20000
-    plus = int((relmodel.simulate_rovelli(RovelliConfig(), n, 6)["first"] == +1).sum())
+    plus = int(relmodel.simulate_rovelli(RovelliConfig(), n, 6)[0].sum())
     assert abs(plus / n - 0.5) < 0.02
 
 
@@ -449,49 +453,59 @@ def test_draw_cells_matches_the_searchsorted_sampler(weighted, uniforms):
     assert (tables[which, cells - 7] > 0).all()
 
 
-def reference_rovelli(cfg, n, seed):
-    """simulate_rovelli's first, second and record columns from the same
-    draws, written out as before the one sampler: n first outcomes, the
-    second outcome of each performed run, then the records of the runs
-    ending in each final state, state by state."""
-    rng = np.random.default_rng(seed)
-    ready = relmodel._READY_Z[0]
-    first = 1 - 2 * sample_outcomes(ready, rng.random(n))
-    performed = first == cfg.trigger
-    second = np.zeros(n, dtype=np.intp)
-    second[performed] = 1 - 2 * sample_outcomes(ready, rng.random(int(performed.sum())))
-    final = np.where(performed, np.where(second == first, 0, 1), 2)
-    record = np.zeros(n, dtype=np.intp)
-    for k, (born, _) in enumerate(scenarios.rovelli_states(cfg)):
-        runs = final == k
-        record[runs] = sample_outcomes(born, rng.random(int(runs.sum())))
-    return first, second, record
+def rovelli_cell_probabilities(cfg, records):
+    """P(cell) of a count table's 18 cells, flattened, when the final states
+    PP, PA and noM2 draw their records from `records`."""
+    t = trigger_index(cfg)
+    p = np.zeros((2, 3, 3))
+    # a final state's share of the runs: 1/4 for PP and PA, 1/2 for noM2
+    p[t, t], p[t, 1 - t], p[1 - t, 2] = (np.array(r) * w
+                                         for r, w in zip(records, (0.25, 0.25, 0.5)))
+    return p.ravel()
 
 
-def test_simulate_rovelli_matches_reference_draws(monkeypatch):
-    # every final state has a definite record, so records drawn from mixed
-    # distributions show which uniform each run's record takes
-    mixed = (((0.5, 0.25, 0.25), 1.0), ((0.0, 0.3, 0.7), 1.0), ((0.2, 0.0, 0.8), 1.0))
-    monkeypatch.setattr(scenarios, "rovelli_states", lambda cfg: mixed)
+def test_simulate_rovelli_counts_are_multinomial(monkeypatch):
+    # mixed record distributions, so every final state spreads its runs over
+    # two or three records; over S seeds each cell's mean and each two cells'
+    # covariance must match Multinomial(n, p): within K standard errors, the
+    # covariance's from the normal approximation Var = (s_ii s_jj + s_ij^2) / S
+    mixed = ((0.5, 0.25, 0.25), (0.0, 0.3, 0.7), (0.2, 0.0, 0.8))
+    monkeypatch.setattr(scenarios, "rovelli_states", lambda cfg: tuple((r, 1.0) for r in mixed))
+    n, S, K = 400, 2000, 5.0
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
-        for seed in (0, 1, 5):
-            for n in (1, 7, 500):
-                runs = relmodel.simulate_rovelli(cfg, n, seed)
-                want = reference_rovelli(cfg, n, seed)
-                for name, col in zip(("first", "second", "record"), want):
-                    assert runs[name].tolist() == col.tolist()
+        p = rovelli_cell_probabilities(cfg, mixed)
+        counts = np.array([relmodel.simulate_rovelli(cfg, n, seed).ravel() for seed in range(S)])
+        assert (counts.sum(axis=1) == n).all()
+        assert not counts[:, p == 0].any()  # a zero cell never gets a run
+        mean, cov = n * p, n * (np.diag(p) - np.outer(p, p))
+        assert (abs(counts.mean(axis=0) - mean) <= K * np.sqrt(np.diag(cov) / S)).all()
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / S)
+        assert (abs(np.cov(counts, rowvar=False) - cov) <= K * se).all()
+
+
+def test_a_zero_record_cell_never_gets_a_count_at_any_n():
+    # PP's record row is (0.9999999999999998, 0, 0): a multinomial over all
+    # three cells would hand its round-off tail to noM2 and report an
+    # inconsistent run; draw_counts gives it to PP, the last positive cell
+    pp = np.array(scenarios.rovelli_states(RovelliConfig())[PP][0])
+    assert pp[0] < 1.0 and not pp[1:].any()
+    rng = np.random.default_rng(0)
+    assert relmodel.draw_counts(pp, 10 ** 18, rng).tolist() == [10 ** 18, 0, 0]
+    assert relmodel.draw_counts(np.array([0.0, 0.5, 0.0, 0.5 - 2 ** -53]), 10 ** 18,
+                                rng)[[0, 2]].tolist() == [0, 0]
+    for trigger in (+1, -1):
+        cfg = RovelliConfig(trigger)
+        for seed in range(3):
+            _, table, consistent = relmodel.rovelli_audit(cfg, 10 ** 18, seed)
+            assert consistent == 10 ** 18 == table.sum()
+            t = trigger_index(cfg)
+            used = np.zeros((2, 3, 3), bool)
+            used[t, t, PP] = used[t, 1 - t, PA] = used[1 - t, 2, NO_M2] = True
+            assert not table[~used].any()
 
 
 def test_rovelli_record_is_drawn_from_the_final_state(monkeypatch, capsys):
-    # the noM2 state gives PP, the first record, probability 0; u = 0.0 equals
-    # its cumulative probability, so it must move on past PP, and 1 - 2**-53
-    # lies past the float sum of the probabilities, in the round-off tail
-    no_m2 = scenarios.rovelli_states(RovelliConfig())[NO_M2][0]
-    assert no_m2[0] == 0.0 and sum(no_m2) < 1 - 2 ** -53
-    ends = np.array([0.0, 1 - 2 ** -53])  # the two ends of [0, 1)
-    cells = relmodel.draw_cells(np.array([no_m2]), 0, ends, np.zeros(2, dtype=np.int8))
-    assert cells.tolist() == [NO_M2, NO_M2]
     # swap the PP and noM2 final states: a record read from the state now
     # disagrees with the run, which a record copied from the run would hide
     real = scenarios.rovelli_states
