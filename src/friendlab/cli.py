@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -29,6 +28,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
+MAX_TRIALS = 2 ** 63 - 1  # the most runs an int64 count holds
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -58,14 +58,17 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
     return default
 
 
-def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int | None) -> int:
-    """Integer flag or config value; InputError unless it is an integer of at
-    least `minimum` (no bound when None)."""
+def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int | None,
+                 maximum: int | None = None) -> int:
+    """Integer flag or config value; InputError unless it is an integer from
+    `minimum` to `maximum` (no bound where None)."""
     val = _resolve(args, key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise InputError(f"{key} must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise InputError(f"{key} must be at least {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise InputError(f"{key} must be at most {maximum}, got {val}")
     return val
 
 
@@ -212,7 +215,7 @@ def _pair_table_csv(report: dict) -> str:
 def cmd_lf(args: argparse.Namespace) -> int:
     from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
-    trials = _resolve_int(args, "trials", 100000, 100)
+    trials = _resolve_int(args, "trials", 100000, 100, MAX_TRIALS)
     seed = _resolve_int(args, "seed", 0, 0)
     batch = relmodel.simulate_batch(cfg, trials, seed)
     analytic = scenarios.pair_correlations(cfg)
@@ -303,14 +306,12 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 def cmd_relmodel(args: argparse.Namespace) -> int:
     from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
-    trials = _resolve_int(args, "trials", 400000, 100)
+    trials = _resolve_int(args, "trials", 400000, 100, MAX_TRIALS)
     seed = _resolve_int(args, "seed", 0, 0)
     planted = _resolve_switch(args, "planted_violation")
     batch = relmodel.simulate_batch(cfg, trials, seed)
-    if planted:
-        # debug self-test: make Alice's internal outcome follow Bob's choice,
-        # which must trip the choice-independence audit
-        batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
+    if planted:  # a debug self-test: it must trip the choice-independence audit
+        batch = batch.planted()
     checks, internal, independence = relmodel.audit(batch)
     verdict = scenarios.circuit_verdict(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
@@ -328,14 +329,14 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 
-    def records_csv(rep: dict) -> str:  # the first 1000 runs, like "records" in JSON
+    def records_csv(rep: dict) -> str:  # the first ROWS runs, like "records" in JSON
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(relmodel.RECORD_FIELDS)
-        w.writerows(row.values() for row in batch.rows(1000))  # field order; None writes ""
+        w.writerows(row.values() for row in batch.rows(relmodel.ROWS))  # None writes ""
         return buf.getvalue()
 
-    _emit(args, report, table, records_csv, spliced={"records": batch.rows_json(1000)})
+    _emit(args, report, table, records_csv, spliced={"records": batch.rows_json(relmodel.ROWS)})
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
@@ -343,9 +344,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
 
 def cmd_rovelli(args: argparse.Namespace) -> int:
     from . import relmodel, scenarios
-    trials = _resolve_int(args, "trials", 10000, 1)
-    if trials > 2 ** 63 - 1:  # the counts are int64
-        raise InputError(f"trials must be at most {2 ** 63 - 1}, got {trials}")
+    trials = _resolve_int(args, "trials", 10000, 1, MAX_TRIALS)
     seed = _resolve_int(args, "seed", 0, 0)
     trigger = _resolve_int(args, "trigger", 1, None)
     try:

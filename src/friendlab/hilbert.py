@@ -14,7 +14,7 @@ checked.  The engine is deliberately dense and small; the scenarios built on
 top of it never need more than 24 dimensions.  A reading's Born
 probabilities come from `born_distribution(state, read)` alone, and this
 module draws no random numbers: callers name the outcomes, and
-`relmodel` samples them (`draw_cells`, `draw_counts`).
+`relmodel` samples them (`draw_counts`).
 """
 
 from __future__ import annotations

@@ -1,29 +1,28 @@
 """Monte Carlo runs of the frame-relational model.
 
-On every run both friends have definite internal outcomes, sampled uniformly
-and independently of anything the outside observers later choose.  External
-outcomes are drawn from the Born joint of whichever pair of measurements is
-actually performed.  A frame relation comes into existence only on the wings
-where the outside observer asks the friend: it is computed at reveal time as
-external * internal, never pre-sampled.  Which variables exist on a run, and
-their values, follow from its pair k (a PAIR_IDS index), its internal bits
-ia and ic (0 for +1, 1 for -1) and its Born cell (a PAIR_CELLS index), so a
-run is one of 64 codes 16*k + 8*ia + 4*ic + cell.  A TrialBatch is a uint8
-column of codes read through the 64-entry TABLES of k and of each variable,
-0 where it is absent; the audits read a batch as its histogram of codes.
-Report rows hold None there (null in JSON, an empty field in CSV).
+On every run both friends have definite internal outcomes, uniform and
+independent of anything the outside observers later choose.  External
+outcomes are drawn from the Born joint of the pair of measurements actually
+performed.  A frame relation exists only on a wing where the outside
+observer asks the friend: it is computed at reveal time as external *
+internal, never pre-sampled.  A run's variables, and which exist, follow
+from its pair k (a PAIR_IDS index), its internal bits ia and ic (0 for +1, 1
+for -1) and its Born cell (a PAIR_CELLS index), so a run is one of 64 codes
+16*k + 8*ia + 4*ic + cell, read through the 64-entry TABLES of k and of each
+variable (0 where absent).  A TrialBatch is the int64 histogram of its runs'
+codes, which the audits read, plus its first ROWS runs' codes in order, the
+report's rows (None where absent: null in JSON, an empty field in CSV).
+Both are drawn as counts, so any batch size up to 2**63 - 1 costs the same.
 
-The sequential scenario draws counts, not runs: `simulate_rovelli` counts,
-with `draw_counts`, the runs in each (first outcome, second outcome or none,
-record) cell, the record drawn from the final state's distribution in
-`scenarios.rovelli_states`; `rovelli_audit` is the one report on it that
-the `rovelli` command, criterion 5 and the demo share.
+The sequential scenario draws counts too: `simulate_rovelli` counts the runs
+in each (first outcome, second outcome or none, record) cell, the record
+drawn from the final state's distribution in `scenarios.rovelli_states`;
+`rovelli_audit` is the one report on it that the `rovelli` command,
+criterion 5 and the demo share.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -34,18 +33,16 @@ from .hilbert import FactorLayout, StateVector, born_distribution
 from .scenarios import SQRT_HALF, LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
-CHUNK = 1 << 16  # fixed shard size; merged batches never depend on it
+ROWS = 1000  # runs a batch keeps in run order, the rows of a report
 VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
 _B_ASKS, _D_ASKS = (np.array([CHOICE[p[w]] == "ask" for p in PAIR_IDS]) for w in (0, 1))
-# per PAIR_CELLS index: its bin 3x + y + 4 in empirical_pair_table (8, 6, 2, 0)
-_PRESENT_CELLS = [3 * x + y + 4 for x, y in PAIR_CELLS]
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
-SIGMAS = 3.0               # choice-independence band, in binomial standard errors
+INDEPENDENCE_ALPHA = 1e-3  # false-alarm rate of the two wings' choice-independence tests
 
 # the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
 _READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
@@ -100,78 +97,66 @@ PLANTED = np.array([c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64)], np
 PLANTED.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class TrialBatch:
-    """Runs as a uint8 column of codes, made read-only; TABLES gives k and
-    each variable per code."""
-
-    config: LFConfig
-    code: np.ndarray
-
-    def __post_init__(self):
-        self.code.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.code)
-
-    @functools.cached_property
-    def histogram(self) -> np.ndarray:
-        """The number of runs with each code."""
-        return np.bincount(self.code, minlength=64)
-
-    def rows(self, stop: int) -> list[dict]:
-        """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
-        return [dict(_ROWS[c]) for c in self.code[:stop].tolist()]
-
-    def rows_json(self, stop: int) -> str:
-        """`rows(stop)` as canonical JSON, joined from pre-encoded rows."""
-        return "[" + ",".join([_FRAGMENTS[c] for c in self.code[:stop].tolist()]) + "]"
-
-
-def draw_cells(tables: np.ndarray, which, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add to `out` in place, and return it, the cell that each uniform u[i]
-    draws from the probability table tables[which[i]] (`which` may be one
-    index for every draw): the first cell whose cumulative probability
-    exceeds u[i].  A zero-probability cell has an empty interval, so it is
-    never drawn; a uniform in the float round-off tail goes to the table's
-    last positive cell."""
-    # row j: P(cell <= j) per table, past which a uniform moves on from cell j,
-    # but never from a table's last positive cell: it takes the round-off tail
-    cdf_rows = np.cumsum(tables, axis=1).T[:-1].copy()
-    last = len(cdf_rows)
-    cdf_rows[np.arange(last)[:, None] >= last - np.argmax(tables[:, ::-1] > 0, axis=1)] = np.inf
-    for row in cdf_rows:
-        out += u >= row.take(which)
+def _sums(keys: np.ndarray, runs: np.ndarray, size: int) -> np.ndarray:
+    """int64 sums of `runs` by key (exact, where np.bincount sums in float64)."""
+    out = np.zeros(size, np.int64)
+    np.add.at(out, keys, runs)
     return out
 
 
-def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
-    """n independent trials, each measuring a pair drawn uniformly.
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """Runs as the int64 histogram of their codes plus the first runs' uint8
+    codes in order, both read-only; TABLES gives k and each variable per code."""
 
-    Trials are generated in fixed-size chunks of CHUNK, each with its own rng
-    seeded from (seed, chunk index); sharding work across processes along
-    chunk boundaries therefore reproduces the single-process batch exactly,
-    independent of shard count and order.
-    """
-    if n < 1:
+    config: LFConfig
+    histogram: np.ndarray
+    first: np.ndarray
+
+    def __post_init__(self):
+        self.histogram.setflags(write=False)
+        self.first.setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.histogram.sum())
+
+    def rows(self, stop: int) -> list[dict]:
+        """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
+        return [dict(_ROWS[c]) for c in self.first[:stop].tolist()]
+
+    def rows_json(self, stop: int) -> str:
+        """`rows(stop)` as canonical JSON, joined from pre-encoded rows."""
+        return "[" + ",".join([_FRAGMENTS[c] for c in self.first[:stop].tolist()]) + "]"
+
+    def planted(self) -> TrialBatch:
+        """The batch with each run's code replaced by its PLANTED code."""
+        return TrialBatch(self.config, _sums(PLANTED, self.histogram, 64), PLANTED[self.first])
+
+
+def draw_counts(born: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """int64 counts of n draws from the probability table `born`: a multinomial
+    over its positive cells, unnormalized, so a zero cell never gets a count and
+    the last positive cell takes the round-off tail (clipped to 1, as numpy asks)."""
+    counts, p = np.zeros(len(born), np.int64), born[born > 0]
+    counts[born > 0] = rng.multinomial(n, np.minimum(p, 1.0) if p[-1] > 1 else p)
+    return counts
+
+
+def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
+    """n iid runs of a uniform pair k and uniform internal bits: code
+    16k + 8ia + 4ic + cell has probability born[k][cell] / 16.  One
+    default_rng(seed) draws the counts of the first min(n, ROWS) runs, which
+    are shuffled (given their counts, iid runs come in a uniformly random
+    order), then those of the rest: the law of n iid runs, rows included."""
+    if n < 1:  # default_rng refuses a negative seed
         raise ValueError("need at least one trial")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative 64-bit integer")
-    tables = np.array(list(scenarios.born_tables(cfg).values()))
-    chunks = []
-    for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
-        m = min(CHUNK, n - chunk_index * CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        # floor(4u): the draws and values of rng.choice(4, p=[1/4] * 4)
-        k = (rng.random(m) * 4).astype(np.intp)
-        code = 16 * k + 8 * rng.integers(0, 2, size=m)
-        code = (code + 4 * rng.integers(0, 2, size=m)).astype(np.uint8)
-        # u stays bound until the batch is built: a temporary freed right after
-        # the draw costs about 80 more page faults (one u) per 4e4-run batch
-        u = rng.random(m)
-        draw_cells(tables, k, u, code)
-        chunks.append(code)
-    return TrialBatch(cfg, np.concatenate(chunks))
+    born = np.array(list(scenarios.born_tables(cfg).values()))
+    p = np.repeat(born[:, None, :] / 16, 4, axis=1).ravel()  # the 4 middle values: 2ia + ic
+    rng = np.random.default_rng(seed)
+    counts = draw_counts(p, min(n, ROWS), rng)
+    first = np.repeat(np.arange(64, dtype=np.uint8), counts)
+    rng.shuffle(first)
+    return TrialBatch(cfg, counts + draw_counts(p, n - len(first), rng), first)
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -182,9 +167,9 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
         raise ValueError(f"unknown variable in pair {pair}")
     x, y = TABLES[pair[0]], TABLES[pair[1]]
-    # each code's runs in the bin of its (x, y) in {-1, 0, 1}^2, 0 marking absent
-    counts = np.bincount(3 * x + y + 4, weights=batch.histogram, minlength=9)[_PRESENT_CELLS]
-    counts = tuple(int(c) for c in counts.tolist())
+    # each code's runs in the PAIR_CELLS cell of its (x, y), in bin 4 if either is 0
+    cell = np.where(x * y != 0, 2 * (x < 0) + (y < 0), 4)
+    counts = tuple(_sums(cell, batch.histogram, 5)[:4].tolist())
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
     return counts
@@ -193,27 +178,20 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
 def check_choice_independence(batch: TrialBatch) -> dict:
     """The report's independence entry.  `stats` holds, per wing and per
     choice pair ("ask,super": Bob's and Divya's choice), the runs `n` and
-    those whose internal outcome is +1 `n_plus`; `flags` lists each two
-    choice pairs whose conditional frequencies differ by more than SIGMAS
-    binomial standard errors."""
-    runs, pair = batch.histogram, TABLES["k"]
-    n = np.bincount(pair, weights=runs, minlength=4)
-    present = np.flatnonzero(n)
-    if len(present) < 2:
-        raise InsufficientDataError("need at least two distinct choice pairs")
+    those whose internal outcome is +1 `n_plus`; `flags` lists each wing that
+    `statlab.homogeneity` of its (n_plus, n - n_plus) columns flags at
+    INDEPENDENCE_ALPHA / 2, so both wings together at INDEPENDENCE_ALPHA."""
     stats, flags = {}, []
     for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
-        plus = np.bincount(pair, weights=runs * (TABLES[internal] == 1), minlength=4)
-        counts = {",".join(CHOICE[v] for v in PAIR_IDS[j]): (int(n[j]), int(plus[j]))
-                  for j in present}
-        stats[wing] = {key: {"n": m, "n_plus": k} for key, (m, k) in counts.items()}
-        for (key1, (n1, k1)), (key2, (n2, k2)) in itertools.combinations(counts.items(), 2):
-            p1, p2 = k1 / n1, k2 / n2
-            pooled = (k1 + k2) / (n1 + n2)
-            band = SIGMAS * (pooled * (1 - pooled) * (1 / n1 + 1 / n2)) ** 0.5
-            if abs(p1 - p2) > band:
-                flags.append({"wing": wing, "pair_1": key1, "pair_2": key2,
-                              "difference": abs(p1 - p2), "band": band})
+        table = _sums(2 * TABLES["k"] + (TABLES[internal] != 1), batch.histogram, 8)
+        columns = {",".join(CHOICE[v] for v in PAIR_IDS[k]): (plus, other) for k, (plus, other)
+                   in enumerate(table.reshape(4, 2).tolist()) if plus + other}
+        if len(columns) < 2:
+            raise InsufficientDataError("need at least two distinct choice pairs")
+        stats[wing] = {key: {"n": a + b, "n_plus": a} for key, (a, b) in columns.items()}
+        test = statlab.homogeneity(list(columns.values()), INDEPENDENCE_ALPHA / 2)
+        if test["statistic"] > test["critical"]:
+            flags.append({"wing": wing, **test})
     return {"stats": stats, "flags": flags}
 
 
@@ -259,15 +237,6 @@ def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     checks.append(statlab.check("choice-independence flags", len(independence["flags"]), 0.0,
                                 n=n))
     return checks, internal, independence
-
-
-def draw_counts(born: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """int64 counts of n draws from the probability table `born`: a multinomial
-    over its positive cells, unnormalized, so a zero cell never gets a count
-    and the round-off tail goes to the last positive cell, as in `draw_cells`."""
-    counts = np.zeros(len(born), np.int64)
-    counts[born > 0] = rng.multinomial(n, born[born > 0])
-    return counts
 
 
 def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> np.ndarray:

@@ -5,11 +5,12 @@ order, whether it holds counts, float probabilities or exact Fractions;
 `correlator`, `chsh` and `sign_variants` are the one definition of E, of S
 and of the CHSH sign variants for all of them.  A variable is named by its
 letter; CHOICE spells the measurement behind each.  Also: frequencies of
-count tables, total variation distance, correlation estimators and
-pass/fail check dicts."""
+count tables, total variation distance, correlation estimators, a chi-squared
+homogeneity test and pass/fail check dicts."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -70,6 +71,35 @@ def chsh_estimate(tables) -> tuple[float, float]:
     e, se = zip(*(correlation_estimate(t) for t in tables))
     ac, ad, bc, bd = se
     return chsh(e), math.sqrt(ac * ac + bc * bc + bd * bd + ad * ad)
+
+
+# P(X > x) for X chi-squared with 1, 2 or 3 degrees of freedom, in closed form
+_CHI2_TAIL = {1: lambda x: math.erfc(math.sqrt(x / 2)),
+              2: lambda x: math.exp(-x / 2),
+              3: lambda x: (math.erfc(math.sqrt(x / 2))
+                            + math.sqrt(2 * x / math.pi) * math.exp(-x / 2))}
+
+
+@functools.cache
+def chi2_critical(alpha: float, df: int) -> float:
+    """The least float x with P(X > x) <= alpha for X chi-squared with df
+    degrees of freedom, by bisection (each tail is below 1e-200 at 1000)."""
+    tail, lo, hi = _CHI2_TAIL[df], 0.0, 1000.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if tail(mid) > alpha else (lo, mid)
+    return hi
+
+
+def homogeneity(columns, alpha: float) -> dict:
+    """Pearson's chi-squared test that the columns (a, b) of a 2 x m table of
+    ints, none empty, share one proportion: the statistic, df = m - 1 and the
+    critical value at false-alarm rate alpha.  With row sums r and s, column
+    (a, b) adds (a s - b r)^2 / ((a + b) r s), one exact int ratio."""
+    r, s = (sum(col[i] for col in columns) for i in (0, 1))
+    statistic = (sum((a * s - b * r) ** 2 / ((a + b) * r * s) for a, b in columns)
+                 if r and s else 0.0)
+    df = len(columns) - 1
+    return {"statistic": statistic, "df": df, "critical": chi2_critical(alpha, df)}
 
 
 def check(name: str, observed: float, threshold: float, n: int = 0,

@@ -81,7 +81,7 @@ def test_criterion_5_sequential_consistency():
 
 
 # sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
-ACCEPT_42_SHA256 = "c2305772263975d91ad2e2353eb8b7cc1cdb18f77b1f931722f9f7c9e71b6da6"
+ACCEPT_42_SHA256 = "25985c15bdae71bb42f354046d7b5d7949bb4615041dbc60f28fc3663d6f02b7"
 
 
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):

@@ -35,12 +35,12 @@ GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"
 
 # sha256 of reports at fixed seeds, so that refactors keep every output byte
 REPORT_SHA256 = {
-    "lf 20000 0 json": "6242faf267f2d58211b54e00e8a2d019c1cd5502f6d3b9ca58049838d98b8357",
-    "relmodel 20000 0 json": "7a41d81bfc477278b590947fa2d3a9d3942f717f0be083f35a312fa48af876a6",
-    "relmodel 20000 0 csv": "9fbed94bf750b7d00cb25945ab8a8f3b1d4cde8d10c15c824a6bd0be28fe63da",
+    "lf 20000 0 json": "f8586d2a840b3abe1a6e42e6d63a0890b6c9081748c32792feeb43bade12f65f",
+    "relmodel 20000 0 json": "b8160137362a90cd439710845a5a3868180f044348e4172dc75a52ed67ee3b76",
+    "relmodel 20000 0 csv": "ca7e3ae30f88d1aaf7880261f70d8f24e4bca7625051b475230ed40155917451",
     # the one pinned report whose independence audit raises flags
     "relmodel 20000 0 planted json":
-        "26160cd86e80c003d694702bfc24ef7e5c7f63fa0882a011597402c8491fe2b8",
+        "5f8112a938e8b73d6a0437fc37fe0cc2e6c1fa8386fbafa3cc81023e21b01d99",
     "feasibility from-angles json":
         "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
     "feasibility grid json": "01eeb826675c1acf1adc4279f23d380a304b18aec2679a2dbad4d9478e7f3c8e",
@@ -94,10 +94,10 @@ BIG_DENOMINATOR_TARGETS = {
 # raw Born floats, so a last-ulp change in a Born table shows here
 ANGLES_SHA256 = {
     "12.5,97.25,51,173.75": (
-        "62560d4b7c2c93cdb0b79cf01ae2e73559c748b776331ded68da0f1fd1ba9978",
+        "a05b6c699ec3f5e7690a44bc947fab6edc33e01a8bcbb9584a98cb59e9241074",
         "6670ad79e8ce212a8f2e4e9de25cd5e92c963943a9a51bbbf16af23ee1728684"),
     "200,330.75,17.125,301": (
-        "0fd99690b335aedadb96705e4bb61d94e164245f4b4ce6f8b1ce1bd32f3420ce",
+        "691eb69a5ea19e5c768428751cf11de278bf253a78333761b2e992d9d3d2ad5e",
         "bc79ca9491b320c9527cb41a0736f133a6c44027b23fb458e0b1c7dfd21011e6"),
 }
 
@@ -427,7 +427,7 @@ def test_relmodel_passes_audits(capsys):
     rep = json.loads(out)
     assert rep["pass"] is True
     assert rep["analytic_feasibility"]["feasible"] is False
-    assert len(rep["records"]) == 1000
+    assert len(rep["records"]) == relmodel.ROWS
     code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
                        "--format", "csv")
     assert code == cli.EXIT_PASS
@@ -452,7 +452,9 @@ def test_relmodel_planted_violation_fails(capsys):
     assert code == cli.EXIT_FAIL
     assert sha256(out) == REPORT_SHA256["relmodel 20000 0 planted json"]
     rep = json.loads(out)
-    assert rep["pass"] is False and rep["independence"]["flags"]
+    assert rep["pass"] is False
+    # Alice's internal outcome follows Bob's choice; Chidi's wing stays clean
+    assert [f["wing"] for f in rep["independence"]["flags"]] == ["alice"]
     flagged = [c for c in rep["checks"] if c["name"] == "choice-independence flags"]
     assert flagged and not flagged[0]["pass"]
 
@@ -466,9 +468,9 @@ def test_relmodel_json_splice_is_the_canonical_encoding(capsys, trials, planted)
                        "--format", "json", *(["--planted-violation"] if planted else []))
     batch = relmodel.simulate_batch(LFConfig(), trials, 7)
     if planted:
-        batch = dataclasses.replace(batch, code=relmodel.PLANTED[batch.code])
-    report = {**json.loads(out), "records": batch.rows(1000)}
-    assert len(report["records"]) == min(trials, 1000)
+        batch = batch.planted()
+    report = {**json.loads(out), "records": batch.rows(relmodel.ROWS)}
+    assert len(report["records"]) == min(trials, relmodel.ROWS)
     assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -489,8 +491,8 @@ def test_relmodel_csv_records(capsys):
     assert code == cli.EXIT_PASS
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:2] == ["a_internal", "c_internal"]
-    # the report carries at most the first 1000 records
-    assert len(rows) == 1 + 1000
+    # the report carries at most the first ROWS records
+    assert len(rows) == 1 + relmodel.ROWS
 
 
 # sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the
@@ -525,6 +527,31 @@ def test_rovelli_counts_any_number_of_runs(capsys, trials):
 
 def test_rovelli_trials_past_int64_is_input_error(capsys):
     code, out, err = run(capsys, "rovelli", "--trials", str(2 ** 63))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and f"trials must be at most {2 ** 63 - 1}" in err
+
+
+@pytest.mark.parametrize("trials", [10 ** 12, 2 ** 63 - 1])
+def test_relmodel_counts_any_number_of_runs(capsys, trials):
+    # a batch is drawn as a histogram plus its first rows, so no trial count
+    # costs more than another, and every count is exact
+    code, out, _ = run(capsys, "relmodel", "--trials", str(trials), "--format", "json")
+    rep = json.loads(out)
+    assert code == cli.EXIT_PASS and rep["trials"] == trials and rep["pass"] is True
+    assert len(rep["records"]) == relmodel.ROWS
+    for wing in rep["independence"]["stats"].values():
+        assert sum(s["n"] for s in wing.values()) == trials
+
+
+@pytest.mark.parametrize("command", ["lf", "relmodel"])
+def test_trials_past_int64_is_input_error(capsys, tmp_path, command):
+    # one bound for every command that counts runs, from a flag or a config file
+    code, out, err = run(capsys, command, "--trials", str(2 ** 63))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and f"trials must be at most {2 ** 63 - 1}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 10 ** 20}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
     assert code == cli.EXIT_INPUT
     assert out == "" and f"trials must be at most {2 ** 63 - 1}" in err
 

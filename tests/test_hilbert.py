@@ -16,7 +16,7 @@ from friendlab.hilbert import (
     born_distribution,
     rotation_matrix,
 )
-from friendlab.relmodel import draw_cells
+from friendlab.relmodel import draw_counts
 
 Q = FactorLayout((("q", 2),))
 
@@ -158,31 +158,34 @@ def test_born_bell_state_angle_correlation():
 
 
 # --- sampling a reading ------------------------------------------------------
-# hilbert draws no random numbers; relmodel.draw_cells samples its readings
+# hilbert draws no random numbers; relmodel.draw_counts samples its readings
 
 def sample(probs, n, rng):
-    """n draws of one reading's outcome, as cell indices."""
-    return draw_cells(np.array([probs]), 0, rng.random(n), np.zeros(n, dtype=np.uint8))
+    """How many of n draws of one reading's outcome land in each cell."""
+    return draw_counts(np.array(probs), n, rng)
 
 
 def test_sampling_deterministic():
     zero = born_distribution(ket(Q, 0), ("q",))
-    assert sample(zero, 1, np.random.default_rng(0)).tolist() == [0]
+    assert sample(zero, 1, np.random.default_rng(0)).tolist() == [1, 0]
     plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
     seq1 = sample(plus, 20, np.random.default_rng(123))
     seq2 = sample(plus, 20, np.random.default_rng(123))
     assert seq1.tolist() == seq2.tolist()
 
 
-def _loop_sample(dist, u):
-    """Reference: walk the positive-probability outcomes, accumulating."""
-    acc, last = 0.0, None
-    for i, pr in enumerate(dist):
-        if pr > 0:
-            acc, last = acc + pr, i
-            if u < acc:
-                return i
-    return last
+def _loop_sample(dist, n, rng):
+    """Reference: walk the positive-probability outcomes, each taking its
+    binomial share of the draws left, the last one the rest."""
+    counts, left, mass = [0] * len(dist), n, 1.0
+    positive = [i for i, pr in enumerate(dist) if pr > 0]
+    for i in positive[:-1]:
+        counts[i] = int(rng.binomial(left, dist[i] / mass))
+        left, mass = left - counts[i], mass - dist[i]
+        if left == 0:
+            return counts
+    counts[positive[-1]] = left
+    return counts
 
 
 def test_sampling_matches_the_per_sample_loop():
@@ -193,16 +196,15 @@ def test_sampling_matches_the_per_sample_loop():
         amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
         s = StateVector(layout, amps / np.linalg.norm(amps))
         dist = born_distribution(s, ("b",))
-        u = np.random.default_rng(k).random(1000)
         batched = sample(dist, 1000, np.random.default_rng(k))
-        assert batched.tolist() == [_loop_sample(dist, x) for x in u]
+        assert batched.tolist() == _loop_sample(dist, 1000, np.random.default_rng(k))
 
 
 def test_sampling_concentration():
     plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
     rng = np.random.default_rng(77)
     n = 10 ** 5
-    hits = int((sample(plus, n, rng) == 0).sum())  # cell 0 reads +1
+    hits = int(sample(plus, n, rng)[0])  # cell 0 reads +1
     assert abs(hits / n - 0.5) < 0.01
 
 
@@ -213,7 +215,7 @@ def test_sampling_total_variation_soundness():
     s = StateVector(Q, amps)
     born = born_distribution(s, ("q",))
     n = 10 ** 5
-    counts = np.bincount(sample(born, n, rng), minlength=2)
+    counts = sample(born, n, rng)
     tv = 0.5 * sum(abs(c / n - p) for c, p in zip(counts, born))
     assert tv < 0.01
 

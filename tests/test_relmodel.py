@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sampler_oracle import sample_outcomes
 
 from friendlab import cli, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
@@ -31,13 +30,28 @@ def edited(table, code, value):
     return table
 
 
+def batch_of(codes, cfg=LFConfig()):
+    """A batch of the runs with these codes, in this order."""
+    codes = np.array(codes, np.uint8)
+    return relmodel.TrialBatch(cfg, np.bincount(codes, minlength=64).astype(np.int64),
+                               codes[:relmodel.ROWS])
+
+
+def remapped(batch, table):
+    """The batch with each run's code c, counted and in order, replaced by table[c]."""
+    histogram = np.zeros(64, np.int64)
+    np.add.at(histogram, table, batch.histogram)
+    return relmodel.TrialBatch(batch.config, histogram, table[batch.first])
+
+
 def runs_of_pair(pair, n, seed):
     """The runs that measure `pair` in a batch of 5n runs at `seed`: at least
     n of them, so a test on one pair keeps at least n qualifying runs."""
     batch = relmodel.simulate_batch(LFConfig(), 5 * n, seed)
-    mine = batch.code >> 4 == PAIR_IDS.index(pair)
-    assert mine.sum() >= n
-    return dataclasses.replace(batch, code=batch.code[mine])
+    mine = relmodel.TABLES["k"] == PAIR_IDS.index(pair)
+    assert batch.histogram[mine].sum() >= n
+    return relmodel.TrialBatch(batch.config, np.where(mine, batch.histogram, 0),
+                               batch.first[mine[batch.first]])
 
 
 def decode(code) -> dict:
@@ -54,32 +68,16 @@ def decode(code) -> dict:
 
 def reference_row(batch, i) -> dict:
     """Run i as a report row, decoded from its code."""
-    v = decode(batch.code[i])
+    v = decode(batch.first[i])
     return dataclasses.asdict(RunRecord(v["Ai"], v["Ci"], *(CHOICE[w] for w in v["pair"]),
                                         *(v[name] for name in ("B", "D", "A", "C", "Ar", "Cr"))))
 
 
-def same_runs(b1, b2, stop=None) -> bool:
-    """Do the first `stop` runs (all when None) of b1 equal b2's runs?"""
-    return np.array_equal(b1.code[:stop], b2.code)
-
-
-def reference_codes(cfg, n, seed):
-    """simulate_batch's codes from the same draws, written out as before the
-    code column: per chunk rng.choice for the pairs, the two internal bits,
-    one uniform per run placed in its pair's cumulative Born table, at most
-    at the pair's last positive cell."""
-    born = np.array(list(scenarios.born_tables(cfg).values()))
-    cdf, last = np.cumsum(born, axis=1), [max(np.flatnonzero(t)) for t in born]
-    codes = []
-    for chunk in range(-(-n // relmodel.CHUNK)):
-        m = min(relmodel.CHUNK, n - chunk * relmodel.CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-        k = rng.choice(4, size=m, p=[0.25] * 4)
-        ia, ic = rng.integers(0, 2, size=m), rng.integers(0, 2, size=m)
-        cell = np.minimum((rng.random(m)[:, None] >= cdf[k]).sum(axis=1), np.take(last, k))
-        codes.append(16 * k + 8 * ia + 4 * ic + cell)
-    return np.concatenate(codes)
+def code_probabilities(cfg):
+    """P(code) of one run: a uniform pair k, uniform internal bits and the
+    pair's Born cell, born[k][cell] / 16."""
+    born = scenarios.born_tables(cfg)
+    return np.array([born[PAIR_IDS[c >> 4]][c & 3] / 16 for c in range(64)])
 
 
 def test_every_code_obeys_the_presence_discipline_and_product_identity():
@@ -106,7 +104,7 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
         planted = int(relmodel.PLANTED[code])
         assert planted ^ code in (0, 8)
         assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
-    every = relmodel.TrialBatch(LFConfig(), np.arange(64, dtype=np.uint8))
+    every = batch_of(range(64))
     assert every.rows(64) == [reference_row(every, code) for code in range(64)]
     assert every.rows_json(64) == json.dumps(every.rows(64), sort_keys=True,
                                              separators=(",", ":"))
@@ -116,7 +114,8 @@ def test_run_trial_presence_discipline_per_choice_pair():
     for pair in PAIR_IDS:
         b_choice, d_choice = CHOICE[pair[0]], CHOICE[pair[1]]
         batch = runs_of_pair(pair, 50, 0)
-        assert batch.code.dtype == np.uint8 and not batch.code.flags.writeable
+        assert batch.first.dtype == np.uint8 and not batch.first.flags.writeable
+        assert batch.histogram.dtype == np.int64 and not batch.histogram.flags.writeable
         assert not any(table.flags.writeable for table in relmodel.TABLES.values())
         rows = batch.rows(len(batch))
         assert {r["a_internal"] for r in rows} == {r["c_internal"] for r in rows} == {1, -1}
@@ -139,18 +138,18 @@ def test_run_trial_presence_discipline_per_choice_pair():
 def test_record_validation_catches_broken_invariants():
     batch = relmodel.simulate_batch(LFConfig(), 2000, 6)
     assert relmodel.audit(batch)[0][0]["observed"] == 0.0
-    pair = batch.code >> 4
-    b_asks, d_asks = (pair <= 1), (pair % 2 == 0)  # AC, AD; AC, BC
     t = relmodel.TABLES
+    b_asks, d_asks = (t["k"] <= 1), (t["k"] % 2 == 0)  # AC, AD; AC, BC
+    drawn = batch.histogram > 0
     broken = [("Ar", b_asks, lambda c: -t["Ar"][c]),            # relation flipped
               ("A", ~b_asks, lambda c: 1),                      # supermeasured wing with A
-              ("Ci", np.ones(len(batch), bool), lambda c: 0),   # internal value of 0
+              ("Ci", np.ones(64, bool), lambda c: 0),           # internal value of 0
               ("D", d_asks, lambda c: -1)]                      # asked wing with a super outcome
     codes, tables, expected = [], {}, 0
     for name, where, value in broken:
-        code = next(int(c) for c in batch.code[where] if c not in codes)
+        code = next(int(c) for c in np.flatnonzero(where & drawn) if c not in codes)
         codes.append(code)
-        runs = int((batch.code == code).sum())
+        runs = int(batch.histogram[code])
         table = edited(t[name], code, value(code))
         assert audit_with(batch, **{name: table})[0][0]["observed"] == runs
         tables[name], expected = table, expected + runs
@@ -175,23 +174,11 @@ def test_simulate_batch_same_seed_identical():
     cfg = LFConfig()
     b1 = relmodel.simulate_batch(cfg, 3000, 17)
     b2 = relmodel.simulate_batch(cfg, 3000, 17)
-    assert same_runs(b1, b2)
-    assert b1.rows(len(b1)) == b2.rows(len(b2))
+    assert np.array_equal(b1.histogram, b2.histogram)
+    assert np.array_equal(b1.first, b2.first)
+    assert b1.rows(relmodel.ROWS) == b2.rows(relmodel.ROWS)
     b3 = relmodel.simulate_batch(cfg, 3000, 18)
-    assert not same_runs(b1, b3)
-
-
-def test_simulate_batch_chunk_aligned_prefix_stability():
-    # full chunks are seeded independently of the total size, so a
-    # chunk-aligned shorter run is an exact prefix of a longer one
-    cfg = LFConfig()
-    small = relmodel.simulate_batch(cfg, relmodel.CHUNK, 5)
-    large = relmodel.simulate_batch(cfg, relmodel.CHUNK + 4000, 5)
-    assert len(large) == relmodel.CHUNK + 4000
-    assert same_runs(large, small, stop=relmodel.CHUNK)
-    rows = large.rows(relmodel.CHUNK)
-    assert rows[relmodel.CHUNK - 1] == small.rows(relmodel.CHUNK)[relmodel.CHUNK - 1]
-    assert rows[relmodel.CHUNK - 1] == reference_row(small, relmodel.CHUNK - 1)
+    assert not np.array_equal(b1.first, b3.first)
 
 
 def test_simulate_batch_rejects_bad_inputs():
@@ -202,23 +189,51 @@ def test_simulate_batch_rejects_bad_inputs():
         relmodel.simulate_batch(cfg, 10, -1)
 
 
-def test_pair_draw_is_rng_choice_of_four_uniform():
-    # floor(4u) takes the same doubles as rng.choice(4, p=[1/4] * 4) and leaves
-    # the generator in the same state
-    for seed in range(5):
-        for m in (1, relmodel.CHUNK - 1, relmodel.CHUNK, relmodel.CHUNK + 1):
-            by_choice, by_floor = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(by_choice.choice(4, size=m, p=[0.25] * 4),
-                                  (by_floor.random(m) * 4).astype(np.int8))
-            assert np.array_equal(by_choice.random(3), by_floor.random(3))
+# seeds per distributional property, and the standard errors its means may be off
+SEEDS, K = 2000, 5.0
 
 
-def test_simulate_batch_matches_reference_draws():
+def test_simulate_batch_histogram_is_multinomial():
+    # over SEEDS seeds each code's mean count and each two codes' covariance
+    # match Multinomial(n, p): within K standard errors, the covariance's from
+    # the normal approximation Var = (s_ii s_jj + s_ij^2) / S; at angles where
+    # no code has probability 0, so every code is tested
     cfg = LFConfig(10.0, 80.0, 35.0, 170.0)
-    for seed in (0, 1, 5):
-        for n in (1, relmodel.CHUNK - 1, relmodel.CHUNK, relmodel.CHUNK + 1):
-            assert np.array_equal(relmodel.simulate_batch(cfg, n, seed).code,
-                                  reference_codes(cfg, n, seed))
+    p = code_probabilities(cfg)
+    assert (p > 0).all()
+    for n in (relmodel.ROWS, relmodel.ROWS + 1, 4 * 10 ** 4):
+        counts = np.array([relmodel.simulate_batch(cfg, n, seed).histogram
+                           for seed in range(SEEDS)])
+        assert (counts.sum(axis=1) == n).all()
+        mean, cov = n * p, n * (np.diag(p) - np.outer(p, p))
+        assert (abs(counts.mean(axis=0) - mean) <= K * np.sqrt(np.diag(cov) / SEEDS)).all()
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / SEEDS)
+        assert (abs(np.cov(counts, rowvar=False) - cov) <= K * se).all()
+
+
+def test_first_rows_are_drawn_from_p_in_uniform_order():
+    # the first min(n, ROWS) runs are the first runs of the batch: counted in
+    # its histogram, each code as often as p says over SEEDS seeds, and in a
+    # uniformly random order: of two runs with distinct codes at positions
+    # i < j, the one with the smaller code comes first half the time
+    cfg = LFConfig(10.0, 80.0, 35.0, 170.0)
+    p = code_probabilities(cfg)
+    for n in (5, relmodel.ROWS, 3 * relmodel.ROWS):
+        r = min(n, relmodel.ROWS)
+        positions = ((0, 1), (0, r - 1), (r - 2, r - 1))
+        freq, smaller_first, distinct = np.zeros(64), np.zeros(3), np.zeros(3)
+        for seed in range(SEEDS):
+            batch = relmodel.simulate_batch(cfg, n, seed)
+            assert len(batch.first) == r and len(batch) == n
+            first = np.bincount(batch.first, minlength=64)
+            assert (first <= batch.histogram).all()
+            freq += first
+            a, b = (batch.first[list(pos)].astype(int) for pos in zip(*positions))
+            smaller_first += a < b
+            distinct += a != b
+        se = np.sqrt(p * (1 - p) / (SEEDS * r))
+        assert (abs(freq / (SEEDS * r) - p) <= K * se).all()
+        assert (abs(smaller_first / distinct - 0.5) <= K * np.sqrt(0.25 / distinct)).all()
 
 
 def test_supermeasured_pair_matches_born_correlator():
@@ -258,7 +273,7 @@ TABLE = st.lists(SIGNED, min_size=64, max_size=64)
 @example([5, 17, 63], [0] * 64, [1] * 64)
 def test_empirical_pair_table_is_a_plain_count(codes, x, y):
     # arbitrary code columns read through arbitrary Ai and Ci tables
-    batch = relmodel.TrialBatch(LFConfig(), np.array(codes, np.uint8))
+    batch = batch_of(codes)
     runs = [(x[c], y[c]) for c in codes]
     counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
     with mock.patch.dict(relmodel.TABLES, Ai=np.array(x, np.int8), Ci=np.array(y, np.int8)):
@@ -290,18 +305,68 @@ def test_choice_independence_flags_planted_dependence():
     batch = relmodel.simulate_batch(cfg, 20000, 4)
     # force the internal outcome to +1 on asked runs (AC, AD): clear the Ai
     # bit of their codes; the relation follows, keeping the product identity
-    asked = batch.code >> 4 <= 1
-    bad = dataclasses.replace(batch, code=np.where(asked, batch.code & 0xF7, batch.code))
+    codes = np.arange(64, dtype=np.uint8)
+    bad = remapped(batch, np.where(codes >> 4 <= 1, codes & 0xF7, codes))
     assert relmodel.audit(bad)[0][0]["observed"] == 0.0
     report = relmodel.check_choice_independence(bad)
-    assert report["flags"]
-    assert any(f["wing"] == "alice" for f in report["flags"])
+    assert [f["wing"] for f in report["flags"]] == ["alice"]
+    flag = report["flags"][0]
+    assert flag["df"] == 3 and flag["statistic"] > flag["critical"]
+    assert flag["critical"] == statlab.chi2_critical(relmodel.INDEPENDENCE_ALPHA / 2, 3)
 
 
 def test_choice_independence_needs_variation():
     batch = runs_of_pair("AC", 1000, 2)
     with pytest.raises(InsufficientDataError):
         relmodel.check_choice_independence(batch)
+
+
+def biased_probabilities(delta):
+    """P(code) at the default angles when Alice's internal outcome is +1 with
+    probability 1/2 + delta on the ask/ask runs (AC) and 1/2 elsewhere."""
+    p = code_probabilities(LFConfig())
+    p[:16] *= np.where(np.arange(16) & 8, 1 - 2 * delta, 1 + 2 * delta)
+    return p
+
+
+def test_choice_independence_false_alarm_rate_is_alpha():
+    # clean 4e4-run batches: the gate flags at most INDEPENDENCE_ALPHA of them
+    # (2 expected of 2000; 10 or more has probability below 1e-4), and each
+    # wing's statistic exceeds its 5% critical value on 5% of the batches
+    batches, alpha = 2000, relmodel.INDEPENDENCE_ALPHA
+    assert alpha == 1e-3
+    at_5_percent, x = 0, statlab.chi2_critical(0.05, 3)
+    flagged = 0
+    for seed in range(batches):
+        report = relmodel.check_choice_independence(
+            relmodel.simulate_batch(LFConfig(), 4 * 10 ** 4, seed))
+        flagged += bool(report["flags"])
+        for wing in report["stats"].values():
+            columns = [(s["n_plus"], s["n"] - s["n_plus"]) for s in wing.values()]
+            at_5_percent += statlab.homogeneity(columns, 0.05)["statistic"] > x
+    assert flagged < 10
+    wings = 2 * batches
+    assert abs(at_5_percent - 0.05 * wings) <= K * math.sqrt(wings * 0.05 * 0.95)
+
+
+def test_choice_independence_flags_the_planted_violation_at_every_seed():
+    for n in (100, 4 * 10 ** 4):
+        for seed in range(100):
+            report = relmodel.check_choice_independence(
+                relmodel.simulate_batch(LFConfig(), n, seed).planted())
+            assert "alice" in [f["wing"] for f in report["flags"]], (n, seed)
+
+
+def test_choice_independence_has_power_against_a_small_bias():
+    # Alice's internal outcome +1 with probability 0.515 on the ask/ask runs
+    # only: at 4e5 runs the gate flags her wing on every one of 200 batches
+    p = biased_probabilities(0.015)
+    assert sum(p) == pytest.approx(1.0, abs=1e-12)
+    for seed in range(200):
+        histogram = relmodel.draw_counts(p, 4 * 10 ** 5, np.random.default_rng(seed))
+        batch = relmodel.TrialBatch(LFConfig(), histogram, np.zeros(0, np.uint8))
+        flags = relmodel.check_choice_independence(batch)["flags"]
+        assert "alice" in [f["wing"] for f in flags], seed
 
 
 def test_rows_are_the_first_runs_in_record_field_order():
@@ -323,7 +388,7 @@ def test_jsonl_serialization_round_trips_values():
         assert obj["b_choice"] in ("ask", "super")
         # 0 in a table is null in the row; every other value is the table's
         for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):
-            value = int(relmodel.TABLES[name][batch.code[i]])
+            value = int(relmodel.TABLES[name][batch.first[i]])
             assert obj[field] == (value or None)
 
 
@@ -337,12 +402,12 @@ def test_audit_checks_in_order_and_catches_broken_records():
         + ["internal joint cells vs 1/4", "choice-independence flags"])
     assert all(c["pass"] for c in checks)
     assert sum(internal) == 20000 and not independence["flags"]
-    # flip the relation of the first asked run's code: the product identity
+    # flip the relation of the first asked code drawn: the product identity
     # breaks on exactly the runs with that code
-    code = int(batch.code[np.flatnonzero(batch.code >> 4 <= 1)[0]])
+    code = int(np.flatnonzero((relmodel.TABLES["k"] <= 1) & (batch.histogram > 0))[0])
     relation = edited(relmodel.TABLES["Ar"], code, -relmodel.TABLES["Ar"][code])
     checks, _, _ = audit_with(batch, Ar=relation)
-    assert checks[0]["observed"] == (batch.code == code).sum() and not checks[0]["pass"]
+    assert checks[0]["observed"] == batch.histogram[code] and not checks[0]["pass"]
 
 
 PP, PA, NO_M2 = (scenarios.ROVELLI_RECORDS.index(r) for r in ("PP", "PA", "noM2"))
@@ -386,31 +451,43 @@ def test_rovelli_first_outcome_balanced():
     assert abs(plus / n - 0.5) < 0.02
 
 
-class _Draws:
-    """A generator stand-in: each `random` call returns the next given
-    uniforms, and `integers` returns zeros."""
-
-    def __init__(self, *draws):
-        self.draws = iter(draws)
-
-    def random(self, n):
-        return np.array(next(self.draws))[:n]
-
-    def integers(self, low, high, size):
-        return np.zeros(size, np.int64)
-
-
-def test_a_uniform_in_the_round_off_tail_never_draws_a_zero_cell(monkeypatch):
+def test_a_uniform_in_the_round_off_tail_never_draws_a_zero_cell():
     # BC's cells 0 and 3 have probability 0, and its float sum stops short of
-    # 1 - 2**-53; one run per pair draws that uniform
+    # 1 - 2**-53; the multinomial gives that round-off tail to the table's last
+    # positive code, so no run of any batch size has a zero-probability code
     cfg = LFConfig(0, 90, 270, 135)
     born = scenarios.born_tables(cfg)
     assert born["BC"][3] == 0.0 and sum(born["BC"]) < 1 - 2 ** -53
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _Draws(np.arange(4) / 4, [1 - 2 ** -53] * 4))
-    codes = relmodel.simulate_batch(cfg, 4, 0).code.tolist()
-    assert [code >> 4 for code in codes] == [0, 1, 2, 3]
-    assert all(born[PAIR_IDS[code >> 4]][code & 3] > 0 for code in codes)
+    zero = code_probabilities(cfg) == 0
+    assert zero.sum() == 8  # BC's two zero cells, under each of 4 internal outcome pairs
+    for n in (1, relmodel.ROWS, relmodel.ROWS + 1, 10 ** 6, 10 ** 18, 2 ** 63 - 1):
+        for seed in range(5):
+            batch = relmodel.simulate_batch(cfg, n, seed)
+            assert len(batch) == n and not batch.histogram[zero].any()
+            assert not zero[batch.first].any()
+
+
+def test_audit_counts_are_exact_at_the_largest_batch():
+    # every count is an int64 sum, so the four pairs' qualifying runs, the
+    # internal joint and the independence stats each add up to n exactly
+    n = 2 ** 63 - 1
+    batch = relmodel.simulate_batch(LFConfig(), n, 0)
+    tables, _ = relmodel.observed_pair_checks(batch)
+    checks, internal, independence = relmodel.audit(batch)
+    assert sum(map(sum, tables)) == sum(internal) == n
+    for wing in independence["stats"].values():
+        assert sum(s["n"] for s in wing.values()) == n
+    assert all(c["pass"] for c in checks)
+    planted = batch.planted()
+    assert len(planted) == n and sum(relmodel.audit(planted)[1]) == n
+
+
+def test_planted_violation_remaps_every_run():
+    batch = relmodel.simulate_batch(LFConfig(), 3 * relmodel.ROWS, 1)
+    planted = batch.planted()
+    assert np.array_equal(planted.first, relmodel.PLANTED[batch.first])
+    assert np.array_equal(planted.histogram, remapped(batch, relmodel.PLANTED).histogram)
+    assert len(planted) == len(batch) and planted.histogram.dtype == np.int64
 
 
 # stacks of 1-4 tables of 2-4 cells, each given as integer weights (some 0)
@@ -434,23 +511,15 @@ def _tables(weighted) -> np.ndarray:
 
 # derandomized so the suite's run time and outcome do not vary between runs
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(WEIGHTED_TABLES, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
-def test_draw_cells_matches_the_searchsorted_sampler(weighted, uniforms):
-    # each uniform is drawn from every table, interleaved; the uniforms include
-    # both ends of [0, 1), every cumulative probability and the float below it
-    tables = _tables(weighted)
-    cdf = np.cumsum(tables, axis=1).ravel()
-    u = np.array([0.0, np.nextafter(1.0, 0.0), *uniforms, *cdf, *np.nextafter(cdf, 0.0)])
-    u = np.repeat(u[u < 1.0], len(tables))
-    which = np.tile(np.arange(len(tables)), len(u) // len(tables))
-    out = np.full(len(u), 7, dtype=np.uint8)  # draw_cells adds each cell in place
-    cells = relmodel.draw_cells(tables, which, u, out)
-    assert cells is out
-    want = np.empty(len(u), dtype=np.intp)
-    for t, table in enumerate(tables):
-        want[which == t] = sample_outcomes(table, u[which == t])
-    assert (cells - 7).tolist() == want.tolist()
-    assert (tables[which, cells - 7] > 0).all()
+@given(WEIGHTED_TABLES, st.sampled_from([1, 7, 10 ** 6, 10 ** 18, 2 ** 63 - 1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_draw_counts_gives_the_round_off_tail_to_a_positive_cell(weighted, n, seed):
+    # tables that sum to 1 give or take a few ulps, at batch sizes up to 2**63 - 1
+    rng = np.random.default_rng(seed)
+    for table in _tables(weighted):
+        counts = relmodel.draw_counts(table, n, rng)
+        assert counts.dtype == np.int64 and sum(counts.tolist()) == n
+        assert not counts[table == 0].any()
 
 
 def rovelli_cell_probabilities(cfg, records):

@@ -7,11 +7,13 @@ import pytest
 from friendlab.statlab import (
     PAIR_CELLS,
     check,
+    chi2_critical,
     chsh,
     chsh_estimate,
     correlation_estimate,
     correlator,
     freqs,
+    homogeneity,
     total_variation,
 )
 
@@ -125,3 +127,50 @@ def test_tolerance_report():
     assert check("count", 3, 0.0) == {"name": "count", "metric": "abs-diff",
                                       "observed": 3.0, "threshold": 0.0,
                                       "pass": False, "n": 0}
+
+
+# chi-squared critical values (upper quantiles) from the standard tables:
+# {df: {alpha: x with P(X > x) = alpha}}
+CHI2_TABLE = {1: {0.05: 3.8415, 0.01: 6.6349, 0.001: 10.8276},
+              2: {0.05: 5.9915, 0.01: 9.2103, 0.001: 13.8155},
+              3: {0.05: 7.8147, 0.01: 11.3449, 0.001: 16.2662}}
+
+
+def test_chi2_critical_matches_tabulated_values():
+    for df, row in CHI2_TABLE.items():
+        for alpha, x in row.items():
+            assert chi2_critical(alpha, df) == pytest.approx(x, abs=5e-5)
+    # df = 2 has the closed form -2 ln(alpha)
+    assert chi2_critical(5e-4, 2) == pytest.approx(-2 * math.log(5e-4), rel=1e-14)
+    with pytest.raises(KeyError):  # closed forms for 1 to 3 degrees of freedom only
+        chi2_critical(0.05, 4)
+
+
+def test_homogeneity_statistic():
+    # 2 x 2: rows (15, 25) over columns of 20 give expected 7.5 and 12.5, and
+    # each cell is off by 2.5: 2 * 2.5^2 / 7.5 + 2 * 2.5^2 / 12.5 = 8/3
+    test = homogeneity([(10, 10), (5, 15)], 0.05)
+    assert test["statistic"] == pytest.approx(8 / 3, rel=1e-15)
+    assert test["df"] == 1 and test["critical"] == chi2_critical(0.05, 1)
+    # equal proportions give 0, and so does an empty row
+    assert homogeneity([(3, 9), (1, 3), (5, 15)], 0.05)["statistic"] == 0.0
+    assert homogeneity([(4, 0), (7, 0)], 0.05)["statistic"] == 0.0
+    assert homogeneity([(1, 2)] * 4, 0.01)["df"] == 3
+
+
+def test_homogeneity_is_exact_at_any_total():
+    # the statistic grows with the total at fixed proportions; each term is an
+    # int ratio, so columns scaled by 2**60 (past any float64 count) give the
+    # scaled statistic to the last few ulps
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        columns = [tuple(int(c) for c in rng.integers(1, 1000, 2)) for _ in range(4)]
+        small = homogeneity(columns, 0.01)["statistic"]
+        big = homogeneity([(a << 60, b << 60) for a, b in columns], 0.01)["statistic"]
+        assert big == pytest.approx(small * 2 ** 60, rel=1e-14)
+        # and it is Pearson's sum of (O - E)^2 / E over the eight cells
+        rows = [sum(c[i] for c in columns) for i in (0, 1)]
+        total = sum(rows)
+        pearson = sum((o - r * sum(c) / total) ** 2 / (r * sum(c) / total)
+                      for c in columns for o, r in zip(c, rows))
+        assert small == pytest.approx(pearson, rel=1e-12)
