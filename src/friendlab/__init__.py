@@ -8,8 +8,8 @@ Modules, none importing one listed below it, each imported on first use:
   frequencies, TV distance, estimators, pass/fail check dicts;
 * marginal_polytope -- exact feasibility of pairwise targets by Fine's gluing
   in integer counts, each verdict checked by its witness or certificate;
-* hilbert -- dense state-vector engine (named tensor factors, unitaries,
-  the Born probabilities of computational-basis readings);
+* hilbert -- dense state-vector engine in Python numbers (named tensor
+  factors, unitaries, the Born probabilities of computational-basis readings);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
   and sequential-measurement experiments, and the circuit's exact targets;
 * relmodel -- Born sampling, Monte Carlo runs of the frame-relational model

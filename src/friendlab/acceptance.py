@@ -5,6 +5,7 @@ additionally enforces the runtime budgets."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -95,19 +96,16 @@ def _scenario_states() -> list[tuple[str, object]]:
     return out
 
 
-def _random_orientation_unitary(rng: np.random.Generator) -> np.ndarray:
+def _random_orientation_unitary(rng: np.random.Generator) -> tuple[tuple[complex, ...], ...]:
     """Haar U(2) in Python scalar arithmetic (no LAPACK): a normalized
     Gaussian 4-vector is a uniform (a, b) on S^3, so [[a, -b*], [b, a*]] is
     Haar on SU(2) (Mezzadri 2007), times a uniform phase."""
     x = rng.standard_normal(4).tolist()
-    phi = 2.0 * math.pi * rng.random()
+    phase = cmath.exp(2j * math.pi * rng.random())
     n = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
     ar, ai, br, bi = (v / n for v in x)
-    c, s = math.cos(phi), math.sin(phi)
-
-    def phased(re: float, im: float) -> complex:  # e^{i phi} (re + i im), in floats
-        return complex(c * re - s * im, c * im + s * re)
-    return np.array([[phased(ar, ai), phased(-br, bi)], [phased(br, bi), phased(ar, -ai)]])
+    return ((phase * complex(ar, ai), phase * complex(-br, bi)),
+            (phase * complex(br, bi), phase * complex(ar, -ai)))
 
 
 def criterion_4(seed: int) -> dict:
@@ -151,7 +149,7 @@ def criterion_5(seed: int) -> dict:
         checks.append(statlab.check(f"state {own}: witness vs 1",
                                     abs(sr["interference_witness"] - 1.0), 1e-10))
     no_m2 = scenarios.build_rovelli_states(cfg)[2]  # Y along 90 degrees reads +1
-    y_90 = apply(rotation_matrix(90.0).conj().T, no_m2, ("Y",))
+    y_90 = apply(rotation_matrix(-90.0), no_m2, ("Y",))
     ready_plus = born_distribution(y_90, ("Y",))[0]  # cell 0 reads +1
     checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
                                 abs(ready_plus - 1.0), 1e-10))

@@ -163,7 +163,7 @@ def cmd_basic(args: argparse.Namespace) -> int:
     report = {
         "command": "basic",
         "amplitudes": {"a": a, "b": b},
-        "entangled_amps": [[float(x.real), float(x.imag)] for x in state.amps],
+        "entangled_amps": [[x.real, x.imag] for x in state.amps],
         "born_S": born,
     }
     equal_weights = abs(abs(a) - abs(b)) <= 1e-9

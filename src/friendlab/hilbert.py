@@ -1,29 +1,29 @@
-"""Minimal dense state-vector engine over named tensor factors.
+"""Minimal dense state-vector engine over named tensor factors, in Python numbers.
 
-Everything is immutable: states are frozen after construction, and every
-operation returns a fresh value.  A unitary is a plain matrix on named
-factors, and `apply(matrix, state, on)` is the state it makes.  No float
-that reaches a report passes through BLAS or LAPACK: `apply` and
-`StateVector.inner` multiply split real and imaginary parts elementwise and
-sum them with numpy in an order this module fixes, so every report is the
-same bytes whichever kernels numpy and its BLAS pick for the CPU.  A
-measurement is a frame change, which is such a unitary, followed by a
-computational-basis reading of named factors; a reading of distinct factors
-is complete and orthogonal by its type, so no projector is ever built or
-checked.  The engine is deliberately dense and small; the scenarios built on
-top of it never need more than 24 dimensions.  A reading's Born
-probabilities come from `born_distribution(state, read)` alone, and this
-module draws no random numbers: callers name the outcomes, and
-`relmodel` samples them (`draw_counts`).
+Everything is immutable: a state's amplitudes are a tuple of complex, and
+every operation returns a fresh value.  A unitary is a matrix on named
+factors, rows of numbers that each go through `complex()`, and
+`apply(matrix, state, on)` is the state it makes.  Every sum that reaches a
+report is `acc += term` from zero in index order (m[i][j] * t[j] over j in
+`apply`, a.real**2 + a.imag**2 per basis state in `born_distribution`,
+a.conjugate() * b in `StateVector.inner`), never the float `sum()` that
+Python 3.12 made compensated, so every report is the same bytes on every
+CPU.  A measurement is a frame change, which is such a unitary, followed by
+a computational-basis reading of named factors; a reading of distinct
+factors is complete and orthogonal by its type, so no projector is ever
+built or checked.  The scenarios built on this engine never need more than
+24 dimensions.  A reading's Born probabilities come from
+`born_distribution(state, read)` alone, and this module draws no random
+numbers: callers name the outcomes, and `relmodel` samples them.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 ATOL = 1e-10
 
@@ -71,73 +71,71 @@ class FactorLayout:
 @dataclass(frozen=True)
 class StateVector:
     layout: FactorLayout
-    amps: np.ndarray = field(repr=False)
+    amps: tuple[complex, ...] = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1).copy()
-        if amps.shape[0] != self.layout.dim:
+        amps = tuple(map(complex, self.amps))
+        if len(amps) != self.layout.dim:
             raise LayoutError("amplitude length does not match layout dimension")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not all(map(cmath.isfinite, amps)):
             raise ValueError("amplitudes must be finite")
-        norm = math.sqrt(np.square(amps.view(np.float64)).sum())
+        # a check only: this norm reaches no report
+        norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     @classmethod
     def from_terms(cls, layout: FactorLayout, terms: dict[tuple[int, ...], complex]) -> "StateVector":
-        amps = np.zeros(layout.dims, dtype=np.complex128)
-        for assignment, amp in terms.items():
-            if len(assignment) != len(layout.dims) or not all(
-                    0 <= v < d for v, d in zip(assignment, layout.dims)):
-                raise LayoutError(f"basis state {assignment} does not fit dims {layout.dims}")
-            amps[tuple(assignment)] = amp
-        return cls(layout, amps)
+        basis = list(itertools.product(*map(range, layout.dims)))  # in index order
+        outside = set(terms) - set(basis)
+        if outside:
+            raise LayoutError(f"basis states {outside} do not fit dims {layout.dims}")
+        return cls(layout, [terms.get(values, 0j) for values in basis])
 
     def inner(self, other: "StateVector") -> complex:
         if self.layout != other.layout:
             raise LayoutError("inner product requires identical layouts")
-        # the four sums of split-part products [[rr, ri], [ir, ii]], in numpy
-        (rr, ri), (ir, ii) = (self.amps.view(np.float64).reshape(-1, 2, 1)
-                              * other.amps.view(np.float64).reshape(-1, 1, 2)).sum(axis=0).tolist()
-        return complex(rr + ii, ri - ir)
-
-
-def apply(matrix: np.ndarray, state: StateVector, on: tuple[str, ...]) -> StateVector:
-    """The state `matrix` makes of `state`, acting on the factors `on`, in
-    that order, and as the identity elsewhere: the `on` axes move to the
-    front and out[i] = sum_j m[i, j] * t[j] is a broadcast multiply and a sum
-    over j, in split real and imaginary float64 parts (no BLAS, and no SIMD
-    complex multiply, which may fuse a multiply-add).  The returned state's
-    norm check refuses a non-unitary's output."""
-    layout = state.layout
-    axes = tuple(layout.axis(n) for n in on)
-    dims = layout.dims
-    d = math.prod(dims[a] for a in axes)
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (d, d) or len(set(axes)) != len(axes):
-        raise LayoutError(f"matrix shape {m.shape} does not fit factors {tuple(on)} (dim {d})")
-    perm = axes + tuple(a for a in range(len(dims)) if a not in axes)
-    t = state.amps.reshape(dims).transpose(perm).reshape(1, d, -1)
-    m = m[:, :, None]
-    out = np.empty((d, t.shape[2]), dtype=np.complex128)
-    out.real = (m.real * t.real - m.imag * t.imag).sum(axis=1)
-    out.imag = (m.real * t.imag + m.imag * t.real).sum(axis=1)
-    moved = out.reshape(tuple(dims[a] for a in perm))
-    return StateVector(layout, moved.transpose(tuple(perm.index(a) for a in range(len(dims)))))
+        acc = 0j
+        for a, b in zip(self.amps, other.amps):
+            acc += a.conjugate() * b
+        return acc
 
 
 @functools.cache
-def _reading(layout: FactorLayout, read: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """The axes of the squared amplitudes that a reading of `read` sums
-    (every factor not read, and the real/imaginary axis last), and the order
-    of the rest.  Memoized: a reading is a pure function of its layout."""
-    axes = [layout.axis(n) for n in read]
-    if not read or len(set(read)) != len(read):
-        raise LayoutError(f"a reading needs distinct factors, got {read}")
-    return (tuple(a for a in range(len(layout.factors) + 1) if a not in axes),
-            tuple(sorted(axes).index(a) for a in axes))
+def _blocks(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The basis-state indices grouped by the factors not in `axes`: one block
+    per joint value of those, in index order, holding the index of each joint
+    value of `axes`, in that order (the first axis the most significant
+    digit).  Memoized: it is a pure function of its arguments."""
+    rest = [a for a in range(len(dims)) if a not in axes]
+    blocks: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for index, values in enumerate(itertools.product(*map(range, dims))):
+        block = blocks.setdefault(tuple(values[a] for a in rest), {})
+        block[tuple(values[a] for a in axes)] = index
+    return tuple(tuple(block[key] for key in sorted(block)) for block in blocks.values())
+
+
+def apply(matrix, state: StateVector, on: tuple[str, ...]) -> StateVector:
+    """The state `matrix` makes of `state`, acting on the factors `on`, in
+    that order, and as the identity elsewhere: in each block of `_blocks`,
+    out[i] = sum_j m[i][j] * t[j].  The returned state's norm check refuses
+    a non-unitary's output."""
+    layout = state.layout
+    axes = tuple(layout.axis(n) for n in on)
+    d = math.prod(layout.dims[a] for a in axes)
+    m = [[complex(x) for x in row] for row in matrix]
+    if len(set(axes)) != len(axes) or len(m) != d or any(len(row) != d for row in m):
+        raise LayoutError(f"a {len(m)}-row matrix does not fit factors {tuple(on)} (dim {d})")
+    out = [0j] * layout.dim
+    for block in _blocks(layout.dims, axes):
+        t = [state.amps[k] for k in block]
+        for k, row in zip(block, m):
+            acc = 0j
+            for mij, tj in zip(row, t):
+                acc += mij * tj
+            out[k] = acc
+    return StateVector(layout, out)
 
 
 def born_distribution(s: StateVector, read: tuple[str, ...]) -> tuple[float, ...]:
@@ -145,20 +143,27 @@ def born_distribution(s: StateVector, read: tuple[str, ...]) -> tuple[float, ...
     factors `read`, in that order (the first factor read is the most
     significant digit): the squared amplitudes summed over the factors not
     read."""
-    summed, order = _reading(s.layout, read)
-    sq = np.square(s.amps.view(np.float64)).reshape(s.layout.dims + (2,))
-    return tuple(sq.sum(axis=summed).transpose(order).ravel().tolist())
+    axes = tuple(s.layout.axis(n) for n in read)
+    if not read or len(set(read)) != len(read):
+        raise LayoutError(f"a reading needs distinct factors, got {read}")
+    blocks = _blocks(s.layout.dims, axes)
+    probs = [0.0] * len(blocks[0])
+    for block in blocks:
+        for i, k in enumerate(block):
+            a = s.amps[k]
+            probs[i] += a.real * a.real + a.imag * a.imag
+    return tuple(probs)
 
 
 # --- qubit conveniences ----------------------------------------------------
 #
 # Measurement angles live in the real x-z plane:
 #   R(theta) = [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]
-# and "measure along theta" means applying R(theta)^dagger and reading the
-# qubit, value 0 as +1 and 1 as -1.  Real rotations are enough to reach the
-# Tsirelson point.
+# and "measure along theta" means applying R(theta)^dagger = R(-theta) and
+# reading the qubit, value 0 as +1 and 1 as -1.  Real rotations are enough to
+# reach the Tsirelson point.
 
-def rotation_matrix(theta_degrees: float) -> np.ndarray:
+def rotation_matrix(theta_degrees: float) -> tuple[tuple[float, float], tuple[float, float]]:
     h = math.radians(theta_degrees) / 2.0
     c, s = math.cos(h), math.sin(h)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return ((c, -s), (s, c))

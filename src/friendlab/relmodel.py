@@ -45,7 +45,7 @@ INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 INDEPENDENCE_ALPHA = 1e-3  # false-alarm rate of the two wings' choice-independence tests
 
 # the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
-_READY = StateVector(FactorLayout((("q", 2),)), np.array([SQRT_HALF, SQRT_HALF]))
+_READY = StateVector(FactorLayout((("q", 2),)), (SQRT_HALF, SQRT_HALF))
 _READY_Z = np.array(born_distribution(_READY, ("q",)))
 
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
 from . import marginal_polytope as mp
 from .hilbert import ATOL, FactorLayout, StateVector, apply, born_distribution, rotation_matrix
 from .statlab import CHOICE, PAIR_IDS, correlator, sign_variants
@@ -142,20 +140,17 @@ def interference_witness(s: StateVector, branch_a: StateVector,
 
 
 @lru_cache(maxsize=8)
-def _friend_unitary(theta_degrees: float) -> np.ndarray:
+def _friend_unitary(theta_degrees: float) -> tuple[tuple[float, ...], ...]:
     """4x4 unitary on (wing particle, memory): rotate the wing by -theta,
     copy it into the memory with a controlled flip, rotate back; that is
-    P0 (x) I + P1 (x) X, with Pk the projector on column k of R(theta).
-    Memoized and read-only: the circuit and the supermeasurement share one
-    per ask angle."""
-    r = rotation_matrix(theta_degrees).real  # a real rotation
-    p0, p1 = (np.outer(r[:, k], r[:, k]) for k in (0, 1))
-    u = np.zeros((2, 2, 2, 2), dtype=np.complex128)  # (wing, memory) out, then in
-    u[:, [0, 1], :, [0, 1]] = p0  # the memory kept where the wing reads 0
-    u[:, [1, 0], :, [0, 1]] = p1  # and flipped where it reads 1
-    u = u.reshape(4, 4)
-    u.setflags(write=False)
-    return u
+    P0 (x) I + P1 (x) X, with Pk the projector on column k of R(theta).  It
+    is real and exactly symmetric, so it is its own inverse.  Memoized: the
+    circuit and the supermeasurement share one per ask angle."""
+    r = rotation_matrix(theta_degrees)
+    # row (wing a, memory out), column (wing b, memory in): Pk[a][b], k = 0
+    # where the memory is kept (the wing reads 0) and 1 where it is flipped
+    return tuple(tuple(r[a][mo != mi] * r[b][mo != mi] for b in (0, 1) for mi in (0, 1))
+                 for a in (0, 1) for mo in (0, 1))
 
 
 # per variable, its wing: the friend's (particle, memory) qubits and the
@@ -186,10 +181,11 @@ def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
     fresh config takes 8 `apply` calls."""
 
     def supermeasured(state: StateVector, var: str) -> StateVector:
-        # the friend unitary on the wing undone, the particle rotated by -super
+        # the friend unitary on the wing undone (applied again: it is its own
+        # inverse), the particle rotated by -super
         (particle, memory), ask, super_angle = _WINGS[var]
-        state = apply(_friend_unitary(getattr(cfg, ask)).conj().T, state, (particle, memory))
-        return apply(rotation_matrix(getattr(cfg, super_angle)).conj().T, state, (particle,))
+        state = apply(_friend_unitary(getattr(cfg, ask)), state, (particle, memory))
+        return apply(rotation_matrix(-getattr(cfg, super_angle)), state, (particle,))
 
     ac = lf_circuit(cfg)
     bc = supermeasured(ac, "B")
@@ -254,15 +250,11 @@ def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
     """Split a lab state into its two orientation branches (aligned, then
     flipped), each scaled by sqrt(2): orthonormal for the equal-weight
     frame-relational and sequential-scenario states."""
-    axis = state.layout.axis("orientation")
-    # scaled in split float parts, not by a complex multiply
-    t = math.sqrt(2.0) * state.amps.view(np.float64).reshape(state.layout.dims + (2,))
-    branches = []
-    for o in (0, 1):
-        sel = t.copy()
-        sel.swapaxes(0, axis)[1 - o] = 0.0  # drop the other orientation
-        branches.append(StateVector(state.layout, sel.view(np.complex128)))
-    return branches[0], branches[1]
+    layout = state.layout
+    stride = math.prod(layout.dims[layout.axis("orientation") + 1:])  # of the orientation digit
+    aligned, flipped = ([math.sqrt(2.0) * a if k // stride % 2 == o else 0j
+                         for k, a in enumerate(state.amps)] for o in (0, 1))
+    return StateVector(layout, aligned), StateVector(layout, flipped)
 
 
 @lru_cache(maxsize=2)

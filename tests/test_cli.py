@@ -167,6 +167,13 @@ def test_born_reports_at_other_angles_are_pinned(capsys, angles):
     assert code == cli.EXIT_PASS and sha256(out) == feasibility_pin
 
 
+def child_env(**extra):
+    """The environment of a child interpreter that imports this checkout's src."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # per variable, a setting that makes numpy round differently from this host's
 # defaults: OpenBLAS's oldest x86-64 kernel, and numpy without its AVX2 and
 # AVX-512 loops
@@ -176,11 +183,9 @@ OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "X
 @pytest.mark.parametrize("var", sorted(OTHER_KERNELS))
 def test_reports_are_the_same_bytes_under_other_cpu_kernels(var):
     # numpy reads these variables once, at import, so each run is a child
-    # process; no float that reaches a report passes through BLAS, LAPACK or a
-    # SIMD complex multiply, so the pinned bytes must not move
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, var: OTHER_KERNELS[var],
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # process; the Born arithmetic is Python numbers, and what numpy still
+    # computes, the draws and their integer sums, must give the pinned bytes too
+    env = child_env(**{var: OTHER_KERNELS[var]})
     runs = [(ACCEPT_42_SHA256, ["accept", "--seed", "42"]),
             (REPORT_SHA256["lf 20000 0 json"], ["lf", "--trials", "20000", "--seed", "0"])]
     children = [(pin, subprocess.Popen([sys.executable, "-m", "friendlab.cli", *argv,
@@ -222,13 +227,30 @@ else:
 def test_deciding_a_targets_file_loads_no_numpy(tmp_path):
     targets = tmp_path / "targets.json"
     targets.write_text(json.dumps(GRID_TARGETS))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", NUMPY_FREE_START, str(targets)],
-                           env=env, capture_output=True, text=True, timeout=60)
+                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout)["joint_4"]["feasible"]
+
+
+# run in a fresh interpreter: the state-vector engine is Python numbers, so
+# asking the circuit's own question and building the sealed lab load no numpy
+NUMPY_FREE_ENGINE = """
+import sys
+from friendlab import cli
+assert cli.main(["feasibility", "--from-angles", "--format", "json"]) == 0
+assert cli.main(["basic", "--format", "json"]) == 0
+assert "numpy" not in sys.modules
+"""
+
+
+def test_the_circuit_and_the_sealed_lab_load_no_numpy():
+    child = subprocess.run([sys.executable, "-c", NUMPY_FREE_ENGINE],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    from_angles, basic = child.stdout.splitlines(keepends=True)
+    assert sha256(from_angles) == REPORT_SHA256["feasibility from-angles json"]
+    assert json.loads(basic)["frame_relational"]["interference_witness"] == pytest.approx(1.0)
 
 
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):

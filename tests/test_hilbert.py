@@ -41,7 +41,7 @@ def test_state_requires_normalization():
 
 def test_from_terms_refuses_a_basis_state_outside_the_layout():
     layout = FactorLayout((("a", 2), ("b", 3)))
-    assert StateVector.from_terms(layout, {(1, 2): 1.0}).amps.tolist() == [0, 0, 0, 0, 0, 1]
+    assert StateVector.from_terms(layout, {(1, 2): 1.0}).amps == (0, 0, 0, 0, 0, 1)
     for assignment in ((1,), (0, 1, 0), (0, 3), (-1, 0)):
         with pytest.raises(LayoutError):
             StateVector.from_terms(layout, {assignment: 1.0})
@@ -118,7 +118,7 @@ def test_apply_matches_kron_order(on, kron_of):
     for _ in range(5):
         s = random_state(rng, LAYOUT3)
         out = apply(m, s, on)
-        assert out.layout == LAYOUT3 and not out.amps.flags.writeable
+        assert out.layout == LAYOUT3 and isinstance(out.amps, tuple)
         np.testing.assert_allclose(out.amps, kron_of(m) @ s.amps, atol=1e-14)
 
 
@@ -194,7 +194,7 @@ def test_sampling_matches_the_per_sample_loop():
     for k in range(20):
         amps = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(2, 3)
         amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
-        s = StateVector(layout, amps / np.linalg.norm(amps))
+        s = StateVector(layout, (amps / np.linalg.norm(amps)).ravel())
         dist = born_distribution(s, ("b",))
         batched = sample(dist, 1000, np.random.default_rng(k))
         assert batched.tolist() == _loop_sample(dist, 1000, np.random.default_rng(k))
@@ -284,7 +284,7 @@ def test_angle_projectors_complete():
     amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     s = StateVector(Q, amps / np.linalg.norm(amps))
     for theta in (0.0, 30.0, 45.0, 90.0, 217.0):
-        r = rotation_matrix(theta)
+        r = np.array(rotation_matrix(theta))
         ps = [np.outer(r[:, k], r[:, k].conj()) for k in (0, 1)]
         np.testing.assert_allclose(sum(ps), np.eye(2), atol=1e-12)
         rotated = apply(r.conj().T, s, ("q",))

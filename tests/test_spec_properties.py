@@ -38,11 +38,29 @@ ANGLE_OF = {"A": "ask_a", "B": "super_a", "C": "ask_c", "D": "super_c"}
 def test_friend_unitaries_are_unitary_and_the_wings_commute(theta_a, theta_c):
     for theta in (theta_a, theta_c):
         u = _friend_unitary(theta)
+        assert isinstance(u, tuple) and all(isinstance(row, tuple) for row in u)
+        u = np.array(u)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
-        assert not u.flags.writeable
     alice = embed(_friend_unitary(theta_a), LF_LAYOUT, ("X", "MA"))
     chidi = embed(_friend_unitary(theta_c), LF_LAYOUT, ("Y", "MC"))
     assert np.abs(alice @ chidi - chidi @ alice).max() <= 1e-12
+
+
+def _bits(matrix):
+    """Each entry's float64 bits as hex, a zero's sign included."""
+    return [[float(x).hex() for x in row] for row in matrix]
+
+
+@PROPERTY
+@given(ANGLE)
+def test_frame_changes_are_undone_by_exact_transposes(theta):
+    # born_tables undoes a friend unitary by applying it again and R(theta) by
+    # applying R(-theta): the one is exactly symmetric and squares to the
+    # identity, the other is exactly the transpose
+    u = _friend_unitary(theta)
+    assert _bits(u) == _bits(zip(*u))
+    assert np.abs(np.array(u) @ np.array(u) - np.eye(4)).max() <= 1e-15
+    assert _bits(rotation_matrix(-theta)) == _bits(zip(*rotation_matrix(theta)))
 
 
 def test_a_fresh_config_builds_one_friend_unitary_per_ask_angle():
@@ -80,8 +98,8 @@ def _projectors(cfg, var):
     particle, memory, ask = WING_OF[var]
     if CHOICE[var] == "ask":
         return [embed(np.diag(np.eye(2)[k]), LF_LAYOUT, (memory,)) for k in (0, 1)]
-    u = _friend_unitary(getattr(cfg, ask))
-    r = rotation_matrix(getattr(cfg, ANGLE_OF[var]))
+    u = np.array(_friend_unitary(getattr(cfg, ask)))
+    r = np.array(rotation_matrix(getattr(cfg, ANGLE_OF[var])))
     return [embed(u @ np.kron(np.outer(r[:, k], r[:, k].conj()), np.eye(2)) @ u.conj().T,
                   LF_LAYOUT, (particle, memory)) for k in (0, 1)]
 
@@ -89,7 +107,7 @@ def _projectors(cfg, var):
 @PROPERTY
 @given(CONFIGS)
 def test_born_pair_tables_match_the_conjugated_projectors(cfg):
-    amps = lf_circuit(cfg).amps
+    amps = np.array(lf_circuit(cfg).amps)
     projectors = {var: _projectors(cfg, var) for var in "ABCD"}
     for ps in projectors.values():  # the reference is itself a complete rank-8 measurement
         assert [np.linalg.matrix_rank(p) for p in ps] == [8, 8]
@@ -107,8 +125,9 @@ def test_circuit_specs_pass_the_full_check(cfg):
     # complete measurement: four non-negative cells that sum to 1
     for var in "BD":
         _, _, ask = WING_OF[var]
-        r = rotation_matrix(getattr(cfg, ANGLE_OF[var]))
-        frame = np.kron(r.conj().T, np.eye(2)) @ _friend_unitary(getattr(cfg, ask)).conj().T
+        r = np.array(rotation_matrix(getattr(cfg, ANGLE_OF[var])))
+        u = np.array(_friend_unitary(getattr(cfg, ask)))
+        frame = np.kron(r.conj().T, np.eye(2)) @ u.conj().T
         assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-12
     for pair in PAIR_IDS:
         table = born_tables(cfg)[pair]
