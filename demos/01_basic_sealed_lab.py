@@ -7,15 +7,13 @@ form, where the friend's record is definite in every branch yet an
 interference witness on the whole lab still reads 1.
 """
 
-import numpy as np
-
 from friendlab import scenarios
 from friendlab.hilbert import born_distribution
 
 a, b = 0.6, 0.8
 state = scenarios.build_basic_wf_state(a, b)
 print(f"entangled lab state for a={a}, b={b}:")
-print(" ", np.round(state.amps, 6))
+print(" ", *(f"{amp:.6f}" for amp in state.amps))
 
 # the reading of S, value 0 labelled +1 and value 1 labelled -1
 print("Born distribution of the system qubit:",

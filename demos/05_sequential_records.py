@@ -9,11 +9,11 @@ from friendlab import relmodel
 from friendlab.scenarios import RovelliConfig
 
 n = 10000
-states, table, consistent = relmodel.rovelli_audit(RovelliConfig(), n, 0)
+states, runs = relmodel.rovelli_audit(RovelliConfig(), n, 0)
 for sr in states:
     probs = {k: round(v, 10) for k, v in sr["record_probabilities"].items()}
     print(f"state {sr['record']}: record probabilities {probs}, "
           f"witness {sr['interference_witness']:.6f}")
 
-print(f"{n} asked runs: consistency rate {consistent / n}, "
-      f"second-measurement rate {table[:, :2].sum() / n:.4f}")
+print(f"{n} asked runs: consistency rate {runs['consistent'] / n}, "
+      f"second-measurement rate {runs['second'] / n:.4f}")

@@ -137,7 +137,7 @@ def criterion_5(seed: int) -> dict:
     """The three sequential-scenario states have the displayed record
     structure, and report consistency holds on every simulated run."""
     cfg = RovelliConfig()
-    states, _, consistent = relmodel.rovelli_audit(cfg, ROVELLI_TRIALS, seed)
+    states, runs = relmodel.rovelli_audit(cfg, ROVELLI_TRIALS, seed)
     checks = []
     for sr in states:
         own, dist = sr["record"], sr["record_probabilities"]
@@ -153,7 +153,7 @@ def criterion_5(seed: int) -> dict:
     ready_plus = born_distribution(y_90, ("Y",))[0]  # cell 0 reads +1
     checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
                                 abs(ready_plus - 1.0), 1e-10))
-    checks.append(statlab.check("inconsistent reports", ROVELLI_TRIALS - consistent, 0.0,
+    checks.append(statlab.check("inconsistent reports", ROVELLI_TRIALS - runs["consistent"], 0.0,
                                 n=ROVELLI_TRIALS))
     return {"criterion": 5, "name": "rovelli-consistency", "trials": ROVELLI_TRIALS,
             "checks": checks, "pass": all(c["pass"] for c in checks)}

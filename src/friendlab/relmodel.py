@@ -9,16 +9,17 @@ internal, never pre-sampled.  A run's variables, and which exist, follow
 from its pair k (a PAIR_IDS index), its internal bits ia and ic (0 for +1, 1
 for -1) and its Born cell (a PAIR_CELLS index), so a run is one of 64 codes
 16*k + 8*ia + 4*ic + cell, read through the 64-entry TABLES of k and of each
-variable (0 where absent).  A TrialBatch is the int64 histogram of its runs'
+variable (0 where absent).  A TrialBatch is the histogram of its runs'
 codes, which the audits read, plus its first ROWS runs' codes in order, the
 report's rows (None where absent: null in JSON, an empty field in CSV).
 Both are drawn as counts, so any batch size up to 2**63 - 1 costs the same.
+numpy only draws: every code, count and table is a tuple of Python ints.
 
 The sequential scenario draws counts too: `simulate_rovelli` counts the runs
 in each (first outcome, second outcome or none, record) cell, the record
 drawn from the final state's distribution in `scenarios.rovelli_states`;
-`rovelli_audit` is the one report on it that the `rovelli` command,
-criterion 5 and the demo share.
+`rovelli_audit`, its one reader, is the one report on it that the `rovelli`
+command, criterion 5 and the demo share.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ ROWS = 1000  # runs a batch keeps in run order, the rows of a report
 VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
-_B_ASKS, _D_ASKS = (np.array([CHOICE[p[w]] == "ask" for p in PAIR_IDS]) for w in (0, 1))
+_B_ASKS, _D_ASKS = (tuple(CHOICE[p[w]] == "ask" for p in PAIR_IDS) for w in (0, 1))
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
@@ -45,8 +46,7 @@ INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 INDEPENDENCE_ALPHA = 1e-3  # false-alarm rate of the two wings' choice-independence tests
 
 # the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
-_READY = StateVector(FactorLayout((("q", 2),)), (SQRT_HALF, SQRT_HALF))
-_READY_Z = np.array(born_distribution(_READY, ("q",)))
+_READY_Z = born_distribution(StateVector(FactorLayout((("q", 2),)), (SQRT_HALF,) * 2), ("q",))
 
 
 class InsufficientDataError(ValueError):
@@ -84,62 +84,50 @@ def _decode(code: int) -> dict[str, int]:
 
 
 _DECODED = [_decode(code) for code in range(64)]
-# per code: k and each variable (read-only), its report row and the row as
-# canonical JSON (sorted keys, no whitespace)
-TABLES = {name: np.array([d[name] for d in _DECODED], np.int8) for name in ("k", *VARIABLES)}
-for _table in TABLES.values():
-    _table.setflags(write=False)
+# per code: k and each variable, its report row and the row as canonical
+# JSON (sorted keys, no whitespace)
+TABLES = {name: tuple(d[name] for d in _DECODED) for name in ("k", *VARIABLES)}
 _ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
                                   *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
 _FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
 # --planted-violation: Alice's internal outcome is +1 exactly when Bob asks
-PLANTED = np.array([c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64)], np.uint8)
-PLANTED.setflags(write=False)
-
-
-def _sums(keys: np.ndarray, runs: np.ndarray, size: int) -> np.ndarray:
-    """int64 sums of `runs` by key (exact, where np.bincount sums in float64)."""
-    out = np.zeros(size, np.int64)
-    np.add.at(out, keys, runs)
-    return out
+PLANTED = tuple(c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64))
 
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Runs as the int64 histogram of their codes plus the first runs' uint8
-    codes in order, both read-only; TABLES gives k and each variable per code."""
+    """Runs as the histogram of their 64 codes plus the first runs' codes in
+    order, both tuples of ints; TABLES gives k and each variable per code."""
 
     config: LFConfig
-    histogram: np.ndarray
-    first: np.ndarray
-
-    def __post_init__(self):
-        self.histogram.setflags(write=False)
-        self.first.setflags(write=False)
+    histogram: tuple[int, ...]
+    first: tuple[int, ...]
 
     def __len__(self) -> int:
-        return int(self.histogram.sum())
+        return sum(self.histogram)
 
     def rows(self, stop: int) -> list[dict]:
         """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
-        return [dict(_ROWS[c]) for c in self.first[:stop].tolist()]
+        return [dict(_ROWS[c]) for c in self.first[:stop]]
 
     def rows_json(self, stop: int) -> str:
         """`rows(stop)` as canonical JSON, joined from pre-encoded rows."""
-        return "[" + ",".join([_FRAGMENTS[c] for c in self.first[:stop].tolist()]) + "]"
+        return "[" + ",".join([_FRAGMENTS[c] for c in self.first[:stop]]) + "]"
 
     def planted(self) -> TrialBatch:
         """The batch with each run's code replaced by its PLANTED code."""
-        return TrialBatch(self.config, _sums(PLANTED, self.histogram, 64), PLANTED[self.first])
+        histogram = [0] * 64
+        for code, runs in enumerate(self.histogram):
+            histogram[PLANTED[code]] += runs
+        return TrialBatch(self.config, tuple(histogram), tuple(PLANTED[c] for c in self.first))
 
 
-def draw_counts(born: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """int64 counts of n draws from the probability table `born`: a multinomial
+def draw_counts(born, n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Int counts of n draws from the probability table `born`: a multinomial
     over its positive cells, unnormalized, so a zero cell never gets a count and
     the last positive cell takes the round-off tail (clipped to 1, as numpy asks)."""
-    counts, p = np.zeros(len(born), np.int64), born[born > 0]
-    counts[born > 0] = rng.multinomial(n, np.minimum(p, 1.0) if p[-1] > 1 else p)
-    return counts
+    drawn = iter(rng.multinomial(n, [min(x, 1.0) for x in born if x > 0]).tolist())
+    return tuple(next(drawn) if x > 0 else 0 for x in born)
 
 
 def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
@@ -150,13 +138,14 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     order), then those of the rest: the law of n iid runs, rows included."""
     if n < 1:  # default_rng refuses a negative seed
         raise ValueError("need at least one trial")
-    born = np.array(list(scenarios.born_tables(cfg).values()))
-    p = np.repeat(born[:, None, :] / 16, 4, axis=1).ravel()  # the 4 middle values: 2ia + ic
+    p = [x / 16 for born in scenarios.born_tables(cfg).values()
+         for _ in range(4) for x in born]  # the 4 middle values: 2ia + ic
     rng = np.random.default_rng(seed)
     counts = draw_counts(p, min(n, ROWS), rng)
-    first = np.repeat(np.arange(64, dtype=np.uint8), counts)
+    first = [code for code, runs in enumerate(counts) for _ in range(runs)]
     rng.shuffle(first)
-    return TrialBatch(cfg, counts + draw_counts(p, n - len(first), rng), first)
+    rest = draw_counts(p, n - len(first), rng)
+    return TrialBatch(cfg, tuple(a + b for a, b in zip(counts, rest)), tuple(first))
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -166,13 +155,13 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     power."""
     if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
         raise ValueError(f"unknown variable in pair {pair}")
-    x, y = TABLES[pair[0]], TABLES[pair[1]]
-    # each code's runs in the PAIR_CELLS cell of its (x, y), in bin 4 if either is 0
-    cell = np.where(x * y != 0, 2 * (x < 0) + (y < 0), 4)
-    counts = tuple(_sums(cell, batch.histogram, 5)[:4].tolist())
+    counts = [0] * 4
+    for x, y, runs in zip(TABLES[pair[0]], TABLES[pair[1]], batch.histogram):
+        if x and y:  # each code's runs in the PAIR_CELLS cell of its (x, y)
+            counts[2 * (x < 0) + (y < 0)] += runs
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
-    return counts
+    return tuple(counts)
 
 
 def check_choice_independence(batch: TrialBatch) -> dict:
@@ -183,9 +172,11 @@ def check_choice_independence(batch: TrialBatch) -> dict:
     INDEPENDENCE_ALPHA / 2, so both wings together at INDEPENDENCE_ALPHA."""
     stats, flags = {}, []
     for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
-        table = _sums(2 * TABLES["k"] + (TABLES[internal] != 1), batch.histogram, 8)
-        columns = {",".join(CHOICE[v] for v in PAIR_IDS[k]): (plus, other) for k, (plus, other)
-                   in enumerate(table.reshape(4, 2).tolist()) if plus + other}
+        table = [[0, 0] for _ in PAIR_IDS]  # per k: the runs with internal +1, the rest
+        for k, value, runs in zip(TABLES["k"], TABLES[internal], batch.histogram):
+            table[k][value != 1] += runs
+        columns = {",".join(CHOICE[v] for v in PAIR_IDS[k]): (plus, other)
+                   for k, (plus, other) in enumerate(table) if plus + other}
         if len(columns) < 2:
             raise InsufficientDataError("need at least two distinct choice pairs")
         stats[wing] = {key: {"n": a + b, "n_plus": a} for key, (a, b) in columns.items()}
@@ -209,24 +200,24 @@ def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(tables), checks
 
 
+def _wing_valid(asks: bool, outcome: int, external: int, relation: int, internal: int) -> bool:
+    """An asked wing has a relation and external = internal * relation, a
+    supermeasured wing only its super outcome."""
+    return (outcome == 0 and abs(relation) == 1 and external == internal * relation if asks
+            else abs(outcome) == 1 and external == relation == 0)
+
+
 def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
-    t = TABLES
-    # per code: both internal outcomes exist; an asked wing has a relation and
-    # external = internal * relation, a supermeasured wing only its super outcome
-    ok = (abs(t["Ai"]) == 1) & (abs(t["Ci"]) == 1)
-    for asks, outcome, external, relation, internal in (
-            (_B_ASKS[t["k"]], t["B"], t["A"], t["Ar"], t["Ai"]),
-            (_D_ASKS[t["k"]], t["D"], t["C"], t["Cr"], t["Ci"])):
-        ok &= np.where(asks, (outcome == 0) & (abs(relation) == 1)
-                       & (external == internal * relation),
-                       (abs(outcome) == 1) & (external == 0) & (relation == 0))
+    invalid = sum(runs for runs, k, ai, ci, a, b, c, d, ar, cr
+                  in zip(batch.histogram, *(TABLES[name] for name in ("k", *VARIABLES)))
+                  if not (abs(ai) == abs(ci) == 1 and _wing_valid(_B_ASKS[k], b, a, ar, ai)
+                          and _wing_valid(_D_ASKS[k], d, c, cr, ci)))
     n = len(batch)
-    invalid = int(batch.histogram[~ok].sum())
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]
     internal = empirical_pair_table(batch, ("Ai", "Ci"))
@@ -239,10 +230,10 @@ def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     return checks, internal, independence
 
 
-def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> np.ndarray:
-    """How many of n iid sequential runs end in each cell of a read-only 2x3x3
-    int64 table [first (+1, -1)][second (+1, -1, none)][record].  A second
-    outcome exists exactly when the first is the trigger; the record, in
+def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> tuple:
+    """How many of n iid sequential runs end in each cell of a 2x3x3 table,
+    ints in nested tuples [first (+1, -1)][second (+1, -1, none)][record].  A
+    second outcome exists exactly when the first is the trigger; the record, in
     ROVELLI_RECORDS order, is drawn from the run's final state, never copied
     from the run.  Draw order: first outcomes, second outcomes, then each
     final state's records."""
@@ -250,28 +241,29 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> np.ndarray:
     t = (1 - cfg.trigger) // 2  # the trigger's index on the first and second axes
     first = draw_counts(_READY_Z, n, rng)
     second = draw_counts(_READY_Z, first[t], rng)
-    table = np.zeros((2, 3, 3), np.int64)
-    for (born, _), cell, runs in zip(scenarios.rovelli_states(cfg),  # PP, PA, noM2
-                                     ((t, t), (t, 1 - t), (1 - t, 2)),
-                                     (second[t], second[1 - t], first[1 - t])):
-        table[cell] = draw_counts(np.array(born), runs, rng)
-    table.setflags(write=False)
-    return table
+    cells = {cell: draw_counts(born, runs, rng)
+             for (born, _), cell, runs in zip(scenarios.rovelli_states(cfg),  # PP, PA, noM2
+                                              ((t, t), (t, 1 - t), (1 - t, 2)),
+                                              (second[t], second[1 - t], first[1 - t]))}
+    return tuple(tuple(cells.get((i, j), (0, 0, 0)) for j in range(3)) for i in range(2))
 
 
-def rovelli_audit(cfg: RovelliConfig, n: int,
-                  seed: int) -> tuple[list[dict], np.ndarray, int]:
+def rovelli_audit(cfg: RovelliConfig, n: int, seed: int) -> tuple[list[dict], dict]:
     """The sequential scenario's report, shared by the `rovelli` command,
     criterion 5 and the demo: per final state in ROVELLI_RECORDS order, its
-    record probabilities and interference witness; the count table of
-    `simulate_rovelli`; and how many runs have a record that says a second
-    measurement happened exactly when the first outcome was the trigger."""
+    record probabilities and interference witness; and, of the runs of
+    `simulate_rovelli`, those with a second outcome ("second"), whether they
+    are exactly the trigger's runs ("second_iff_trigger"), and those whose
+    record says a second measurement happened exactly when the first outcome
+    was the trigger ("consistent")."""
     states = [{"record": record,
                "record_probabilities": dict(zip(scenarios.ROVELLI_RECORDS, born)),
                "interference_witness": witness}
               for record, (born, witness) in zip(scenarios.ROVELLI_RECORDS,
                                                  scenarios.rovelli_states(cfg))]
     table = simulate_rovelli(cfg, n, seed)
-    t = (1 - cfg.trigger) // 2  # noM2 is the last of ROVELLI_RECORDS
-    consistent = int(table[t, :, :2].sum() + table[1 - t, :, 2].sum())
-    return states, table, consistent
+    # the trigger's and the other first outcome's [second][record]; noM2 is the last record
+    trigger, other = table if cfg.trigger == 1 else table[::-1]
+    return states, {"second": sum(map(sum, trigger[:2] + other[:2])),
+                    "second_iff_trigger": not (any(trigger[2]) or any(map(any, other[:2]))),
+                    "consistent": sum(sum(r[:2]) for r in trigger) + sum(r[2] for r in other)}

@@ -24,6 +24,15 @@ PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 ODD_SIGNS = tuple(s for s in itertools.product((+1, -1), repeat=4) if math.prod(s) == -1)
 
 
+def _sum(terms):
+    """`terms` added left to right from 0, where the builtin sum() compensates
+    float rounding from Python 3.12 on and so can differ in the last bit."""
+    acc = 0
+    for term in terms:
+        acc += term
+    return acc
+
+
 def correlator(t):
     """E(xy) = P(++) - P(+-) - P(-+) + P(--) of a pair table; n*E for counts."""
     return t[0] - t[1] - t[2] + t[3]
@@ -38,7 +47,7 @@ def chsh(e):
 def sign_variants(e) -> dict:
     """sum(s * E) of the correlators in PAIR_IDS order for each of ODD_SIGNS (an
     odd number of -1); under a joint distribution each is at most 2 (Fine 1982)."""
-    return {signs: sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
+    return {signs: _sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
 
 
 def freqs(counts) -> tuple[float, ...]:
@@ -51,7 +60,7 @@ def freqs(counts) -> tuple[float, ...]:
 
 def total_variation(p, q) -> float:
     """(1/2) sum |p_i - q_i| over two pair tables of probabilities."""
-    return 0.5 * sum(abs(a - b) for a, b in zip(p, q, strict=True))
+    return 0.5 * _sum(abs(a - b) for a, b in zip(p, q, strict=True))
 
 
 def correlation_estimate(counts) -> tuple[float, float]:
@@ -96,7 +105,7 @@ def homogeneity(columns, alpha: float) -> dict:
     critical value at false-alarm rate alpha.  With row sums r and s, column
     (a, b) adds (a s - b r)^2 / ((a + b) r s), one exact int ratio."""
     r, s = (sum(col[i] for col in columns) for i in (0, 1))
-    statistic = (sum((a * s - b * r) ** 2 / ((a + b) * r * s) for a, b in columns)
+    statistic = (_sum((a * s - b * r) ** 2 / ((a + b) * r * s) for a, b in columns)
                  if r and s else 0.0)
     df = len(columns) - 1
     return {"statistic": statistic, "df": df, "critical": chi2_critical(alpha, df)}

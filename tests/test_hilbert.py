@@ -162,16 +162,16 @@ def test_born_bell_state_angle_correlation():
 
 def sample(probs, n, rng):
     """How many of n draws of one reading's outcome land in each cell."""
-    return draw_counts(np.array(probs), n, rng)
+    return draw_counts(probs, n, rng)
 
 
 def test_sampling_deterministic():
     zero = born_distribution(ket(Q, 0), ("q",))
-    assert sample(zero, 1, np.random.default_rng(0)).tolist() == [1, 0]
+    assert sample(zero, 1, np.random.default_rng(0)) == (1, 0)
     plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
     seq1 = sample(plus, 20, np.random.default_rng(123))
     seq2 = sample(plus, 20, np.random.default_rng(123))
-    assert seq1.tolist() == seq2.tolist()
+    assert seq1 == seq2 and all(type(c) is int for c in seq1)
 
 
 def _loop_sample(dist, n, rng):
@@ -197,7 +197,7 @@ def test_sampling_matches_the_per_sample_loop():
         s = StateVector(layout, (amps / np.linalg.norm(amps)).ravel())
         dist = born_distribution(s, ("b",))
         batched = sample(dist, 1000, np.random.default_rng(k))
-        assert batched.tolist() == _loop_sample(dist, 1000, np.random.default_rng(k))
+        assert batched == tuple(_loop_sample(dist, 1000, np.random.default_rng(k)))
 
 
 def test_sampling_concentration():

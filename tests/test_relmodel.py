@@ -25,33 +25,38 @@ def audit_with(batch, **tables):
 
 def edited(table, code, value):
     """A copy of a 64-entry table with the entry of `code` set to `value`."""
-    table = table.copy()
-    table[code] = value
-    return table
+    return table[:code] + (value,) + table[code + 1:]
 
 
 def batch_of(codes, cfg=LFConfig()):
     """A batch of the runs with these codes, in this order."""
-    codes = np.array(codes, np.uint8)
-    return relmodel.TrialBatch(cfg, np.bincount(codes, minlength=64).astype(np.int64),
-                               codes[:relmodel.ROWS])
+    codes = tuple(codes)
+    return relmodel.TrialBatch(cfg, tuple(map(codes.count, range(64))), codes[:relmodel.ROWS])
 
 
 def remapped(batch, table):
     """The batch with each run's code c, counted and in order, replaced by table[c]."""
-    histogram = np.zeros(64, np.int64)
-    np.add.at(histogram, table, batch.histogram)
-    return relmodel.TrialBatch(batch.config, histogram, table[batch.first])
+    histogram = tuple(sum(runs for c, runs in enumerate(batch.histogram) if table[c] == code)
+                      for code in range(64))
+    return relmodel.TrialBatch(batch.config, histogram, tuple(table[c] for c in batch.first))
 
 
 def runs_of_pair(pair, n, seed):
     """The runs that measure `pair` in a batch of 5n runs at `seed`: at least
     n of them, so a test on one pair keeps at least n qualifying runs."""
     batch = relmodel.simulate_batch(LFConfig(), 5 * n, seed)
-    mine = relmodel.TABLES["k"] == PAIR_IDS.index(pair)
-    assert batch.histogram[mine].sum() >= n
-    return relmodel.TrialBatch(batch.config, np.where(mine, batch.histogram, 0),
-                               batch.first[mine[batch.first]])
+    mine = [k == PAIR_IDS.index(pair) for k in relmodel.TABLES["k"]]
+    histogram = tuple(runs if m else 0 for runs, m in zip(batch.histogram, mine))
+    assert sum(histogram) >= n
+    return relmodel.TrialBatch(batch.config, histogram, tuple(c for c in batch.first if mine[c]))
+
+
+def assert_int_tuple(values):
+    """`values` is a tuple of ints: read-only by its type, and no numpy scalar
+    can reach a report through it."""
+    assert type(values) is tuple and all(type(v) is int for v in values)
+    with pytest.raises(TypeError):
+        values[0] = values[0]
 
 
 def decode(code) -> dict:
@@ -81,8 +86,10 @@ def code_probabilities(cfg):
 
 
 def test_every_code_obeys_the_presence_discipline_and_product_identity():
-    tables = {name: table.tolist() for name, table in relmodel.TABLES.items()}
+    tables = relmodel.TABLES
     assert all(len(t) == 64 for t in tables.values())
+    for table in (*tables.values(), relmodel.PLANTED):
+        assert_int_tuple(table)
     for code in range(64):
         v = {name: t[code] for name, t in tables.items()}
         want = decode(code)
@@ -101,7 +108,7 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
                 assert outcome in (1, -1) and external == 0 and relation == 0
         # the planted violation changes only Alice's internal bit: +1 exactly
         # when Bob asks
-        planted = int(relmodel.PLANTED[code])
+        planted = relmodel.PLANTED[code]
         assert planted ^ code in (0, 8)
         assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
     every = batch_of(range(64))
@@ -111,12 +118,12 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
 
 
 def test_run_trial_presence_discipline_per_choice_pair():
+    batch = relmodel.simulate_batch(LFConfig(), 250, 0)
+    assert_int_tuple(batch.first)
+    assert_int_tuple(batch.histogram)
     for pair in PAIR_IDS:
         b_choice, d_choice = CHOICE[pair[0]], CHOICE[pair[1]]
         batch = runs_of_pair(pair, 50, 0)
-        assert batch.first.dtype == np.uint8 and not batch.first.flags.writeable
-        assert batch.histogram.dtype == np.int64 and not batch.histogram.flags.writeable
-        assert not any(table.flags.writeable for table in relmodel.TABLES.values())
         rows = batch.rows(len(batch))
         assert {r["a_internal"] for r in rows} == {r["c_internal"] for r in rows} == {1, -1}
         for r in rows:
@@ -139,17 +146,17 @@ def test_record_validation_catches_broken_invariants():
     batch = relmodel.simulate_batch(LFConfig(), 2000, 6)
     assert relmodel.audit(batch)[0][0]["observed"] == 0.0
     t = relmodel.TABLES
-    b_asks, d_asks = (t["k"] <= 1), (t["k"] % 2 == 0)  # AC, AD; AC, BC
-    drawn = batch.histogram > 0
+    b_asks, d_asks = [k <= 1 for k in t["k"]], [k % 2 == 0 for k in t["k"]]  # AC, AD; AC, BC
     broken = [("Ar", b_asks, lambda c: -t["Ar"][c]),            # relation flipped
-              ("A", ~b_asks, lambda c: 1),                      # supermeasured wing with A
-              ("Ci", np.ones(64, bool), lambda c: 0),           # internal value of 0
+              ("A", [not a for a in b_asks], lambda c: 1),      # supermeasured wing with A
+              ("Ci", [True] * 64, lambda c: 0),                 # internal value of 0
               ("D", d_asks, lambda c: -1)]                      # asked wing with a super outcome
     codes, tables, expected = [], {}, 0
     for name, where, value in broken:
-        code = next(int(c) for c in np.flatnonzero(where & drawn) if c not in codes)
+        code = next(c for c in range(64)
+                    if where[c] and batch.histogram[c] > 0 and c not in codes)
         codes.append(code)
-        runs = int(batch.histogram[code])
+        runs = batch.histogram[code]
         table = edited(t[name], code, value(code))
         assert audit_with(batch, **{name: table})[0][0]["observed"] == runs
         tables[name], expected = table, expected + runs
@@ -174,11 +181,11 @@ def test_simulate_batch_same_seed_identical():
     cfg = LFConfig()
     b1 = relmodel.simulate_batch(cfg, 3000, 17)
     b2 = relmodel.simulate_batch(cfg, 3000, 17)
-    assert np.array_equal(b1.histogram, b2.histogram)
-    assert np.array_equal(b1.first, b2.first)
+    assert b1.histogram == b2.histogram
+    assert b1.first == b2.first
     assert b1.rows(relmodel.ROWS) == b2.rows(relmodel.ROWS)
     b3 = relmodel.simulate_batch(cfg, 3000, 18)
-    assert not np.array_equal(b1.first, b3.first)
+    assert b1.first != b3.first
 
 
 def test_simulate_batch_rejects_bad_inputs():
@@ -228,7 +235,7 @@ def test_first_rows_are_drawn_from_p_in_uniform_order():
             first = np.bincount(batch.first, minlength=64)
             assert (first <= batch.histogram).all()
             freq += first
-            a, b = (batch.first[list(pos)].astype(int) for pos in zip(*positions))
+            a, b = (np.array([batch.first[i] for i in pos]) for pos in zip(*positions))
             smaller_first += a < b
             distinct += a != b
         se = np.sqrt(p * (1 - p) / (SEEDS * r))
@@ -276,7 +283,7 @@ def test_empirical_pair_table_is_a_plain_count(codes, x, y):
     batch = batch_of(codes)
     runs = [(x[c], y[c]) for c in codes]
     counts = tuple(runs.count(cell) for cell in statlab.PAIR_CELLS)
-    with mock.patch.dict(relmodel.TABLES, Ai=np.array(x, np.int8), Ci=np.array(y, np.int8)):
+    with mock.patch.dict(relmodel.TABLES, Ai=tuple(x), Ci=tuple(y)):
         if sum(counts) == 0:
             with pytest.raises(InsufficientDataError):
                 relmodel.empirical_pair_table(batch, ("Ai", "Ci"))
@@ -305,8 +312,7 @@ def test_choice_independence_flags_planted_dependence():
     batch = relmodel.simulate_batch(cfg, 20000, 4)
     # force the internal outcome to +1 on asked runs (AC, AD): clear the Ai
     # bit of their codes; the relation follows, keeping the product identity
-    codes = np.arange(64, dtype=np.uint8)
-    bad = remapped(batch, np.where(codes >> 4 <= 1, codes & 0xF7, codes))
+    bad = remapped(batch, [c & 0xF7 if c >> 4 <= 1 else c for c in range(64)])
     assert relmodel.audit(bad)[0][0]["observed"] == 0.0
     report = relmodel.check_choice_independence(bad)
     assert [f["wing"] for f in report["flags"]] == ["alice"]
@@ -364,7 +370,7 @@ def test_choice_independence_has_power_against_a_small_bias():
     assert sum(p) == pytest.approx(1.0, abs=1e-12)
     for seed in range(200):
         histogram = relmodel.draw_counts(p, 4 * 10 ** 5, np.random.default_rng(seed))
-        batch = relmodel.TrialBatch(LFConfig(), histogram, np.zeros(0, np.uint8))
+        batch = relmodel.TrialBatch(LFConfig(), histogram, ())
         flags = relmodel.check_choice_independence(batch)["flags"]
         assert "alice" in [f["wing"] for f in flags], seed
 
@@ -388,7 +394,7 @@ def test_jsonl_serialization_round_trips_values():
         assert obj["b_choice"] in ("ask", "super")
         # 0 in a table is null in the row; every other value is the table's
         for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):
-            value = int(relmodel.TABLES[name][batch.first[i]])
+            value = relmodel.TABLES[name][batch.first[i]]
             assert obj[field] == (value or None)
 
 
@@ -404,7 +410,7 @@ def test_audit_checks_in_order_and_catches_broken_records():
     assert sum(internal) == 20000 and not independence["flags"]
     # flip the relation of the first asked code drawn: the product identity
     # breaks on exactly the runs with that code
-    code = int(np.flatnonzero((relmodel.TABLES["k"] <= 1) & (batch.histogram > 0))[0])
+    code = next(c for c, k in enumerate(relmodel.TABLES["k"]) if k <= 1 and batch.histogram[c])
     relation = edited(relmodel.TABLES["Ar"], code, -relmodel.TABLES["Ar"][code])
     checks, _, _ = audit_with(batch, Ar=relation)
     assert checks[0]["observed"] == batch.histogram[code] and not checks[0]["pass"]
@@ -422,8 +428,11 @@ def test_rovelli_run_bookkeeping():
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
         table = relmodel.simulate_rovelli(cfg, 200, 0)
-        assert table.shape == (2, 3, 3) and table.dtype == np.int64
-        assert not table.flags.writeable and table.sum() == 200
+        assert type(table) is tuple and all(type(rows) is tuple for rows in table)
+        for records in (records for rows in table for records in rows):
+            assert_int_tuple(records)
+        table = np.array(table)
+        assert table.shape == (2, 3, 3) and table.sum() == 200
         t = trigger_index(cfg)
         # a second outcome exists exactly on the runs whose first is the trigger
         assert not table[t, 2].any() and not table[1 - t, :2].any()
@@ -436,8 +445,10 @@ def test_rovelli_run_reports_consistent_when_asked():
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger=trigger)
         n = 2000
-        _, table, consistent = relmodel.rovelli_audit(cfg, n, 1)
-        assert consistent == n
+        _, runs = relmodel.rovelli_audit(cfg, n, 1)
+        assert runs["consistent"] == n and runs["second_iff_trigger"]
+        table = np.array(relmodel.simulate_rovelli(cfg, n, 1))
+        assert runs["second"] == table[:, :2].sum()
         # the record also tells whether the second outcome agreed with the
         # first (PP) or not (PA), for either trigger
         t = trigger_index(cfg)
@@ -447,7 +458,7 @@ def test_rovelli_run_reports_consistent_when_asked():
 
 def test_rovelli_first_outcome_balanced():
     n = 20000
-    plus = int(relmodel.simulate_rovelli(RovelliConfig(), n, 6)[0].sum())
+    plus = sum(map(sum, relmodel.simulate_rovelli(RovelliConfig(), n, 6)[0]))
     assert abs(plus / n - 0.5) < 0.02
 
 
@@ -458,17 +469,17 @@ def test_a_uniform_in_the_round_off_tail_never_draws_a_zero_cell():
     cfg = LFConfig(0, 90, 270, 135)
     born = scenarios.born_tables(cfg)
     assert born["BC"][3] == 0.0 and sum(born["BC"]) < 1 - 2 ** -53
-    zero = code_probabilities(cfg) == 0
-    assert zero.sum() == 8  # BC's two zero cells, under each of 4 internal outcome pairs
+    zero = {c for c, p in enumerate(code_probabilities(cfg)) if p == 0}
+    assert len(zero) == 8  # BC's two zero cells, under each of 4 internal outcome pairs
     for n in (1, relmodel.ROWS, relmodel.ROWS + 1, 10 ** 6, 10 ** 18, 2 ** 63 - 1):
         for seed in range(5):
             batch = relmodel.simulate_batch(cfg, n, seed)
-            assert len(batch) == n and not batch.histogram[zero].any()
-            assert not zero[batch.first].any()
+            assert len(batch) == n and not any(batch.histogram[c] for c in zero)
+            assert zero.isdisjoint(batch.first)
 
 
 def test_audit_counts_are_exact_at_the_largest_batch():
-    # every count is an int64 sum, so the four pairs' qualifying runs, the
+    # every count is an int sum, so the four pairs' qualifying runs, the
     # internal joint and the independence stats each add up to n exactly
     n = 2 ** 63 - 1
     batch = relmodel.simulate_batch(LFConfig(), n, 0)
@@ -485,9 +496,11 @@ def test_audit_counts_are_exact_at_the_largest_batch():
 def test_planted_violation_remaps_every_run():
     batch = relmodel.simulate_batch(LFConfig(), 3 * relmodel.ROWS, 1)
     planted = batch.planted()
-    assert np.array_equal(planted.first, relmodel.PLANTED[batch.first])
-    assert np.array_equal(planted.histogram, remapped(batch, relmodel.PLANTED).histogram)
-    assert len(planted) == len(batch) and planted.histogram.dtype == np.int64
+    assert planted.first == tuple(relmodel.PLANTED[c] for c in batch.first)
+    assert planted.histogram == remapped(batch, relmodel.PLANTED).histogram
+    assert len(planted) == len(batch)
+    assert_int_tuple(planted.first)
+    assert_int_tuple(planted.histogram)
 
 
 # stacks of 1-4 tables of 2-4 cells, each given as integer weights (some 0)
@@ -498,15 +511,15 @@ WEIGHTED_TABLES = st.integers(2, 4).flatmap(lambda cells: st.lists(st.tuples(
     st.integers(-3, 3)), min_size=1, max_size=4))
 
 
-def _tables(weighted) -> np.ndarray:
+def _tables(weighted) -> list[tuple[float, ...]]:
     tables = []
     for weights, ulps in weighted:
-        probs = np.array(weights) / sum(weights)
-        j = np.flatnonzero(probs)[-1]
+        probs = [w / sum(weights) for w in weights]
+        j = max(i for i, p in enumerate(probs) if p)
         for _ in range(abs(ulps)):
-            probs[j] = np.nextafter(probs[j], 2.0 if ulps > 0 else 0.0)
-        tables.append(probs)
-    return np.array(tables)
+            probs[j] = math.nextafter(probs[j], 2.0 if ulps > 0 else 0.0)
+        tables.append(tuple(probs))
+    return tables
 
 
 # derandomized so the suite's run time and outcome do not vary between runs
@@ -518,8 +531,9 @@ def test_draw_counts_gives_the_round_off_tail_to_a_positive_cell(weighted, n, se
     rng = np.random.default_rng(seed)
     for table in _tables(weighted):
         counts = relmodel.draw_counts(table, n, rng)
-        assert counts.dtype == np.int64 and sum(counts.tolist()) == n
-        assert not counts[table == 0].any()
+        assert_int_tuple(counts)
+        assert sum(counts) == n
+        assert not any(c for c, p in zip(counts, table, strict=True) if p == 0)
 
 
 def rovelli_cell_probabilities(cfg, records):
@@ -544,7 +558,8 @@ def test_simulate_rovelli_counts_are_multinomial(monkeypatch):
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
         p = rovelli_cell_probabilities(cfg, mixed)
-        counts = np.array([relmodel.simulate_rovelli(cfg, n, seed).ravel() for seed in range(S)])
+        counts = np.array([relmodel.simulate_rovelli(cfg, n, seed)
+                           for seed in range(S)]).reshape(S, 18)
         assert (counts.sum(axis=1) == n).all()
         assert not counts[:, p == 0].any()  # a zero cell never gets a run
         mean, cov = n * p, n * (np.diag(p) - np.outer(p, p))
@@ -557,17 +572,18 @@ def test_a_zero_record_cell_never_gets_a_count_at_any_n():
     # PP's record row is (0.9999999999999998, 0, 0): a multinomial over all
     # three cells would hand its round-off tail to noM2 and report an
     # inconsistent run; draw_counts gives it to PP, the last positive cell
-    pp = np.array(scenarios.rovelli_states(RovelliConfig())[PP][0])
-    assert pp[0] < 1.0 and not pp[1:].any()
+    pp = scenarios.rovelli_states(RovelliConfig())[PP][0]
+    assert pp[0] < 1.0 and not any(pp[1:])
     rng = np.random.default_rng(0)
-    assert relmodel.draw_counts(pp, 10 ** 18, rng).tolist() == [10 ** 18, 0, 0]
-    assert relmodel.draw_counts(np.array([0.0, 0.5, 0.0, 0.5 - 2 ** -53]), 10 ** 18,
-                                rng)[[0, 2]].tolist() == [0, 0]
+    assert relmodel.draw_counts(pp, 10 ** 18, rng) == (10 ** 18, 0, 0)
+    assert relmodel.draw_counts((0.0, 0.5, 0.0, 0.5 - 2 ** -53), 10 ** 18,
+                                rng)[0::2] == (0, 0)
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
         for seed in range(3):
-            _, table, consistent = relmodel.rovelli_audit(cfg, 10 ** 18, seed)
-            assert consistent == 10 ** 18 == table.sum()
+            _, runs = relmodel.rovelli_audit(cfg, 10 ** 18, seed)
+            table = np.array(relmodel.simulate_rovelli(cfg, 10 ** 18, seed))
+            assert runs["consistent"] == 10 ** 18 == table.sum()
             t = trigger_index(cfg)
             used = np.zeros((2, 3, 3), bool)
             used[t, t, PP] = used[t, 1 - t, PA] = used[1 - t, 2, NO_M2] = True
