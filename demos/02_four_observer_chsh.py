@@ -18,7 +18,6 @@ s = statlab.chsh(analytic.values())
 print(f"S = {s:.9f}  (2*sqrt(2) = {2 * math.sqrt(2):.9f})")
 
 batch = relmodel.simulate_batch(cfg, 4 * 10 ** 5, seed=0)
-tables, _ = relmodel.observed_pair_checks(batch)
-s_mc, stderr = statlab.chsh_estimate(tables)
+_, _, mc = relmodel.circuit_audit(batch)  # the `lf` command's audit
 print(f"Monte Carlo over {len(batch)} runs (about 1e5 per pair): "
-      f"S = {s_mc:.4f} +/- {stderr:.4f}")
+      f"S = {mc['estimate']:.4f} +/- {mc['stderr']:.4f}")

@@ -9,7 +9,7 @@ from friendlab import relmodel
 from friendlab.scenarios import RovelliConfig
 
 n = 10000
-states, runs = relmodel.rovelli_audit(RovelliConfig(), n, 0)
+_, states, runs = relmodel.rovelli_audit(RovelliConfig(), n, 0)
 for sr in states:
     probs = {k: round(v, 10) for k, v in sr["record_probabilities"].items()}
     print(f"state {sr['record']}: record probabilities {probs}, "

@@ -31,23 +31,20 @@ def _sub_seed(seed: int, index: int) -> int:
 
 
 def criterion_1(seed: int) -> dict:
-    """Analytic Born correlators hit the Tsirelson pattern to 1e-9; the
-    Monte Carlo CHSH estimate from 4e5 runs (about 1e5 per pair) lands
-    within relmodel.CHSH_THRESHOLD."""
+    """Analytic Born correlators hit the Tsirelson pattern to 1e-9, and the
+    `lf` command's audit (`relmodel.circuit_audit`) passes on CHSH_TRIALS
+    runs (about 1e5 per pair): each observed pair near its Born joint and the
+    Monte Carlo CHSH estimate near the analytic S."""
     cfg = LFConfig()
     analytic = scenarios.pair_correlations(cfg)
     expected = {"AC": COS45, "BC": COS45, "BD": COS45, "AD": -COS45}
     checks = [statlab.check(f"analytic E({pair})", abs(analytic[pair] - expected[pair]), 1e-9)
               for pair in scenarios.PAIR_IDS]
-    s_analytic = statlab.chsh(analytic.values())
-    checks.append(statlab.check("analytic S vs 2*sqrt(2)", abs(s_analytic - TSIRELSON), 1e-9))
-    batch = relmodel.simulate_batch(cfg, CHSH_TRIALS, seed)
-    tables, _ = relmodel.observed_pair_checks(batch)
-    s_mc, stderr = statlab.chsh_estimate(tables)
-    checks.append(statlab.check("Monte Carlo S vs 2*sqrt(2)", abs(s_mc - TSIRELSON),
-                                relmodel.CHSH_THRESHOLD, n=CHSH_TRIALS))
+    mc_checks, _, s = relmodel.circuit_audit(relmodel.simulate_batch(cfg, CHSH_TRIALS, seed))
+    checks += [statlab.check("analytic S vs 2*sqrt(2)", abs(s["analytic"] - TSIRELSON), 1e-9),
+               *mc_checks]
     return {"criterion": 1, "name": "tsirelson-reproduction",
-            "analytic_S": s_analytic, "monte_carlo_S": s_mc, "mc_stderr": stderr,
+            "analytic_S": s["analytic"], "monte_carlo_S": s["estimate"], "mc_stderr": s["stderr"],
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -135,9 +132,11 @@ def criterion_4(seed: int) -> dict:
 
 def criterion_5(seed: int) -> dict:
     """The three sequential-scenario states have the displayed record
-    structure, and report consistency holds on every simulated run."""
+    structure, and the `rovelli` command's audit (`relmodel.rovelli_audit`)
+    passes on ROVELLI_TRIALS runs: every record is consistent with its run,
+    and a second outcome exists exactly on the trigger's runs."""
     cfg = RovelliConfig()
-    states, runs = relmodel.rovelli_audit(cfg, ROVELLI_TRIALS, seed)
+    run_checks, states, _ = relmodel.rovelli_audit(cfg, ROVELLI_TRIALS, seed)
     checks = []
     for sr in states:
         own, dist = sr["record"], sr["record_probabilities"]
@@ -153,8 +152,7 @@ def criterion_5(seed: int) -> dict:
     ready_plus = born_distribution(y_90, ("Y",))[0]  # cell 0 reads +1
     checks.append(statlab.check("state noM2: Y ready-state overlap vs 1",
                                 abs(ready_plus - 1.0), 1e-10))
-    checks.append(statlab.check("inconsistent reports", ROVELLI_TRIALS - runs["consistent"], 0.0,
-                                n=ROVELLI_TRIALS))
+    checks += run_checks
     return {"criterion": 5, "name": "rovelli-consistency", "trials": ROVELLI_TRIALS,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
@@ -181,13 +179,7 @@ def criterion_6(seed: int) -> dict:
 
 def run_all(seed: int) -> dict:
     """Run every criterion with sub-seeds derived from the master seed."""
-    results = [
-        criterion_1(_sub_seed(seed, 1)),
-        criterion_2(_sub_seed(seed, 2)),
-        criterion_3(_sub_seed(seed, 3)),
-        criterion_4(_sub_seed(seed, 4)),
-        criterion_5(_sub_seed(seed, 5)),
-        criterion_6(_sub_seed(seed, 6)),
-    ]
+    results = [criterion(_sub_seed(seed, i)) for i, criterion in enumerate(
+        (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6), 1)]
     return {"seed": seed, "criteria": results,
             "pass": all(r["pass"] for r in results)}

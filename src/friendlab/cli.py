@@ -134,12 +134,9 @@ def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None,
 
 
 def _tolerance_lines(checks: list[dict]) -> str:
-    lines = []
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        lines.append(f"  [{status}] {c['name']}: {c['metric']}={c['observed']:.6g} "
-                     f"(threshold {c['threshold']:.6g}, n={c['n']})")
-    return "\n".join(lines)
+    return "\n".join(f"  [{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['metric']}="
+                     f"{c['observed']:.6g} (threshold {c['threshold']:.6g}, n={c['n']})"
+                     for c in checks)
 
 
 # --- basic ------------------------------------------------------------------
@@ -217,22 +214,16 @@ def cmd_lf(args: argparse.Namespace) -> int:
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 100000, 100, MAX_TRIALS)
     seed = _resolve_int(args, "seed", 0, 0)
-    batch = relmodel.simulate_batch(cfg, trials, seed)
+    checks, tables, chsh = relmodel.circuit_audit(relmodel.simulate_batch(cfg, trials, seed))
     analytic = scenarios.pair_correlations(cfg)
-    s_analytic = statlab.chsh(analytic.values())
-    tables, checks = relmodel.observed_pair_checks(batch)
     pairs_report = {pair: {
         "n": sum(table),
         "frequencies": list(statlab.freqs(table)),
         "born": list(scenarios.born_tables(cfg)[pair]),
         "E_analytic": analytic[pair],
     } for pair, table in zip(statlab.PAIR_IDS, tables)}
-    s_mc, stderr = statlab.chsh_estimate(tables)
-    checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic),
-                                relmodel.CHSH_THRESHOLD, n=trials))
     report = {"command": "lf", **cfg.to_json_dict(), "trials": trials, "seed": seed,
-              "pairs": pairs_report, "chsh": {"estimate": s_mc, "stderr": stderr,
-                                              "analytic": s_analytic},
+              "pairs": pairs_report, "chsh": chsh,
               "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
@@ -351,12 +342,11 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
         cfg = scenarios.RovelliConfig(trigger=trigger)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    states, runs = relmodel.rovelli_audit(cfg, trials, seed)
-    rate = runs["consistent"] / trials
+    checks, states, runs = relmodel.rovelli_audit(cfg, trials, seed)
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
-              "states": states, "consistency_rate": rate,
+              "states": states, "consistency_rate": runs["consistent"] / trials,
               "second_iff_trigger": runs["second_iff_trigger"],
-              "pass": rate == 1.0 and runs["second_iff_trigger"]}
+              "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
         lines = [f"sequential scenario, trigger={cfg.trigger:+d}, trials={trials}"]

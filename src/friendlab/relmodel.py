@@ -17,9 +17,11 @@ numpy only draws: every code, count and table is a tuple of Python ints.
 
 The sequential scenario draws counts too: `simulate_rovelli` counts the runs
 in each (first outcome, second outcome or none, record) cell, the record
-drawn from the final state's distribution in `scenarios.rovelli_states`;
-`rovelli_audit`, its one reader, is the one report on it that the `rovelli`
-command, criterion 5 and the demo share.
+drawn from the final state's distribution in `scenarios.rovelli_states`.
+Each Monte Carlo command's one audit is here, and its acceptance criterion
+runs it too: `circuit_audit` (lf, criterion 1), `audit` (relmodel, 3) and
+`rovelli_audit` (rovelli, 5; the sequential table's one reader).  Each
+returns its check dicts first, and passing is all of them passing.
 """
 
 from __future__ import annotations
@@ -200,6 +202,19 @@ def observed_pair_checks(batch: TrialBatch) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(tables), checks
 
 
+def circuit_audit(batch: TrialBatch) -> tuple[list[dict], tuple[tuple[int, ...], ...], dict]:
+    """The four-observer circuit's audit of a batch: five check dicts (the
+    four observed pairs vs their Born joints, the Monte Carlo CHSH estimate vs
+    the analytic S), the pair count tables of `observed_pair_checks` and the
+    report's chsh entry (the estimate, its standard error, the analytic S)."""
+    tables, checks = observed_pair_checks(batch)
+    s_mc, stderr = statlab.chsh_estimate(tables)
+    s_analytic = statlab.chsh(scenarios.pair_correlations(batch.config).values())
+    checks.append(statlab.check("CHSH estimate vs analytic", abs(s_mc - s_analytic),
+                                CHSH_THRESHOLD, n=len(batch)))
+    return checks, tables, {"estimate": s_mc, "stderr": stderr, "analytic": s_analytic}
+
+
 def _wing_valid(asks: bool, outcome: int, external: int, relation: int, internal: int) -> bool:
     """An asked wing has a relation and external = internal * relation, a
     supermeasured wing only its super outcome."""
@@ -248,22 +263,25 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> tuple:
     return tuple(tuple(cells.get((i, j), (0, 0, 0)) for j in range(3)) for i in range(2))
 
 
-def rovelli_audit(cfg: RovelliConfig, n: int, seed: int) -> tuple[list[dict], dict]:
-    """The sequential scenario's report, shared by the `rovelli` command,
-    criterion 5 and the demo: per final state in ROVELLI_RECORDS order, its
-    record probabilities and interference witness; and, of the runs of
-    `simulate_rovelli`, those with a second outcome ("second"), whether they
-    are exactly the trigger's runs ("second_iff_trigger"), and those whose
-    record says a second measurement happened exactly when the first outcome
-    was the trigger ("consistent")."""
+def rovelli_audit(cfg: RovelliConfig, n: int, seed: int) -> tuple[list[dict], list[dict], dict]:
+    """The sequential scenario's audit of the runs of `simulate_rovelli`: two
+    check dicts, each an exact int count of runs that must be none (records
+    not saying a second measurement happened exactly when the first outcome
+    was the trigger; second outcomes off the trigger's runs or missing on
+    them); per final state in ROVELLI_RECORDS order, its record probabilities
+    and interference witness; and the runs with a second outcome ("second"),
+    whether they are exactly the trigger's runs ("second_iff_trigger") and
+    those with a consistent record ("consistent")."""
     states = [{"record": record,
                "record_probabilities": dict(zip(scenarios.ROVELLI_RECORDS, born)),
                "interference_witness": witness}
               for record, (born, witness) in zip(scenarios.ROVELLI_RECORDS,
                                                  scenarios.rovelli_states(cfg))]
-    table = simulate_rovelli(cfg, n, seed)
-    # the trigger's and the other first outcome's [second][record]; noM2 is the last record
-    trigger, other = table if cfg.trigger == 1 else table[::-1]
-    return states, {"second": sum(map(sum, trigger[:2] + other[:2])),
-                    "second_iff_trigger": not (any(trigger[2]) or any(map(any, other[:2]))),
-                    "consistent": sum(sum(r[:2]) for r in trigger) + sum(r[2] for r in other)}
+    # [second][record] of the trigger's first outcome and of the other; noM2 is the last record
+    trigger, other = simulate_rovelli(cfg, n, seed)[::cfg.trigger]  # first axis: +1, -1
+    misplaced = sum(trigger[2]) + sum(map(sum, other[:2]))
+    consistent = sum(sum(r[:2]) for r in trigger) + sum(r[2] for r in other)
+    checks = [statlab.check("inconsistent reports", n - consistent, 0.0, n=n),
+              statlab.check("second outcome iff trigger violations", misplaced, 0.0, n=n)]
+    return checks, states, {"second": sum(map(sum, trigger[:2] + other[:2])),
+                            "second_iff_trigger": not misplaced, "consistent": consistent}

@@ -2,6 +2,7 @@
 line, plus the end-to-end byte-identity check on the `accept` command."""
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlab import acceptance, cli
+from friendlab import acceptance, cli, relmodel
+from friendlab.scenarios import RovelliConfig
 
 
 def _report(result: dict, elapsed: float) -> None:
@@ -81,8 +83,29 @@ def test_criterion_5_sequential_consistency():
     assert result["trials"] == 10 ** 4
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+def test_each_monte_carlo_criterion_runs_its_commands_audit(capsys, seed):
+    # criteria 1 and 3 draw the batch of `lf` and of `relmodel` at their trial
+    # counts and the same seed, and criterion 5 the runs of `rovelli`: their
+    # Monte Carlo checks must be the commands' own, one definition per gate
+    def checks(*argv):
+        cli.main([*argv, "--seed", str(seed), "--format", "json"])
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    lf = checks("lf", "--trials", str(acceptance.CHSH_TRIALS))
+    first = acceptance.criterion_1(seed)["checks"]
+    assert len(lf) == 5 and first[-5:] == lf
+    assert all(c["name"].startswith("analytic ") for c in first[:-5])
+    relmodel_checks = checks("relmodel", "--trials", str(acceptance.RELMODEL_TRIALS))
+    assert acceptance.criterion_3(seed)["checks"] == relmodel_checks
+    rovelli, _, _ = relmodel.rovelli_audit(RovelliConfig(), acceptance.ROVELLI_TRIALS, seed)
+    fifth = acceptance.criterion_5(seed)["checks"]
+    assert len(rovelli) == 2 and fifth[-2:] == rovelli
+    assert all(c["name"].startswith("state ") for c in fifth[:-2])
+
+
 # sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
-ACCEPT_42_SHA256 = "25985c15bdae71bb42f354046d7b5d7949bb4615041dbc60f28fc3663d6f02b7"
+ACCEPT_42_SHA256 = "5bef03d569bb0ea3cf9cb6074107ce98f845a8da94d5613ad5667e74962ebd2c"
 
 
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):

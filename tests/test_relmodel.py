@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from friendlab import cli, relmodel, scenarios, statlab
+from friendlab import acceptance, cli, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
 from friendlab.relmodel import InsufficientDataError, RunRecord
 from friendlab.scenarios import LFConfig, RovelliConfig
@@ -445,8 +445,9 @@ def test_rovelli_run_reports_consistent_when_asked():
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger=trigger)
         n = 2000
-        _, runs = relmodel.rovelli_audit(cfg, n, 1)
+        checks, _, runs = relmodel.rovelli_audit(cfg, n, 1)
         assert runs["consistent"] == n and runs["second_iff_trigger"]
+        assert [(c["observed"], c["pass"], c["n"]) for c in checks] == [(0.0, True, n)] * 2
         table = np.array(relmodel.simulate_rovelli(cfg, n, 1))
         assert runs["second"] == table[:, :2].sum()
         # the record also tells whether the second outcome agreed with the
@@ -581,7 +582,7 @@ def test_a_zero_record_cell_never_gets_a_count_at_any_n():
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
         for seed in range(3):
-            _, runs = relmodel.rovelli_audit(cfg, 10 ** 18, seed)
+            _, _, runs = relmodel.rovelli_audit(cfg, 10 ** 18, seed)
             table = np.array(relmodel.simulate_rovelli(cfg, 10 ** 18, seed))
             assert runs["consistent"] == 10 ** 18 == table.sum()
             t = trigger_index(cfg)
@@ -603,6 +604,47 @@ def test_rovelli_record_is_drawn_from_the_final_state(monkeypatch, capsys):
     code = cli.main(["rovelli", "--trials", "500", "--seed", "0", "--format", "json"])
     assert code == cli.EXIT_FAIL
     assert json.loads(capsys.readouterr().out)["consistency_rate"] < 1.0
+
+
+def one_run_moved(cell):
+    """A stand-in for `simulate_rovelli` at trigger +1: of its n runs, a
+    quarter end in each of PP's and PA's cells and the rest with no second
+    outcome and record noM2, all consistent, but one run ends in `cell`
+    (first outcome, second outcome, record) instead."""
+    def table(cfg, n, seed):
+        assert cfg.trigger == 1
+        counts = [[[0] * 3 for _ in range(3)] for _ in range(2)]
+        counts[0][0][PP] = counts[0][1][PA] = n // 4
+        counts[1][2][NO_M2] = n - 2 * (n // 4) - 1
+        first, second, record = cell
+        counts[first][second][record] += 1
+        return tuple(tuple(map(tuple, rows)) for rows in counts)
+    return table
+
+
+def test_one_inconsistent_run_in_10_18_fails_rovelli(monkeypatch, capsys):
+    # a run with first outcome -1 and no second measurement whose record says
+    # PP: the rate (10^18 - 1) / 10^18 rounds to the float 1.0, but the audit
+    # counts the inconsistent runs as an int
+    monkeypatch.setattr(relmodel, "simulate_rovelli", one_run_moved((1, 2, PP)))
+    code = cli.main(["rovelli", "--trials", str(10 ** 18), "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is True
+    assert code == cli.EXIT_FAIL and rep["pass"] is False
+
+
+def test_a_second_outcome_off_the_trigger_fails_rovelli_and_criterion_5(monkeypatch, capsys):
+    # a run with first outcome -1 that still has a second outcome: its record
+    # noM2 is consistent with the first outcome, but the scenario never
+    # measures twice after the other outcome
+    monkeypatch.setattr(relmodel, "simulate_rovelli", one_run_moved((1, 0, NO_M2)))
+    code = cli.main(["rovelli", "--trials", "1000", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is False
+    assert code == cli.EXIT_FAIL and rep["pass"] is False
+    result = acceptance.criterion_5(0)
+    failed = [c["name"] for c in result["checks"] if not c["pass"]]
+    assert failed == ["second outcome iff trigger violations"] and result["pass"] is False
 
 
 def test_a_repeated_rovelli_config_rebuilds_no_branch_or_witness(monkeypatch):
