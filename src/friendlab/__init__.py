@@ -13,8 +13,9 @@ Modules, none importing one listed below it, each imported on first use:
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
   and sequential-measurement experiments, and the circuit's exact targets;
 * relmodel -- Born sampling, Monte Carlo runs of the frame-relational model
-  where frame relations exist only on ask runs, the sequential runs, and the
-  audit of a batch of runs;
+  where frame relations exist only on ask runs (drawn by numpy), the
+  sequential runs (drawn by the standard library's `random`, so `rovelli`
+  loads no numpy), and the audit of a batch of runs;
 * acceptance -- the criteria behind `friendlab accept`;
 * cli -- command-line orchestration; each command imports what it uses.
 """

@@ -28,7 +28,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
-MAX_TRIALS = 2 ** 63 - 1  # the most runs numpy's multinomial takes (an int64 n)
+# the most runs any command draws: numpy's multinomial takes an int64 n, which
+# sets the bound for relmodel's batches, and lf and rovelli share it
+MAX_TRIALS = 2 ** 63 - 1
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -346,7 +348,7 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "states": states, "consistency_rate": runs["consistent"] / trials,
               "second_iff_trigger": runs["second_iff_trigger"],
-              "pass": all(c["pass"] for c in checks)}
+              "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
         lines = [f"sequential scenario, trigger={cfg.trigger:+d}, trials={trials}"]
@@ -355,6 +357,7 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
                          f"records={sr['record_probabilities']}")
         lines.append(f"  consistency rate: {rep['consistency_rate']:.4f} "
                      f"(second measurement iff trigger: {rep['second_iff_trigger']})")
+        lines.append(_tolerance_lines(rep["checks"]))
         return "\n".join(lines) + "\n"
 
     _emit(args, report, table)

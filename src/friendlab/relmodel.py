@@ -13,11 +13,15 @@ variable (0 where absent).  A TrialBatch is the histogram of its runs'
 codes, which the audits read, plus its first ROWS runs' codes in order, the
 report's rows (None where absent: null in JSON, an empty field in CSV).
 Both are drawn as counts, so any batch size up to 2**63 - 1 costs the same.
-numpy only draws: every code, count and table is a tuple of Python ints.
+Every code, count and table is a tuple of Python ints.
 
 The sequential scenario draws counts too: `simulate_rovelli` counts the runs
 in each (first outcome, second outcome or none, record) cell, the record
 drawn from the final state's distribution in `scenarios.rovelli_states`.
+Its draws come from the standard library: `multinomial` and `binomial` draw
+only through `random.Random.random()`, whose stream Python keeps the same on
+every version.  numpy still draws a batch (`simulate_batch`, through
+`draw_counts` and a shuffle), and loads only there.
 Each Monte Carlo command's one audit is here, and its acceptance criterion
 runs it too: `circuit_audit` (lf, criterion 1), `audit` (relmodel, 3) and
 `rovelli_audit` (rovelli, 5; the sequential table's one reader).  Each
@@ -27,9 +31,9 @@ returns its check dicts first, and passing is all of them passing.
 from __future__ import annotations
 
 import json
+import math
+import random
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import scenarios, statlab
 from .hilbert import FactorLayout, StateVector, born_distribution
@@ -124,10 +128,99 @@ class TrialBatch:
         return TrialBatch(self.config, tuple(histogram), tuple(PLANTED[c] for c in self.first))
 
 
-def draw_counts(born, n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Int counts of n draws from the probability table `born`: a multinomial
-    over its positive cells, unnormalized, so a zero cell never gets a count and
-    the last positive cell takes the round-off tail (clipped to 1, as numpy asks)."""
+# Hörmann 1993's Stirling corrections fc(k) = log k! - ((k + 1/2) log(k + 1)
+# - (k + 1) + log(2 pi) / 2) for k < 10, correctly rounded; `_fc` takes the
+# series past that, within 4e-11 of fc
+_FC = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+       0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+       0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+       0.00833056343336287)
+
+
+def _fc(k: int) -> float:
+    if k < 10:
+        return _FC[k]
+    r = 1.0 / (k + 1)
+    return (1 / 12 - (1 / 360 - r * r / 1260) * r * r) * r
+
+
+def _log_pmf_ratio(n: int, p: float, m: int, k: int) -> float:
+    """log(f(k) / f(m)) for the Binomial(n, p) pmf f, from Hörmann's Stirling
+    form log j! = (j + 1/2) log(j + 1) - (j + 1) + log(2 pi) / 2 + fc(j).
+    The terms of size n cancel as exact int ratios inside log1p, so the value
+    keeps its precision at n near 2**63, where log(n!) is 3.9e20 and its ulp
+    6.6e4."""
+    d = k - m
+    return ((m + 0.5) * math.log1p(-d / (k + 1)) + (n - m + 0.5) * math.log1p(d / (n - k + 1))
+            + d * math.log1p(((n + 2) * p - (k + 1)) / ((k + 1) * (1.0 - p)))
+            + _fc(m) + _fc(n - m) - _fc(k) - _fc(n - k))
+
+
+def binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw, an int from 0 to n, for 0 <= p <= 1, drawn
+    only through rng.random(); exactly 0 or n at p = 0 or 1.  For p > 1/2 it
+    is n minus a draw at 1 - p.  Devroye's geometric method when n*p < 10:
+    count the successes, whose gaps are geometric, that fall within n trials.
+    Otherwise Hörmann 1993's BTRS, transformed rejection with its squeeze and
+    its Stirling-correction acceptance test (`_log_pmf_ratio`)."""
+    if p > 0.5:
+        return n - binomial(rng, n, 1.0 - p)
+    if p <= 0.0 or n == 0:
+        return 0
+    if n * p < 10.0:
+        c, x, y = math.log1p(-p), 0, 0  # the successes so far, the last one's trial
+        while True:
+            u = rng.random()
+            if u == 0.0:  # log(0): draw again
+                continue
+            gap = math.log(u) / c  # inf when c is subnormal: past n
+            if gap >= n - y:
+                return x
+            x, y = x + 1, y + int(gap) + 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * p)  # the mode
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # the hat's pole at u = -1/2: no k
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= vr:
+            return k
+        if v * alpha / (a / (us * us) + b) <= math.exp(_log_pmf_ratio(n, p, m, k)):
+            return k
+
+
+def multinomial(rng: random.Random, n: int, born) -> tuple[int, ...]:
+    """Int counts of n draws from the probability table `born`, as `binomial`
+    draws of each positive cell's share of the runs left, in cell order, of
+    a total mass of 1: a zero cell never gets a count, and the last positive
+    cell takes the round-off tail, whatever the table's float sum."""
+    cells = [i for i, x in enumerate(born) if x > 0]
+    counts = [0] * len(born)
+    left, mass = n, 1.0
+    for i in cells[:-1]:
+        if not left:
+            break
+        counts[i] = k = binomial(rng, left, min(born[i] / mass, 1.0))
+        left, mass = left - k, mass - born[i]
+    counts[cells[-1]] = left
+    return tuple(counts)
+
+
+def draw_counts(born, n: int, rng) -> tuple[int, ...]:
+    """Int counts of n draws from the probability table `born` by a numpy
+    Generator `rng`: a multinomial over its positive cells, unnormalized, so a
+    zero cell never gets a count and the last positive cell takes the round-off
+    tail (clipped to 1, as numpy asks)."""
     drawn = iter(rng.multinomial(n, [min(x, 1.0) for x in born if x > 0]).tolist())
     return tuple(next(drawn) if x > 0 else 0 for x in born)
 
@@ -138,6 +231,7 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     default_rng(seed) draws the counts of the first min(n, ROWS) runs, which
     are shuffled (given their counts, iid runs come in a uniformly random
     order), then those of the rest: the law of n iid runs, rows included."""
+    import numpy as np  # imported here, so that the sequential runs load no numpy
     if n < 1:  # default_rng refuses a negative seed
         raise ValueError("need at least one trial")
     p = [x / 16 for born in scenarios.born_tables(cfg).values()
@@ -250,13 +344,15 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> tuple:
     ints in nested tuples [first (+1, -1)][second (+1, -1, none)][record].  A
     second outcome exists exactly when the first is the trigger; the record, in
     ROVELLI_RECORDS order, is drawn from the run's final state, never copied
-    from the run.  Draw order: first outcomes, second outcomes, then each
-    final state's records."""
-    rng = np.random.default_rng(seed)
+    from the run.  One random.Random(seed), seed >= 0, draws them in this
+    order: first outcomes, second outcomes, then each final state's records."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
     t = (1 - cfg.trigger) // 2  # the trigger's index on the first and second axes
-    first = draw_counts(_READY_Z, n, rng)
-    second = draw_counts(_READY_Z, first[t], rng)
-    cells = {cell: draw_counts(born, runs, rng)
+    first = multinomial(rng, n, _READY_Z)
+    second = multinomial(rng, first[t], _READY_Z)
+    cells = {cell: multinomial(rng, runs, born)
              for (born, _), cell, runs in zip(scenarios.rovelli_states(cfg),  # PP, PA, noM2
                                               ((t, t), (t, 1 - t), (1 - t, 2)),
                                               (second[t], second[1 - t], first[1 - t]))}

@@ -253,6 +253,23 @@ def test_the_circuit_and_the_sealed_lab_load_no_numpy():
     assert json.loads(basic)["frame_relational"]["interference_witness"] == pytest.approx(1.0)
 
 
+# run in a fresh interpreter: the sequential runs are drawn by the standard
+# library's random.Random, so `rovelli` loads no numpy
+NUMPY_FREE_ROVELLI = """
+import sys
+from friendlab import cli
+assert cli.main(["rovelli", "--trials", "500", "--seed", "0", "--format", "json"]) == 0
+assert "numpy" not in sys.modules
+"""
+
+
+def test_rovelli_loads_no_numpy():
+    child = subprocess.run([sys.executable, "-c", NUMPY_FREE_ROVELLI],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert sha256(child.stdout) == ROVELLI_500_SHA256["1"]
+
+
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"angles": [0, 90, 45, 135], "trials": 20000, "seed": 7}))
@@ -520,8 +537,8 @@ def test_relmodel_csv_records(capsys):
 # sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the
 # report holds no per-run data, so it does not depend on the draw order
 ROVELLI_500_SHA256 = {
-    "1": "0b8709f93d69b432a67b2259724d999dfff235e33b32776d316fcd17cac148ec",
-    "-1": "a492a7c175070146d0c6b0e869e284f1861a5a4f3c91bc770f767138b2d397fd",
+    "1": "1a244cceaf470e0caa1cfa814738e2da17dd097828049091a3992497c478e75a",
+    "-1": "b06b62325fc21428f6d4f1d47f8b386bc4744e827c14f1e5f9ed2a164d60d791",
 }
 
 
@@ -534,6 +551,8 @@ def test_rovelli_consistency(capsys):
         rep = json.loads(out)
         assert rep["consistency_rate"] == 1.0
         assert rep["second_iff_trigger"] is True
+        assert [(c["name"], c["observed"], c["n"]) for c in rep["checks"]] == [
+            ("inconsistent reports", 0.0, 500), ("second outcome iff trigger violations", 0.0, 500)]
         for sr in rep["states"]:
             assert sr["record_probabilities"][sr["record"]] == pytest.approx(1.0)
 

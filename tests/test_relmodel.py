@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -537,6 +539,186 @@ def test_draw_counts_gives_the_round_off_tail_to_a_positive_cell(weighted, n, se
         assert not any(c for c, p in zip(counts, table, strict=True) if p == 0)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(WEIGHTED_TABLES, st.sampled_from([1, 7, 10 ** 6, 10 ** 18, 2 ** 63 - 1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_multinomial_gives_the_round_off_tail_to_a_positive_cell(weighted, n, seed):
+    # draw_counts' rules, for the standard-library sampler of the sequential runs
+    rng = random.Random(seed)
+    for table in _tables(weighted):
+        counts = relmodel.multinomial(rng, n, table)
+        assert_int_tuple(counts)
+        assert sum(counts) == n
+        assert not any(c for c, p in zip(counts, table, strict=True) if p == 0)
+
+
+# --- the standard-library samplers -------------------------------------------
+
+# binomial's and multinomial's first draws from random.Random(seed): random()
+# is the one method whose stream Python keeps the same on every version, so
+# these must hold on 3.10 to 3.13 (the numpy-free CI job checks them on 3.12
+# and 3.13 from this literal); n = 2**63 - 1 is written out
+SAMPLER_PINS = {
+    "seed": 32,
+    "binomial": [  # (n, p, five draws from one generator)
+        (30, 0.25, (6, 6, 6, 4, 2)),  # n p < 10: geometric
+        (1000, 0.5, (472, 491, 500, 476, 518)),  # BTRS
+        (9223372036854775807, 0.75,  # BTRS at 1 - p
+         (6917529029947766271, 6917529028403271423, 6917529027654796287,
+          6917529029629298687, 6917529026138868735)),
+        (1000000000000, 9.094947017729282e-13, (0, 0, 0, 2, 0)),  # geometric, p = 2**-40
+    ],
+    "multinomial": (1000000, (0.125, 0.0, 0.375, 0.5), (124420, 0, 374980, 500600)),
+}
+
+
+def test_sampler_streams_are_pinned():
+    for n, p, draws in SAMPLER_PINS["binomial"]:
+        rng = random.Random(SAMPLER_PINS["seed"])
+        assert tuple(relmodel.binomial(rng, n, p) for _ in draws) == draws
+    n, born, counts = SAMPLER_PINS["multinomial"]
+    assert relmodel.multinomial(random.Random(SAMPLER_PINS["seed"]), n, born) == counts
+
+
+def chi2_tail(x, df):
+    """P(X > x) for X chi-squared with df degrees of freedom, in closed form:
+    the regularized upper incomplete gamma Q(df/2, x/2) as a finite sum."""
+    h = x / 2
+    if df % 2 == 0:
+        total, term = 0.0, 1.0
+        for j in range(df // 2):
+            total, term = total + term, term * h / (j + 1)
+        return math.exp(-h) * total
+    total, term = 0.0, 2 * math.sqrt(h / math.pi)
+    for j in range((df - 1) // 2):
+        total, term = total + term, term * h / (j + 1.5)
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * total
+
+
+def test_chi2_tail_matches_statlab_and_the_even_closed_form():
+    for df in (1, 2, 3):
+        x = statlab.chi2_critical(1e-3, df)
+        assert chi2_tail(x, df) == pytest.approx(1e-3, rel=1e-9)
+    # df = 4: exp(-x/2) (1 + x/2); df = 5 from df = 3 by the recurrence
+    # Q(a + 1, h) = Q(a, h) + h^a exp(-h) / Gamma(a + 1)
+    assert chi2_tail(6.0, 4) == pytest.approx(math.exp(-3) * 4)
+    assert chi2_tail(6.0, 5) == pytest.approx(
+        chi2_tail(6.0, 3) + 3 ** 1.5 * math.exp(-3) / math.gamma(2.5))
+
+
+def test_the_stirling_test_is_the_log_pmf_ratio():
+    # BTRS accepts k by log(f(k) / f(m)) in Stirling's form; near the mode it
+    # must equal the telescoped sum of log f(i) / f(i - 1), each an exact
+    # ratio rounded once, from n = 20 to 2**63 - 1
+    for n in (20, 200, 5000, 10 ** 12, 2 ** 63 - 1):
+        for p in (0.1, 0.5):
+            m = math.floor((n + 1) * p)
+            q = Fraction(p) / (1 - Fraction(p))
+            for k in range(max(0, m - 40), min(n, m + 40) + 1):
+                steps = (math.log((n - i + 1) * q / i) for i in range(min(k, m) + 1, max(k, m) + 1))
+                exact = math.fsum(steps) * (1 if k >= m else -1)
+                assert relmodel._log_pmf_ratio(n, p, m, k) == pytest.approx(exact, abs=1e-9)
+
+
+# (n, p) on both sides of n p = 10, and past 1/2 through symmetry
+BINOMIAL_LAW_CASES = [(20, 0.25), (39, 0.25), (40, 0.25), (41, 0.25), (200, 0.5),
+                      (1000, 0.004), (60, 0.85), (80, 0.85)]
+
+
+def test_binomial_draws_follow_the_exact_pmf():
+    # Pearson's goodness of fit of 20000 draws per case against the exact
+    # pmf, cells merged until each expects at least 20 draws; the family's
+    # false-alarm rate is fixed before drawing at 1e-3, split over the cases
+    alpha, draws, rng = 1e-3 / len(BINOMIAL_LAW_CASES), 20000, random.Random(7)
+    for n, p in BINOMIAL_LAW_CASES:
+        counts = [0] * (n + 1)
+        for _ in range(draws):
+            counts[relmodel.binomial(rng, n, p)] += 1
+        cells, observed, expected = [], 0, 0.0
+        for k in range(n + 1):
+            observed += counts[k]
+            expected += draws * math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+            if expected >= 20:
+                cells.append((observed, expected))
+                observed, expected = 0, 0.0
+        last = cells.pop()  # the upper tail joins the last full cell
+        cells.append((last[0] + observed, last[1] + expected))
+        statistic = sum((o - e) ** 2 / e for o, e in cells)
+        assert chi2_tail(statistic, len(cells) - 1) > alpha, (n, p, statistic, len(cells))
+
+
+def bernstein(variance, alpha):
+    """The t with P(|T - E T| >= t) <= alpha by Bernstein's inequality, for T
+    a sum of independent Bernoulli variables whose variances add to `variance`."""
+    log = math.log(2 / alpha)
+    return log / 3 + math.sqrt(log * log / 9 + 2 * log * variance)
+
+
+@pytest.mark.parametrize("n", [10, 10 ** 6, 10 ** 12, 2 ** 63 - 1])
+def test_binomial_mean_and_variance_from_10_to_2_63(n):
+    # S draws per p.  Their sum is Binomial(S n, p), so it lies within
+    # Bernstein's bound of S n p.  Where S n p q >= 100 their sample variance
+    # lies within K standard errors of n p q, from its fourth central moment.
+    # Below that a draw off its nearer end (0 for p near 0, n near 1) is rare,
+    # and one more than 1 off it rarer than alpha (Markov on the factorial
+    # moment), so every draw is within 1 of that end and the sample variance
+    # is fixed by the sum.  Each bounded check, a mean and a variance per
+    # (n, p), has its false-alarm rate fixed before drawing at 1e-3 / 32.
+    alpha, S, rng = 1e-3 / 32, SEEDS, random.Random(n)
+    for p in (2 ** -60, 2 ** -20, 0.5, 1 - 2 ** -53):
+        var, small = n * p * (1 - p), min(p, 1 - p)
+        normal = S * var >= 100
+        assert normal or S * n * (n - 1) * small * small / 2 < alpha
+        draws = [relmodel.binomial(rng, n, p) for _ in range(S)]
+        assert all(type(k) is int and 0 <= k <= n for k in draws)
+        deviation = abs(Fraction(sum(draws)) - S * n * Fraction(p))
+        assert deviation <= bernstein(S * var, alpha), (p, float(deviation))
+        if normal:
+            mean = Fraction(sum(draws), S)
+            sample_var = sum((k - mean) ** 2 for k in draws) / (S - 1)
+            se = math.sqrt((var * (1 - 6 * p * (1 - p)) + 2 * var * var) / S)
+            assert abs(sample_var - var) <= K * se, (p, float(sample_var), var)
+        else:
+            end = 0 if p < 0.5 else n
+            assert all(abs(k - end) <= 1 for k in draws), p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 63 - 1) | st.sampled_from([0, 1, 10, 2 ** 63 - 1]),
+       st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 2 ** -1074, 0.5, 1 - 2 ** -53]),
+       st.integers(0, 2 ** 32 - 1))
+def test_binomial_is_an_int_from_0_to_n_and_exact_at_p_0_and_1(n, p, seed):
+    rng = random.Random(seed)
+    k = relmodel.binomial(rng, n, p)
+    assert type(k) is int and 0 <= k <= n
+    state = rng.getstate()  # p = 0 and p = 1 draw nothing
+    assert relmodel.binomial(rng, n, 0.0) == 0 and relmodel.binomial(rng, n, 1.0) == n
+    assert rng.getstate() == state
+
+
+class Uniforms:
+    """A stand-in for random.Random that returns the given floats in order."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_a_zero_uniform_is_drawn_again():
+    # the geometric method takes log(u), and BTRS divides by 1/2 - |u - 1/2|;
+    # each redraws on u = 0.0 instead of raising
+    assert relmodel.binomial(Uniforms(0.0, 0.5, 0.5), 10, 0.1) == 1
+    # u = 1/2 puts k at the centre c = 50.5, and v = 0.5 passes the squeeze
+    assert relmodel.binomial(Uniforms(0.0, 0.5, 0.5), 100, 0.5) == 50
+
+
+def test_simulate_rovelli_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        relmodel.simulate_rovelli(RovelliConfig(), 10, -1)
+
+
 def rovelli_cell_probabilities(cfg, records):
     """P(cell) of a count table's 18 cells, flattened, when the final states
     PP, PA and noM2 draw their records from `records`."""
@@ -572,13 +754,14 @@ def test_simulate_rovelli_counts_are_multinomial(monkeypatch):
 def test_a_zero_record_cell_never_gets_a_count_at_any_n():
     # PP's record row is (0.9999999999999998, 0, 0): a multinomial over all
     # three cells would hand its round-off tail to noM2 and report an
-    # inconsistent run; draw_counts gives it to PP, the last positive cell
+    # inconsistent run; draw_counts and multinomial give it to PP, the last
+    # positive cell
     pp = scenarios.rovelli_states(RovelliConfig())[PP][0]
     assert pp[0] < 1.0 and not any(pp[1:])
-    rng = np.random.default_rng(0)
-    assert relmodel.draw_counts(pp, 10 ** 18, rng) == (10 ** 18, 0, 0)
-    assert relmodel.draw_counts((0.0, 0.5, 0.0, 0.5 - 2 ** -53), 10 ** 18,
-                                rng)[0::2] == (0, 0)
+    for draw in (lambda born, n, rng=np.random.default_rng(0): relmodel.draw_counts(born, n, rng),
+                 lambda born, n, rng=random.Random(0): relmodel.multinomial(rng, n, born)):
+        assert draw(pp, 10 ** 18) == (10 ** 18, 0, 0)
+        assert draw((0.0, 0.5, 0.0, 0.5 - 2 ** -53), 10 ** 18)[0::2] == (0, 0)
     for trigger in (+1, -1):
         cfg = RovelliConfig(trigger)
         for seed in range(3):
@@ -631,6 +814,9 @@ def test_one_inconsistent_run_in_10_18_fails_rovelli(monkeypatch, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is True
     assert code == cli.EXIT_FAIL and rep["pass"] is False
+    # the report's checks say which count failed, and by how many runs
+    assert [(c["name"], c["observed"]) for c in rep["checks"] if not c["pass"]] == [
+        ("inconsistent reports", 1.0)]
 
 
 def test_a_second_outcome_off_the_trigger_fails_rovelli_and_criterion_5(monkeypatch, capsys):
@@ -642,6 +828,8 @@ def test_a_second_outcome_off_the_trigger_fails_rovelli_and_criterion_5(monkeypa
     rep = json.loads(capsys.readouterr().out)
     assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is False
     assert code == cli.EXIT_FAIL and rep["pass"] is False
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == [
+        "second outcome iff trigger violations"]
     result = acceptance.criterion_5(0)
     failed = [c["name"] for c in result["checks"] if not c["pass"]]
     assert failed == ["second outcome iff trigger violations"] and result["pass"] is False
