@@ -109,13 +109,23 @@ def _resolve_lf_config(args: argparse.Namespace):
 
 
 def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None,
-          spliced: dict[str, str] | None = None) -> None:
+          spliced: dict[str, list[str]] | None = None) -> None:
     """Write the report in the requested format.  `spliced` maps further
-    keys of the JSON report to their values, already as canonical JSON."""
+    keys of the JSON report to their values as lists of pieces that join to
+    canonical JSON.  The JSON text is one join over a flat list of pieces,
+    so it is the only report-sized string the call makes."""
     fmt = _resolve(args, "format", "table")
-    if fmt == "json":  # each value by the C encoder (an indent would be pure Python)
-        parts = {key: _canonical(value) for key, value in report.items()} | (spliced or {})
-        text = "{" + ",".join(f"{_canonical(key)}:{parts[key]}" for key in sorted(parts)) + "}\n"
+    if fmt == "json":
+        # each report value by the C encoder (an indent would be pure
+        # Python); spliced pieces go in as they are, never joined on their own
+        spliced = spliced or {}
+        pieces = []
+        for key in sorted(report.keys() | spliced.keys()):
+            pieces += (",", _canonical(key), ":")
+            pieces += spliced[key] if key in spliced else (_canonical(report[key]),)
+        pieces[:1] = ["{"]  # in place of the first entry's ","
+        pieces.append("}\n")
+        text = "".join(pieces)
     elif fmt == "csv":
         if render_csv is None:
             raise InputError("this command has no CSV representation")
@@ -322,14 +332,9 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 
-    def records_csv(rep: dict) -> str:  # the first ROWS runs, like "records" in JSON
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(relmodel.RECORD_FIELDS)
-        w.writerows(row.values() for row in batch.rows(relmodel.ROWS))  # None writes ""
-        return buf.getvalue()
-
-    _emit(args, report, table, records_csv, spliced={"records": batch.rows_json(relmodel.ROWS)})
+    # CSV is the first ROWS runs, like "records" in JSON
+    _emit(args, report, table, lambda rep: batch.rows_csv(relmodel.ROWS),
+          spliced={"records": batch.rows_json(relmodel.ROWS)})
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 

@@ -30,6 +30,8 @@ returns its check dicts first, and passing is all of them passing.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -89,13 +91,26 @@ def _decode(code: int) -> dict[str, int]:
     return {**v, "Ar": v["A"] * v["Ai"], "Cr": v["C"] * v["Ci"]}
 
 
+def _csv_lines(rows) -> list[str]:
+    """Each row as the line one csv.writer writes for it (None writes "")."""
+    buf = io.StringIO()
+    writer, lines = csv.writer(buf), []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return lines
+
+
 _DECODED = [_decode(code) for code in range(64)]
-# per code: k and each variable, its report row and the row as canonical
-# JSON (sorted keys, no whitespace)
+# per code: k and each variable, its report row, the row as canonical JSON
+# (sorted keys, no whitespace) and as a CSV line after the CSV header
 TABLES = {name: tuple(d[name] for d in _DECODED) for name in ("k", *VARIABLES)}
 _ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
                                   *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
 _FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
+_CSV_HEADER, *_CSV_LINES = _csv_lines([RECORD_FIELDS, *(row.values() for row in _ROWS)])
 # --planted-violation: Alice's internal outcome is +1 exactly when Bob asks
 PLANTED = tuple(c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64))
 
@@ -116,9 +131,19 @@ class TrialBatch:
         """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
         return [dict(_ROWS[c]) for c in self.first[:stop]]
 
-    def rows_json(self, stop: int) -> str:
-        """`rows(stop)` as canonical JSON, joined from pre-encoded rows."""
-        return "[" + ",".join([_FRAGMENTS[c] for c in self.first[:stop]]) + "]"
+    def rows_json(self, stop: int) -> list[str]:
+        """`rows(stop)` as canonical JSON in pieces, "[", the pre-encoded rows
+        with "," between them and "]", so that a writer joins them once."""
+        rows = [_FRAGMENTS[c] for c in self.first[:stop]]
+        pieces = [","] * (2 * len(rows) or 1)  # a "," before each row
+        pieces[1::2] = rows
+        pieces[0] = "["
+        pieces.append("]")
+        return pieces
+
+    def rows_csv(self, stop: int) -> str:
+        """`rows(stop)` as CSV, the header line first, joined from pre-encoded lines."""
+        return "".join([_CSV_HEADER] + [_CSV_LINES[c] for c in self.first[:stop]])
 
     def planted(self) -> TrialBatch:
         """The batch with each run's code replaced by its PLANTED code."""

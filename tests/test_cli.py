@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -532,6 +533,46 @@ def test_relmodel_csv_records(capsys):
     assert rows[0][:2] == ["a_internal", "c_internal"]
     # the report carries at most the first ROWS records
     assert len(rows) == 1 + relmodel.ROWS
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_relmodel_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    argv = ["relmodel", "--trials", "20000", "--seed", "0", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_PASS
+    assert sha256(out) == REPORT_SHA256[f"relmodel 20000 0 {fmt}"]
+    path = tmp_path / f"report.{fmt}"
+    code, stdout, _ = run(capsys, *argv, "--out", str(path))
+    assert (code, stdout) == (cli.EXIT_PASS, "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_relmodel_json_report_is_the_only_report_sized_string(monkeypatch):
+    # _emit joins the report once from its pieces, so a call's allocation
+    # peak stays near one report's length, where copying the records into
+    # the report string piece by piece reads about three lengths
+    class Sink:  # keeps what is written, as a captured stdout does
+        def __init__(self):
+            self.written = []
+
+        def write(self, text):
+            self.written.append(text)
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["relmodel", "--trials", "20000", "--seed", "0", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_PASS  # imports and caches fill outside the measurement
+    sink.written.clear()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_PASS
+    assert sha256("".join(sink.written)) == REPORT_SHA256["relmodel 20000 0 json"]
+    assert peak < 2 * sum(map(len, sink.written))
 
 
 # sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the

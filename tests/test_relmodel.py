@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -115,8 +117,12 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
         assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
     every = batch_of(range(64))
     assert every.rows(64) == [reference_row(every, code) for code in range(64)]
-    assert every.rows_json(64) == json.dumps(every.rows(64), sort_keys=True,
-                                             separators=(",", ":"))
+    # rows_json gives pieces; joined, they must be json.dumps of the rows
+    assert "".join(every.rows_json(64)) == json.dumps(every.rows(64), sort_keys=True,
+                                                      separators=(",", ":"))
+    buf = io.StringIO()
+    csv.writer(buf).writerows([relmodel.RECORD_FIELDS, *(r.values() for r in every.rows(64))])
+    assert every.rows_csv(64) == buf.getvalue()
 
 
 def test_run_trial_presence_discipline_per_choice_pair():
@@ -383,6 +389,10 @@ def test_rows_are_the_first_runs_in_record_field_order():
     assert rows == [reference_row(batch, i) for i in range(8)]
     assert all(tuple(r) == relmodel.RECORD_FIELDS for r in rows)
     assert batch.rows(0) == [] and len(batch.rows(1000)) == len(batch)
+    assert batch.rows_json(0) == ["[", "]"]
+    assert "".join(batch.rows_json(1)) == "[" + json.dumps(rows[0], sort_keys=True,
+                                                           separators=(",", ":")) + "]"
+    assert batch.rows_csv(0) == ",".join(relmodel.RECORD_FIELDS) + "\r\n"
 
 
 def test_jsonl_serialization_round_trips_values():
