@@ -1,25 +1,28 @@
 """Command-line orchestration.
 
-Subcommands: basic | lf | feasibility | relmodel | rovelli | accept.
-Exit codes: 0 pass, 1 invariant or tolerance failure, 2 input error,
-3 internal method disagreement.
+Subcommands: basic | lf | feasibility | relmodel | rovelli | accept, each
+with the flags its COMMANDS entry lists.  A flag is written in full or as a
+unique prefix, its value as the next token or after "=", and the last of
+repeated values wins; -h or --help prints help.  Exit codes: 0 pass, 1
+invariant or tolerance failure, 2 input or usage error, 3 internal method
+disagreement.
 
 A JSON config file (--config) may mirror any flag of its command; explicit
 flags override the file, and a key that no flag of the command reads is an
 input error.  JSON output is compact and canonical (sorted keys, no
 whitespace, one trailing newline), so identical (command, config, seed)
 triples produce byte-identical reports; `python -m json.tool` pretty-prints
-one.
+one.  The C encoder writes each run of report keys in one call.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
+import itertools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import marginal_polytope as mp
 from . import statlab
@@ -50,7 +53,7 @@ def _read_json(path: str, what: str, parse_float=float):
         raise InputError(f"cannot read {what}: {exc}") from exc
 
 
-def _resolve(args: argparse.Namespace, key: str, default=None):
+def _resolve(args: SimpleNamespace, key: str, default=None):
     """Flag value if given, else config-file value, else default."""
     val = getattr(args, key, None)
     if val is not None:
@@ -60,7 +63,7 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
     return default
 
 
-def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int | None,
+def _resolve_int(args: SimpleNamespace, key: str, default: int, minimum: int | None,
                  maximum: int | None = None) -> int:
     """Integer flag or config value; InputError unless it is an integer from
     `minimum` to `maximum` (no bound where None)."""
@@ -74,7 +77,7 @@ def _resolve_int(args: argparse.Namespace, key: str, default: int, minimum: int 
     return val
 
 
-def _resolve_switch(args: argparse.Namespace, key: str) -> bool:
+def _resolve_switch(args: SimpleNamespace, key: str) -> bool:
     """On/off flag or config value: JSON true or false, never a truthy string."""
     val = _resolve(args, key, False)
     if not isinstance(val, bool):
@@ -82,7 +85,7 @@ def _resolve_switch(args: argparse.Namespace, key: str) -> bool:
     return val
 
 
-def _resolve_path(args: argparse.Namespace, key: str) -> str | None:
+def _resolve_path(args: SimpleNamespace, key: str) -> str | None:
     """Path flag or config value, or None; open() would take an int as a descriptor."""
     val = _resolve(args, key)
     if val is not None and (not isinstance(val, str) or not val):
@@ -90,7 +93,7 @@ def _resolve_path(args: argparse.Namespace, key: str) -> str | None:
     return val
 
 
-def _resolve_lf_config(args: argparse.Namespace):
+def _resolve_lf_config(args: SimpleNamespace):
     from .scenarios import LFConfig
     angles = _resolve(args, "angles")
     if angles is None:
@@ -108,22 +111,27 @@ def _resolve_lf_config(args: argparse.Namespace):
                      "as 'a,b,c,d', a 4-list, or an object")
 
 
-def _emit(args: argparse.Namespace, report: dict, render_table, render_csv=None,
+def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
           spliced: dict[str, list[str]] | None = None) -> None:
     """Write the report in the requested format.  `spliced` maps further
     keys of the JSON report to their values as lists of pieces that join to
-    canonical JSON.  The JSON text is one join over a flat list of pieces,
-    so it is the only report-sized string the call makes."""
+    canonical JSON.  The JSON text is one join: each run of the other keys
+    between spliced ones is one call of the C encoder, braces stripped, and
+    spliced pieces go in as they are, never joined on their own.  So the
+    text is the only report-sized string the call makes."""
     fmt = _resolve(args, "format", "table")
     if fmt == "json":
-        # each report value by the C encoder (an indent would be pure
-        # Python); spliced pieces go in as they are, never joined on their own
         spliced = spliced or {}
         pieces = []
-        for key in sorted(report.keys() | spliced.keys()):
-            pieces += (",", _canonical(key), ":")
-            pieces += spliced[key] if key in spliced else (_canonical(report[key]),)
-        pieces[:1] = ["{"]  # in place of the first entry's ","
+        keys = sorted(report.keys() | spliced.keys())
+        for is_spliced, run in itertools.groupby(keys, spliced.__contains__):
+            if is_spliced:
+                for key in run:
+                    pieces += (",", _canonical(key), ":")
+                    pieces += spliced[key]
+            else:  # an indent would make the encoder pure Python
+                pieces += (",", _canonical({key: report[key] for key in run})[1:-1])
+        pieces[:1] = ["{"]  # in place of the first run's ","
         pieces.append("}\n")
         text = "".join(pieces)
     elif fmt == "csv":
@@ -153,7 +161,7 @@ def _tolerance_lines(checks: list[dict]) -> str:
 
 # --- basic ------------------------------------------------------------------
 
-def cmd_basic(args: argparse.Namespace) -> int:
+def cmd_basic(args: SimpleNamespace) -> int:
     from . import hilbert, scenarios
     amps = _resolve(args, "amps", "0.7071067811865476,0.7071067811865476")
     parts = [p.strip() for p in str(amps).split(",")]
@@ -221,7 +229,7 @@ def _pair_table_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_lf(args: argparse.Namespace) -> int:
+def cmd_lf(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 100000, 100, MAX_TRIALS)
@@ -255,7 +263,7 @@ def cmd_lf(args: argparse.Namespace) -> int:
 
 # --- feasibility ------------------------------------------------------------
 
-def cmd_feasibility(args: argparse.Namespace) -> int:
+def cmd_feasibility(args: SimpleNamespace) -> int:
     targets_path = _resolve_path(args, "targets")
     from_angles = _resolve_switch(args, "from_angles")
     if targets_path and from_angles:
@@ -306,7 +314,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 
 # --- relmodel ---------------------------------------------------------------
 
-def cmd_relmodel(args: argparse.Namespace) -> int:
+def cmd_relmodel(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
     cfg = _resolve_lf_config(args)
     trials = _resolve_int(args, "trials", 400000, 100, MAX_TRIALS)
@@ -340,7 +348,7 @@ def cmd_relmodel(args: argparse.Namespace) -> int:
 
 # --- rovelli ----------------------------------------------------------------
 
-def cmd_rovelli(args: argparse.Namespace) -> int:
+def cmd_rovelli(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
     trials = _resolve_int(args, "trials", 10000, 1, MAX_TRIALS)
     seed = _resolve_int(args, "seed", 0, 0)
@@ -371,7 +379,7 @@ def cmd_rovelli(args: argparse.Namespace) -> int:
 
 # --- accept -----------------------------------------------------------------
 
-def cmd_accept(args: argparse.Namespace) -> int:
+def cmd_accept(args: SimpleNamespace) -> int:
     from . import acceptance
     seed = _resolve_int(args, "seed", 42, 0)
     report = acceptance.run_all(seed)
@@ -392,55 +400,146 @@ def cmd_accept(args: argparse.Namespace) -> int:
 
 # --- driver -----------------------------------------------------------------
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="friendlab",
-        description="Simulate Extended Wigner's Friend experiments and decide "
-                    "joint-distribution feasibility exactly.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    run_flags = {"--trials": {"type": int}, "--seed": {"type": int},
-                 "--angles": {"help": "ask_A,super_A,ask_C,super_C in degrees"}}
+# each flag maps to (kind, help text); a kind is int, str, a tuple of the
+# values the flag may take, or SWITCH for a flag that takes no value
+SWITCH = "switch"
+_SHARED = {"--config": (str, "JSON file mirroring the flags; flags override"),
+           "--format": (("table", "json", "csv"), "report format (default table)"),
+           "--out": (str, "write the report to this path instead of stdout")}
+_TRIALS = {"--trials": (int, "number of runs")}
+_SEED = {"--seed": (int, "master random seed")}
+_ANGLES = {"--angles": (str, "ask_A,super_A,ask_C,super_C in degrees")}
 
-    def command(name: str, func, help_text: str, *flags: str) -> argparse.ArgumentParser:
-        """A subcommand with the flags every command reads, plus those of
-        `run_flags` named in `flags`."""
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file mirroring the flags; flags override")
-        for flag in flags:
-            p.add_argument(flag, **run_flags[flag])
-        p.add_argument("--format", choices=("table", "json", "csv"))
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.set_defaults(func=func)
-        return p
+# command -> (function, help text, flags)
+COMMANDS = {
+    "basic": (cmd_basic, "sealed-lab state and its frame-relational form", {
+        **_SHARED, "--amps": (str, "a,b amplitudes of the measured qubit"),
+        "--outcome": ((1, -1), "outcome of the frame-relational state")}),
+    "lf": (cmd_lf, "simulate the four-observer circuit", {**_SHARED, **_TRIALS, **_SEED, **_ANGLES}),
+    "feasibility": (cmd_feasibility, "exact joint-distribution feasibility", {
+        **_SHARED, **_ANGLES, "--targets": (str, "JSON file of pairwise 2x2 tables"),
+        "--from-angles": (SWITCH, "decide the circuit's own targets at --angles")}),
+    "relmodel": (cmd_relmodel, "Monte Carlo frame-relational model", {
+        **_SHARED, **_TRIALS, **_SEED, **_ANGLES,
+        "--planted-violation": (SWITCH, "corrupt the batch to verify the audits catch it")}),
+    "rovelli": (cmd_rovelli, "sequential-measurement scenario", {
+        **_SHARED, **_TRIALS, **_SEED,
+        "--trigger": ((1, -1), "first outcome that makes the friend measure again")}),
+    "accept": (cmd_accept, "run the acceptance suite", {**_SHARED, **_SEED}),
+}
 
-    p = command("basic", cmd_basic, "sealed-lab state and its frame-relational form")
-    p.add_argument("--amps", help="a,b amplitudes of the measured qubit")
-    p.add_argument("--outcome", type=int, choices=(1, -1))
 
-    command("lf", cmd_lf, "simulate the four-observer circuit", "--trials", "--seed", "--angles")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p = command("feasibility", cmd_feasibility, "exact joint-distribution feasibility",
-                "--angles")
-    p.add_argument("--targets", help="JSON file of pairwise 2x2 tables")
-    p.add_argument("--from-angles", dest="from_angles", action="store_true", default=None)
 
-    p = command("relmodel", cmd_relmodel, "Monte Carlo frame-relational model",
-                "--trials", "--seed", "--angles")
-    p.add_argument("--planted-violation", dest="planted_violation",
-                   action="store_true", default=None,
-                   help="corrupt the batch to verify the audits catch it")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: friendlab [-h] {" + ",".join(COMMANDS) + "} ..."
+    return " ".join([f"usage: friendlab {command} [-h]",
+                     *(f"[{_spelled(flag, kind)}]" for flag, (kind, _) in COMMANDS[command][2].items())])
 
-    p = command("rovelli", cmd_rovelli, "sequential-measurement scenario", "--trials", "--seed")
-    p.add_argument("--trigger", type=int, choices=(1, -1))
 
-    command("accept", cmd_accept, "run the acceptance suite", "--seed")
-    return parser
+def _spelled(flag: str, kind) -> str:
+    """The flag as usage and help write it: "--seed SEED", "--format
+    {table,json,csv}", "--from-angles"."""
+    if kind is SWITCH:
+        return flag
+    return f"{flag} " + ("{" + ",".join(map(str, kind)) + "}" if isinstance(kind, tuple)
+                         else _dest(flag).upper())
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        text = ("Simulate Extended Wigner's Friend experiments and decide joint-distribution "
+                "feasibility exactly.")
+        rows = [(name, help_text) for name, (_, help_text, _) in COMMANDS.items()]
+    else:
+        _, text, flags = COMMANDS[command]
+        rows = [(_spelled(flag, kind), help_text) for flag, (kind, help_text) in flags.items()]
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return (f"{_usage(command)}\n\n{text}\n\n"
+            + "".join(f"  {name:<{width}}{help_text}\n" for name, help_text in rows))
+
+
+def _usage_error(command: str | None, message: str):
+    """Refuse the argv as argparse did: usage and error to stderr, exit 2."""
+    prog = f"friendlab {command}" if command else "friendlab"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _lookup(command: str, token: str, flags: dict) -> tuple[str | None, str | None]:
+    """The flag that `token` names, exactly or by a unique prefix, and the
+    value written after its "=" (None without one); (None, None) when it
+    names no flag."""
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if not name.startswith("--") or name == "--":
+        return None, None
+    if name not in flags:
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+        if not matches:
+            return None, None
+        name = matches[0]
+    return name, value if eq else None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command named by argv[0], its function and every flag of the
+    command, None where the argv leaves it unset.  A flag is written in full
+    or as a unique prefix, its value as the next token or after "=", and
+    the last of repeated values wins.  -h or --help prints help and exits
+    0; any other argv that the command does not take exits 2."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command in ("-h", "--help"):
+            sys.stdout.write(_help(None))
+            raise SystemExit(EXIT_PASS)
+        _usage_error(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})"
+                     if argv else "the following arguments are required: command")
+    func, _, flags = COMMANDS[command]
+    values = dict.fromkeys(map(_dest, flags))
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_PASS)
+        flag, value = _lookup(command, token, flags)
+        if flag is None:
+            unrecognized.append(token)
+            continue
+        kind = flags[flag][0]
+        if kind is SWITCH:
+            if value is not None:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            values[_dest(flag)] = True
+            continue
+        if value is None:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(command, f"argument {flag}: expected one argument")
+        if kind is int or isinstance(kind, tuple) and isinstance(kind[0], int):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid int value: {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, kind))})")
+        values[_dest(flag)] = value
+    if unrecognized:
+        _usage_error(command, "unrecognized arguments: " + " ".join(unrecognized))
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = _read_json(args.config, "config file") if args.config else {}
         if not isinstance(config, dict):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,8 +12,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
+import argparse_oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import ACCEPT_42_SHA256
 
 from friendlab import cli, relmodel
@@ -232,6 +237,15 @@ def test_deciding_a_targets_file_loads_no_numpy(tmp_path):
                            env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout)["joint_4"]["feasible"]
+
+
+def test_the_cli_loads_no_argparse():
+    # argv is read through cli.COMMANDS; argparse and the gettext it loads
+    # would add about 2.6 ms to the start-up of every process
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, friendlab.cli; sys.exit('argparse' in sys.modules)"],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr or "friendlab.cli loads argparse"
 
 
 # run in a fresh interpreter: the state-vector engine is Python numbers, so
@@ -518,11 +532,32 @@ def test_relmodel_json_splice_is_the_canonical_encoding(capsys, trials, planted)
     ["basic"], ["basic", "--amps", "0.6,0.8"], ["lf", "--trials", "20000"],
     ["feasibility", "--from-angles"], ["rovelli", "--trials", "50"]])
 def test_every_json_report_is_the_canonical_encoding(capsys, argv):
-    # _emit encodes each top-level entry on its own; the joined text must be
-    # json.dumps of the whole report (floats round-trip through repr)
+    # _emit encodes the report by runs of keys and joins the runs; the text
+    # must be json.dumps of the whole report (floats round-trip through repr)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == cli.EXIT_PASS
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# the spliced values, by key: lists of pieces that join to their JSON
+SPLICED = {"a": ["[", '{"k":1}', ",", '{"k":2.5}', "]"], "c": ['"c"'], "e": ["null"],
+           "f": ["[", "]"]}
+
+
+@pytest.mark.parametrize("report, spliced", [
+    ({"b": 1.5, "d": [True, {"y": None, "x": "é"}]}, "a"),  # first: no keys before it
+    ({"b": 1.5, "d": [True, {"y": None, "x": "é"}]}, "c"),  # in the middle
+    ({"b": 1.5, "d": [True, {"y": None, "x": "é"}]}, "e"),  # last: no keys after it
+    ({}, "a"),  # alone
+    ({"b": 0.1, "d": "x"}, "ac"), ({"b": 0.1, "d": "x"}, "ef"),  # two in a row
+    ({"b": 0.1, "d": "x"}, "acef"), ({"b": 0.1, "d": "x"}, ""), ({}, "")])
+def test_emit_joins_runs_of_keys_and_spliced_values_to_the_canonical_encoding(
+        capsys, report, spliced):
+    args = SimpleNamespace(format="json", out=None, config_data={})
+    cli._emit(args, report, None, spliced={key: SPLICED[key] for key in spliced})
+    whole = {**report, **{key: json.loads("".join(SPLICED[key])) for key in spliced}}
+    assert capsys.readouterr().out == json.dumps(whole, sort_keys=True,
+                                                 separators=(",", ":")) + "\n"
 
 
 def test_relmodel_csv_records(capsys):
@@ -647,12 +682,130 @@ def test_json_output_is_byte_deterministic(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_parser_is_built_once_and_reused_unchanged():
-    assert cli.build_parser() is cli.build_parser()
-    argvs = [["rovelli", "--trials", "5", "--trigger", "-1"], ["lf", "--angles", "0,90,45,135"],
-             ["feasibility", "--from-angles", "--format", "json"], ["rovelli", "--seed", "3"]]
-    for argv in argvs * 2:
-        assert cli.build_parser().parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv)
+# every flag of every command, and tokens that no command reads; values that
+# are ints, negative, not ints, outside a flag's choices, empty or led by "-"
+# (tuples, so that Hypothesis builds each sampled_from strategy once).  No
+# generated token is "--": argparse drops it even from "--amps=--" and reads
+# amps as [], where parse_args reads "--"; an explicit example has it alone
+ALL_FLAGS = tuple(sorted({flag for _, _, flags in cli.COMMANDS.values() for flag in flags}))
+VALUES = ("5", "0", "-3", "+1", "1", "-1", "2", "x", "1.5", "-.5", "json", "csv", "yaml",
+          "1,2,3,4", "-10,20,30,40", "", "-", "-x", "--seed")
+UNKNOWN = ("--bogus", "--bogus=1", "-x", "-5", "---", "--=x", "stray")
+
+
+def own_values(kind):
+    """Values for a flag of this kind, nearly all of them ones it takes."""
+    if kind is int:
+        return st.integers(-3, 10 ** 20).map(str)
+    if isinstance(kind, tuple):  # and now and then a value outside the choices
+        return st.sampled_from((*map(str, kind), *map(str, kind), "0"))
+    return st.sampled_from(("0,90,45,135", "report.json", "0.6,0.8", "-.5"))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command (or none) and flags: mostly its own with values that fit,
+    also any flag with any value, flags in full or as prefixes, values after
+    "=", as the next token or missing, repeats and unknown tokens."""
+    command = draw(st.sampled_from((*cli.COMMANDS, "bogus")))
+    flags = cli.COMMANDS[command][2] if command in cli.COMMANDS else {}
+    own = tuple(flags) or ALL_FLAGS
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        which = draw(st.sampled_from(("own",) * 4 + ("any", "unknown")))
+        if which == "unknown":
+            argv.append(draw(st.sampled_from(UNKNOWN)))
+            continue
+        flag = draw(st.sampled_from(own if which == "own" else ALL_FLAGS))
+        spelled = flag[:draw(st.sampled_from((len(flag),) * 9 + tuple(range(3, len(flag)))))]
+        kind = flags.get(flag, (str,))[0]
+        if which == "own" and kind is cli.SWITCH:  # a switch takes no value
+            argv.append(spelled + draw(st.sampled_from(("", "", "=1"))))
+            continue
+        value = draw(own_values(kind) if which == "own" else st.sampled_from(VALUES))
+        form = draw(st.sampled_from(("=", "next", "missing") if which == "any" else ("=", "next")))
+        argv += {"=": [f"{spelled}={value}"], "next": [spelled, value], "missing": [spelled]}[form]
+    return argv
+
+
+def parsed(parse, argv):
+    """vars() of what `parse` makes of argv, or its exit code and stderr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(parse(argv)), ""
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argvs())
+@example(["rovelli", "--tri=500"])  # ambiguous: --trials or --trigger
+@example(["lf", "--tri=500", "--seed", "-3", "--seed", "4", "--angles=-10,20,30,40"])
+@example(["lf", "--angles", "-10,20,30,40"])
+@example(["feasibility", "--from-angles=1"])  # a switch takes no value
+@example(["basic", "--outcome", "2"])  # outside the choices
+@example(["lf", "--", "--trials", "5"])  # the command takes no positional arguments
+def test_parse_args_reads_argv_as_argparse_does(argv):
+    expected, _ = parsed(argparse_oracle.build_parser().parse_args, argv)
+    got, err = parsed(cli.parse_args, argv)
+    if got == cli.EXIT_INPUT:
+        assert expected == cli.EXIT_INPUT
+        assert err.startswith("usage: friendlab") and "error: " in err
+    elif got != expected:
+        # the one difference: a value led by "-" that is not a number is a flag
+        # to argparse, so it exits 2 for the missing value, where parse_args
+        # reads the value as argparse reads it after "="
+        assert expected == cli.EXIT_INPUT
+        assert parsed(argparse_oracle.build_parser().parse_args, glued(argv)) == (got, "")
+
+
+def glued(argv: list[str]) -> list[str]:
+    """argv with each value that follows its flag written after "=" instead."""
+    flags = cli.COMMANDS[argv[0]][2]
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        named = [flag for flag in flags if flag == token] or [
+            flag for flag in flags if token.startswith("--") and flag.startswith(token)]
+        value = None
+        if len(named) == 1 and flags[named[0]][0] is not cli.SWITCH:
+            value = next(tokens, None)
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def test_help_names_every_command_and_flag_with_its_help_text(capsys):
+    for argv in (["-h"], ["--help", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: friendlab [-h] {basic,lf,")
+        for command, (_, help_text, _) in cli.COMMANDS.items():
+            assert re.search(rf"^  {command} +{re.escape(help_text)}$", out, re.M), command
+    for command, (_, help_text, flags) in cli.COMMANDS.items():
+        for argv in ([command, "-h"], [command, "--bogus", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            out = capsys.readouterr().out
+            assert exc.value.code == 0 and out.startswith(f"usage: friendlab {command} [-h]")
+            assert f"\n{help_text}\n" in out and "\n  -h, --help " in out
+            for flag in ALL_FLAGS:  # each of its flags, and no other
+                pattern = (rf"^  {flag}(?![\w-]).* {re.escape(flags[flag][1])}$" if flag in flags
+                           else rf"{flag}(?![\w-])")
+                assert bool(re.search(pattern, out, re.M)) == (flag in flags), (command, flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "invalid command 'bogus'"), (["--trials", "5", "lf"], "invalid command '--trials'")])
+def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_INPUT and out == ""
+    usage, error = err.splitlines()
+    assert usage == "usage: friendlab [-h] {basic,lf,feasibility,relmodel,rovelli,accept} ..."
+    assert error.startswith(f"friendlab: error: {message}")
 
 
 def test_unknown_format_rejected(capsys):
