@@ -10,18 +10,23 @@ from its pair k (a PAIR_IDS index), its internal bits ia and ic (0 for +1, 1
 for -1) and its Born cell (a PAIR_CELLS index), so a run is one of 64 codes
 16*k + 8*ia + 4*ic + cell, read through the 64-entry TABLES of k and of each
 variable (0 where absent).  A TrialBatch is the histogram of its runs'
-codes, which the audits read, plus its first ROWS runs' codes in order, the
-report's rows (None where absent: null in JSON, an empty field in CSV).
-Both are drawn as counts, so any batch size up to 2**63 - 1 costs the same.
-Every code, count and table is a tuple of Python ints.
+codes plus its first ROWS runs' codes in order, the report's rows (None
+where absent: null in JSON, an empty field in CSV).  Both are drawn as
+counts, so any batch size up to 2**63 - 1 costs the same.  Every code, count
+and table is a tuple of Python ints.  The audits read the histogram as sums
+over lists of codes (those in each cell of a pair, those that break the
+presence discipline, ...), each list found once per content of the tables
+it reads and memoized, so an edited table gets fresh lists.
 
 The sequential scenario draws counts too: `simulate_rovelli` counts the runs
 in each (first outcome, second outcome or none, record) cell, the record
 drawn from the final state's distribution in `scenarios.rovelli_states`.
 Its draws come from the standard library: `multinomial` and `binomial` draw
 only through `random.Random.random()`, whose stream Python keeps the same on
-every version.  numpy still draws a batch (`simulate_batch`, through
-`draw_counts` and a shuffle), and loads only there.
+every version.  numpy still draws a batch, and loads only there:
+`simulate_batch` draws its counts through `draw_counts` from the code law
+memoized per config, and lays out its first rows as an array that numpy
+shuffles in place.
 Each Monte Carlo command's one audit is here, and its acceptance criterion
 runs it too: `circuit_audit` (lf, criterion 1), `audit` (relmodel, 3) and
 `rovelli_audit` (rovelli, 5; the sequential table's one reader).  Each
@@ -36,6 +41,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import add
 
 from . import scenarios, statlab
 from .hilbert import FactorLayout, StateVector, born_distribution
@@ -47,6 +54,8 @@ VARIABLES = ("Ai", "Ci", "A", "B", "C", "D", "Ar", "Cr")
 
 # per PAIR_IDS index: does Bob (Divya) ask, measuring A (C)?
 _B_ASKS, _D_ASKS = (tuple(CHOICE[p[w]] == "ask" for p in PAIR_IDS) for w in (0, 1))
+# per PAIR_IDS index: the independence stats' key, "Bob's choice,Divya's choice"
+_CHOICE_PAIRS = tuple(",".join(CHOICE[v] for v in p) for p in PAIR_IDS)
 
 TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
@@ -241,32 +250,66 @@ def multinomial(rng: random.Random, n: int, born) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@lru_cache(maxsize=8)
+def _positive_cells(born: tuple[float, ...]):
+    """The indices of a probability table's positive cells and their
+    weights, clipped to 1 as numpy asks, as a read-only float array."""
+    import numpy as np
+    cells = tuple(i for i, x in enumerate(born) if x > 0)
+    weights = np.array([min(born[i], 1.0) for i in cells])
+    weights.flags.writeable = False
+    return cells, weights
+
+
 def draw_counts(born, n: int, rng) -> tuple[int, ...]:
     """Int counts of n draws from the probability table `born` by a numpy
     Generator `rng`: a multinomial over its positive cells, unnormalized, so a
     zero cell never gets a count and the last positive cell takes the round-off
-    tail (clipped to 1, as numpy asks)."""
-    drawn = iter(rng.multinomial(n, [min(x, 1.0) for x in born if x > 0]).tolist())
-    return tuple(next(drawn) if x > 0 else 0 for x in born)
+    tail.  The positive cells are found once per table's contents."""
+    cells, weights = _positive_cells(tuple(born))
+    counts = [0] * len(born)
+    for i, runs in zip(cells, rng.multinomial(n, weights).tolist()):
+        counts[i] = runs
+    return tuple(counts)
+
+
+@lru_cache(maxsize=8)
+def _batch_law(cfg: LFConfig) -> tuple[float, ...]:
+    """P(code) of one run, born[k][cell] / 16, from `scenarios.born_tables`."""
+    return tuple(x / 16 for born in scenarios.born_tables(cfg).values()
+                 for _ in range(4) for x in born)  # the 4 middle values: 2ia + ic
 
 
 def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     """n iid runs of a uniform pair k and uniform internal bits: code
     16k + 8ia + 4ic + cell has probability born[k][cell] / 16.  One
-    default_rng(seed) draws the counts of the first min(n, ROWS) runs, which
-    are shuffled (given their counts, iid runs come in a uniformly random
-    order), then those of the rest: the law of n iid runs, rows included."""
+    default_rng(seed), seed >= 0, draws the counts of the first min(n, ROWS)
+    runs, which are laid out in code order as an array and shuffled in place
+    (given their counts, iid runs come in a uniformly random order), then
+    those of the rest: the law of n iid runs, rows included."""
     import numpy as np  # imported here, so that the sequential runs load no numpy
-    if n < 1:  # default_rng refuses a negative seed
+    if n < 1:
         raise ValueError("need at least one trial")
-    p = [x / 16 for born in scenarios.born_tables(cfg).values()
-         for _ in range(4) for x in born]  # the 4 middle values: 2ia + ic
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    p = _batch_law(cfg)
     rng = np.random.default_rng(seed)
     counts = draw_counts(p, min(n, ROWS), rng)
-    first = [code for code, runs in enumerate(counts) for _ in range(runs)]
+    first = np.repeat(np.arange(64), counts)
     rng.shuffle(first)
     rest = draw_counts(p, n - len(first), rng)
-    return TrialBatch(cfg, tuple(a + b for a, b in zip(counts, rest)), tuple(first))
+    return TrialBatch(cfg, tuple(map(add, counts, rest)), tuple(first.tolist()))
+
+
+@lru_cache(maxsize=16)
+def _pair_codes(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per PAIR_CELLS cell, the codes whose values (x, y) in the tables xs
+    and ys both exist and fall in that cell."""
+    cells = ([], [], [], [])
+    for code, (x, y) in enumerate(zip(xs, ys)):
+        if x and y:
+            cells[2 * (x < 0) + (y < 0)].append(code)
+    return tuple(map(tuple, cells))
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -276,13 +319,22 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     power."""
     if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
         raise ValueError(f"unknown variable in pair {pair}")
-    counts = [0] * 4
-    for x, y, runs in zip(TABLES[pair[0]], TABLES[pair[1]], batch.histogram):
-        if x and y:  # each code's runs in the PAIR_CELLS cell of its (x, y)
-            counts[2 * (x < 0) + (y < 0)] += runs
+    runs = batch.histogram.__getitem__
+    counts = tuple(sum(map(runs, codes))
+                   for codes in _pair_codes(TABLES[pair[0]], TABLES[pair[1]]))
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
-    return tuple(counts)
+    return counts
+
+
+@lru_cache(maxsize=8)
+def _choice_codes(ks: tuple[int, ...], internals: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per PAIR_IDS index k: the codes of pair k whose internal value is +1,
+    and the rest."""
+    table = [([], []) for _ in PAIR_IDS]
+    for code, (k, value) in enumerate(zip(ks, internals)):
+        table[k][value != 1].append(code)
+    return tuple((tuple(plus), tuple(other)) for plus, other in table)
 
 
 def check_choice_independence(batch: TrialBatch) -> dict:
@@ -292,12 +344,14 @@ def check_choice_independence(batch: TrialBatch) -> dict:
     `statlab.homogeneity` of its (n_plus, n - n_plus) columns flags at
     INDEPENDENCE_ALPHA / 2, so both wings together at INDEPENDENCE_ALPHA."""
     stats, flags = {}, []
+    runs = batch.histogram.__getitem__
     for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
-        table = [[0, 0] for _ in PAIR_IDS]  # per k: the runs with internal +1, the rest
-        for k, value, runs in zip(TABLES["k"], TABLES[internal], batch.histogram):
-            table[k][value != 1] += runs
-        columns = {",".join(CHOICE[v] for v in PAIR_IDS[k]): (plus, other)
-                   for k, (plus, other) in enumerate(table) if plus + other}
+        columns = {}  # per choice pair: the runs with internal +1, the rest
+        for key, (plus, other) in zip(_CHOICE_PAIRS,
+                                      _choice_codes(TABLES["k"], TABLES[internal])):
+            a, b = sum(map(runs, plus)), sum(map(runs, other))
+            if a + b:
+                columns[key] = (a, b)
         if len(columns) < 2:
             raise InsufficientDataError("need at least two distinct choice pairs")
         stats[wing] = {key: {"n": a + b, "n_plus": a} for key, (a, b) in columns.items()}
@@ -341,16 +395,23 @@ def _wing_valid(asks: bool, outcome: int, external: int, relation: int, internal
             else abs(outcome) == 1 and external == relation == 0)
 
 
+@lru_cache(maxsize=8)
+def _invalid_codes(*tables: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes whose k and VARIABLES, read from `tables` in that order,
+    break the presence discipline or the product identity."""
+    return tuple(code for code, (k, ai, ci, a, b, c, d, ar, cr) in enumerate(zip(*tables))
+                 if not (abs(ai) == abs(ci) == 1 and _wing_valid(_B_ASKS[k], b, a, ar, ai)
+                         and _wing_valid(_D_ASKS[k], d, c, cr, ci)))
+
+
 def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
-    invalid = sum(runs for runs, k, ai, ci, a, b, c, d, ar, cr
-                  in zip(batch.histogram, *(TABLES[name] for name in ("k", *VARIABLES)))
-                  if not (abs(ai) == abs(ci) == 1 and _wing_valid(_B_ASKS[k], b, a, ar, ai)
-                          and _wing_valid(_D_ASKS[k], d, c, cr, ci)))
+    invalid = sum(map(batch.histogram.__getitem__,
+                      _invalid_codes(*(TABLES[name] for name in ("k", *VARIABLES)))))
     n = len(batch)
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]

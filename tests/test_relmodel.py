@@ -200,7 +200,7 @@ def test_simulate_batch_rejects_bad_inputs():
     cfg = LFConfig()
     with pytest.raises(ValueError):
         relmodel.simulate_batch(cfg, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
         relmodel.simulate_batch(cfg, 10, -1)
 
 
@@ -249,6 +249,39 @@ def test_first_rows_are_drawn_from_p_in_uniform_order():
         se = np.sqrt(p * (1 - p) / (SEEDS * r))
         assert (abs(freq / (SEEDS * r) - p) <= K * se).all()
         assert (abs(smaller_first / distinct - 0.5) <= K * np.sqrt(0.25 / distinct)).all()
+
+
+def list_shuffled_batch(cfg, n, seed):
+    """simulate_batch's histogram and first runs drawn here from one
+    default_rng(seed): the first runs' counts as a multinomial over the
+    positive cells of P(code), their codes as a list in code order shuffled
+    by numpy, then the rest's counts."""
+    p = code_probabilities(cfg).tolist()
+
+    def draw(runs, rng):
+        drawn = iter(rng.multinomial(runs, [min(x, 1.0) for x in p if x > 0]).tolist())
+        return tuple(next(drawn) if x > 0 else 0 for x in p)
+
+    rng = np.random.default_rng(seed)
+    counts = draw(min(n, relmodel.ROWS), rng)
+    first = [code for code, runs in enumerate(counts) for _ in range(runs)]
+    rng.shuffle(first)
+    rest = draw(n - len(first), rng)
+    return relmodel.TrialBatch(cfg, tuple(a + b for a, b in zip(counts, rest)), tuple(first))
+
+
+def test_simulate_batch_draws_the_stream_of_a_list_shuffle():
+    # numpy shuffles a 1-d array with the draws it shuffles a list with, so
+    # the batch is the one drawn code by code into a list; at the default
+    # angles and at angles where half the pairs have zero cells
+    for cfg in (LFConfig(), LFConfig(0.0, 90.0, 0.0, 90.0)):
+        for n in (1, relmodel.ROWS - 1, relmodel.ROWS, relmodel.ROWS + 1, 4 * 10 ** 4):
+            for seed in range(50):
+                batch = relmodel.simulate_batch(cfg, n, seed)
+                want = list_shuffled_batch(cfg, n, seed)
+                assert (batch.histogram, batch.first) == (want.histogram, want.first), (n, seed)
+                planted, want = batch.planted(), remapped(want, relmodel.PLANTED)
+                assert (planted.histogram, planted.first) == (want.histogram, want.first)
 
 
 def test_supermeasured_pair_matches_born_correlator():
@@ -426,6 +459,68 @@ def test_audit_checks_in_order_and_catches_broken_records():
     relation = edited(relmodel.TABLES["Ar"], code, -relmodel.TABLES["Ar"][code])
     checks, _, _ = audit_with(batch, Ar=relation)
     assert checks[0]["observed"] == batch.histogram[code] and not checks[0]["pass"]
+
+
+def decoded_tables(**edits):
+    """k and each variable per code, decoded here one code at a time (0
+    where absent), with each (code, value) of `edits[name]` written over."""
+    values = []
+    for v in map(decode, range(64)):
+        values.append({name: v[name] or 0 for name in relmodel.VARIABLES})
+        values[-1]["k"] = PAIR_IDS.index(v["pair"])
+    for name, (code, value) in edits.items():
+        values[code][name] = value
+    return values
+
+
+def reference_audit(batch, values):
+    """From per-code `values`, summed code by code: the runs breaking the
+    presence discipline or product identity, the (Ai, Ci) count table and
+    the choice-independence entry."""
+    def valid(asks, outcome, external, relation, internal):
+        return (outcome == 0 and relation in (1, -1) and external == internal * relation
+                if asks else outcome in (1, -1) and external == relation == 0)
+
+    invalid, internal, stats, flags = 0, [0] * 4, {}, []
+    columns = {"alice": [[0, 0] for _ in PAIR_IDS], "chidi": [[0, 0] for _ in PAIR_IDS]}
+    for v, runs in zip(values, batch.histogram):
+        bob, divya = PAIR_IDS[v["k"]]
+        if not (v["Ai"] in (1, -1) and v["Ci"] in (1, -1)
+                and valid(bob == "A", v["B"], v["A"], v["Ar"], v["Ai"])
+                and valid(divya == "C", v["D"], v["C"], v["Cr"], v["Ci"])):
+            invalid += runs
+        internal[statlab.PAIR_CELLS.index((v["Ai"], v["Ci"]))] += runs
+        for wing, name in (("alice", "Ai"), ("chidi", "Ci")):
+            columns[wing][v["k"]][v[name] != 1] += runs
+    for wing, table in columns.items():
+        used = {",".join(CHOICE[w] for w in PAIR_IDS[k]): (plus, other)
+                for k, (plus, other) in enumerate(table) if plus + other}
+        stats[wing] = {key: {"n": a + b, "n_plus": a} for key, (a, b) in used.items()}
+        test = statlab.homogeneity(list(used.values()), relmodel.INDEPENDENCE_ALPHA / 2)
+        if test["statistic"] > test["critical"]:
+            flags.append({"wing": wing, **test})
+    return invalid, tuple(internal), {"stats": stats, "flags": flags}
+
+
+def test_the_audits_read_the_tables_as_they_are_at_each_call():
+    # the audits' code lists are memoized; a table edited under mock.patch.dict
+    # and then restored must be read as it is at each call, never through
+    # lists found for the other contents
+    batch = relmodel.simulate_batch(LFConfig(), 20000, 4)
+    code = next(c for c in range(64) if c >> 4 == 0 and batch.histogram[c])  # pair AC
+    t = relmodel.TABLES
+    real = reference_audit(batch, decoded_tables())
+    for name, value in (("Ar", -t["Ar"][code]), ("Ai", -t["Ai"][code]), ("k", 1)):
+        want = reference_audit(batch, decoded_tables(**{name: (code, value)}))
+        assert want != real
+        for tables, expected in (({}, real), ({name: edited(t[name], code, value)}, want),
+                                 ({}, real)):
+            with mock.patch.dict(relmodel.TABLES, tables):
+                checks, internal, independence = relmodel.audit(batch)
+                got = (checks[0]["observed"], internal, independence)
+                assert got == expected, name
+                assert relmodel.empirical_pair_table(batch, ("Ai", "Ci")) == expected[1]
+                assert relmodel.check_choice_independence(batch) == expected[2]
 
 
 PP, PA, NO_M2 = (scenarios.ROVELLI_RECORDS.index(r) for r in ("PP", "PA", "noM2"))
