@@ -35,20 +35,22 @@ EXIT_DISAGREE = 3
 # sets the bound for relmodel's batches, and lf and rovelli share it
 MAX_TRIALS = 2 ** 63 - 1
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_exact_json = json.JSONDecoder(parse_float=str).decode  # a number as written, not a float
 
 
 class InputError(ValueError):
     pass
 
 
-def _read_json(path: str, what: str, parse_float=float):
-    """The JSON value in the file at `path`, non-integer numbers read by
-    `parse_float`; InputError naming `what` if it cannot be read, is not
-    UTF-8 or JSON (ValueError) or nests too deeply for the parser
-    (RecursionError)."""
+def _read_json(path: str, what: str, decode=json.JSONDecoder().decode):
+    """The JSON value in the file at `path`, UTF-8 whatever the locale, parsed
+    by `decode`; newlines and a BOM as a text-mode `json.load` sees them, so
+    errors read the same.  InputError naming `what` if it cannot be read, is
+    not UTF-8 or JSON (ValueError) or nests too deeply (RecursionError)."""
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_float=parse_float)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return (json.loads if text.startswith("\ufeff") else decode)(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
 
@@ -272,8 +274,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
         raise InputError("feasibility reads angles only with --from-angles")
     resolution = None
     if targets_path:
-        # a number is decided as written, not as the binary float nearest it
-        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets", str))
+        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets", _exact_json))
     elif from_angles:
         from . import scenarios
         cfg = _resolve_lf_config(args)

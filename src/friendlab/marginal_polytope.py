@@ -12,11 +12,12 @@ denominator, so validation and Fine's criterion (all eight CHSH sign
 variants at most 2) compare ints.  The four-variable verdict is Fine's
 gluing of the triples (A, C, D) and (B, C, D) along (C, D) in counts over
 the targets' denominator, with no division, so a witness is ints over that
-denominator.  The 17-row 0/1 cell system `_cell_rows` with the targets'
-counts as right-hand side checks every verdict: `reproduces` a witness,
-`refutes` the Farkas certificate of the violated CHSH variant.  Over six
-variables the system only repeats columns, so that verdict is lifted.
-The module imports only `statlab`, so deciding targets loads no numpy.
+denominator.  The 17-row 0/1 cell system `_cell_rows`, the targets' counts
+its right-hand side, checks every verdict: `reproduces` a witness by one
+itemgetter per row (`_row_getters`), `refutes` the Farkas certificate of
+the violated CHSH variant.  Over six variables the system only repeats
+columns, so that verdict is lifted and its witness checked on all 64
+columns.  The module imports only `statlab`: deciding loads no numpy.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _over_lcm(ratios) -> tuple[int, list[int]]:
 def rational_texts(counts, d: int) -> list[str]:
     """Each n/d of `counts` over d >= 1 in lowest terms, as
     `str(Fraction(n, d))` writes it, without building the Fraction."""
-    return [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}" for n in counts]
+    return ["0" if not n else str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
+            for n in counts]
 
 
 def _plus(table, var: str, pair: str):
@@ -119,19 +121,19 @@ class PairTargets:
     def __post_init__(self):
         if set(self.counts) != set(PAIR_IDS):
             raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.counts)}")
-        for pair in PAIR_IDS:
-            cells = self.counts[pair]
+        ac, ad, bc, bd = tables = [self.counts[pair] for pair in PAIR_IDS]
+        for pair, cells in zip(PAIR_IDS, tables):
             if len(cells) != len(PAIR_CELLS):
                 raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
             if min(cells) < 0:
                 raise TargetError(f"table {pair} has a negative cell")
             if self.scale <= 0 or sum(cells) != self.scale:
                 raise TargetError(f"table {pair} does not sum to 1")
-        g = math.gcd(self.scale, *(n for cells in self.counts.values() for n in cells))
+        g = math.gcd(self.scale, *ac, *ad, *bc, *bd)
         if g > 1:
             object.__setattr__(self, "scale", self.scale // g)
-            object.__setattr__(self, "counts", {pair: tuple(n // g for n in self.counts[pair])
-                                                for pair in PAIR_IDS})
+            object.__setattr__(self, "counts", {pair: tuple(n // g for n in cells)
+                                                for pair, cells in zip(PAIR_IDS, tables)})
         for var, (p1, p2) in _SINGLE_SOURCES.items():
             if _plus(self.counts[p1], var, p1) != _plus(self.counts[p2], var, p2):
                 raise TargetError(
@@ -141,6 +143,11 @@ class PairTargets:
     def variants(self) -> dict[tuple[int, int, int, int], int]:
         """scale times each CHSH sign variant (statlab.sign_variants)."""
         return sign_variants([correlator(self.counts[pair]) for pair in PAIR_IDS])
+
+    @functools.cached_property
+    def cell_counts(self) -> tuple[int, ...]:
+        """The right-hand side of the cell system `_cell_rows` in counts over scale."""
+        return (self.scale, *(n for pair in PAIR_IDS for n in self.counts[pair]))
 
     # -- constructors -------------------------------------------------------
 
@@ -174,8 +181,8 @@ class PairTargets:
 
     def to_json_dict(self) -> dict:
         """Each table as nested rows [[++, +-], [-+, --]]."""
-        return {pair: [rational_texts(self.counts[pair][k:k + 2], self.scale) for k in (0, 2)]
-                for pair in PAIR_IDS}
+        t = rational_texts(self.cell_counts, self.scale)  # t[0] is the normalization's
+        return {pair: [t[k:k + 2], t[k + 2:k + 4]] for pair, k in zip(PAIR_IDS, (1, 5, 9, 13))}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
@@ -255,19 +262,20 @@ def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _cell_counts(t: PairTargets) -> tuple[int, ...]:
-    """The right-hand side of the cell system in counts over t.scale."""
-    return (t.scale, *(n for pair in PAIR_IDS for n in t.counts[pair]))
+@functools.cache
+def _row_getters(variables: tuple[str, ...]) -> tuple[operator.itemgetter, ...]:
+    """Per row of `_cell_rows(variables)`, the getter of the columns where it is 1."""
+    return tuple(operator.itemgetter(*(j for j, a in enumerate(row) if a))
+                 for row in _cell_rows(variables))
 
 
 def reproduces(variables: tuple[str, ...], counts, scale: int, t: PairTargets) -> bool:
     """The witness check: `counts` (in `_cell_rows` order) over `scale` are
     non-negative and every row sum, cross-multiplied by t.scale, equals that
     row's target count."""
-    rows = _cell_rows(variables)
-    return (len(counts) == len(rows[0]) and min(counts) >= 0
-            and all(sum(itertools.compress(counts, row)) * t.scale == b * scale
-                    for row, b in zip(rows, _cell_counts(t))))
+    return (len(counts) == 2 ** len(variables) and min(counts) >= 0
+            and all(sum(get(counts)) * t.scale == b * scale
+                    for get, b in zip(_row_getters(variables), t.cell_counts)))
 
 
 @functools.cache
@@ -279,7 +287,7 @@ def _dual_feasible(variables: tuple[str, ...], y: tuple[int, ...]) -> bool:
 def refutes(variables: tuple[str, ...], y, t: PairTargets) -> bool:
     """The certificate check (Farkas' lemma): y, an int per row of the cell
     system, with A^T y <= 0 and b^T y > 0 proves no joint reproduces `t`."""
-    return _dual_feasible(variables, tuple(y)) and sum(map(operator.mul, y, _cell_counts(t))) > 0
+    return _dual_feasible(variables, tuple(y)) and sum(map(operator.mul, y, t.cell_counts)) > 0
 
 
 def certificate(signs) -> tuple[int, ...]:
@@ -334,10 +342,9 @@ def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool
     violated variant's certificate refutes every infeasible verdict."""
     v4, fine = feasible_joint_4(t), fine_criterion(t)
     v6 = feasible_joint_6(v4)
-    y = certificate(max(t.variants, key=t.variants.get))
     agree = (v4.feasible == v6.feasible == fine
              and all(reproduces(variables, v.witness, v.scale, t) if v.feasible
-                     else refutes(variables, y, t)
+                     else refutes(variables, certificate(max(t.variants, key=t.variants.get)), t)
                      for variables, v in ((VARS_4, v4), (VARS_6, v6))))
     return v4, v6, fine, agree
 
@@ -352,7 +359,7 @@ def random_pair_targets(rng) -> PairTargets:
         weights[0] = 1
     total = sum(weights)
     lam = int(rng.integers(0, RANDOM_GRID + 1))
-    local = [sum(itertools.compress(weights, row)) for row in _cell_rows(VARS_4)[1:]]
+    local = [sum(get(weights)) for get in _row_getters(VARS_4)[1:]]
     box = [int(x * y == (-1 if pair == "AD" else 1)) for pair in PAIR_IDS for x, y in PAIR_CELLS]
     counts = [lam * total * b + 2 * (RANDOM_GRID - lam) * n for b, n in zip(box, local)]
     return PairTargets(2 * RANDOM_GRID * total,

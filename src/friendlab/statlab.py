@@ -47,7 +47,8 @@ def chsh(e):
 def sign_variants(e) -> dict:
     """sum(s * E) of the correlators in PAIR_IDS order for each of ODD_SIGNS (an
     odd number of -1); under a joint distribution each is at most 2 (Fine 1982)."""
-    return {signs: _sum(s * x for s, x in zip(signs, e)) for signs in ODD_SIGNS}
+    ac, ad, bc, bd = e  # added left to right from 0, as _sum adds
+    return {(a, b, c, d): 0 + a * ac + b * ad + c * bc + d * bd for a, b, c, d in ODD_SIGNS}
 
 
 def freqs(counts) -> tuple[float, ...]:

@@ -239,6 +239,38 @@ def test_deciding_a_targets_file_loads_no_numpy(tmp_path):
     assert json.loads(child.stdout)["joint_4"]["feasible"]
 
 
+def test_a_targets_file_is_read_as_utf_8_under_an_ascii_locale(tmp_path):
+    # "١/٤" is 1/4 in ARABIC-INDIC DIGITs; a reader that took the
+    # locale's encoding would refuse the file under the C locale
+    env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    reports = []
+    for name, cell in (("ascii.json", "1/4"), ("arabic.json", "١/٤")):
+        targets = tmp_path / name
+        targets.write_text(json.dumps({pair: [[cell, cell], [cell, cell]] for pair in mp.PAIR_IDS},
+                                      ensure_ascii=False), encoding="utf-8")
+        child = subprocess.run([sys.executable, "-m", "friendlab.cli", "feasibility",
+                                "--targets", str(targets), "--format", "json"],
+                               env=env, capture_output=True, timeout=60)
+        assert child.returncode == cli.EXIT_PASS, child.stderr.decode()
+        reports.append(child.stdout)
+    assert b"\xd9" in (tmp_path / "arabic.json").read_bytes()
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("data", [b'\xef\xbb\xbf{"AC": 1}', b'{\r\n"AC": 1,\r\n"AD" 2}',
+                                  b'{\r"AC": 1,\r"AD" 2}', b'{"AC": "1/\r\n4"}',
+                                  b'{"AC": 1}\n\xff'])
+def test_a_refused_file_gets_the_message_of_a_text_mode_json_load(capsys, tmp_path, data):
+    # a BOM, newlines and bad bytes give the positions a UTF-8 text file gives
+    targets = tmp_path / "targets.json"
+    targets.write_bytes(data)
+    with pytest.raises(ValueError) as refused, open(targets, encoding="utf-8") as fh:
+        json.load(fh)
+    for flag, what in (("--targets", "targets"), ("--config", "config file")):
+        code, _, err = run(capsys, "feasibility", flag, str(targets))
+        assert (code, err) == (cli.EXIT_INPUT, f"error: cannot read {what}: {refused.value}\n")
+
+
 def test_the_cli_loads_no_argparse():
     # argv is read through cli.COMMANDS; argparse and the gettext it loads
     # would add about 2.6 ms to the start-up of every process

@@ -180,7 +180,7 @@ def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
     # the simplex on the six-variable cell system is the reference the lift
     # stands in for: the same verdict, and a witness that solves the same
     # 64-column system exactly, though not always at the simplex's vertex
-    rows, counts = mp._cell_rows(mp.VARS_6), mp._cell_counts(t)
+    rows, counts = mp._cell_rows(mp.VARS_6), t.cell_counts
     x = simplex_oracle.solve_nonnegative(rows, counts)
     lifted = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert lifted.feasible == (x is not None)
@@ -321,7 +321,7 @@ def test_simplex_matches_the_oracle_on_the_cell_systems(t):
     # and must reach the same verdict, and a witness is counts over the
     # targets' own scale
     for variables, verdict in _both_verdicts(t):
-        x = simplex_oracle.solve_nonnegative(mp._cell_rows(variables), mp._cell_counts(t))
+        x = simplex_oracle.solve_nonnegative(mp._cell_rows(variables), t.cell_counts)
         assert verdict.feasible == (x is not None) == mp.fine_criterion(t)
         if verdict.feasible:
             assert verdict.scale == t.scale and all(type(n) is int for n in verdict.witness)
@@ -357,6 +357,78 @@ def test_refutes_refuses_a_broken_certificate(case, k):
         assert mp.refutes(variables, y, t)
         assert not mp.refutes(variables, flipped, t)
         assert not mp.refutes(variables, dropped, t)
+
+
+def _rhs(t) -> list[int]:
+    return [t.scale, *(n for pair in mp.PAIR_IDS for n in t.counts[pair])]
+
+
+def _restated_reproduces(variables, counts, scale, t) -> bool:
+    """The witness check written out: the right length, no negative count,
+    and each row's sum over its 1 columns equal to the target count."""
+    rows = mp._cell_rows(variables)
+    return (len(counts) == len(rows[0]) and min(counts) >= 0
+            and all(sum(itertools.compress(counts, row)) * t.scale == b * scale
+                    for row, b in zip(rows, _rhs(t))))
+
+
+def _restated_refutes(variables, y, t) -> bool:
+    """Farkas' lemma written out: A^T y <= 0 on every column and b^T y > 0."""
+    rows = mp._cell_rows(variables)
+    return (all(sum(itertools.compress(y, col)) <= 0 for col in zip(*rows))
+            and sum(a * b for a, b in zip(y, _rhs(t))) > 0)
+
+
+@st.composite
+def witness_checks(draw):
+    """(variables, counts, scale, targets): a verdict's witness as given, at
+    k times its scale, with up to 2 counts moved from one atom to another or
+    one count changed, shifted along the parity vector to one negative atom,
+    the other variable set's witness (16 entries for six variables, 64 for
+    four), or random counts of either length."""
+    t = draw(ANY_TARGETS)
+    (variables, verdict), (_, other) = draw(st.permutations(_both_verdicts(t)))
+    kind = draw(st.sampled_from(["witness", "scaled", "moved", "changed", "shifted", "other's",
+                                 "random"]))
+    if verdict.feasible and kind != "random":
+        counts, scale = list((other if kind == "other's" else verdict).witness), verdict.scale
+        atoms = st.integers(0, len(counts) - 1)
+        if kind == "scaled":
+            k = draw(st.integers(2, 5))
+            counts, scale = [k * n for n in counts], k * scale
+        if kind == "moved":
+            n = draw(st.integers(1, 2))
+            counts[draw(atoms)] -= n
+            counts[draw(atoms)] += n
+        if kind == "changed":
+            counts[draw(atoms)] += draw(st.integers(-2, 2))
+        if kind == "shifted":
+            counts, scale = as_counts(shifted_along_parity(variables, probabilities(verdict)))
+    else:
+        size = draw(st.sampled_from([16, 64]))
+        counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        scale = draw(st.integers(1, 64))
+    return variables, counts, scale, t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(witness_checks())
+def test_reproduces_is_the_row_sum_check_written_out(case):
+    assert mp.reproduces(*case) == _restated_reproduces(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ANY_TARGETS, st.sampled_from([mp.VARS_4, mp.VARS_6]),
+       st.one_of(st.none(), st.sampled_from(ODD_SIGNS)),
+       st.lists(st.tuples(st.integers(0, 16), st.integers(-2, 2)), max_size=3))
+def test_refutes_is_farkas_lemma_written_out(t, variables, signs, edits):
+    # the violated variant's certificate (signs None) or another's, as given
+    # or with a few entries moved, so both answers occur: the violated
+    # variant refutes infeasible targets, and most edits break A^T y <= 0
+    y = list(mp.certificate(signs or _violated(t)))
+    for k, delta in edits:
+        y[k] += delta
+    assert mp.refutes(variables, y, t) == _restated_refutes(variables, y, t)
 
 
 @PROPERTY

@@ -46,6 +46,38 @@ def test_targets_inconsistent_singles_is_input_error():
         from_tables(tables)
 
 
+UNIFORM_COUNTS = {pair: (1, 1, 1, 1) for pair in mp.PAIR_IDS}
+DOUBLED_COUNTS = {pair: (2, 2, 2, 2) for pair in mp.PAIR_IDS}
+
+
+@pytest.mark.parametrize("scale, counts, message", [
+    (4, {"AC": (1, 1, 1, 1), "AD": (1, 1, 1, 1), "BC": (1, 1, 1, 1)},
+     "need tables for exactly ('AC', 'AD', 'BC', 'BD'), got ['AC', 'AD', 'BC']"),
+    (4, {**UNIFORM_COUNTS, "DA": (1, 1, 1, 1)},
+     "need tables for exactly ('AC', 'AD', 'BC', 'BD'), got ['AC', 'AD', 'BC', 'BD', 'DA']"),
+    (4, {**UNIFORM_COUNTS, "AD": (2, 1, 1)}, "table AD must have 4 cells"),
+    (4, {**UNIFORM_COUNTS, "BC": (2, 3, -1, 0)}, "table BC has a negative cell"),
+    (4, {**UNIFORM_COUNTS, "BD": (1, 1, 1, 2)}, "table BD does not sum to 1"),
+    (0, {pair: (0, 0, 0, 0) for pair in mp.PAIR_IDS}, "table AC does not sum to 1"),
+    # one table at a time moves one marginal, the earlier ones in A, B, C, D
+    # order still agreeing; common factors do not change which disagrees
+    (4, {**UNIFORM_COUNTS, "AD": (2, 1, 0, 1)},
+     "single-variable marginal of A disagrees between AC and AD"),
+    (4, {**UNIFORM_COUNTS, "BD": (2, 1, 0, 1)},
+     "single-variable marginal of B disagrees between BC and BD"),
+    (4, {**UNIFORM_COUNTS, "BC": (2, 0, 1, 1)},
+     "single-variable marginal of C disagrees between AC and BC"),
+    (4, {**UNIFORM_COUNTS, "BD": (2, 0, 1, 1)},
+     "single-variable marginal of D disagrees between AD and BD"),
+    (8, {**DOUBLED_COUNTS, "BD": (4, 0, 2, 2)},
+     "single-variable marginal of D disagrees between AD and BD"),
+])
+def test_each_validation_names_its_fault(scale, counts, message):
+    with pytest.raises(mp.TargetError) as refused:
+        mp.PairTargets(scale, counts)
+    assert str(refused.value) == message
+
+
 def test_counts_are_reduced_to_lowest_terms():
     doubled = mp.PairTargets(8, {pair: (2, 2, 2, 2) for pair in mp.PAIR_IDS})
     assert doubled.scale == 4 and doubled.counts == {pair: (1, 1, 1, 1) for pair in mp.PAIR_IDS}
@@ -130,7 +162,7 @@ def test_six_variable_matches_four_variable_on_examples():
               product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))):
         v4 = mp.feasible_joint_4(t)
         v6 = mp.feasible_joint_6(v4)
-        solved = simplex_oracle.solve_nonnegative(mp._cell_rows(mp.VARS_6), mp._cell_counts(t))
+        solved = simplex_oracle.solve_nonnegative(mp._cell_rows(mp.VARS_6), t.cell_counts)
         assert v6.feasible == v4.feasible == (solved is not None)
         assert v6.max_violation == v4.max_violation
 
