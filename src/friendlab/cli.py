@@ -9,19 +9,21 @@ disagreement.
 
 A JSON config file (--config) may mirror any flag of its command; explicit
 flags override the file, and a key that no flag of the command reads is an
-input error.  JSON output is compact and canonical (sorted keys, no
-whitespace, one trailing newline), so identical (command, config, seed)
-triples produce byte-identical reports; `python -m json.tool` pretty-prints
-one.  The C encoder writes each run of report keys in one call.
+input error.  Each flag's Flag entry holds its kind, default and bounds, and
+`_read_flags` checks every flag and config value by them before the command
+starts, so a refused value costs no run.  JSON output is compact and
+canonical (sorted keys, no whitespace, one trailing newline), so identical
+(command, config, seed) triples produce byte-identical reports; `python -m
+json.tool` pretty-prints one.  The C encoder writes each run of report keys
+in one call.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
 
 from . import marginal_polytope as mp
@@ -55,64 +57,6 @@ def _read_json(path: str, what: str, decode=json.JSONDecoder().decode):
         raise InputError(f"cannot read {what}: {exc}") from exc
 
 
-def _resolve(args: SimpleNamespace, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return default
-
-
-def _resolve_int(args: SimpleNamespace, key: str, default: int, minimum: int | None,
-                 maximum: int | None = None) -> int:
-    """Integer flag or config value; InputError unless it is an integer from
-    `minimum` to `maximum` (no bound where None)."""
-    val = _resolve(args, key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InputError(f"{key} must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise InputError(f"{key} must be at least {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise InputError(f"{key} must be at most {maximum}, got {val}")
-    return val
-
-
-def _resolve_switch(args: SimpleNamespace, key: str) -> bool:
-    """On/off flag or config value: JSON true or false, never a truthy string."""
-    val = _resolve(args, key, False)
-    if not isinstance(val, bool):
-        raise InputError(f"{key} must be true or false, got {val!r}")
-    return val
-
-
-def _resolve_path(args: SimpleNamespace, key: str) -> str | None:
-    """Path flag or config value, or None; open() would take an int as a descriptor."""
-    val = _resolve(args, key)
-    if val is not None and (not isinstance(val, str) or not val):
-        raise InputError(f"{key} must be a non-empty file path, got {val!r}")
-    return val
-
-
-def _resolve_lf_config(args: SimpleNamespace):
-    from .scenarios import LFConfig
-    angles = _resolve(args, "angles")
-    if angles is None:
-        return LFConfig()
-    if isinstance(angles, str):
-        angles = angles.split(",")
-    try:
-        if isinstance(angles, dict):
-            return LFConfig.from_json_dict({"angles": angles})
-        if isinstance(angles, (list, tuple)) and len(angles) == 4:
-            return LFConfig(*angles)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad angles: {exc}") from exc
-    raise InputError("angles must be four degrees ask_A,super_A,ask_C,super_C "
-                     "as 'a,b,c,d', a 4-list, or an object")
-
-
 def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
           spliced: dict[str, list[str]] | None = None) -> None:
     """Write the report in the requested format.  `spliced` maps further
@@ -121,8 +65,7 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
     between spliced ones is one call of the C encoder, braces stripped, and
     spliced pieces go in as they are, never joined on their own.  So the
     text is the only report-sized string the call makes."""
-    fmt = _resolve(args, "format", "table")
-    if fmt == "json":
+    if args.format == "json":
         spliced = spliced or {}
         pieces = []
         keys = sorted(report.keys() | spliced.keys())
@@ -136,23 +79,18 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
         pieces[:1] = ["{"]  # in place of the first run's ","
         pieces.append("}\n")
         text = "".join(pieces)
-    elif fmt == "csv":
-        if render_csv is None:
-            raise InputError("this command has no CSV representation")
+    elif args.format == "csv":
         text = render_csv(report)
-    elif fmt == "table":
-        text = render_table(report)
     else:
-        raise InputError(f"unknown format {fmt!r}")
-    out = _resolve_path(args, "out")
-    if out is None:
+        text = render_table(report)
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _tolerance_lines(checks: list[dict]) -> str:
@@ -165,43 +103,21 @@ def _tolerance_lines(checks: list[dict]) -> str:
 
 def cmd_basic(args: SimpleNamespace) -> int:
     from . import hilbert, scenarios
-    amps = _resolve(args, "amps", "0.7071067811865476,0.7071067811865476")
-    parts = [p.strip() for p in str(amps).split(",")]
-    if len(parts) != 2:
-        raise InputError("--amps needs two comma-separated amplitudes a,b")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        state = scenarios.build_basic_wf_state(a, b)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    outcome = _resolve_int(args, "outcome", 1, None)
-    if outcome not in (+1, -1):
-        raise InputError("--outcome must be +1 or -1")
-
-    born = dict(zip(("+1", "-1"), hilbert.born_distribution(state, ("S",))))
-    report = {
-        "command": "basic",
-        "amplitudes": {"a": a, "b": b},
-        "entangled_amps": [[x.real, x.imag] for x in state.amps],
-        "born_S": born,
-    }
-    equal_weights = abs(abs(a) - abs(b)) <= 1e-9
-    if equal_weights:
+    (a, b, state), outcome = args.amps, args.outcome
+    report = {"command": "basic", "amplitudes": {"a": a, "b": b},
+              "entangled_amps": [[x.real, x.imag] for x in state.amps],
+              "born_S": dict(zip(("+1", "-1"), hilbert.born_distribution(state, ("S",))))}
+    if abs(abs(a) - abs(b)) <= 1e-9:
         frame = scenarios.build_frame_relational_state(outcome)
         witness = scenarios.interference_witness(frame, *scenarios.orientation_branches(frame))
         rec = hilbert.born_distribution(frame, ("record",))
-        report["frame_relational"] = {
-            "outcome": outcome,
-            "interference_witness": witness,
-            "record_expectation": rec[0] - rec[1],
-        }
+        report["frame_relational"] = {"outcome": outcome, "interference_witness": witness,
+                                      "record_expectation": rec[0] - rec[1]}
     else:
         # the frame-relational construction is defined only for equal branch
         # weights; unequal amplitudes make the witness degenerate
-        report["frame_relational"] = {
-            "outcome": outcome,
-            "degenerate": "frame-relational state requires equal branch weights",
-        }
+        report["frame_relational"] = {"outcome": outcome, "degenerate":
+                                      "frame-relational state requires equal branch weights"}
 
     def table(rep: dict) -> str:
         lines = [f"basic sealed-lab state with a={a}, b={b}",
@@ -221,21 +137,9 @@ def cmd_basic(args: SimpleNamespace) -> int:
 
 # --- lf ---------------------------------------------------------------------
 
-def _pair_table_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["pair", "x", "y", "frequency", "born"])
-    for pair, entry in report["pairs"].items():
-        for cell, freq, born in zip(statlab.PAIR_CELLS, entry["frequencies"], entry["born"]):
-            w.writerow([pair, cell[0], cell[1], freq, born])
-    return buf.getvalue()
-
-
 def cmd_lf(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
-    cfg = _resolve_lf_config(args)
-    trials = _resolve_int(args, "trials", 100000, 100, MAX_TRIALS)
-    seed = _resolve_int(args, "seed", 0, 0)
+    cfg, trials, seed = args.angles, args.trials, args.seed
     checks, tables, chsh = relmodel.circuit_audit(relmodel.simulate_batch(cfg, trials, seed))
     analytic = scenarios.pair_correlations(cfg)
     pairs_report = {pair: {
@@ -259,27 +163,25 @@ def cmd_lf(args: SimpleNamespace) -> int:
         lines.append(_tolerance_lines(rep["checks"]))
         return "\n".join(lines) + "\n"
 
-    _emit(args, report, table, _pair_table_csv)
+    _emit(args, report, table, lambda rep: "".join(relmodel.csv_lines([
+        ("pair", "x", "y", "frequency", "born"),
+        *((pair, *cell, freq, born) for pair, entry in rep["pairs"].items()
+          for cell, freq, born in zip(statlab.PAIR_CELLS, entry["frequencies"], entry["born"]))])))
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 # --- feasibility ------------------------------------------------------------
 
 def cmd_feasibility(args: SimpleNamespace) -> int:
-    targets_path = _resolve_path(args, "targets")
-    from_angles = _resolve_switch(args, "from_angles")
-    if targets_path and from_angles:
+    if args.targets and args.from_angles:
         raise InputError("give either --targets or --from-angles, not both")
-    if not from_angles and _resolve(args, "angles") is not None:
-        raise InputError("feasibility reads angles only with --from-angles")
     resolution = None
-    if targets_path:
-        targets = mp.PairTargets.from_json_dict(_read_json(targets_path, "targets", _exact_json))
-    elif from_angles:
+    if args.targets:
+        targets = mp.PairTargets.from_json_dict(_read_json(args.targets, "targets", _exact_json))
+    elif args.from_angles:
         from . import scenarios
-        cfg = _resolve_lf_config(args)
-        targets = scenarios.circuit_targets(cfg)
-        resolution = scenarios.snap_resolution(cfg)
+        targets = scenarios.circuit_targets(args.angles)
+        resolution = scenarios.snap_resolution(args.angles)
     else:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
@@ -317,10 +219,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
 
 def cmd_relmodel(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
-    cfg = _resolve_lf_config(args)
-    trials = _resolve_int(args, "trials", 400000, 100, MAX_TRIALS)
-    seed = _resolve_int(args, "seed", 0, 0)
-    planted = _resolve_switch(args, "planted_violation")
+    cfg, trials, seed, planted = args.angles, args.trials, args.seed, args.planted_violation
     batch = relmodel.simulate_batch(cfg, trials, seed)
     if planted:  # a debug self-test: it must trip the choice-independence audit
         batch = batch.planted()
@@ -351,13 +250,7 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
 
 def cmd_rovelli(args: SimpleNamespace) -> int:
     from . import relmodel, scenarios
-    trials = _resolve_int(args, "trials", 10000, 1, MAX_TRIALS)
-    seed = _resolve_int(args, "seed", 0, 0)
-    trigger = _resolve_int(args, "trigger", 1, None)
-    try:
-        cfg = scenarios.RovelliConfig(trigger=trigger)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    trials, seed, cfg = args.trials, args.seed, scenarios.RovelliConfig(trigger=args.trigger)
     checks, states, runs = relmodel.rovelli_audit(cfg, trials, seed)
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
               "states": states, "consistency_rate": runs["consistent"] / trials,
@@ -382,12 +275,11 @@ def cmd_rovelli(args: SimpleNamespace) -> int:
 
 def cmd_accept(args: SimpleNamespace) -> int:
     from . import acceptance
-    seed = _resolve_int(args, "seed", 42, 0)
-    report = acceptance.run_all(seed)
+    report = acceptance.run_all(args.seed)
     report["command"] = "accept"
 
     def table(rep: dict) -> str:
-        lines = [f"acceptance suite, master seed {seed}"]
+        lines = [f"acceptance suite, master seed {args.seed}"]
         for crit in rep["criteria"]:
             status = "PASS" if crit["pass"] else "FAIL"
             lines.append(f"[{status}] criterion {crit['criterion']}: {crit['name']}")
@@ -401,32 +293,76 @@ def cmd_accept(args: SimpleNamespace) -> int:
 
 # --- driver -----------------------------------------------------------------
 
-# each flag maps to (kind, help text); a kind is int, str, a tuple of the
-# values the flag may take, or SWITCH for a flag that takes no value
-SWITCH = "switch"
-_SHARED = {"--config": (str, "JSON file mirroring the flags; flags override"),
-           "--format": (("table", "json", "csv"), "report format (default table)"),
-           "--out": (str, "write the report to this path instead of stdout")}
-_TRIALS = {"--trials": (int, "number of runs")}
-_SEED = {"--seed": (int, "master random seed")}
-_ANGLES = {"--angles": (str, "ask_A,super_A,ask_C,super_C in degrees")}
+def _amplitudes(amps):
+    """--amps: "a,b" as the two floats and the sealed-lab state they give."""
+    from .scenarios import build_basic_wf_state
+    parts = [p.strip() for p in str(amps).split(",")]
+    if len(parts) != 2:
+        raise InputError("--amps needs two comma-separated amplitudes a,b")
+    try:
+        a, b = float(parts[0]), float(parts[1])
+        return a, b, build_basic_wf_state(a, b)
+    except ValueError as exc:  # not a float, or not normalized
+        raise InputError(str(exc)) from exc
+
+
+def _lf_config(angles):
+    """--angles: the circuit's LFConfig from "a,b,c,d" degrees, a 4-list or
+    an object of the four; the default circuit where None."""
+    from .scenarios import LFConfig
+    if angles is None:
+        return LFConfig()
+    if isinstance(angles, str):
+        angles = angles.split(",")
+    try:
+        if isinstance(angles, dict):
+            return LFConfig.from_json_dict({"angles": angles})
+        if isinstance(angles, list) and len(angles) == 4:
+            return LFConfig(*angles)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad angles: {exc}") from exc
+    raise InputError("angles must be four degrees ask_A,super_A,ask_C,super_C "
+                     "as 'a,b,c,d', a 4-list, or an object")
+
+
+# A flag's kind: int (from `minimum` to `maximum` where not None), a tuple of
+# the values it takes, SWITCH (true or false), PATH (a non-empty file path or
+# None), str (--config, unchecked) or a converter.  `default` is its value
+# where argv and the config file give none; `only_with` names the switch
+# without which it may not be given.
+Flag = namedtuple("Flag", "kind help default minimum maximum only_with",
+                  defaults=(None, None, None, None))
+SWITCH, PATH = "switch", "path"
+_SHARED = {"--config": Flag(str, "JSON file mirroring the flags; flags override"),
+           "--format": Flag(("table", "json", "csv"), "report format (default table)", "table"),
+           "--out": Flag(PATH, "write the report to this path instead of stdout")}
+_TRIALS = Flag(int, "number of runs", None, 100, MAX_TRIALS)
+_SEED = Flag(int, "master random seed", 0, 0)
+_ANGLES = Flag(_lf_config, "ask_A,super_A,ask_C,super_C in degrees")
 
 # command -> (function, help text, flags)
 COMMANDS = {
     "basic": (cmd_basic, "sealed-lab state and its frame-relational form", {
-        **_SHARED, "--amps": (str, "a,b amplitudes of the measured qubit"),
-        "--outcome": ((1, -1), "outcome of the frame-relational state")}),
-    "lf": (cmd_lf, "simulate the four-observer circuit", {**_SHARED, **_TRIALS, **_SEED, **_ANGLES}),
+        **_SHARED, "--amps": Flag(_amplitudes, "a,b amplitudes of the measured qubit",
+                                  "0.7071067811865476,0.7071067811865476"),
+        "--outcome": Flag((1, -1), "outcome of the frame-relational state", 1)}),
+    "lf": (cmd_lf, "simulate the four-observer circuit", {
+        **_SHARED, "--trials": _TRIALS._replace(default=100000), "--seed": _SEED,
+        "--angles": _ANGLES}),
     "feasibility": (cmd_feasibility, "exact joint-distribution feasibility", {
-        **_SHARED, **_ANGLES, "--targets": (str, "JSON file of pairwise 2x2 tables"),
-        "--from-angles": (SWITCH, "decide the circuit's own targets at --angles")}),
+        **_SHARED, "--angles": _ANGLES._replace(only_with="--from-angles"),
+        "--targets": Flag(PATH, "JSON file of pairwise 2x2 tables"),
+        "--from-angles": Flag(SWITCH, "decide the circuit's own targets at --angles", False)}),
     "relmodel": (cmd_relmodel, "Monte Carlo frame-relational model", {
-        **_SHARED, **_TRIALS, **_SEED, **_ANGLES,
-        "--planted-violation": (SWITCH, "corrupt the batch to verify the audits catch it")}),
+        **_SHARED, "--trials": _TRIALS._replace(default=400000), "--seed": _SEED,
+        "--angles": _ANGLES,
+        "--planted-violation": Flag(SWITCH, "corrupt the batch to verify the audits catch it",
+                                    False)}),
     "rovelli": (cmd_rovelli, "sequential-measurement scenario", {
-        **_SHARED, **_TRIALS, **_SEED,
-        "--trigger": ((1, -1), "first outcome that makes the friend measure again")}),
-    "accept": (cmd_accept, "run the acceptance suite", {**_SHARED, **_SEED}),
+        **_SHARED, "--trials": _TRIALS._replace(default=10000, minimum=1), "--seed": _SEED,
+        "--trigger": Flag((1, -1), "first outcome that makes the friend measure again", 1)}),
+    "accept": (cmd_accept, "run the acceptance suite",
+               {**_SHARED, "--seed": _SEED._replace(default=42)}),
 }
 
 
@@ -434,11 +370,17 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+# command -> {config key: Flag}, each `only_with` flag last
+_KEYED = {command: {_dest(flag): spec for flag, spec in sorted(
+    flags.items(), key=lambda item: item[1].only_with is not None)}
+    for command, (_, _, flags) in COMMANDS.items()}
+
+
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: friendlab [-h] {" + ",".join(COMMANDS) + "} ..."
     return " ".join([f"usage: friendlab {command} [-h]",
-                     *(f"[{_spelled(flag, kind)}]" for flag, (kind, _) in COMMANDS[command][2].items())])
+                     *(f"[{_spelled(flag, spec.kind)}]" for flag, spec in COMMANDS[command][2].items())])
 
 
 def _spelled(flag: str, kind) -> str:
@@ -457,7 +399,7 @@ def _help(command: str | None) -> str:
         rows = [(name, help_text) for name, (_, help_text, _) in COMMANDS.items()]
     else:
         _, text, flags = COMMANDS[command]
-        rows = [(_spelled(flag, kind), help_text) for flag, (kind, help_text) in flags.items()]
+        rows = [(_spelled(flag, spec.kind), spec.help) for flag, spec in flags.items()]
     rows.insert(0, ("-h, --help", "show this help and exit"))
     width = max(len(name) for name, _ in rows) + 2
     return (f"{_usage(command)}\n\n{text}\n\n"
@@ -475,8 +417,6 @@ def _lookup(command: str, token: str, flags: dict) -> tuple[str | None, str | No
     """The flag that `token` names, exactly or by a unique prefix, and the
     value written after its "=" (None without one); (None, None) when it
     names no flag."""
-    if token in flags:
-        return token, None
     name, eq, value = token.partition("=")
     if not name.startswith("--") or name == "--":
         return None, None
@@ -488,6 +428,10 @@ def _lookup(command: str, token: str, flags: dict) -> tuple[str | None, str | No
             return None, None
         name = matches[0]
     return name, value if eq else None
+
+
+def _takes_int(kind) -> bool:
+    return kind is int or isinstance(kind, tuple) and isinstance(kind[0], int)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
@@ -504,7 +448,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         _usage_error(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})"
                      if argv else "the following arguments are required: command")
     func, _, flags = COMMANDS[command]
-    values = dict.fromkeys(map(_dest, flags))
+    values = dict.fromkeys(_KEYED[command])
     unrecognized = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -515,7 +459,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if flag is None:
             unrecognized.append(token)
             continue
-        kind = flags[flag][0]
+        kind = flags[flag].kind
         if kind is SWITCH:
             if value is not None:
                 _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
@@ -525,7 +469,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             value = next(tokens, None)
             if value is None:
                 _usage_error(command, f"argument {flag}: expected one argument")
-        if kind is int or isinstance(kind, tuple) and isinstance(kind[0], int):
+        if _takes_int(kind):
             try:
                 value = int(value)
             except ValueError:
@@ -539,26 +483,60 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **values)
 
 
+def _checked(key: str, spec: Flag, val):
+    """`val` as the command reads it; InputError unless `spec` takes it."""
+    kind = spec.kind
+    if not isinstance(kind, (type, tuple, str)):  # a converter
+        return kind(val)
+    if _takes_int(kind) and (isinstance(val, bool) or not isinstance(val, int)):
+        raise InputError(f"{key} must be an integer, got {val!r}")
+    if isinstance(kind, tuple) and val not in kind:
+        raise InputError(f"{key} must be one of {', '.join(map(repr, kind))}, got {val!r}")
+    if kind is SWITCH and not isinstance(val, bool):
+        raise InputError(f"{key} must be true or false, got {val!r}")
+    if kind is PATH and val is not None and (not isinstance(val, str) or not val):
+        raise InputError(f"{key} must be a non-empty file path, got {val!r}")
+    if spec.minimum is not None and val < spec.minimum:
+        raise InputError(f"{key} must be at least {spec.minimum}, got {val}")
+    if spec.maximum is not None and val > spec.maximum:
+        raise InputError(f"{key} must be at most {spec.maximum}, got {val}")
+    return val
+
+
+def _read_flags(args: SimpleNamespace, config: dict) -> None:
+    """Set each flag of the command to the value it reads: its argv value,
+    else its config-file value, else its default, as `_checked` takes it.
+    InputError for a config key no flag reads, else for the first refused
+    value in _KEYED order."""
+    keyed = _KEYED[args.command]
+    # --config names the file, so the file cannot set it
+    unread = sorted(key for key in config if key not in keyed or key == "config")
+    if unread:
+        raise InputError(f"config keys that {args.command} does not read: " + ", ".join(unread))
+    for key, spec in keyed.items():
+        val = getattr(args, key)
+        if val is None:
+            val = config.get(key, spec.default)
+        if spec.only_with and not getattr(args, _dest(spec.only_with)):
+            if val is not None:
+                raise InputError(f"{args.command} reads {key} only with {spec.only_with}")
+        else:
+            setattr(args, key, _checked(key, spec, val))
+    if args.format == "csv" and args.command not in ("lf", "relmodel"):  # no CSV renderer
+        raise InputError("this command has no CSV representation")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         config = _read_json(args.config, "config file") if args.config else {}
         if not isinstance(config, dict):
             raise InputError("config file must hold a JSON object")
-        # the parser's own entries are no options a config file can set
-        unread = sorted(set(config) - (set(vars(args)) - {"command", "func", "config"}))
-        if unread:
-            raise InputError(f"config keys that {args.command} does not read: "
-                             + ", ".join(unread))
-        args.config_data = config
+        _read_flags(args, config)
         return args.func(args)
     except (InputError, mp.TargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

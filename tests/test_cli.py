@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import ACCEPT_42_SHA256
 
-from friendlab import cli, relmodel
+from friendlab import acceptance, cli, hilbert, relmodel
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 
@@ -42,6 +42,7 @@ GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"
 # sha256 of reports at fixed seeds, so that refactors keep every output byte
 REPORT_SHA256 = {
     "lf 20000 0 json": "f8586d2a840b3abe1a6e42e6d63a0890b6c9081748c32792feeb43bade12f65f",
+    "lf 20000 0 csv": "4aa5805346a2694bf8f8a923242b798bebed41847fe9baa55019ca20fac87b9e",
     "relmodel 20000 0 json": "b8160137362a90cd439710845a5a3868180f044348e4172dc75a52ed67ee3b76",
     "relmodel 20000 0 csv": "ca7e3ae30f88d1aaf7880261f70d8f24e4bca7625051b475230ed40155917451",
     # the one pinned report whose independence audit raises flags
@@ -157,6 +158,7 @@ def test_lf_csv_output(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["pair", "x", "y", "frequency", "born"]
     assert len(rows) == 1 + 4 * 4
+    assert sha256(out) == REPORT_SHA256["lf 20000 0 csv"]
     code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "0", "--format", "json")
     assert code == cli.EXIT_PASS
     assert sha256(out) == REPORT_SHA256["lf 20000 0 json"]
@@ -585,7 +587,7 @@ SPLICED = {"a": ["[", '{"k":1}', ",", '{"k":2.5}', "]"], "c": ['"c"'], "e": ["nu
     ({"b": 0.1, "d": "x"}, "acef"), ({"b": 0.1, "d": "x"}, ""), ({}, "")])
 def test_emit_joins_runs_of_keys_and_spliced_values_to_the_canonical_encoding(
         capsys, report, spliced):
-    args = SimpleNamespace(format="json", out=None, config_data={})
+    args = SimpleNamespace(format="json", out=None)
     cli._emit(args, report, None, spliced={key: SPLICED[key] for key in spliced})
     whole = {**report, **{key: json.loads("".join(SPLICED[key])) for key in spliced}}
     assert capsys.readouterr().out == json.dumps(whole, sort_keys=True,
@@ -966,3 +968,85 @@ def test_switch_in_config_must_be_json_true_or_false(capsys, tmp_path, command, 
         cfg.write_text(json.dumps({**config, "format": "json"}))
         code, out, _ = run(capsys, command, "--config", str(cfg))
         assert code == exit_code and sha256(out) == REPORT_SHA256[pin]
+
+
+def forbid_work(monkeypatch):
+    """Make the first step of each command's work raise, so a call that gets
+    past its input checks fails loudly."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for module, name in ((acceptance, "run_all"), (relmodel, "simulate_batch"),
+                         (relmodel, "rovelli_audit"), (mp, "decide"),
+                         (hilbert, "born_distribution")):
+        monkeypatch.setattr(module, name, work)
+
+
+@pytest.mark.parametrize("command, argv, config, message", [
+    ("accept", [], {"format": "yaml"}, "format must be one of 'table', 'json', 'csv', got 'yaml'"),
+    ("accept", ["--seed", "-1"], {}, "seed must be at least 0, got -1"),
+    ("accept", [], {"out": 2}, "out must be a non-empty file path, got 2"),
+    ("accept", ["--format", "csv"], {}, "this command has no CSV representation"),
+    ("relmodel", [], {"format": "yaml"}, "format must be one of 'table', 'json', 'csv', got 'yaml'"),
+    ("relmodel", ["--out", ""], {"trials": 20000}, "out must be a non-empty file path, got ''"),
+    ("lf", ["--trials", "200"], {"out": ["lf.json"]},
+     "out must be a non-empty file path, got ['lf.json']")])
+def test_a_refused_value_costs_no_run(capsys, tmp_path, monkeypatch, command, argv, config,
+                                      message):
+    # every flag and config value is checked before the command starts, so
+    # a bad format or out is refused before the run, not after it
+    forbid_work(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, command, *argv, "--config", str(cfg)) == (cli.EXIT_INPUT, "",
+                                                                 f"error: {message}\n")
+
+
+def test_a_refused_seed_loads_neither_the_suite_nor_numpy():
+    script = ("import sys\nfrom friendlab import cli\n"
+              "assert cli.main(['accept', '--seed', '-1']) == 2\n"
+              "assert not {'friendlab.acceptance', 'numpy'} & set(sys.modules)\n")
+    child = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.endswith("error: seed must be at least 0, got -1\n")
+
+
+# a value that each choice refuses, and the error it gives
+CHOICE_REFUSALS = {(1, -1): (2, "{key} must be one of 1, -1, got 2"),
+                   ("table", "json", "csv"): (
+                       "yaml", "{key} must be one of 'table', 'json', 'csv', got 'yaml'")}
+
+
+def refusal(key: str, spec) -> tuple:
+    """A value that a flag with entry `spec` refuses, the error it gives, and
+    whether argv can carry it past parse_args (which refuses a non-int or a
+    value outside a choice, and gives a switch no value) to the value checks."""
+    if spec.kind is int:
+        value = spec.minimum - 1
+        return value, f"{key} must be at least {spec.minimum}, got {value}", True
+    if spec.kind is cli.PATH:
+        return "", f"{key} must be a non-empty file path, got ''", True
+    if spec.kind is cli.SWITCH:
+        return "no", f"{key} must be true or false, got 'no'", False
+    value, message = CHOICE_REFUSALS[spec.kind]
+    return value, message.format(key=key), False
+
+
+CHECKED_FLAGS = [(command, flag) for command, (_, _, flags) in cli.COMMANDS.items()
+                 for flag, spec in flags.items()
+                 if spec.kind in (int, cli.PATH, cli.SWITCH) or isinstance(spec.kind, tuple)]
+
+
+@pytest.mark.parametrize("command, flag", CHECKED_FLAGS)
+def test_each_flag_refuses_a_value_alike_from_argv_and_a_config_file(capsys, tmp_path,
+                                                                     monkeypatch, command, flag):
+    forbid_work(monkeypatch)
+    key = flag[2:].replace("-", "_")
+    value, message, on_argv = refusal(key, cli.COMMANDS[command][2][flag])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    refused = (cli.EXIT_INPUT, "", f"error: {message}\n")
+    assert run(capsys, command, "--config", str(cfg)) == refused
+    if on_argv:
+        assert run(capsys, command, flag, str(value)) == refused
