@@ -11,17 +11,19 @@ A JSON config file (--config) may mirror any flag of its command; explicit
 flags override the file, and a key that no flag of the command reads is an
 input error.  Each flag's Flag entry holds its kind, default and bounds, and
 `_read_flags` checks every flag and config value by them before the command
-starts, so a refused value costs no run.  JSON output is compact and
-canonical (sorted keys, no whitespace, one trailing newline), so identical
-(command, config, seed) triples produce byte-identical reports; `python -m
-json.tool` pretty-prints one.  The C encoder writes each run of report keys
-in one call.
+starts, as it does an --out whose directory is missing or not writable, so
+a refused value costs no run.  JSON output is compact and canonical (sorted
+keys, no whitespace, one trailing newline), so identical (command, config,
+seed) triples produce byte-identical reports; `python -m json.tool`
+pretty-prints one.  The C encoder writes each run of report keys in one
+call.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -327,13 +329,13 @@ def _lf_config(angles):
 
 # A flag's kind: int (from `minimum` to `maximum` where not None), a tuple of
 # the values it takes, SWITCH (true or false), PATH (a non-empty file path or
-# None), str (--config, unchecked) or a converter.  `default` is its value
-# where argv and the config file give none; `only_with` names the switch
-# without which it may not be given.
+# None) or a converter.  `default` is its value where argv and the config
+# file give none; `only_with` names the switch without which it may not be
+# given.
 Flag = namedtuple("Flag", "kind help default minimum maximum only_with",
                   defaults=(None, None, None, None))
 SWITCH, PATH = "switch", "path"
-_SHARED = {"--config": Flag(str, "JSON file mirroring the flags; flags override"),
+_SHARED = {"--config": Flag(PATH, "JSON file mirroring the flags; flags override"),
            "--format": Flag(("table", "json", "csv"), "report format (default table)", "table"),
            "--out": Flag(PATH, "write the report to this path instead of stdout")}
 _TRIALS = Flag(int, "number of runs", None, 100, MAX_TRIALS)
@@ -524,6 +526,10 @@ def _read_flags(args: SimpleNamespace, config: dict) -> None:
             setattr(args, key, _checked(key, spec, val))
     if args.format == "csv" and args.command not in ("lf", "relmodel"):  # no CSV renderer
         raise InputError("this command has no CSV representation")
+    if args.out is not None:  # `_emit` still handles a write that fails
+        directory = os.path.dirname(args.out) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise InputError(f"cannot write {args.out}: no writable directory {directory!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

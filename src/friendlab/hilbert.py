@@ -8,11 +8,14 @@ report is `acc += term` from zero in index order (m[i][j] * t[j] over j in
 `apply`, a.real**2 + a.imag**2 per basis state in `born_distribution`,
 a.conjugate() * b in `StateVector.inner`), never the float `sum()` that
 Python 3.12 made compensated, so every report is the same bytes on every
-CPU.  A measurement is a frame change, which is such a unitary, followed by
-a computational-basis reading of named factors; a reading of distinct
-factors is complete and orthogonal by its type, so no projector is ever
-built or checked.  The scenarios built on this engine never need more than
-24 dimensions.  A reading's Born probabilities come from
+CPU.  `apply` skips a block whose amplitudes are all exact zeros, whose
+sums would be exactly 0j, so the bytes are those of the full loop; every
+state still refuses a non-finite amplitude and a norm more than ATOL from
+1.  A measurement is a frame change, which is such a unitary, followed by a
+computational-basis reading of named factors; a reading of distinct factors
+is complete and orthogonal by its type, so no projector is ever built or
+checked.  The scenarios built on this engine never need more than 24
+dimensions.  A reading's Born probabilities come from
 `born_distribution(state, read)` alone, and this module draws no random
 numbers: callers name the outcomes, and `relmodel` samples them.
 """
@@ -61,11 +64,15 @@ class FactorLayout:
     def dim(self) -> int:
         return math.prod(d for _, d in self.factors)
 
+    @functools.cached_property
+    def _axes(self) -> dict[str, int]:
+        return {n: i for i, (n, _) in enumerate(self.factors)}
+
     def axis(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.factors):
-            if n == name:
-                return i
-        raise LayoutError(f"no factor named {name!r} in {self.names}")
+        try:
+            return self._axes[name]
+        except KeyError:
+            raise LayoutError(f"no factor named {name!r} in {self.names}") from None
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class StateVector:
         if not all(map(cmath.isfinite, amps)):
             raise ValueError("amplitudes must be finite")
         # a check only: this norm reaches no report
-        norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
+        norm = math.hypot(*map(abs, amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amps", amps)
@@ -119,17 +126,21 @@ def _blocks(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ..
 def apply(matrix, state: StateVector, on: tuple[str, ...]) -> StateVector:
     """The state `matrix` makes of `state`, acting on the factors `on`, in
     that order, and as the identity elsewhere: in each block of `_blocks`,
-    out[i] = sum_j m[i][j] * t[j].  The returned state's norm check refuses
-    a non-unitary's output."""
+    out[i] = sum_j m[i][j] * t[j], left 0j where t is all exact zeros: the
+    sum's value there, zero signs included (+0.0 + -0.0 is +0.0).  The
+    returned state's checks refuse a non-unitary's output and a non-finite
+    entry, which makes a NaN even where it meets a zero amplitude."""
     layout = state.layout
     axes = tuple(layout.axis(n) for n in on)
     d = math.prod(layout.dims[a] for a in axes)
-    m = [[complex(x) for x in row] for row in matrix]
+    m = [list(map(complex, row)) for row in matrix]
     if len(set(axes)) != len(axes) or len(m) != d or any(len(row) != d for row in m):
         raise LayoutError(f"a {len(m)}-row matrix does not fit factors {tuple(on)} (dim {d})")
     out = [0j] * layout.dim
     for block in _blocks(layout.dims, axes):
         t = [state.amps[k] for k in block]
+        if not any(t):  # its sums would all be exactly 0j, as `out` holds
+            continue
         for k, row in zip(block, m):
             acc = 0j
             for mij, tj in zip(row, t):

@@ -1002,6 +1002,29 @@ def test_a_refused_value_costs_no_run(capsys, tmp_path, monkeypatch, command, ar
                                                                  f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_an_empty_config_path_is_refused_before_any_run(capsys, monkeypatch, command):
+    # as an empty --out or --targets is, where it used to read no file
+    forbid_work(monkeypatch)
+    refused = (cli.EXIT_INPUT, "", "error: config must be a non-empty file path, got ''\n")
+    assert run(capsys, command, "--config", "") == refused
+    assert run(capsys, command, "--config=") == refused
+
+
+@pytest.mark.parametrize("out", ["missing-dir/report.json", "report.json/report.json"])
+def test_an_out_in_no_writable_directory_is_refused_before_any_run(capsys, tmp_path,
+                                                                   monkeypatch, out):
+    # the directory is checked before the suite runs, so no run is wasted
+    forbid_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.json").write_text("")
+    code, stdout, err = run(capsys, "accept", "--format", "json", "--out", out)
+    assert (code, stdout) == (cli.EXIT_INPUT, "")
+    directory = out.rpartition("/")[0]
+    assert err == f"error: cannot write {out}: no writable directory {directory!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 def test_a_refused_seed_loads_neither_the_suite_nor_numpy():
     script = ("import sys\nfrom friendlab import cli\n"
               "assert cli.main(['accept', '--seed', '-1']) == 2\n"
@@ -1033,9 +1056,11 @@ def refusal(key: str, spec) -> tuple:
     return value, message.format(key=key), False
 
 
+# --config names the file, so a file cannot carry it (see
+# test_an_empty_config_path_is_refused_before_any_run)
 CHECKED_FLAGS = [(command, flag) for command, (_, _, flags) in cli.COMMANDS.items()
-                 for flag, spec in flags.items()
-                 if spec.kind in (int, cli.PATH, cli.SWITCH) or isinstance(spec.kind, tuple)]
+                 for flag, spec in flags.items() if flag != "--config"
+                 and (spec.kind in (int, cli.PATH, cli.SWITCH) or isinstance(spec.kind, tuple))]
 
 
 @pytest.mark.parametrize("command, flag", CHECKED_FLAGS)

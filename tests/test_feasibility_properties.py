@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
                               probabilities, reference_marginals)
 from friendlab import marginal_polytope as mp
+from friendlab import statlab
 
 # derandomized so the suite's run time and outcome do not vary between runs
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -104,9 +105,16 @@ def number_texts(draw):
     return text + draw(_SPACES)
 
 
-# the spellings the grammar turns on, beside what number_texts draws
-EDGE_TEXTS = ["1/2", "1 / 2", "1/0", "0/0", "-0/5", ".", ".5", "5.", "-.5e-1", "+5.E+2",
-              "1e-0", "\u0663/\uff15", "5.d", "1__0", "_1", "1_", "1_0/3", "1._5"]
+# plain ASCII "digits/digits" and "digits.digits": _ratio splits these
+# without the _NUMBER regex
+PLAIN_TEXTS = ["1/2", "0/7", "007/0040", "12.345", "0.0", "007.250", "1" * 4298 + "/7",
+               "1" * 4298 + ".5"]
+# the spellings the grammar turns on, beside what number_texts draws; each of
+# these goes through _NUMBER: a sign, "_", whitespace, other digits, an
+# exponent, "5.", ".5", a zero denominator, or more than 4300 characters
+EDGE_TEXTS = ["1 / 2", "1/0", "0/0", "00/000", "-0/5", "+1/2", "1/2 ", ".", ".5", "5.",
+              "-.5e-1", "+5.E+2", "1e-0", "1.5e3", "\u0663/\uff15", "1/\uff15", "5.d", "1__0",
+              "_1", "1_", "1_0/3", "1._5", "1" * 4300 + "/7", "1" * 4300 + ".5"]
 
 
 def _worth_what_fraction_reads(text):
@@ -122,10 +130,25 @@ def _worth_what_fraction_reads(text):
     assert d > 0 and Fraction(n, d) == expected
 
 
-@pytest.mark.parametrize("text", [t for t in EDGE_TEXTS
-                                  if "_" not in t or sys.version_info >= (3, 11)])
+@pytest.mark.parametrize("text", [t for t in PLAIN_TEXTS + EDGE_TEXTS
+                                  if "_" not in t or sys.version_info >= (3, 11)],
+                         ids=lambda t: t if len(t) < 99 else f"{t[-2:]} after {len(t) - 2} 1s")
 def test_an_edge_spelling_is_worth_what_fraction_reads(text):
     _worth_what_fraction_reads(text)
+
+
+class _NoRegex:
+    def fullmatch(self, text):
+        raise AssertionError(f"{text!r} went through _NUMBER")
+
+
+def test_plain_spellings_skip_the_regex_and_the_others_take_it(monkeypatch):
+    expected = {text: mp._ratio(text) for text in PLAIN_TEXTS}
+    monkeypatch.setattr(mp, "_NUMBER", _NoRegex())
+    assert {text: mp._ratio(text) for text in PLAIN_TEXTS} == expected
+    for text in EDGE_TEXTS:
+        with pytest.raises(AssertionError, match="went through _NUMBER"):
+            mp._ratio(text)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -441,3 +464,57 @@ def test_refutes_is_farkas_lemma_written_out(t, variables, signs, edits):
 @example(2 ** 200 + 1, 1)
 def test_rational_texts_writes_what_fraction_writes(n, d):
     assert mp.rational_texts([n, 0, n], d) == [str(Fraction(n, d)), "0", str(Fraction(n, d))]
+
+
+def _from_born_through_fractions(tables, snap):
+    """`PairTargets.from_born` as it was written before it built ints: each
+    single and correlator a Fraction over snap, then `from_correlators`."""
+    def rounded(x):
+        return Fraction(round(x * snap), snap)
+
+    singles = {v: rounded(mp._plus(tables[p], v, p)) for v, (p, _) in mp._SINGLE_SOURCES.items()}
+    return mp.PairTargets.from_correlators(singles, {p: rounded(statlab.correlator(t))
+                                                     for p, t in tables.items()})
+
+
+@st.composite
+def float_tables(draw):
+    """Four float pair tables and a snap: the pair tables of a random joint
+    over (A, B, C, D); tables whose singles and correlators lie on the
+    1/(2 snap) grid, so with a power-of-two snap they land exactly on a half
+    over snap, where round() goes to even; or any floats in [0, 1], which
+    mostly snap to a negative cell."""
+    snap = draw(st.sampled_from([1, 2, 4, 64, 10, 10 ** 6]))
+    kind = draw(st.sampled_from(["joint", "halves", "floats"]))
+    if kind == "joint":
+        weights = draw(st.lists(st.floats(0, 1), min_size=16, max_size=16).filter(any))
+        total = sum(weights)
+        rows = mp._cell_rows(mp.VARS_4)[1:]
+        cells = [sum(w for w, a in zip(weights, row) if a) / total for row in rows]
+        return {pair: tuple(cells[4 * k:4 * k + 4]) for k, pair in enumerate(mp.PAIR_IDS)}, snap
+    if kind == "halves":
+        # |m| <= 1/4 and |E| <= 1/2 keep every cell at least 0 before the snap
+        m = {v: draw(st.integers(-(snap // 2), snap // 2)) / (2 * snap) for v in mp.VARS_4}
+        e = {p: draw(st.integers(-snap, snap)) / (2 * snap) for p in mp.PAIR_IDS}
+        return {p: tuple((1 + x * m[p[0]] + y * m[p[1]] + x * y * e[p]) / 4
+                         for x, y in mp.PAIR_CELLS) for p in mp.PAIR_IDS}, snap
+    return {pair: tuple(draw(st.floats(0, 1)) for _ in range(4)) for pair in mp.PAIR_IDS}, snap
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(float_tables())
+@example(({pair: (0.375, 0.125, 0.125, 0.375) for pair in mp.PAIR_IDS}, 4))  # E * 4 = 2 exactly
+@example(({pair: (0.9, 0.0, 0.0, 0.1) for pair in mp.PAIR_IDS}, 10 ** 6))
+@example(({"AC": (0.5, 0.5, 0.0, 0.0), "AD": (0.0, 0.0, 0.5, 0.5), "BC": (0.25,) * 4,
+           "BD": (0.25,) * 4}, 10 ** 6))
+def test_from_born_makes_the_targets_the_fraction_route_makes(case):
+    tables, snap = case
+    try:
+        expected = _from_born_through_fractions(tables, snap)
+    except mp.TargetError as exc:
+        with pytest.raises(mp.TargetError) as refused:
+            mp.PairTargets.from_born(tables, snap)
+        assert str(refused.value) == str(exc)
+        return
+    got = mp.PairTargets.from_born(tables, snap)
+    assert (got.scale, got.counts) == (expected.scale, expected.counts)

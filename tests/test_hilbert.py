@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from kron_oracle import embed
 
 from friendlab.hilbert import (
+    ATOL,
     FactorLayout,
     LayoutError,
     StateVector,
+    _blocks,
     apply,
     born_distribution,
     rotation_matrix,
@@ -37,6 +40,28 @@ def test_state_requires_normalization():
         StateVector(Q, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         StateVector(Q, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                 complex(-math.inf, 0.0)])
+def test_state_refuses_a_non_finite_amplitude(bad):
+    layout = FactorLayout((("a", 2), ("b", 2)))
+    for k in range(layout.dim):
+        amps = [0j] * layout.dim
+        amps[k] = bad
+        amps[(k + 1) % layout.dim] = 1.0
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector(layout, amps)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_state_refuses_a_norm_two_atol_off(off):
+    r = 1.0 + 2 * off * ATOL
+    for amps in ([r, 0.0], [r * math.sqrt(0.5), 1j * r * math.sqrt(0.5)]):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(Q, amps)
+    # a norm within ATOL of 1 is taken
+    assert StateVector(Q, [1.0 + off * ATOL / 2, 0.0]).amps[0] == 1.0 + off * ATOL / 2
 
 
 def test_from_terms_refuses_a_basis_state_outside_the_layout():
@@ -82,6 +107,55 @@ def test_apply_rejects_nonunitary_and_mismatch():
         apply(np.eye(2), s, ("q",))  # no such factor
     with pytest.raises(LayoutError):
         apply(np.eye(4), s, ("a", "a"))  # one factor twice
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_apply_refuses_a_non_finite_entry_and_a_non_unitary_beside_zero_blocks(bad):
+    # |0>_a |0>_b: the block b = 1 holds only zeros and is skipped, and the
+    # bad entry meets only a zero amplitude, yet the output is refused
+    layout = FactorLayout((("a", 2), ("b", 2)))
+    s = ket(layout, 0, 0)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        apply([[1.0, bad], [0.0, 1.0]], s, ("a",))
+    with pytest.raises(ValueError, match="not normalized"):
+        apply([[2.0, 0.0], [0.0, 1.0]], s, ("a",))
+
+
+def full_loop_apply(matrix, state, on):
+    """`apply` with every block summed, none skipped: the reference."""
+    layout = state.layout
+    m = [[complex(x) for x in row] for row in matrix]
+    out = [0j] * layout.dim
+    for block in _blocks(layout.dims, tuple(layout.axis(n) for n in on)):
+        t = [state.amps[k] for k in block]
+        for k, row in zip(block, m):
+            acc = 0j
+            for mij, tj in zip(row, t):
+                acc += mij * tj
+            out[k] = acc
+    return out
+
+
+def float_bytes(amps) -> bytes:
+    return b"".join(struct.pack("<dd", a.real, a.imag) for a in amps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([("a",), ("b",), ("c", "a"), ("b", "c")]))
+def test_skipping_zero_blocks_keeps_the_bytes_of_the_full_loop(seed, on):
+    # states with exact zeros of either sign, often filling whole blocks, and
+    # matrices with negative entries, so a zero's sign would show if it moved
+    rng = np.random.default_rng(seed)
+    layout = FactorLayout((("a", 2), ("b", 2), ("c", 2)))
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    amps[rng.random(8) < 0.5] = 0.0
+    if not amps.any():
+        amps[0] = 1.0
+    amps = [complex(x) if x else complex(*rng.choice([-0.0, 0.0], 2)) for x in amps]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    s = StateVector(layout, [a / norm for a in amps])
+    u = random_unitary(rng, 2 ** len(on))
+    assert float_bytes(apply(u, s, on).amps) == float_bytes(full_loop_apply(u, s, on))
 
 
 def test_apply_on_subset_matches_kron():
