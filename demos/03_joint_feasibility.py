@@ -12,15 +12,20 @@ tables become exact targets in `scenarios`; the decision itself needs only
 `marginal_polytope`, which loads no numpy."""
 
 from friendlab import marginal_polytope as mp
-from friendlab import scenarios
+from friendlab import scenarios, statlab
 from friendlab.scenarios import LFConfig
 
+def chsh_text(t: mp.PairTargets) -> str:
+    """S of the targets, an int over their scale, as the report writes it."""
+    s = t.variants[statlab.CHSH_SIGNS]
+    return f"{mp.rational_texts([s], t.scale)[0]} ~ {s / t.scale:.6f}"
+
+
 tsirelson = scenarios.circuit_targets(LFConfig())
-print(f"quantum targets: S = {mp.chsh_value(tsirelson)} "
-      f"~ {float(mp.chsh_value(tsirelson)):.6f}")
+print(f"quantum targets: S = {chsh_text(tsirelson)}")
 v = mp.feasible_joint_4(tsirelson)
 print(f"  4-variable joint feasible: {v.feasible}, "
-      f"max violation over 2: {v.max_violation}")
+      f"max violation over 2: {v.to_json_dict()['max_violation']}")
 print(f"  6-variable joint feasible: {mp.feasible_joint_6(v).feasible}")
 print(f"  closed-form criterion: {mp.fine_criterion(tsirelson)}")
 
@@ -28,5 +33,5 @@ shrunk = mp.PairTargets.from_correlators(
     {v_: "1/2" for v_ in mp.VARS_4},
     {"AC": "1/2", "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
 v = mp.feasible_joint_4(shrunk)
-print(f"shrunk targets: S = {mp.chsh_value(shrunk)}, feasible: {v.feasible}")
+print(f"shrunk targets: S = {chsh_text(shrunk)}, feasible: {v.feasible}")
 print("  witness atom probabilities:", mp.rational_texts(v.witness, v.scale))

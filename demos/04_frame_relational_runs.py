@@ -11,8 +11,8 @@ from friendlab.scenarios import LFConfig
 
 cfg = LFConfig()
 batch = relmodel.simulate_batch(cfg, 400000, seed=0)
-print(f"{len(batch)} runs; first record:")
-print(" ", batch.rows(1)[0])
+print(f"{len(batch)} runs; first record, as a JSON report writes it:")
+print(" ", batch.rows_json(1)[1])
 
 tables, pair_checks = relmodel.observed_pair_checks(batch)
 for pair_id, table, check in zip(statlab.PAIR_IDS, tables, pair_checks):

@@ -52,7 +52,7 @@ def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible and the 1/sqrt(2)-shrunk targets
     feasible; on those two and on every random target the methods agree."""
     tsirelson = scenarios.circuit_targets(LFConfig())
-    v4, _, _, tsirelson_agree = mp.decide(tsirelson)
+    v4, _, _, tsirelson_agree = scenarios.circuit_verdict(LFConfig())
     half = "1/2"
     shrunk = mp.PairTargets.from_correlators(
         {v: half for v in mp.VARS_4},
@@ -70,8 +70,9 @@ def criterion_2(seed: int) -> dict:
         statlab.check("LP/analytic disagreements", disagreements, 0.0, n=RANDOM_TARGETS),
     ]
     return {"criterion": 2, "name": "feasibility-mechanization",
-            "tsirelson_S": str(mp.chsh_value(tsirelson)),
-            "tsirelson_max_violation": str(v4.max_violation),
+            "tsirelson_S": mp.rational_texts([tsirelson.variants[statlab.CHSH_SIGNS]],
+                                             tsirelson.scale)[0],
+            "tsirelson_max_violation": v4.to_json_dict()["max_violation"],
             "random_trials": RANDOM_TARGETS, "random_infeasible": infeasible_count,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
@@ -167,7 +168,7 @@ def criterion_6(seed: int) -> dict:
         tables, _ = relmodel.observed_pair_checks(batch)
         return json.dumps({
             "tables": dict(zip(scenarios.PAIR_IDS, tables)),
-            "first_records": batch.rows(50),
+            "first_records": "".join(batch.rows_json(50)),
         }, sort_keys=True)
 
     a, b = probe(), probe()

@@ -188,10 +188,11 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
     v4, v6, fine, agree = mp.decide(targets)
-    s = mp.chsh_value(targets)
+    s = targets.variants[statlab.CHSH_SIGNS]
     report = {"command": "feasibility",
               "targets": targets.to_json_dict(),
-              "chsh_value": str(s), "chsh_value_float": float(s),
+              "chsh_value": mp.rational_texts([s], targets.scale)[0],
+              "chsh_value_float": s / targets.scale,  # int / int is correctly rounded
               "joint_4": v4.to_json_dict(), "joint_6": v6.to_json_dict(),
               "fine_criterion": fine, "methods_agree": agree}
     if resolution:
@@ -205,7 +206,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
         if v4.feasible:
             lines.append(f"  witness atoms (A,B,C,D lexicographic): {rep['joint_4']['witness']}")
         else:
-            lines.append(f"  max violation over 2: {v4.max_violation}")
+            lines.append(f"  max violation over 2: {rep['joint_4']['max_violation']}")
         if resolution:
             lines.append(f"  resolution: verdicts on targets snapped to {resolution['snap']}, not "
                          f"the circuit (largest CHSH variant {resolution['undecided_band']})")
@@ -226,26 +227,26 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
     if planted:  # a debug self-test: it must trip the choice-independence audit
         batch = batch.planted()
     checks, internal, independence = relmodel.audit(batch)
-    verdict = scenarios.circuit_verdict(cfg)
+    v4, _, _, agree = scenarios.circuit_verdict(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
                                  for (x, y), f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))},
               "independence": independence,
-              "analytic_feasibility": verdict.to_json_dict(),
+              "analytic_feasibility": v4.to_json_dict(),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
 
     def table(rep: dict) -> str:
         lines = [f"frame-relational model, trials={trials} seed={seed}",
                  f"  internal joint (Ai,Ci): {rep['internal_joint']}",
-                 f"  analytic targets feasible: {verdict.feasible}",
+                 f"  analytic targets feasible: {v4.feasible}",
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 
     # CSV is the first ROWS runs, like "records" in JSON
     _emit(args, report, table, lambda rep: batch.rows_csv(relmodel.ROWS),
           spliced={"records": batch.rows_json(relmodel.ROWS)})
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return (EXIT_PASS if report["pass"] else EXIT_FAIL) if agree else EXIT_DISAGREE
 
 
 # --- rovelli ----------------------------------------------------------------

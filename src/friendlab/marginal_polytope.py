@@ -9,7 +9,9 @@ relation (A = A_internal * A_relation, same for C).
 All arithmetic is exact: a verdict is a theorem about the input, never a
 tolerance call.  Targets are integer count tables over one common
 denominator, so validation and Fine's criterion (all eight CHSH sign
-variants at most 2) compare ints.  The four-variable verdict is Fine's
+variants at most 2) compare ints.  Every exact number (a count, a CHSH
+variant such as S, a witness atom, a violation) is an int over the targets'
+scale, and `rational_texts` prints it.  The four-variable verdict is Fine's
 gluing of the triples (A, C, D) and (B, C, D) along (C, D) in counts over
 the targets' denominator, with no division, so a witness is ints over that
 denominator.  The 17-row 0/1 cell system `_cell_rows`, the targets' counts
@@ -28,9 +30,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .statlab import PAIR_CELLS, PAIR_IDS, chsh, correlator, sign_variants
+from .statlab import PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
@@ -67,36 +68,37 @@ def _ratio(x) -> tuple[int, int]:
     whitespace, other digits, an exponent, "5.", ".5", "1/0", or one longer
     than any int string CPython reads) goes through it."""
     if isinstance(x, str):
-        if x.isascii() and len(x) <= MAX_EXPONENT:
-            whole, slash, den = x.partition("/")
-            if slash and whole.isdigit() and den.isdigit() and (d := int(den)):
-                return int(whole), d
-            whole, point, frac = x.partition(".")
-            if point and whole.isdigit() and frac.isdigit():
-                return int(whole + frac), 10 ** len(frac)
-        m = _NUMBER.fullmatch(x)
+        try:  # each digit run is one int, as in Fraction, so CPython's limit
+            # on int string length refuses the same strings
+            if x.isascii() and len(x) <= MAX_EXPONENT:
+                whole, slash, den = x.partition("/")
+                if slash and whole.isdigit() and den.isdigit() and (d := int(den)):
+                    return int(whole), d
+                whole, point, frac = x.partition(".")
+                if point and whole.isdigit() and frac.isdigit():
+                    return int(whole + frac), 10 ** len(frac)
+            if (m := _NUMBER.fullmatch(x)) is not None:
+                sign, whole, den, frac, exp = m.groups()
+                frac = (frac or "").replace("_", "")
+                n = int(whole or 0) * 10 ** len(frac) + int(frac or 0)
+                d, e = int(den or 1), int(exp or 0)
+        except ValueError as exc:
+            raise TargetError(f"a target entry has a digit run longer than CPython reads as an "
+                              f"int: {x[:20]!r}... ({len(x)} characters)") from exc
         if m is None:
             raise TargetError(f"a target entry must be a number, got {x!r}")
-        sign, whole, den, frac, exp = m.groups()
-        if den is not None:
-            n, d = int(whole), int(den)
-            if not d:
-                raise TargetError(f"a target entry has denominator 0: {x!r}")
-        else:
-            e = int(exp) if exp else 0
-            if abs(e) > MAX_EXPONENT:
-                raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
-            frac = (frac or "").replace("_", "")
-            # each digit run is one int, as in Fraction, so CPython's limit
-            # on int string length refuses the same strings
-            n = int(whole or 0) * 10 ** len(frac) + int(frac or 0)
-            k = len(frac) - e
-            n, d = (n, 10 ** k) if k >= 0 else (n * 10 ** -k, 1)
+        if not d:
+            raise TargetError(f"a target entry has denominator 0: {x!r}")
+        if abs(e) > MAX_EXPONENT:
+            raise TargetError(f"a target entry's exponent exceeds {MAX_EXPONENT}: {x!r}")
+        k = len(frac) - e  # 0 for p/q
+        n, d = (n, d * 10 ** k) if k >= 0 else (n * 10 ** -k, d)
         return (-n if sign == "-" else n), d
     if isinstance(x, bool):  # an int to Python, but JSON true is no probability
         raise TargetError(f"a target entry must be a number, got {x!r}")
     if isinstance(x, int):
         return x, 1
+    from fractions import Fraction  # only here: no CLI input is a float or a rational
     q = Fraction(x)
     return q.numerator, q.denominator
 
@@ -187,9 +189,8 @@ class PairTargets:
         correlators (not raw cells) rounded to multiples of 1/snap, so the
         cross-table consistency of valid targets survives rounding exactly.
         Each rounds to an int count over snap, so the counts are made over
-        4 snap with no Fraction, no parse and no lcm, and the constructor
-        reduces and checks them: about 19 us a call on a 2-vCPU Xeon under
-        CPython 3.11."""
+        4 snap with no parse and no lcm, and the constructor reduces and
+        checks them."""
         m = {v: 2 * round(_plus(tables[p], v, p) * snap) - snap
              for v, (p, _) in _SINGLE_SOURCES.items()}
         return cls._from_ints(snap, m, {p: round(correlator(tables[p]) * snap) for p in PAIR_IDS})
@@ -219,12 +220,7 @@ class PairTargets:
         return cls(scale, {pair: tuple(flat[4 * k:4 * k + 4]) for k, pair in enumerate(obj)})
 
 
-# --- CHSH combinations ------------------------------------------------------
-
-def chsh_value(t: PairTargets) -> Fraction:
-    """S = E(A,C) + E(B,C) + E(B,D) - E(A,D)."""
-    return Fraction(chsh([correlator(t.counts[pair]) for pair in PAIR_IDS]), t.scale)
-
+# --- verdicts ---------------------------------------------------------------
 
 def fine_criterion(t: PairTargets) -> bool:
     """Analytic feasibility oracle: true iff every CHSH sign variant is at
@@ -232,18 +228,17 @@ def fine_criterion(t: PairTargets) -> bool:
     return max(t.variants.values()) <= 2 * t.scale
 
 
-# --- verdicts ---------------------------------------------------------------
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """`witness`: the glued joint's atom probabilities, or their six-variable
-    lift, in `_cell_rows` column order, as int counts over the denominator
-    `scale`, the targets' own."""
+    lift, in `_cell_rows` column order, and `max_violation`: the largest CHSH
+    sign variant minus 2, each an int count over the denominator `scale`, the
+    targets' own."""
 
     feasible: bool
     witness: tuple[int, ...] | None
-    max_violation: Fraction | None
-    scale: int = 1
+    max_violation: int | None
+    scale: int
 
     def __post_init__(self):
         if self.feasible and self.witness is None:
@@ -255,7 +250,8 @@ class FeasibilityVerdict:
         return {
             "feasible": self.feasible,
             "witness": None if self.witness is None else rational_texts(self.witness, self.scale),
-            "max_violation": None if self.max_violation is None else str(self.max_violation),
+            "max_violation": (None if self.max_violation is None
+                              else rational_texts([self.max_violation], self.scale)[0]),
         }
 
 
@@ -325,7 +321,7 @@ def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
     sides = [(xc[0], xd[0], xc[0] + xc[1]) for xc, xd in ((ac, ad), (bc, bd))]
     q = max(0, c + d - n, *(max(xc + xd - x, c + d + x - n - xc - xd) for xc, xd, x in sides))
     if q > min(c, d, *(min(c + xd - xc, d + xc - xd) for xc, xd, _ in sides)):
-        return FeasibilityVerdict(False, None, Fraction(max(t.variants.values()) - 2 * n, n))
+        return FeasibilityVerdict(False, None, max(t.variants.values()) - 2 * n, n)
     plus = []  # N(X+, c, d) on the (C, D) cells in PAIR_CELLS order
     for xc, xd, x in sides:
         r = max(0, xc + xd - x, xc + q - c, xd + q - d)

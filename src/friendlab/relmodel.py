@@ -75,7 +75,7 @@ class InsufficientDataError(ValueError):
 @dataclass(frozen=True, slots=True)
 class RunRecord:
     """The schema of a report row: one run, with None where a variable does
-    not exist.  `TrialBatch.rows` builds the rows, keyed in this field order."""
+    not exist.  A batch's CSV rows give the fields in this order."""
 
     a_internal: int
     c_internal: int
@@ -138,12 +138,9 @@ class TrialBatch:
     def __len__(self) -> int:
         return sum(self.histogram)
 
-    def rows(self, stop: int) -> list[dict]:
-        """The first `stop` runs as dicts keyed by RECORD_FIELDS, None where absent."""
-        return [dict(_ROWS[c]) for c in self.first[:stop]]
-
     def rows_json(self, stop: int) -> list[str]:
-        """`rows(stop)` as canonical JSON in pieces, "[", the pre-encoded rows
+        """The first `stop` runs as canonical JSON in pieces, "[", the
+        pre-encoded rows (objects keyed by RECORD_FIELDS, null where absent)
         with "," between them and "]", so that a writer joins them once."""
         rows = [_FRAGMENTS[c] for c in self.first[:stop]]
         pieces = [","] * (2 * len(rows) or 1)  # a "," before each row
@@ -153,7 +150,8 @@ class TrialBatch:
         return pieces
 
     def rows_csv(self, stop: int) -> str:
-        """`rows(stop)` as CSV, the header line first, joined from pre-encoded lines."""
+        """The first `stop` runs as CSV, the header line first, joined from
+        pre-encoded lines."""
         return "".join([_CSV_HEADER] + [_CSV_LINES[c] for c in self.first[:stop]])
 
     def planted(self) -> TrialBatch:

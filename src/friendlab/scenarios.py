@@ -17,7 +17,7 @@ Four families of states:
 All builders are pure functions of immutable inputs.  A scenario's Born data
 is one memoized value of its frozen config: `born_tables` for the circuit,
 `rovelli_states` for the sequential scenario; `circuit_targets` makes exact
-targets of the circuit's Born tables, and `circuit_verdict` decides them.
+targets of the circuit's Born tables, and `circuit_verdict` `decide`s them.
 """
 
 from __future__ import annotations
@@ -183,10 +183,9 @@ def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
     PAIR_CELLS order, value 0 reading as +1 and 1 as -1 (read-only; memoized
     on the frozen config).  BC and BD share Alice's supermeasured wing, so a
     fresh config takes 8 `apply` calls on the 16 amplitudes of LF_LAYOUT,
-    from one ready state built at import, and 4 readings: about 190 us on a
-    2-vCPU Xeon under CPython 3.11.  The first call skips the half of its
-    blocks that hold only zeros; at angles with exact zeros in the friend
-    unitaries, later calls skip more."""
+    from one ready state built at import, and 4 readings.  The first call
+    skips the half of its blocks that hold only zeros; at angles with exact
+    zeros in the friend unitaries, later calls skip more."""
 
     def supermeasured(state: StateVector, var: str) -> StateVector:
         # the friend unitary on the wing undone (applied again: it is its own
@@ -225,9 +224,10 @@ def snap_resolution(cfg: LFConfig) -> dict | None:
 
 
 @lru_cache(maxsize=8)
-def circuit_verdict(cfg: LFConfig) -> mp.FeasibilityVerdict:
-    """feasible_joint_4 of `circuit_targets(cfg)`, memoized on the frozen config."""
-    return mp.feasible_joint_4(circuit_targets(cfg))
+def circuit_verdict(cfg: LFConfig) -> tuple[mp.FeasibilityVerdict, mp.FeasibilityVerdict,
+                                            bool, bool]:
+    """`mp.decide` of `circuit_targets(cfg)`, memoized on the frozen config."""
+    return mp.decide(circuit_targets(cfg))
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:

@@ -1,12 +1,12 @@
 """The pair vocabulary and the statistics on it.
 
 A pair is one of PAIR_IDS.  A pair table is a 4-sequence in PAIR_CELLS
-order, whether it holds counts, float probabilities or exact Fractions;
-`correlator`, `chsh` and `sign_variants` are the one definition of E, of S
-and of the CHSH sign variants for all of them.  A variable is named by its
-letter; CHOICE spells the measurement behind each.  Also: frequencies of
-count tables, total variation distance, correlation estimators, a chi-squared
-homogeneity test and pass/fail check dicts."""
+order, whether it holds int counts or float probabilities; `correlator`,
+`chsh` and `sign_variants` are the one definition of E, of S and of the
+CHSH sign variants for both.  A variable is named by its letter; CHOICE
+spells the measurement behind each.  Also: frequencies of count tables,
+total variation distance, correlation estimators, a chi-squared homogeneity
+test and pass/fail check dicts."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ PAIR_IDS = ("AC", "AD", "BC", "BD")
 CHOICE = {"A": "ask", "B": "super", "C": "ask", "D": "super"}
 PAIR_CELLS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 ODD_SIGNS = tuple(s for s in itertools.product((+1, -1), repeat=4) if math.prod(s) == -1)
+CHSH_SIGNS = (+1, -1, +1, +1)  # the sign variant that is S, `chsh`'s signs
 
 
 def _sum(terms):

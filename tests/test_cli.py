@@ -19,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import ACCEPT_42_SHA256
+from test_relmodel import reference_rows
 
-from friendlab import acceptance, cli, hilbert, relmodel
+from friendlab import acceptance, cli, hilbert, relmodel, scenarios
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 
@@ -319,6 +320,55 @@ def test_rovelli_loads_no_numpy():
     assert sha256(child.stdout) == ROVELLI_500_SHA256["1"]
 
 
+# run in a fresh interpreter: every exact number of a report is an int over
+# the targets' scale, written by rational_texts, so no valid input loads
+# fractions, nor the decimal that fractions imports
+NO_FRACTIONS = """
+import sys
+from friendlab import cli
+for argv in (["feasibility", "--targets", sys.argv[1]], ["feasibility", "--from-angles"],
+             ["rovelli", "--trials", "500", "--seed", "0"],
+             ["relmodel", "--trials", "20000", "--seed", "0"]):
+    assert cli.main([*argv, "--format", "json"]) == 0, argv
+    loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+    assert not loaded, (argv, loaded)
+"""
+
+
+def test_the_commands_load_no_fractions_nor_decimal(tmp_path):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(dict.fromkeys(("AC", "AD", "BC", "BD"), SPELLED_TABLE)))
+    child = subprocess.run([sys.executable, "-c", NO_FRACTIONS, str(targets)],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    spellings, from_angles, rovelli, relmodel_json = child.stdout.splitlines(keepends=True)
+    assert sha256(spellings) == REPORT_SHA256["feasibility spellings json"]
+    assert sha256(from_angles) == REPORT_SHA256["feasibility from-angles json"]
+    assert sha256(rovelli) == ROVELLI_500_SHA256["1"]
+    assert sha256(relmodel_json) == REPORT_SHA256["relmodel 20000 0 json"]
+
+
+def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, monkeypatch):
+    # relmodel's analytic verdict is decide's four-variable verdict on the
+    # circuit's targets, and a disagreement of the methods is exit 3, as in
+    # feasibility; circuit_verdict memoizes decide, so the cache is cleared
+    argv = ("relmodel", "--trials", "20000", "--seed", "0")
+    v4, _, _, agree = mp.decide(scenarios.circuit_targets(LFConfig()))
+    assert agree
+    real = mp.decide
+    scenarios.circuit_verdict.cache_clear()
+    try:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert (code, sha256(out)) == (cli.EXIT_PASS, REPORT_SHA256["relmodel 20000 0 json"])
+        assert json.loads(out)["analytic_feasibility"] == v4.to_json_dict()
+        monkeypatch.setattr(mp, "decide", lambda t: (*real(t)[:3], False))
+        scenarios.circuit_verdict.cache_clear()
+        code, disagreeing, _ = run(capsys, *argv, "--format", "json")
+        assert (code, disagreeing) == (cli.EXIT_DISAGREE, out)
+    finally:
+        scenarios.circuit_verdict.cache_clear()
+
+
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"angles": [0, 90, 45, 135], "trials": 20000, "seed": 7}))
@@ -557,7 +607,7 @@ def test_relmodel_json_splice_is_the_canonical_encoding(capsys, trials, planted)
     batch = relmodel.simulate_batch(LFConfig(), trials, 7)
     if planted:
         batch = batch.planted()
-    report = {**json.loads(out), "records": batch.rows(relmodel.ROWS)}
+    report = {**json.loads(out), "records": reference_rows(batch)}
     assert len(report["records"]) == min(trials, relmodel.ROWS)
     assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 

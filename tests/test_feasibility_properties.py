@@ -5,6 +5,7 @@ witnesses that reproduce their targets."""
 import itertools
 import json
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -130,11 +131,45 @@ def _worth_what_fraction_reads(text):
     assert d > 0 and Fraction(n, d) == expected
 
 
-@pytest.mark.parametrize("text", [t for t in PLAIN_TEXTS + EDGE_TEXTS
-                                  if "_" not in t or sys.version_info >= (3, 11)],
+# a digit run one longer than CPython reads as an int, in each place a run
+# stands: Fraction(str) raises ValueError on each
+OVERLONG_TEXTS = {"long numerator": "1" * 4301 + "/3", "long denominator": "1/" + "3" * 4301,
+                  "long fraction digits": "0." + "1" * 4301, "long integer": "1" * 4301}
+
+
+@pytest.mark.parametrize("text", [*(t for t in PLAIN_TEXTS + EDGE_TEXTS
+                                    if "_" not in t or sys.version_info >= (3, 11)),
+                                  *(pytest.param(t, id=name) for name, t in OVERLONG_TEXTS.items())],
                          ids=lambda t: t if len(t) < 99 else f"{t[-2:]} after {len(t) - 2} 1s")
 def test_an_edge_spelling_is_worth_what_fraction_reads(text):
     _worth_what_fraction_reads(text)
+
+
+@pytest.mark.parametrize("text", OVERLONG_TEXTS.values(), ids=OVERLONG_TEXTS.keys())
+def test_an_overlong_digit_run_is_a_target_error_naming_the_entry(text):
+    named = re.escape(f"{text[:20]!r}... ({len(text)} characters)")
+    with pytest.raises(mp.TargetError, match=named):
+        mp._ratio(text)
+    with pytest.raises(mp.TargetError, match=named):
+        mp.PairTargets.from_correlators(dict.fromkeys(mp.VARS_4, text),
+                                        dict.fromkeys(mp.PAIR_IDS, "0"))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+@pytest.mark.parametrize("text", ["1" * 1000 + "/3", "3/" + "1" * 1000, "0." + "1" * 1000],
+                         ids=["numerator", "denominator", "fraction digits"])
+def test_a_plain_spelling_over_a_lowered_int_limit_is_a_target_error(text):
+    # the split of plain spellings reads ints too, so a limit set below its
+    # 4300 characters refuses them as it refuses the others
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            Fraction(text)
+        with pytest.raises(mp.TargetError, match="digit run longer"):
+            mp._ratio(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _NoRegex:
@@ -185,7 +220,7 @@ def test_three_methods_agree_next_to_the_boundary(case):
     v6 = mp.feasible_joint_6(v4)
     assert mp.fine_criterion(t) == v4.feasible == v6.feasible == (delta <= 0)
     if not v4.feasible:
-        assert v4.max_violation == v6.max_violation == delta
+        assert Fraction(v4.max_violation, v4.scale) == Fraction(v6.max_violation, v6.scale) == delta
 
 
 @PROPERTY
@@ -211,7 +246,9 @@ def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
         assert lifted.scale == t.scale and min(lifted.witness) >= 0
         assert [sum(a * n for a, n in zip(row, lifted.witness)) for row in rows] == list(counts)
     else:
-        assert lifted.max_violation == Fraction(max(t.variants.values()), t.scale) - 2
+        assert lifted.scale == t.scale
+        assert Fraction(lifted.max_violation, lifted.scale) == Fraction(max(t.variants.values()),
+                                                                        t.scale) - 2
 
 
 def _both_verdicts(t) -> list:
@@ -241,7 +278,7 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
             assert reference_marginals(variables, probabilities(verdict)) == fraction_tables(t)
             assert mp.reproduces(variables, verdict.witness, verdict.scale, t)
         else:
-            assert verdict.max_violation == max(variants.values()) - 2
+            assert Fraction(verdict.max_violation, verdict.scale) == max(variants.values()) - 2
 
 
 @PROPERTY
@@ -464,6 +501,20 @@ def test_refutes_is_farkas_lemma_written_out(t, variables, signs, edits):
 @example(2 ** 200 + 1, 1)
 def test_rational_texts_writes_what_fraction_writes(n, d):
     assert mp.rational_texts([n, 0, n], d) == [str(Fraction(n, d)), "0", str(Fraction(n, d))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70), st.integers(1, 10 ** 30))
+@example(0, 1, 10 ** 9)
+@example(-6, 4, 1)
+@example(-2 ** 70, 3, 2 ** 64)
+def test_an_int_over_a_scale_is_written_and_rounded_as_its_fraction(n, d, g):
+    # an exact number is an int count over a scale, not always in lowest
+    # terms: the report's text is str(Fraction) and its float is the
+    # correctly rounded int / int, which is float(Fraction)
+    n, d = n * g, d * g
+    assert mp.rational_texts([n], d)[0] == str(Fraction(n, d))
+    assert n / d == float(Fraction(n, d))
 
 
 def _from_born_through_fractions(tables, snap):

@@ -10,7 +10,7 @@ from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_b
                               probabilities, reference_marginals)
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig, circuit_targets
-from friendlab.statlab import correlator
+from friendlab.statlab import CHSH_SIGNS, correlator
 
 UNIFORM = from_tables({pair: (Fraction(1, 4),) * 4 for pair in mp.PAIR_IDS})
 
@@ -25,6 +25,16 @@ def product_targets(pa, pb, pc, pd):
         tables[pair] = tuple((p[v] if x == 1 else 1 - p[v]) * (p[w] if y == 1 else 1 - p[w])
                              for x, y in mp.PAIR_CELLS)
     return from_tables(tables)
+
+
+def chsh_value(t):
+    """S, the engine's CHSH_SIGNS variant, an int over t.scale, as a Fraction."""
+    return Fraction(t.variants[CHSH_SIGNS], t.scale)
+
+
+def violation(verdict):
+    """An infeasible verdict's max_violation, an int over its scale, as a Fraction."""
+    return Fraction(verdict.max_violation, verdict.scale)
 
 
 def test_targets_validation():
@@ -98,16 +108,16 @@ def test_random_targets_match_the_fraction_mix_of_the_same_draws():
 
 
 def test_chsh_uniform_is_zero():
-    assert mp.chsh_value(UNIFORM) == 0
+    assert chsh_value(UNIFORM) == 0
 
 
 def test_chsh_extreme_box_is_four():
-    assert mp.chsh_value(pr_box()) == 4
+    assert chsh_value(pr_box()) == 4
 
 
 def test_chsh_tsirelson_circuit_targets():
     t = circuit_targets(LFConfig())
-    assert abs(float(mp.chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
+    assert abs(float(chsh_value(t)) - 2 * 2 ** 0.5) < 1e-5
     # every cell is rationalized with bounded denominator
     for pair in mp.PAIR_IDS:
         assert all(v.denominator <= 4 * 10 ** 6 for v in fraction_tables(t)[pair])
@@ -117,7 +127,9 @@ def test_chsh_variants_count_and_default():
     t = circuit_targets(LFConfig())
     variants = {signs: Fraction(v, t.scale) for signs, v in t.variants.items()}
     assert len(variants) == 8
-    assert variants[(+1, -1, +1, +1)] == mp.chsh_value(t)
+    tables = fraction_tables(t)
+    e = {pair: correlator(tables[pair]) for pair in mp.PAIR_IDS}
+    assert variants[CHSH_SIGNS] == chsh_value(t) == e["AC"] + e["BC"] + e["BD"] - e["AD"]
 
 
 def test_product_targets_feasible_with_exact_witness():
@@ -134,11 +146,12 @@ def test_tsirelson_infeasible_with_enumeration_oracle():
         s = a * c + b * c + b * d - a * d
         assert abs(s) <= 2
     t = circuit_targets(LFConfig())
-    assert mp.chsh_value(t) > 2
+    assert chsh_value(t) > 2
     verdict = mp.feasible_joint_4(t)
     assert not verdict.feasible
-    assert verdict.max_violation > 0
-    assert float(verdict.max_violation) == pytest.approx(2 * 2 ** 0.5 - 2, abs=1e-5)
+    assert verdict.max_violation > 0 and verdict.scale == t.scale
+    assert float(violation(verdict)) == pytest.approx(2 * 2 ** 0.5 - 2, abs=1e-5)
+    assert violation(verdict) == chsh_value(t) - 2
 
 
 def shrunk_targets():
@@ -150,7 +163,7 @@ def shrunk_targets():
 
 def test_shrunk_targets_feasible_at_boundary():
     t = shrunk_targets()
-    assert mp.chsh_value(t) == 2
+    assert chsh_value(t) == 2
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
     assert mp.reproduces(mp.VARS_4, verdict.witness, verdict.scale, t)
@@ -268,9 +281,14 @@ def test_infeasible_mix_becomes_feasible_below_boundary():
 
 def test_verdict_invariants():
     with pytest.raises(ValueError):
-        mp.FeasibilityVerdict(True, None, None)
+        mp.FeasibilityVerdict(True, None, None, 1)
     with pytest.raises(ValueError):
-        mp.FeasibilityVerdict(False, None, Fraction(0))
+        mp.FeasibilityVerdict(False, None, 0, 1)
+    with pytest.raises(TypeError):  # the scale has no default
+        mp.FeasibilityVerdict(False, None, 1)
+    infeasible = mp.FeasibilityVerdict(False, None, 6, 8)
+    assert infeasible.to_json_dict() == {"feasible": False, "witness": None,
+                                         "max_violation": str(Fraction(6, 8))}
 
 
 def test_targets_json_round_trip():
@@ -304,7 +322,7 @@ def test_decimal_and_fraction_spellings_get_the_same_verdict():
     for ac in ("0.5000001", "5000001/10000000"):
         t = mp.PairTargets.from_correlators(
             {v: "1/2" for v in mp.VARS_4}, {"AC": ac, "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
-        assert mp.chsh_value(t) == Fraction(20000001, 10 ** 7)
+        assert chsh_value(t) == Fraction(20000001, 10 ** 7)
         verdicts.add(mp.feasible_joint_4(t).feasible)
         # the same cells written as exact decimals parse to the same targets
         decimal = {pair: [[str(Decimal(Fraction(v).numerator) / Decimal(Fraction(v).denominator))

@@ -82,6 +82,16 @@ def reference_row(batch, i) -> dict:
                                         *(v[name] for name in ("B", "D", "A", "C", "Ar", "Cr"))))
 
 
+def reference_rows(batch, stop=relmodel.ROWS) -> list[dict]:
+    """The batch's first `stop` runs as report rows, each a `reference_row`."""
+    return [reference_row(batch, i) for i in range(min(stop, len(batch.first)))]
+
+
+def written_rows(batch, stop=relmodel.ROWS) -> list[dict]:
+    """The batch's first `stop` runs as its JSON writer writes them, read back."""
+    return json.loads("".join(batch.rows_json(stop)))
+
+
 def code_probabilities(cfg):
     """P(code) of one run: a uniform pair k, uniform internal bits and the
     pair's Born cell, born[k][cell] / 16."""
@@ -116,12 +126,12 @@ def test_every_code_obeys_the_presence_discipline_and_product_identity():
         assert planted ^ code in (0, 8)
         assert decode(planted)["Ai"] == (1 if want["pair"][0] == "A" else -1)
     every = batch_of(range(64))
-    assert every.rows(64) == [reference_row(every, code) for code in range(64)]
+    rows = reference_rows(every, 64)
     # rows_json gives pieces; joined, they must be json.dumps of the rows
-    assert "".join(every.rows_json(64)) == json.dumps(every.rows(64), sort_keys=True,
+    assert "".join(every.rows_json(64)) == json.dumps(rows, sort_keys=True,
                                                       separators=(",", ":"))
     buf = io.StringIO()
-    csv.writer(buf).writerows([relmodel.RECORD_FIELDS, *(r.values() for r in every.rows(64))])
+    csv.writer(buf).writerows([relmodel.RECORD_FIELDS, *(r.values() for r in rows)])
     assert every.rows_csv(64) == buf.getvalue()
 
 
@@ -132,7 +142,7 @@ def test_run_trial_presence_discipline_per_choice_pair():
     for pair in PAIR_IDS:
         b_choice, d_choice = CHOICE[pair[0]], CHOICE[pair[1]]
         batch = runs_of_pair(pair, 50, 0)
-        rows = batch.rows(len(batch))
+        rows = written_rows(batch)
         assert {r["a_internal"] for r in rows} == {r["c_internal"] for r in rows} == {1, -1}
         for r in rows:
             assert (r["b_choice"], r["d_choice"]) == (b_choice, d_choice)
@@ -191,7 +201,7 @@ def test_simulate_batch_same_seed_identical():
     b2 = relmodel.simulate_batch(cfg, 3000, 17)
     assert b1.histogram == b2.histogram
     assert b1.first == b2.first
-    assert b1.rows(relmodel.ROWS) == b2.rows(relmodel.ROWS)
+    assert b1.rows_json(relmodel.ROWS) == b2.rows_json(relmodel.ROWS)
     b3 = relmodel.simulate_batch(cfg, 3000, 18)
     assert b1.first != b3.first
 
@@ -418,10 +428,13 @@ def test_choice_independence_has_power_against_a_small_bias():
 
 def test_rows_are_the_first_runs_in_record_field_order():
     batch = relmodel.simulate_batch(LFConfig(), 20, 9)
-    rows = batch.rows(8)
-    assert rows == [reference_row(batch, i) for i in range(8)]
-    assert all(tuple(r) == relmodel.RECORD_FIELDS for r in rows)
-    assert batch.rows(0) == [] and len(batch.rows(1000)) == len(batch)
+    rows = reference_rows(batch, 8)
+    assert written_rows(batch, 8) == rows
+    # CSV columns follow RECORD_FIELDS; None is an empty field
+    header, *lines = list(csv.reader(io.StringIO(batch.rows_csv(8))))
+    assert tuple(header) == relmodel.RECORD_FIELDS
+    assert lines == [["" if v is None else str(v) for v in r.values()] for r in rows]
+    assert written_rows(batch, 0) == [] and len(written_rows(batch, 1000)) == len(batch)
     assert batch.rows_json(0) == ["[", "]"]
     assert "".join(batch.rows_json(1)) == "[" + json.dumps(rows[0], sort_keys=True,
                                                            separators=(",", ":")) + "]"
@@ -431,11 +444,8 @@ def test_rows_are_the_first_runs_in_record_field_order():
 def test_jsonl_serialization_round_trips_values():
     cfg = LFConfig()
     batch = relmodel.simulate_batch(cfg, 20, 9)
-    rows = batch.rows(len(batch))
-    lines = [json.dumps(r, sort_keys=True) for r in rows]
-    for i, (line, row) in enumerate(zip(lines, rows)):
-        obj = json.loads(line)
-        assert obj == row
+    for i, obj in enumerate(written_rows(batch)):
+        assert obj == reference_row(batch, i)
         assert obj["b_choice"] in ("ask", "super")
         # 0 in a table is null in the row; every other value is the table's
         for field, name in (("a_external", "A"), ("b_outcome", "B"), ("c_relation", "Cr")):

@@ -229,10 +229,10 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     assert isinstance(lf_circuit(a).amps, tuple)
     with pytest.raises(TypeError):
         lf_circuit(a).amps[0] = 0.0
-    verdict = circuit_verdict(a)
-    assert verdict is circuit_verdict(b)
+    decided = circuit_verdict(a)
+    assert decided is circuit_verdict(b) and isinstance(decided, tuple)
     with pytest.raises(AttributeError):
-        verdict.feasible = True
+        decided[0].feasible = True
     states = rovelli_states(RovelliConfig(-1))
     assert isinstance(states, tuple) and states is rovelli_states(RovelliConfig(-1))
     assert all(isinstance(born, tuple) for born, _ in states)
