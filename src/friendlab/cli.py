@@ -95,6 +95,12 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
+def _resolution_line(resolution: dict) -> str:
+    """The table's line for a "resolution" entry (scenarios.snap_resolution)."""
+    return (f"  resolution: verdicts on targets snapped to {resolution['snap']}, not the circuit "
+            f"(largest CHSH variant {resolution['undecided_band']})")
+
+
 def _tolerance_lines(checks: list[dict]) -> str:
     return "\n".join(f"  [{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: {c['metric']}="
                      f"{c['observed']:.6g} (threshold {c['threshold']:.6g}, n={c['n']})"
@@ -208,8 +214,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
         else:
             lines.append(f"  max violation over 2: {rep['joint_4']['max_violation']}")
         if resolution:
-            lines.append(f"  resolution: verdicts on targets snapped to {resolution['snap']}, not "
-                         f"the circuit (largest CHSH variant {resolution['undecided_band']})")
+            lines.append(_resolution_line(resolution))
         if not agree:
             lines.append("  METHOD DISAGREEMENT - this is a bug")
         return "\n".join(lines) + "\n"
@@ -228,6 +233,7 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
         batch = batch.planted()
     checks, internal, independence = relmodel.audit(batch)
     v4, _, _, agree = scenarios.circuit_verdict(cfg)
+    resolution = scenarios.snap_resolution(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
@@ -235,11 +241,14 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
               "independence": independence,
               "analytic_feasibility": v4.to_json_dict(),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
+    if resolution:  # the analytic verdict is about the snapped targets
+        report["resolution"] = resolution
 
     def table(rep: dict) -> str:
         lines = [f"frame-relational model, trials={trials} seed={seed}",
                  f"  internal joint (Ai,Ci): {rep['internal_joint']}",
                  f"  analytic targets feasible: {v4.feasible}",
+                 *([_resolution_line(resolution)] if resolution else []),
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 

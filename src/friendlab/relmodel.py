@@ -26,9 +26,9 @@ only through `random.Random.random()`, whose stream Python keeps the same on
 every version, so `rovelli` loads no numpy.  numpy still draws a batch, and
 loads only there: `simulate_batch` draws its counts through `draw_counts`
 from the code law memoized per config, and lays out its first rows as an
-array that numpy shuffles in place.  Both samplers stay: at 4e4 runs a
-standard-library batch costs at least about 270 us against numpy's 79 us
-(the first 1000 rows alone take 177-305 us), past `montecarlo`'s bound.
+array that numpy shuffles in place.  Both samplers stay: a standard-library
+batch, its first rows above all, is slower than numpy's by more than
+`montecarlo`'s bound.
 Each Monte Carlo command's one audit is here, and its acceptance criterion
 runs it too: `circuit_audit` (lf, criterion 1), `audit` (relmodel, 3) and
 `rovelli_audit` (rovelli, 5; the sequential table's one reader).  Each

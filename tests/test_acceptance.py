@@ -1,7 +1,6 @@
 """The acceptance gate: one test per criterion, each printing a pass/fail
 line, plus the end-to-end byte-identity check on the `accept` command."""
 
-import hashlib
 import json
 import time
 
@@ -104,10 +103,6 @@ def test_each_monte_carlo_criterion_runs_its_commands_audit(capsys, seed):
     assert all(c["name"].startswith("state ") for c in fifth[:-2])
 
 
-# sha256 of `accept --seed 42 --format json`, so that refactors keep every byte
-ACCEPT_42_SHA256 = "5bef03d569bb0ea3cf9cb6074107ce98f845a8da94d5613ad5667e74962ebd2c"
-
-
 def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -116,8 +111,8 @@ def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):
         capsys.readouterr()
         assert code == cli.EXIT_PASS
     first, second = paths[0].read_bytes(), paths[1].read_bytes()
+    # the bytes themselves are pins.PINS["accept 42 json"]
     assert first == second
-    assert hashlib.sha256(first).hexdigest() == ACCEPT_42_SHA256
     status = "PASS" if first == second else "FAIL"
     with capsys.disabled():
         print(f"[{status}] criterion 6 (determinism): "

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -15,10 +14,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import argparse_oracle
+import pins
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_acceptance import ACCEPT_42_SHA256
 from test_relmodel import reference_rows
 
 from friendlab import acceptance, cli, hilbert, relmodel, scenarios
@@ -32,82 +31,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 # a feasible grid of pair tables, partly written as decimals
-GRID_TARGETS = {"AC": [["0.375", "0.125"], ["1/8", "3/8"]], "AD": [["1/8", "3/8"], ["3/8", "1/8"]],
-                "BC": [["3/8", "1/8"], ["1/8", "3/8"]], "BD": [["1/4", "1/4"], ["1/4", "1/4"]]}
-
-# sha256 of reports at fixed seeds, so that refactors keep every output byte
-REPORT_SHA256 = {
-    "lf 20000 0 json": "f8586d2a840b3abe1a6e42e6d63a0890b6c9081748c32792feeb43bade12f65f",
-    "lf 20000 0 csv": "4aa5805346a2694bf8f8a923242b798bebed41847fe9baa55019ca20fac87b9e",
-    "relmodel 20000 0 json": "b8160137362a90cd439710845a5a3868180f044348e4172dc75a52ed67ee3b76",
-    "relmodel 20000 0 csv": "ca7e3ae30f88d1aaf7880261f70d8f24e4bca7625051b475230ed40155917451",
-    # the one pinned report whose independence audit raises flags
-    "relmodel 20000 0 planted json":
-        "5f8112a938e8b73d6a0437fc37fe0cc2e6c1fa8386fbafa3cc81023e21b01d99",
-    "feasibility from-angles json":
-        "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
-    "feasibility grid json": "01eeb826675c1acf1adc4279f23d380a304b18aec2679a2dbad4d9478e7f3c8e",
-    # feasible targets next to S = 2 whose witnesses carry big denominators
-    "feasibility boundary json":
-        "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
-    "feasibility decimal json":
-        "903c15aabb4342cd593ac9644e2311874af10b27b1df404d1ec5300261a38f43",
-    # every table is SPELLED_TABLE; CI's installed script must print these bytes
-    # on each Python it runs
-    "feasibility spellings json":
-        "27b9b39ac03546f70fc1d5a8ad941388ad19e0514ffad86796db3763ed1d6f7c",
-}
-
-# 1/4 as a JSON number, as p/q, with an exponent and with underscores
-SPELLED_TABLE = [[0.25, "1/4"], ["25e-2", "2_5/1_00"]]
-
-# the targets of those two pins.  One writes singles and correlators with
-# denominators up to about 1e9 as p/q, has a CHSH sign variant at exactly 2,
-# and a witness atom of 178 bits (numerator and denominator); the other
-# writes every cell as a 9-digit decimal and has a variant at 2 - 4e-9
-BIG_DENOMINATOR_TARGETS = {
-    "feasibility boundary json": {
-        "AC": [["5057421788621348779/494748967919459831552",
-                "195907577288396254805/494748967919459831552"],
-               ["256028716308051043925/494748967919459831552",
-                "37755252534391184043/494748967919459831552"]],
-        "AD": [["289250664407132325/732848512834549408",
-                "8429392056096411/732848512834549408"],
-               ["38011564333723765/732848512834549408",
-                "397156892037596907/732848512834549408"]],
-        "BC": [["10969216809231/31421602046198",
-                "496107209497/4488800292314"],
-               ["5612414003565/31421602046198",
-                "1623888680989/4488800292314"]],
-        "BD": [["24024201340214880624939155/139180725369532722761940736",
-                "279621392236044355307720955/974265077586729059333585152"],
-               ["38128608666899794902492125/139180725369532722761940736",
-                "259574015300881975333845237/974265077586729059333585152"]],
-    },
-    "feasibility decimal json": {
-        "AC": [["0.124976671", "0.434161341"], ["0.351210553", "0.089651435"]],
-        "AD": [["0.397531056", "0.161606956"], ["0.076525576", "0.364336412"]],
-        "BC": [["0.016576683", "0.433776797"], ["0.459610541", "0.090035979"]],
-        "BD": [["0.182518407", "0.267835073"], ["0.291538225", "0.258108295"]],
-    },
-}
-
-# sha256 of `lf --trials 20000 --seed 0` and `feasibility --from-angles` JSON at
-# angle sets away from the defaults: both reports carry values computed from the
-# raw Born floats, so a last-ulp change in a Born table shows here
-ANGLES_SHA256 = {
-    "12.5,97.25,51,173.75": (
-        "a05b6c699ec3f5e7690a44bc947fab6edc33e01a8bcbb9584a98cb59e9241074",
-        "6670ad79e8ce212a8f2e4e9de25cd5e92c963943a9a51bbbf16af23ee1728684"),
-    "200,330.75,17.125,301": (
-        "691eb69a5ea19e5c768428751cf11de278bf253a78333761b2e992d9d3d2ad5e",
-        "bc79ca9491b320c9527cb41a0736f133a6c44027b23fb458e0b1c7dfd21011e6"),
-}
+GRID_TARGETS = json.loads(pins.GRID)
 
 
 def test_basic_default_is_balanced(capsys):
@@ -154,26 +79,11 @@ def test_lf_rejects_tiny_trials(capsys):
 
 
 def test_lf_csv_output(capsys):
-    code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "0", "--format", "csv")
+    code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "1", "--format", "csv")
     assert code == cli.EXIT_PASS
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["pair", "x", "y", "frequency", "born"]
     assert len(rows) == 1 + 4 * 4
-    assert sha256(out) == REPORT_SHA256["lf 20000 0 csv"]
-    code, out, _ = run(capsys, "lf", "--trials", "20000", "--seed", "0", "--format", "json")
-    assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["lf 20000 0 json"]
-
-
-@pytest.mark.parametrize("angles", sorted(ANGLES_SHA256))
-def test_born_reports_at_other_angles_are_pinned(capsys, angles):
-    lf_pin, feasibility_pin = ANGLES_SHA256[angles]
-    code, out, _ = run(capsys, "lf", "--angles", angles, "--trials", "20000", "--seed", "0",
-                       "--format", "json")
-    assert code == cli.EXIT_PASS and sha256(out) == lf_pin
-    code, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", angles,
-                       "--format", "json")
-    assert code == cli.EXIT_PASS and sha256(out) == feasibility_pin
 
 
 def child_env(**extra):
@@ -183,28 +93,57 @@ def child_env(**extra):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-# per variable, a setting that makes numpy round differently from this host's
-# defaults: OpenBLAS's oldest x86-64 kernel, and numpy without its AVX2 and
-# AVX-512 loops
-OTHER_KERNELS = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}
+# pins.in_process in a fresh interpreter that imports this checkout's src
+IN_PROCESS = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+import pins
+print(json.dumps(pins.in_process(sys.argv[1])))
+"""
 
 
-@pytest.mark.parametrize("var", sorted(OTHER_KERNELS))
-def test_reports_are_the_same_bytes_under_other_cpu_kernels(var):
-    # numpy reads these variables once, at import, so each run is a child
-    # process; the Born arithmetic is Python numbers, and what numpy still
-    # computes, the draws and their integer sums, must give the pinned bytes too
-    env = child_env(**{var: OTHER_KERNELS[var]})
-    runs = [(ACCEPT_42_SHA256, ["accept", "--seed", "42"]),
-            (REPORT_SHA256["lf 20000 0 json"], ["lf", "--trials", "20000", "--seed", "0"])]
-    children = [(pin, subprocess.Popen([sys.executable, "-m", "friendlab.cli", *argv,
-                                        "--format", "json"],
-                                       env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
-                for pin, argv in runs]
-    for pin, child in children:
-        out, err = child.communicate(timeout=300)
-        assert child.returncode == cli.EXIT_PASS, err.decode()
-        assert hashlib.sha256(out).hexdigest() == pin
+@pytest.fixture(scope="module")
+def in_a_fresh_interpreter(tmp_path_factory):
+    """Each pin's problems in the runs that set no environment variable, all
+    through cli.main in one child interpreter, and the modules they loaded."""
+    child = subprocess.run([sys.executable, "-c", IN_PROCESS, str(tmp_path_factory.mktemp("pins")),
+                            str(Path(__file__).parent)],
+                           env=child_env(), capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("name", list(pins.PINS))
+def test_pin(in_a_fresh_interpreter, tmp_path, name):
+    # a run that sets a variable runs in a child of its own, as the variable
+    # must hold from the start of the interpreter (numpy and the locale read
+    # theirs once)
+    pin = pins.PINS[name]
+    problems = list(in_a_fresh_interpreter["problems"][name])
+    for run in pin["runs"]:
+        if "env" in run:
+            problems += pins.check(pin, *pins.spawn([sys.executable, "-m", "friendlab.cli"], run,
+                                                    tmp_path, child_env()))
+    assert problems == []
+
+
+def test_the_commands_load_no_fractions_nor_decimal(in_a_fresh_interpreter):
+    # every exact number of a report is an int over the targets' scale, written
+    # by rational_texts, so no valid input loads fractions, nor the decimal
+    # that fractions imports; and no command but lf, relmodel and accept
+    # loads numpy
+    assert in_a_fresh_interpreter["loaded"] == {"after the numpy-free runs": [],
+                                                 "after all runs": []}
+
+
+def test_pins_are_distinct_and_every_run_names_a_command():
+    digests = [pin["sha256"] for pin in pins.PINS.values() if "sha256" in pin]
+    assert len(digests) == len(set(digests))
+    for pin in pins.PINS.values():
+        assert pin["runs"] and {"exit"} <= pin.keys() <= {"exit", "sha256", "stdout", "stderr",
+                                                          "runs"}
+        for run in pin["runs"]:
+            assert run["argv"] == ["--help"] or run["argv"][0] in cli.COMMANDS, run["argv"]
 
 
 # run in a fresh interpreter with the path of a targets file: the package
@@ -240,24 +179,6 @@ def test_deciding_a_targets_file_loads_no_numpy(tmp_path):
                            env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout)["joint_4"]["feasible"]
-
-
-def test_a_targets_file_is_read_as_utf_8_under_an_ascii_locale(tmp_path):
-    # "١/٤" is 1/4 in ARABIC-INDIC DIGITs; a reader that took the
-    # locale's encoding would refuse the file under the C locale
-    env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-    reports = []
-    for name, cell in (("ascii.json", "1/4"), ("arabic.json", "١/٤")):
-        targets = tmp_path / name
-        targets.write_text(json.dumps({pair: [[cell, cell], [cell, cell]] for pair in mp.PAIR_IDS},
-                                      ensure_ascii=False), encoding="utf-8")
-        child = subprocess.run([sys.executable, "-m", "friendlab.cli", "feasibility",
-                                "--targets", str(targets), "--format", "json"],
-                               env=env, capture_output=True, timeout=60)
-        assert child.returncode == cli.EXIT_PASS, child.stderr.decode()
-        reports.append(child.stdout)
-    assert b"\xd9" in (tmp_path / "arabic.json").read_bytes()
-    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("data", [b'\xef\xbb\xbf{"AC": 1}', b'{\r\n"AC": 1,\r\n"AD" 2}',
@@ -298,9 +219,9 @@ def test_the_circuit_and_the_sealed_lab_load_no_numpy():
     child = subprocess.run([sys.executable, "-c", NUMPY_FREE_ENGINE],
                            env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    from_angles, basic = child.stdout.splitlines(keepends=True)
-    assert sha256(from_angles) == REPORT_SHA256["feasibility from-angles json"]
-    assert json.loads(basic)["frame_relational"]["interference_witness"] == pytest.approx(1.0)
+    from_angles, basic = map(json.loads, child.stdout.splitlines())
+    assert from_angles["methods_agree"] is True
+    assert basic["frame_relational"]["interference_witness"] == pytest.approx(1.0)
 
 
 # run in a fresh interpreter: the sequential runs are drawn by the standard
@@ -317,35 +238,9 @@ def test_rovelli_loads_no_numpy():
     child = subprocess.run([sys.executable, "-c", NUMPY_FREE_ROVELLI],
                            env=child_env(), capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert sha256(child.stdout) == ROVELLI_500_SHA256["1"]
-
-
-# run in a fresh interpreter: every exact number of a report is an int over
-# the targets' scale, written by rational_texts, so no valid input loads
-# fractions, nor the decimal that fractions imports
-NO_FRACTIONS = """
-import sys
-from friendlab import cli
-for argv in (["feasibility", "--targets", sys.argv[1]], ["feasibility", "--from-angles"],
-             ["rovelli", "--trials", "500", "--seed", "0"],
-             ["relmodel", "--trials", "20000", "--seed", "0"]):
-    assert cli.main([*argv, "--format", "json"]) == 0, argv
-    loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
-    assert not loaded, (argv, loaded)
-"""
-
-
-def test_the_commands_load_no_fractions_nor_decimal(tmp_path):
-    targets = tmp_path / "targets.json"
-    targets.write_text(json.dumps(dict.fromkeys(("AC", "AD", "BC", "BD"), SPELLED_TABLE)))
-    child = subprocess.run([sys.executable, "-c", NO_FRACTIONS, str(targets)],
-                           env=child_env(), capture_output=True, text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    spellings, from_angles, rovelli, relmodel_json = child.stdout.splitlines(keepends=True)
-    assert sha256(spellings) == REPORT_SHA256["feasibility spellings json"]
-    assert sha256(from_angles) == REPORT_SHA256["feasibility from-angles json"]
-    assert sha256(rovelli) == ROVELLI_500_SHA256["1"]
-    assert sha256(relmodel_json) == REPORT_SHA256["relmodel 20000 0 json"]
+    problems = pins.check(pins.PINS["rovelli 500 0 json"], child.returncode,
+                          child.stdout.encode(), child.stderr)
+    assert problems == []
 
 
 def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, monkeypatch):
@@ -359,7 +254,7 @@ def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, m
     scenarios.circuit_verdict.cache_clear()
     try:
         code, out, _ = run(capsys, *argv, "--format", "json")
-        assert (code, sha256(out)) == (cli.EXIT_PASS, REPORT_SHA256["relmodel 20000 0 json"])
+        assert code == cli.EXIT_PASS
         assert json.loads(out)["analytic_feasibility"] == v4.to_json_dict()
         monkeypatch.setattr(mp, "decide", lambda t: (*real(t)[:3], False))
         scenarios.circuit_verdict.cache_clear()
@@ -394,7 +289,6 @@ def test_lf_malformed_config_file(capsys, tmp_path):
 def test_feasibility_from_angles_infeasible(capsys):
     code, out, _ = run(capsys, "feasibility", "--from-angles", "--format", "json")
     assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["feasibility from-angles json"]
     rep = json.loads(out)
     assert rep["joint_4"]["feasible"] is False
     assert rep["joint_6"]["feasible"] is False
@@ -418,7 +312,14 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == cli.EXIT_PASS
     assert "snapped to 1/1000000, not the circuit" in out
-    # far from the boundary the report is unchanged (see the sha256 pin)
+    # relmodel's analytic verdict is the same verdict, stated the same way
+    relmodel_argv = ("relmodel", "--trials", "100", "--angles", argv[-1])
+    _, out, _ = run(capsys, *relmodel_argv, "--format", "json")
+    assert json.loads(out)["analytic_feasibility"] == rep["joint_4"]
+    assert json.loads(out)["resolution"] == resolution
+    _, out, _ = run(capsys, *relmodel_argv)
+    assert "snapped to 1/1000000, not the circuit" in out
+    # far from the boundary the reports are unchanged (see the sha256 pins)
     _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", "0,90,0,135")
     assert "resolution" not in out
 
@@ -432,25 +333,6 @@ def test_feasibility_targets_file_feasible(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["joint_4"]["feasible"] is True
     assert rep["chsh_value"] == "0"
-    targets.write_text(json.dumps(GRID_TARGETS))
-    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
-    assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["feasibility grid json"]
-    targets.write_text(json.dumps(dict.fromkeys(("AC", "AD", "BC", "BD"), SPELLED_TABLE)))
-    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
-    assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["feasibility spellings json"]
-
-
-@pytest.mark.parametrize("key", sorted(BIG_DENOMINATOR_TARGETS))
-def test_feasibility_reports_with_big_denominators_are_pinned(capsys, tmp_path, key):
-    targets = tmp_path / "targets.json"
-    targets.write_text(json.dumps(BIG_DENOMINATOR_TARGETS[key]))
-    code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
-    assert code == cli.EXIT_PASS
-    rep = json.loads(out)
-    assert rep["joint_4"]["feasible"] and rep["methods_agree"]
-    assert sha256(out) == REPORT_SHA256[key]
 
 
 def test_feasibility_wrong_witness_is_a_disagreement(capsys, tmp_path, monkeypatch):
@@ -561,15 +443,10 @@ def test_relmodel_passes_audits(capsys):
     code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
                        "--format", "json")
     assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 json"]
     rep = json.loads(out)
     assert rep["pass"] is True
     assert rep["analytic_feasibility"]["feasible"] is False
     assert len(rep["records"]) == relmodel.ROWS
-    code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
-                       "--format", "csv")
-    assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 csv"]
 
 
 def test_relmodel_report_checks_are_the_shared_audit(capsys):
@@ -585,10 +462,9 @@ def test_relmodel_report_checks_are_the_shared_audit(capsys):
 
 
 def test_relmodel_planted_violation_fails(capsys):
-    code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "0",
+    code, out, _ = run(capsys, "relmodel", "--trials", "20000", "--seed", "1",
                        "--planted-violation", "--format", "json")
     assert code == cli.EXIT_FAIL
-    assert sha256(out) == REPORT_SHA256["relmodel 20000 0 planted json"]
     rep = json.loads(out)
     assert rep["pass"] is False
     # Alice's internal outcome follows Bob's choice; Chidi's wing stays clean
@@ -659,7 +535,6 @@ def test_relmodel_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
     argv = ["relmodel", "--trials", "20000", "--seed", "0", "--format", fmt]
     code, out, _ = run(capsys, *argv)
     assert code == cli.EXIT_PASS
-    assert sha256(out) == REPORT_SHA256[f"relmodel 20000 0 {fmt}"]
     path = tmp_path / f"report.{fmt}"
     code, stdout, _ = run(capsys, *argv, "--out", str(path))
     assert (code, stdout) == (cli.EXIT_PASS, "")
@@ -682,6 +557,7 @@ def test_relmodel_json_report_is_the_only_report_sized_string(monkeypatch):
     monkeypatch.setattr(sys, "stdout", sink)
     argv = ["relmodel", "--trials", "20000", "--seed", "0", "--format", "json"]
     assert cli.main(argv) == cli.EXIT_PASS  # imports and caches fill outside the measurement
+    first = "".join(sink.written)
     sink.written.clear()
     tracemalloc.start()
     try:
@@ -690,24 +566,15 @@ def test_relmodel_json_report_is_the_only_report_sized_string(monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_PASS
-    assert sha256("".join(sink.written)) == REPORT_SHA256["relmodel 20000 0 json"]
+    assert "".join(sink.written) == first
     assert peak < 2 * sum(map(len, sink.written))
-
-
-# sha256 of `rovelli --trials 500 --seed 0 --trigger T --format json`; the
-# report holds no per-run data, so it does not depend on the draw order
-ROVELLI_500_SHA256 = {
-    "1": "1a244cceaf470e0caa1cfa814738e2da17dd097828049091a3992497c478e75a",
-    "-1": "b06b62325fc21428f6d4f1d47f8b386bc4744e827c14f1e5f9ed2a164d60d791",
-}
 
 
 def test_rovelli_consistency(capsys):
     for trigger in ("1", "-1"):
-        code, out, _ = run(capsys, "rovelli", "--trials", "500", "--seed", "0",
+        code, out, _ = run(capsys, "rovelli", "--trials", "500", "--seed", "1",
                            "--trigger", trigger, "--format", "json")
         assert code == cli.EXIT_PASS
-        assert sha256(out) == ROVELLI_500_SHA256[trigger]
         rep = json.loads(out)
         assert rep["consistency_rate"] == 1.0
         assert rep["second_iff_trigger"] is True
@@ -1003,21 +870,8 @@ def test_switch_in_config_must_be_json_true_or_false(capsys, tmp_path, command, 
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == cli.EXIT_INPUT, value
         assert out == "" and f"{key} must be true or false" in err
-    targets = tmp_path / "targets.json"
-    targets.write_text(json.dumps(GRID_TARGETS))
-    # JSON true and false give the reports of the flag and of its absence
-    runs = {"from_angles": [({"from_angles": True}, "feasibility from-angles json", 0),
-                            ({"from_angles": False, "targets": str(targets)},
-                             "feasibility grid json", 0)],
-            "planted_violation": [({"planted_violation": True},
-                                   "relmodel 20000 0 planted json", 1),
-                                  ({"planted_violation": False}, "relmodel 20000 0 json", 0)]}
-    for config, pin, exit_code in runs[key]:
-        if command == "relmodel":
-            config = {**config, "trials": 20000, "seed": 0}
-        cfg.write_text(json.dumps({**config, "format": "json"}))
-        code, out, _ = run(capsys, command, "--config", str(cfg))
-        assert code == exit_code and sha256(out) == REPORT_SHA256[pin]
+    # JSON true and false give the reports of the flag and of its absence:
+    # the config runs of pins.PINS
 
 
 def forbid_work(monkeypatch):

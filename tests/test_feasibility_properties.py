@@ -213,6 +213,24 @@ def boundary_targets(draw):
 
 
 @PROPERTY
+@given(st.lists(st.integers(0, 20), min_size=16, max_size=16).filter(any))
+def test_from_correlators_gives_each_table_the_singles_and_correlators_asked_for(weights):
+    # a joint over A, B, C, D (lexicographic, +1 first) gives valid singles,
+    # seldom 1/2, and correlators; each table is read back in plain Fractions
+    atoms = list(itertools.product((+1, -1), repeat=4))
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    column = dict(zip(mp.VARS_4, range(4)))
+    singles = {v: sum(p for a, p in zip(atoms, probs) if a[column[v]] == 1) for v in mp.VARS_4}
+    correlators = {pair: sum(p * a[column[pair[0]]] * a[column[pair[1]]]
+                             for a, p in zip(atoms, probs)) for pair in mp.PAIR_IDS}
+    t = mp.PairTargets.from_correlators({v: str(p) for v, p in singles.items()},
+                                        {pair: str(e) for pair, e in correlators.items()})
+    for pair, (pp, pm, mp_, mm) in fraction_tables(t).items():
+        assert (pp + pm, pp + mp_) == (singles[pair[0]], singles[pair[1]])
+        assert pp - pm - mp_ + mm == correlators[pair]
+
+
+@PROPERTY
 @given(boundary_targets())
 def test_three_methods_agree_next_to_the_boundary(case):
     t, delta = case

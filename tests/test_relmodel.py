@@ -8,6 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pins
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -669,30 +670,8 @@ def test_multinomial_gives_the_round_off_tail_to_a_positive_cell(weighted, n, se
 
 # --- the standard-library samplers -------------------------------------------
 
-# binomial's and multinomial's first draws from random.Random(seed): random()
-# is the one method whose stream Python keeps the same on every version, so
-# these must hold on 3.10 to 3.13 (the numpy-free CI job checks them on 3.12
-# and 3.13 from this literal); n = 2**63 - 1 is written out
-SAMPLER_PINS = {
-    "seed": 32,
-    "binomial": [  # (n, p, five draws from one generator)
-        (30, 0.25, (6, 6, 6, 4, 2)),  # n p < 10: geometric
-        (1000, 0.5, (472, 491, 500, 476, 518)),  # BTRS
-        (9223372036854775807, 0.75,  # BTRS at 1 - p
-         (6917529029947766271, 6917529028403271423, 6917529027654796287,
-          6917529029629298687, 6917529026138868735)),
-        (1000000000000, 9.094947017729282e-13, (0, 0, 0, 2, 0)),  # geometric, p = 2**-40
-    ],
-    "multinomial": (1000000, (0.125, 0.0, 0.375, 0.5), (124420, 0, 374980, 500600)),
-}
-
-
 def test_sampler_streams_are_pinned():
-    for n, p, draws in SAMPLER_PINS["binomial"]:
-        rng = random.Random(SAMPLER_PINS["seed"])
-        assert tuple(relmodel.binomial(rng, n, p) for _ in draws) == draws
-    n, born, counts = SAMPLER_PINS["multinomial"]
-    assert relmodel.multinomial(random.Random(SAMPLER_PINS["seed"]), n, born) == counts
+    assert pins.sampler_draws() == pins.SAMPLER_PINS
 
 
 def chi2_tail(x, df):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pins
 import pytest
 
 from friendlab.statlab import (
@@ -14,7 +15,6 @@ from friendlab.statlab import (
     correlator,
     freqs,
     homogeneity,
-    sign_variants,
     total_variation,
 )
 
@@ -177,20 +177,5 @@ def test_homogeneity_is_exact_at_any_total():
         assert small == pytest.approx(pearson, rel=1e-12)
 
 
-# one input each whose builtin float sum() differs in the last bit between
-# Python 3.11 and 3.12: the values are the terms added left to right from 0
-FLOAT_SUM_PINS = {
-    "total_variation": 0.03531598513011152,
-    "sign_variants": -1.2970518298570137,
-    "homogeneity": 10669.207368034624,
-}
-
-
 def test_float_sums_are_the_same_on_every_python():
-    freq = (0.45724907063197023, 0.040892193308550186, 0.07806691449814127, 0.42379182156133827)
-    born = (0.42677669529663687, 0.07322330470336312, 0.07322330470336312, 0.42677669529663687)
-    e = (-0.5424755574590947, 0.8905413911078446, 0.8028549152229671, -0.9388200339328929)
-    columns = [(3843, 14744), (14765, 5502), (10715, 9730), (17914, 18459)]
-    assert {"total_variation": total_variation(freq, born),
-            "sign_variants": sign_variants(e)[(1, -1, -1, -1)],
-            "homogeneity": homogeneity(columns, 1e-3)["statistic"]} == FLOAT_SUM_PINS
+    assert pins.float_sums() == pins.FLOAT_SUM_PINS["values"]
