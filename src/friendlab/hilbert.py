@@ -1,23 +1,23 @@
 """Minimal dense state-vector engine over named tensor factors, in Python numbers.
 
-Everything is immutable: a state's amplitudes are a tuple of complex, and
-every operation returns a fresh value.  A unitary is a matrix on named
-factors, rows of numbers that each go through `complex()`, and
-`apply(matrix, state, on)` is the state it makes.  Every sum that reaches a
-report is `acc += term` from zero in index order (m[i][j] * t[j] over j in
-`apply`, a.real**2 + a.imag**2 per basis state in `born_distribution`,
-a.conjugate() * b in `StateVector.inner`), never the float `sum()` that
-Python 3.12 made compensated, so every report is the same bytes on every
-CPU.  `apply` skips a block whose amplitudes are all exact zeros, whose
-sums would be exactly 0j, so the bytes are those of the full loop; every
-state still refuses a non-finite amplitude and a norm more than ATOL from
-1.  A measurement is a frame change, which is such a unitary, followed by a
-computational-basis reading of named factors; a reading of distinct factors
-is complete and orthogonal by its type, so no projector is ever built or
-checked.  The scenarios built on this engine never need more than 24
-dimensions.  A reading's Born probabilities come from
-`born_distribution(state, read)` alone, and this module draws no random
-numbers: callers name the outcomes, and `relmodel` samples them.
+Everything is immutable, and every operation returns a fresh value.  A
+state's amplitudes and a unitary's matrix entries (rows on named factors)
+are the Python numbers given: `apply(matrix, state, on)`, the state it
+makes, is real for real rows on a real state and complex by Python's own
+arithmetic otherwise.  Every sum that reaches a report is `acc += term` from
+zero in index order (m[i][j] * t[j] over j in `apply`, a.real**2 + a.imag**2
+per basis state in `born_distribution`, a.conjugate() * b in
+`StateVector.inner`), never the float `sum()` that Python 3.12 made
+compensated, so every report is the same bytes on every CPU.  `apply` skips
+a block whose amplitudes are all exact zeros, whose sums would be exactly
+zero, so the bytes are those of the full loop; every state still refuses a
+non-finite amplitude and a norm more than ATOL from 1.  A measurement is a
+frame change, which is such a unitary, followed by a computational-basis
+reading of named factors; a reading of distinct factors is complete and
+orthogonal by its type, so no projector is ever built or checked.  The
+scenarios on this engine need at most 24 dimensions.  A reading's Born
+probabilities come from `born_distribution(state, read)` alone, and this
+module draws no random numbers: `relmodel` samples the outcomes.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class FactorLayout:
 @dataclass(frozen=True)
 class StateVector:
     layout: FactorLayout
-    amps: tuple[complex, ...] = field(repr=False)
+    amps: tuple[float | complex, ...] = field(repr=False)
 
     def __post_init__(self):
-        amps = tuple(map(complex, self.amps))
+        amps = tuple(self.amps)
         if len(amps) != self.layout.dim:
             raise LayoutError("amplitude length does not match layout dimension")
         if not all(map(cmath.isfinite, amps)):
@@ -93,17 +93,18 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def from_terms(cls, layout: FactorLayout, terms: dict[tuple[int, ...], complex]) -> "StateVector":
+    def from_terms(cls, layout: FactorLayout,
+                   terms: dict[tuple[int, ...], float | complex]) -> "StateVector":
         basis = list(itertools.product(*map(range, layout.dims)))  # in index order
         outside = set(terms) - set(basis)
         if outside:
             raise LayoutError(f"basis states {outside} do not fit dims {layout.dims}")
-        return cls(layout, [terms.get(values, 0j) for values in basis])
+        return cls(layout, [terms.get(values, 0.0) for values in basis])
 
-    def inner(self, other: "StateVector") -> complex:
+    def inner(self, other: "StateVector") -> float | complex:
         if self.layout != other.layout:
             raise LayoutError("inner product requires identical layouts")
-        acc = 0j
+        acc = 0.0
         for a, b in zip(self.amps, other.amps):
             acc += a.conjugate() * b
         return acc
@@ -126,23 +127,22 @@ def _blocks(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ..
 def apply(matrix, state: StateVector, on: tuple[str, ...]) -> StateVector:
     """The state `matrix` makes of `state`, acting on the factors `on`, in
     that order, and as the identity elsewhere: in each block of `_blocks`,
-    out[i] = sum_j m[i][j] * t[j], left 0j where t is all exact zeros: the
+    out[i] = sum_j m[i][j] * t[j], left 0.0 where t is all exact zeros: the
     sum's value there, zero signs included (+0.0 + -0.0 is +0.0).  The
     returned state's checks refuse a non-unitary's output and a non-finite
     entry, which makes a NaN even where it meets a zero amplitude."""
     layout = state.layout
     axes = tuple(layout.axis(n) for n in on)
     d = math.prod(layout.dims[a] for a in axes)
-    m = [list(map(complex, row)) for row in matrix]
-    if len(set(axes)) != len(axes) or len(m) != d or any(len(row) != d for row in m):
-        raise LayoutError(f"a {len(m)}-row matrix does not fit factors {tuple(on)} (dim {d})")
-    out = [0j] * layout.dim
+    if len(set(axes)) != len(axes) or len(matrix) != d or any(len(row) != d for row in matrix):
+        raise LayoutError(f"a {len(matrix)}-row matrix does not fit factors {tuple(on)} (dim {d})")
+    out = [0.0] * layout.dim
     for block in _blocks(layout.dims, axes):
         t = [state.amps[k] for k in block]
-        if not any(t):  # its sums would all be exactly 0j, as `out` holds
+        if not any(t):  # its sums would all be exactly zero, as `out` holds
             continue
-        for k, row in zip(block, m):
-            acc = 0j
+        for k, row in zip(block, matrix):
+            acc = 0.0
             for mij, tj in zip(row, t):
                 acc += mij * tj
             out[k] = acc

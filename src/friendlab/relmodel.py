@@ -42,7 +42,8 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -72,24 +73,11 @@ class InsufficientDataError(ValueError):
     """Not enough qualifying runs to form the requested statistic."""
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    """The schema of a report row: one run, with None where a variable does
-    not exist.  A batch's CSV rows give the fields in this order."""
-
-    a_internal: int
-    c_internal: int
-    b_choice: str
-    d_choice: str
-    b_outcome: int | None
-    d_outcome: int | None
-    a_external: int | None
-    c_external: int | None
-    a_relation: int | None
-    c_relation: int | None
-
-
-RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+# the schema of a report row: one run, with None where a variable does not
+# exist; a batch's CSV rows give the fields in this order
+RunRecord = namedtuple("RunRecord", "a_internal c_internal b_choice d_choice b_outcome d_outcome "
+                                    "a_external c_external a_relation c_relation")
+RECORD_FIELDS = RunRecord._fields
 # the variable behind each RunRecord field after the two choices; 0 becomes None
 _OPTIONAL = ("B", "D", "A", "C", "Ar", "Cr")
 

@@ -100,8 +100,8 @@ class RovelliConfig:
         return {"rovelli": {"trigger": self.trigger}}
 
 
-def build_basic_wf_state(a: complex, b: complex) -> StateVector:
-    """a|down>_S|down>_A + b|up>_S|up>_A over layout (S, A)."""
+def build_basic_wf_state(a: float | complex, b: float | complex) -> StateVector:
+    """a|down>_S|down>_A + b|up>_S|up>_A over layout (S, A), a and b as given."""
     try:
         norm = abs(a) ** 2 + abs(b) ** 2
     except OverflowError:  # a float amplitude above about 1e154
@@ -243,7 +243,7 @@ def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:
     t = 1 if cfg.trigger == +1 else 0  # lab-relative S bit meaning "trigger seen"
     states = []
     for record in range(len(ROVELLI_RECORDS)):
-        terms: dict[tuple[int, int, int, int], complex] = {}
+        terms: dict[tuple[int, int, int, int], float] = {}
         for orientation in (0, 1):
             s_bit = t ^ orientation ^ (record == 2)  # noM2 sees the non-trigger
             # Y copies S (PP), opposes it (PA) or stays ready (noM2)
@@ -260,7 +260,7 @@ def orientation_branches(state: StateVector) -> tuple[StateVector, StateVector]:
     frame-relational and sequential-scenario states."""
     layout = state.layout
     stride = math.prod(layout.dims[layout.axis("orientation") + 1:])  # of the orientation digit
-    aligned, flipped = ([math.sqrt(2.0) * a if k // stride % 2 == o else 0j
+    aligned, flipped = ([math.sqrt(2.0) * a if k // stride % 2 == o else 0.0
                          for k, a in enumerate(state.amps)] for o in (0, 1))
     return StateVector(layout, aligned), StateVector(layout, flipped)
 

@@ -96,6 +96,7 @@ PINS = {
              "accept} ...\n", "runs": [{"argv": ["--help"]}]},
     "rovelli help": {"exit": 0, "stdout": "usage: friendlab rovelli [-h]",
                      "runs": [{"argv": ["rovelli", "--help"]}]},
+    # a flag the command does not read
     "usage error": {"exit": 2, "stderr": "unrecognized arguments: --angles 1,2,3,4",
                     "runs": [{"argv": ["rovelli", "--angles", "1,2,3,4"]}]},
     # a config value the flag table refuses exits before any run
@@ -115,16 +116,25 @@ PINS = {
     # the runs are drawn as counts, so 10^12 of them is one item; rovelli
     # exits 1 unless every check passes, where a rate can still read 1.0
     "rovelli 10^12": {"exit": 0,
+                      "sha256": "7bfe1f3574bbfbad23c219e39c772dd4beb90328bba223fe8325a490776f4cad",
                       "runs": [_json("rovelli", "--trials", "1000000000000", "--seed", "0")]},
     "feasibility from-angles json": {
         "exit": 0, "sha256": "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
         "runs": [_json("feasibility", "--from-angles"),
                  _config("feasibility", '{"from_angles": true, "format": "json"}')]},
-    # the circuit's largest float CHSH variant is 2 + 6.7e-8 at these angles:
-    # the verdict is stated about its targets snapped to 1e-6 only
+    # the circuit's largest float CHSH variant is 2 + 6.7e-8 at these angles,
+    # so the circuit is infeasible while its targets snapped to 1e-6 are
+    # feasible: the verdict is stated about the snapped targets only
     "feasibility from-angles snapped": {
-        "exit": 0, "stdout": '"resolution":{',
+        "exit": 0, "sha256": "444a8029226be56a2de1280467327f1e153dbc6370abf5bb388fa4ffad3469f9",
         "runs": [_json("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")]},
+    # the one command whose amplitudes reach a report
+    "basic json": {
+        "exit": 0, "sha256": "fb704b8df53e194313f56c159a778cbfff597809478e378b50a14c098f3c1ad2",
+        "runs": [_json("basic")]},
+    "basic 0.6,0.8 json": {
+        "exit": 0, "sha256": "93ed276263fdfff8116dc7f4807dd71851a60a111c2387278e06bb104ed4a878",
+        "runs": [_json("basic", "--amps", "0.6,0.8")]},
     "feasibility grid json": {
         "exit": 0, "sha256": "01eeb826675c1acf1adc4279f23d380a304b18aec2679a2dbad4d9478e7f3c8e",
         "runs": [_file("grid.json", GRID),
@@ -179,6 +189,7 @@ PINS = {
     # a batch is drawn as a histogram plus its first rows, so no trial count
     # costs more than another; relmodel exits 1 unless every check passes
     "relmodel 10^12": {"exit": 0,
+                       "sha256": "4aa7c14bc0df0513faac1789d72c1784bd988b5d95087995360428f2fa0e0220",
                        "runs": [_json("relmodel", "--trials", "1000000000000", "--seed", "0")]},
     "accept 42 json": {
         "exit": 0, "sha256": "5bef03d569bb0ea3cf9cb6074107ce98f845a8da94d5613ad5667e74962ebd2c",

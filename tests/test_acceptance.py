@@ -5,6 +5,7 @@ import json
 import time
 
 import numpy as np
+import pins
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,20 +104,15 @@ def test_each_monte_carlo_criterion_runs_its_commands_audit(capsys, seed):
     assert all(c["name"].startswith("state ") for c in fifth[:-2])
 
 
-def test_criterion_6_repeat_runs_byte_identical(capsys, tmp_path):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for p in paths:
-        code = cli.main(["accept", "--seed", "42", "--format", "json",
-                         "--out", str(p)])
-        capsys.readouterr()
-        assert code == cli.EXIT_PASS
-    first, second = paths[0].read_bytes(), paths[1].read_bytes()
-    # the bytes themselves are pins.PINS["accept 42 json"]
-    assert first == second
-    status = "PASS" if first == second else "FAIL"
+def test_criterion_6_repeat_runs_byte_identical(capsys):
+    # the pin's runs are fresh interpreters; here the caches the criteria
+    # above filled are warm, and the report must be the same bytes
+    pin = pins.PINS["accept 42 json"]
+    code, out, err = pins.call(pin["runs"][0]["argv"])
+    assert pins.check(pin, code, out, err) == []
     with capsys.disabled():
-        print(f"[{status}] criterion 6 (determinism): "
-              f"{len(first)} bytes, identical across runs")
+        print(f"[PASS] criterion 6 (determinism): {len(out)} bytes, "
+              f"identical to a fresh interpreter's")
 
 
 def test_run_all_aggregates():

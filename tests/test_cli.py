@@ -299,13 +299,16 @@ def test_feasibility_from_angles_infeasible(capsys):
 def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # the circuit's largest float CHSH variant is 2 + 6.7e-8, so the circuit
     # itself is infeasible, while its targets snapped to 1e-6 are feasible:
-    # the verdict is stated about the snapped targets only
+    # the verdict is stated about the snapped targets only.  The JSON report
+    # is the pin "feasibility from-angles snapped"; feasibility's joint_4 and
+    # resolution are these two values
     argv = ("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == cli.EXIT_PASS
-    rep = json.loads(out)
-    assert rep["joint_4"]["feasible"] and rep["joint_6"]["feasible"] and rep["fine_criterion"]
-    resolution = rep["resolution"]
+    assert pins.PINS["feasibility from-angles snapped"]["runs"] == [
+        {"argv": [*argv, "--format", "json"]}]
+    cfg = LFConfig(0, 90, 110.530196479, 135)
+    v4, v6, fine, _ = scenarios.circuit_verdict(cfg)
+    assert v4.feasible and v6.feasible and fine
+    resolution = scenarios.snap_resolution(cfg)
     assert resolution["snap"] == "1/1000000"
     assert resolution["undecided_band"] == "2 +/- 2/1000000"
     assert 2 < resolution["largest_born_variant"] < 2 + 1e-7
@@ -315,7 +318,7 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # relmodel's analytic verdict is the same verdict, stated the same way
     relmodel_argv = ("relmodel", "--trials", "100", "--angles", argv[-1])
     _, out, _ = run(capsys, *relmodel_argv, "--format", "json")
-    assert json.loads(out)["analytic_feasibility"] == rep["joint_4"]
+    assert json.loads(out)["analytic_feasibility"] == v4.to_json_dict()
     assert json.loads(out)["resolution"] == resolution
     _, out, _ = run(capsys, *relmodel_argv)
     assert "snapped to 1/1000000, not the circuit" in out
@@ -584,7 +587,8 @@ def test_rovelli_consistency(capsys):
             assert sr["record_probabilities"][sr["record"]] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("trials", [10 ** 12, 2 ** 63 - 1])
+# 10**12 runs are the pin "rovelli 10^12"
+@pytest.mark.parametrize("trials", [2 ** 63 - 1])
 def test_rovelli_counts_any_number_of_runs(capsys, trials):
     # the runs are drawn as counts, so no trial count costs more than another
     code, out, _ = run(capsys, "rovelli", "--trials", str(trials), "--format", "json")
@@ -599,7 +603,8 @@ def test_rovelli_trials_past_int64_is_input_error(capsys):
     assert out == "" and f"trials must be at most {2 ** 63 - 1}" in err
 
 
-@pytest.mark.parametrize("trials", [10 ** 12, 2 ** 63 - 1])
+# 10**12 runs are the pin "relmodel 10^12"
+@pytest.mark.parametrize("trials", [2 ** 63 - 1])
 def test_relmodel_counts_any_number_of_runs(capsys, trials):
     # a batch is drawn as a histogram plus its first rows, so no trial count
     # costs more than another, and every count is exact
@@ -764,11 +769,11 @@ def test_unknown_format_rejected(capsys):
         cli.main(["lf", "--format", "yaml"])
 
 
+# rovelli --angles is the pin "usage error"
 @pytest.mark.parametrize("command, flag, value", [
     ("basic", "--trials", "5"), ("basic", "--seed", "3"), ("basic", "--angles", "1,2,3,4"),
     ("feasibility", "--trials", "5"), ("feasibility", "--seed", "3"),
-    ("rovelli", "--angles", "1,2,3,4"), ("accept", "--trials", "5"),
-    ("accept", "--angles", "1,2,3,4")])
+    ("accept", "--trials", "5"), ("accept", "--angles", "1,2,3,4")])
 def test_flag_the_command_does_not_read_is_refused(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, flag, value])

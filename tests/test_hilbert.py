@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kron_oracle import embed
 
+from friendlab import acceptance, scenarios
 from friendlab.hilbert import (
     ATOL,
     FactorLayout,
@@ -144,18 +145,38 @@ def float_bytes(amps) -> bytes:
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([("a",), ("b",), ("c", "a"), ("b", "c")]))
 def test_skipping_zero_blocks_keeps_the_bytes_of_the_full_loop(seed, on):
     # states with exact zeros of either sign, often filling whole blocks, and
-    # matrices with negative entries, so a zero's sign would show if it moved
-    rng = np.random.default_rng(seed)
-    layout = FactorLayout((("a", 2), ("b", 2), ("c", 2)))
-    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    amps[rng.random(8) < 0.5] = 0.0
-    if not amps.any():
-        amps[0] = 1.0
-    amps = [complex(x) if x else complex(*rng.choice([-0.0, 0.0], 2)) for x in amps]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    s = StateVector(layout, [a / norm for a in amps])
-    u = random_unitary(rng, 2 ** len(on))
-    assert float_bytes(apply(u, s, on).amps) == float_bytes(full_loop_apply(u, s, on))
+    # matrices with negative entries, so a zero's sign would show if it moved,
+    # in each example: a complex unitary on a complex state; the circuit's
+    # real matrices (a rotation, a friend unitary) on a real state, which
+    # stays real; and criterion 4's Haar unitary on one factor of a real state
+    for kind in ("complex", "real", "haar"):
+        rng = np.random.default_rng(seed)
+        layout = FactorLayout((("a", 2), ("b", 2), ("c", 2)))
+        amps = rng.standard_normal(8)
+        if kind == "complex":
+            amps = amps + 1j * rng.standard_normal(8)
+        amps[rng.random(8) < 0.5] = 0.0
+        if not amps.any():
+            amps[0] = 1.0
+        number = complex if kind == "complex" else float
+        amps = [number(x) if x else number(*rng.choice([-0.0, 0.0], 1 + (kind == "complex")))
+                for x in amps]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        s = StateVector(layout, [a / norm for a in amps])
+        factors = on
+        if kind == "complex":
+            u = random_unitary(rng, 2 ** len(on))
+        elif kind == "real":
+            # angle 0 gives rotation and friend-unitary entries of exactly -0.0
+            angle = 0.0 if rng.random() < 0.25 else 360.0 * rng.random()
+            u = rotation_matrix(angle) if len(on) == 1 else scenarios._friend_unitary(angle)
+            assert all(type(a) is float for a in apply(u, s, on).amps)
+            circuit = scenarios.lf_circuit(scenarios.LFConfig(angle, 0.0, angle, 0.0))
+            assert all(type(a) is float for a in circuit.amps)
+        else:
+            u, factors = acceptance._random_orientation_unitary(rng), on[:1]
+        assert (float_bytes(apply(u, s, factors).amps)
+                == float_bytes(full_loop_apply(u, s, factors))), kind
 
 
 def test_apply_on_subset_matches_kron():

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -79,8 +78,8 @@ def decode(code) -> dict:
 def reference_row(batch, i) -> dict:
     """Run i as a report row, decoded from its code."""
     v = decode(batch.first[i])
-    return dataclasses.asdict(RunRecord(v["Ai"], v["Ci"], *(CHOICE[w] for w in v["pair"]),
-                                        *(v[name] for name in ("B", "D", "A", "C", "Ar", "Cr"))))
+    return RunRecord(v["Ai"], v["Ci"], *(CHOICE[w] for w in v["pair"]),
+                     *(v[name] for name in ("B", "D", "A", "C", "Ar", "Cr")))._asdict()
 
 
 def reference_rows(batch, stop=relmodel.ROWS) -> list[dict]:
