@@ -16,4 +16,4 @@ for sr in states:
           f"witness {sr['interference_witness']:.6f}")
 
 print(f"{n} asked runs: consistency rate {runs['consistent'] / n}, "
-      f"second-measurement rate {runs['second'] / n:.4f}")
+      f"second measurement iff trigger: {runs['second_iff_trigger']}")

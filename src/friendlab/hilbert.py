@@ -8,16 +8,15 @@ arithmetic otherwise.  Every sum that reaches a report is `acc += term` from
 zero in index order (m[i][j] * t[j] over j in `apply`, a.real**2 + a.imag**2
 per basis state in `born_distribution`, a.conjugate() * b in
 `StateVector.inner`), never the float `sum()` that Python 3.12 made
-compensated, so every report is the same bytes on every CPU.  `apply` skips
-a block whose amplitudes are all exact zeros, whose sums would be exactly
-zero, so the bytes are those of the full loop; every state still refuses a
-non-finite amplitude and a norm more than ATOL from 1.  A measurement is a
-frame change, which is such a unitary, followed by a computational-basis
-reading of named factors; a reading of distinct factors is complete and
-orthogonal by its type, so no projector is ever built or checked.  The
-scenarios on this engine need at most 24 dimensions.  A reading's Born
-probabilities come from `born_distribution(state, read)` alone, and this
-module draws no random numbers: `relmodel` samples the outcomes.
+compensated, so every report is the same bytes on every CPU.  Every state
+refuses a non-finite amplitude and a norm more than ATOL from 1.  A
+measurement is a frame change, which is such a unitary, followed by a
+computational-basis reading of named factors; a reading of distinct factors
+is complete and orthogonal by its type, so no projector is ever built or
+checked.  The scenarios on this engine need at most 24 dimensions.  A
+reading's Born probabilities come from `born_distribution(state, read)`
+alone, and this module draws no random numbers: `relmodel` samples the
+outcomes.
 """
 
 from __future__ import annotations
@@ -64,14 +63,10 @@ class FactorLayout:
     def dim(self) -> int:
         return math.prod(d for _, d in self.factors)
 
-    @functools.cached_property
-    def _axes(self) -> dict[str, int]:
-        return {n: i for i, (n, _) in enumerate(self.factors)}
-
     def axis(self, name: str) -> int:
         try:
-            return self._axes[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise LayoutError(f"no factor named {name!r} in {self.names}") from None
 
 
@@ -127,8 +122,7 @@ def _blocks(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ..
 def apply(matrix, state: StateVector, on: tuple[str, ...]) -> StateVector:
     """The state `matrix` makes of `state`, acting on the factors `on`, in
     that order, and as the identity elsewhere: in each block of `_blocks`,
-    out[i] = sum_j m[i][j] * t[j], left 0.0 where t is all exact zeros: the
-    sum's value there, zero signs included (+0.0 + -0.0 is +0.0).  The
+    out[i] = sum_j m[i][j] * t[j], added from 0.0 in order of j.  The
     returned state's checks refuse a non-unitary's output and a non-finite
     entry, which makes a NaN even where it meets a zero amplitude."""
     layout = state.layout
@@ -139,8 +133,6 @@ def apply(matrix, state: StateVector, on: tuple[str, ...]) -> StateVector:
     out = [0.0] * layout.dim
     for block in _blocks(layout.dims, axes):
         t = [state.amps[k] for k in block]
-        if not any(t):  # its sums would all be exactly zero, as `out` holds
-            continue
         for k, row in zip(block, matrix):
             acc = 0.0
             for mij, tj in zip(row, t):

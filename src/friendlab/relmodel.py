@@ -439,9 +439,9 @@ def rovelli_audit(cfg: RovelliConfig, n: int, seed: int) -> tuple[list[dict], li
     not saying a second measurement happened exactly when the first outcome
     was the trigger; second outcomes off the trigger's runs or missing on
     them); per final state in ROVELLI_RECORDS order, its record probabilities
-    and interference witness; and the runs with a second outcome ("second"),
-    whether they are exactly the trigger's runs ("second_iff_trigger") and
-    those with a consistent record ("consistent")."""
+    and interference witness; and whether the runs with a second outcome are
+    exactly the trigger's runs ("second_iff_trigger") and the runs with a
+    consistent record ("consistent")."""
     states = [{"record": record,
                "record_probabilities": dict(zip(scenarios.ROVELLI_RECORDS, born)),
                "interference_witness": witness}
@@ -453,5 +453,4 @@ def rovelli_audit(cfg: RovelliConfig, n: int, seed: int) -> tuple[list[dict], li
     consistent = sum(sum(r[:2]) for r in trigger) + sum(r[2] for r in other)
     checks = [statlab.check("inconsistent reports", n - consistent, 0.0, n=n),
               statlab.check("second outcome iff trigger violations", misplaced, 0.0, n=n)]
-    return checks, states, {"second": sum(map(sum, trigger[:2] + other[:2])),
-                            "second_iff_trigger": not misplaced, "consistent": consistent}
+    return checks, states, {"second_iff_trigger": not misplaced, "consistent": consistent}

@@ -183,9 +183,7 @@ def born_tables(cfg: LFConfig) -> MappingProxyType[str, tuple[float, ...]]:
     PAIR_CELLS order, value 0 reading as +1 and 1 as -1 (read-only; memoized
     on the frozen config).  BC and BD share Alice's supermeasured wing, so a
     fresh config takes 8 `apply` calls on the 16 amplitudes of LF_LAYOUT,
-    from one ready state built at import, and 4 readings.  The first call
-    skips the half of its blocks that hold only zeros; at angles with exact
-    zeros in the friend unitaries, later calls skip more."""
+    from one ready state built at import, and 4 readings."""
 
     def supermeasured(state: StateVector, var: str) -> StateVector:
         # the friend unitary on the wing undone (applied again: it is its own

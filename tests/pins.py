@@ -7,19 +7,21 @@ its "exit" code, and where pinned the "sha256" of stdout or a "stdout" or
 "argv", the input "files" it reads (name -> text, written UTF-8 into the
 working directory) and the "env" variables it sets.  FLOAT_SUM_PINS and
 SAMPLER_PINS pin statlab's float sums and the standard-library samplers'
-first draws, with their inputs.
+first draws, and ENGINE_SHA256 the bytes of the engine's Born data and
+states, each with its inputs.
 
     python tests/pins.py DIR
 
 runs every pin through the `friendlab` console script on PATH, in DIR (only
 the pins of the commands that load no numpy when numpy is not installed),
 then every run that sets no variable through `cli.main` in this process,
-which must leave numpy (after the numpy-free runs), fractions and decimal
-unloaded, and checks the float sums and draws.  It prints each run's wall
-time and each failure, and exits 1 on a failure.  Besides friendlab it
-imports the standard library only.  Tier-1 runs the same checks on the
-source tree (tests/test_cli.py).  Re-recording a pin is one edit of its
-entry here, with the reason in CHANGES.md.
+which must leave numpy (after the numpy-free runs), argparse, fractions and
+decimal unloaded, and checks the float sums, the draws and the engine
+digests (without numpy, the three that need none).  It prints each run's
+wall time and each failure, and exits 1 on a failure.  Besides friendlab it
+imports the standard library only, and numpy for the criterion 4 digests.
+Tier-1 runs the same checks on the source tree.  Re-recording a pin is one
+edit of its entry here, with the reason in CHANGES.md.
 """
 
 import contextlib
@@ -110,6 +112,10 @@ PINS = {
                  {"argv": ["rovelli", "--tria=500", "--seed", "0", "--trigger", "1",
                            "--format=json"]},
                  _config("rovelli", '{"trials": 500, "seed": 0, "trigger": 1, "format": "json"}')]},
+    # without --format: table, every command's default
+    "rovelli 500 0 table": {
+        "exit": 0, "sha256": "b176ff63fe3256b1a8b474bf221a10784d2abf08ada2e830110378d11ad16d8e",
+        "runs": [{"argv": [*ROVELLI_500]}]},
     "rovelli 500 0 trigger -1 json": {
         "exit": 0, "sha256": "b06b62325fc21428f6d4f1d47f8b386bc4744e827c14f1e5f9ed2a164d60d791",
         "runs": [_json(*ROVELLI_500, "--trigger", "-1")]},
@@ -128,6 +134,9 @@ PINS = {
     "feasibility from-angles snapped": {
         "exit": 0, "sha256": "444a8029226be56a2de1280467327f1e153dbc6370abf5bb388fa4ffad3469f9",
         "runs": [_json("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")]},
+    "basic table": {
+        "exit": 0, "sha256": "eca6fc01d67e927fedfca6efc384ab7ef5e721fad54c762fb44bcd5f3b6581fd",
+        "runs": [{"argv": ["basic"]}]},
     # the one command whose amplitudes reach a report
     "basic json": {
         "exit": 0, "sha256": "fb704b8df53e194313f56c159a778cbfff597809478e378b50a14c098f3c1ad2",
@@ -163,6 +172,9 @@ PINS = {
     "lf 20000 0 json": {
         "exit": 0, "sha256": "f8586d2a840b3abe1a6e42e6d63a0890b6c9081748c32792feeb43bade12f65f",
         "runs": [_json(*LF_20000), {**_json(*LF_20000), "env": OTHER_KERNELS}]},
+    "lf 20000 0 table": {
+        "exit": 0, "sha256": "3809705372a9670ae6a96e2952886a622653466f8ab3d3438f21bc2b3ceebc9f",
+        "runs": [{"argv": [*LF_20000]}]},
     "lf 20000 0 csv": {
         "exit": 0, "sha256": "4aa5805346a2694bf8f8a923242b798bebed41847fe9baa55019ca20fac87b9e",
         "runs": [{"argv": [*LF_20000, "--format", "csv"]}]},
@@ -195,6 +207,9 @@ PINS = {
         "exit": 0, "sha256": "5bef03d569bb0ea3cf9cb6074107ce98f845a8da94d5613ad5667e74962ebd2c",
         "runs": [_json("accept", "--seed", "42"),
                  {**_json("accept", "--seed", "42"), "env": OTHER_KERNELS}]},
+    "accept 42 table": {
+        "exit": 0, "sha256": "3af4bb57d8054ab5e215901b2989e6d20f49601cde7b9a5a828e176fbe63496a",
+        "runs": [{"argv": ["accept", "--seed", "42"]}]},
 }
 
 # one input each whose builtin float sum() differs in the last bit between
@@ -230,6 +245,24 @@ SAMPLER_PINS = {
         (1000000000000, 9.094947017729282e-13, (0, 0, 0, 2, 0)),  # geometric, p = 2**-40
     ],
     "multinomial": (1000000, (0.125, 0.0, 0.375, 0.5), (124420, 0, 374980, 500600)),
+}
+
+
+# sha256 of the little-endian float64 bytes of the engine's values beyond the
+# reports: the circuit's Born tables and amplitudes (real then imaginary part)
+# at the default config, at every angle 0 (where the friend unitaries have
+# exact zeros) and at "configs" seeded ones, half continuous angles, half
+# multiples of 1/64 degree; criterion 4's states after "rotations" Haar
+# orientation unitaries, taken in turn over its five states, and their record
+# distributions; and the sequential scenario's Born data.  A change in the
+# last bit of any of these values, a zero's sign included, shows here
+ENGINE_INPUTS = {"config seed": 29, "configs": 500, "rotation seed": 4, "rotations": 500}
+ENGINE_SHA256 = {
+    "born_tables": "697b4784551e46c55af64d5a2d8524476bc43ef088db6a9aef71744efd2fda1f",
+    "lf_circuit": "60b8eaa4c24f87ea61edc012de2d04109c6bbd05d9a795a748f46038296ee247",
+    "rovelli_states": "caf7f7129c4e8bb87b6b43bacec334262f59c6e344614ce49f94ec7e567c9fc8",
+    "criterion 4 states": "2f1bd629b292472978236b699bdf8dd0ab5921012524a91ac8debe18b5eea768",
+    "criterion 4 records": "e4b0ec7c7707707fad3a207df31154330d958a4927080bcee6c8a20fcb82eb7e",
 }
 
 
@@ -286,11 +319,13 @@ def in_process(directory, with_numpy: bool = True) -> dict:
     this process with `directory` as the working directory: the numpy-free
     runs first, then (`with_numpy`) the others.  Returns each pin's
     problems, by name, and the modules loaded that must not be: numpy,
-    fractions or decimal after the numpy-free runs, fractions or decimal
-    after all of them."""
+    argparse, fractions or decimal after the numpy-free runs, fractions or
+    decimal after all of them.  argv is read through cli.COMMANDS, as
+    argparse and the gettext it loads would add about 2.6 ms to the start-up
+    of every process."""
     os.chdir(directory)
     problems, loaded = {}, {}
-    stages = [(False, "after the numpy-free runs", ("numpy", "fractions", "decimal"))]
+    stages = [(False, "after the numpy-free runs", ("numpy", "argparse", "fractions", "decimal"))]
     if with_numpy:
         stages.append((True, "after all runs", ("fractions", "decimal")))
     for numpy_runs, stage, modules in stages:
@@ -330,6 +365,54 @@ def sampler_draws() -> dict:
             "multinomial": (n, born, relmodel.multinomial(random.Random(seed), n, born))}
 
 
+def engine_digests(with_numpy: bool) -> dict:
+    """ENGINE_SHA256's digests as the engine computes them from
+    ENGINE_INPUTS; the criterion 4 ones only `with_numpy`, as their Haar
+    unitaries are numpy draws."""
+    import random
+    import struct
+
+    from friendlab.hilbert import apply, born_distribution
+    from friendlab.scenarios import LFConfig, RovelliConfig, born_tables, lf_circuit, rovelli_states
+
+    def digest(values) -> str:
+        return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+    def parts(state) -> list:  # real then imaginary part of each amplitude, in index order
+        return [float(x) for a in state.amps for x in (a.real, a.imag)]
+
+    given = ENGINE_INPUTS
+    rng = random.Random(given["config seed"])
+    configs = [LFConfig(), LFConfig(0.0, 0.0, 0.0, 0.0)]
+    for i in range(given["configs"]):
+        if i % 2:
+            configs.append(LFConfig(*(rng.randrange(360 * 64) / 64 for _ in range(4))))
+        else:
+            configs.append(LFConfig(*((360.0 * rng.random()) % 360.0 for _ in range(4))))
+    tables = [p for cfg in configs for table in born_tables(cfg).values() for p in table]
+    amps = [x for cfg in configs for x in parts(lf_circuit(cfg))]
+    sequential = [v for trigger in (+1, -1)
+                  for born, witness in rovelli_states(RovelliConfig(trigger))
+                  for v in (*born, witness)]
+    digests = {"born_tables": digest(tables), "lf_circuit": digest(amps),
+               "rovelli_states": digest(sequential)}
+    if with_numpy:
+        import numpy as np
+
+        from friendlab import acceptance
+        states = [state for _, state in acceptance._scenario_states()]
+        rng = np.random.default_rng(given["rotation seed"])
+        rotated, records = [], []
+        for i in range(given["rotations"]):
+            after = apply(acceptance._random_orientation_unitary(rng), states[i % len(states)],
+                          ("orientation",))
+            rotated += parts(after)
+            records += born_distribution(after, ("record",))
+        digests.update({"criterion 4 states": digest(rotated),
+                        "criterion 4 records": digest(records)})
+    return digests
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tests/pins.py DIR", file=sys.stderr)
@@ -355,6 +438,9 @@ def main(argv: list[str]) -> int:
         failed.append(f"float sums {float_sums()}, pinned {FLOAT_SUM_PINS['values']}")
     if sampler_draws() != SAMPLER_PINS:
         failed.append(f"sampler draws {sampler_draws()}, pinned {SAMPLER_PINS}")
+    for name, value in engine_digests(with_numpy).items():
+        if value != ENGINE_SHA256[name]:
+            failed.append(f"engine {name} sha256 {value}, pinned {ENGINE_SHA256[name]}")
     if with_numpy:
         import numpy
         print(f"numpy {numpy.__version__} (the Monte Carlo pins hold for numpy 2.4.6)")

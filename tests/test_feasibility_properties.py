@@ -21,8 +21,7 @@ from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_b
 from friendlab import marginal_polytope as mp
 from friendlab import statlab
 
-# derandomized so the suite's run time and outcome do not vary between runs
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=25)
 
 ODD_SIGNS = [s for s in itertools.product((+1, -1), repeat=4) if s[0] * s[1] * s[2] * s[3] == -1]
 
@@ -186,7 +185,7 @@ def test_plain_spellings_skip_the_regex_and_the_others_take_it(monkeypatch):
             mp._ratio(text)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(number_texts())
 def test_a_target_string_is_worth_what_fraction_reads(text):
     _worth_what_fraction_reads(text)
@@ -489,13 +488,13 @@ def witness_checks(draw):
     return variables, counts, scale, t
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(witness_checks())
 def test_reproduces_is_the_row_sum_check_written_out(case):
     assert mp.reproduces(*case) == _restated_reproduces(*case)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(ANY_TARGETS, st.sampled_from([mp.VARS_4, mp.VARS_6]),
        st.one_of(st.none(), st.sampled_from(ODD_SIGNS)),
        st.lists(st.tuples(st.integers(0, 16), st.integers(-2, 2)), max_size=3))
@@ -521,7 +520,7 @@ def test_rational_texts_writes_what_fraction_writes(n, d):
     assert mp.rational_texts([n, 0, n], d) == [str(Fraction(n, d)), "0", str(Fraction(n, d))]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70), st.integers(1, 10 ** 30))
 @example(0, 1, 10 ** 9)
 @example(-6, 4, 1)
@@ -570,7 +569,7 @@ def float_tables(draw):
     return {pair: tuple(draw(st.floats(0, 1)) for _ in range(4)) for pair in mp.PAIR_IDS}, snap
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(float_tables())
 @example(({pair: (0.375, 0.125, 0.125, 0.375) for pair in mp.PAIR_IDS}, 4))  # E * 4 = 2 exactly
 @example(({pair: (0.9, 0.0, 0.0, 0.1) for pair in mp.PAIR_IDS}, 10 ** 6))

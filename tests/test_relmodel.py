@@ -326,7 +326,7 @@ SIGNED = st.sampled_from((-1, 0, 1))
 TABLE = st.lists(SIGNED, min_size=64, max_size=64)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=300), TABLE, TABLE)
 @example([5, 17, 63], [0] * 64, [1] * 64)
 def test_empirical_pair_table_is_a_plain_count(codes, x, y):
@@ -566,10 +566,11 @@ def test_rovelli_run_reports_consistent_when_asked():
         assert runs["consistent"] == n and runs["second_iff_trigger"]
         assert [(c["observed"], c["pass"], c["n"]) for c in checks] == [(0.0, True, n)] * 2
         table = np.array(relmodel.simulate_rovelli(cfg, n, 1))
-        assert runs["second"] == table[:, :2].sum()
+        t = trigger_index(cfg)
+        # the runs with a second outcome are the trigger's runs
+        assert table[:, :2].sum() == table[t].sum() > 0
         # the record also tells whether the second outcome agreed with the
         # first (PP) or not (PA), for either trigger
-        t = trigger_index(cfg)
         assert table[t, t, PP] > 0 and table[t, 1 - t, PA] > 0
         assert table[t, t, PP] + table[t, 1 - t, PA] == table[t].sum()
 
@@ -640,8 +641,7 @@ def _tables(weighted) -> list[tuple[float, ...]]:
     return tables
 
 
-# derandomized so the suite's run time and outcome do not vary between runs
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(WEIGHTED_TABLES, st.sampled_from([1, 7, 10 ** 6, 10 ** 18, 2 ** 63 - 1]),
        st.integers(0, 2 ** 32 - 1))
 def test_draw_counts_gives_the_round_off_tail_to_a_positive_cell(weighted, n, seed):
@@ -654,7 +654,7 @@ def test_draw_counts_gives_the_round_off_tail_to_a_positive_cell(weighted, n, se
         assert not any(c for c, p in zip(counts, table, strict=True) if p == 0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(WEIGHTED_TABLES, st.sampled_from([1, 7, 10 ** 6, 10 ** 18, 2 ** 63 - 1]),
        st.integers(0, 2 ** 32 - 1))
 def test_multinomial_gives_the_round_off_tail_to_a_positive_cell(weighted, n, seed):
@@ -776,7 +776,7 @@ def test_binomial_mean_and_variance_from_10_to_2_63(n):
             assert all(abs(k - end) <= 1 for k in draws), p
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2 ** 63 - 1) | st.sampled_from([0, 1, 10, 2 ** 63 - 1]),
        st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 2 ** -1074, 0.5, 1 - 2 ** -53]),
        st.integers(0, 2 ** 32 - 1))

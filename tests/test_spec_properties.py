@@ -23,8 +23,7 @@ from friendlab.scenarios import (
 )
 from friendlab.statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
-# derandomized so the suite's run time and outcome do not vary between runs
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 ANGLE = st.floats(0.0, 360.0, exclude_max=True, allow_nan=False)
 CONFIGS = st.builds(LFConfig, ANGLE, ANGLE, ANGLE, ANGLE)
