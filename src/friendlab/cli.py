@@ -15,8 +15,10 @@ starts, as it does an --out whose directory is missing or not writable, so
 a refused value costs no run.  JSON output is compact and canonical (sorted
 keys, no whitespace, one trailing newline), so identical (command, config,
 seed) triples produce byte-identical reports; `python -m json.tool`
-pretty-prints one.  The C encoder writes each run of report keys in one
-call.
+pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
+`joint_6` as texts, each exact number written once by one `rational_texts`
+call, and `relmodel` its `records` as pre-encoded rows; the C encoder
+writes each run of the other report keys in one call.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ EXIT_DISAGREE = 3
 MAX_TRIALS = 2 ** 63 - 1
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _exact_json = json.JSONDecoder(parse_float=str).decode  # a number as written, not a float
+# the canonical JSON of PairTargets.to_json_dict() and, by feasibility, of
+# FeasibilityVerdict.to_json_dict(), each text of an exact number left out
+_TARGETS_JSON = "{%s}" % ",".join(f'"{p}":[["%s","%s"],["%s","%s"]]' for p in statlab.PAIR_IDS)
+_VERDICT_JSON = {True: '{"feasible":true,"max_violation":null,"witness":["%s"]}',
+                 False: '{"feasible":false,"max_violation":"%s","witness":null}'}
 
 
 class InputError(ValueError):
@@ -63,10 +70,11 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
           spliced: dict[str, list[str]] | None = None) -> None:
     """Write the report in the requested format.  `spliced` maps further
     keys of the JSON report to their values as lists of pieces that join to
-    canonical JSON.  The JSON text is one join: each run of the other keys
-    between spliced ones is one call of the C encoder, braces stripped, and
-    spliced pieces go in as they are, never joined on their own.  So the
-    text is the only report-sized string the call makes."""
+    canonical JSON: `feasibility`'s "targets", "joint_4" and "joint_6", and
+    `relmodel`'s "records".  The JSON text is one join: each run of the
+    other keys between spliced ones is one call of the C encoder, braces
+    stripped, and spliced pieces go in as they are, never joined on their
+    own.  So the text is the only report-sized string the call makes."""
     if args.format == "json":
         spliced = spliced or {}
         pieces = []
@@ -195,11 +203,13 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
 
     v4, v6, fine, agree = mp.decide(targets)
     s = targets.variants[statlab.CHSH_SIGNS]
-    report = {"command": "feasibility",
-              "targets": targets.to_json_dict(),
-              "chsh_value": mp.rational_texts([s], targets.scale)[0],
+    # every exact number's text from one call: S, the 16 cells, then each
+    # verdict's witness or violation
+    w4, w6 = (v.witness or (v.max_violation,) for v in (v4, v6))
+    texts = mp.rational_texts([s, *targets.cell_counts[1:], *w4, *w6], targets.scale)
+    texts4, texts6 = texts[17:17 + len(w4)], texts[17 + len(w4):]
+    report = {"command": "feasibility", "chsh_value": texts[0],
               "chsh_value_float": s / targets.scale,  # int / int is correctly rounded
-              "joint_4": v4.to_json_dict(), "joint_6": v6.to_json_dict(),
               "fine_criterion": fine, "methods_agree": agree}
     if resolution:
         report["resolution"] = resolution
@@ -210,16 +220,19 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
                  f"  6-variable joint: {'feasible' if v6.feasible else 'infeasible'}",
                  f"  analytic criterion: {'feasible' if fine else 'infeasible'}"]
         if v4.feasible:
-            lines.append(f"  witness atoms (A,B,C,D lexicographic): {rep['joint_4']['witness']}")
+            lines.append(f"  witness atoms (A,B,C,D lexicographic): {texts4}")
         else:
-            lines.append(f"  max violation over 2: {rep['joint_4']['max_violation']}")
+            lines.append(f"  max violation over 2: {texts4[0]}")
         if resolution:
             lines.append(_resolution_line(resolution))
         if not agree:
             lines.append("  METHOD DISAGREEMENT - this is a bug")
         return "\n".join(lines) + "\n"
 
-    _emit(args, report, table)
+    _emit(args, report, table, spliced={
+        "targets": [_TARGETS_JSON % tuple(texts[1:17])],
+        "joint_4": [_VERDICT_JSON[v4.feasible] % '","'.join(texts4)],
+        "joint_6": [_VERDICT_JSON[v6.feasible] % '","'.join(texts6)]})
     return EXIT_PASS if agree else EXIT_DISAGREE
 
 

@@ -112,9 +112,11 @@ def _over_lcm(ratios) -> tuple[int, list[int]]:
 
 def rational_texts(counts, d: int) -> list[str]:
     """Each n/d of `counts` over d >= 1 in lowest terms, as
-    `str(Fraction(n, d))` writes it, without building the Fraction."""
-    return ["0" if not n else str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}"
-            for n in counts]
+    `str(Fraction(n, d))` writes it, without building the Fraction; each
+    distinct n is written once."""
+    texts = {n: "0" if not n else str(n // g) if (g := math.gcd(n, d)) == d
+             else f"{n // g}/{d // g}" for n in set(counts)}
+    return [texts[n] for n in counts]
 
 
 def _plus(table, var: str, pair: str):
@@ -284,11 +286,15 @@ def _row_getters(variables: tuple[str, ...]) -> tuple[operator.itemgetter, ...]:
 
 def reproduces(variables: tuple[str, ...], counts, scale: int, t: PairTargets) -> bool:
     """The witness check: `counts` (in `_cell_rows` order) over `scale` are
-    non-negative and every row sum, cross-multiplied by t.scale, equals that
-    row's target count."""
-    return (len(counts) == 2 ** len(variables) and min(counts) >= 0
-            and all(sum(get(counts)) * t.scale == b * scale
-                    for get, b in zip(_row_getters(variables), t.cell_counts)))
+    non-negative and every row sum equals that row's target count, directly
+    over t.scale (as every witness of `decide` is) and cross-multiplied by
+    t.scale over any other scale."""
+    if len(counts) != 2 ** len(variables) or min(counts) < 0:
+        return False
+    rows = zip(_row_getters(variables), t.cell_counts)
+    if scale == t.scale:
+        return all(sum(get(counts)) == b for get, b in rows)
+    return all(sum(get(counts)) * t.scale == b * scale for get, b in rows)
 
 
 @functools.cache

@@ -775,13 +775,6 @@ def test_config_key_the_command_does_not_read_is_input_error(capsys, tmp_path, c
     assert out == "" and err == f"error: config keys that {command} does not read: {unread}\n"
 
 
-def test_unwritable_out_is_input_error(capsys, tmp_path):
-    out = tmp_path / "missing_dir" / "x.json"
-    code, stdout, err = run(capsys, "basic", "--format", "json", "--out", str(out))
-    assert code == cli.EXIT_INPUT
-    assert stdout == "" and err.startswith("error: cannot write") and not out.exists()
-
-
 @pytest.mark.parametrize("out", [2, True, "", ["report.json"]])
 def test_non_path_out_in_config_is_input_error(capsys, tmp_path, out):
     # open() would take an int (or a bool) as a file descriptor and close it

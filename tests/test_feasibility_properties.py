@@ -2,6 +2,8 @@
 written, agreement of the three methods next to the S = 2 boundary, and
 witnesses that reproduce their targets."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
                               probabilities, reference_marginals)
+from friendlab import cli, scenarios, statlab
 from friendlab import marginal_polytope as mp
-from friendlab import statlab
 
 PROPERTY = settings(max_examples=25)
 
@@ -338,6 +340,26 @@ def test_reproduces_refuses_a_witness_shifted_along_the_parity_vector(case):
         assert not mp.reproduces(variables, *as_counts(shifted), t)
 
 
+@PROPERTY
+@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]))
+       .filter(mp.fine_criterion), st.data())
+def test_reproduces_gives_a_witness_times_k_over_k_times_the_scale_the_same_verdict(t, data):
+    # over t.scale the row sums are compared with the target counts directly,
+    # over k * t.scale (k = 2, 3) cross-multiplied: both must accept the
+    # witness and its lift, and both refuse them with one count of the
+    # four-variable witness moved to another atom
+    v4 = mp.feasible_joint_4(t)
+    moved = list(v4.witness)
+    source = data.draw(st.sampled_from([i for i, n in enumerate(moved) if n > 0]))
+    moved[source] -= 1
+    moved[data.draw(st.sampled_from([i for i in range(16) if i != source]))] += 1
+    moved = mp.FeasibilityVerdict(True, tuple(moved), None, t.scale)
+    for verdict, accepted in ((v4, True), (moved, False)):
+        for variables, v in ((mp.VARS_4, verdict), (mp.VARS_6, mp.feasible_joint_6(verdict))):
+            assert [mp.reproduces(variables, [k * n for n in v.witness], k * t.scale, t)
+                    for k in (1, 2, 3)] == [accepted] * 3
+
+
 def test_reproduces_refuses_a_sum_off_by_1e_minus_30():
     uniform = [Fraction(1, 16)] * 16
     targets = from_tables(reference_marginals(mp.VARS_4, uniform))
@@ -517,7 +539,50 @@ def test_refutes_is_farkas_lemma_written_out(t, variables, signs, edits):
 @example(-3, 1)
 @example(2 ** 200 + 1, 1)
 def test_rational_texts_writes_what_fraction_writes(n, d):
-    assert mp.rational_texts([n, 0, n], d) == [str(Fraction(n, d)), "0", str(Fraction(n, d))]
+    # one call with repeated, zero and negative counts, as the report's one
+    # call holds them: each place gets its own count's text
+    counts = [n, 0, -n, n, 2 * n, 0, -n, 1, -1]
+    assert mp.rational_texts(counts, d) == [str(Fraction(c, d)) for c in counts]
+
+
+def _dict_report(t: mp.PairTargets, resolution) -> str:
+    """The feasibility report as the encoder writes it from the dict forms
+    that to_json_dict() gives: the oracle of the report the CLI splices."""
+    v4, v6, fine, agree = mp.decide(t)
+    s = t.variants[statlab.CHSH_SIGNS]
+    report = {"command": "feasibility", "targets": t.to_json_dict(),
+              "chsh_value": str(Fraction(s, t.scale)), "chsh_value_float": s / t.scale,
+              "joint_4": v4.to_json_dict(), "joint_6": v6.to_json_dict(),
+              "fine_criterion": fine, "methods_agree": agree,
+              **({"resolution": resolution} if resolution else {})}
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _cli_json(*argv) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["feasibility", *argv, "--format", "json"]) == cli.EXIT_PASS
+    return out.getvalue()
+
+
+@PROPERTY
+@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0])))
+@example(pr_box())
+@example(from_tables(reference_marginals(mp.VARS_4, [Fraction(1, 16)] * 16)))
+def test_the_spliced_targets_report_is_the_encoding_of_the_dict_report(tmp_path_factory, t):
+    path = tmp_path_factory.mktemp("targets") / "targets.json"
+    path.write_text(json.dumps(t.to_json_dict()))
+    assert _cli_json("--targets", str(path)) == _dict_report(t, None)
+
+
+# outside the snap band, infeasible and feasible; inside it, feasible and infeasible
+@pytest.mark.parametrize("angles, in_band", [("0,90,45,135", False), ("10,20,30,40", False),
+                                             ("0,0,0,0", True), ("0,90,110.53019,135", True)])
+def test_the_spliced_from_angles_report_is_the_encoding_of_the_dict_report(angles, in_band):
+    cfg = scenarios.LFConfig(*map(float, angles.split(",")))
+    resolution = scenarios.snap_resolution(cfg)
+    assert (resolution is not None) == in_band
+    expected = _dict_report(scenarios.circuit_targets(cfg), resolution)
+    assert _cli_json("--from-angles", "--angles", angles) == expected
 
 
 @settings(max_examples=400)
