@@ -17,8 +17,10 @@ the pins of the commands that load no numpy when numpy is not installed),
 then every run that sets no variable through `cli.main` in this process,
 which must leave numpy (after the numpy-free runs), argparse, fractions and
 decimal unloaded, and checks the float sums, the draws and the engine
-digests (without numpy, the three that need none).  It prints each run's
-wall time and each failure, and exits 1 on a failure.  Besides friendlab it
+digests (without numpy, the three that need none).  It runs each demo in a
+child of this interpreter too (without numpy, those that load none) and
+checks its stdout against DEMO_SHA256.  It prints each run's wall time and
+each failure, and exits 1 on a failure.  Besides friendlab it
 imports the standard library only, and numpy for the criterion 4 digests.
 Tier-1 runs the same checks on the source tree.  Re-recording a pin is one
 edit of its entry here, with the reason in CHANGES.md.
@@ -69,6 +71,13 @@ BOUNDARY = (
     '"279621392236044355307720955/974265077586729059333585152"], '
     '["38128608666899794902492125/139180725369532722761940736", '
     '"259574015300881975333845237/974265077586729059333585152"]]}')
+# JSON numbers, each 9-digit decimal read as written: a CHSH sign variant at
+# 2 + 6e-9, so infeasible, where the nearest fractions with denominators up to
+# 1e6 (2/5 and 1/10) would give 2 and feasible
+NEAR = ('{"AC": [[0.400000001, 0.099999999], [0.099999999, 0.400000001]], '
+        '"AD": [[0.2, 0.3], [0.3, 0.2]], '
+        '"BC": [[0.400000001, 0.099999999], [0.099999999, 0.400000001]], '
+        '"BD": [[0.400000001, 0.099999999], [0.099999999, 0.400000001]]}')
 # every cell a 9-digit decimal, and a CHSH sign variant at 2 - 4e-9
 DECIMAL = ('{"AC": [["0.124976671", "0.434161341"], ["0.351210553", "0.089651435"]], '
            '"AD": [["0.397531056", "0.161606956"], ["0.076525576", "0.364336412"]], '
@@ -89,6 +98,10 @@ def _file(name, text):
     return {"argv": ["feasibility", "--targets", name, "--format", "json"], "files": {name: text}}
 
 
+# the circuit's largest float CHSH variant is 2 + 6.7e-8 at these angles,
+# so the circuit is infeasible while its targets snapped to 1e-6 are
+# feasible: each verdict is stated about the snapped targets only
+SNAPPED = "0,90,110.530196479,135"
 ROVELLI_500 = ("rovelli", "--trials", "500", "--seed", "0")
 RELMODEL_20000 = ("relmodel", "--trials", "20000", "--seed", "0")
 LF_20000 = ("lf", "--trials", "20000", "--seed", "0")
@@ -128,12 +141,13 @@ PINS = {
         "exit": 0, "sha256": "1d9c09bcf2ae6c1ab268da0c53f17fb37a8cf575b2d7104b7e76021f86a5a10f",
         "runs": [_json("feasibility", "--from-angles"),
                  _config("feasibility", '{"from_angles": true, "format": "json"}')]},
-    # the circuit's largest float CHSH variant is 2 + 6.7e-8 at these angles,
-    # so the circuit is infeasible while its targets snapped to 1e-6 are
-    # feasible: the verdict is stated about the snapped targets only
+    # at SNAPPED, with the resolution line in the table
     "feasibility from-angles snapped": {
         "exit": 0, "sha256": "444a8029226be56a2de1280467327f1e153dbc6370abf5bb388fa4ffad3469f9",
-        "runs": [_json("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")]},
+        "runs": [_json("feasibility", "--from-angles", "--angles", SNAPPED)]},
+    "feasibility from-angles snapped table": {
+        "exit": 0, "sha256": "aeb982e30867a6c086938cd25105e9333c0fc49b4c14c368a46daa8bfeaf45c8",
+        "runs": [{"argv": ["feasibility", "--from-angles", "--angles", SNAPPED]}]},
     "basic table": {
         "exit": 0, "sha256": "eca6fc01d67e927fedfca6efc384ab7ef5e721fad54c762fb44bcd5f3b6581fd",
         "runs": [{"argv": ["basic"]}]},
@@ -144,11 +158,21 @@ PINS = {
     "basic 0.6,0.8 json": {
         "exit": 0, "sha256": "93ed276263fdfff8116dc7f4807dd71851a60a111c2387278e06bb104ed4a878",
         "runs": [_json("basic", "--amps", "0.6,0.8")]},
+    "basic 0.6,0.8 table": {
+        "exit": 0, "sha256": "e6a8f0992641f63a30b5d5dec9e9a0cb04ae7d1dbac59f63feffa172ec3f1b96",
+        "runs": [{"argv": ["basic", "--amps", "0.6,0.8"]}]},
     "feasibility grid json": {
         "exit": 0, "sha256": "01eeb826675c1acf1adc4279f23d380a304b18aec2679a2dbad4d9478e7f3c8e",
         "runs": [_file("grid.json", GRID),
                  _config("feasibility", '{"from_angles": false, "targets": "grid.json", '
                                         '"format": "json"}', {"grid.json": GRID})]},
+    # the table of a feasible and of an infeasible verdict
+    "feasibility grid table": {
+        "exit": 0, "sha256": "f38a0bb000f4186555c8c963d092556a8195bc529d2f5af7aead60515e1b1bce",
+        "runs": [{"argv": ["feasibility", "--targets", "grid.json"], "files": {"grid.json": GRID}}]},
+    "feasibility near table": {
+        "exit": 0, "sha256": "8db7cdcc64d91f61a1587f4c2467061d49e514cf1a2a59d5ed1fa5b14cc158d1",
+        "runs": [{"argv": ["feasibility", "--targets", "near.json"], "files": {"near.json": NEAR}}]},
     "feasibility boundary json": {
         "exit": 0, "sha256": "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
         "runs": [_file("boundary.json", BOUNDARY)]},
@@ -189,6 +213,13 @@ PINS = {
         "runs": [_json(*RELMODEL_20000),
                  _config("relmodel", '{"planted_violation": false, "trials": 20000, "seed": 0, '
                                      '"format": "json"}')]},
+    # a feasible analytic verdict, about the snapped targets (see SNAPPED)
+    "relmodel 20000 0 json at 0,90,110.530196479,135": {
+        "exit": 0, "sha256": "ff7e6d0bb9e95bc5e6ebd9183fa874a303102645ba3590f117b5566ff1318a6f",
+        "runs": [_json(*RELMODEL_20000, "--angles", SNAPPED)]},
+    "relmodel 20000 0 table at 0,90,110.530196479,135": {
+        "exit": 0, "sha256": "d3f2bc323178d1bcd24ed6ef013cc882310dd2f8878583a6bfdfaa21ed6a12f1",
+        "runs": [{"argv": [*RELMODEL_20000, "--angles", SNAPPED]}]},
     "relmodel 20000 0 csv": {
         "exit": 0, "sha256": "ca7e3ae30f88d1aaf7880261f70d8f24e4bca7625051b475230ed40155917451",
         "runs": [{"argv": [*RELMODEL_20000, "--format", "csv"]}]},
@@ -264,6 +295,19 @@ ENGINE_SHA256 = {
     "criterion 4 states": "2f1bd629b292472978236b699bdf8dd0ab5921012524a91ac8debe18b5eea768",
     "criterion 4 records": "e4b0ec7c7707707fad3a207df31154330d958a4927080bcee6c8a20fcb82eb7e",
 }
+
+
+# sha256 of each demo's stdout, by its file's stem in DEMOS; the demos that
+# load numpy are NUMPY_DEMOS, and their output holds for numpy 2.4.6
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMO_SHA256 = {
+    "01_basic_sealed_lab": "c495cf817096cae466acd2f7dc5faa1545a3cfd753fd673e41e3d93f5e4dfe94",
+    "02_four_observer_chsh": "aacda8711c015aff7000d73ec00e40ac10357029ee556ac3fc16875f95b13173",
+    "03_joint_feasibility": "66613847522dda4180d9e7e25a7ff39f2d18d6d115db9baae0dcf9c3ee26ed20",
+    "04_frame_relational_runs": "57a7fc2c22771bc04da55a02cbd54f66eff4694903f0c05c2f4a56c6370c697d",
+    "05_sequential_records": "7ab2bcd7c074e31d5b694033ea8feb70d96d27d9d43c6f27c3fd51de92017ab5",
+}
+NUMPY_DEMOS = ("02_four_observer_chsh", "04_frame_relational_runs")
 
 
 def needs_numpy(pin: dict) -> bool:
@@ -420,16 +464,24 @@ def main(argv: list[str]) -> int:
     directory = os.path.abspath(argv[0])
     with_numpy = importlib.util.find_spec("numpy") is not None
     failed = []
+
+    def timed(name: str, pin: dict, command: list[str], run: dict) -> None:
+        start = time.perf_counter()
+        problems = check(pin, *spawn(command, run, directory))
+        ms = (time.perf_counter() - start) * 1e3
+        env = "".join(f"{key}={value!r} " for key, value in run.get("env", {}).items())
+        shown = " ".join([*map(os.path.basename, command), *run["argv"]])
+        print(f"{ms:7.0f} ms  {env}{shown}")
+        failed.extend(f"{name}: {shown}: {p}" for p in problems)
+
     for name, pin in PINS.items():
-        if needs_numpy(pin) and not with_numpy:
-            continue
-        for run in pin["runs"]:
-            start = time.perf_counter()
-            problems = check(pin, *spawn(["friendlab"], run, directory))
-            ms = (time.perf_counter() - start) * 1e3
-            env = "".join(f"{key}={value!r} " for key, value in run.get("env", {}).items())
-            print(f"{ms:7.0f} ms  {env}friendlab {' '.join(run['argv'])}")
-            failed += [f"{name}: friendlab {' '.join(run['argv'])}: {p}" for p in problems]
+        if with_numpy or not needs_numpy(pin):
+            for run in pin["runs"]:
+                timed(name, pin, ["friendlab"], run)
+    for stem, digest in DEMO_SHA256.items():
+        if with_numpy or stem not in NUMPY_DEMOS:
+            timed(stem, {"exit": 0, "sha256": digest},
+                  [sys.executable, os.path.join(DEMOS, f"{stem}.py")], {"argv": []})
     result = in_process(directory, with_numpy)
     failed += [f"{name}, in process: {p}" for name, ps in result["problems"].items() for p in ps]
     failed += [f"{stage} in process: {', '.join(modules)} loaded"

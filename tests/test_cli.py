@@ -253,12 +253,10 @@ def test_feasibility_from_angles_infeasible(capsys):
 def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # the circuit's largest float CHSH variant is 2 + 6.7e-8, so the circuit
     # itself is infeasible, while its targets snapped to 1e-6 are feasible:
-    # the verdict is stated about the snapped targets only.  The JSON report
-    # is the pin "feasibility from-angles snapped"; feasibility's joint_4 and
-    # resolution are these two values
-    argv = ("feasibility", "--from-angles", "--angles", "0,90,110.530196479,135")
-    assert pins.PINS["feasibility from-angles snapped"]["runs"] == [
-        {"argv": [*argv, "--format", "json"]}]
+    # the verdict is stated about the snapped targets only.  The reports at
+    # these angles are the pins named after pins.SNAPPED, feasibility's and
+    # relmodel's, JSON and table; their verdict and resolution are these
+    assert pins.SNAPPED == "0,90,110.530196479,135"
     cfg = LFConfig(0, 90, 110.530196479, 135)
     v4, v6, fine, _ = scenarios.circuit_verdict(cfg)
     assert v4.feasible and v6.feasible and fine
@@ -266,16 +264,6 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     assert resolution["snap"] == "1/1000000"
     assert resolution["undecided_band"] == "2 +/- 2/1000000"
     assert 2 < resolution["largest_born_variant"] < 2 + 1e-7
-    code, out, _ = run(capsys, *argv)
-    assert code == cli.EXIT_PASS
-    assert "snapped to 1/1000000, not the circuit" in out
-    # relmodel's analytic verdict is the same verdict, stated the same way
-    relmodel_argv = ("relmodel", "--trials", "100", "--angles", argv[-1])
-    _, out, _ = run(capsys, *relmodel_argv, "--format", "json")
-    assert json.loads(out)["analytic_feasibility"] == v4.to_json_dict()
-    assert json.loads(out)["resolution"] == resolution
-    _, out, _ = run(capsys, *relmodel_argv)
-    assert "snapped to 1/1000000, not the circuit" in out
     # far from the boundary the reports are unchanged (see the sha256 pins)
     _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", "0,90,0,135")
     assert "resolution" not in out
@@ -333,15 +321,13 @@ def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, 
 
 
 def test_feasibility_decides_json_numbers_as_written(capsys, tmp_path):
-    # S = 2 + 6e-9: the nearest fractions with denominators up to 1e6 would
-    # read 2/5 and 1/10, S = 2 and feasible
-    near = '[[0.400000001, 0.099999999], [0.099999999, 0.400000001]]'
-    text = f'{{"AC": {near}, "AD": [[0.2, 0.3], [0.3, 0.2]], "BC": {near}, "BD": {near}}}'
-    as_strings = re.sub(r"(\d\.\d+)", r'"\1"', text)
+    # S = 2 + 6e-9 (pins.NEAR): the nearest fractions with denominators up to
+    # 1e6 would read 2/5 and 1/10, S = 2 and feasible
+    as_strings = re.sub(r"(\d\.\d+)", r'"\1"', pins.NEAR)
     assert '"0.400000001"' in as_strings
     targets = tmp_path / "targets.json"
     reports = []
-    for written in (text, as_strings):
+    for written in (pins.NEAR, as_strings):
         targets.write_text(written)
         code, out, _ = run(capsys, "feasibility", "--targets", str(targets), "--format", "json")
         assert code == cli.EXIT_PASS
@@ -388,8 +374,6 @@ def test_feasibility_refuses_angles_without_from_angles(capsys, tmp_path):
     cfg.write_text(json.dumps({"targets": str(targets), "angles": [1, 2, 3, 4]}))
     code, out, err = run(capsys, "feasibility", "--config", str(cfg))
     assert (code, out) == (cli.EXIT_INPUT, "") and "--from-angles" in err
-    code, _, _ = run(capsys, "feasibility", "--targets", str(targets))
-    assert code == cli.EXIT_PASS
 
 
 def test_feasibility_requires_a_source(capsys):
