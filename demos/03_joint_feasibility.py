@@ -25,7 +25,7 @@ tsirelson = scenarios.circuit_targets(LFConfig())
 print(f"quantum targets: S = {chsh_text(tsirelson)}")
 v = mp.feasible_joint_4(tsirelson)
 print(f"  4-variable joint feasible: {v.feasible}, "
-      f"max violation over 2: {v.to_json_dict()['max_violation']}")
+      f"max violation over 2: {mp.rational_texts([v.max_violation], v.scale)[0]}")
 print(f"  6-variable joint feasible: {mp.feasible_joint_6(v).feasible}")
 print(f"  closed-form criterion: {mp.fine_criterion(tsirelson)}")
 

@@ -17,8 +17,9 @@ keys, no whitespace, one trailing newline), so identical (command, config,
 seed) triples produce byte-identical reports; `python -m json.tool`
 pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
 `joint_6` as texts, each exact number written once by one `rational_texts`
-call, and `relmodel` its `records` as pre-encoded rows; the C encoder
-writes each run of the other report keys in one call.
+call, and `relmodel` its `analytic_feasibility` the same way and its
+`records` as pre-encoded rows; the C encoder writes each run of the other
+report keys in one call.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ EXIT_DISAGREE = 3
 MAX_TRIALS = 2 ** 63 - 1
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _exact_json = json.JSONDecoder(parse_float=str).decode  # a number as written, not a float
-# the canonical JSON of PairTargets.to_json_dict() and, by feasibility, of
-# FeasibilityVerdict.to_json_dict(), each text of an exact number left out
+# the canonical JSON of the targets (each table as rows [[++, +-], [-+, --]])
+# and of a verdict, each text of an exact number left out: the only writers
+# of either
 _TARGETS_JSON = "{%s}" % ",".join(f'"{p}":[["%s","%s"],["%s","%s"]]' for p in statlab.PAIR_IDS)
 _VERDICT_JSON = {True: '{"feasible":true,"max_violation":null,"witness":["%s"]}',
                  False: '{"feasible":false,"max_violation":"%s","witness":null}'}
@@ -71,10 +73,11 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
     """Write the report in the requested format.  `spliced` maps further
     keys of the JSON report to their values as lists of pieces that join to
     canonical JSON: `feasibility`'s "targets", "joint_4" and "joint_6", and
-    `relmodel`'s "records".  The JSON text is one join: each run of the
-    other keys between spliced ones is one call of the C encoder, braces
-    stripped, and spliced pieces go in as they are, never joined on their
-    own.  So the text is the only report-sized string the call makes."""
+    `relmodel`'s "analytic_feasibility" and "records".  The JSON text is one
+    join: each run of the other keys between spliced ones is one call of the
+    C encoder, braces stripped, and spliced pieces go in as they are, never
+    joined on their own.  So the text is the only report-sized string the
+    call makes."""
     if args.format == "json":
         spliced = spliced or {}
         pieces = []
@@ -246,13 +249,13 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
         batch = batch.planted()
     checks, internal, independence = relmodel.audit(batch)
     v4, _, _, agree = scenarios.circuit_verdict(cfg)
+    texts = mp.rational_texts(v4.witness or (v4.max_violation,), v4.scale)
     resolution = scenarios.snap_resolution(cfg)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
                                  for (x, y), f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))},
               "independence": independence,
-              "analytic_feasibility": v4.to_json_dict(),
               "checks": checks, "pass": all(c["pass"] for c in checks)}
     if resolution:  # the analytic verdict is about the snapped targets
         report["resolution"] = resolution
@@ -267,7 +270,8 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
 
     # CSV is the first ROWS runs, like "records" in JSON
     _emit(args, report, table, lambda rep: batch.rows_csv(relmodel.ROWS),
-          spliced={"records": batch.rows_json(relmodel.ROWS)})
+          spliced={"analytic_feasibility": [_VERDICT_JSON[v4.feasible] % '","'.join(texts)],
+                   "records": batch.rows_json(relmodel.ROWS)})
     return (EXIT_PASS if report["pass"] else EXIT_FAIL) if agree else EXIT_DISAGREE
 
 

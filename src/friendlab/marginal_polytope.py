@@ -59,14 +59,14 @@ class TargetError(ValueError):
 
 
 def _ratio(x) -> tuple[int, int]:
-    """The exact value of a target entry as ints (numerator, denominator),
-    denominator positive, not always in lowest terms: a string as written
-    (`_NUMBER`; a decimal is its digits over 10^k, the exponent folded into
-    k), an int as is, a float or a rational as `Fraction(x)` gives it.  A
-    plain ASCII "digits/digits" or "digits.digits" string is split without
-    `_NUMBER`, to the same ints; every other string (a sign, "_",
-    whitespace, other digits, an exponent, "5.", ".5", "1/0", or one longer
-    than any int string CPython reads) goes through it."""
+    """The exact value of a target entry, a string or an int as JSON gives
+    it, as ints (numerator, denominator), denominator positive, not always
+    in lowest terms: a string as written (`_NUMBER`; a decimal is its digits
+    over 10^k, the exponent folded into k), an int as is.  A plain ASCII
+    "digits/digits" or "digits.digits" string is split without `_NUMBER`,
+    to the same ints; every other string (a sign, "_", whitespace, other
+    digits, an exponent, "5.", ".5", "1/0", or one longer than any int
+    string CPython reads) goes through it."""
     if isinstance(x, str):
         try:  # each digit run is one int, as in Fraction, so CPython's limit
             # on int string length refuses the same strings
@@ -94,13 +94,9 @@ def _ratio(x) -> tuple[int, int]:
         k = len(frac) - e  # 0 for p/q
         n, d = (n, d * 10 ** k) if k >= 0 else (n * 10 ** -k, d)
         return (-n if sign == "-" else n), d
-    if isinstance(x, bool):  # an int to Python, but JSON true is no probability
-        raise TargetError(f"a target entry must be a number, got {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):  # JSON true is no probability
         return x, 1
-    from fractions import Fraction  # only here: no CLI input is a float or a rational
-    q = Fraction(x)
-    return q.numerator, q.denominator
+    raise TargetError(f"a target entry must be a number, got {x!r}")
 
 
 def _over_lcm(ratios) -> tuple[int, list[int]]:
@@ -197,16 +193,10 @@ class PairTargets:
              for v, (p, _) in _SINGLE_SOURCES.items()}
         return cls._from_ints(snap, m, {p: round(correlator(tables[p]) * snap) for p in PAIR_IDS})
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Each table as nested rows [[++, +-], [-+, --]]."""
-        t = rational_texts(self.cell_counts, self.scale)  # t[0] is the normalization's
-        return {pair: [t[k:k + 2], t[k + 2:k + 4]] for pair, k in zip(PAIR_IDS, (1, 5, 9, 13))}
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PairTargets":
-        """Inverse of to_json_dict: each table must be an array of 2 arrays of 2 cells."""
+        """Targets from a JSON object of tables, each an array of 2 arrays of 2
+        cells, as nested rows [[++, +-], [-+, --]]."""
         try:
             if not isinstance(obj, dict):
                 raise TypeError("targets must be an object of tables")
@@ -216,7 +206,7 @@ class PairTargets:
                     raise TypeError(f"table {pair} must be an array of 2 arrays of 2 cells")
             scale, flat = _over_lcm([_ratio(v) for table in obj.values() for row in table
                                      for v in row])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise TargetError(f"malformed targets: {exc}") from exc
         # the constructor refuses a missing table and one that no pair id names
         return cls(scale, {pair: tuple(flat[4 * k:4 * k + 4]) for k, pair in enumerate(obj)})
@@ -248,14 +238,6 @@ class FeasibilityVerdict:
         if not self.feasible and (self.max_violation is None or self.max_violation <= 0):
             raise ValueError("infeasible verdict requires a positive violation")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "witness": None if self.witness is None else rational_texts(self.witness, self.scale),
-            "max_violation": (None if self.max_violation is None
-                              else rational_texts([self.max_violation], self.scale)[0]),
-        }
-
 
 @functools.cache
 def _cell_rows(variables: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
@@ -284,17 +266,13 @@ def _row_getters(variables: tuple[str, ...]) -> tuple[operator.itemgetter, ...]:
                  for row in _cell_rows(variables))
 
 
-def reproduces(variables: tuple[str, ...], counts, scale: int, t: PairTargets) -> bool:
-    """The witness check: `counts` (in `_cell_rows` order) over `scale` are
-    non-negative and every row sum equals that row's target count, directly
-    over t.scale (as every witness of `decide` is) and cross-multiplied by
-    t.scale over any other scale."""
+def reproduces(variables: tuple[str, ...], counts, t: PairTargets) -> bool:
+    """The witness check: `counts` (in `_cell_rows` order) over t.scale, as
+    every witness of `decide` is, are non-negative and every row sum equals
+    that row's target count."""
     if len(counts) != 2 ** len(variables) or min(counts) < 0:
         return False
-    rows = zip(_row_getters(variables), t.cell_counts)
-    if scale == t.scale:
-        return all(sum(get(counts)) == b for get, b in rows)
-    return all(sum(get(counts)) * t.scale == b * scale for get, b in rows)
+    return all(sum(get(counts)) == b for get, b in zip(_row_getters(variables), t.cell_counts))
 
 
 @functools.cache
@@ -362,7 +340,7 @@ def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool
     v4, fine = feasible_joint_4(t), fine_criterion(t)
     v6 = feasible_joint_6(v4)
     agree = (v4.feasible == v6.feasible == fine
-             and all(reproduces(variables, v.witness, v.scale, t) if v.feasible
+             and all(reproduces(variables, v.witness, t) if v.feasible
                      else refutes(variables, certificate(max(t.variants, key=t.variants.get)), t)
                      for variables, v in ((VARS_4, v4), (VARS_6, v6))))
     return v4, v6, fine, agree

@@ -1,15 +1,18 @@
 """Pair targets and witnesses as plain Fractions: targets built from
 Fraction tables (the reference that the engine's integer constructors are
 compared with) and their tables read back, a verdict's witness as atom
-probabilities and Fraction probabilities as counts, the pair tables of a
-joint summed in plain Fractions, and the PR box and convex mixing that the
-tests build targets from."""
+probabilities, the pair tables of a joint summed in plain Fractions, the
+PR box and convex mixing that the tests build targets from, and the
+feasibility report written with str(Fraction): the oracle of the report
+the CLI splices."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 from friendlab import marginal_polytope as mp
+from friendlab import statlab
 
 
 def from_tables(tables: dict) -> mp.PairTargets:
@@ -28,13 +31,6 @@ def fraction_tables(t: mp.PairTargets) -> dict:
 def probabilities(verdict: mp.FeasibilityVerdict) -> tuple:
     """A feasible verdict's witness as atom probabilities."""
     return tuple(Fraction(n, verdict.scale) for n in verdict.witness)
-
-
-def as_counts(probs) -> tuple[list, int]:
-    """Fractions (or ints) as int counts over the lcm of their denominators,
-    and that lcm: the arguments `reproduces` takes after the variables."""
-    scale = math.lcm(*(Fraction(p).denominator for p in probs))
-    return [int(p * scale) for p in probs], scale
 
 
 def reference_marginals(variables, probs) -> dict:
@@ -63,3 +59,31 @@ def mix(t: mp.PairTargets, other: mp.PairTargets, lam) -> mp.PairTargets:
     return from_tables({pair: tuple(lam * a + (1 - lam) * b
                                     for a, b in zip(mine[pair], theirs[pair]))
                         for pair in mp.PAIR_IDS})
+
+
+def targets_json(t: mp.PairTargets) -> dict:
+    """The targets as a report and a targets file write them: each table as
+    rows [[++, +-], [-+, --]] of str(Fraction)."""
+    return {pair: [[str(v) for v in cells[:2]], [str(v) for v in cells[2:]]]
+            for pair, cells in fraction_tables(t).items()}
+
+
+def verdict_json(verdict: mp.FeasibilityVerdict) -> dict:
+    """A verdict as a report writes it, each exact number str(Fraction)."""
+    return {"feasible": verdict.feasible,
+            "witness": None if verdict.witness is None else list(map(str, probabilities(verdict))),
+            "max_violation": (None if verdict.max_violation is None
+                              else str(Fraction(verdict.max_violation, verdict.scale)))}
+
+
+def feasibility_report(t: mp.PairTargets, resolution) -> str:
+    """The JSON `feasibility` report on `t` as the encoder writes it from
+    the dict forms above."""
+    v4, v6, fine, agree = mp.decide(t)
+    s = t.variants[statlab.CHSH_SIGNS]
+    report = {"command": "feasibility", "targets": targets_json(t),
+              "chsh_value": str(Fraction(s, t.scale)), "chsh_value_float": s / t.scale,
+              "joint_4": verdict_json(v4), "joint_6": verdict_json(v6),
+              "fine_criterion": fine, "methods_agree": agree,
+              **({"resolution": resolution} if resolution else {})}
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

@@ -169,10 +169,12 @@ PINS = {
     # the table of a feasible and of an infeasible verdict
     "feasibility grid table": {
         "exit": 0, "sha256": "f38a0bb000f4186555c8c963d092556a8195bc529d2f5af7aead60515e1b1bce",
-        "runs": [{"argv": ["feasibility", "--targets", "grid.json"], "files": {"grid.json": GRID}}]},
+        "runs": [{"argv": ["feasibility", "--targets", "grid.json"],
+                  "files": {"grid.json": GRID}}]},
     "feasibility near table": {
         "exit": 0, "sha256": "8db7cdcc64d91f61a1587f4c2467061d49e514cf1a2a59d5ed1fa5b14cc158d1",
-        "runs": [{"argv": ["feasibility", "--targets", "near.json"], "files": {"near.json": NEAR}}]},
+        "runs": [{"argv": ["feasibility", "--targets", "near.json"],
+                  "files": {"near.json": NEAR}}]},
     "feasibility boundary json": {
         "exit": 0, "sha256": "afea16d5840ec092daed6a62935b07cb194d25a85b5557099c7e540bb267b1e4",
         "runs": [_file("boundary.json", BOUNDARY)]},

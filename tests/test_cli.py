@@ -18,6 +18,7 @@ import pins
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from fraction_targets import verdict_json
 from test_relmodel import reference_rows
 
 from friendlab import acceptance, cli, hilbert, relmodel, scenarios
@@ -209,7 +210,7 @@ def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, m
     try:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == cli.EXIT_PASS
-        assert json.loads(out)["analytic_feasibility"] == v4.to_json_dict()
+        assert json.loads(out)["analytic_feasibility"] == verdict_json(v4)
         monkeypatch.setattr(mp, "decide", lambda t: (*real(t)[:3], False))
         scenarios.circuit_verdict.cache_clear()
         code, disagreeing, _ = run(capsys, *argv, "--format", "json")
@@ -873,8 +874,15 @@ ANGLES = ("angles must be four degrees ask_A,super_A,ask_C,super_C as 'a,b,c,d',
       "files": {"config.json": '{"angles": [1, 2, 3]}'}}, ANGLES),
     ({"argv": ["feasibility", "--targets", "array.json"], "files": {"array.json": "[1, 2]"}},
      "malformed targets: targets must be an object of tables"),
+    # a cell is a JSON string or number, read as written
+    ({"argv": ["feasibility", "--targets", "null.json"], "files": {"null.json": json.dumps(
+        {**GRID_TARGETS, "AC": [[None, "1/8"], ["1/8", "3/8"]]})}},
+     "malformed targets: a target entry must be a number, got None"),
+    ({"argv": ["feasibility", "--targets", "object.json"], "files": {"object.json": json.dumps(
+        {**GRID_TARGETS, "AC": [[{"p": "3/8"}, "1/8"], ["1/8", "3/8"]]})}},
+     "malformed targets: a target entry must be a number, got {'p': '3/8'}"),
 ], ids=["out directory", "targets and from-angles", "three amps", "angles 5", "three angles",
-        "targets array"])
+        "targets array", "null cell", "object cell"])
 def test_an_input_error_exits_2_with_its_line(capsys, tmp_path, monkeypatch, given, message):
     monkeypatch.chdir(tmp_path)
     pins.write_files(given, tmp_path)

@@ -18,8 +18,8 @@ import simplex_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
-                              probabilities, reference_marginals)
+from fraction_targets import (feasibility_report, fraction_tables, from_tables, mix, pr_box,
+                              probabilities, reference_marginals, targets_json)
 from friendlab import cli, scenarios, statlab
 from friendlab import marginal_polytope as mp
 
@@ -59,7 +59,7 @@ def _not_in_lowest_terms(t: mp.PairTargets, k: int) -> dict:
 
 
 def _spellings(t: mp.PairTargets, k: int) -> list[dict]:
-    as_fraction = t.to_json_dict()
+    as_fraction = targets_json(t)
 
     def written(fmt):
         return {pair: [[fmt(Fraction(v)) for v in row] for row in rows]
@@ -80,7 +80,7 @@ def test_verdict_does_not_depend_on_how_targets_are_written(t, k):
     for obj in _spellings(t, k):
         parsed = mp.PairTargets.from_json_dict(obj)
         assert fraction_tables(parsed) == fraction_tables(t)
-        assert mp.feasible_joint_4(parsed).to_json_dict() == expected.to_json_dict()
+        assert mp.feasible_joint_4(parsed) == expected
 
 
 # digits: ASCII, ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT FIVE, and "_"
@@ -208,7 +208,8 @@ def boundary_targets(draw):
     base = (2 + delta) / 4
     correlators = {pair: s * (base + d) for pair, s, d in zip(mp.PAIR_IDS, signs, offsets)}
     singles = {v: (1 + draw(small)) / 2 for v in mp.VARS_4}
-    t = mp.PairTargets.from_correlators(singles, correlators)
+    t = mp.PairTargets.from_correlators({v: str(p) for v, p in singles.items()},
+                                        {pair: str(e) for pair, e in correlators.items()})
     assert Fraction(t.variants[signs], t.scale) == 2 + delta
     return t, delta
 
@@ -248,7 +249,7 @@ def test_every_feasible_witness_reproduces_its_targets(t):
     for variables, verdict in _both_verdicts(t):
         assert verdict.feasible == (verdict.witness is not None)
         if verdict.feasible:
-            assert mp.reproduces(variables, verdict.witness, verdict.scale, t)
+            assert mp.reproduces(variables, verdict.witness, t)
 
 
 @PROPERTY
@@ -295,7 +296,7 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     for variables, verdict in _both_verdicts(t):
         if verdict.feasible:
             assert reference_marginals(variables, probabilities(verdict)) == fraction_tables(t)
-            assert mp.reproduces(variables, verdict.witness, verdict.scale, t)
+            assert mp.reproduces(variables, verdict.witness, t)
         else:
             assert Fraction(verdict.max_violation, verdict.scale) == max(variants.values()) - 2
 
@@ -315,17 +316,17 @@ def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
     counts[target] += 1
     moved = [Fraction(n, verdict.scale) for n in counts]
     assert reference_marginals(mp.VARS_4, moved) != fraction_tables(t)
-    assert not mp.reproduces(mp.VARS_4, counts, verdict.scale, t)
+    assert not mp.reproduces(mp.VARS_4, counts, t)
 
 
-def shifted_along_parity(variables, witness) -> list[Fraction]:
-    """`witness` plus a multiple of the parity vector A*B*C*D (over six
-    variables Ai*Ar*B*Ci*Cr*D), just large enough to send atom 0 to -1/2^64.
+def shifted_along_parity(variables, witness) -> list[int]:
+    """`witness`, counts, plus a multiple of the parity vector A*B*C*D (over
+    six variables Ai*Ar*B*Ci*Cr*D), just large enough to send atom 0 to -1.
     The vector lies in the kernel of the cell system: a pair cell fixes two of
     A, B, C, D, and the product of the other two sums to zero over its atoms."""
     parity = [math.prod(atom) for atom in itertools.product((+1, -1), repeat=len(variables))]
-    c = -parity[0] * (witness[0] + Fraction(1, 2 ** 64))
-    return [p + c * s for p, s in zip(witness, parity)]
+    c = -parity[0] * (witness[0] + 1)
+    return [n + c * s for n, s in zip(witness, parity)]
 
 
 @PROPERTY
@@ -334,39 +335,24 @@ def test_reproduces_refuses_a_witness_shifted_along_the_parity_vector(case):
     # every pair table and the normalization still hold; one atom is negative
     t, _ = case
     for variables, verdict in _both_verdicts(t):
-        shifted = shifted_along_parity(variables, probabilities(verdict))
-        assert reference_marginals(variables, shifted) == fraction_tables(t)
-        assert sum(shifted) == 1 and shifted[0] < 0
-        assert not mp.reproduces(variables, *as_counts(shifted), t)
-
-
-@PROPERTY
-@given(st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]))
-       .filter(mp.fine_criterion), st.data())
-def test_reproduces_gives_a_witness_times_k_over_k_times_the_scale_the_same_verdict(t, data):
-    # over t.scale the row sums are compared with the target counts directly,
-    # over k * t.scale (k = 2, 3) cross-multiplied: both must accept the
-    # witness and its lift, and both refuse them with one count of the
-    # four-variable witness moved to another atom
-    v4 = mp.feasible_joint_4(t)
-    moved = list(v4.witness)
-    source = data.draw(st.sampled_from([i for i, n in enumerate(moved) if n > 0]))
-    moved[source] -= 1
-    moved[data.draw(st.sampled_from([i for i in range(16) if i != source]))] += 1
-    moved = mp.FeasibilityVerdict(True, tuple(moved), None, t.scale)
-    for verdict, accepted in ((v4, True), (moved, False)):
-        for variables, v in ((mp.VARS_4, verdict), (mp.VARS_6, mp.feasible_joint_6(verdict))):
-            assert [mp.reproduces(variables, [k * n for n in v.witness], k * t.scale, t)
-                    for k in (1, 2, 3)] == [accepted] * 3
+        shifted = shifted_along_parity(variables, verdict.witness)
+        assert reference_marginals(variables, [Fraction(n, t.scale) for n in shifted]) == \
+            fraction_tables(t)
+        assert sum(shifted) == t.scale and shifted[0] < 0
+        assert not mp.reproduces(variables, shifted, t)
 
 
 def test_reproduces_refuses_a_sum_off_by_1e_minus_30():
-    uniform = [Fraction(1, 16)] * 16
-    targets = from_tables(reference_marginals(mp.VARS_4, uniform))
-    assert mp.reproduces(mp.VARS_4, *as_counts(uniform), targets)
-    for off in (Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)):
-        assert not mp.reproduces(mp.VARS_4, *as_counts([uniform[0] + off, *uniform[1:]]),
-                                 targets)
+    # a joint 1e-30 off uniform gives targets over 10^30: its witness over
+    # them is accepted, and refused with one count more or less on atom 0
+    off = Fraction(1, 10 ** 30)
+    joint = [Fraction(1, 16) + off, Fraction(1, 16) - off, *[Fraction(1, 16)] * 14]
+    targets = from_tables(reference_marginals(mp.VARS_4, joint))
+    assert targets.scale == 10 ** 30
+    counts = [int(p * targets.scale) for p in joint]
+    assert mp.reproduces(mp.VARS_4, counts, targets)
+    for n in (1, -1):
+        assert not mp.reproduces(mp.VARS_4, [counts[0] + n, *counts[1:]], targets)
 
 
 @st.composite
@@ -462,13 +448,12 @@ def _rhs(t) -> list[int]:
     return [t.scale, *(n for pair in mp.PAIR_IDS for n in t.counts[pair])]
 
 
-def _restated_reproduces(variables, counts, scale, t) -> bool:
+def _restated_reproduces(variables, counts, t) -> bool:
     """The witness check written out: the right length, no negative count,
     and each row's sum over its 1 columns equal to the target count."""
     rows = mp._cell_rows(variables)
     return (len(counts) == len(rows[0]) and min(counts) >= 0
-            and all(sum(itertools.compress(counts, row)) * t.scale == b * scale
-                    for row, b in zip(rows, _rhs(t))))
+            and all(sum(itertools.compress(counts, row)) == b for row, b in zip(rows, _rhs(t))))
 
 
 def _restated_refutes(variables, y, t) -> bool:
@@ -480,21 +465,20 @@ def _restated_refutes(variables, y, t) -> bool:
 
 @st.composite
 def witness_checks(draw):
-    """(variables, counts, scale, targets): a verdict's witness as given, at
-    k times its scale, with up to 2 counts moved from one atom to another or
-    one count changed, shifted along the parity vector to one negative atom,
-    the other variable set's witness (16 entries for six variables, 64 for
-    four), or random counts of either length."""
+    """(variables, counts, targets): a verdict's witness as given, times k,
+    with up to 2 counts moved from one atom to another or one count changed,
+    shifted along the parity vector to one negative atom, the other variable
+    set's witness (16 entries for six variables, 64 for four), or random
+    counts of either length."""
     t = draw(ANY_TARGETS)
     (variables, verdict), (_, other) = draw(st.permutations(_both_verdicts(t)))
     kind = draw(st.sampled_from(["witness", "scaled", "moved", "changed", "shifted", "other's",
                                  "random"]))
     if verdict.feasible and kind != "random":
-        counts, scale = list((other if kind == "other's" else verdict).witness), verdict.scale
+        counts = list((other if kind == "other's" else verdict).witness)
         atoms = st.integers(0, len(counts) - 1)
         if kind == "scaled":
-            k = draw(st.integers(2, 5))
-            counts, scale = [k * n for n in counts], k * scale
+            counts = [draw(st.integers(2, 5)) * n for n in counts]
         if kind == "moved":
             n = draw(st.integers(1, 2))
             counts[draw(atoms)] -= n
@@ -502,12 +486,11 @@ def witness_checks(draw):
         if kind == "changed":
             counts[draw(atoms)] += draw(st.integers(-2, 2))
         if kind == "shifted":
-            counts, scale = as_counts(shifted_along_parity(variables, probabilities(verdict)))
+            counts = shifted_along_parity(variables, verdict.witness)
     else:
         size = draw(st.sampled_from([16, 64]))
         counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-        scale = draw(st.integers(1, 64))
-    return variables, counts, scale, t
+    return variables, counts, t
 
 
 @settings(max_examples=300)
@@ -545,19 +528,6 @@ def test_rational_texts_writes_what_fraction_writes(n, d):
     assert mp.rational_texts(counts, d) == [str(Fraction(c, d)) for c in counts]
 
 
-def _dict_report(t: mp.PairTargets, resolution) -> str:
-    """The feasibility report as the encoder writes it from the dict forms
-    that to_json_dict() gives: the oracle of the report the CLI splices."""
-    v4, v6, fine, agree = mp.decide(t)
-    s = t.variants[statlab.CHSH_SIGNS]
-    report = {"command": "feasibility", "targets": t.to_json_dict(),
-              "chsh_value": str(Fraction(s, t.scale)), "chsh_value_float": s / t.scale,
-              "joint_4": v4.to_json_dict(), "joint_6": v6.to_json_dict(),
-              "fine_criterion": fine, "methods_agree": agree,
-              **({"resolution": resolution} if resolution else {})}
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _cli_json(*argv) -> str:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["feasibility", *argv, "--format", "json"]) == cli.EXIT_PASS
@@ -570,8 +540,8 @@ def _cli_json(*argv) -> str:
 @example(from_tables(reference_marginals(mp.VARS_4, [Fraction(1, 16)] * 16)))
 def test_the_spliced_targets_report_is_the_encoding_of_the_dict_report(tmp_path_factory, t):
     path = tmp_path_factory.mktemp("targets") / "targets.json"
-    path.write_text(json.dumps(t.to_json_dict()))
-    assert _cli_json("--targets", str(path)) == _dict_report(t, None)
+    path.write_text(json.dumps(targets_json(t)))
+    assert _cli_json("--targets", str(path)) == feasibility_report(t, None)
 
 
 # outside the snap band, infeasible and feasible; inside it, feasible and infeasible
@@ -581,7 +551,7 @@ def test_the_spliced_from_angles_report_is_the_encoding_of_the_dict_report(angle
     cfg = scenarios.LFConfig(*map(float, angles.split(",")))
     resolution = scenarios.snap_resolution(cfg)
     assert (resolution is not None) == in_band
-    expected = _dict_report(scenarios.circuit_targets(cfg), resolution)
+    expected = feasibility_report(scenarios.circuit_targets(cfg), resolution)
     assert _cli_json("--from-angles", "--angles", angles) == expected
 
 
@@ -603,7 +573,7 @@ def _from_born_through_fractions(tables, snap):
     """`PairTargets.from_born` as it was written before it built ints: each
     single and correlator a Fraction over snap, then `from_correlators`."""
     def rounded(x):
-        return Fraction(round(x * snap), snap)
+        return str(Fraction(round(x * snap), snap))
 
     singles = {v: rounded(mp._plus(tables[p], v, p)) for v, (p, _) in mp._SINGLE_SOURCES.items()}
     return mp.PairTargets.from_correlators(singles, {p: rounded(statlab.correlator(t))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import simplex_oracle
 
-from fraction_targets import (as_counts, fraction_tables, from_tables, mix, pr_box,
-                              probabilities, reference_marginals)
+from fraction_targets import (fraction_tables, from_tables, mix, pr_box, reference_marginals,
+                              targets_json)
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig, circuit_targets
 from friendlab.statlab import CHSH_SIGNS, correlator
@@ -107,6 +107,15 @@ def test_random_targets_match_the_fraction_mix_of_the_same_draws():
         assert (t.scale, t.counts) == (expected.scale, expected.counts)
 
 
+def test_random_targets_put_an_all_zero_draw_on_the_first_atom():
+    # 16 zero weights (odds 64^-16) become weight 1 on A = B = C = D = +1
+    class Zeros:  # every draw at its lower bound
+        def integers(self, low, high, size=None):
+            return [0] * size if size else 0
+    t = mp.random_pair_targets(Zeros())
+    assert (t.scale, t.counts) == (1, {pair: (1, 0, 0, 0) for pair in mp.PAIR_IDS})
+
+
 def test_chsh_uniform_is_zero():
     assert chsh_value(UNIFORM) == 0
 
@@ -136,7 +145,7 @@ def test_product_targets_feasible_with_exact_witness():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_4, verdict.witness, verdict.scale, t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
 
 
 def test_tsirelson_infeasible_with_enumeration_oracle():
@@ -155,10 +164,9 @@ def test_tsirelson_infeasible_with_enumeration_oracle():
 
 
 def shrunk_targets():
-    half = Fraction(1, 2)
     return mp.PairTargets.from_correlators(
-        {v: half for v in mp.VARS_4},
-        {"AC": half, "BC": half, "BD": half, "AD": -half})
+        {v: "1/2" for v in mp.VARS_4},
+        {"AC": "1/2", "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
 
 
 def test_shrunk_targets_feasible_at_boundary():
@@ -166,7 +174,7 @@ def test_shrunk_targets_feasible_at_boundary():
     assert chsh_value(t) == 2
     verdict = mp.feasible_joint_4(t)
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_4, verdict.witness, verdict.scale, t)
+    assert mp.reproduces(mp.VARS_4, verdict.witness, t)
 
 
 def test_six_variable_matches_four_variable_on_examples():
@@ -184,21 +192,20 @@ def test_six_variable_witness_reproduces_composites():
     t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
     verdict = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert verdict.feasible
-    assert mp.reproduces(mp.VARS_6, verdict.witness, verdict.scale, t)
+    assert mp.reproduces(mp.VARS_6, verdict.witness, t)
 
 
 def test_constructive_six_variable_witness_from_four():
-    # split each four-variable atom by a uniform internal coin and the
-    # relation forced by A = Ai * Ar; the induced pair marginals must match
-    t = shrunk_targets()
-    w4 = probabilities(mp.feasible_joint_4(t))
-    probs = {assign: Fraction(0) for assign in itertools.product((+1, -1), repeat=6)}
-    for (a, b, c, d), p in zip(itertools.product((+1, -1), repeat=4), w4):
-        for ai in (+1, -1):
-            for ci in (+1, -1):
-                probs[(ai, a * ai, b, ci, c * ci, d)] += p / 4
-    w6 = [probs[assign] for assign in itertools.product((+1, -1), repeat=6)]
-    assert mp.reproduces(mp.VARS_6, *as_counts(w6), t)
+    # split each four-variable atom's count over the internal coins (Ai, Ci)
+    # as evenly as ints allow, with the relations forced by A = Ai * Ar and
+    # C = Ci * Cr; the induced pair marginals must match
+    t = product_targets(Fraction(3, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7))
+    w6 = dict.fromkeys(itertools.product((+1, -1), repeat=6), 0)
+    for (a, b, c, d), n in zip(itertools.product((+1, -1), repeat=4),
+                               mp.feasible_joint_4(t).witness):
+        for k, (ai, ci) in enumerate(itertools.product((+1, -1), repeat=2)):
+            w6[(ai, a * ai, b, ci, c * ci, d)] += (n + k) // 4
+    assert mp.reproduces(mp.VARS_6, list(w6.values()), t)
 
 
 def test_fine_criterion_examples():
@@ -219,8 +226,8 @@ def test_fine_criterion_agrees_with_both_lps_on_random_targets():
         assert fine == v4.feasible == v6.feasible
         if v4.feasible:
             saw_feasible += 1
-            assert mp.reproduces(mp.VARS_4, v4.witness, v4.scale, t)
-            assert mp.reproduces(mp.VARS_6, v6.witness, v6.scale, t)
+            assert mp.reproduces(mp.VARS_4, v4.witness, t)
+            assert mp.reproduces(mp.VARS_6, v6.witness, t)
         else:
             saw_infeasible += 1
             assert v4.max_violation > 0
@@ -286,19 +293,34 @@ def test_verdict_invariants():
         mp.FeasibilityVerdict(False, None, 0, 1)
     with pytest.raises(TypeError):  # the scale has no default
         mp.FeasibilityVerdict(False, None, 1)
-    infeasible = mp.FeasibilityVerdict(False, None, 6, 8)
-    assert infeasible.to_json_dict() == {"feasible": False, "witness": None,
-                                         "max_violation": str(Fraction(6, 8))}
+    assert mp.FeasibilityVerdict(False, None, 1, 8).max_violation == 1  # the least one
+
+
+def test_refutes_takes_a_farkas_certificate_with_b_y_equal_to_1():
+    # 2/3 of the PR box and 1/3 of A = B = C = D = +1 are counts over 3 with
+    # S = 10/3; the CHSH certificate with one more -1 on normalization keeps
+    # A^T y <= 0 and leaves b^T y = 4 - 3 = 1, the least positive value
+    t = mix(pr_box(), from_tables({pair: (1, 0, 0, 0) for pair in mp.PAIR_IDS}), Fraction(2, 3))
+    y = [mp.certificate(CHSH_SIGNS)[0] - 1, *mp.certificate(CHSH_SIGNS)[1:]]
+    assert t.scale == 3 and sum(a * b for a, b in zip(y, t.cell_counts)) == 1
+    assert mp.refutes(mp.VARS_4, y, t) and mp.refutes(mp.VARS_6, y, t)
+
+
+def test_targets_json_reads_an_int_cell_as_that_int():
+    # JSON gives 1 and 0 as ints: deterministic tables, A = B = C = D = +1
+    t = mp.PairTargets.from_json_dict({pair: [[1, 0], [0, 0]] for pair in mp.PAIR_IDS})
+    assert (t.scale, t.counts) == (1, {pair: (1, 0, 0, 0) for pair in mp.PAIR_IDS})
 
 
 def test_targets_json_round_trip():
     t = circuit_targets(LFConfig())
-    back = mp.PairTargets.from_json_dict(t.to_json_dict())
+    back = mp.PairTargets.from_json_dict(targets_json(t))
     assert fraction_tables(back) == fraction_tables(t)
 
 
 def test_targets_json_accepts_decimals():
-    obj = {pair: [[0.25, 0.25], [0.25, 0.25]] for pair in mp.PAIR_IDS}
+    # the CLI reads a JSON number as the string written, so 0.25 is "0.25"
+    obj = {pair: [["0.25", "0.25"], ["0.25", "0.25"]] for pair in mp.PAIR_IDS}
     t = mp.PairTargets.from_json_dict(obj)
     assert fraction_tables(t)["AC"] == (Fraction(1, 4),) * 4
     # exponents are taken as written up to MAX_EXPONENT, and refused beyond
@@ -327,7 +349,7 @@ def test_decimal_and_fraction_spellings_get_the_same_verdict():
         # the same cells written as exact decimals parse to the same targets
         decimal = {pair: [[str(Decimal(Fraction(v).numerator) / Decimal(Fraction(v).denominator))
                            for v in row] for row in rows]
-                   for pair, rows in t.to_json_dict().items()}
+                   for pair, rows in targets_json(t).items()}
         assert decimal["AC"][0][0] == "0.375000025"
         assert fraction_tables(mp.PairTargets.from_json_dict(decimal)) == fraction_tables(t)
     assert verdicts == {False}
