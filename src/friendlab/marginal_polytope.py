@@ -171,8 +171,8 @@ class PairTargets:
                                     for x, y in PAIR_CELLS) for p in PAIR_IDS})
 
     @classmethod
-    def from_correlators(cls, singles: dict[str, object],
-                         correlators: dict[str, object]) -> "PairTargets":
+    def from_correlators(cls, singles: dict[str, str | int],
+                         correlators: dict[str, str | int]) -> "PairTargets":
         """Build tables from P(var=+1) marginals and pair correlators; the
         shared singles make cross-table consistency exact by construction.
         Every m and E goes over their common denominator D."""

@@ -257,8 +257,7 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # the verdict is stated about the snapped targets only.  The reports at
     # these angles are the pins named after pins.SNAPPED, feasibility's and
     # relmodel's, JSON and table; their verdict and resolution are these
-    assert pins.SNAPPED == "0,90,110.530196479,135"
-    cfg = LFConfig(0, 90, 110.530196479, 135)
+    cfg = LFConfig(*map(float, pins.SNAPPED.split(",")))
     v4, v6, fine, _ = scenarios.circuit_verdict(cfg)
     assert v4.feasible and v6.feasible and fine
     resolution = scenarios.snap_resolution(cfg)

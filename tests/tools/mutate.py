@@ -1,7 +1,6 @@
 """Mutation probe: which small faults in one src module the tests catch.
 
-    python tests/tools/mutate.py [--module marginal_polytope] [--jobs 2] \
-        [--out RECORD.json] [--only FUNCTION]
+    python tests/tools/mutate.py [--module marginal_polytope] [--jobs 2] [--out RECORD.json]
 
 Each mutant is one edit of the module's syntax tree: a comparison swapped
 (< and <=, > and >=, == and !=, is and is not, in and not in), + and -
@@ -11,9 +10,9 @@ a run first checks that the unmutated module, unparsed, passes.  Each
 worker copies src once into a temporary directory; each mutant overwrites
 the module there and runs tier-1 with -x on that copy (PYTHONPATH), the
 tests of the module first.  A mutant is killed if pytest fails or runs past
---timeout, and survives if it passes.  Prints each survivor and, per
-function, the mutants killed and survived, and writes them with the run's
-wall time to --out as JSON.  Standard library only; not collected by pytest
+TIMEOUT seconds, and survives if it passes.  Prints each mutant's outcome
+as it goes and writes the mutants killed and survived per function, each
+survivor and the run's wall time to --out as JSON.  Standard library only; not collected by pytest
 and not run in CI.
 """
 
@@ -32,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 SMALL = 16
+TIMEOUT = 300
 COMPARISONS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
                ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
                ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -80,7 +80,7 @@ def mutant(source: str, k: int) -> tuple[str, dict]:
                                else fragment[:157] + "..."}
 
 
-def run_tests(copy: Path, module: str, timeout: float) -> bool:
+def run_tests(copy: Path, module: str) -> bool:
     """Whether tier-1, run with -x on the src in `copy`, passes."""
     first = [f"tests/test_{module}.py"] if (ROOT / f"tests/test_{module}.py").exists() else []
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -89,7 +89,7 @@ def run_tests(copy: Path, module: str, timeout: float) -> bool:
     child = subprocess.Popen(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return child.wait(timeout) == 0
+        return child.wait(TIMEOUT) == 0
     except subprocess.TimeoutExpired:  # the tests' own children go with it
         os.killpg(child.pid, signal.SIGKILL)
         child.wait()
@@ -100,14 +100,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", default="marginal_polytope")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--only", help="mutate only this function (qualified name)")
     parser.add_argument("--out", help="write the record here as JSON")
     opts = parser.parse_args(argv)
     path = ROOT / "src" / "friendlab" / f"{opts.module}.py"
     source = path.read_text()
-    chosen = [k for k, (where, _, _) in enumerate(sites(ast.parse(source)))
-              if opts.only is None or where == opts.only]
+    count = len(sites(ast.parse(source)))
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="friendlab-mutate-") as work:
         copies = [Path(work) / str(j) for j in range(opts.jobs)]
@@ -116,17 +113,16 @@ def main(argv=None) -> int:
                             ignore=shutil.ignore_patterns("__pycache__"))
         (copies[0] / "src" / "friendlab" / path.name).write_text(
             ast.unparse(ast.parse(source)))
-        if not run_tests(copies[0], opts.module, opts.timeout):
+        if not run_tests(copies[0], opts.module):
             print("the unmutated module, unparsed, fails the tests", file=sys.stderr)
             return 2
 
         def worker(j: int) -> list[dict]:
             results = []
-            for k in chosen[j::opts.jobs]:
+            for k in range(j, count, opts.jobs):
                 text, about = mutant(source, k)
                 (copies[j] / "src" / "friendlab" / path.name).write_text(text)
-                results.append({**about, "killed": not run_tests(copies[j], opts.module,
-                                                                 opts.timeout)})
+                results.append({**about, "killed": not run_tests(copies[j], opts.module)})
                 print(f"{'killed  ' if results[-1]['killed'] else 'SURVIVED'} "
                       f"{about['function']}:{about['line']}: {about['mutation']}", flush=True)
             return results
