@@ -10,16 +10,16 @@ disagreement.
 A JSON config file (--config) may mirror any flag of its command; explicit
 flags override the file, and a key that no flag of the command reads is an
 input error.  Each flag's Flag entry holds its kind, default and bounds, and
-`_read_flags` checks every flag and config value by them before the command
-starts, as it does an --out whose directory is missing or not writable, so
-a refused value costs no run.  JSON output is compact and canonical (sorted
-keys, no whitespace, one trailing newline), so identical (command, config,
-seed) triples produce byte-identical reports; `python -m json.tool`
-pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
-`joint_6` as texts, each exact number written once by one `rational_texts`
-call, and `relmodel` its `analytic_feasibility` the same way and its
-`records` as pre-encoded rows; the C encoder writes each run of the other
-report keys in one call.
+`_read_flags` checks every argv and config value by them before the command
+starts (each default on the command's first call only), as it does an --out
+whose directory is missing or not writable, so a refused value costs no
+run.  JSON output is compact and canonical (sorted keys, no whitespace, one
+trailing newline), so identical (command, config, seed) triples produce
+byte-identical reports; `python -m json.tool` pretty-prints one.
+`feasibility` splices in `targets`, `joint_4` and `joint_6` as texts, each
+exact number written once by one `rational_texts` call, and `relmodel` its
+`analytic_feasibility` the same way and its `records` as pre-encoded rows;
+the C encoder writes each run of the other report keys in one call.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from functools import lru_cache
 from types import SimpleNamespace
 
 from . import marginal_polytope as mp
@@ -215,7 +216,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
               "chsh_value_float": s / targets.scale,  # int / int is correctly rounded
               "fine_criterion": fine, "methods_agree": agree}
     if resolution:
-        report["resolution"] = resolution
+        report["resolution"] = dict(resolution)
 
     def table(rep: dict) -> str:
         lines = [f"pairwise targets: S = {rep['chsh_value']} ~ {rep['chsh_value_float']:.4f}",
@@ -258,7 +259,7 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
               "independence": independence,
               "checks": checks, "pass": all(c["pass"] for c in checks)}
     if resolution:  # the analytic verdict is about the snapped targets
-        report["resolution"] = resolution
+        report["resolution"] = dict(resolution)
 
     def table(rep: dict) -> str:
         lines = [f"frame-relational model, trials={trials} seed={seed}",
@@ -532,6 +533,11 @@ def _checked(key: str, spec: Flag, val):
     return val
 
 
+@lru_cache(maxsize=None)  # a flag's default as `_checked` takes it, checked on its first use
+def _default(command: str, key: str):
+    return _checked(key, _KEYED[command][key], _KEYED[command][key].default)
+
+
 def _read_flags(args: SimpleNamespace, config: dict) -> None:
     """Set each flag of the command to the value it reads: its argv value,
     else its config-file value, else its default, as `_checked` takes it.
@@ -544,13 +550,13 @@ def _read_flags(args: SimpleNamespace, config: dict) -> None:
         raise InputError(f"config keys that {args.command} does not read: " + ", ".join(unread))
     for key, spec in keyed.items():
         val = getattr(args, key)
-        if val is None:
-            val = config.get(key, spec.default)
+        unset = val is None and key not in config
+        val = config.get(key, spec.default) if val is None else val
         if spec.only_with and not getattr(args, _dest(spec.only_with)):
             if val is not None:
                 raise InputError(f"{args.command} reads {key} only with {spec.only_with}")
         else:
-            setattr(args, key, _checked(key, spec, val))
+            setattr(args, key, _default(args.command, key) if unset else _checked(key, spec, val))
     if args.format == "csv" and args.command not in ("lf", "relmodel"):  # no CSV renderer
         raise InputError("this command has no CSV representation")
     if args.out is not None:  # `_emit` still handles a write that fails

@@ -13,10 +13,9 @@ variable (0 where absent).  A TrialBatch is the histogram of its runs'
 codes plus its first ROWS runs' codes in order, the report's rows (None
 where absent: null in JSON, an empty field in CSV).  Both are drawn as
 counts, so any batch size up to 2**63 - 1 costs the same.  Every code, count
-and table is a tuple of Python ints.  The audits read the histogram as sums
-over lists of codes (those in each cell of a pair, those that break the
-presence discipline, ...), each list found once per content of the tables
-it reads and memoized, so an edited table gets fresh lists.
+and table is a tuple of Python ints.  Each count an audit reads sums the
+histogram at a list of codes, read by one `operator.itemgetter` of a read
+plan built again whenever the tables' contents change.
 
 The sequential scenario draws counts too: `simulate_rovelli` counts the runs
 in each (first outcome, second outcome or none, record) cell, the record
@@ -45,7 +44,8 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import product
+from operator import itemgetter
 
 from . import scenarios, statlab
 from .hilbert import FactorLayout, StateVector, born_distribution
@@ -104,11 +104,11 @@ def csv_lines(rows) -> list[str]:
 
 _DECODED = [_decode(code) for code in range(64)]
 # per code: k and each variable, its report row, the row as canonical JSON
-# (sorted keys, no whitespace) and as a CSV line after the CSV header
+# (sorted keys, no whitespace) after a "," and as a CSV line after the header
 TABLES = {name: tuple(d[name] for d in _DECODED) for name in ("k", *VARIABLES)}
 _ROWS = [dict(zip(RECORD_FIELDS, (d["Ai"], d["Ci"], *(CHOICE[v] for v in PAIR_IDS[d["k"]]),
                                   *(d[v] or None for v in _OPTIONAL)))) for d in _DECODED]
-_FRAGMENTS = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
+_FRAGMENTS = ["," + json.dumps(row, sort_keys=True, separators=(",", ":")) for row in _ROWS]
 _CSV_HEADER, *_CSV_LINES = csv_lines([RECORD_FIELDS, *(row.values() for row in _ROWS)])
 # --planted-violation: Alice's internal outcome is +1 exactly when Bob asks
 PLANTED = tuple(c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64))
@@ -128,13 +128,10 @@ class TrialBatch:
 
     def rows_json(self, stop: int) -> list[str]:
         """The first `stop` runs as canonical JSON in pieces, "[", the
-        pre-encoded rows (objects keyed by RECORD_FIELDS, null where absent)
-        with "," between them and "]", so that a writer joins them once."""
-        rows = [_FRAGMENTS[c] for c in self.first[:stop]]
-        pieces = [","] * (2 * len(rows) or 1)  # a "," before each row
-        pieces[1::2] = rows
-        pieces[0] = "["
-        pieces.append("]")
+        pre-encoded rows (objects keyed by RECORD_FIELDS, null where absent),
+        each but the first after a ",", and "]", so a writer joins them once."""
+        pieces = ["[", *_getter(self.first[:stop])(_FRAGMENTS), "]"]
+        pieces[1] = pieces[1].lstrip(",")  # the first row's, or "]"
         return pieces
 
     def rows_csv(self, stop: int) -> str:
@@ -249,14 +246,14 @@ def _positive_cells(born: tuple[float, ...]):
     return cells, weights
 
 
-def draw_counts(born, n: int, rng) -> tuple[int, ...]:
+def draw_counts(born, n: int, rng, start=0) -> tuple[int, ...]:
     """Int counts of n draws from the probability table `born` by a numpy
-    Generator `rng`: a multinomial over its positive cells, unnormalized, so a
-    zero cell never gets a count and the last positive cell takes the round-off
-    tail.  The positive cells are found once per table's contents."""
+    Generator `rng`, plus `start` per positive cell: a multinomial over those
+    cells, unnormalized, so a zero cell never gets a count and the last one
+    takes the round-off tail.  The positive cells are found once per table."""
     cells, weights = _positive_cells(tuple(born))
     counts = [0] * len(born)
-    for i, runs in zip(cells, rng.multinomial(n, weights).tolist()):
+    for i, runs in zip(cells, (rng.multinomial(n, weights) + start).tolist()):
         counts[i] = runs
     return tuple(counts)
 
@@ -281,23 +278,58 @@ def simulate_batch(cfg: LFConfig, n: int, seed: int) -> TrialBatch:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     p = _batch_law(cfg)
+    cells, weights = _positive_cells(p)
     rng = np.random.default_rng(seed)
-    counts = draw_counts(p, min(n, ROWS), rng)
-    first = np.repeat(np.arange(64), counts)
+    counts = rng.multinomial(min(n, ROWS), weights)  # as draw_counts draws, per positive cell
+    first = np.repeat(cells, counts)
     rng.shuffle(first)
-    rest = draw_counts(p, n - len(first), rng)
-    return TrialBatch(cfg, tuple(map(add, counts, rest)), tuple(first.tolist()))
+    return TrialBatch(cfg, draw_counts(p, n - len(first), rng, counts), tuple(first.tolist()))
 
 
-@lru_cache(maxsize=16)
-def _pair_codes(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per PAIR_CELLS cell, the codes whose values (x, y) in the tables xs
-    and ys both exist and fall in that cell."""
-    cells = ([], [], [], [])
-    for code, (x, y) in enumerate(zip(xs, ys)):
-        if x and y:
-            cells[2 * (x < 0) + (y < 0)].append(code)
-    return tuple(map(tuple, cells))
+def _wing_valid(asks: bool, outcome: int, external: int, relation: int, internal: int) -> bool:
+    """An asked wing has a relation and external = internal * relation, a
+    supermeasured wing only its super outcome."""
+    return (outcome == 0 and abs(relation) == 1 and external == internal * relation if asks
+            else abs(outcome) == 1 and external == relation == 0)
+
+
+def _getter(codes: list[int]):
+    """An itemgetter of a histogram's counts at `codes`, always as a tuple."""
+    return (itemgetter(*codes) if len(codes) > 1
+            else itemgetter(slice(codes[0], codes[0] + 1) if codes else slice(0)))
+
+
+_PLAN = [(), {}]  # the tables of k and VARIABLES that `_plan` last read, and its plan
+
+
+def _plan() -> dict:
+    """Per count an audit reads, the `_getter` of the codes it sums in TABLES
+    as they are at this call, found again only when their contents change:
+    under "invalid" the runs that break the presence discipline or the
+    product identity; under each (x, y) of VARIABLES one per PAIR_CELLS cell
+    of the runs where both exist; under "Ai" and "Ci", per PAIR_IDS index,
+    one of the runs where that variable is +1 and one of the rest."""
+    tables = tuple(map(TABLES.__getitem__, ("k", *VARIABLES)))
+    built, plan = _PLAN
+    if tables == built:
+        return plan
+    columns, plan = dict(zip(("k", *VARIABLES), tables)), {}
+    for x, y in product(VARIABLES, repeat=2):
+        cells = ([], [], [], [])
+        for code, (u, v) in enumerate(zip(columns[x], columns[y])):
+            if u and v:
+                cells[PAIR_CELLS.index((u, v))].append(code)
+        plan[x, y] = tuple(map(_getter, cells))
+    for name in ("Ai", "Ci"):
+        sides = [([], []) for _ in PAIR_IDS]
+        for code, (k, value) in enumerate(zip(columns["k"], columns[name])):
+            sides[k][value != 1].append(code)
+        plan[name] = [tuple(map(_getter, side)) for side in sides]
+    plan["invalid"] = _getter([code for code, (k, ai, ci, a, b, c, d, ar, cr) in enumerate(
+        zip(*tables)) if not (abs(ai) == abs(ci) == 1 and _wing_valid(_B_ASKS[k], b, a, ar, ai)
+                              and _wing_valid(_D_ASKS[k], d, c, cr, ci))])
+    _PLAN[:] = tables, plan
+    return plan
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
@@ -305,24 +337,13 @@ def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
     pair id "AC" or ("Ai", "Ci"), over the runs where both are present.  Its
     sum is the qualifying-run count, by which callers judge statistical
     power."""
-    if pair[0] not in VARIABLES or pair[1] not in VARIABLES:
+    cells = _plan().get((pair[0], pair[1]))
+    if cells is None:
         raise ValueError(f"unknown variable in pair {pair}")
-    runs = batch.histogram.__getitem__
-    counts = tuple(sum(map(runs, codes))
-                   for codes in _pair_codes(TABLES[pair[0]], TABLES[pair[1]]))
+    counts = tuple([sum(cell(batch.histogram)) for cell in cells])
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
     return counts
-
-
-@lru_cache(maxsize=8)
-def _choice_codes(ks: tuple[int, ...], internals: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Per PAIR_IDS index k: the codes of pair k whose internal value is +1,
-    and the rest."""
-    table = [([], []) for _ in PAIR_IDS]
-    for code, (k, value) in enumerate(zip(ks, internals)):
-        table[k][value != 1].append(code)
-    return tuple((tuple(plus), tuple(other)) for plus, other in table)
 
 
 def check_choice_independence(batch: TrialBatch) -> dict:
@@ -332,12 +353,11 @@ def check_choice_independence(batch: TrialBatch) -> dict:
     `statlab.homogeneity` of its (n_plus, n - n_plus) columns flags at
     INDEPENDENCE_ALPHA / 2, so both wings together at INDEPENDENCE_ALPHA."""
     stats, flags = {}, []
-    runs = batch.histogram.__getitem__
+    runs, plan = batch.histogram, _plan()
     for wing, internal in (("alice", "Ai"), ("chidi", "Ci")):
         columns = {}  # per choice pair: the runs with internal +1, the rest
-        for key, (plus, other) in zip(_CHOICE_PAIRS,
-                                      _choice_codes(TABLES["k"], TABLES[internal])):
-            a, b = sum(map(runs, plus)), sum(map(runs, other))
+        for key, (plus, other) in zip(_CHOICE_PAIRS, plan[internal]):
+            a, b = sum(plus(runs)), sum(other(runs))
             if a + b:
                 columns[key] = (a, b)
         if len(columns) < 2:
@@ -376,30 +396,13 @@ def circuit_audit(batch: TrialBatch) -> tuple[list[dict], tuple[tuple[int, ...],
     return checks, tables, {"estimate": s_mc, "stderr": stderr, "analytic": s_analytic}
 
 
-def _wing_valid(asks: bool, outcome: int, external: int, relation: int, internal: int) -> bool:
-    """An asked wing has a relation and external = internal * relation, a
-    supermeasured wing only its super outcome."""
-    return (outcome == 0 and abs(relation) == 1 and external == internal * relation if asks
-            else abs(outcome) == 1 and external == relation == 0)
-
-
-@lru_cache(maxsize=8)
-def _invalid_codes(*tables: tuple[int, ...]) -> tuple[int, ...]:
-    """The codes whose k and VARIABLES, read from `tables` in that order,
-    break the presence discipline or the product identity."""
-    return tuple(code for code, (k, ai, ci, a, b, c, d, ar, cr) in enumerate(zip(*tables))
-                 if not (abs(ai) == abs(ci) == 1 and _wing_valid(_B_ASKS[k], b, a, ar, ai)
-                         and _wing_valid(_D_ASKS[k], d, c, cr, ci)))
-
-
 def audit(batch: TrialBatch) -> tuple[list[dict], tuple[int, ...], dict]:
     """The frame-relational audit of a batch.  Returns seven check dicts (the
     presence discipline and product identity on every run, the four observed
     pairs against their Born joints, the internal joint against uniform,
     choice independence), the internal (Ai, Ci) count table and the
     independence report of `check_choice_independence`."""
-    invalid = sum(map(batch.histogram.__getitem__,
-                      _invalid_codes(*(TABLES[name] for name in ("k", *VARIABLES)))))
+    invalid = sum(_plan()["invalid"](batch.histogram))
     n = len(batch)
     checks = [statlab.check("presence/product violations", invalid, 0.0, n=n)]
     checks += observed_pair_checks(batch)[1]

@@ -209,16 +209,17 @@ def circuit_targets(cfg: LFConfig) -> mp.PairTargets:
     return mp.PairTargets.from_born(born_tables(cfg), SNAP)
 
 
-def snap_resolution(cfg: LFConfig) -> dict | None:
-    """None, or the report's "resolution" entry when the largest float Born
-    CHSH variant lies within 2/SNAP (plus round-off) of 2: the snap moves
-    each of the four correlators by at most 1/(2*SNAP), so a verdict on
-    `circuit_targets(cfg)` then holds for the snapped targets only."""
+@lru_cache(maxsize=8)
+def snap_resolution(cfg: LFConfig) -> MappingProxyType | None:
+    """None, or the report's read-only "resolution" entry, memoized on the
+    frozen config, when the largest float Born CHSH variant is within 2/SNAP
+    (plus round-off) of 2: the snap moves each correlator by at most
+    1/(2*SNAP), so a verdict on `circuit_targets(cfg)` holds for them, not the circuit."""
     top = max(sign_variants(pair_correlations(cfg).values()).values())
     if abs(top - 2) > 2 / SNAP + ATOL:
         return None
-    return {"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
-            "largest_born_variant": top}
+    return MappingProxyType({"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
+                             "largest_born_variant": top})
 
 
 @lru_cache(maxsize=8)

@@ -85,5 +85,5 @@ def feasibility_report(t: mp.PairTargets, resolution) -> str:
               "chsh_value": str(Fraction(s, t.scale)), "chsh_value_float": s / t.scale,
               "joint_4": verdict_json(v4), "joint_6": verdict_json(v6),
               "fine_criterion": fine, "methods_agree": agree,
-              **({"resolution": resolution} if resolution else {})}
+              **({"resolution": dict(resolution)} if resolution else {})}
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from fraction_targets import verdict_json
 from test_relmodel import reference_rows
 
-from friendlab import acceptance, cli, hilbert, relmodel, scenarios
+from friendlab import acceptance, cli, hilbert, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
 
@@ -131,8 +131,10 @@ def test_pins_are_distinct_and_every_run_names_a_command():
 
 
 # run in a fresh interpreter with the path of a targets file: the package
-# imports no submodule, marginal_polytope only statlab, deciding the file no
-# numpy, and a module of __all__ resolves as an attribute on first use
+# imports no submodule, marginal_polytope only statlab, deciding the file
+# only cli besides (no numpy, and no scenarios or hilbert, which checking a
+# default such as basic's --amps would load), and a module of __all__
+# resolves as an attribute on first use
 NUMPY_FREE_START = """
 import sys
 
@@ -145,7 +147,7 @@ import friendlab.marginal_polytope
 assert loaded() == ["friendlab.marginal_polytope", "friendlab.statlab"], loaded()
 from friendlab import cli
 assert cli.main(["feasibility", "--targets", sys.argv[1], "--format", "json"]) == 0
-assert "numpy" not in sys.modules, loaded()
+assert loaded() == ["friendlab.cli", "friendlab.marginal_polytope", "friendlab.statlab"], loaded()
 assert friendlab.relmodel is sys.modules["friendlab.relmodel"]
 try:
     friendlab.nope
@@ -267,6 +269,26 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # far from the boundary the reports are unchanged (see the sha256 pins)
     _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", "0,90,0,135")
     assert "resolution" not in out
+
+
+def test_a_memoized_resolution_reaches_no_report_as_a_shared_object(monkeypatch):
+    # snap_resolution is memoized and read-only: a report gets its own copy,
+    # so changing one report's entry leaves the next report's as it was
+    cfg = LFConfig(*map(float, pins.SNAPPED.split(",")))
+    expected = {"snap": "1/1000000", "undecided_band": "2 +/- 2/1000000",
+                "largest_born_variant": max(statlab.sign_variants(
+                    scenarios.pair_correlations(cfg).values()).values())}
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda args, report, *rest, **spliced: reports.append(report))
+    for argv in (["feasibility", "--from-angles"], ["relmodel", "--trials", "100"]):
+        for _ in range(2):
+            cli.main([*argv, "--angles", pins.SNAPPED])
+            assert reports[-1]["resolution"] == expected
+            reports[-1]["resolution"]["snap"] = "1/2"
+    resolution = scenarios.snap_resolution(cfg)
+    assert resolution is scenarios.snap_resolution(cfg) and resolution == expected
+    with pytest.raises(TypeError):
+        resolution["snap"] = "1/2"
 
 
 def test_feasibility_targets_file_feasible(capsys, tmp_path):
@@ -729,6 +751,38 @@ def test_non_integer_config_value_is_input_error(capsys, tmp_path, command, key)
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == cli.EXIT_INPUT, value
         assert out == "" and f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", [[command] for command in cli.COMMANDS]
+                         + [["feasibility", "--from-angles"]])
+def test_each_default_reads_as_checked_afresh(argv):
+    # a command's defaults are checked on its first call and kept; every call
+    # must still read what checking each Flag.default afresh gives
+    command, switched = argv[0], "--from-angles" in argv
+    fresh = {key: None if spec.only_with and not switched
+             else cli._checked(key, spec, spec.default)
+             for key, spec in cli._KEYED[command].items()}
+    if switched:
+        fresh["from_angles"] = True
+    for _ in range(2):
+        args = cli.parse_args(argv)
+        cli._read_flags(args, {})
+        assert vars(args) == {"command": command, "func": cli.COMMANDS[command][0], **fresh}
+
+
+def test_a_config_value_still_overrides_a_kept_default(capsys, tmp_path, monkeypatch):
+    cli._read_flags(cli.parse_args(["relmodel"]), {})  # each default checked and kept
+    args = cli.parse_args(["relmodel", "--seed", "5"])
+    cli._read_flags(args, {"trials": 1000, "seed": 3, "angles": "0,90,0,135"})
+    assert (args.trials, args.seed, args.angles) == (1000, 5, LFConfig(0, 90, 0, 135))
+    args = cli.parse_args(["relmodel"])
+    cli._read_flags(args, {"angles": None, "format": "json"})  # null angles: the default
+    assert (args.trials, args.angles, args.format) == (400000, LFConfig(), "json")
+    forbid_work(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": 1.5}')
+    assert run(capsys, "relmodel", "--config", str(cfg)) == (
+        cli.EXIT_INPUT, "", "error: trials must be an integer, got 1.5\n")
 
 
 def test_bad_angles_in_config_is_input_error(capsys, tmp_path):

@@ -329,6 +329,8 @@ TABLE = st.lists(SIGNED, min_size=64, max_size=64)
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=300), TABLE, TABLE)
 @example([5, 17, 63], [0] * 64, [1] * 64)
+@example([0, 0, 5], [1] + [0] * 63, [1] * 64)  # one cell of one code, three of none
+@example([0, 1, 1], [1, 1] + [0] * 62, [1] * 64)  # one cell of two codes
 def test_empirical_pair_table_is_a_plain_count(codes, x, y):
     # arbitrary code columns read through arbitrary Ai and Ci tables
     batch = batch_of(codes)
@@ -370,6 +372,27 @@ def test_choice_independence_flags_planted_dependence():
     flag = report["flags"][0]
     assert flag["df"] == 3 and flag["statistic"] > flag["critical"]
     assert flag["critical"] == statlab.chi2_critical(relmodel.INDEPENDENCE_ALPHA / 2, 3)
+
+
+def test_choice_independence_keeps_every_choice_pair_with_runs():
+    # one run of each code: each choice pair's internal outcome is +1 on
+    # exactly half its runs; then the runs of the two pairs where Bob asks
+    for codes, df in ((range(64), 3), (range(32), 1)):
+        report = relmodel.check_choice_independence(batch_of(codes))
+        for wing in ("alice", "chidi"):
+            stats = report["stats"][wing]
+            assert list(stats) == list(relmodel._CHOICE_PAIRS[:df + 1])
+            assert all(s == {"n": 16, "n_plus": 8} for s in stats.values())
+        assert report["flags"] == []
+
+
+def test_choice_independence_flags_a_statistic_above_its_critical_value_only(monkeypatch):
+    batch = batch_of(range(64))
+    for statistic, flagged in ((7.5, False), (math.nextafter(7.5, 8), True)):
+        monkeypatch.setattr(statlab, "homogeneity", lambda columns, alpha: {
+            "statistic": statistic, "df": len(columns) - 1, "critical": 7.5})
+        flags = relmodel.check_choice_independence(batch)["flags"]
+        assert [f["wing"] for f in flags] == (["alice", "chidi"] if flagged else [])
 
 
 def test_choice_independence_needs_variation():
@@ -485,8 +508,9 @@ def decoded_tables(**edits):
 
 def reference_audit(batch, values):
     """From per-code `values`, summed code by code: the runs breaking the
-    presence discipline or product identity, the (Ai, Ci) count table and
-    the choice-independence entry."""
+    presence discipline or product identity, the (Ai, Ci) count table, the
+    choice-independence entry and each observed pair's count table, in
+    PAIR_IDS order."""
     def valid(asks, outcome, external, relation, internal):
         return (outcome == 0 and relation in (1, -1) and external == internal * relation
                 if asks else outcome in (1, -1) and external == relation == 0)
@@ -509,28 +533,39 @@ def reference_audit(batch, values):
         test = statlab.homogeneity(list(used.values()), relmodel.INDEPENDENCE_ALPHA / 2)
         if test["statistic"] > test["critical"]:
             flags.append({"wing": wing, **test})
-    return invalid, tuple(internal), {"stats": stats, "flags": flags}
+    pairs = {pair: [0] * 4 for pair in PAIR_IDS}
+    for v, runs in zip(values, batch.histogram):
+        for (x, y), table in pairs.items():
+            if v[x] and v[y]:
+                table[statlab.PAIR_CELLS.index((v[x], v[y]))] += runs
+    return (invalid, tuple(internal), {"stats": stats, "flags": flags},
+            tuple(map(tuple, pairs.values())))
 
 
 def test_the_audits_read_the_tables_as_they_are_at_each_call():
-    # the audits' code lists are memoized; a table edited under mock.patch.dict
-    # and then restored must be read as it is at each call, never through
-    # lists found for the other contents
+    # the audits' read plan is memoized; a table edited under mock.patch.dict
+    # and then restored must be read as it is at each call, never through a
+    # plan built for the other contents
     batch = relmodel.simulate_batch(LFConfig(), 20000, 4)
     code = next(c for c in range(64) if c >> 4 == 0 and batch.histogram[c])  # pair AC
     t = relmodel.TABLES
     real = reference_audit(batch, decoded_tables())
-    for name, value in (("Ar", -t["Ar"][code]), ("Ai", -t["Ai"][code]), ("k", 1)):
+    for name, value in (("Ar", -t["Ar"][code]), ("Ai", -t["Ai"][code]), ("k", 1),
+                        ("C", -t["C"][code])):
         want = reference_audit(batch, decoded_tables(**{name: (code, value)}))
         assert want != real
         for tables, expected in (({}, real), ({name: edited(t[name], code, value)}, want),
                                  ({}, real)):
             with mock.patch.dict(relmodel.TABLES, tables):
                 checks, internal, independence = relmodel.audit(batch)
-                got = (checks[0]["observed"], internal, independence)
+                pairs, pair_checks = relmodel.observed_pair_checks(batch)
+                got = (checks[0]["observed"], internal, independence, pairs)
                 assert got == expected, name
+                assert checks[1:5] == pair_checks
                 assert relmodel.empirical_pair_table(batch, ("Ai", "Ci")) == expected[1]
                 assert relmodel.check_choice_independence(batch) == expected[2]
+                circuit_checks, circuit_pairs, _ = relmodel.circuit_audit(batch)
+                assert circuit_pairs == expected[3] and circuit_checks[:4] == pair_checks
 
 
 PP, PA, NO_M2 = (scenarios.ROVELLI_RECORDS.index(r) for r in ("PP", "PA", "noM2"))

@@ -11,12 +11,12 @@ processes timed apart also time the host's state at each; one process
 serving both sides in turn does not.  Prints, per item kind (the argv's
 first flag), each side's median and mean milliseconds per item, their
 ratios change/parent and the median of the items' own ratios, and whether
-every exit code and output byte was equal.  A tree run against itself
-shows the spread of these ratios that no code causes.  --layer MODULE.NAME
-(or MODULE.CLASS.NAME) times the calls of that function inside each call
-instead, patched where the name is looked up in that module (or class);
-items that never call it are left out.  Standard library only; the
-workloads import numpy.
+every exit code and output byte was equal; exits 1 where one differs, 0
+otherwise.  A tree run against itself shows the spread of these ratios that
+no code causes.  --layer MODULE.NAME (or MODULE.CLASS.NAME) times the calls
+of that function inside each call instead, patched where the name is looked
+up in that module (or class); items that never call it are left out.
+Standard library only; the workloads import numpy.
 """
 
 import argparse
@@ -81,7 +81,7 @@ def serve(workload, opts, tmp: Path) -> tuple[dict, bool]:
     return times, equal
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent"), ap.add_argument("change")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -102,7 +102,8 @@ def main() -> None:
               f"(x{p50[1] / p50[0]:.3f}), mean {mean[0]:.4f} -> {mean[1]:.4f} ms "
               f"(x{mean[1] / mean[0]:.3f}), median item ratio x{paired:.3f}")
     print(f"  every exit code and output byte equal: {equal}")
+    return 0 if equal else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
