@@ -132,9 +132,9 @@ def test_pins_are_distinct_and_every_run_names_a_command():
 
 # run in a fresh interpreter with the path of a targets file: the package
 # imports no submodule, marginal_polytope only statlab, deciding the file
-# only cli besides (no numpy, and no scenarios or hilbert, which checking a
-# default such as basic's --amps would load), and a module of __all__
-# resolves as an attribute on first use
+# loads only cli besides them (no numpy, and no scenarios or hilbert, which
+# checking a default such as basic's --amps would load), and a module of
+# __all__ resolves as an attribute on first use
 NUMPY_FREE_START = """
 import sys
 
