@@ -20,6 +20,7 @@ Modules, none importing one listed below it, each imported on first use:
 * cli -- command-line orchestration; each command imports what it uses.
 """
 
+import functools
 import importlib
 
 __all__ = ["hilbert", "scenarios", "marginal_polytope", "relmodel", "statlab"]
@@ -27,7 +28,14 @@ __all__ = ["hilbert", "scenarios", "marginal_polytope", "relmodel", "statlab"]
 __version__ = "0.1.0"
 
 
+@functools.cache
+def _submodule(name: str):
+    """The submodule `name`, imported on the first call; a later call is a
+    cache hit, where an import statement in a function runs importlib each time."""
+    return importlib.import_module(f"{__name__}.{name}")
+
+
 def __getattr__(name: str):  # PEP 562: `import friendlab` loads no numpy
     if name in __all__:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

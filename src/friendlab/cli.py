@@ -12,14 +12,15 @@ flags override the file, and a key that no flag of the command reads is an
 input error.  Each flag's Flag entry holds its kind, default and bounds, and
 `_read_flags` checks every argv and config value by them before the command
 starts (each default on the command's first call only), as it does an --out
-whose directory is missing or not writable, so a refused value costs no
-run.  JSON output is compact and canonical (sorted keys, no whitespace, one
-trailing newline), so identical (command, config, seed) triples produce
-byte-identical reports; `python -m json.tool` pretty-prints one.
-`feasibility` splices in `targets`, `joint_4` and `joint_6` as texts, each
-exact number written once by one `rational_texts` call, and `relmodel` its
-`analytic_feasibility` the same way and its `records` as pre-encoded rows;
-the C encoder writes each run of the other report keys in one call.
+that is a directory or whose directory is missing or not writable, so a
+refused value costs no run.  JSON output is compact and canonical (sorted
+keys, no whitespace, one trailing newline), so identical (command, config,
+seed) triples produce byte-identical reports; `python -m json.tool`
+pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
+`joint_6` as texts, each exact number written once by one `rational_texts`
+call, and `relmodel` its `analytic_feasibility` the same way and its
+`records` as pre-encoded rows; the C encoder writes each run of the other
+report keys in one call.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from collections import namedtuple
 from functools import lru_cache
 from types import SimpleNamespace
 
-from . import marginal_polytope as mp
-from . import statlab
+from . import _submodule, statlab
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -122,7 +122,7 @@ def _tolerance_lines(checks: list[dict]) -> str:
 # --- basic ------------------------------------------------------------------
 
 def cmd_basic(args: SimpleNamespace) -> int:
-    from . import hilbert, scenarios
+    hilbert, scenarios = _submodule("hilbert"), _submodule("scenarios")
     (a, b, state), outcome = args.amps, args.outcome
     report = {"command": "basic", "amplitudes": {"a": a, "b": b},
               "entangled_amps": [[x.real, x.imag] for x in state.amps],
@@ -158,7 +158,7 @@ def cmd_basic(args: SimpleNamespace) -> int:
 # --- lf ---------------------------------------------------------------------
 
 def cmd_lf(args: SimpleNamespace) -> int:
-    from . import relmodel, scenarios
+    relmodel, scenarios = _submodule("relmodel"), _submodule("scenarios")
     cfg, trials, seed = args.angles, args.trials, args.seed
     checks, tables, chsh = relmodel.circuit_audit(relmodel.simulate_batch(cfg, trials, seed))
     analytic = scenarios.pair_correlations(cfg)
@@ -193,13 +193,14 @@ def cmd_lf(args: SimpleNamespace) -> int:
 # --- feasibility ------------------------------------------------------------
 
 def cmd_feasibility(args: SimpleNamespace) -> int:
+    mp = _submodule("marginal_polytope")
     if args.targets and args.from_angles:
         raise InputError("give either --targets or --from-angles, not both")
     resolution = None
     if args.targets:
         targets = mp.PairTargets.from_json_dict(_read_json(args.targets, "targets", _exact_json))
     elif args.from_angles:
-        from . import scenarios
+        scenarios = _submodule("scenarios")
         targets = scenarios.circuit_targets(args.angles)
         resolution = scenarios.snap_resolution(args.angles)
     else:
@@ -243,7 +244,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
 # --- relmodel ---------------------------------------------------------------
 
 def cmd_relmodel(args: SimpleNamespace) -> int:
-    from . import relmodel, scenarios
+    mp, relmodel, scenarios = map(_submodule, ("marginal_polytope", "relmodel", "scenarios"))
     cfg, trials, seed, planted = args.angles, args.trials, args.seed, args.planted_violation
     batch = relmodel.simulate_batch(cfg, trials, seed)
     if planted:  # a debug self-test: it must trip the choice-independence audit
@@ -279,7 +280,7 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
 # --- rovelli ----------------------------------------------------------------
 
 def cmd_rovelli(args: SimpleNamespace) -> int:
-    from . import relmodel, scenarios
+    relmodel, scenarios = _submodule("relmodel"), _submodule("scenarios")
     trials, seed, cfg = args.trials, args.seed, scenarios.RovelliConfig(trigger=args.trigger)
     checks, states, runs = relmodel.rovelli_audit(cfg, trials, seed)
     report = {"command": "rovelli", **cfg.to_json_dict(), "trials": trials, "seed": seed,
@@ -304,8 +305,7 @@ def cmd_rovelli(args: SimpleNamespace) -> int:
 # --- accept -----------------------------------------------------------------
 
 def cmd_accept(args: SimpleNamespace) -> int:
-    from . import acceptance
-    report = acceptance.run_all(args.seed)
+    report = _submodule("acceptance").run_all(args.seed)
     report["command"] = "accept"
 
     def table(rep: dict) -> str:
@@ -325,13 +325,12 @@ def cmd_accept(args: SimpleNamespace) -> int:
 
 def _amplitudes(amps):
     """--amps: "a,b" as the two floats and the sealed-lab state they give."""
-    from .scenarios import build_basic_wf_state
     parts = [p.strip() for p in str(amps).split(",")]
     if len(parts) != 2:
         raise InputError("--amps needs two comma-separated amplitudes a,b")
     try:
         a, b = float(parts[0]), float(parts[1])
-        return a, b, build_basic_wf_state(a, b)
+        return a, b, _submodule("scenarios").build_basic_wf_state(a, b)
     except ValueError as exc:  # not a float, or not normalized
         raise InputError(str(exc)) from exc
 
@@ -339,7 +338,7 @@ def _amplitudes(amps):
 def _lf_config(angles):
     """--angles: the circuit's LFConfig from "a,b,c,d" degrees, a 4-list or
     an object of the four; the default circuit where None."""
-    from .scenarios import LFConfig
+    LFConfig = _submodule("scenarios").LFConfig
     if angles is None:
         return LFConfig()
     if isinstance(angles, str):
@@ -563,6 +562,8 @@ def _read_flags(args: SimpleNamespace, config: dict) -> None:
         directory = os.path.dirname(args.out) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise InputError(f"cannot write {args.out}: no writable directory {directory!r}")
+        if os.path.isdir(args.out):
+            raise InputError(f"cannot write {args.out}: it is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -573,7 +574,10 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("config file must hold a JSON object")
         _read_flags(args, config)
         return args.func(args)
-    except (InputError, mp.TargetError) as exc:
+    except ValueError as exc:  # the module that raises a TargetError is loaded by then
+        if not (isinstance(exc, InputError)
+                or isinstance(exc, _submodule("marginal_polytope").TargetError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

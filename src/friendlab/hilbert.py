@@ -25,7 +25,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 ATOL = 1e-10
 
@@ -35,21 +35,19 @@ class LayoutError(ValueError):
     reading of no factor or of one factor twice."""
 
 
-@dataclass(frozen=True)
-class FactorLayout:
+class FactorLayout(namedtuple("FactorLayout", "factors")):
     """Ordered, named tensor factors. The first factor is the most significant
-    index digit: basis state |i0 i1 ...> maps to a single flat index."""
+    index digit: basis state |i0 i1 ...> maps to a single flat index.  No
+    __slots__: the cached properties keep their values in its __dict__."""
 
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        factors = tuple((str(n), int(d)) for n, d in self.factors)
-        object.__setattr__(self, "factors", factors)
+    def __new__(cls, factors: tuple[tuple[str, int], ...]):
+        factors = tuple((str(n), int(d)) for n, d in factors)
         names = [n for n, _ in factors]
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate factor names in {names}")
         if any(d < 1 for _, d in factors):
             raise LayoutError("factor dimensions must be positive")
+        return super().__new__(cls, factors)
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
@@ -70,14 +68,12 @@ class FactorLayout:
             raise LayoutError(f"no factor named {name!r} in {self.names}") from None
 
 
-@dataclass(frozen=True)
-class StateVector:
-    layout: FactorLayout
-    amps: tuple[float | complex, ...] = field(repr=False)
+class StateVector(namedtuple("StateVector", "layout amps")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        amps = tuple(self.amps)
-        if len(amps) != self.layout.dim:
+    def __new__(cls, layout: FactorLayout, amps):
+        amps = tuple(amps)
+        if len(amps) != layout.dim:
             raise LayoutError("amplitude length does not match layout dimension")
         if not all(map(cmath.isfinite, amps)):
             raise ValueError("amplitudes must be finite")
@@ -85,7 +81,7 @@ class StateVector:
         norm = math.hypot(*map(abs, amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amps", amps)
+        return super().__new__(cls, layout, amps)
 
     @classmethod
     def from_terms(cls, layout: FactorLayout,

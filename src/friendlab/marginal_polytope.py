@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .statlab import PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
@@ -120,35 +120,32 @@ def _plus(table, var: str, pair: str):
     return table[0] + (table[1] if pair[0] == var else table[2])
 
 
-@dataclass(frozen=True)
-class PairTargets:
+class PairTargets(namedtuple("PairTargets", "scale counts")):
     """The four pairwise tables as int `counts`, 4-tuples in PAIR_CELLS
     order, over one common denominator `scale`, in lowest terms: counts
-    given over a larger scale are reduced."""
+    given over a larger scale are reduced.  No __slots__: the cached
+    properties keep their values in its __dict__."""
 
-    scale: int
-    counts: dict[str, tuple[int, ...]]
-
-    def __post_init__(self):
-        if set(self.counts) != set(PAIR_IDS):
-            raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(self.counts)}")
-        ac, ad, bc, bd = tables = [self.counts[pair] for pair in PAIR_IDS]
+    def __new__(cls, scale: int, counts: dict[str, tuple[int, ...]]):
+        if set(counts) != set(PAIR_IDS):
+            raise TargetError(f"need tables for exactly {PAIR_IDS}, got {sorted(counts)}")
+        ac, ad, bc, bd = tables = [counts[pair] for pair in PAIR_IDS]
         for pair, cells in zip(PAIR_IDS, tables):
             if len(cells) != len(PAIR_CELLS):
                 raise TargetError(f"table {pair} must have {len(PAIR_CELLS)} cells")
             if min(cells) < 0:
                 raise TargetError(f"table {pair} has a negative cell")
-            if self.scale <= 0 or sum(cells) != self.scale:
+            if scale <= 0 or sum(cells) != scale:
                 raise TargetError(f"table {pair} does not sum to 1")
-        g = math.gcd(self.scale, *ac, *ad, *bc, *bd)
+        g = math.gcd(scale, *ac, *ad, *bc, *bd)
         if g > 1:
-            object.__setattr__(self, "scale", self.scale // g)
-            object.__setattr__(self, "counts", {pair: tuple(n // g for n in cells)
-                                                for pair, cells in zip(PAIR_IDS, tables)})
+            scale //= g
+            counts = {pair: tuple(n // g for n in cells) for pair, cells in zip(PAIR_IDS, tables)}
         for var, (p1, p2) in _SINGLE_SOURCES.items():
-            if _plus(self.counts[p1], var, p1) != _plus(self.counts[p2], var, p2):
+            if _plus(counts[p1], var, p1) != _plus(counts[p2], var, p2):
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
+        return super().__new__(cls, scale, counts)
 
     @functools.cached_property
     def variants(self) -> dict[tuple[int, int, int, int], int]:
@@ -220,23 +217,20 @@ def fine_criterion(t: PairTargets) -> bool:
     return max(t.variants.values()) <= 2 * t.scale
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "feasible witness max_violation scale")):
     """`witness`: the glued joint's atom probabilities, or their six-variable
     lift, in `_cell_rows` column order, and `max_violation`: the largest CHSH
     sign variant minus 2, each an int count over the denominator `scale`, the
     targets' own."""
 
-    feasible: bool
-    witness: tuple[int, ...] | None
-    max_violation: int | None
-    scale: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.feasible and self.witness is None:
+    def __new__(cls, feasible, witness, max_violation, scale):
+        if feasible and witness is None:
             raise ValueError("feasible verdict requires a witness")
-        if not self.feasible and (self.max_violation is None or self.max_violation <= 0):
+        if not feasible and (max_violation is None or max_violation <= 0):
             raise ValueError("infeasible verdict requires a positive violation")
+        return super().__new__(cls, feasible, witness, max_violation, scale)
 
 
 @functools.cache

@@ -42,7 +42,6 @@ import json
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -114,14 +113,14 @@ _CSV_HEADER, *_CSV_LINES = csv_lines([RECORD_FIELDS, *(row.values() for row in _
 PLANTED = tuple(c & ~8 if _B_ASKS[c >> 4] else c | 8 for c in range(64))
 
 
-@dataclass(frozen=True, eq=False)
 class TrialBatch:
     """Runs as the histogram of their 64 codes plus the first runs' codes in
     order, both tuples of ints; TABLES gives k and each variable per code."""
 
-    config: LFConfig
-    histogram: tuple[int, ...]
-    first: tuple[int, ...]
+    __slots__ = ("config", "histogram", "first")
+
+    def __init__(self, config: LFConfig, histogram: tuple[int, ...], first: tuple[int, ...]):
+        self.config, self.histogram, self.first = config, histogram, first
 
     def __len__(self) -> int:
         return sum(self.histogram)

@@ -17,17 +17,18 @@ Four families of states:
 All builders are pure functions of immutable inputs.  A scenario's Born data
 is one memoized value of its frozen config: `born_tables` for the circuit,
 `rovelli_states` for the sequential scenario; `circuit_targets` makes exact
-targets of the circuit's Born tables, and `circuit_verdict` `decide`s them.
+targets of the circuit's Born tables, and `circuit_verdict` `decide`s them:
+the two load `marginal_polytope`, on their first call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import marginal_polytope as mp
+from . import _submodule
 from .hilbert import ATOL, FactorLayout, StateVector, apply, born_distribution, rotation_matrix
 from .statlab import CHOICE, PAIR_IDS, correlator, sign_variants
 
@@ -47,8 +48,7 @@ ROVELLI_RECORDS = ("PP", "PA", "noM2")
 _ANGLE_KEYS = {"ask_A": "ask_a", "super_A": "super_a", "ask_C": "ask_c", "super_C": "super_c"}
 
 
-@dataclass(frozen=True)
-class LFConfig:
+class LFConfig(namedtuple("LFConfig", "ask_a super_a ask_c super_c")):
     """Measurement angles (degrees) for the four-observer circuit.
 
     ask_* is the angle of the friend's own measurement (read out by asking
@@ -56,20 +56,18 @@ class LFConfig:
     The defaults hit the Tsirelson point S = 2*sqrt(2).
     """
 
-    ask_a: float = 0.0
-    super_a: float = 90.0
-    ask_c: float = 45.0
-    super_c: float = 135.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("ask_a", "super_a", "ask_c", "super_c"):
-            v = getattr(self, name)
+    def __new__(cls, ask_a=0.0, super_a=90.0, ask_c=45.0, super_c=135.0):
+        angles = []
+        for name, v in zip(cls._fields, (ask_a, super_a, ask_c, super_c)):
             if isinstance(v, bool):  # float(True) is 1.0, but JSON true is no angle
                 raise ValueError(f"{name} must be a number, got {v!r}")
             v = float(v)
             if not 0.0 <= v < 360.0:
                 raise ValueError(f"{name} must lie in [0, 360), got {v}")
-            object.__setattr__(self, name, v)
+            angles.append(v)
+        return super().__new__(cls, *angles)
 
     def to_json_dict(self) -> dict:
         return {"angles": {key: getattr(self, name) for key, name in _ANGLE_KEYS.items()}}
@@ -85,16 +83,16 @@ class LFConfig:
         return cls(**{name: a[key] for key, name in _ANGLE_KEYS.items()})
 
 
-@dataclass(frozen=True)
-class RovelliConfig:
+class RovelliConfig(namedtuple("RovelliConfig", "trigger")):
     """trigger: the first-measurement outcome (+1 parallel / -1 antiparallel)
     that makes the friend measure the second system."""
 
-    trigger: int = +1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trigger not in (+1, -1):
+    def __new__(cls, trigger: int = +1):
+        if trigger not in (+1, -1):
             raise ValueError("trigger must be +1 or -1")
+        return super().__new__(cls, trigger)
 
     def to_json_dict(self) -> dict:
         return {"rovelli": {"trigger": self.trigger}}
@@ -204,9 +202,9 @@ def pair_correlations(cfg: LFConfig) -> dict[str, float]:
     return {pair: correlator(table) for pair, table in born_tables(cfg).items()}
 
 
-def circuit_targets(cfg: LFConfig) -> mp.PairTargets:
+def circuit_targets(cfg: LFConfig) -> marginal_polytope.PairTargets:
     """The circuit's Born tables as exact targets snapped to multiples of 1/SNAP."""
-    return mp.PairTargets.from_born(born_tables(cfg), SNAP)
+    return _submodule("marginal_polytope").PairTargets.from_born(born_tables(cfg), SNAP)
 
 
 @lru_cache(maxsize=8)
@@ -223,10 +221,10 @@ def snap_resolution(cfg: LFConfig) -> MappingProxyType | None:
 
 
 @lru_cache(maxsize=8)
-def circuit_verdict(cfg: LFConfig) -> tuple[mp.FeasibilityVerdict, mp.FeasibilityVerdict,
-                                            bool, bool]:
-    """`mp.decide` of `circuit_targets(cfg)`, memoized on the frozen config."""
-    return mp.decide(circuit_targets(cfg))
+def circuit_verdict(cfg: LFConfig) -> tuple[marginal_polytope.FeasibilityVerdict,
+                                            marginal_polytope.FeasibilityVerdict, bool, bool]:
+    """`decide` of `circuit_targets(cfg)`, memoized on the frozen config."""
+    return _submodule("marginal_polytope").decide(circuit_targets(cfg))
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:

@@ -15,9 +15,9 @@ states, each with its inputs.
 runs every pin through the `friendlab` console script on PATH, in DIR (only
 the pins of the commands that load no numpy when numpy is not installed),
 then every run that sets no variable through `cli.main` in this process,
-which must leave numpy (after the numpy-free runs), argparse, fractions and
-decimal unloaded, and checks the float sums, the draws and the engine
-digests (without numpy, the three that need none).  It runs each demo in a
+which must leave numpy and dataclasses (after the numpy-free runs),
+argparse, fractions and decimal unloaded, and checks the float sums, the
+draws and the engine digests (without numpy, the three that need none).  It runs each demo in a
 child of this interpreter too (without numpy, those that load none) and
 checks its stdout against DEMO_SHA256.  It prints each run's wall time and
 each failure, and exits 1 on a failure.  Besides friendlab it
@@ -365,13 +365,14 @@ def in_process(directory, with_numpy: bool = True) -> dict:
     this process with `directory` as the working directory: the numpy-free
     runs first, then (`with_numpy`) the others.  Returns each pin's
     problems, by name, and the modules loaded that must not be: numpy,
-    argparse, fractions or decimal after the numpy-free runs, fractions or
-    decimal after all of them.  argv is read through cli.COMMANDS, as
+    argparse, fractions, decimal or dataclasses after the numpy-free runs,
+    fractions or decimal after all of them.  argv is read through cli.COMMANDS, as
     argparse and the gettext it loads would add about 2.6 ms to the start-up
     of every process."""
     os.chdir(directory)
     problems, loaded = {}, {}
-    stages = [(False, "after the numpy-free runs", ("numpy", "argparse", "fractions", "decimal"))]
+    stages = [(False, "after the numpy-free runs",
+               ("numpy", "argparse", "fractions", "decimal", "dataclasses"))]
     if with_numpy:
         stages.append((True, "after all runs", ("fractions", "decimal")))
     for numpy_runs, stage, modules in stages:

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -111,11 +110,11 @@ def test_pin(in_a_fresh_interpreter, tmp_path, name):
     assert problems == []
 
 
-def test_the_commands_load_no_fractions_nor_decimal(in_a_fresh_interpreter):
+def test_the_commands_load_no_module_they_do_not_use(in_a_fresh_interpreter):
     # every exact number of a report is an int over the targets' scale, written
     # by rational_texts, so no valid input loads fractions, nor the decimal
     # that fractions imports; no command but lf, relmodel and accept loads
-    # numpy, and none loads argparse
+    # numpy, none loads argparse, and no record class loads dataclasses
     assert in_a_fresh_interpreter["loaded"] == {"after the numpy-free runs": [],
                                                  "after all runs": []}
 
@@ -188,6 +187,7 @@ import sys
 from friendlab import cli
 assert cli.main(["rovelli", "--trials", "500", "--seed", "0", "--format", "json"]) == 0
 assert "numpy" not in sys.modules
+assert "friendlab.marginal_polytope" not in sys.modules
 """
 
 
@@ -198,6 +198,23 @@ def test_rovelli_loads_no_numpy():
     problems = pins.check(pins.PINS["rovelli 500 0 json"], child.returncode,
                           child.stdout.encode(), child.stderr)
     assert problems == []
+
+
+# run in a fresh interpreter: only a command that decides loads
+# marginal_polytope (NUMPY_FREE_ROVELLI checks rovelli)
+DECIDING_NOTHING = """
+import sys
+from friendlab import cli
+assert cli.main(["basic", "--format", "json"]) == 0
+assert cli.main(["lf", "--trials", "20000", "--format", "json"]) == 0
+assert "friendlab.marginal_polytope" not in sys.modules
+"""
+
+
+def test_basic_and_lf_load_no_marginal_polytope():
+    child = subprocess.run([sys.executable, "-c", DECIDING_NOTHING],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, monkeypatch):
@@ -331,7 +348,9 @@ def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, 
         v = real(t)
         parity = [math.prod(a) for a in itertools.product((1, -1), repeat=4)]
         c = -parity[0] * (v.witness[0] + v.scale // 8)
-        return dataclasses.replace(v, witness=tuple(n + c * s for n, s in zip(v.witness, parity)))
+        witness = tuple(n + c * s for n, s in zip(v.witness, parity))
+        # through the constructor, so the verdict's own checks run on it
+        return mp.FeasibilityVerdict(v.feasible, witness, v.max_violation, v.scale)
 
     monkeypatch.setattr(mp, "feasible_joint_4", shifted)
     targets = tmp_path / "targets.json"
@@ -897,17 +916,22 @@ def test_an_empty_config_path_is_refused_before_any_run(capsys, monkeypatch, com
     assert run(capsys, command, "--config=") == refused
 
 
-@pytest.mark.parametrize("out", ["missing-dir/report.json", "report.json/report.json"])
+@pytest.mark.parametrize("command, out, message", [
+    ("accept", "missing-dir/report.json", "no writable directory 'missing-dir'"),
+    ("accept", "report.json/report.json", "no writable directory 'report.json'"),
+    ("basic", ".", "it is a directory")],
+    ids=["missing-dir/report.json", "report.json/report.json", "out directory"])
 def test_an_out_in_no_writable_directory_is_refused_before_any_run(capsys, tmp_path,
-                                                                   monkeypatch, out):
-    # the directory is checked before the suite runs, so no run is wasted
+                                                                   monkeypatch, command, out,
+                                                                   message):
+    # the directory, and an --out that is one, is checked before the command
+    # runs, so no run is wasted
     forbid_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "report.json").write_text("")
-    code, stdout, err = run(capsys, "accept", "--format", "json", "--out", out)
+    code, stdout, err = run(capsys, command, "--format", "json", "--out", out)
     assert (code, stdout) == (cli.EXIT_INPUT, "")
-    directory = out.rpartition("/")[0]
-    assert err == f"error: cannot write {out}: no writable directory {directory!r}\n"
+    assert err == f"error: cannot write {out}: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
@@ -916,8 +940,6 @@ ANGLES = ("angles must be four degrees ask_A,super_A,ask_C,super_C as 'a,b,c,d',
 
 
 @pytest.mark.parametrize("given, message", [
-    # a directory passes the check before the run, and the write refuses it
-    ({"argv": ["basic", "--out", "."]}, "cannot write .: [Errno 21] Is a directory: '.'"),
     ({"argv": ["feasibility", "--targets", "grid.json", "--from-angles"],
       "files": {"grid.json": pins.GRID}}, "give either --targets or --from-angles, not both"),
     ({"argv": ["basic", "--amps", "1,2,3"]}, "--amps needs two comma-separated amplitudes a,b"),
@@ -934,7 +956,7 @@ ANGLES = ("angles must be four degrees ask_A,super_A,ask_C,super_C as 'a,b,c,d',
     ({"argv": ["feasibility", "--targets", "object.json"], "files": {"object.json": json.dumps(
         {**GRID_TARGETS, "AC": [[{"p": "3/8"}, "1/8"], ["1/8", "3/8"]]})}},
      "malformed targets: a target entry must be a number, got {'p': '3/8'}"),
-], ids=["out directory", "targets and from-angles", "three amps", "angles 5", "three angles",
+], ids=["targets and from-angles", "three amps", "angles 5", "three angles",
         "targets array", "null cell", "object cell"])
 def test_an_input_error_exits_2_with_its_line(capsys, tmp_path, monkeypatch, given, message):
     monkeypatch.chdir(tmp_path)

@@ -963,6 +963,22 @@ def test_a_second_outcome_off_the_trigger_fails_rovelli_and_criterion_5(monkeypa
     assert failed == ["second outcome iff trigger violations"] and result["pass"] is False
 
 
+@pytest.mark.parametrize("cell, failed", [
+    # first and second outcome -1: a second outcome on the other side's
+    # second row, where a run with second outcome +1 sits on its first
+    ((1, 1, NO_M2), "second outcome iff trigger violations"),
+    # first and second outcome +1 with record noM2: a trigger run whose
+    # record says no second measurement happened
+    ((0, 0, NO_M2), "inconsistent reports")], ids=["second row off the trigger", "noM2 on it"])
+def test_one_run_in_each_other_misplaced_cell_fails_rovelli(monkeypatch, capsys, cell, failed):
+    monkeypatch.setattr(relmodel, "simulate_rovelli", one_run_moved(cell))
+    code = cli.main(["rovelli", "--trials", "1000", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_FAIL and rep["pass"] is False
+    assert rep["second_iff_trigger"] is (failed == "inconsistent reports")
+    assert [(c["name"], c["observed"]) for c in rep["checks"] if not c["pass"]] == [(failed, 1.0)]
+
+
 def test_a_repeated_rovelli_config_rebuilds_no_branch_or_witness(monkeypatch):
     cfg = RovelliConfig(-1)
     relmodel.rovelli_audit(cfg, 10, 0)
