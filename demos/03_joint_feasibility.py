@@ -25,7 +25,7 @@ tsirelson = scenarios.circuit_targets(LFConfig())
 print(f"quantum targets: S = {chsh_text(tsirelson)}")
 v = mp.feasible_joint_4(tsirelson)
 print(f"  4-variable joint feasible: {v.feasible}, "
-      f"max violation over 2: {mp.rational_texts([v.max_violation], v.scale)[0]}")
+      f"max violation over 2: {mp.rational_texts([v.max_violation], tsirelson.scale)[0]}")
 print(f"  6-variable joint feasible: {mp.feasible_joint_6(v).feasible}")
 print(f"  closed-form criterion: {mp.fine_criterion(tsirelson)}")
 
@@ -34,4 +34,4 @@ shrunk = mp.PairTargets.from_correlators(
     {"AC": "1/2", "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
 v = mp.feasible_joint_4(shrunk)
 print(f"shrunk targets: S = {chsh_text(shrunk)}, feasible: {v.feasible}")
-print("  witness atom probabilities:", mp.rational_texts(v.witness, v.scale))
+print("  witness atom probabilities:", mp.rational_texts(v.witness, shrunk.scale))

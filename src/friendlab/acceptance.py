@@ -51,8 +51,7 @@ def criterion_1(seed: int) -> dict:
 def criterion_2(seed: int) -> dict:
     """Tsirelson targets infeasible and the 1/sqrt(2)-shrunk targets
     feasible; on those two and on every random target the methods agree."""
-    tsirelson = scenarios.circuit_targets(LFConfig())
-    v4, _, _, tsirelson_agree = scenarios.circuit_verdict(LFConfig())
+    tsirelson, (v4, _, _, tsirelson_agree), _ = scenarios.circuit_verdict(LFConfig())
     half = "1/2"
     shrunk = mp.PairTargets.from_correlators(
         {v: half for v in mp.VARS_4},

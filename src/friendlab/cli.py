@@ -20,7 +20,8 @@ pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
 `joint_6` as texts, each exact number written once by one `rational_texts`
 call, and `relmodel` its `analytic_feasibility` the same way and its
 `records` as pre-encoded rows; the C encoder writes each run of the other
-report keys in one call.
+report keys in one call.  `feasibility --from-angles` and `relmodel` read
+`scenarios.circuit_verdict`, and make each "resolution" entry fresh.
 """
 
 from __future__ import annotations
@@ -107,8 +108,14 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
+def _resolution(top: float) -> dict:
+    """A fresh "resolution" entry for the snap caveat `top` of scenarios.circuit_verdict."""
+    snap = _submodule("scenarios").SNAP
+    return {"snap": f"1/{snap}", "undecided_band": f"2 +/- 2/{snap}", "largest_born_variant": top}
+
+
 def _resolution_line(resolution: dict) -> str:
-    """The table's line for a "resolution" entry (scenarios.snap_resolution)."""
+    """The table's line for a "resolution" entry."""
     return (f"  resolution: verdicts on targets snapped to {resolution['snap']}, not the circuit "
             f"(largest CHSH variant {resolution['undecided_band']})")
 
@@ -196,17 +203,14 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
     mp = _submodule("marginal_polytope")
     if args.targets and args.from_angles:
         raise InputError("give either --targets or --from-angles, not both")
-    resolution = None
     if args.targets:
         targets = mp.PairTargets.from_json_dict(_read_json(args.targets, "targets", _exact_json))
+        (v4, v6, fine, agree), top = mp.decide(targets), None
     elif args.from_angles:
-        scenarios = _submodule("scenarios")
-        targets = scenarios.circuit_targets(args.angles)
-        resolution = scenarios.snap_resolution(args.angles)
+        targets, (v4, v6, fine, agree), top = _submodule("scenarios").circuit_verdict(args.angles)
     else:
         raise InputError("feasibility needs --targets FILE or --from-angles")
 
-    v4, v6, fine, agree = mp.decide(targets)
     s = targets.variants[statlab.CHSH_SIGNS]
     # every exact number's text from one call: S, the 16 cells, then each
     # verdict's witness or violation
@@ -216,8 +220,8 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
     report = {"command": "feasibility", "chsh_value": texts[0],
               "chsh_value_float": s / targets.scale,  # int / int is correctly rounded
               "fine_criterion": fine, "methods_agree": agree}
-    if resolution:
-        report["resolution"] = dict(resolution)
+    if top is not None:
+        report["resolution"] = _resolution(top)
 
     def table(rep: dict) -> str:
         lines = [f"pairwise targets: S = {rep['chsh_value']} ~ {rep['chsh_value_float']:.4f}",
@@ -228,8 +232,8 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
             lines.append(f"  witness atoms (A,B,C,D lexicographic): {texts4}")
         else:
             lines.append(f"  max violation over 2: {texts4[0]}")
-        if resolution:
-            lines.append(_resolution_line(resolution))
+        if "resolution" in rep:
+            lines.append(_resolution_line(rep["resolution"]))
         if not agree:
             lines.append("  METHOD DISAGREEMENT - this is a bug")
         return "\n".join(lines) + "\n"
@@ -250,23 +254,22 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
     if planted:  # a debug self-test: it must trip the choice-independence audit
         batch = batch.planted()
     checks, internal, independence = relmodel.audit(batch)
-    v4, _, _, agree = scenarios.circuit_verdict(cfg)
-    texts = mp.rational_texts(v4.witness or (v4.max_violation,), v4.scale)
-    resolution = scenarios.snap_resolution(cfg)
+    targets, (v4, _, _, agree), top = scenarios.circuit_verdict(cfg)
+    texts = mp.rational_texts(v4.witness or (v4.max_violation,), targets.scale)
     report = {"command": "relmodel", **cfg.to_json_dict(), "trials": trials,
               "seed": seed, "planted_violation": planted,
               "internal_joint": {f"{x:+d},{y:+d}": f
                                  for (x, y), f in zip(statlab.PAIR_CELLS, statlab.freqs(internal))},
               "independence": independence,
               "checks": checks, "pass": all(c["pass"] for c in checks)}
-    if resolution:  # the analytic verdict is about the snapped targets
-        report["resolution"] = dict(resolution)
+    if top is not None:  # the analytic verdict is about the snapped targets
+        report["resolution"] = _resolution(top)
 
     def table(rep: dict) -> str:
         lines = [f"frame-relational model, trials={trials} seed={seed}",
                  f"  internal joint (Ai,Ci): {rep['internal_joint']}",
                  f"  analytic targets feasible: {v4.feasible}",
-                 *([_resolution_line(resolution)] if resolution else []),
+                 *([_resolution_line(rep["resolution"])] if "resolution" in rep else []),
                  _tolerance_lines(rep["checks"])]
         return "\n".join(lines) + "\n"
 

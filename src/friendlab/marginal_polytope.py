@@ -30,6 +30,7 @@ import math
 import operator
 import re
 from collections import namedtuple
+from types import MappingProxyType
 
 from .statlab import PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
@@ -121,9 +122,9 @@ def _plus(table, var: str, pair: str):
 
 
 class PairTargets(namedtuple("PairTargets", "scale counts")):
-    """The four pairwise tables as int `counts`, 4-tuples in PAIR_CELLS
-    order, over one common denominator `scale`, in lowest terms: counts
-    given over a larger scale are reduced.  No __slots__: the cached
+    """The four pairwise tables as int `counts` (read-only), 4-tuples in
+    PAIR_CELLS order, over one common denominator `scale`, in lowest terms:
+    counts given over a larger scale are reduced.  No __slots__: the cached
     properties keep their values in its __dict__."""
 
     def __new__(cls, scale: int, counts: dict[str, tuple[int, ...]]):
@@ -145,12 +146,12 @@ class PairTargets(namedtuple("PairTargets", "scale counts")):
             if _plus(counts[p1], var, p1) != _plus(counts[p2], var, p2):
                 raise TargetError(
                     f"single-variable marginal of {var} disagrees between {p1} and {p2}")
-        return super().__new__(cls, scale, counts)
+        return super().__new__(cls, scale, MappingProxyType(counts))
 
     @functools.cached_property
-    def variants(self) -> dict[tuple[int, int, int, int], int]:
-        """scale times each CHSH sign variant (statlab.sign_variants)."""
-        return sign_variants([correlator(self.counts[pair]) for pair in PAIR_IDS])
+    def variants(self) -> MappingProxyType[tuple[int, int, int, int], int]:
+        """scale times each CHSH sign variant (statlab.sign_variants), read-only."""
+        return MappingProxyType(sign_variants([correlator(self.counts[pair]) for pair in PAIR_IDS]))
 
     @functools.cached_property
     def cell_counts(self) -> tuple[int, ...]:
@@ -217,20 +218,20 @@ def fine_criterion(t: PairTargets) -> bool:
     return max(t.variants.values()) <= 2 * t.scale
 
 
-class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "feasible witness max_violation scale")):
+class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "feasible witness max_violation")):
     """`witness`: the glued joint's atom probabilities, or their six-variable
     lift, in `_cell_rows` column order, and `max_violation`: the largest CHSH
-    sign variant minus 2, each an int count over the denominator `scale`, the
-    targets' own."""
+    sign variant minus 2, each an int count over the scale of the targets
+    decided, which every reader of a verdict holds."""
 
     __slots__ = ()
 
-    def __new__(cls, feasible, witness, max_violation, scale):
+    def __new__(cls, feasible, witness, max_violation):
         if feasible and witness is None:
             raise ValueError("feasible verdict requires a witness")
         if not feasible and (max_violation is None or max_violation <= 0):
             raise ValueError("infeasible verdict requires a positive violation")
-        return super().__new__(cls, feasible, witness, max_violation, scale)
+        return super().__new__(cls, feasible, witness, max_violation)
 
 
 @functools.cache
@@ -299,7 +300,7 @@ def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
     sides = [(xc[0], xd[0], xc[0] + xc[1]) for xc, xd in ((ac, ad), (bc, bd))]
     q = max(0, c + d - n, *(max(xc + xd - x, c + d + x - n - xc - xd) for xc, xd, x in sides))
     if q > min(c, d, *(min(c + xd - xc, d + xc - xd) for xc, xd, _ in sides)):
-        return FeasibilityVerdict(False, None, max(t.variants.values()) - 2 * n, n)
+        return FeasibilityVerdict(False, None, max(t.variants.values()) - 2 * n)
     plus = []  # N(X+, c, d) on the (C, D) cells in PAIR_CELLS order
     for xc, xd, x in sides:
         r = max(0, xc + xd - x, xc + q - c, xd + q - d)
@@ -309,7 +310,7 @@ def feasible_joint_4(t: PairTargets) -> FeasibilityVerdict:
     # (A, B) = (+, +), (+, -), (-, +), (-, -) in turn, each over the (C, D) cells
     witness = (*both, *map(operator.sub, a, both), *map(operator.sub, b, both),
                *(k - max(x, y) for k, x, y in zip((q, c - q, d - q, n - c - d + q), a, b)))
-    return FeasibilityVerdict(True, witness, None, n)
+    return FeasibilityVerdict(True, witness, None)
 
 
 def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
@@ -323,7 +324,7 @@ def feasible_joint_6(v4: FeasibilityVerdict) -> FeasibilityVerdict:
     witness = [0] * 2 ** len(VARS_6)
     for k, n in enumerate(v4.witness):  # atom bits (A, B, C, D) -> (Ar, B, Cr, D)
         witness[((k & 12) << 1) | (k & 3)] = n
-    return FeasibilityVerdict(True, tuple(witness), None, v4.scale)
+    return FeasibilityVerdict(True, tuple(witness), None)
 
 
 def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool, bool]:

@@ -17,8 +17,8 @@ Four families of states:
 All builders are pure functions of immutable inputs.  A scenario's Born data
 is one memoized value of its frozen config: `born_tables` for the circuit,
 `rovelli_states` for the sequential scenario; `circuit_targets` makes exact
-targets of the circuit's Born tables, and `circuit_verdict` `decide`s them:
-the two load `marginal_polytope`, on their first call.
+targets of the circuit's Born tables, and `circuit_verdict` memoizes them,
+their `decide` and the snap caveat: the two load `marginal_polytope` first.
 """
 
 from __future__ import annotations
@@ -208,23 +208,16 @@ def circuit_targets(cfg: LFConfig) -> marginal_polytope.PairTargets:
 
 
 @lru_cache(maxsize=8)
-def snap_resolution(cfg: LFConfig) -> MappingProxyType | None:
-    """None, or the report's read-only "resolution" entry, memoized on the
-    frozen config, when the largest float Born CHSH variant is within 2/SNAP
-    (plus round-off) of 2: the snap moves each correlator by at most
-    1/(2*SNAP), so a verdict on `circuit_targets(cfg)` holds for them, not the circuit."""
+def circuit_verdict(cfg: LFConfig) -> tuple[marginal_polytope.PairTargets, tuple, float | None]:
+    """The circuit's exact verdict, memoized on the frozen config:
+    `circuit_targets(cfg)`, `decide` of them, and the largest float Born CHSH
+    variant when it is within 2/SNAP (plus round-off) of 2, else None.  The
+    snap moves each correlator by at most 1/(2*SNAP), so there the verdict
+    holds for the snapped targets, not the circuit."""
+    targets = circuit_targets(cfg)
     top = max(sign_variants(pair_correlations(cfg).values()).values())
-    if abs(top - 2) > 2 / SNAP + ATOL:
-        return None
-    return MappingProxyType({"snap": f"1/{SNAP}", "undecided_band": f"2 +/- 2/{SNAP}",
-                             "largest_born_variant": top})
-
-
-@lru_cache(maxsize=8)
-def circuit_verdict(cfg: LFConfig) -> tuple[marginal_polytope.FeasibilityVerdict,
-                                            marginal_polytope.FeasibilityVerdict, bool, bool]:
-    """`decide` of `circuit_targets(cfg)`, memoized on the frozen config."""
-    return _submodule("marginal_polytope").decide(circuit_targets(cfg))
+    return (targets, _submodule("marginal_polytope").decide(targets),
+            None if abs(top - 2) > 2 / SNAP + ATOL else top)
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:

@@ -28,9 +28,10 @@ def fraction_tables(t: mp.PairTargets) -> dict:
     return {pair: tuple(Fraction(n, t.scale) for n in cells) for pair, cells in t.counts.items()}
 
 
-def probabilities(verdict: mp.FeasibilityVerdict) -> tuple:
-    """A feasible verdict's witness as atom probabilities."""
-    return tuple(Fraction(n, verdict.scale) for n in verdict.witness)
+def probabilities(verdict: mp.FeasibilityVerdict, scale: int) -> tuple:
+    """A feasible verdict's witness, counts over its targets' scale, as atom
+    probabilities."""
+    return tuple(Fraction(n, scale) for n in verdict.witness)
 
 
 def reference_marginals(variables, probs) -> dict:
@@ -68,22 +69,26 @@ def targets_json(t: mp.PairTargets) -> dict:
             for pair, cells in fraction_tables(t).items()}
 
 
-def verdict_json(verdict: mp.FeasibilityVerdict) -> dict:
-    """A verdict as a report writes it, each exact number str(Fraction)."""
+def verdict_json(verdict: mp.FeasibilityVerdict, scale: int) -> dict:
+    """A verdict on targets over `scale` as a report writes it, each exact
+    number str(Fraction)."""
     return {"feasible": verdict.feasible,
-            "witness": None if verdict.witness is None else list(map(str, probabilities(verdict))),
+            "witness": (None if verdict.witness is None
+                        else list(map(str, probabilities(verdict, scale)))),
             "max_violation": (None if verdict.max_violation is None
-                              else str(Fraction(verdict.max_violation, verdict.scale)))}
+                              else str(Fraction(verdict.max_violation, scale)))}
 
 
-def feasibility_report(t: mp.PairTargets, resolution) -> str:
+def feasibility_report(t: mp.PairTargets, top) -> str:
     """The JSON `feasibility` report on `t` as the encoder writes it from
-    the dict forms above."""
+    the dict forms above; `top`, the circuit's largest float Born CHSH
+    variant inside the snap band, adds the "resolution" entry."""
     v4, v6, fine, agree = mp.decide(t)
     s = t.variants[statlab.CHSH_SIGNS]
     report = {"command": "feasibility", "targets": targets_json(t),
               "chsh_value": str(Fraction(s, t.scale)), "chsh_value_float": s / t.scale,
-              "joint_4": verdict_json(v4), "joint_6": verdict_json(v6),
+              "joint_4": verdict_json(v4, t.scale), "joint_6": verdict_json(v6, t.scale),
               "fine_criterion": fine, "methods_agree": agree,
-              **({"resolution": dict(resolution)} if resolution else {})}
+              **({"resolution": {"snap": "1/1000000", "undecided_band": "2 +/- 2/1000000",
+                                 "largest_born_variant": top}} if top is not None else {})}
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

@@ -222,14 +222,15 @@ def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, m
     # circuit's targets, and a disagreement of the methods is exit 3, as in
     # feasibility; circuit_verdict memoizes decide, so the cache is cleared
     argv = ("relmodel", "--trials", "20000", "--seed", "0")
-    v4, _, _, agree = mp.decide(scenarios.circuit_targets(LFConfig()))
+    targets = scenarios.circuit_targets(LFConfig())
+    v4, _, _, agree = mp.decide(targets)
     assert agree
     real = mp.decide
     scenarios.circuit_verdict.cache_clear()
     try:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == cli.EXIT_PASS
-        assert json.loads(out)["analytic_feasibility"] == verdict_json(v4)
+        assert json.loads(out)["analytic_feasibility"] == verdict_json(v4, targets.scale)
         monkeypatch.setattr(mp, "decide", lambda t: (*real(t)[:3], False))
         scenarios.circuit_verdict.cache_clear()
         code, disagreeing, _ = run(capsys, *argv, "--format", "json")
@@ -277,20 +278,22 @@ def test_feasibility_from_angles_names_the_snap_next_to_the_boundary(capsys):
     # these angles are the pins named after pins.SNAPPED, feasibility's and
     # relmodel's, JSON and table; their verdict and resolution are these
     cfg = LFConfig(*map(float, pins.SNAPPED.split(",")))
-    v4, v6, fine, _ = scenarios.circuit_verdict(cfg)
+    _, (v4, v6, fine, _), top = scenarios.circuit_verdict(cfg)
     assert v4.feasible and v6.feasible and fine
-    resolution = scenarios.snap_resolution(cfg)
-    assert resolution["snap"] == "1/1000000"
-    assert resolution["undecided_band"] == "2 +/- 2/1000000"
-    assert 2 < resolution["largest_born_variant"] < 2 + 1e-7
+    assert 2 < top < 2 + 1e-7
+    _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", pins.SNAPPED,
+                    "--format", "json")
+    assert json.loads(out)["resolution"] == {"snap": "1/1000000",
+                                             "undecided_band": "2 +/- 2/1000000",
+                                             "largest_born_variant": top}
     # far from the boundary the reports are unchanged (see the sha256 pins)
     _, out, _ = run(capsys, "feasibility", "--from-angles", "--angles", "0,90,0,135")
     assert "resolution" not in out
 
 
 def test_a_memoized_resolution_reaches_no_report_as_a_shared_object(monkeypatch):
-    # snap_resolution is memoized and read-only: a report gets its own copy,
-    # so changing one report's entry leaves the next report's as it was
+    # circuit_verdict is memoized: each report makes its own entry from it, so
+    # changing one report's entry leaves the next report's as it was
     cfg = LFConfig(*map(float, pins.SNAPPED.split(",")))
     expected = {"snap": "1/1000000", "undecided_band": "2 +/- 2/1000000",
                 "largest_born_variant": max(statlab.sign_variants(
@@ -302,10 +305,6 @@ def test_a_memoized_resolution_reaches_no_report_as_a_shared_object(monkeypatch)
             cli.main([*argv, "--angles", pins.SNAPPED])
             assert reports[-1]["resolution"] == expected
             reports[-1]["resolution"]["snap"] = "1/2"
-    resolution = scenarios.snap_resolution(cfg)
-    assert resolution is scenarios.snap_resolution(cfg) and resolution == expected
-    with pytest.raises(TypeError):
-        resolution["snap"] = "1/2"
 
 
 def test_feasibility_targets_file_feasible(capsys, tmp_path):
@@ -347,10 +346,10 @@ def test_feasibility_negative_solver_answer_is_a_disagreement(capsys, tmp_path, 
     def shifted(t):
         v = real(t)
         parity = [math.prod(a) for a in itertools.product((1, -1), repeat=4)]
-        c = -parity[0] * (v.witness[0] + v.scale // 8)
+        c = -parity[0] * (v.witness[0] + t.scale // 8)
         witness = tuple(n + c * s for n, s in zip(v.witness, parity))
         # through the constructor, so the verdict's own checks run on it
-        return mp.FeasibilityVerdict(v.feasible, witness, v.max_violation, v.scale)
+        return mp.FeasibilityVerdict(v.feasible, witness, v.max_violation)
 
     monkeypatch.setattr(mp, "feasible_joint_4", shifted)
     targets = tmp_path / "targets.json"

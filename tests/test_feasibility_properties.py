@@ -240,7 +240,7 @@ def test_three_methods_agree_next_to_the_boundary(case):
     v6 = mp.feasible_joint_6(v4)
     assert mp.fine_criterion(t) == v4.feasible == v6.feasible == (delta <= 0)
     if not v4.feasible:
-        assert Fraction(v4.max_violation, v4.scale) == Fraction(v6.max_violation, v6.scale) == delta
+        assert Fraction(v4.max_violation, t.scale) == Fraction(v6.max_violation, t.scale) == delta
 
 
 @PROPERTY
@@ -263,12 +263,11 @@ def test_lifted_six_variable_verdict_matches_the_64_column_solve(t):
     lifted = mp.feasible_joint_6(mp.feasible_joint_4(t))
     assert lifted.feasible == (x is not None)
     if lifted.feasible:
-        assert lifted.scale == t.scale and min(lifted.witness) >= 0
+        assert min(lifted.witness) >= 0
         assert [sum(a * n for a, n in zip(row, lifted.witness)) for row in rows] == list(counts)
     else:
-        assert lifted.scale == t.scale
-        assert Fraction(lifted.max_violation, lifted.scale) == Fraction(max(t.variants.values()),
-                                                                        t.scale) - 2
+        assert Fraction(lifted.max_violation, t.scale) == Fraction(max(t.variants.values()),
+                                                                   t.scale) - 2
 
 
 def _both_verdicts(t) -> list:
@@ -295,10 +294,11 @@ def test_integer_engine_matches_a_plain_fraction_reference(case, k):
     assert mp.fine_criterion(t) == all(v <= 2 for v in variants.values()) == (delta <= 0)
     for variables, verdict in _both_verdicts(t):
         if verdict.feasible:
-            assert reference_marginals(variables, probabilities(verdict)) == fraction_tables(t)
+            probs = probabilities(verdict, t.scale)
+            assert reference_marginals(variables, probs) == fraction_tables(t)
             assert mp.reproduces(variables, verdict.witness, t)
         else:
-            assert Fraction(verdict.max_violation, verdict.scale) == max(variants.values()) - 2
+            assert Fraction(verdict.max_violation, t.scale) == max(variants.values()) - 2
 
 
 @PROPERTY
@@ -314,7 +314,7 @@ def test_reproduces_rejects_one_count_moved_to_another_atom(case, data):
     target = data.draw(st.sampled_from([i for i in range(16) if i != source]))
     counts[source] -= 1
     counts[target] += 1
-    moved = [Fraction(n, verdict.scale) for n in counts]
+    moved = [Fraction(n, t.scale) for n in counts]
     assert reference_marginals(mp.VARS_4, moved) != fraction_tables(t)
     assert not mp.reproduces(mp.VARS_4, counts, t)
 
@@ -409,7 +409,7 @@ def test_simplex_matches_the_oracle_on_the_cell_systems(t):
         x = simplex_oracle.solve_nonnegative(mp._cell_rows(variables), t.cell_counts)
         assert verdict.feasible == (x is not None) == mp.fine_criterion(t)
         if verdict.feasible:
-            assert verdict.scale == t.scale and all(type(n) is int for n in verdict.witness)
+            assert sum(verdict.witness) == t.scale and all(type(n) is int for n in verdict.witness)
 
 
 def _violated(t) -> tuple:
@@ -549,9 +549,9 @@ def test_the_spliced_targets_report_is_the_encoding_of_the_dict_report(tmp_path_
                                              ("0,0,0,0", True), ("0,90,110.53019,135", True)])
 def test_the_spliced_from_angles_report_is_the_encoding_of_the_dict_report(angles, in_band):
     cfg = scenarios.LFConfig(*map(float, angles.split(",")))
-    resolution = scenarios.snap_resolution(cfg)
-    assert (resolution is not None) == in_band
-    expected = feasibility_report(scenarios.circuit_targets(cfg), resolution)
+    targets, _, top = scenarios.circuit_verdict(cfg)
+    assert (top is not None) == in_band
+    expected = feasibility_report(targets, top)
     assert _cli_json("--from-angles", "--angles", angles) == expected
 
 

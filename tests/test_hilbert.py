@@ -20,7 +20,6 @@ from friendlab.hilbert import (
     born_distribution,
     rotation_matrix,
 )
-from friendlab.relmodel import draw_counts
 
 Q = FactorLayout((("q", 2),))
 
@@ -252,69 +251,6 @@ def test_born_bell_state_angle_correlation():
     assert abs(e - oracle) < 1e-12
 
 
-# --- sampling a reading ------------------------------------------------------
-# hilbert draws no random numbers; relmodel.draw_counts samples its readings
-
-def sample(probs, n, rng):
-    """How many of n draws of one reading's outcome land in each cell."""
-    return draw_counts(probs, n, rng)
-
-
-def test_sampling_deterministic():
-    zero = born_distribution(ket(Q, 0), ("q",))
-    assert sample(zero, 1, np.random.default_rng(0)) == (1, 0)
-    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
-    seq1 = sample(plus, 20, np.random.default_rng(123))
-    seq2 = sample(plus, 20, np.random.default_rng(123))
-    assert seq1 == seq2 and all(type(c) is int for c in seq1)
-
-
-def _loop_sample(dist, n, rng):
-    """Reference: walk the positive-probability outcomes, each taking its
-    binomial share of the draws left, the last one the rest."""
-    counts, left, mass = [0] * len(dist), n, 1.0
-    positive = [i for i, pr in enumerate(dist) if pr > 0]
-    for i in positive[:-1]:
-        counts[i] = int(rng.binomial(left, dist[i] / mass))
-        left, mass = left - counts[i], mass - dist[i]
-        if left == 0:
-            return counts
-    counts[positive[-1]] = left
-    return counts
-
-
-def test_sampling_matches_the_per_sample_loop():
-    layout = FactorLayout((("a", 2), ("b", 3)))
-    rng = np.random.default_rng(5)
-    for k in range(20):
-        amps = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(2, 3)
-        amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
-        s = StateVector(layout, (amps / np.linalg.norm(amps)).ravel())
-        dist = born_distribution(s, ("b",))
-        batched = sample(dist, 1000, np.random.default_rng(k))
-        assert batched == tuple(_loop_sample(dist, 1000, np.random.default_rng(k)))
-
-
-def test_sampling_concentration():
-    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
-    rng = np.random.default_rng(77)
-    n = 10 ** 5
-    hits = int(sample(plus, n, rng)[0])  # cell 0 reads +1
-    assert abs(hits / n - 0.5) < 0.01
-
-
-def test_sampling_total_variation_soundness():
-    rng = np.random.default_rng(3)
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    amps /= np.linalg.norm(amps)
-    s = StateVector(Q, amps)
-    born = born_distribution(s, ("q",))
-    n = 10 ** 5
-    counts = sample(born, n, rng)
-    tv = 0.5 * sum(abs(c / n - p) for c, p in zip(counts, born))
-    assert tv < 0.01
-
-
 def test_norm_preserved_under_random_unitaries():
     rng = np.random.default_rng(11)
     layout = FactorLayout((("a", 2), ("b", 3)))
@@ -342,7 +278,7 @@ def test_reading_validation():
     assert born_distribution(s, ("b",)) == (1.0, 0.0, 0.0)
 
 
-def test_product_spec_refuses_non_commuting_specs():
+def test_a_reading_takes_distinct_factors_and_is_their_commuting_product():
     # two angles on one qubit do not commute, so they are never one reading:
     # a reading names each factor once, and only factors of its state
     with pytest.raises(LayoutError, match="distinct factors"):
@@ -362,7 +298,7 @@ def test_product_spec_refuses_non_commuting_specs():
         assert abs(p - np.vdot(s.amps, pa[i] @ pc[j] @ s.amps).real) <= 1e-15
 
 
-def test_product_spec_keeps_zero_products():
+def test_a_joint_reading_keeps_its_zero_probability_outcomes():
     # on Phi+ the two cross outcomes of reading both qubits have probability
     # zero; they are kept, so that every joint value is an outcome
     layout = FactorLayout((("a", 2), ("c", 2)))

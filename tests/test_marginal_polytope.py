@@ -32,9 +32,9 @@ def chsh_value(t):
     return Fraction(t.variants[CHSH_SIGNS], t.scale)
 
 
-def violation(verdict):
-    """An infeasible verdict's max_violation, an int over its scale, as a Fraction."""
-    return Fraction(verdict.max_violation, verdict.scale)
+def violation(verdict, t):
+    """An infeasible verdict's max_violation, an int over t.scale, as a Fraction."""
+    return Fraction(verdict.max_violation, t.scale)
 
 
 def test_targets_validation():
@@ -158,9 +158,9 @@ def test_tsirelson_infeasible_with_enumeration_oracle():
     assert chsh_value(t) > 2
     verdict = mp.feasible_joint_4(t)
     assert not verdict.feasible
-    assert verdict.max_violation > 0 and verdict.scale == t.scale
-    assert float(violation(verdict)) == pytest.approx(2 * 2 ** 0.5 - 2, abs=1e-5)
-    assert violation(verdict) == chsh_value(t) - 2
+    assert verdict.max_violation > 0
+    assert float(violation(verdict, t)) == pytest.approx(2 * 2 ** 0.5 - 2, abs=1e-5)
+    assert violation(verdict, t) == chsh_value(t) - 2
 
 
 def shrunk_targets():
@@ -288,12 +288,12 @@ def test_infeasible_mix_becomes_feasible_below_boundary():
 
 def test_verdict_invariants():
     with pytest.raises(ValueError):
-        mp.FeasibilityVerdict(True, None, None, 1)
+        mp.FeasibilityVerdict(True, None, None)
     with pytest.raises(ValueError):
-        mp.FeasibilityVerdict(False, None, 0, 1)
-    with pytest.raises(TypeError):  # the scale has no default
-        mp.FeasibilityVerdict(False, None, 1)
-    assert mp.FeasibilityVerdict(False, None, 1, 8).max_violation == 1  # the least one
+        mp.FeasibilityVerdict(False, None, 0)
+    # no scale: a verdict's numbers are counts over its targets' scale
+    assert mp.FeasibilityVerdict._fields == ("feasible", "witness", "max_violation")
+    assert mp.FeasibilityVerdict(False, None, 1).max_violation == 1  # the least one
 
 
 def test_refutes_takes_a_farkas_certificate_with_b_y_equal_to_1():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from friendlab import acceptance, cli, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
+from friendlab.hilbert import FactorLayout, StateVector, born_distribution
 from friendlab.relmodel import InsufficientDataError, RunRecord
 from friendlab.scenarios import LFConfig, RovelliConfig
 from friendlab.statlab import CHOICE, PAIR_IDS
@@ -657,6 +658,72 @@ def test_planted_violation_remaps_every_run():
     assert_int_tuple(planted.histogram)
 
 
+# --- sampling a reading ------------------------------------------------------
+# hilbert draws no random numbers; relmodel.draw_counts samples its readings
+
+Q = FactorLayout((("q", 2),))
+
+
+def sample(probs, n, rng):
+    """How many of n draws of one reading's outcome land in each cell."""
+    return relmodel.draw_counts(probs, n, rng)
+
+
+def test_sampling_deterministic():
+    zero = born_distribution(StateVector.from_terms(Q, {(0,): 1.0}), ("q",))
+    assert sample(zero, 1, np.random.default_rng(0)) == (1, 0)
+    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
+    seq1 = sample(plus, 20, np.random.default_rng(123))
+    seq2 = sample(plus, 20, np.random.default_rng(123))
+    assert seq1 == seq2 and all(type(c) is int for c in seq1)
+
+
+def _loop_sample(dist, n, rng):
+    """Reference: walk the positive-probability outcomes, each taking its
+    binomial share of the draws left, the last one the rest."""
+    counts, left, mass = [0] * len(dist), n, 1.0
+    positive = [i for i, pr in enumerate(dist) if pr > 0]
+    for i in positive[:-1]:
+        counts[i] = int(rng.binomial(left, dist[i] / mass))
+        left, mass = left - counts[i], mass - dist[i]
+        if left == 0:
+            return counts
+    counts[positive[-1]] = left
+    return counts
+
+
+def test_sampling_matches_the_per_sample_loop():
+    layout = FactorLayout((("a", 2), ("b", 3)))
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        amps = (rng.standard_normal(6) + 1j * rng.standard_normal(6)).reshape(2, 3)
+        amps[:, k % 3] *= k % 2  # every other state gives one outcome probability 0
+        s = StateVector(layout, (amps / np.linalg.norm(amps)).ravel())
+        dist = born_distribution(s, ("b",))
+        batched = sample(dist, 1000, np.random.default_rng(k))
+        assert batched == tuple(_loop_sample(dist, 1000, np.random.default_rng(k)))
+
+
+def test_sampling_concentration():
+    plus = born_distribution(StateVector(Q, np.array([1, 1]) / math.sqrt(2)), ("q",))
+    rng = np.random.default_rng(77)
+    n = 10 ** 5
+    hits = int(sample(plus, n, rng)[0])  # cell 0 reads +1
+    assert abs(hits / n - 0.5) < 0.01
+
+
+def test_sampling_total_variation_soundness():
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    amps /= np.linalg.norm(amps)
+    s = StateVector(Q, amps)
+    born = born_distribution(s, ("q",))
+    n = 10 ** 5
+    counts = sample(born, n, rng)
+    tv = 0.5 * sum(abs(c / n - p) for c, p in zip(counts, born))
+    assert tv < 0.01
+
+
 # stacks of 1-4 tables of 2-4 cells, each given as integer weights (some 0)
 # and a shift of its last positive cell by -3 to +3 units in the last place,
 # so that a table sums to 1 give or take a few ulps
@@ -996,11 +1063,21 @@ def test_a_repeated_rovelli_config_rebuilds_no_branch_or_witness(monkeypatch):
 
 
 def test_a_repeated_circuit_config_decides_its_targets_once(monkeypatch, capsys):
+    # feasibility --from-angles, relmodel and criterion 2 read one memo entry
+    # of scenarios.circuit_verdict per config
     calls = []
     real = mp.feasible_joint_4
     monkeypatch.setattr(mp, "feasible_joint_4", lambda t: calls.append(t) or real(t))
     scenarios.circuit_verdict.cache_clear()  # a fresh config is decided once
+    angles = "10,20,30,40"
     for _ in range(2):
-        cli.main(["relmodel", "--trials", "100", "--seed", "0", "--format", "json"])
-        assert json.loads(capsys.readouterr().out)["analytic_feasibility"]["feasible"] is False
-    assert calls == [scenarios.circuit_targets(LFConfig())]
+        cli.main(["feasibility", "--from-angles", "--angles", angles, "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["joint_4"]["feasible"] is True
+    assert calls == [scenarios.circuit_targets(LFConfig(10, 20, 30, 40))]
+    calls.clear()
+    for argv in (["relmodel", "--trials", "100", "--seed", "0"], ["feasibility", "--from-angles"],
+                 ["relmodel", "--trials", "100", "--seed", "1"]):
+        cli.main([*argv, "--format", "json"])
+        capsys.readouterr()
+    assert acceptance.criterion_2(0)["pass"]
+    assert calls.count(scenarios.circuit_targets(LFConfig())) == 1

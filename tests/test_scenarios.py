@@ -217,7 +217,7 @@ def test_super_projectors_are_rank_two_and_complete():
     np.testing.assert_allclose(total, np.eye(16), atol=1e-10)
 
 
-def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
+def test_memoized_circuit_and_sequential_values_are_shared_and_read_only():
     # equal configs (ints and floats spell the same angles) share one value,
     # so no caller may be able to write into it: each is immutable by type
     a, b = LFConfig(0, 90, 45, 135), LFConfig(0.0, 90.0, 45.0, 135.0)
@@ -229,10 +229,16 @@ def test_memoized_circuit_specs_and_states_are_shared_and_read_only():
     assert isinstance(lf_circuit(a).amps, tuple)
     with pytest.raises(TypeError):
         lf_circuit(a).amps[0] = 0.0
-    decided = circuit_verdict(a)
-    assert decided is circuit_verdict(b) and isinstance(decided, tuple)
+    verdict = circuit_verdict(a)
+    assert verdict is circuit_verdict(b) and isinstance(verdict, tuple)
+    targets, decided, top = verdict
+    assert isinstance(decided, tuple) and top is None
     with pytest.raises(AttributeError):
         decided[0].feasible = True
+    with pytest.raises(TypeError):
+        targets.counts["AC"] = (1, 0, 0, 0)
+    with pytest.raises(TypeError):
+        targets.variants[statlab.CHSH_SIGNS] = 0
     states = rovelli_states(RovelliConfig(-1))
     assert isinstance(states, tuple) and states is rovelli_states(RovelliConfig(-1))
     assert all(isinstance(born, tuple) for born, _ in states)

@@ -119,7 +119,7 @@ def test_born_pair_tables_match_the_conjugated_projectors(cfg):
 
 @PROPERTY
 @given(CONFIGS)
-def test_circuit_specs_pass_the_full_check(cfg):
+def test_every_circuit_pair_table_is_a_complete_measurement(cfg):
     # a supermeasurement's frame change is unitary, so every pair table is a
     # complete measurement: four non-negative cells that sum to 1
     for var in "BD":

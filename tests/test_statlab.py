@@ -5,6 +5,7 @@ import numpy as np
 import pins
 import pytest
 
+from friendlab import statlab
 from friendlab.statlab import (
     PAIR_CELLS,
     check,
@@ -92,6 +93,12 @@ def test_correlation_estimate_extremes():
         correlation_estimate((1, 0, 0, 0))
 
 
+def test_correlation_estimate_takes_two_samples():
+    # the least sample it takes: two runs give E and its standard error
+    assert correlation_estimate((1, 0, 0, 1)) == (1.0, 0.0)
+    assert correlation_estimate((1, 1, 0, 0)) == (0.0, math.sqrt(0.5))
+
+
 def test_chsh_estimate_perfect_tables():
     aligned = (500, 0, 0, 500)
     anti = (0, 500, 500, 0)
@@ -145,6 +152,17 @@ def test_chi2_critical_matches_tabulated_values():
     assert chi2_critical(5e-4, 2) == pytest.approx(-2 * math.log(5e-4), rel=1e-14)
     with pytest.raises(KeyError):  # closed forms for 1 to 3 degrees of freedom only
         chi2_critical(0.05, 4)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3])
+def test_chi2_critical_is_the_least_float_whose_tail_is_at_most_alpha(df):
+    # alpha is the tail at a float, so some float's tail equals alpha exactly:
+    # the critical value admits it, and the float just below it has a larger tail
+    tail = statlab._CHI2_TAIL[df]
+    for x0 in (1.0, 7.5, 20.0):
+        alpha = tail(x0)
+        x = chi2_critical(alpha, df)
+        assert x <= x0 and tail(x) <= alpha < tail(math.nextafter(x, 0.0))
 
 
 def test_homogeneity_statistic():
