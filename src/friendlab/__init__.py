@@ -1,5 +1,5 @@
 """friendlab: desk-scale simulation and feasibility analysis for Extended
-Wigner's Friend experiments.
+Wigner's Friend experiments; `InputError` is the one type of refused input.
 
 Modules, none importing one listed below it, each imported on first use:
 
@@ -11,11 +11,12 @@ Modules, none importing one listed below it, each imported on first use:
 * hilbert -- dense state-vector engine in Python numbers (named tensor
   factors, unitaries, the Born probabilities of computational-basis readings);
 * scenarios -- builders for the sealed-lab, frame-relational, four-observer
-  and sequential-measurement experiments, and the circuit's exact targets;
-* relmodel -- Born sampling, Monte Carlo runs of the frame-relational model
-  where frame relations exist only on ask runs (drawn by numpy), the
-  sequential runs (drawn by the standard library's `random`, so `rovelli`
-  loads no numpy), and the audit of a batch of runs;
+  and sequential-measurement experiments, all their Born data (the ready
+  qubit's too), the circuit's exact targets and verdict, its "resolution";
+* relmodel -- sampling of scenarios' Born data (it uses no hilbert), Monte
+  Carlo runs of the frame-relational model where frame relations exist only
+  on ask runs (drawn by numpy), the sequential runs (drawn by the standard
+  library's `random`, so `rovelli` loads no numpy), and the audits of runs;
 * acceptance -- the criteria behind `friendlab accept`;
 * cli -- command-line orchestration; each command imports what it uses.
 """
@@ -26,6 +27,11 @@ import importlib
 __all__ = ["hilbert", "scenarios", "marginal_polytope", "relmodel", "statlab"]
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """A refused input (a flag, config file, target or amplitude; a
+    `marginal_polytope.TargetError` too): `cli.main` exits 2 on it."""
 
 
 @functools.cache

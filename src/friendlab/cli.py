@@ -4,8 +4,8 @@ Subcommands: basic | lf | feasibility | relmodel | rovelli | accept, each
 with the flags its COMMANDS entry lists.  A flag is written in full or as a
 unique prefix, its value as the next token or after "=", and the last of
 repeated values wins; -h or --help prints help.  Exit codes: 0 pass, 1
-invariant or tolerance failure, 2 input or usage error, 3 internal method
-disagreement.
+invariant or tolerance failure, 2 usage error or `friendlab.InputError`, 3
+internal method disagreement.
 
 A JSON config file (--config) may mirror any flag of its command; explicit
 flags override the file, and a key that no flag of the command reads is an
@@ -21,7 +21,7 @@ pretty-prints one.  `feasibility` splices in `targets`, `joint_4` and
 call, and `relmodel` its `analytic_feasibility` the same way and its
 `records` as pre-encoded rows; the C encoder writes each run of the other
 report keys in one call.  `feasibility --from-angles` and `relmodel` read
-`scenarios.circuit_verdict`, and make each "resolution" entry fresh.
+`scenarios.circuit_verdict`, and put in a fresh `scenarios.resolution` entry.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 from types import SimpleNamespace
 
-from . import _submodule, statlab
+from . import InputError, _submodule, statlab
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -51,10 +51,6 @@ _exact_json = json.JSONDecoder(parse_float=str).decode  # a number as written, n
 _TARGETS_JSON = "{%s}" % ",".join(f'"{p}":[["%s","%s"],["%s","%s"]]' for p in statlab.PAIR_IDS)
 _VERDICT_JSON = {True: '{"feasible":true,"max_violation":null,"witness":["%s"]}',
                  False: '{"feasible":false,"max_violation":"%s","witness":null}'}
-
-
-class InputError(ValueError):
-    pass
 
 
 def _read_json(path: str, what: str, decode=json.JSONDecoder().decode):
@@ -106,12 +102,6 @@ def _emit(args: SimpleNamespace, report: dict, render_table, render_csv=None,
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
-
-
-def _resolution(top: float) -> dict:
-    """A fresh "resolution" entry for the snap caveat `top` of scenarios.circuit_verdict."""
-    snap = _submodule("scenarios").SNAP
-    return {"snap": f"1/{snap}", "undecided_band": f"2 +/- 2/{snap}", "largest_born_variant": top}
 
 
 def _resolution_line(resolution: dict) -> str:
@@ -221,7 +211,7 @@ def cmd_feasibility(args: SimpleNamespace) -> int:
               "chsh_value_float": s / targets.scale,  # int / int is correctly rounded
               "fine_criterion": fine, "methods_agree": agree}
     if top is not None:
-        report["resolution"] = _resolution(top)
+        report["resolution"] = _submodule("scenarios").resolution(top)
 
     def table(rep: dict) -> str:
         lines = [f"pairwise targets: S = {rep['chsh_value']} ~ {rep['chsh_value_float']:.4f}",
@@ -263,7 +253,7 @@ def cmd_relmodel(args: SimpleNamespace) -> int:
               "independence": independence,
               "checks": checks, "pass": all(c["pass"] for c in checks)}
     if top is not None:  # the analytic verdict is about the snapped targets
-        report["resolution"] = _resolution(top)
+        report["resolution"] = scenarios.resolution(top)
 
     def table(rep: dict) -> str:
         lines = [f"frame-relational model, trials={trials} seed={seed}",
@@ -577,10 +567,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("config file must hold a JSON object")
         _read_flags(args, config)
         return args.func(args)
-    except ValueError as exc:  # the module that raises a TargetError is loaded by then
-        if not (isinstance(exc, InputError)
-                or isinstance(exc, _submodule("marginal_polytope").TargetError)):
-            raise
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

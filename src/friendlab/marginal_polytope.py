@@ -19,7 +19,7 @@ its right-hand side, checks every verdict: `reproduces` a witness by one
 itemgetter per row (`_row_getters`), `refutes` the Farkas certificate of
 the violated CHSH variant.  Over six variables the system only repeats
 columns, so that verdict is lifted and its witness checked on all 64
-columns.  The module imports only `statlab`: deciding loads no numpy.
+columns.  It imports only `statlab` and `InputError`: deciding loads no numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import re
 from collections import namedtuple
 from types import MappingProxyType
 
+from . import InputError
 from .statlab import PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
@@ -54,7 +55,7 @@ _SINGLE_SOURCES = {"A": ("AC", "AD"), "B": ("BC", "BD"),
                    "C": ("AC", "BC"), "D": ("AD", "BD")}
 
 
-class TargetError(ValueError):
+class TargetError(InputError):
     """Malformed or internally inconsistent pair targets (distinct from
     infeasibility: the marginal problem is never posed)."""
 

@@ -43,12 +43,10 @@ import math
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 
 from . import scenarios, statlab
-from .hilbert import FactorLayout, StateVector, born_distribution
-from .scenarios import SQRT_HALF, LFConfig, RovelliConfig
+from .scenarios import READY_Z, LFConfig, RovelliConfig
 from .statlab import CHOICE, PAIR_CELLS, PAIR_IDS
 
 ROWS = 1000  # runs a batch keeps in run order, the rows of a report
@@ -63,9 +61,6 @@ TV_THRESHOLD = 0.02        # observed pair table vs its Born joint
 CHSH_THRESHOLD = 0.05      # Monte Carlo CHSH sum vs its analytic value
 INTERNAL_THRESHOLD = 0.02  # worst internal-joint cell vs 1/4
 INDEPENDENCE_ALPHA = 1e-3  # false-alarm rate of the two wings' choice-independence tests
-
-# the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
-_READY_Z = born_distribution(StateVector(FactorLayout((("q", 2),)), (SQRT_HALF,) * 2), ("q",))
 
 
 class InsufficientDataError(ValueError):
@@ -299,21 +294,23 @@ def _getter(codes: list[int]):
 
 
 _PLAN = [(), {}]  # the tables of k and VARIABLES that `_plan` last read, and its plan
+# the variable pairs whose count tables the audits read: the observed pairs, the internal joint
+_PAIRS = (*PAIR_IDS, ("Ai", "Ci"))
 
 
 def _plan() -> dict:
     """Per count an audit reads, the `_getter` of the codes it sums in TABLES
     as they are at this call, found again only when their contents change:
     under "invalid" the runs that break the presence discipline or the
-    product identity; under each (x, y) of VARIABLES one per PAIR_CELLS cell
-    of the runs where both exist; under "Ai" and "Ci", per PAIR_IDS index,
-    one of the runs where that variable is +1 and one of the rest."""
+    product identity; under each pair of _PAIRS one per PAIR_CELLS cell of
+    the runs where both variables exist; under "Ai" and "Ci", per PAIR_IDS
+    index, one of the runs where that variable is +1 and one of the rest."""
     tables = tuple(map(TABLES.__getitem__, ("k", *VARIABLES)))
     built, plan = _PLAN
     if tables == built:
         return plan
     columns, plan = dict(zip(("k", *VARIABLES), tables)), {}
-    for x, y in product(VARIABLES, repeat=2):
+    for x, y in _PAIRS:
         cells = ([], [], [], [])
         for code, (u, v) in enumerate(zip(columns[x], columns[y])):
             if u and v:
@@ -332,13 +329,13 @@ def _plan() -> dict:
 
 
 def empirical_pair_table(batch: TrialBatch, pair) -> tuple[int, ...]:
-    """2x2 count table, in PAIR_CELLS order, of two variables such as the
+    """2x2 count table, in PAIR_CELLS order, of one of _PAIRS, such as the
     pair id "AC" or ("Ai", "Ci"), over the runs where both are present.  Its
     sum is the qualifying-run count, by which callers judge statistical
     power."""
     cells = _plan().get((pair[0], pair[1]))
     if cells is None:
-        raise ValueError(f"unknown variable in pair {pair}")
+        raise ValueError(f"no count table of {pair}: the pairs are {', '.join(map(repr, _PAIRS))}")
     counts = tuple([sum(cell(batch.histogram)) for cell in cells])
     if not any(counts):
         raise InsufficientDataError(f"no runs where both of {pair} are present")
@@ -426,8 +423,8 @@ def simulate_rovelli(cfg: RovelliConfig, n: int, seed: int) -> tuple:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     t = (1 - cfg.trigger) // 2  # the trigger's index on the first and second axes
-    first = multinomial(rng, n, _READY_Z)
-    second = multinomial(rng, first[t], _READY_Z)
+    first = multinomial(rng, n, READY_Z)
+    second = multinomial(rng, first[t], READY_Z)
     cells = {cell: multinomial(rng, runs, born)
              for (born, _), cell, runs in zip(scenarios.rovelli_states(cfg),  # PP, PA, noM2
                                               ((t, t), (t, 1 - t), (1 - t, 2)),

@@ -16,9 +16,10 @@ Four families of states:
 
 All builders are pure functions of immutable inputs.  A scenario's Born data
 is one memoized value of its frozen config: `born_tables` for the circuit,
-`rovelli_states` for the sequential scenario; `circuit_targets` makes exact
-targets of the circuit's Born tables, and `circuit_verdict` memoizes them,
-their `decide` and the snap caveat: the two load `marginal_polytope` first.
+`rovelli_states` and the ready qubit's READY_Z for the sequential scenario;
+`circuit_targets` makes exact targets of the circuit's Born tables, and
+`circuit_verdict` memoizes them, their `decide` and the snap caveat (the two
+load `marginal_polytope` first), which `resolution` writes as a report entry.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .statlab import CHOICE, PAIR_IDS, correlator, sign_variants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 SNAP = 10 ** 6  # denominator a Born single or correlator snaps to
+BAND = 2  # half-width, in units of 1/SNAP, of the band around 2 where a snap may flip a verdict
 
 # Qubit value conventions: 0 = down / aligned, 1 = up / anti-aligned.
 BASIC_LAYOUT = FactorLayout((("S", 2), ("A", 2)))
@@ -42,14 +44,13 @@ LF_LAYOUT = FactorLayout((("X", 2), ("Y", 2), ("MA", 2), ("MC", 2)))
 ROVELLI_LAYOUT = FactorLayout((("S", 2), ("Y", 2), ("orientation", 2), ("record", 3)))
 
 ROVELLI_RECORDS = ("PP", "PA", "noM2")
+# the z distribution (+1, -1) of the sequential scenario's ready qubit (|up>+|down>)/sqrt(2)
+READY_Z = born_distribution(StateVector(FactorLayout((("q", 2),)), (SQRT_HALF,) * 2), ("q",))
 
 
-# JSON key of each LFConfig angle, in report order
-_ANGLE_KEYS = {"ask_A": "ask_a", "super_A": "super_a", "ask_C": "ask_c", "super_C": "super_c"}
-
-
-class LFConfig(namedtuple("LFConfig", "ask_a super_a ask_c super_c")):
-    """Measurement angles (degrees) for the four-observer circuit.
+class LFConfig(namedtuple("LFConfig", "ask_A super_A ask_C super_C")):
+    """Measurement angles (degrees) for the four-observer circuit, each field
+    named as its JSON key.
 
     ask_* is the angle of the friend's own measurement (read out by asking
     her); super_* is the angle of the outside observer's supermeasurement.
@@ -58,29 +59,29 @@ class LFConfig(namedtuple("LFConfig", "ask_a super_a ask_c super_c")):
 
     __slots__ = ()
 
-    def __new__(cls, ask_a=0.0, super_a=90.0, ask_c=45.0, super_c=135.0):
+    def __new__(cls, ask_A=0.0, super_A=90.0, ask_C=45.0, super_C=135.0):
         angles = []
-        for name, v in zip(cls._fields, (ask_a, super_a, ask_c, super_c)):
+        for name, v in zip(cls._fields, (ask_A, super_A, ask_C, super_C)):
             if isinstance(v, bool):  # float(True) is 1.0, but JSON true is no angle
                 raise ValueError(f"{name} must be a number, got {v!r}")
-            v = float(v)
+            v = float(v) + 0.0  # -0.0 + 0.0 is 0.0: equal configs report alike
             if not 0.0 <= v < 360.0:
                 raise ValueError(f"{name} must lie in [0, 360), got {v}")
             angles.append(v)
         return super().__new__(cls, *angles)
 
     def to_json_dict(self) -> dict:
-        return {"angles": {key: getattr(self, name) for key, name in _ANGLE_KEYS.items()}}
+        return {"angles": self._asdict()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LFConfig":
         """The config of {"angles": {...}}; the angles object must hold
         exactly the four keys of `to_json_dict`, so a misspelt one is refused."""
         a = obj["angles"]
-        if set(a) != set(_ANGLE_KEYS):
-            raise ValueError(f"angles need exactly the keys {', '.join(_ANGLE_KEYS)}, "
+        if set(a) != set(cls._fields):
+            raise ValueError(f"angles need exactly the keys {', '.join(cls._fields)}, "
                              f"got {', '.join(sorted(a))}")
-        return cls(**{name: a[key] for key, name in _ANGLE_KEYS.items()})
+        return cls(**a)
 
 
 class RovelliConfig(namedtuple("RovelliConfig", "trigger")):
@@ -90,7 +91,7 @@ class RovelliConfig(namedtuple("RovelliConfig", "trigger")):
     __slots__ = ()
 
     def __new__(cls, trigger: int = +1):
-        if trigger not in (+1, -1):
+        if isinstance(trigger, bool) or trigger not in (+1, -1):  # True == 1
             raise ValueError("trigger must be +1 or -1")
         return super().__new__(cls, trigger)
 
@@ -154,8 +155,8 @@ def _friend_unitary(theta_degrees: float) -> tuple[tuple[float, ...], ...]:
 # per variable, its wing: the friend's (particle, memory) qubits and the
 # LFConfig fields of the wing's ask and super angles.  A and B are measured
 # on Alice's wing, C and D on Chidi's.
-_WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_a", "super_a")),
-          **dict.fromkeys("CD", (("Y", "MC"), "ask_c", "super_c"))}
+_WINGS = {**dict.fromkeys("AB", (("X", "MA"), "ask_A", "super_A")),
+          **dict.fromkeys("CD", (("Y", "MC"), "ask_C", "super_C"))}
 # per variable, the factor read: asking a friend (A, C) reads her memory
 # qubit, what she recorded, and a supermeasurement (B, D) the wing particle
 _READS = {var: _WINGS[var][0][CHOICE[var] == "ask"] for var in _WINGS}
@@ -211,13 +212,19 @@ def circuit_targets(cfg: LFConfig) -> marginal_polytope.PairTargets:
 def circuit_verdict(cfg: LFConfig) -> tuple[marginal_polytope.PairTargets, tuple, float | None]:
     """The circuit's exact verdict, memoized on the frozen config:
     `circuit_targets(cfg)`, `decide` of them, and the largest float Born CHSH
-    variant when it is within 2/SNAP (plus round-off) of 2, else None.  The
+    variant when it is within BAND/SNAP (plus round-off) of 2, else None.  The
     snap moves each correlator by at most 1/(2*SNAP), so there the verdict
     holds for the snapped targets, not the circuit."""
     targets = circuit_targets(cfg)
     top = max(sign_variants(pair_correlations(cfg).values()).values())
     return (targets, _submodule("marginal_polytope").decide(targets),
-            None if abs(top - 2) > 2 / SNAP + ATOL else top)
+            None if abs(top - 2) > BAND / SNAP + ATOL else top)
+
+
+def resolution(top: float) -> dict:
+    """A report's fresh "resolution" entry for the snap caveat `top` of `circuit_verdict`."""
+    return {"snap": f"1/{SNAP}", "undecided_band": f"2 +/- {BAND}/{SNAP}",
+            "largest_born_variant": top}
 
 
 def build_rovelli_states(cfg: RovelliConfig) -> tuple[StateVector, ...]:

@@ -107,8 +107,15 @@ RELMODEL_20000 = ("relmodel", "--trials", "20000", "--seed", "0")
 LF_20000 = ("lf", "--trials", "20000", "--seed", "0")
 
 PINS = {
+    # the whole help text, its column width and first row included
     "help": {"exit": 0, "stdout": "usage: friendlab [-h] {basic,lf,feasibility,relmodel,rovelli,"
-             "accept} ...\n", "runs": [{"argv": ["--help"]}]},
+             "accept} ...\n",
+             "sha256": "24d05eaefa802a89f653f37004ec49e2e84ea3c5c13fbb104f3ae5be42954cd8",
+             "runs": [{"argv": ["--help"]}]},
+    # a command's help, where a switch is spelled bare and a flag with its value
+    "feasibility help": {
+        "exit": 0, "sha256": "1566b6c42ed503fa208993e03fe8fb6e26c5049136db99b4bcdbf47395d63668",
+        "runs": [{"argv": ["feasibility", "--help"]}]},
     "rovelli help": {"exit": 0, "stdout": "usage: friendlab rovelli [-h]",
                      "runs": [{"argv": ["rovelli", "--help"]}]},
     # a flag the command does not read
@@ -118,10 +125,10 @@ PINS = {
     "refused config": {"exit": 2, "stderr": "error: seed must be at least 0, got -1",
                        "runs": [_config("rovelli", '{"seed": -1}')]},
     # the report holds no per-run data; the prefix and "=" forms and a config
-    # file read as the full flags
+    # file read as the full flags, and no --seed as seed 0
     "rovelli 500 0 json": {
         "exit": 0, "sha256": "1a244cceaf470e0caa1cfa814738e2da17dd097828049091a3992497c478e75a",
-        "runs": [_json(*ROVELLI_500),
+        "runs": [_json(*ROVELLI_500), _json("rovelli", "--trials", "500"),
                  {"argv": ["rovelli", "--tria=500", "--seed", "0", "--trigger", "1",
                            "--format=json"]},
                  _config("rovelli", '{"trials": 500, "seed": 0, "trigger": 1, "format": "json"}')]},
@@ -155,6 +162,10 @@ PINS = {
     "basic json": {
         "exit": 0, "sha256": "fb704b8df53e194313f56c159a778cbfff597809478e378b50a14c098f3c1ad2",
         "runs": [_json("basic")]},
+    # the record expectation of outcome -1 is negative
+    "basic outcome -1 json": {
+        "exit": 0, "sha256": "e399da35a6abb09cb3bb8ae03a6e7e9f351a58479e754d8ad502a33a6f048014",
+        "runs": [_json("basic", "--outcome", "-1")]},
     "basic 0.6,0.8 json": {
         "exit": 0, "sha256": "93ed276263fdfff8116dc7f4807dd71851a60a111c2387278e06bb104ed4a878",
         "runs": [_json("basic", "--amps", "0.6,0.8")]},
@@ -276,6 +287,13 @@ SAMPLER_PINS = {
          (6917529029947766271, 6917529028403271423, 6917529027654796287,
           6917529029629298687, 6917529026138868735)),
         (1000000000000, 9.094947017729282e-13, (0, 0, 0, 2, 0)),  # geometric, p = 2**-40
+        # n p == 10: BTRS; enough draws that a changed hat, mode or k bound
+        # changes one (a proposal of k = 0 or k = n draws no v)
+        (20, 0.5, (6, 10, 7, 13, 14, 9, 12, 8, 7, 3, 5, 7, 14, 12, 10, 12, 8, 8, 6)),
+        (50, 0.2, (5, 10, 6, 13, 9, 12, 7, 6, 7)),
+        # (n + 1) p = 11.25 and n p = 10.8: a mode off by one changes a draw
+        (24, 0.45, (7, 11, 7, 14, 10, 13, 8, 7, 3, 5, 8, 15, 13, 11, 13, 9, 9, 13)),
+        (1, 0.25, (0, 0, 0, 1)),  # one trial: geometric
     ],
     "multinomial": (1000000, (0.125, 0.0, 0.375, 0.5), (124420, 0, 374980, 500600)),
 }

@@ -234,9 +234,18 @@ def test_relmodel_reports_decide_and_exits_3_when_the_methods_disagree(capsys, m
         monkeypatch.setattr(mp, "decide", lambda t: (*real(t)[:3], False))
         scenarios.circuit_verdict.cache_clear()
         code, disagreeing, _ = run(capsys, *argv, "--format", "json")
-        assert (code, disagreeing) == (cli.EXIT_DISAGREE, out)
+        assert (code, disagreeing) == (3, out)
     finally:
         scenarios.circuit_verdict.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["lf", "relmodel"])
+def test_an_angle_of_minus_0_reports_as_0(capsys, command):
+    # -0.0 == 0.0, so the two configs are equal and share each memo entry
+    argv = (command, "--trials", "100", "--seed", "1", "--format", "json")
+    minus = run(capsys, *argv, "--angles=-0,90,45,135")
+    assert minus == run(capsys, *argv, "--angles=0,90,45,135")
+    assert '"ask_A":0.0,' in minus[1]
 
 
 def test_lf_angles_flag_overrides_config_file(capsys, tmp_path):
@@ -567,6 +576,14 @@ def test_rovelli_counts_any_number_of_runs(capsys, trials):
     assert rep["consistency_rate"] == 1.0 and rep["second_iff_trigger"] is True
 
 
+def test_rovelli_takes_one_run_and_refuses_none(capsys):
+    # the consistency rate divides by the trials
+    code, out, err = run(capsys, "rovelli", "--trials", "0")
+    assert (code, out, err) == (cli.EXIT_INPUT, "", "error: trials must be at least 1, got 0\n")
+    code, out, _ = run(capsys, "rovelli", "--trials", "1", "--format", "json")
+    assert code == cli.EXIT_PASS and json.loads(out)["trials"] == 1
+
+
 def test_rovelli_trials_past_int64_is_input_error(capsys):
     code, out, err = run(capsys, "rovelli", "--trials", str(2 ** 63))
     assert code == cli.EXIT_INPUT
@@ -672,6 +689,7 @@ def parsed(parse, argv):
 @example(["feasibility", "--from-angles=1"])  # a switch takes no value
 @example(["basic", "--outcome", "2"])  # outside the choices
 @example(["lf", "--", "--trials", "5"])  # the command takes no positional arguments
+@example(["rovelli", "--"])  # "--" alone is no prefix of every flag
 def test_parse_args_reads_argv_as_argparse_does(argv):
     expected, _ = parsed(argparse_oracle.build_parser().parse_args, argv)
     got, err = parsed(cli.parse_args, argv)

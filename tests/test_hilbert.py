@@ -33,6 +33,21 @@ def test_layout_rejects_duplicates_and_empty_factors():
         FactorLayout((("a", 2), ("a", 2)))
     with pytest.raises(LayoutError):
         FactorLayout((("a", 0), ("b", 2)))
+    # a factor of dimension 1 is a factor with one value
+    assert FactorLayout((("a", 1), ("b", 2))).dim == 2
+
+
+def test_a_norm_off_1_is_refused_naming_its_distance_from_1():
+    with pytest.raises(ValueError, match=r"^state not normalized: \|norm - 1\| = 1\.000e-01$"):
+        StateVector(Q, [1.1, 0.0])
+
+
+def test_inner_keeps_its_sign():
+    h = math.sqrt(0.5)
+    plus, minus = StateVector(Q, [h, h]), StateVector(Q, [h, -h])
+    assert plus.inner(minus) == 0.0
+    assert ket(Q, 0).inner(minus) == h and ket(Q, 1).inner(minus) == -h
+    assert StateVector(Q, [1j, 0.0]).inner(ket(Q, 0)) == -1j  # the left state conjugated
 
 
 def test_state_requires_normalization():

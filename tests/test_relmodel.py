@@ -321,6 +321,11 @@ def test_empirical_pair_table_errors():
         relmodel.empirical_pair_table(batch, ("A", "C"))  # never asked
     with pytest.raises(ValueError):
         relmodel.empirical_pair_table(batch, ("B", "Z"))
+    # the plan holds the audited pairs only
+    listed = r"the pairs are 'AC', 'AD', 'BC', 'BD', \('Ai', 'Ci'\)$"
+    for pair in (("C", "A"), ("Ai", "A"), "BB"):
+        with pytest.raises(ValueError, match=listed):
+            relmodel.empirical_pair_table(batch, pair)
 
 
 SIGNED = st.sampled_from((-1, 0, 1))
@@ -886,8 +891,9 @@ def test_binomial_is_an_int_from_0_to_n_and_exact_at_p_0_and_1(n, p, seed):
     rng = random.Random(seed)
     k = relmodel.binomial(rng, n, p)
     assert type(k) is int and 0 <= k <= n
-    state = rng.getstate()  # p = 0 and p = 1 draw nothing
+    state = rng.getstate()  # p = 0, p = 1 and n = 0 draw nothing
     assert relmodel.binomial(rng, n, 0.0) == 0 and relmodel.binomial(rng, n, 1.0) == n
+    assert relmodel.binomial(rng, 0, p) == 0
     assert rng.getstate() == state
 
 

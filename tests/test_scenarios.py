@@ -151,8 +151,8 @@ def brute_force_pair_correlation(cfg, bob_choice, divya_choice):
     phi[0] = phi[3] = 1 / math.sqrt(2)
     # kron of the (X,Y) matrix with the (MA,MC) matrix flattens to (X, MA, Y, MC)
     state = np.kron(phi.reshape(2, 2), np.outer([1, 0], [1, 0])).reshape(-1)
-    u = np.kron(friend(cfg.ask_a), np.kron(eye2, eye2))
-    u = np.kron(np.kron(eye2, eye2), friend(cfg.ask_c)) @ u
+    u = np.kron(friend(cfg.ask_A), np.kron(eye2, eye2))
+    u = np.kron(np.kron(eye2, eye2), friend(cfg.ask_C)) @ u
     state = u @ state
 
     def wing_projs(choice, ask_theta, super_theta):
@@ -168,8 +168,8 @@ def brute_force_pair_correlation(cfg, bob_choice, divya_choice):
         return out
 
     e = 0.0
-    for la, pa in wing_projs(bob_choice, cfg.ask_a, cfg.super_a):
-        for lc, pc in wing_projs(divya_choice, cfg.ask_c, cfg.super_c):
+    for la, pa in wing_projs(bob_choice, cfg.ask_A, cfg.super_A):
+        for lc, pc in wing_projs(divya_choice, cfg.ask_C, cfg.super_C):
             e += la * lc * float(state @ np.kron(pa, pc) @ state)
     return e
 
@@ -202,8 +202,8 @@ def test_super_projectors_are_rank_two_and_complete():
     # of the particle: its projectors F^dagger|k><k|F are rank 2 in the wing,
     # times the dim-4 identity, complete, and give what the reading gives
     cfg = LFConfig()
-    frame = (np.kron(np.array(rotation_matrix(cfg.super_a)).conj().T, np.eye(2))
-             @ np.array(scenarios._friend_unitary(cfg.ask_a)).conj().T)
+    frame = (np.kron(np.array(rotation_matrix(cfg.super_A)).conj().T, np.eye(2))
+             @ np.array(scenarios._friend_unitary(cfg.ask_A)).conj().T)
     amps = np.array(lf_circuit(cfg).amps)
     framed = apply(frame, lf_circuit(cfg), ("X", "MA"))
     dist = born_distribution(framed, ("X",))
@@ -266,6 +266,17 @@ def test_rovelli_witness_is_coherent():
         assert interference_witness(s, b0, b1) == witness == pytest.approx(1.0)
 
 
+def test_orientation_branches_split_on_the_orientation_digit():
+    # branch o keeps the amplitudes whose orientation digit is o, times sqrt(2)
+    for s in (*build_rovelli_states(RovelliConfig()), *build_rovelli_states(RovelliConfig(-1)),
+              build_frame_relational_state(+1), build_frame_relational_state(-1)):
+        axis = s.layout.axis("orientation")
+        digits = [values[axis] for values in itertools.product(*map(range, s.layout.dims))]
+        assert orientation_branches(s) == tuple(
+            StateVector(s.layout, [math.sqrt(2.0) * a if d == o else 0.0
+                                   for a, d in zip(s.amps, digits)]) for o in (0, 1))
+
+
 def lab_relative_s(assignment, layout):
     s_bit = assignment[layout.axis("S")]
     o_bit = assignment[layout.axis("orientation")]
@@ -291,9 +302,37 @@ def test_rovelli_structural_consistency(trigger):
                 assert rel == t_bit
 
 
+@pytest.mark.parametrize("side", [-1, 1])
+def test_the_snap_caveat_covers_the_band_of_half_width_2_over_snap(monkeypatch, side):
+    # the top CHSH variant put 0.5*ATOL inside, 0.5*ATOL outside and exactly
+    # on the edge of the band 2 +/- 2/SNAP plus ATOL; the memo is cleared
+    # around each call
+    edge = 2 / 10 ** 6 + scenarios.ATOL
+
+    def caveat(top, atol=scenarios.ATOL):
+        monkeypatch.setattr(scenarios, "pair_correlations", lambda cfg: {
+            "AC": top, "AD": 0.0, "BC": 0.0, "BD": 0.0})
+        monkeypatch.setattr(scenarios, "ATOL", atol)
+        circuit_verdict.cache_clear()
+        try:
+            return circuit_verdict(LFConfig())[2]
+        finally:
+            circuit_verdict.cache_clear()
+
+    inside = 2 + side * (edge - scenarios.ATOL / 2)
+    outside = 2 + side * (edge + scenarios.ATOL / 2)
+    assert caveat(inside) == inside and caveat(outside) is None
+    # at 2 + 2**-18 the edge is exact when ATOL = 2**-18 - 2/SNAP
+    on_edge = 2 + side * 2 ** -18
+    assert caveat(on_edge, 2 ** -18 - 2 / 10 ** 6) == on_edge
+    assert caveat(on_edge, 2 ** -18 - 2 / 10 ** 6 - 2 ** -60) is None
+
+
 def test_rovelli_rejects_bad_trigger():
     with pytest.raises(ValueError):
         RovelliConfig(trigger=0)
+    with pytest.raises(ValueError):  # True == 1, but JSON true is no trigger
+        RovelliConfig(True)
 
 
 # --- orientation invariance -------------------------------------------------
@@ -335,5 +374,12 @@ def test_config_json_round_trip():
 
 
 def test_lf_config_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        LFConfig(ask_a=360.0)
+    with pytest.raises(ValueError, match=r"^ask_A must lie in \[0, 360\), got 360.0$"):
+        LFConfig(ask_A=360.0)
+
+
+def test_lf_config_stores_minus_0_as_0():
+    cfg = LFConfig(-0.0, 90, 45, 135)
+    assert cfg == LFConfig() and all(math.copysign(1.0, a) == 1.0 for a in cfg)
+    assert cfg.to_json_dict() == {"angles": {"ask_A": 0.0, "super_A": 90.0, "ask_C": 45.0,
+                                             "super_C": 135.0}}

@@ -29,7 +29,7 @@ ANGLE = st.floats(0.0, 360.0, exclude_max=True, allow_nan=False)
 CONFIGS = st.builds(LFConfig, ANGLE, ANGLE, ANGLE, ANGLE)
 
 # each variable's measurement angle in LFConfig
-ANGLE_OF = {"A": "ask_a", "B": "super_a", "C": "ask_c", "D": "super_c"}
+ANGLE_OF = {"A": "ask_A", "B": "super_A", "C": "ask_C", "D": "super_C"}
 
 
 @PROPERTY
@@ -63,7 +63,7 @@ def test_frame_changes_are_undone_by_exact_transposes(theta):
 
 
 def test_a_fresh_config_builds_one_friend_unitary_per_ask_angle():
-    # ask_a and ask_c differ in the first config and are equal in the second
+    # ask_A and ask_C differ in the first config and are equal in the second
     for cfg, ask_angles in ((LFConfig(12.5, 97.25, 51.0, 173.75), 2),
                             (LFConfig(30.0, 60.0, 30.0, 120.0), 1)):
         for cache in (born_tables, _friend_unitary):
@@ -86,8 +86,8 @@ def test_a_fresh_config_takes_eight_frame_changes(cfg):
 
 
 # each variable's wing: the friend's (particle, memory) factors and her ask angle
-WING_OF = {"A": ("X", "MA", "ask_a"), "B": ("X", "MA", "ask_a"),
-           "C": ("Y", "MC", "ask_c"), "D": ("Y", "MC", "ask_c")}
+WING_OF = {"A": ("X", "MA", "ask_A"), "B": ("X", "MA", "ask_A"),
+           "C": ("Y", "MC", "ask_C"), "D": ("Y", "MC", "ask_C")}
 
 
 def _projectors(cfg, var):
