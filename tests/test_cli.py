@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fraction_targets import verdict_json
 from test_relmodel import reference_rows
 
+import friendlab
 from friendlab import acceptance, cli, hilbert, relmodel, scenarios, statlab
 from friendlab import marginal_polytope as mp
 from friendlab.scenarios import LFConfig
@@ -689,7 +690,7 @@ def parsed(parse, argv):
 @example(["feasibility", "--from-angles=1"])  # a switch takes no value
 @example(["basic", "--outcome", "2"])  # outside the choices
 @example(["lf", "--", "--trials", "5"])  # the command takes no positional arguments
-@example(["rovelli", "--"])  # "--" alone is no prefix of every flag
+@example(["rovelli", "--"])  # "--" alone is refused, as argparse refuses it
 def test_parse_args_reads_argv_as_argparse_does(argv):
     expected, _ = parsed(argparse_oracle.build_parser().parse_args, argv)
     got, err = parsed(cli.parse_args, argv)
@@ -702,6 +703,15 @@ def test_parse_args_reads_argv_as_argparse_does(argv):
         # reads the value as argparse reads it after "="
         assert expected == cli.EXIT_INPUT
         assert parsed(argparse_oracle.build_parser().parse_args, glued(argv)) == (got, "")
+
+
+def test_a_lone_double_dash_is_an_unrecognized_argument(capsys):
+    # "--" alone names no flag, where as a prefix it would match every flag
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["rovelli", "--"])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_INPUT
+    assert err.endswith("\nfriendlab rovelli: error: unrecognized arguments: --\n")
 
 
 def glued(argv: list[str]) -> list[str]:
@@ -979,6 +989,11 @@ def test_an_input_error_exits_2_with_its_line(capsys, tmp_path, monkeypatch, giv
     monkeypatch.chdir(tmp_path)
     pins.write_files(given, tmp_path)
     assert run(capsys, *given["argv"]) == (cli.EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_a_target_error_is_the_one_input_error():
+    # cli.main exits 2 on friendlab.InputError alone, so a refused target is one
+    assert cli.InputError is friendlab.InputError and issubclass(mp.TargetError, cli.InputError)
 
 
 def test_a_refused_seed_loads_neither_the_suite_nor_numpy():
