@@ -1,11 +1,12 @@
 """The acceptance suite: one function per criterion, each returning a
 machine-readable result dict.  The CLI `accept` command runs them all with
-seeds derived from one master seed; the test suite calls them directly and
-additionally enforces the runtime budgets."""
+seeds derived from one master seed (criterion 2 draws none); the test suite
+calls them directly and additionally enforces the runtime budgets."""
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 
@@ -20,7 +21,6 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 COS45 = math.cos(math.radians(45.0))
 
 CHSH_TRIALS = 4 * 10 ** 5     # criterion 1: runs behind the Monte Carlo S
-RANDOM_TARGETS = 1000          # criterion 2: targets for the gluing/analytic cross-check
 RELMODEL_TRIALS = 4 * 10 ** 5  # criterion 3: frame-relational runs
 UNITARIES = 100                # criterion 4: random orientation unitaries per state
 ROVELLI_TRIALS = 10 ** 4       # criterion 5: asked sequential runs
@@ -48,19 +48,34 @@ def criterion_1(seed: int) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
+def criterion_2_targets():
+    """Every consistent target set over n = 2 or 3 (each over n = 1 comes under both): the singles'
+    counts x, then per pair (v, w) a (+, +) count in the Frechet bounds of x_v and x_w.  Then
+    per q = 10^1 .. 10^9 and odd sign pattern, each correlator its sign times (2 -/+ 1/q)/4,
+    so that variant, the largest, is 2 -/+ 1/q; no single is 1/2 but B's."""
+    for n in (2, 3):
+        for plus in itertools.product(range(n + 1), repeat=4):
+            x = dict(zip(mp.VARS_4, plus))
+            bounds = (range(max(0, x[v] + x[w] - n), min(x[v], x[w]) + 1) for v, w in mp.PAIR_IDS)
+            for firsts in itertools.product(*bounds):
+                yield mp.PairTargets(n, {v + w: (a, x[v] - a, x[w] - a, n - x[v] - x[w] + a)
+                                         for (v, w), a in zip(mp.PAIR_IDS, firsts)})
+    singles = dict(zip(mp.VARS_4, ("9/16", "1/2", "7/16", "17/32")))
+    for k, signs, d in itertools.product(range(1, 10), statlab.ODD_SIGNS, (-1, 1)):
+        texts = (f"{s * (2 * 10 ** k + d)}/{4 * 10 ** k}" for s in signs)  # q = 10^k
+        yield mp.PairTargets.from_correlators(singles, dict(zip(mp.PAIR_IDS, texts)))
+
+
 def criterion_2(seed: int) -> dict:
-    """Tsirelson targets infeasible and the 1/sqrt(2)-shrunk targets
-    feasible; on those two and on every random target the methods agree."""
+    """Tsirelson targets infeasible, the 1/sqrt(2)-shrunk ones feasible, and on those and every
+    `criterion_2_targets` set the methods agree and `decide` proves it; `seed` is unused."""
     tsirelson, (v4, _, _, tsirelson_agree), _ = scenarios.circuit_verdict(LFConfig())
-    half = "1/2"
-    shrunk = mp.PairTargets.from_correlators(
-        {v: half for v in mp.VARS_4},
-        {"AC": half, "BC": half, "BD": half, "AD": "-1/2"})
+    shrunk = mp.PairTargets.from_correlators(dict.fromkeys(mp.VARS_4, "1/2"),
+                                             {"AC": "1/2", "BC": "1/2", "BD": "1/2", "AD": "-1/2"})
     s4, _, _, shrunk_agree = mp.decide(shrunk)
-    rng = np.random.default_rng(seed)
-    decided = [mp.decide(mp.random_pair_targets(rng)) for _ in range(RANDOM_TARGETS)]
-    disagreements = sum(not agree for *_, agree in decided)
-    infeasible_count = sum(not fine for _, _, fine, _ in decided)
+    scope = list(criterion_2_targets())
+    disagreements = sum(not mp.decide(t)[3] for t in scope)
+    tops = [max(t.variants.values()) - 2 * t.scale for t in scope]  # the largest variant - 2
     s, violation = mp.rational_texts(  # a violation of 0 where v4 is, wrongly, feasible
         [tsirelson.variants[statlab.CHSH_SIGNS], v4.max_violation or 0], tsirelson.scale)
     checks = [
@@ -68,11 +83,12 @@ def criterion_2(seed: int) -> dict:
         statlab.check("tsirelson LP/analytic/lift agreement", not tsirelson_agree, 0.0),
         statlab.check("shrunk 4-variable feasible", 0.0 if s4.feasible else 1.0, 0.0),
         statlab.check("shrunk LP/analytic/lift agreement", not shrunk_agree, 0.0),
-        statlab.check("LP/analytic disagreements", disagreements, 0.0, n=RANDOM_TARGETS),
+        statlab.check("LP/analytic disagreements", disagreements, 0.0, n=len(scope)),
     ]
     return {"criterion": 2, "name": "feasibility-mechanization",
             "tsirelson_S": s, "tsirelson_max_violation": violation,
-            "random_trials": RANDOM_TARGETS, "random_infeasible": infeasible_count,
+            "decided_below_2": sum(top < 0 for top in tops), "decided_on_2": tops.count(0),
+            "decided_above_2": sum(top > 0 for top in tops),
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 

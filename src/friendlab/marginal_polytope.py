@@ -37,7 +37,6 @@ from .statlab import PAIR_CELLS, PAIR_IDS, correlator, sign_variants
 
 VARS_4 = ("A", "B", "C", "D")
 VARS_6 = ("Ai", "Ar", "B", "Ci", "Cr", "D")
-RANDOM_GRID = 64  # random_pair_targets draws weights and mixing on this grid
 # largest decimal exponent a target entry may carry: the exponent builds a
 # power of ten as long as itself, and CPython limits int strings to 4300 digits
 MAX_EXPONENT = 4300
@@ -341,19 +340,3 @@ def decide(t: PairTargets) -> tuple[FeasibilityVerdict, FeasibilityVerdict, bool
                      for variables, v in ((VARS_4, v4), (VARS_6, v6))))
     return v4, v6, fine, agree
 
-
-def random_pair_targets(rng) -> PairTargets:
-    """Random valid targets: a local joint with integer atom weights below
-    RANDOM_GRID, over their sum W, mixed at weight lam/RANDOM_GRID with the
-    extremal nonlocal box, so both feasible and infeasible inputs occur.
-    Every cell is a count over 2 * RANDOM_GRID * W."""
-    weights = [int(w) for w in rng.integers(0, RANDOM_GRID, size=16)]
-    if not any(weights):
-        weights[0] = 1
-    total = sum(weights)
-    lam = int(rng.integers(0, RANDOM_GRID + 1))
-    local = [sum(get(weights)) for get in _row_getters(VARS_4)[1:]]
-    box = [int(x * y == (-1 if pair == "AD" else 1)) for pair in PAIR_IDS for x, y in PAIR_CELLS]
-    counts = [lam * total * b + 2 * (RANDOM_GRID - lam) * n for b, n in zip(box, local)]
-    return PairTargets(2 * RANDOM_GRID * total,
-                       {pair: tuple(counts[4 * k:4 * k + 4]) for k, pair in enumerate(PAIR_IDS)})

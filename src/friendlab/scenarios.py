@@ -91,7 +91,7 @@ class RovelliConfig(namedtuple("RovelliConfig", "trigger")):
     __slots__ = ()
 
     def __new__(cls, trigger: int = +1):
-        if isinstance(trigger, bool) or trigger not in (+1, -1):  # True == 1
+        if type(trigger) is not int or trigger not in (+1, -1):  # True == 1.0 == 1
             raise ValueError("trigger must be +1 or -1")
         return super().__new__(cls, trigger)
 

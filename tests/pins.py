@@ -248,11 +248,11 @@ PINS = {
                        "sha256": "4aa7c14bc0df0513faac1789d72c1784bd988b5d95087995360428f2fa0e0220",
                        "runs": [_json("relmodel", "--trials", "1000000000000", "--seed", "0")]},
     "accept 42 json": {
-        "exit": 0, "sha256": "5bef03d569bb0ea3cf9cb6074107ce98f845a8da94d5613ad5667e74962ebd2c",
+        "exit": 0, "sha256": "ab9c08710cd62dbd739fc806c667cb7e1cf8e1ec5a9d3944db34621137167fa8",
         "runs": [_json("accept", "--seed", "42"),
                  {**_json("accept", "--seed", "42"), "env": OTHER_KERNELS}]},
     "accept 42 table": {
-        "exit": 0, "sha256": "3af4bb57d8054ab5e215901b2989e6d20f49601cde7b9a5a828e176fbe63496a",
+        "exit": 0, "sha256": "b7dac54f997173dffcab3c424a7aef45a0a71d53492bbf137c46ab5d7ecbc05f",
         "runs": [{"argv": ["accept", "--seed", "42"]}]},
 }
 

@@ -3,6 +3,7 @@ line, plus the end-to-end byte-identity check on the `accept` command."""
 
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pins
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlab import acceptance, cli, relmodel
+from friendlab import acceptance, cli, relmodel, statlab
 from friendlab.scenarios import RovelliConfig
 
 
@@ -42,8 +43,24 @@ def test_criterion_1_tsirelson_reproduction():
 
 def test_criterion_2_exact_feasibility():
     result = _run(acceptance.criterion_2, 42, 60.0)
-    assert result["random_trials"] == 1000
-    assert 0 < result["random_infeasible"] < 1000
+    # 888 sets over n = 2 and 3 (72 above 2, 696 on it), then the ladder's 72 and 72
+    assert [result[f"decided_{side}_2"] for side in ("below", "on", "above")] == [192, 696, 144]
+    assert result["checks"][-1]["n"] == 1032
+    assert acceptance.criterion_2(7) == result  # no draw: the seed changes nothing
+
+
+def test_the_ladder_puts_its_variant_at_2_minus_and_plus_1_over_q():
+    ladder = list(acceptance.criterion_2_targets())[888:]
+    expected = [(signs, 2 + Fraction(d, 10 ** k)) for k in range(1, 10)
+                for signs in statlab.ODD_SIGNS for d in (-1, 1)]
+    assert [(max(t.variants, key=t.variants.get), Fraction(max(t.variants.values()), t.scale))
+            for t in ladder] == expected
+    for t in ladder:  # A, B, C, D at +1 with 9/16, 1/2, 7/16 and 17/32
+        assert [Fraction(t.counts[p][0] + t.counts[p][1], t.scale) for p in ("AC", "BC")] == \
+            [Fraction(9, 16), Fraction(1, 2)]
+        assert [Fraction(t.counts[p][0] + t.counts[p][2], t.scale) for p in ("AC", "AD")] == \
+            [Fraction(7, 16), Fraction(17, 32)]
+    assert max(t.scale for t in ladder) == 16 * 10 ** 9
 
 
 def test_criterion_3_frame_relational_fidelity():

@@ -12,7 +12,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import simplex_oracle
 from hypothesis import example, given, settings
@@ -22,6 +21,7 @@ from fraction_targets import (feasibility_report, fraction_tables, from_tables, 
                               probabilities, reference_marginals, targets_json)
 from friendlab import cli, scenarios, statlab
 from friendlab import marginal_polytope as mp
+from friendlab.acceptance import criterion_2_targets
 
 PROPERTY = settings(max_examples=25)
 
@@ -390,12 +390,31 @@ def test_simplex_solution_scales_with_the_right_hand_side(system, k):
     assert simplex_oracle.solve_nonnegative(rows, [k * b for b in rhs]) == [k * v for v in x]
 
 
-def _random_targets(seed: int) -> mp.PairTargets:
-    return mp.random_pair_targets(np.random.default_rng(seed))
-
-
+SCOPE = list(criterion_2_targets())  # accept's criterion 2 decides each of these
 ANY_TARGETS = st.one_of(decimal_targets(), boundary_targets().map(lambda case: case[0]),
-                        st.integers(0, 2 ** 32).map(_random_targets))
+                        st.sampled_from(SCOPE))
+
+
+def test_every_small_target_set_is_decided_as_the_simplex_decides():
+    # every consistent set over n = 2 and 3, the first 888 of the scope, one
+    # by one: the three methods agree with the simplex on the 16- and
+    # 64-column cell systems, each witness reproduces its targets and the
+    # violated variant's certificate refutes each infeasible set
+    small = SCOPE[:888]
+    assert {t.scale for t in small} == {1, 2, 3} and max(t.scale for t in SCOPE[888:]) > 3
+    for t in small:
+        v4, v6, fine, agree = mp.decide(t)
+        assert agree
+        for variables, verdict in ((mp.VARS_4, v4), (mp.VARS_6, v6)):
+            x = simplex_oracle.solve_nonnegative(mp._cell_rows(variables), t.cell_counts)
+            assert verdict.feasible == (x is not None) == fine
+            if verdict.feasible:
+                assert mp.reproduces(variables, verdict.witness, t)
+            else:
+                assert mp.refutes(variables, mp.certificate(_violated(t)), t)
+    tops = [Fraction(max(t.variants.values()), t.scale) for t in small]
+    distinct = {(t.scale, tuple(t.counts.values())) for t in small}
+    assert (sum(s > 2 for s in tops), tops.count(2), len(distinct)) == (72, 696, 872)
 
 
 @PROPERTY

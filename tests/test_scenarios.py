@@ -333,6 +333,8 @@ def test_rovelli_rejects_bad_trigger():
         RovelliConfig(trigger=0)
     with pytest.raises(ValueError):  # True == 1, but JSON true is no trigger
         RovelliConfig(True)
+    with pytest.raises(ValueError):  # 1.0 == 1, but no run can index by it
+        RovelliConfig(1.0)
 
 
 # --- orientation invariance -------------------------------------------------
