@@ -46,7 +46,6 @@ def test_criterion_2_exact_feasibility():
     # 888 sets over n = 2 and 3 (72 above 2, 696 on it), then the ladder's 72 and 72
     assert [result[f"decided_{side}_2"] for side in ("below", "on", "above")] == [192, 696, 144]
     assert result["checks"][-1]["n"] == 1032
-    assert acceptance.criterion_2(7) == result  # no draw: the seed changes nothing
 
 
 def test_the_ladder_puts_its_variant_at_2_minus_and_plus_1_over_q():

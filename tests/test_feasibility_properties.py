@@ -411,6 +411,7 @@ def test_every_small_target_set_is_decided_as_the_simplex_decides():
             if verdict.feasible:
                 assert mp.reproduces(variables, verdict.witness, t)
             else:
+                assert verdict.max_violation > 0
                 assert mp.refutes(variables, mp.certificate(_violated(t)), t)
     tops = [Fraction(max(t.variants.values()), t.scale) for t in small]
     distinct = {(t.scale, tuple(t.counts.values())) for t in small}

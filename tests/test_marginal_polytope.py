@@ -193,23 +193,6 @@ def test_fine_criterion_examples():
     assert not mp.fine_criterion(pr_box())
 
 
-def test_fine_criterion_agrees_with_both_lps_on_criterion_2s_targets():
-    saw_feasible = saw_infeasible = 0
-    for t in SCOPE:
-        fine = mp.fine_criterion(t)
-        v4 = mp.feasible_joint_4(t)
-        v6 = mp.feasible_joint_6(v4)
-        assert fine == v4.feasible == v6.feasible
-        if v4.feasible:
-            saw_feasible += 1
-            assert mp.reproduces(mp.VARS_4, v4.witness, t)
-            assert mp.reproduces(mp.VARS_6, v6.witness, t)
-        else:
-            saw_infeasible += 1
-            assert v4.max_violation > 0
-    assert (saw_feasible, saw_infeasible) == (888, 144)
-
-
 def test_decide_requires_a_valid_certificate_for_an_infeasible_verdict(monkeypatch):
     assert mp.decide(pr_box())[3]
     real = mp.certificate

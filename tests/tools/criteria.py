@@ -1,39 +1,35 @@
 """In-process time of each acceptance criterion, first call and warm.
 
-    PYTHONPATH=src python tests/tools/criteria.py [--seed 42] [--warm 3]
+    PYTHONPATH=src python tests/tools/criteria.py
 
 Imports `friendlab.acceptance` and calls each criterion in turn with the
-sub-seed that `accept --seed SEED` gives it: once (the first call, which
-also fills the memos that later calls share), then --warm more times.
-Prints one line per criterion: whether it passed, the first call's
+sub-seed that `accept --seed 42` (the pinned run) gives it: once (the first
+call, which also fills the memos that later calls share), then WARM more
+times.  Prints one line per criterion: whether it passed, the first call's
 milliseconds and the median of the warm calls'.  A record, not a gate;
 tier-1 checks the verdicts.  Standard library only, besides friendlab.
 """
 
-import argparse
 import statistics
 import sys
 from time import perf_counter
 
 from friendlab import acceptance
 
+SEED = 42
+WARM = 3
+
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--warm", type=int, default=3)
-    opts = ap.parse_args()
-    if opts.warm < 1:
-        sys.exit("criteria.py: need at least 1 warm call")
     for k in range(1, 7):
-        criterion, seed = getattr(acceptance, f"criterion_{k}"), acceptance._sub_seed(opts.seed, k)
+        criterion, seed = getattr(acceptance, f"criterion_{k}"), acceptance._sub_seed(SEED, k)
         times = []
-        for _ in range(1 + opts.warm):
+        for _ in range(1 + WARM):
             start = perf_counter()
             result = criterion(seed)
             times.append((perf_counter() - start) * 1e3)
         print(f"criterion {k} ({'PASS' if result['pass'] else 'FAIL'}): first {times[0]:.1f} ms, "
-              f"warm {statistics.median(times[1:]):.1f} ms (median of {opts.warm})")
+              f"warm {statistics.median(times[1:]):.1f} ms (median of {WARM})")
     return 0
 
 
